@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race bench bench-baseline bench-wormsim-baseline bench-routing-baseline bench-heuristics-baseline bench-serve-baseline bench-regression profile-wormsim results fuzz check-fault check-scale check-churn check-serve check-workload
+.PHONY: check fmt vet build test race bench bench-baseline bench-wormsim-baseline bench-routing-baseline bench-heuristics-baseline bench-serve-baseline bench-regression profile-wormsim perfbench-smoke results fuzz check-fault check-scale check-churn check-serve check-workload
 
 ## check: everything CI runs — format, vet, build, race tests, quick benchmarks
 check: fmt vet build race bench
@@ -52,6 +52,12 @@ profile-wormsim:
 	$(GO) test -run '^$$' -bench BenchmarkWormsimCyclesPerSec -benchtime 20x \
 		-cpuprofile wormsim.cpu.pprof -memprofile wormsim.mem.pprof -o wormsim.test .
 
+## perfbench-smoke: vet and smoke-test the benchmark in perfbench/, a
+## nested module that `go test ./...` never compiles, so a change to the
+## sched/wormsim API it calls fails here rather than at benchmark time
+perfbench-smoke:
+	cd perfbench && $(GO) vet . && $(GO) test .
+
 ## bench-serve-baseline: regenerate the committed BENCH_serve.json (one
 ## steady-state 256-request admission window on the 64x64 mesh)
 bench-serve-baseline:
@@ -65,11 +71,12 @@ bench-routing-baseline:
 bench-heuristics-baseline:
 	$(GO) test ./internal/heuristics -run TestWriteHeuristicsBenchBaseline -update-heuristics-bench
 
-## fuzz: 30-second smoke of every fuzz target (healthy routing invariants + fault-mask CDG acyclicity + trace-parser round-trip)
+## fuzz: 30-second smoke of every fuzz target (healthy routing invariants + fault-mask CDG acyclicity + trace-parser round-trip + channel index vs map)
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzPlan -fuzztime 30s ./internal/routing
 	$(GO) test -run '^$$' -fuzz FuzzFaultMaskCDG -fuzztime 30s ./internal/fault
 	$(GO) test -run '^$$' -fuzz FuzzTraceParse -fuzztime 30s ./internal/workload
+	$(GO) test -run '^$$' -fuzz FuzzChanIndex -fuzztime 30s ./internal/dfr
 
 ## check-fault: the fault-injection acceptance suite — masked-CDG acyclicity for every scheme, degraded routing, mid-run kill semantics, retry accounting, exact-vs-heuristic bounds on faulty meshes, and the mcfault parallel determinism contract
 check-fault:

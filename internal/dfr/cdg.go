@@ -8,25 +8,22 @@ import (
 )
 
 // ChannelIndexer assigns dense integer ids to channels so channel
-// dependency graphs can be built over them.
+// dependency graphs can be built over them: a ChanIndex that also keeps
+// the channel of every id.
 type ChannelIndexer struct {
-	ids  map[Channel]int
+	idx  ChanIndex
 	list []Channel
 }
 
 // NewChannelIndexer returns an empty indexer.
-func NewChannelIndexer() *ChannelIndexer {
-	return &ChannelIndexer{ids: make(map[Channel]int)}
-}
+func NewChannelIndexer() *ChannelIndexer { return &ChannelIndexer{} }
 
 // ID returns the dense id for c, allocating one on first use.
 func (x *ChannelIndexer) ID(c Channel) int {
-	if id, ok := x.ids[c]; ok {
-		return id
+	id := int(x.idx.Intern(c))
+	if id == len(x.list) {
+		x.list = append(x.list, c)
 	}
-	id := len(x.list)
-	x.ids[c] = id
-	x.list = append(x.list, c)
 	return id
 }
 

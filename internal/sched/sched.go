@@ -11,8 +11,9 @@
 // The steady-state window path — Submit through CloseWindow with a warm
 // PlanCache — allocates nothing: requests live in a recycled item arena,
 // plan lookups go through FlatProbeBuf's reusable key buffer, and
-// per-channel load accounting uses epoch-stamped dense arrays keyed by
-// interned channel ids, never maps.
+// per-channel load accounting uses epoch-stamped dense arrays indexed by
+// channel ids from a dfr.ChanIndex, which interns a channel by scanning
+// the block of channels leaving its source node instead of hashing it.
 //
 // Determinism: for a given submission sequence the admitted stream,
 // deferral counts, and PlanCache counters are identical at every worker
@@ -94,9 +95,10 @@ type Service struct {
 	queue []*item // pending, admission order: carried deferrals first
 	free  []*item
 
-	// Per-channel load accounting: interned ids into epoch-stamped dense
-	// arrays, reset by bumping the epoch rather than clearing.
-	chanIDs   map[dfr.Channel]int32
+	// Per-channel load accounting: channel ids from the hash-free index
+	// into epoch-stamped dense arrays, reset by bumping the epoch rather
+	// than clearing.
+	chans     dfr.ChanIndex
 	loadStamp []int64
 	loadVal   []int32
 	epoch     int64
@@ -117,12 +119,13 @@ func New(cfg Config) *Service {
 	if cfg.MaxDefer == 0 {
 		cfg.MaxDefer = 8
 	}
-	return &Service{
-		cfg:     cfg,
-		router:  cfg.Router,
-		topo:    cfg.Router.State().Topology(),
-		chanIDs: make(map[dfr.Channel]int32),
+	s := &Service{
+		cfg:    cfg,
+		router: cfg.Router,
+		topo:   cfg.Router.State().Topology(),
 	}
+	s.chans.Grow(s.topo.Nodes())
+	return s
 }
 
 // Stats returns the cumulative counters.
@@ -232,7 +235,7 @@ func (s *Service) CloseWindow() []Admission {
 		admit := s.cfg.Budget <= 0 || len(s.admitted) == 0
 		var candLoad int32
 		if !admit {
-			candLoad = s.applyLoad(it.flat)
+			candLoad = s.addLoad(it.flat, 1)
 			load := candLoad
 			if windowLoad > load {
 				load = windowLoad
@@ -247,10 +250,10 @@ func (s *Service) CloseWindow() []Admission {
 				admit = true
 				s.stats.ForceAdmits++
 			} else {
-				s.revertLoad(it.flat)
+				s.addLoad(it.flat, -1)
 			}
 		} else if s.cfg.Budget > 0 {
-			candLoad = s.applyLoad(it.flat)
+			candLoad = s.addLoad(it.flat, 1)
 		}
 		if admit {
 			if candLoad > windowLoad {
@@ -388,43 +391,16 @@ func dilationOf(f *routing.FlatPlan) int32 {
 	return d
 }
 
-// chanID interns a channel into the dense load arrays.
-func (s *Service) chanID(c dfr.Channel) int32 {
-	if id, ok := s.chanIDs[c]; ok {
-		return id
-	}
-	id := int32(len(s.loadVal))
-	s.chanIDs[c] = id
-	s.loadVal = append(s.loadVal, 0)
-	s.loadStamp = append(s.loadStamp, 0)
-	return id
-}
-
-// bump adds delta to a channel's load for the current epoch and returns
-// the new value.
-func (s *Service) bump(id int32, delta int32) int32 {
-	if s.loadStamp[id] != s.epoch {
-		s.loadStamp[id] = s.epoch
-		s.loadVal[id] = 0
-	}
-	s.loadVal[id] += delta
-	return s.loadVal[id]
-}
-
-// applyLoad adds one unit of load to every channel the plan traverses
-// and returns the maximum resulting per-channel load.
-func (s *Service) applyLoad(f *routing.FlatPlan) int32 {
+// addLoad adds delta to the load of every channel the plan traverses —
+// +1 to try a request, -1 to take a deferred one back out — and returns
+// the maximum resulting per-channel load.
+func (s *Service) addLoad(f *routing.FlatPlan, delta int32) int32 {
 	var max int32
 	for p := 0; p < f.Paths(); p++ {
 		lo, hi := f.PathOff[p], f.PathOff[p+1]
 		clo := lo - int32(p)
 		for i := lo + 1; i < hi; i++ {
-			id := s.chanID(dfr.Channel{
-				From:  topology.NodeID(f.PathNodes[i-1]),
-				To:    topology.NodeID(f.PathNodes[i]),
-				Class: int(f.PathClass[clo+i-lo-1]),
-			})
-			if v := s.bump(id, 1); v > max {
+			if v := s.bump(f.PathNodes[i-1], f.PathNodes[i], f.PathClass[clo+i-lo-1], delta); v > max {
 				max = v
 			}
 		}
@@ -433,12 +409,7 @@ func (s *Service) applyLoad(f *routing.FlatPlan) int32 {
 		llo, lhi := f.TreeOff[t], f.TreeOff[t+1]
 		clo, chi := f.TreeLevelOff[llo], f.TreeLevelOff[lhi]
 		for c := clo; c < chi; c++ {
-			id := s.chanID(dfr.Channel{
-				From:  topology.NodeID(f.TreeFrom[c]),
-				To:    topology.NodeID(f.TreeTo[c]),
-				Class: int(f.TreeClass[c]),
-			})
-			if v := s.bump(id, 1); v > max {
+			if v := s.bump(f.TreeFrom[c], f.TreeTo[c], f.TreeClass[c], delta); v > max {
 				max = v
 			}
 		}
@@ -446,28 +417,19 @@ func (s *Service) applyLoad(f *routing.FlatPlan) int32 {
 	return max
 }
 
-// revertLoad undoes applyLoad for a deferred request.
-func (s *Service) revertLoad(f *routing.FlatPlan) {
-	for p := 0; p < f.Paths(); p++ {
-		lo, hi := f.PathOff[p], f.PathOff[p+1]
-		clo := lo - int32(p)
-		for i := lo + 1; i < hi; i++ {
-			s.bump(s.chanID(dfr.Channel{
-				From:  topology.NodeID(f.PathNodes[i-1]),
-				To:    topology.NodeID(f.PathNodes[i]),
-				Class: int(f.PathClass[clo+i-lo-1]),
-			}), -1)
-		}
+// bump adds delta to channel (from, to, class)'s load for the current
+// epoch and returns the new value. A channel's first use interns it and
+// grows the load arrays.
+func (s *Service) bump(from, to, class, delta int32) int32 {
+	id := s.chans.Intern(dfr.Channel{From: topology.NodeID(from), To: topology.NodeID(to), Class: int(class)})
+	if int(id) == len(s.loadVal) {
+		s.loadVal = append(s.loadVal, 0)
+		s.loadStamp = append(s.loadStamp, 0)
 	}
-	for t := 0; t < f.Trees(); t++ {
-		llo, lhi := f.TreeOff[t], f.TreeOff[t+1]
-		clo, chi := f.TreeLevelOff[llo], f.TreeLevelOff[lhi]
-		for c := clo; c < chi; c++ {
-			s.bump(s.chanID(dfr.Channel{
-				From:  topology.NodeID(f.TreeFrom[c]),
-				To:    topology.NodeID(f.TreeTo[c]),
-				Class: int(f.TreeClass[c]),
-			}), -1)
-		}
+	if s.loadStamp[id] != s.epoch {
+		s.loadStamp[id] = s.epoch
+		s.loadVal[id] = 0
 	}
+	s.loadVal[id] += delta
+	return s.loadVal[id]
 }

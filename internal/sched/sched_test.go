@@ -133,6 +133,24 @@ func TestBudgetDefersConflicts(t *testing.T) {
 	}
 }
 
+// TestDeferralRevertsLoad pins the exact revert of a deferred request's
+// load. On the 8x8 mesh's top row, A = 0->1 leads the window; B = 0->2
+// (channels 0->1, 1->2) would reach load 2 on 0->1 and is deferred; C =
+// 1->2 fits only if B's tentative load on 1->2 was taken back out.
+func TestDeferralRevertsLoad(t *testing.T) {
+	m := topology.NewMesh2D(8, 8)
+	s := New(Config{Router: newRouter(t, m, routing.NewPlanCache(0)), Budget: 2})
+	for i, r := range [][2]topology.NodeID{{0, 1}, {0, 2}, {1, 2}} {
+		if err := s.Submit(uint64(i), r[0], []topology.NodeID{r[1]}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	adm := s.CloseWindow()
+	if len(adm) != 2 || adm[0].ID != 0 || adm[1].ID != 2 {
+		t.Fatalf("window admitted %v, want ids 0 and 2 with id 1 deferred", adm)
+	}
+}
+
 // TestForceAdmitFires pins MaxDefer: a request that keeps losing to an
 // endless stream of fresh conflicting arrivals is force-admitted rather
 // than starved.

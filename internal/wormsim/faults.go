@@ -42,9 +42,9 @@ func (n *Network) FailWhere(pred func(c dfr.Channel) bool) int {
 			victims = append(victims, wi)
 		}
 	}
-	for c, id := range n.chanIDs {
+	n.chans.Each(func(id int32, c dfr.Channel) {
 		if n.chanOwner[id] == deadChan || !pred(c) {
-			continue
+			return
 		}
 		// Collect the owner before the dead sentinel overwrites it.
 		collect(n.chanOwner[id])
@@ -53,10 +53,11 @@ func (n *Network) FailWhere(pred func(c dfr.Channel) bool) int {
 		for _, q := range n.chanWaiters(id) {
 			collect(q)
 		}
-	}
-	// Kill in ascending id order: chanIDs is a map, so the collection
-	// order above is not deterministic, but the kill order — and with it
-	// the OnLost callback order and all downstream wakes — must be.
+	})
+	// Kill in ascending worm id order: the collection above follows the
+	// channel index's source-node order, which says nothing about worm
+	// ids, and the kill order — and with it the OnLost callback order and
+	// all downstream wakes — must not depend on how channels are stored.
 	n.sortRefsByID(victims)
 	for _, wi := range victims {
 		n.killWorm(wi)

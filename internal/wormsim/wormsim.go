@@ -30,9 +30,10 @@
 // The simulator is indexed, event-driven and data-oriented (see
 // DESIGN.md, "Simulator data layout"):
 //
-//   - Channels are interned to dense int32 ids at injection time, so the
-//     per-cycle inner loop indexes flat parallel arrays instead of
-//     hashing dfr.Channel map keys.
+//   - Channels are interned to dense int32 ids at injection time by a
+//     hash-free dfr.ChanIndex, so neither injection nor the per-cycle
+//     inner loop hashes dfr.Channel keys; the inner loop indexes flat
+//     parallel arrays.
 //   - Worms live in a slot arena (Network.slots) and are referenced by
 //     dense int32 indices (wormRef) everywhere — the in-flight list, the
 //     active list, wake queues, channel owner and FIFO state, shard round
@@ -162,9 +163,10 @@ type mcastState struct {
 type Network struct {
 	topo topology.Topology
 
-	// Channel interning: dfr.Channel keys are resolved to dense ids once
-	// at injection time; every per-cycle access is a slice index.
-	chanIDs map[dfr.Channel]int32
+	// Channel interning: every hop of every injected route resolves its
+	// dfr.Channel to a dense id by scanning the source node's block of
+	// channels (no hashing); every per-cycle access is then a slice index.
+	chans dfr.ChanIndex
 
 	// Channel state, struct-of-arrays: parallel flat slices indexed by
 	// the interned channel id. chanOwner is the only array the
@@ -245,7 +247,9 @@ type Network struct {
 // NewNetwork returns an empty network over topo. Channels are created
 // lazily, so any channel class used by the injected routes is accepted.
 func NewNetwork(topo topology.Topology) *Network {
-	return &Network{topo: topo, chanIDs: make(map[dfr.Channel]int32)}
+	n := &Network{topo: topo}
+	n.chans.Grow(topo.Nodes())
+	return n
 }
 
 // Cycle returns the current simulation cycle.
@@ -281,9 +285,10 @@ func (n *Network) FastForward(target int64) {
 
 // Busy implements dfr.ChannelOracle: it reports whether a channel is
 // currently held by a worm, letting adaptive schemes route around live
-// congestion at injection time.
+// congestion at injection time. A channel never interned — including one
+// outside the topology — is free.
 func (n *Network) Busy(c dfr.Channel) bool {
-	id, ok := n.chanIDs[c]
+	id, ok := n.chans.Lookup(c)
 	return ok && n.chanOwner[id] >= 0
 }
 
@@ -313,16 +318,18 @@ func (n *Network) OnCompleteTag(fn func(tag uint64, latencyCycles int64)) { n.on
 
 // intern resolves a channel key to its dense id, creating (and
 // validating) the state slots on first use. Validation therefore happens
-// once per distinct channel rather than once per injection.
+// once per distinct channel rather than once per injection; its range
+// check comes first because topology adjacency is arithmetic on node ids
+// and holds for some ids outside the topology.
 func (n *Network) intern(c dfr.Channel) int32 {
-	if id, ok := n.chanIDs[c]; ok {
+	if id, ok := n.chans.Lookup(c); ok {
 		return id
 	}
-	if !n.topo.Adjacent(c.From, c.To) {
+	if nodes := n.topo.Nodes(); c.From < 0 || int(c.From) >= nodes || c.To < 0 || int(c.To) >= nodes ||
+		!n.topo.Adjacent(c.From, c.To) {
 		panic(fmt.Sprintf("wormsim: route uses non-channel %v", c))
 	}
-	id := int32(len(n.chanOwner))
-	n.chanIDs[c] = id
+	id := n.chans.Intern(c)
 	owner := noWorm
 	for _, pred := range n.deadPreds {
 		if pred(c) {
@@ -569,9 +576,14 @@ func (n *Network) InjectFlatTag(fp *routing.FlatPlan, lengthFlits int, tag uint6
 // and channel arrays are arena-recycled.
 func (n *Network) buildTreeWorm(t dfr.TreeRoute, lengthFlits int, mci int32) wormRef {
 	n.beginScratch()
-	n.nodeMark(int(t.Root), 0)
+	// A root outside the topology is left unmarked: the edge leaving it
+	// fails validation below.
+	if uint(t.Root) < uint(len(n.scratchStamp)) {
+		n.nodeMark(int(t.Root), 0)
+	}
 	maxd := 0
 	for _, e := range t.Edges {
+		n.intern(e) // validates the edge before its nodes index the scratch
 		d := n.nodeVal(int(e.From)) + 1
 		n.nodeMark(int(e.To), d)
 		if int(d) > maxd {

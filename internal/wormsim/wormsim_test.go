@@ -1,11 +1,13 @@
 package wormsim
 
 import (
+	"strings"
 	"testing"
 
 	"multicastnet/internal/core"
 	"multicastnet/internal/dfr"
 	"multicastnet/internal/labeling"
+	"multicastnet/internal/routing"
 	"multicastnet/internal/topology"
 )
 
@@ -321,6 +323,65 @@ func TestInjectValidation(t *testing.T) {
 			}()
 			fn()
 		}()
+	}
+}
+
+// TestInjectRejectsNonChannels pins the validation in front of the channel
+// index: a hop that leaves the topology or joins non-adjacent nodes panics
+// with the non-channel message on every injection path. Several hops are
+// adjacent by node arithmetic alone — node 9 sits "above" node 6 in a 3x3
+// mesh, node -1 "left of" node 0, and node 16 differs from node 0 in one
+// bit of a 4-cube — so adjacency cannot stand in for the range check.
+func TestInjectRejectsNonChannels(t *testing.T) {
+	mesh := topology.NewMesh2D(3, 3)
+	cube := topology.NewHypercube(4)
+	hops := []struct {
+		topo     topology.Topology
+		from, to topology.NodeID
+	}{
+		{mesh, 0, 4}, {mesh, 6, 9}, {mesh, 9, 6}, {mesh, 0, -1}, {mesh, -1, 0},
+		{cube, 0, 3}, {cube, 0, 16}, {cube, 16, 0},
+	}
+	for _, h := range hops {
+		path := dfr.PathRoute{Nodes: []topology.NodeID{h.from, h.to}, Dests: []topology.NodeID{h.to}}
+		tree := dfr.TreeRoute{Root: h.from, Edges: []dfr.Channel{{From: h.from, To: h.to}},
+			Dests: []topology.NodeID{h.to}}
+		for name, inject := range map[string]func(*Network){
+			"path": func(n *Network) { n.InjectMulticast([]dfr.PathRoute{path}, nil, 4) },
+			"tree": func(n *Network) { n.InjectMulticast(nil, []dfr.TreeRoute{tree}, 4) },
+			"flat": func(n *Network) { n.InjectFlat(routing.Flatten(routing.Plan{Paths: []dfr.PathRoute{path}}), 4) },
+		} {
+			func() {
+				defer func() {
+					msg, _ := recover().(string)
+					if !strings.HasPrefix(msg, "wormsim: route uses non-channel") {
+						t.Errorf("%s hop %d->%d on %d nodes: panic %q, want the non-channel panic",
+							name, h.from, h.to, h.topo.Nodes(), msg)
+					}
+				}()
+				inject(NewNetwork(h.topo))
+			}()
+		}
+	}
+}
+
+// TestBusyOutsideTopology pins Busy's miss path: a channel that was never
+// interned — including one whose source lies outside the topology — is
+// free, and asking never panics.
+func TestBusyOutsideTopology(t *testing.T) {
+	n := NewNetwork(topology.NewMesh2D(3, 3))
+	n.InjectMulticast([]dfr.PathRoute{pathTo(0, 1, 2)}, nil, 8)
+	n.Step()
+	if !n.Busy(dfr.Channel{From: 0, To: 1}) {
+		t.Fatal("Busy reports the held channel 0->1 free")
+	}
+	for _, c := range []dfr.Channel{
+		{From: 9, To: 6}, {From: 100, To: 0}, {From: -1, To: 0},
+		{From: 0, To: 9}, {From: 0, To: 1, Class: 1}, {From: 1, To: 0},
+	} {
+		if n.Busy(c) {
+			t.Errorf("Busy(%v) = true for a channel never interned", c)
+		}
 	}
 }
 
