@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race bench bench-baseline bench-wormsim-baseline bench-routing-baseline bench-heuristics-baseline bench-serve-baseline bench-regression profile-wormsim perfbench-smoke results fuzz check-fault check-scale check-churn check-serve check-workload
+.PHONY: check fmt vet build test race bench bench-baseline bench-wormsim-baseline bench-routing-baseline bench-heuristics-baseline bench-serve-baseline bench-regression profile-wormsim perfbench-smoke results fuzz check-figures check-fault check-scale check-churn check-serve check-workload
 
 ## check: everything CI runs — format, vet, build, race tests, quick benchmarks
 check: fmt vet build race bench
@@ -71,12 +71,25 @@ bench-routing-baseline:
 bench-heuristics-baseline:
 	$(GO) test ./internal/heuristics -run TestWriteHeuristicsBenchBaseline -update-heuristics-bench
 
-## fuzz: 30-second smoke of every fuzz target (healthy routing invariants + fault-mask CDG acyclicity + trace-parser round-trip + channel index vs map)
+## fuzz: 30-second smoke of every fuzz target (healthy routing invariants + fault-mask CDG acyclicity + trace-parser round-trip + channel index vs map + wait-for graph vs the all-ahead reference)
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzPlan -fuzztime 30s ./internal/routing
 	$(GO) test -run '^$$' -fuzz FuzzFaultMaskCDG -fuzztime 30s ./internal/fault
 	$(GO) test -run '^$$' -fuzz FuzzTraceParse -fuzztime 30s ./internal/workload
 	$(GO) test -run '^$$' -fuzz FuzzChanIndex -fuzztime 30s ./internal/dfr
+	$(GO) test -run '^$$' -fuzz FuzzDetectDeadlock -fuzztime 30s ./internal/wormsim
+
+## check-figures: regenerate the mcfigures outputs at -quick, the fidelity
+## committed in results/, and require every file to match byte for byte
+check-figures:
+	@d=$$(mktemp -d); \
+	$(GO) run ./cmd/mcfigures -quick -out $$d >/dev/null || exit 1; \
+	n=0; for f in $$d/*; do \
+		cmp $$f results/$$(basename $$f) || { echo "check-figures: $$(basename $$f) differs from results/"; exit 1; }; \
+		n=$$((n+1)); \
+	done; \
+	rm -rf $$d; \
+	echo "check-figures: $$n mcfigures outputs byte-identical to results/"
 
 ## check-fault: the fault-injection acceptance suite — masked-CDG acyclicity for every scheme, degraded routing, mid-run kill semantics, retry accounting, exact-vs-heuristic bounds on faulty meshes, and the mcfault parallel determinism contract
 check-fault:
@@ -150,9 +163,11 @@ check-workload:
 		{ echo "check-workload: trace record/replay failed"; exit 1; }; \
 	echo "check-workload: mcworkload outputs byte-identical across -parallel/-shards"
 
-## results: regenerate every table and figure at full fidelity
+## results: regenerate every committed table and figure — mcfigures at
+## -quick (check-figures pins that output), the other studies at full
+## fidelity
 results:
-	$(GO) run ./cmd/mcfigures -out results
+	$(GO) run ./cmd/mcfigures -quick -out results
 	$(GO) run ./cmd/mcfault -out results
 	$(GO) run ./cmd/mcscale -out results
 	$(GO) run ./cmd/mcchurn -out results

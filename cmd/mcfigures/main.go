@@ -7,8 +7,8 @@
 //
 // Usage:
 //
-//	mcfigures -out results          # full fidelity (minutes)
-//	mcfigures -out results -quick   # reduced workloads (seconds)
+//	mcfigures -out results -quick   # reduced workloads (seconds): the committed results/
+//	mcfigures -out full             # full fidelity (about 2 minutes on 2 vCPUs)
 //	mcfigures -bench -out .         # write BENCH_wormsim.json only
 package main
 

@@ -48,10 +48,11 @@ func arenaWorkload(t testing.TB) (*topology.Mesh2D, []routing.Plan) {
 // and the epoch-stamped scratch have warmed up, an inject-and-drain
 // round allocates nothing — worms, multicast records, tree levels and
 // wake lists are all recycled. The round includes a mid-drain FailWhere
-// activation (fault-killing worms on first contact in later rounds) and
-// an invariant check after every cycle, so the fault path's victim
-// scratch and the checker's slice-indexed scratch are held to the same
-// zero-alloc bar as the hot loop.
+// activation (fault-killing worms on first contact in later rounds), and
+// an invariant check and a deadlock search after every cycle, so the
+// fault path's victim scratch, the checker's slice-indexed scratch and
+// the wait-for graph are held to the same zero-alloc bar as the hot
+// loop.
 func TestSteadyStateAllocationFree(t *testing.T) {
 	m, plans := arenaWorkload(t)
 	// A channel held by in-flight worms three cycles into the drain (on
@@ -81,6 +82,9 @@ func TestSteadyStateAllocationFree(t *testing.T) {
 				net.Step()
 				if err := net.CheckInvariants(); err != nil {
 					t.Fatal(err)
+				}
+				if ids := net.DetectDeadlock(); ids != nil {
+					t.Fatalf("shards=%d: deadlock-free workload deadlocked: %v", shards, ids)
 				}
 			}
 		}

@@ -11,11 +11,17 @@ import "fmt"
 type ckScratch struct {
 	ownerStamp []int64   // per channel: owner[] valid when == epoch
 	owner      []wormRef // per channel: accounted holder this epoch
-	wormStamp  []int64   // per worm slot: queue-membership marks
+	worms      []ckWorm  // per worm slot
 	mcStamp    []int64   // per multicast slot: tallied this epoch
 	mcUndeliv  []int32   // per multicast slot: undelivered owed by live worms
 	mcList     []int32   // multicasts tallied this epoch, first-seen order
 	epoch      int64
+}
+
+// ckWorm is CheckInvariants' per-slot scratch.
+type ckWorm struct {
+	stamp  int64 // queue-duplicate mark: the channel epoch it was last seen queued in
+	queued int32 // queue entries its state claims that the FIFO walk has not found yet
 }
 
 // CheckInvariants audits the full simulator state and returns the first
@@ -35,6 +41,12 @@ type ckScratch struct {
 //     and failed channels are never owned;
 //   - queue consistency: wait queues contain only live worms, at most
 //     once each;
+//   - queue membership: a worm is queued on exactly the channels its
+//     header waits for — every FIFO entry is a worm whose state says it
+//     is queued on that channel (a path worm's header channel once
+//     queuedAt == headIdx, an untaken channel of a tree worm's queued
+//     frontier level), and every such worm is in that FIFO. The
+//     one-edge-per-position wait-for graph of DetectDeadlock rests on it;
 //   - delivery conservation: per-worm undelivered counts match the
 //     delivery flags, and each multicast's remaining+lost+delivered
 //     partitions its destination set.
@@ -47,8 +59,8 @@ func (n *Network) CheckInvariants() error {
 		ck.ownerStamp = append(ck.ownerStamp, make([]int64, grow)...)
 		ck.owner = append(ck.owner, make([]wormRef, grow)...)
 	}
-	if len(ck.wormStamp) < len(n.slots) {
-		ck.wormStamp = append(ck.wormStamp, make([]int64, len(n.slots)-len(ck.wormStamp))...)
+	if len(ck.worms) < len(n.slots) {
+		ck.worms = append(ck.worms, make([]ckWorm, len(n.slots)-len(ck.worms))...)
 	}
 	if len(ck.mcStamp) < len(n.mcSlots) {
 		grow := len(n.mcSlots) - len(ck.mcStamp)
@@ -63,6 +75,7 @@ func (n *Network) CheckInvariants() error {
 			continue
 		}
 		live++
+		ck.worms[wi].queued = 0
 		holds := func(id int32) error {
 			if ck.ownerStamp[id] == base {
 				return fmt.Errorf("wormsim: channel %d held by worms %d and %d", id, n.slots[ck.owner[id]].id, w.id)
@@ -91,6 +104,9 @@ func (n *Network) CheckInvariants() error {
 					return err
 				}
 			}
+			if w.queuedAt == w.headIdx && w.headIdx < len(w.chans) {
+				ck.worms[wi].queued = 1
+			}
 		} else {
 			if w.released < 0 || w.released > w.headIdx || w.headIdx > len(w.levels) {
 				return fmt.Errorf("wormsim: tree worm %d counters out of order: released %d head %d levels %d",
@@ -114,6 +130,8 @@ func (n *Network) CheckInvariants() error {
 						if err := holds(id); err != nil {
 							return err
 						}
+					} else if l.queued {
+						ck.worms[wi].queued++
 					}
 				}
 			}
@@ -155,10 +173,24 @@ func (n *Network) CheckInvariants() error {
 			if n.slots[q].done {
 				return fmt.Errorf("wormsim: retired worm %d still queued on channel %d", n.slots[q].id, id)
 			}
-			if ck.wormStamp[q] == ck.epoch {
+			if ck.worms[q].stamp == ck.epoch {
 				return fmt.Errorf("wormsim: worm %d queued twice on channel %d", n.slots[q].id, id)
 			}
-			ck.wormStamp[q] = ck.epoch
+			ck.worms[q].stamp = ck.epoch
+			if !n.slots[q].queuedOn(int32(id)) {
+				return fmt.Errorf("wormsim: worm %d queued on channel %d its header does not wait on",
+					n.slots[q].id, id)
+			}
+			ck.worms[q].queued--
+		}
+	}
+	// Every FIFO entry matched a distinct (worm, channel) pair of its
+	// worm's queued state, so a count left over is a pair missing from
+	// its FIFO.
+	for _, wi := range n.worms {
+		if w := &n.slots[wi]; !w.done && ck.worms[wi].queued != 0 {
+			return fmt.Errorf("wormsim: worm %d is queued by its state but missing from %d wait queue(s)",
+				w.id, ck.worms[wi].queued)
 		}
 	}
 	for _, mci := range ck.mcList {
@@ -173,4 +205,23 @@ func (n *Network) CheckInvariants() error {
 		}
 	}
 	return nil
+}
+
+// queuedOn reports whether w's state says it is queued on channel id: the
+// header channel of a path worm once queuedAt == headIdx, or an untaken
+// channel of a tree worm's queued frontier level.
+func (w *worm) queuedOn(id int32) bool {
+	if w.kind == pathWorm {
+		return w.queuedAt == w.headIdx && w.headIdx < len(w.chans) && w.chans[w.headIdx] == id
+	}
+	if w.headIdx >= len(w.levels) || !w.levels[w.headIdx].queued {
+		return false
+	}
+	l := &w.levels[w.headIdx]
+	for i, c := range l.channels {
+		if c == id && !l.taken[i] {
+			return true
+		}
+	}
+	return false
 }

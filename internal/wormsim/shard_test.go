@@ -193,7 +193,7 @@ func TestShardedEventStreamIdentical(t *testing.T) {
 			}
 			moved := net.Step()
 			audit = append(audit, fmt.Sprintf("cycle %d moved=%v inflight=%d deadlock=%v",
-				c, moved, net.ActiveWorms(), net.DeadlockedWormIDs()))
+				c, moved, net.ActiveWorms(), net.DetectDeadlock()))
 			if err := net.CheckInvariants(); err != nil {
 				t.Fatalf("shards=%d cycle %d: %v", shards, c, err)
 			}

@@ -907,25 +907,29 @@ func (n *Network) deliver(w *worm, d *delivery) {
 	}
 }
 
-// DeadlockedWormIDs returns the ids of the worms on one wait-for cycle,
-// or nil; a diagnostic alias of DetectDeadlock.
-func (n *Network) DeadlockedWormIDs() []int {
-	return n.DetectDeadlock()
-}
-
-// ddScratch is DetectDeadlock's reusable state: the periodic deadlock
-// audit (every 64 cycles under Run) used to allocate maps and adjacency
-// slices on every call — roughly a third of the serial hot-loop profile —
-// and now reuses epoch-stamped slot-indexed scratch instead.
+// ddScratch is DetectDeadlock's reusable, epoch-stamped state. Its graph
+// rests on one property of the wait queues: a worm is queued on exactly
+// the channels its header waits for — a path worm on chans[headIdx] when
+// queuedAt == headIdx, a tree worm on the untaken channels of a queued
+// frontier level (CheckInvariants checks both directions). Walking a
+// channel's FIFO therefore visits every queued waiter of that channel,
+// and a worm's own state says whether it is among them.
 type ddScratch struct {
 	live   []wormRef
 	pos    []int32 // slot -> index into live, valid when stamp == epoch
 	stamp  []int64
 	epoch  int64
+	chans  []ddChan  // per channel id
 	adj    [][]int32 // wait-for edges, indexed by live position
 	color  []uint8
 	parent []int32
 	stack  []ddFrame
+}
+
+// ddChan is one channel's FIFO state in a DetectDeadlock check.
+type ddChan struct {
+	epoch int64 // the FIFO's edges were added in this check
+	tail  int32 // live index of the last live waiter, or -1
 }
 
 // ddFrame is one explicit DFS frame: the iterative traversal keeps very
@@ -936,13 +940,23 @@ type ddFrame struct {
 	next int32 // index into adj[u] of the next edge to explore
 }
 
-// DetectDeadlock searches the wait-for graph for a cycle: worm A waits
+// DetectDeadlock searches the wait-for graph for a cycle. Worm A waits
 // for worm B when B owns a channel A's header needs, or when B is queued
 // ahead of A on it. Because a blocked worm holds every channel it has
 // acquired until its header advances (wormhole flow control,
-// Section 2.3.4), a wait-for cycle is a permanent deadlock. It returns
-// the ids of the worms on one such cycle, or nil. Steady-state calls
-// allocate nothing (a found cycle — which ends the run — is the only
+// Section 2.3.4), a wait-for cycle is a permanent deadlock.
+//
+// The graph keeps one edge per FIFO position of each needed channel:
+// every live waiter points at its nearest live predecessor, the first at
+// the owner, and a worm that needs the channel but is not queued on it
+// at the last live waiter (the owner when nobody waits). Each such edge
+// is a wait-for relation and each wait-for relation is a path of them,
+// so the graph has a cycle exactly when the relation does, at a size
+// linear in the queue lengths rather than quadratic.
+//
+// It returns the ids of the worms on one cycle — each waits for the one
+// before it, the first for the last — or nil. Steady-state calls
+// allocate nothing (a found cycle, which ends the run, is the only
 // allocation).
 func (n *Network) DetectDeadlock() []int {
 	dd := &n.dd
@@ -950,6 +964,9 @@ func (n *Network) DetectDeadlock() []int {
 	if len(dd.stamp) < len(n.slots) {
 		dd.stamp = append(dd.stamp, make([]int64, len(n.slots)-len(dd.stamp))...)
 		dd.pos = append(dd.pos, make([]int32, len(n.slots)-len(dd.pos))...)
+	}
+	if len(dd.chans) < len(n.chanOwner) {
+		dd.chans = append(dd.chans, make([]ddChan, len(n.chanOwner)-len(dd.chans))...)
 	}
 	live := dd.live[:0]
 	for _, wi := range n.worms {
@@ -971,7 +988,7 @@ func (n *Network) DetectDeadlock() []int {
 		w := &n.slots[wi]
 		if w.kind == pathWorm {
 			if w.headIdx < len(w.chans) {
-				n.ddAddWait(adj, int32(i), wi, w.chans[w.headIdx])
+				n.ddNeed(adj, int32(i), wi, w.chans[w.headIdx], w.queuedAt == w.headIdx)
 			}
 			continue
 		}
@@ -981,7 +998,7 @@ func (n *Network) DetectDeadlock() []int {
 		l := &w.levels[w.headIdx]
 		for ci, id := range l.channels {
 			if !l.taken[ci] {
-				n.ddAddWait(adj, int32(i), wi, id)
+				n.ddNeed(adj, int32(i), wi, id, l.queued)
 			}
 		}
 	}
@@ -1034,22 +1051,46 @@ func (n *Network) DetectDeadlock() []int {
 	return nil
 }
 
-// ddAddWait records the worms the worm at live position i (slot wi) waits
-// for on channel id: the current owner, and every waiter queued ahead of
-// it.
-func (n *Network) ddAddWait(adj [][]int32, i int32, wi wormRef, id int32) {
+// ddNeed records that the worm at live position i (slot wi) needs channel
+// id. The first need of a channel in a check links its FIFO; a queued
+// worm got its edge there, and a worm not yet queued waits for the tail.
+func (n *Network) ddNeed(adj [][]int32, i int32, wi wormRef, id int32, queued bool) {
 	dd := &n.dd
-	if o := n.chanOwner[id]; o >= 0 && o != wi && dd.stamp[o] == dd.epoch {
+	c := &dd.chans[id]
+	if c.epoch != dd.epoch {
+		c.epoch = dd.epoch
+		c.tail = n.ddLinkFIFO(adj, id)
+	}
+	if queued {
+		return
+	}
+	if c.tail >= 0 {
+		adj[i] = append(adj[i], c.tail)
+	} else if o := n.chanOwner[id]; o >= 0 && o != wi && dd.stamp[o] == dd.epoch {
 		adj[i] = append(adj[i], dd.pos[o])
 	}
+}
+
+// ddLinkFIFO adds one edge per live waiter of channel id — to its nearest
+// live predecessor, or to the owner for the first — and returns the live
+// index of the last live waiter, or -1.
+func (n *Network) ddLinkFIFO(adj [][]int32, id int32) int32 {
+	dd := &n.dd
+	o := n.chanOwner[id]
+	prev := int32(-1)
 	for _, q := range n.chanWaiters(id) {
-		if q == wi {
-			break
+		if dd.stamp[q] != dd.epoch {
+			continue
 		}
-		if dd.stamp[q] == dd.epoch {
-			adj[i] = append(adj[i], dd.pos[q])
+		p := dd.pos[q]
+		if prev >= 0 {
+			adj[p] = append(adj[p], prev)
+		} else if o >= 0 && o != q && dd.stamp[o] == dd.epoch {
+			adj[p] = append(adj[p], dd.pos[o])
 		}
+		prev = p
 	}
+	return prev
 }
 
 // wormHeap is a binary min-heap of worm slot indices keyed by worm id,

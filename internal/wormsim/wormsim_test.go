@@ -411,19 +411,19 @@ func TestDoubleChannelClassesAreDistinct(t *testing.T) {
 	}
 }
 
-// TestDeadlockedWormIDs exercises the diagnostic id report on the classic
-// two-worm cycle.
+// TestDeadlockedWormIDs exercises DetectDeadlock's id report on the
+// classic two-worm cycle.
 func TestDeadlockedWormIDs(t *testing.T) {
 	m := topology.NewMesh2D(2, 2)
 	n := NewNetwork(m)
 	const L = 64
 	n.InjectMulticast([]dfr.PathRoute{pathTo(0, 1, 3, 2)}, nil, L)
 	n.InjectMulticast([]dfr.PathRoute{pathTo(3, 2, 0, 1)}, nil, L)
-	if ids := n.DeadlockedWormIDs(); ids != nil {
+	if ids := n.DetectDeadlock(); ids != nil {
 		t.Fatalf("no deadlock before any cycle: %v", ids)
 	}
 	runUntilQuiet(n, 200)
-	ids := n.DeadlockedWormIDs()
+	ids := n.DetectDeadlock()
 	if len(ids) != 2 {
 		t.Fatalf("expected the two stuck worms, got %v", ids)
 	}
