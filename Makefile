@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race bench bench-baseline bench-wormsim-baseline bench-routing-baseline bench-heuristics-baseline bench-serve-baseline bench-regression profile-wormsim perfbench-smoke results fuzz check-figures check-fault check-scale check-churn check-serve check-workload
+.PHONY: check fmt vet build test race bench bench-wormsim-baseline bench-routing-baseline bench-heuristics-baseline bench-serve-baseline bench-regression profile-wormsim perfbench-smoke results fuzz check-figures check-fault check-scale check-churn check-serve check-workload
 
 ## check: everything CI runs — format, vet, build, race tests, quick benchmarks
 check: fmt vet build race bench
@@ -29,19 +29,15 @@ bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkStaticTable' -benchmem -benchtime 1x ./internal/experiments
 
 ## bench-wormsim-baseline: regenerate the committed BENCH_wormsim.json in
-## one deterministic pass — serial and per-shard-count core throughput,
-## gomaxprocs, and every dynamic figure's wall time
+## one deterministic pass — core throughput, gomaxprocs, and every
+## dynamic figure's wall time
 bench-wormsim-baseline:
 	$(GO) run ./cmd/mcfigures -bench -quick -parallel 1 -out .
 
-## bench-baseline: legacy alias of bench-wormsim-baseline
-bench-baseline: bench-wormsim-baseline
-
-## bench-regression: throughput gate — re-measures the serial and sharded
-## core workloads plus the scheduling-service window path against the
-## committed baselines. A >25% serial wormsim cycles_per_sec regression
-## FAILS (exit 1); everything else (sharded figures on the 1-core host,
-## the serve path) stays warn-only, and all paths warn from 15%
+## bench-regression: throughput gate — re-measures the core workload plus
+## the scheduling-service window path against the committed baselines. A
+## >25% wormsim cycles_per_sec regression FAILS (exit 1); the serve path
+## stays warn-only, and both paths warn from 15%
 bench-regression:
 	$(GO) run ./cmd/mcfigures -bench-compare BENCH_wormsim.json
 	$(GO) test ./internal/sched -run TestServeBenchRegression -serve-bench-compare
@@ -97,71 +93,68 @@ check-fault:
 	$(GO) test -run 'TestFaultFigures' ./internal/experiments
 	$(GO) test -run 'TestKMBVsExactOnFaultyMeshes' ./internal/opt
 
-## check-scale: the sharded-engine acceptance suite — serial/sharded
-## byte-identity across schemes, topologies and fault plans, the dense
-## CSR injection equivalence, the allocation-free steady state, the
-## figure-level -shards contracts, and a quick end-to-end scale study
+## check-scale: a quick end-to-end scale study on the 64x64 mesh, the
+## 8-ary 4-cube and the 65536-node hypercube; the study aborts unless
+## each workload's timed run reproduces its warm-up run
 check-scale:
-	$(GO) test -run 'TestSharded|TestFlatInjection|TestSetShardsGuards|TestSteadyStateAllocationFree' ./internal/wormsim
-	$(GO) test -run 'TestScaleStudySmall|TestDynamicFigureShardsByteIdentical|TestFaultFiguresShardsByteIdentical' ./internal/experiments
 	$(GO) run ./cmd/mcscale -quick -out $$(mktemp -d)
 
 ## check-churn: the incremental-topology acceptance suite — churn
 ## equivalence (live delta-driven router vs static rebuild at every
 ## epoch), targeted cache invalidation, the delta-driven simulator
 ## bridge, the reduced churn study, and byte-identity of every
-## deterministic mcchurn output across -parallel/-shards
+## deterministic mcchurn output across -parallel
 check-churn:
 	$(GO) test -run 'TestChurnEquivalence|TestLiveRouterTargetedInvalidation|TestMaskedStateMemo|TestPlanDeltas|TestSimSchedule' ./internal/fault
 	$(GO) test -run 'TestChurnStudySmall' ./internal/experiments
 	@a=$$(mktemp -d); b=$$(mktemp -d); \
 	$(GO) run ./cmd/mcchurn -quick -parallel 1 -out $$a >/dev/null; \
-	$(GO) run ./cmd/mcchurn -quick -parallel 4 -shards 4 -out $$b >/dev/null; \
+	$(GO) run ./cmd/mcchurn -quick -parallel 4 -out $$b >/dev/null; \
 	for f in churn_hitrate.txt churn_hitrate.csv churn_evictions.txt churn_evictions.csv churn_sim.txt; do \
-		cmp $$a/$$f $$b/$$f || { echo "check-churn: $$f differs across -parallel/-shards"; exit 1; }; \
+		cmp $$a/$$f $$b/$$f || { echo "check-churn: $$f differs across -parallel"; exit 1; }; \
 	done; \
-	echo "check-churn: deterministic mcchurn outputs byte-identical across -parallel/-shards"
+	echo "check-churn: deterministic mcchurn outputs byte-identical across -parallel"
 
 ## check-serve: the scheduling-service acceptance suite — window packing,
 ## worker-count invariance, the allocation-free steady state, the reduced
 ## serving study, and byte-identity of every mcserve output across
-## -parallel/-shards
+## -parallel
 check-serve:
 	$(GO) test ./internal/sched
 	$(GO) test -run 'TestServeStudySmall' ./internal/experiments
 	@a=$$(mktemp -d); b=$$(mktemp -d); \
-	$(GO) run ./cmd/mcserve -quick -parallel 1 -shards 1 -out $$a >/dev/null; \
-	$(GO) run ./cmd/mcserve -quick -parallel 4 -shards 4 -out $$b >/dev/null; \
+	$(GO) run ./cmd/mcserve -quick -parallel 1 -out $$a >/dev/null; \
+	$(GO) run ./cmd/mcserve -quick -parallel 4 -out $$b >/dev/null; \
 	for f in serve_throughput.txt serve_throughput.csv serve_p99.txt serve_p99.csv \
 		serve_window_throughput.txt serve_window_throughput.csv \
 		serve_window_p99.txt serve_window_p99.csv serve_study.txt; do \
-		cmp $$a/$$f $$b/$$f || { echo "check-serve: $$f differs across -parallel/-shards"; exit 1; }; \
+		cmp $$a/$$f $$b/$$f || { echo "check-serve: $$f differs across -parallel"; exit 1; }; \
 	done; \
-	echo "check-serve: mcserve outputs byte-identical across -parallel/-shards"
+	echo "check-serve: mcserve outputs byte-identical across -parallel"
 
 ## check-workload: the workload-engine acceptance suite — statistical
 ## property tests and golden streams for every model, the trace
 ## round-trip contract, the workload-driven simulator/service paths, the
 ## reduced workload study, and byte-identity of every mcworkload output
-## across -parallel/-shards
+## across -parallel
 check-workload:
 	$(GO) test ./internal/workload
 	$(GO) test -run 'TestRunWorkload' ./internal/wormsim
 	$(GO) test -run 'TestServeWorkload|TestForceAdmit' ./internal/sched
 	$(GO) test -run 'TestWorkloadStudySmall|TestServeStudyWorkloadOption' ./internal/experiments
 	@a=$$(mktemp -d); b=$$(mktemp -d); \
-	$(GO) run ./cmd/mcworkload -quick -parallel 1 -shards 1 -out $$a >/dev/null; \
-	$(GO) run ./cmd/mcworkload -quick -parallel 4 -shards 4 -out $$b >/dev/null; \
+	$(GO) run ./cmd/mcworkload -quick -parallel 1 -out $$a >/dev/null; \
+	$(GO) run ./cmd/mcworkload -quick -parallel 4 -out $$b >/dev/null; \
 	for f in workload_scheme_mesh.txt workload_scheme_mesh.csv \
 		workload_scheme_cube.txt workload_scheme_cube.csv \
 		workload_packer_throughput.txt workload_packer_throughput.csv \
 		workload_packer_p99.txt workload_packer_p99.csv workload_study.txt; do \
-		cmp $$a/$$f $$b/$$f || { echo "check-workload: $$f differs across -parallel/-shards"; exit 1; }; \
+		cmp $$a/$$f $$b/$$f || { echo "check-workload: $$f differs across -parallel"; exit 1; }; \
 	done; \
 	$(GO) run ./cmd/mcworkload -quick -record bursty -o $$a/bursty.trace >/dev/null; \
 	$(GO) run ./cmd/mcworkload -quick -replay $$a/bursty.trace >/dev/null || \
 		{ echo "check-workload: trace record/replay failed"; exit 1; }; \
-	echo "check-workload: mcworkload outputs byte-identical across -parallel/-shards"
+	echo "check-workload: mcworkload outputs byte-identical across -parallel"
 
 ## results: regenerate every committed table and figure — mcfigures at
 ## -quick (check-figures pins that output), the other studies at full

@@ -8,13 +8,13 @@
 // delta path (churn_sim.txt).
 //
 // Every committed output except the wall-clock timings in churn_study.txt
-// is byte-identical at any -parallel and -shards value.
+// is byte-identical at any -parallel value.
 //
 // Usage:
 //
 //	mcchurn -out results            # write churn_hitrate/churn_evictions (txt+csv), churn_sim.txt, churn_study.txt
 //	mcchurn -quick                  # reduced stream and cycle budgets
-//	mcchurn -parallel 4 -shards 4   # worker/shard counts (figures unchanged)
+//	mcchurn -parallel 4             # worker count (figures unchanged)
 //	mcchurn -csv                    # emit CSV on stdout instead of files
 package main
 
@@ -37,7 +37,6 @@ func main() {
 	seed := flag.Uint64("seed", 1990, "study seed")
 	csv := flag.Bool("csv", false, "emit CSV on stdout instead of writing files")
 	parallel := flag.Int("parallel", 0, "sweep workers for the counting passes (0 = GOMAXPROCS, 1 = sequential)")
-	shards := flag.Int("shards", 0, "step the simulator runs with the sharded engine (0/1 = serial; outputs are byte-identical)")
 	simcheck := flag.Bool("simcheck", false, "run wormsim invariant checks inside the simulator runs")
 	prof := profiling.AddFlags()
 	flag.Parse()
@@ -53,7 +52,6 @@ func main() {
 	}
 	opts.Seed = *seed
 	opts.Parallel = *parallel
-	opts.Shards = *shards
 	opts.Check = *simcheck
 
 	res := experiments.ChurnStudy(opts)
@@ -83,7 +81,7 @@ func main() {
 
 // writeSim records the delta-driven simulator runs' delivery accounting —
 // deterministic fields only, so the file is byte-identical at any
-// -parallel/-shards combination.
+// -parallel value.
 func writeSim(dir string, res experiments.ChurnResult) {
 	f, err := os.Create(filepath.Join(dir, "churn_sim.txt"))
 	if err != nil {
@@ -93,7 +91,7 @@ func writeSim(dir string, res experiments.ChurnResult) {
 	fmt.Fprintf(f, "Delta-driven dynamic simulation under churn\n")
 	fmt.Fprintf(f, "Mid-run fault epochs kill channels inside the wormhole engine and\n")
 	fmt.Fprintf(f, "re-plan through one fault.LiveRouter advanced by the same deltas\n")
-	fmt.Fprintf(f, "(fault.SimSchedule). Deterministic at any shard count.\n\n")
+	fmt.Fprintf(f, "(fault.SimSchedule). Deterministic at any -parallel value.\n\n")
 	fmt.Fprintf(f, "%-14s %7s %9s %10s %7s %7s %9s %10s\n",
 		"workload", "epochs", "sent", "delivered", "lost", "killed", "cycles", "deadlock")
 	for _, s := range res.Sims {

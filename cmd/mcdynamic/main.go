@@ -32,7 +32,6 @@ func main() {
 	listSchemes := flag.Bool("list-schemes", false, "list the routing-engine schemes and exit")
 	csv := flag.Bool("csv", false, "emit CSV instead of a table")
 	parallel := flag.Int("parallel", 0, "sweep workers (0 = GOMAXPROCS, 1 = sequential)")
-	shards := flag.Int("shards", 0, "step each simulation with the sharded engine (0/1 = serial; figures are byte-identical)")
 	simcheck := flag.Bool("simcheck", false, "run wormsim invariant checks inside every simulation")
 	prof := profiling.AddFlags()
 	flag.Parse()
@@ -63,7 +62,6 @@ func main() {
 		opts.MaxCycles = *maxCycles
 	}
 	opts.Parallel = *parallel
-	opts.Shards = *shards
 	opts.Check = *simcheck
 
 	// Surface each figure sweep's plan-cache accounting. The counts

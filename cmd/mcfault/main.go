@@ -31,7 +31,6 @@ func main() {
 	seed := flag.Uint64("seed", 1990, "study seed")
 	csv := flag.Bool("csv", false, "emit CSV on stdout instead of writing files")
 	parallel := flag.Int("parallel", 0, "sweep workers (0 = GOMAXPROCS, 1 = sequential)")
-	shards := flag.Int("shards", 0, "step each attempt with the sharded engine (0/1 = serial; figures are byte-identical)")
 	simcheck := flag.Bool("simcheck", false, "run wormsim invariant checks inside every attempt")
 	prof := profiling.AddFlags()
 	flag.Parse()
@@ -47,7 +46,6 @@ func main() {
 	}
 	opts.Seed = *seed
 	opts.Parallel = *parallel
-	opts.Shards = *shards
 	opts.Check = *simcheck
 
 	delivery, latency, cacheStats := experiments.FaultFiguresStats(opts)
@@ -75,7 +73,7 @@ func main() {
 // printCacheStats reports the retry path's plan-cache accounting: hits
 // are attempts served by a surviving cached plan, invalidations are
 // entries evicted by fault deltas (targeted: only plans touching dead
-// channels). The sums are deterministic for any -parallel/-shards.
+// channels). The sums are deterministic for any -parallel.
 func printCacheStats(cs []experiments.SchemeCacheStats) {
 	fmt.Printf("\nplan cache (summed over all fault points):\n")
 	fmt.Printf("%-12s %8s %8s %10s %13s %9s\n",

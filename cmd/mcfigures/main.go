@@ -33,7 +33,7 @@ func main() {
 	quick := flag.Bool("quick", false, "reduced workloads")
 	parallel := flag.Int("parallel", 0, "sweep workers (0 = GOMAXPROCS, 1 = sequential)")
 	bench := flag.Bool("bench", false, "measure simulator throughput and figure wall times, write BENCH_wormsim.json, and exit")
-	benchCompare := flag.String("bench-compare", "", "measure throughput against this committed BENCH_wormsim.json: exit 1 if the serial core regressed >25%, warn from 15% (sharded figures warn-only)")
+	benchCompare := flag.String("bench-compare", "", "measure throughput against this committed BENCH_wormsim.json: exit 1 if the core regressed >25%, warn from 15%")
 	prof := profiling.AddFlags()
 	flag.Parse()
 	stopProf, err := prof.Start()
@@ -104,32 +104,16 @@ func main() {
 }
 
 // benchReport is the schema of BENCH_wormsim.json: simulator core
-// throughput (serial and per shard count) plus the wall time of each
-// dynamic figure at the selected fidelity and worker count. The whole
+// throughput plus the wall time of each dynamic figure at the selected fidelity and worker count. The whole
 // report is produced in one deterministic pass — every measured run uses
 // the same seed and workload, so only the wall times vary between hosts.
 type benchReport struct {
 	Quick      bool `json:"quick"`
 	Parallel   int  `json:"parallel"`
 	GOMAXPROCS int  `json:"gomaxprocs"`
-	// CyclesPerSec is the serial core throughput, the regression-gate
-	// field. SoACyclesPerSec records the same measurement since the
-	// struct-of-arrays core rewrite landed, so the before/after is
-	// legible in the committed file: cycles_per_sec values predating the
-	// rewrite were measured on the pointer-based core.
-	CyclesPerSec    float64       `json:"cycles_per_sec"`
-	SoACyclesPerSec float64       `json:"soa_cycles_per_sec"`
-	Sharded         []shardBench  `json:"sharded"`
-	Figures         []figureBench `json:"figures"`
-}
-
-// shardBench is the sharded engine's throughput on the identical
-// workload: the simulated cycle count matches the serial run exactly
-// (the engines are byte-identical), so cycles_per_sec isolates the
-// stepping engine's speed.
-type shardBench struct {
-	Shards       int     `json:"shards"`
-	CyclesPerSec float64 `json:"cycles_per_sec"`
+	// CyclesPerSec is the core throughput, the regression-gate field.
+	CyclesPerSec float64       `json:"cycles_per_sec"`
+	Figures      []figureBench `json:"figures"`
 }
 
 type figureBench struct {
@@ -140,21 +124,10 @@ type figureBench struct {
 func runBench(out string, dopts experiments.DynamicOptions) {
 	cycles, secs := experiments.SimThroughput(dopts.Seed, 200_000)
 	report := benchReport{
-		Quick:           dopts.Loads != nil,
-		Parallel:        dopts.Parallel,
-		GOMAXPROCS:      runtime.GOMAXPROCS(0),
-		CyclesPerSec:    float64(cycles) / secs,
-		SoACyclesPerSec: float64(cycles) / secs,
-	}
-	for _, shards := range []int{2, 4, 8} {
-		scycles, ssecs := experiments.SimThroughputSharded(dopts.Seed, 200_000, shards)
-		if scycles != cycles {
-			fatal(fmt.Errorf("sharded bench run diverged: %d cycles at shards=%d, serial %d",
-				scycles, shards, cycles))
-		}
-		report.Sharded = append(report.Sharded, shardBench{
-			Shards: shards, CyclesPerSec: float64(scycles) / ssecs,
-		})
+		Quick:        dopts.Loads != nil,
+		Parallel:     dopts.Parallel,
+		GOMAXPROCS:   runtime.GOMAXPROCS(0),
+		CyclesPerSec: float64(cycles) / secs,
 	}
 	figs := []struct {
 		id string
@@ -183,13 +156,11 @@ func runBench(out string, dopts experiments.DynamicOptions) {
 	fmt.Printf("wrote %s (%.0f cycles/sec)\n", path, report.CyclesPerSec)
 }
 
-// runBenchCompare is the CI bench-regression gate. The serial core
-// throughput FAILS the build (exit 1) on a >25% drop against the
-// committed baseline — large enough that shared-runner noise does not
-// trip it, small enough to catch a real hot-loop regression — and warns
-// from 15%. The sharded figures stay warn-only: on the 1-core CI host
-// they measure coordination overhead, which is far noisier than the
-// serial loop.
+// runBenchCompare is the CI bench-regression gate. The core throughput
+// FAILS the build (exit 1) on a >25% drop against the committed
+// baseline — large enough that shared-runner noise does not trip it,
+// small enough to catch a real hot-loop regression — and warns from
+// 15%.
 func runBenchCompare(path string) {
 	buf, err := os.ReadFile(path)
 	if err != nil {
@@ -208,26 +179,12 @@ func runBenchCompare(path string) {
 	ratio := got / baseline.CyclesPerSec
 	fmt.Printf("bench-compare: %.0f cycles/sec vs baseline %.0f (%.2fx)\n",
 		got, baseline.CyclesPerSec, ratio)
-	failed := false
 	switch {
 	case ratio < 0.75:
 		fmt.Printf("FAIL: simulator throughput regressed >25%% against %s\n", path)
-		failed = true
+		os.Exit(1)
 	case ratio < 0.85:
 		fmt.Printf("WARN: simulator throughput regressed >15%% against %s\n", path)
-	}
-	for _, sb := range baseline.Sharded {
-		scycles, ssecs := experiments.SimThroughputSharded(seed, 200_000, sb.Shards)
-		sgot := float64(scycles) / ssecs
-		sratio := sgot / sb.CyclesPerSec
-		fmt.Printf("bench-compare: shards=%d %.0f cycles/sec vs baseline %.0f (%.2fx)\n",
-			sb.Shards, sgot, sb.CyclesPerSec, sratio)
-		if sratio < 0.85 {
-			fmt.Printf("WARN: sharded (%d) throughput regressed >15%% against %s\n", sb.Shards, path)
-		}
-	}
-	if failed {
-		os.Exit(1)
 	}
 }
 

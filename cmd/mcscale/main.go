@@ -1,17 +1,14 @@
 // Command mcscale runs the beyond-paper scale study: simulator throughput
 // (simulated cycles per wall-clock second) on topologies far beyond the
 // dissertation's 8x8 mesh — a 64x64 mesh, an 8-ary 4-cube and a
-// 65536-node hypercube — under the serial engine and the sharded parallel
-// engine at several shard counts. Every sharded run is verified
-// field-for-field against its serial reference, so the study is also a
+// 65536-node hypercube. Each workload's timed run is verified
+// field-for-field against its warm-up run, so the study is also a
 // large-topology determinism audit.
 //
 // Usage:
 //
-//	mcscale -out results            # write scale_throughput/scale_speedup (txt+csv) and scale_study.txt
+//	mcscale -out results            # write scale_study.txt
 //	mcscale -quick                  # reduced cycle budgets
-//	mcscale -shards 2,4,8,16        # override the shard-count sweep
-//	mcscale -csv                    # emit CSV on stdout instead of files
 package main
 
 import (
@@ -20,20 +17,15 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"strconv"
-	"strings"
 
 	"multicastnet/internal/experiments"
 	"multicastnet/internal/profiling"
-	"multicastnet/internal/stats"
 )
 
 func main() {
 	out := flag.String("out", "results", "output directory")
 	quick := flag.Bool("quick", false, "reduced cycle budgets")
 	seed := flag.Uint64("seed", 1990, "study seed")
-	shards := flag.String("shards", "", "comma-separated shard counts (default 2,4,8)")
-	csv := flag.Bool("csv", false, "emit CSV on stdout instead of writing files")
 	simcheck := flag.Bool("simcheck", false, "run wormsim invariant checks inside every run")
 	prof := profiling.AddFlags()
 	flag.Parse()
@@ -49,46 +41,18 @@ func main() {
 	}
 	opts.Seed = *seed
 	opts.Check = *simcheck
-	if *shards != "" {
-		for _, f := range strings.Split(*shards, ",") {
-			v, err := strconv.Atoi(strings.TrimSpace(f))
-			if err != nil || v < 2 {
-				fatal(fmt.Errorf("bad -shards entry %q (want integers >= 2)", f))
-			}
-			opts.ShardCounts = append(opts.ShardCounts, v)
-		}
-	}
-
-	if runtime.NumCPU() == 1 {
-		fmt.Println("mcscale: warning: runtime.NumCPU() == 1 — the sharded engine has no parallelism to exploit; speedup columns measure coordination overhead only")
-	}
 
 	res := experiments.ScaleStudy(opts)
 
-	if *csv {
-		for _, fig := range []*stats.Figure{res.Throughput, res.Speedup} {
-			if err := fig.WriteCSV(os.Stdout); err != nil {
-				fatal(err)
-			}
-		}
-		return
-	}
 	if err := os.MkdirAll(*out, 0o755); err != nil {
 		fatal(err)
-	}
-	for _, fig := range []*stats.Figure{res.Throughput, res.Speedup} {
-		base := strings.ReplaceAll(strings.ToLower(fig.ID), " ", "_")
-		writeFigure(*out, base+".txt", fig, false)
-		writeFigure(*out, base+".csv", fig, true)
-		fmt.Printf("wrote %s\n", base)
 	}
 	writeSummary(*out, res)
 	fmt.Printf("wrote scale_study.txt (gomaxprocs=%d)\n", res.GOMAXPROCS)
 }
 
-// writeSummary records the study conditions next to the figures: shard
-// speedups are only meaningful relative to the core count the study ran
-// on, so GOMAXPROCS is part of the result.
+// writeSummary records the measured throughput with the host facts it
+// was measured on.
 func writeSummary(dir string, res experiments.ScaleResult) {
 	f, err := os.Create(filepath.Join(dir, "scale_study.txt"))
 	if err != nil {
@@ -96,39 +60,15 @@ func writeSummary(dir string, res experiments.ScaleResult) {
 	}
 	defer f.Close()
 	fmt.Fprintf(f, "Beyond-paper scale study\n")
-	fmt.Fprintf(f, "gomaxprocs: %d (host cores available to the sharded engine)\n", res.GOMAXPROCS)
-	fmt.Fprintf(f, "cpus: %d\n\n", runtime.NumCPU())
-	fmt.Fprintf(f, "%-14s %7s %12s %10s %14s %8s %8s\n",
-		"workload", "shards", "cycles", "wall_s", "cycles/sec", "speedup", "matched")
+	fmt.Fprintf(f, "gomaxprocs: %d\n", res.GOMAXPROCS)
+	fmt.Fprintf(f, "cpus: %d\n", runtime.NumCPU())
+	fmt.Fprintf(f, "go: %s\n\n", runtime.Version())
+	fmt.Fprintf(f, "%-14s %12s %10s %14s\n", "workload", "cycles", "wall_s", "cycles/sec")
 	for _, p := range res.Points {
-		fmt.Fprintf(f, "%-14s %7d %12d %10.3f %14.0f %8.2f %8v\n",
-			p.Workload, p.Shards, p.Cycles, p.WallSecs, p.CyclesPerSec, p.Speedup, p.Matched)
+		fmt.Fprintf(f, "%-14s %12d %10.3f %14.0f\n", p.Workload, p.Cycles, p.WallSecs, p.CyclesPerSec)
 	}
-	fmt.Fprintf(f, "\nEvery sharded run's Result was compared field-for-field against the\n")
-	fmt.Fprintf(f, "serial engine's; the study aborts on any divergence, so a committed\n")
-	fmt.Fprintf(f, "summary implies byte-identical simulation at every shard count.\n")
-	fmt.Fprintf(f, "Speedup > 1 requires gomaxprocs > 1; on a single-core host the sharded\n")
-	fmt.Fprintf(f, "engine only measures its coordination overhead.\n")
-	if runtime.NumCPU() == 1 {
-		fmt.Fprintf(f, "\nwarning: this run executed with runtime.NumCPU() == 1 — speedup\n")
-		fmt.Fprintf(f, "columns reflect coordination overhead, not parallel scaling.\n")
-	}
-}
-
-func writeFigure(dir, name string, fig *stats.Figure, csv bool) {
-	f, err := os.Create(filepath.Join(dir, name))
-	if err != nil {
-		fatal(err)
-	}
-	defer f.Close()
-	if csv {
-		err = fig.WriteCSV(f)
-	} else {
-		err = fig.WriteTable(f)
-	}
-	if err != nil {
-		fatal(err)
-	}
+	fmt.Fprintf(f, "\nEach workload ran twice, an untimed warm-up and the timed run, and\n")
+	fmt.Fprintf(f, "the study aborts unless the two Results match field for field.\n")
 }
 
 func fatal(err error) {

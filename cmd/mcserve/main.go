@@ -8,13 +8,13 @@
 // window size, plus a per-point table (serve_study.txt).
 //
 // Every committed output is byte-identical at any -parallel (sweep and
-// planner workers) and -shards (simulator shard count) value.
+// planner workers) value.
 //
 // Usage:
 //
 //	mcserve -out results            # write serve_* figures (txt+csv) and serve_study.txt
 //	mcserve -quick                  # reduced request and point budgets
-//	mcserve -parallel 4 -shards 4   # worker/shard counts (outputs unchanged)
+//	mcserve -parallel 4             # worker count (outputs unchanged)
 //	mcserve -csv                    # emit CSV on stdout instead of files
 package main
 
@@ -37,7 +37,6 @@ func main() {
 	seed := flag.Uint64("seed", 1990, "study seed")
 	csv := flag.Bool("csv", false, "emit CSV on stdout instead of writing files")
 	parallel := flag.Int("parallel", 0, "sweep and planner workers (0 = GOMAXPROCS, 1 = sequential; outputs are byte-identical)")
-	shards := flag.Int("shards", 0, "simulator shard count (0/1 = serial; outputs are byte-identical)")
 	workloadModel := flag.String("workload", "", "workload profile replacing the built-in group pool ("+strings.Join(experiments.WorkloadModelNames(), ", ")+"; empty = built-in pool)")
 	prof := profiling.AddFlags()
 	flag.Parse()
@@ -53,7 +52,6 @@ func main() {
 	}
 	opts.Seed = *seed
 	opts.Parallel = *parallel
-	opts.Shards = *shards
 	if *workloadModel != "" {
 		valid := false
 		for _, m := range experiments.WorkloadModelNames() {
@@ -110,7 +108,7 @@ func writeSummary(dir string, opts experiments.ServeOptions, res experiments.Ser
 		fmt.Fprintf(f, "%d multicast groups, %d-flit messages, sched budget %d.\n\n", opts.Groups, opts.Flits, opts.Budget)
 	}
 	fmt.Fprintf(f, "Latencies are full request-to-completion cycles, queueing included.\n")
-	fmt.Fprintf(f, "Deterministic at any -parallel and -shards value.\n\n")
+	fmt.Fprintf(f, "Deterministic at any -parallel value.\n\n")
 	fmt.Fprintf(f, "%-6s %9s %7s %9s %9s %9s %7s %8s %7s %6s %6s %5s\n",
 		"policy", "interarr", "window", "thr/kcyc", "p50", "p99", "maxIF", "defer", "force", "peakL", "dil", "hit")
 	for _, p := range res.Points {

@@ -8,13 +8,13 @@
 // congestion-aware packers on the mesh.
 //
 // Every committed output is byte-identical at any -parallel (sweep and
-// planner workers) and -shards (simulator shard count) value.
+// planner workers) value.
 //
 // Usage:
 //
 //	mcworkload -out results             # write workload_* figures (txt+csv) and workload_study.txt
 //	mcworkload -quick                   # reduced streams on small topologies
-//	mcworkload -parallel 4 -shards 4    # worker/shard counts (outputs unchanged)
+//	mcworkload -parallel 4              # worker count (outputs unchanged)
 //	mcworkload -record zipf -o s.trace  # record one model's stream to a trace file
 //	mcworkload -replay s.trace          # re-run the scheme sweep point from a trace
 package main
@@ -39,7 +39,6 @@ func main() {
 	seed := flag.Uint64("seed", 1990, "study seed")
 	csv := flag.Bool("csv", false, "emit CSV on stdout instead of writing files")
 	parallel := flag.Int("parallel", 0, "sweep and planner workers (0 = GOMAXPROCS, 1 = sequential; outputs are byte-identical)")
-	shards := flag.Int("shards", 0, "simulator shard count (0/1 = serial; outputs are byte-identical)")
 	record := flag.String("record", "", "record the named model's stream to -o instead of running the study")
 	recordOut := flag.String("o", "", "trace output path for -record (default stdout)")
 	replay := flag.String("replay", "", "print a summary of a trace file and exit")
@@ -57,7 +56,6 @@ func main() {
 	}
 	opts.Seed = *seed
 	opts.Parallel = *parallel
-	opts.Shards = *shards
 
 	if *record != "" {
 		if err := recordTrace(*record, *recordOut, opts); err != nil {
@@ -168,7 +166,7 @@ func writeSummary(dir string, opts experiments.WorkloadOptions, res experiments.
 		opts.Flits, opts.MeanGap, opts.ZipfS)
 	fmt.Fprintf(f, "Each (topology, model) pair uses one pinned stream: every scheme\n")
 	fmt.Fprintf(f, "and packer carries identical requests (paired comparison).\n")
-	fmt.Fprintf(f, "Deterministic at any -parallel and -shards value.\n\n")
+	fmt.Fprintf(f, "Deterministic at any -parallel value.\n\n")
 
 	fmt.Fprintf(f, "model index legend:\n")
 	for i, m := range res.Models {

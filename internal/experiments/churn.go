@@ -29,8 +29,8 @@ import (
 //     re-planned) — wall-clock timings, recorded in churn_study.txt;
 //   - a full dynamic wormhole simulation whose mid-run fault epochs
 //     re-plan through the same delta path (fault.SimSchedule) — the
-//     delivery accounting is byte-identical at any shard count and is
-//     committed in churn_sim.txt.
+//     delivery accounting is deterministic and is committed in
+//     churn_sim.txt.
 
 // ChurnWorkload is one topology/scheme/stream configuration.
 type ChurnWorkload struct {
@@ -55,10 +55,6 @@ type ChurnOptions struct {
 	// Parallel is the sweep worker count for the deterministic counting
 	// passes; figures are byte-identical for every value.
 	Parallel int
-	// Shards steps the simulator runs with the sharded parallel engine;
-	// 0 or 1 selects serial. All committed outputs except wall-clock
-	// timings are byte-identical either way.
-	Shards int
 	// SimCycles is the cycle budget of each delta-driven simulator run.
 	SimCycles int64
 	// StepFrac scales every workload's Steps (0 = 1.0) — the -quick knob.
@@ -296,7 +292,7 @@ func churnTimingRun(w ChurnWorkload, st *routing.State, stream []fault.Delta,
 // ChurnSimResult is one delta-driven simulator run: a dynamic wormhole
 // workload whose mid-run fault epochs kill channels and re-plan through
 // the same LiveRouter delta path (fault.SimSchedule). Every field except
-// wall time is byte-identical at any shard count.
+// wall time is a pure function of the seed.
 type ChurnSimResult struct {
 	Workload string
 	// Epochs is the number of scheduled fault deltas.
@@ -331,7 +327,6 @@ func churnSim(w ChurnWorkload, topo topology.Topology, st *routing.State,
 		BatchSize:              100,
 		MinBatches:             1 << 30, // fixed cycle budget
 		MaxCycles:              o.SimCycles,
-		Shards:                 o.Shards,
 		Check:                  o.Check,
 		Faults:                 sched,
 	})

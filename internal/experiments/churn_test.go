@@ -40,10 +40,10 @@ func churnTestOptions() ChurnOptions {
 }
 
 // TestChurnStudySmall runs the full churn study machinery on a reduced
-// workload set and pins its invariants: the deterministic figures are
-// byte-identical at any worker count, the simulator accounting is
-// byte-identical at any shard count, and targeted invalidation beats the
-// nuke-everything baseline on cache hit rate.
+// workload set and pins its invariants: the deterministic figures and
+// the simulator accounting are byte-identical at any worker count, and
+// targeted invalidation beats the nuke-everything baseline on cache hit
+// rate.
 func TestChurnStudySmall(t *testing.T) {
 	o := churnTestOptions()
 	o.Parallel = 1
@@ -82,10 +82,9 @@ func TestChurnStudySmall(t *testing.T) {
 		}
 	}
 
-	// Same study under the worker pool and the sharded simulator: the
-	// figures and the sims' accounting must be byte-identical.
+	// Same study under the worker pool: the figures and the sims'
+	// accounting must be byte-identical.
 	o.Parallel = 4
-	o.Shards = 2
 	par := ChurnStudy(o)
 	if a, b := figCSV(t, serial.HitRate), figCSV(t, par.HitRate); !bytes.Equal(a, b) {
 		t.Errorf("hit-rate figure diverges between parallel=1 and parallel=4:\n%s\n---\n%s", a, b)
@@ -96,7 +95,7 @@ func TestChurnStudySmall(t *testing.T) {
 	for i := range serial.Sims {
 		a, b := serial.Sims[i], par.Sims[i]
 		if a != b {
-			t.Errorf("sim %s diverges between serial and shards=2:\na=%+v\nb=%+v",
+			t.Errorf("sim %s diverges between parallel=1 and parallel=4:\na=%+v\nb=%+v",
 				a.Workload, a, b)
 		}
 	}

@@ -33,10 +33,6 @@ type DynamicOptions struct {
 	// a testing aid (see `mcdynamic -simcheck`), slower; violations
 	// panic.
 	Check bool
-	// Shards steps every simulation with the sharded parallel engine
-	// (wormsim.Config.Shards); 0 or 1 selects the serial engine. Figures
-	// are byte-identical for every value.
-	Shards int
 }
 
 func (o DynamicOptions) loads() []float64 {
@@ -100,7 +96,6 @@ func dynamicPoint(topo topology.Topology, route wormsim.RouteFunc, interUs float
 		BatchSize:              o.BatchSize,
 		MinBatches:             5,
 		MaxCycles:              o.MaxCycles,
-		Shards:                 o.Shards,
 		Check:                  o.Check,
 	})
 	if err != nil {

@@ -29,9 +29,6 @@ type FaultOptions struct {
 	// Check runs the wormsim invariant checker inside every attempt — a
 	// testing aid, slower.
 	Check bool
-	// Shards steps every attempt with the sharded parallel engine; 0 or 1
-	// selects the serial engine. Figures are byte-identical either way.
-	Shards int
 	// Rates overrides the link fault-rate sweep (fractions of the mesh's
 	// links); nil selects FaultRates.
 	Rates []float64
@@ -102,7 +99,7 @@ func faultPoint(m topology.Topology, schemeName string, links int, seed uint64,
 	if err != nil {
 		panic(err)
 	}
-	pol := mcastsvc.RetryPolicy{Check: o.Check, Shards: o.Shards}
+	pol := mcastsvc.RetryPolicy{Check: o.Check}
 	var delivered, lost, unreachable int
 	var sumUs float64
 	res := faultResult{}

@@ -12,12 +12,12 @@ import (
 )
 
 // The beyond-paper scale study: the dissertation's simulations stop at an
-// 8x8 mesh; this study drives the sharded simulator across networks two
-// orders of magnitude larger — a 64x64 mesh, an 8-ary 4-cube and a
-// 65536-node hypercube — at shard counts {1, 2, 4, 8}, measuring
-// simulated cycles per wall-clock second. Every sharded run is also
-// checked field-for-field against its serial Result, so the study doubles
-// as a large-topology determinism audit.
+// 8x8 mesh; this study drives the simulator across networks two orders
+// of magnitude larger — a 64x64 mesh, an 8-ary 4-cube and a 65536-node
+// hypercube — measuring simulated cycles per wall-clock second. Each
+// workload runs twice, an untimed warm-up and the timed run, and the two
+// Results must match field for field, so the study doubles as a
+// large-topology determinism audit.
 
 // ScaleWorkload is one fixed simulation workload of the study.
 type ScaleWorkload struct {
@@ -33,16 +33,13 @@ type ScaleWorkload struct {
 	InterarrivalMicros float64
 	AvgDests           int
 	// MaxCycles is the fixed cycle budget; runs never converge early, so
-	// every engine simulates exactly the same workload.
+	// both runs of a workload simulate exactly the same cycles.
 	MaxCycles int64
 }
 
 // ScaleOptions configure the study.
 type ScaleOptions struct {
 	Seed uint64
-	// ShardCounts are the sharded engine configurations measured against
-	// serial; nil selects {2, 4, 8}.
-	ShardCounts []int
 	// Workloads overrides the workload set; nil selects ScaleWorkloads.
 	Workloads []ScaleWorkload
 	// CycleFrac scales every workload's cycle budget (0 = 1.0) — the
@@ -50,13 +47,6 @@ type ScaleOptions struct {
 	CycleFrac float64
 	// Check runs the wormsim invariant audit inside every run.
 	Check bool
-}
-
-func (o ScaleOptions) shardCounts() []int {
-	if o.ShardCounts != nil {
-		return o.ShardCounts
-	}
-	return []int{2, 4, 8}
 }
 
 func (o ScaleOptions) workloads() []ScaleWorkload {
@@ -73,7 +63,7 @@ func ScaleDefaults() ScaleOptions { return ScaleOptions{Seed: 1990} }
 func ScaleQuick() ScaleOptions { return ScaleOptions{Seed: 1990, CycleFrac: 0.15} }
 
 // ScaleWorkloads returns the default workload set. Budgets are sized so
-// the full study runs in minutes on one core.
+// the full study runs in seconds on one core.
 func ScaleWorkloads() []ScaleWorkload {
 	return []ScaleWorkload{
 		{
@@ -103,32 +93,23 @@ func ScaleWorkloads() []ScaleWorkload {
 	}
 }
 
-// ScalePoint is one measured (workload, shard-count) coordinate.
+// ScalePoint is one measured workload.
 type ScalePoint struct {
-	Workload string
-	// Shards is the engine configuration: 1 is the serial engine.
-	Shards       int
+	Workload     string
 	Cycles       int64
 	WallSecs     float64
 	CyclesPerSec float64
-	// Speedup is CyclesPerSec over the workload's serial CyclesPerSec.
-	Speedup float64
-	// Matched reports that the run's Result was field-for-field identical
-	// to the serial run (always true for the serial point itself).
-	Matched bool
 }
 
 // ScaleResult is the full study output.
 type ScaleResult struct {
 	GOMAXPROCS int
 	Points     []ScalePoint
-	Throughput *stats.Figure
-	Speedup    *stats.Figure
 }
 
-// scaleRun executes one workload under one engine configuration.
+// scaleRun executes one run of a workload.
 func scaleRun(w ScaleWorkload, topo topology.Topology, route wormsim.RouteFunc,
-	shards int, o ScaleOptions) (wormsim.Result, int64, float64) {
+	o ScaleOptions) (wormsim.Result, float64) {
 	budget := w.MaxCycles
 	if o.CycleFrac > 0 {
 		budget = int64(float64(budget) * o.CycleFrac)
@@ -143,32 +124,23 @@ func scaleRun(w ScaleWorkload, topo topology.Topology, route wormsim.RouteFunc,
 		BatchSize:              100,
 		MinBatches:             1 << 30, // never converge: fixed cycle budget
 		MaxCycles:              budget,
-		Shards:                 shards,
 		Check:                  o.Check,
 	}
 	start := time.Now()
 	res, err := wormsim.Run(cfg)
 	if err != nil {
-		panic(fmt.Sprintf("scale %s shards=%d: %v", w.Name, shards, err))
+		panic(fmt.Sprintf("scale %s: %v", w.Name, err))
 	}
-	return res, res.Cycles, time.Since(start).Seconds()
+	return res, time.Since(start).Seconds()
 }
 
-// ScaleStudy measures every workload at every shard count, serial first.
-// Runs execute sequentially — each one owns the machine, so the wall
-// times are comparable. A sharded run whose Result diverges from serial
-// panics: the study's timings are only meaningful for an engine that is
-// byte-identical to the reference.
+// ScaleStudy measures every workload. Runs execute sequentially — each
+// one owns the machine, so the wall times are comparable. A workload
+// whose timed run diverges from its warm-up run panics: the timed run
+// hits the plan cache the warm-up filled, and the simulation must not
+// depend on that.
 func ScaleStudy(o ScaleOptions) ScaleResult {
-	out := ScaleResult{
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Throughput: &stats.Figure{ID: "Scale throughput",
-			Title:  "Simulator throughput vs shard count (beyond-paper topologies)",
-			XLabel: "shards", YLabel: "simulated cycles/sec"},
-		Speedup: &stats.Figure{ID: "Scale speedup",
-			Title:  "Sharded-engine speedup over serial (1.0 = serial)",
-			XLabel: "shards", YLabel: "speedup vs serial"},
-	}
+	out := ScaleResult{GOMAXPROCS: runtime.GOMAXPROCS(0)}
 	for _, w := range o.workloads() {
 		topo := w.Build()
 		st, err := routing.SharedState(topo)
@@ -181,63 +153,27 @@ func ScaleStudy(o ScaleOptions) ScaleResult {
 		}
 		route := wormsim.FlatRouteFuncOf(routing.Flat(r, routing.NewPlanCache(0)))
 
-		ts := out.Throughput.AddSeries(w.Name)
-		ss := out.Speedup.AddSeries(w.Name)
 		// Untimed warmup: populates the shared plan cache (and the
-		// allocator) so the timed serial run is not charged for one-time
-		// costs the sharded runs then inherit.
-		scaleRun(w, topo, route, 0, o)
-		serial, cycles, secs := scaleRun(w, topo, route, 0, o)
-		if serial.Delivered == 0 {
+		// allocator) so the timed run is not charged for one-time costs.
+		warm, _ := scaleRun(w, topo, route, o)
+		res, secs := scaleRun(w, topo, route, o)
+		scaleAudit(w.Name, warm, res)
+		if res.Delivered == 0 {
 			panic(fmt.Sprintf("scale %s: workload delivered nothing", w.Name))
 		}
-		base := float64(cycles) / secs
 		out.Points = append(out.Points, ScalePoint{
-			Workload: w.Name, Shards: 1, Cycles: cycles, WallSecs: secs,
-			CyclesPerSec: base, Speedup: 1, Matched: true,
+			Workload: w.Name, Cycles: res.Cycles, WallSecs: secs,
+			CyclesPerSec: float64(res.Cycles) / secs,
 		})
-		ts.Add(1, base)
-		ss.Add(1, 1)
-		for _, shards := range o.shardCounts() {
-			res, cycles, secs := scaleRun(w, topo, route, shards, o)
-			if res != serial {
-				panic(fmt.Sprintf("scale %s shards=%d diverged from serial:\nserial:  %+v\nsharded: %+v",
-					w.Name, shards, serial, res))
-			}
-			cps := float64(cycles) / secs
-			out.Points = append(out.Points, ScalePoint{
-				Workload: w.Name, Shards: shards, Cycles: cycles, WallSecs: secs,
-				CyclesPerSec: cps, Speedup: cps / base, Matched: true,
-			})
-			ts.Add(float64(shards), cps)
-			ss.Add(float64(shards), cps/base)
-		}
 	}
 	return out
 }
 
-// SimThroughputSharded is SimThroughput under the sharded engine: the
-// identical 8x8-mesh workload stepped with the given shard count (0 or 1
-// is the serial engine). The simulated cycle count — and every statistic —
-// matches the serial run exactly; only the wall time may differ.
-func SimThroughputSharded(seed uint64, maxCycles int64, shards int) (cycles int64, secs float64) {
-	m := topology.NewMesh2D(8, 8)
-	route := wormsim.RouteFuncOf(mustRouter("dual-path", mustState(m), routing.Options{}))
-	start := time.Now()
-	res, err := wormsim.Run(wormsim.Config{
-		Topology:               m,
-		Route:                  route,
-		MeanInterarrivalMicros: 300,
-		AvgDests:               10,
-		Seed:                   seed,
-		WarmupDeliveries:       100,
-		BatchSize:              100,
-		MinBatches:             1 << 30, // never converge: run the full cycle budget
-		MaxCycles:              maxCycles,
-		Shards:                 shards,
-	})
-	if err != nil {
-		panic(err)
+// scaleAudit panics unless a workload's timed run reproduced its warm-up
+// run field for field.
+func scaleAudit(name string, warm, timed wormsim.Result) {
+	if timed != warm {
+		panic(fmt.Sprintf("scale %s: timed run diverged from warm-up:\nwarm-up: %+v\ntimed:   %+v",
+			name, warm, timed))
 	}
-	return res.Cycles, time.Since(start).Seconds()
 }

@@ -6,16 +6,17 @@ import (
 
 	"multicastnet/internal/stats"
 	"multicastnet/internal/topology"
+	"multicastnet/internal/wormsim"
 )
 
 // TestScaleStudySmall runs the full study machinery on a reduced
-// workload set. ScaleStudy itself panics if any sharded run diverges
-// from serial, so passing implies determinism on every covered topology;
-// the assertions below pin the reporting.
+// workload set. ScaleStudy itself panics if a workload's timed run
+// diverges from its warm-up run, so passing implies run-to-run
+// determinism on every covered topology; the assertions below pin the
+// reporting and the audit's panic.
 func TestScaleStudySmall(t *testing.T) {
 	o := ScaleOptions{
-		Seed:        7,
-		ShardCounts: []int{2, 4},
+		Seed: 7,
 		Workloads: []ScaleWorkload{
 			{
 				Name:               "mesh16x16",
@@ -37,24 +38,24 @@ func TestScaleStudySmall(t *testing.T) {
 		Check: true,
 	}
 	res := ScaleStudy(o)
-	if got, want := len(res.Points), 2*3; got != want {
+	if got, want := len(res.Points), 2; got != want {
 		t.Fatalf("points = %d, want %d", got, want)
 	}
 	for _, p := range res.Points {
-		if !p.Matched {
-			t.Errorf("%s shards=%d not matched", p.Workload, p.Shards)
-		}
-		if p.CyclesPerSec <= 0 || p.Speedup <= 0 {
-			t.Errorf("%s shards=%d: degenerate measurement %+v", p.Workload, p.Shards, p)
-		}
-		if p.Shards == 1 && p.Speedup != 1 {
-			t.Errorf("%s serial speedup = %v, want 1", p.Workload, p.Speedup)
+		if p.Cycles != 6_000 || p.CyclesPerSec <= 0 {
+			t.Errorf("%s: degenerate measurement %+v", p.Workload, p)
 		}
 	}
-	if len(res.Throughput.Series) != 2 || len(res.Speedup.Series) != 2 {
-		t.Fatalf("figure series: throughput=%d speedup=%d, want 2 and 2",
-			len(res.Throughput.Series), len(res.Speedup.Series))
-	}
+
+	warm := wormsim.Result{Cycles: 6_000, Delivered: 40}
+	timed := warm
+	timed.Delivered++
+	defer func() {
+		if recover() == nil {
+			t.Fatal("scaleAudit accepted a timed run that diverged from its warm-up")
+		}
+	}()
+	scaleAudit("diverged", warm, timed)
 }
 
 // figCSV renders a figure to CSV bytes for identity comparison.
@@ -65,37 +66,4 @@ func figCSV(t *testing.T, f *stats.Figure) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
-}
-
-// TestDynamicFigureShardsByteIdentical pins the -shards contract of
-// mcdynamic: a figure produced under the sharded engine is byte-for-byte
-// the figure produced serially.
-func TestDynamicFigureShardsByteIdentical(t *testing.T) {
-	o := DynamicQuick()
-	o.Loads = []float64{1500, 400}
-	o.Dests = []int{10}
-	o.MaxCycles = 30_000
-	serial := figCSV(t, Fig710LatencyVsLoadSingle(o))
-	o.Shards = 3
-	sharded := figCSV(t, Fig710LatencyVsLoadSingle(o))
-	if !bytes.Equal(serial, sharded) {
-		t.Fatalf("Fig 7.10 diverged under -shards:\nserial:\n%s\nsharded:\n%s", serial, sharded)
-	}
-}
-
-// TestFaultFiguresShardsByteIdentical pins the -shards contract of
-// mcfault: the whole degraded-mode stack (masked routing, mid-flight
-// kills, retries) is byte-identical under the sharded engine.
-func TestFaultFiguresShardsByteIdentical(t *testing.T) {
-	o := FaultQuick()
-	o.Rates = []float64{0, 0.10}
-	wantD, wantL := FaultFigures(o)
-	o.Shards = 2
-	gotD, gotL := FaultFigures(o)
-	if !bytes.Equal(figCSV(t, wantD), figCSV(t, gotD)) {
-		t.Fatal("fault delivery figure diverged under -shards")
-	}
-	if !bytes.Equal(figCSV(t, wantL), figCSV(t, gotL)) {
-		t.Fatal("fault latency figure diverged under -shards")
-	}
 }

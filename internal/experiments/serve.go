@@ -27,7 +27,7 @@ import (
 // The study sweeps offered load at a fixed window and window size at the
 // highest load. Every figure and the points table are pure functions of
 // the seed: byte-identical at any -parallel (sweep workers and planner
-// workers) and -shards (simulator shard count) value.
+// workers) value.
 
 // ServeOptions configure the serving study.
 type ServeOptions struct {
@@ -36,9 +36,6 @@ type ServeOptions struct {
 	// count inside each service. Figures are byte-identical for every
 	// value.
 	Parallel int
-	// Shards runs each simulation with the sharded parallel engine; 0 or
-	// 1 selects serial. Outputs are byte-identical either way.
-	Shards int
 
 	Requests  int       // requests offered per point
 	Groups    int       // multicast group pool size
@@ -156,7 +153,6 @@ func ServeStudy(o ServeOptions) ServeStudyResult {
 			MeanInterarrival: ia,
 			WindowCycles:     window,
 			Flits:            o.Flits,
-			Shards:           o.Shards,
 			Seed:             stats.DeriveSeed(o.Seed, label),
 			PoolSeed:         stats.DeriveSeed(o.Seed, "serve/pool"),
 			MaxCycles:        o.MaxCycles,

@@ -23,8 +23,7 @@ func serveTestOptions() ServeOptions {
 // TestServeStudySmall runs the full serving-study machinery reduced and
 // pins its invariants: every offered request completes under both
 // policies, the congestion budget actually defers under load, and every
-// output is byte-identical across sweep workers, planner workers, and
-// simulator shards.
+// output is byte-identical across sweep workers and planner workers.
 func TestServeStudySmall(t *testing.T) {
 	o := serveTestOptions()
 	o.Parallel = 1
@@ -83,10 +82,9 @@ func TestServeStudySmall(t *testing.T) {
 		t.Errorf("no point had any cache hits over a %d-group pool", o.Groups)
 	}
 
-	// Same study under the sweep worker pool, parallel planners, and the
-	// sharded simulator: figures and points must be byte-identical.
+	// Same study under the sweep worker pool and parallel planners:
+	// figures and points must be byte-identical.
 	o.Parallel = 4
-	o.Shards = 2
 	par := ServeStudy(o)
 	for _, f := range []struct {
 		name string
@@ -98,7 +96,7 @@ func TestServeStudySmall(t *testing.T) {
 		{"window p99", figCSV(t, serial.WindowP99), figCSV(t, par.WindowP99)},
 	} {
 		if !bytes.Equal(f.a, f.b) {
-			t.Errorf("%s figure diverges between parallel=1 and parallel=4 shards=2:\n%s\n---\n%s",
+			t.Errorf("%s figure diverges between parallel=1 and parallel=4:\n%s\n---\n%s",
 				f.name, f.a, f.b)
 		}
 	}

@@ -27,7 +27,7 @@ import (
 //     (delivered throughput and p99 completion latency per model).
 //
 // Every figure and point is a pure function of the seed — byte-identical
-// at any -parallel and -shards value.
+// at any -parallel value.
 
 // WorkloadModelNames are the study's workload profiles: the five
 // destination models at Poisson arrivals plus "bursty", the Zipf pool
@@ -76,10 +76,8 @@ type WorkloadTopo struct {
 type WorkloadOptions struct {
 	Seed uint64
 	// Parallel is the sweep worker count (also the packer's planner
-	// workers); Shards the simulator shard count. Outputs are
-	// byte-identical for every value of either.
+	// workers). Outputs are byte-identical for every value.
 	Parallel int
-	Shards   int
 
 	Requests  int     // requests per stream
 	Groups    int     // group pool size
@@ -234,7 +232,6 @@ func workloadSimRun(topo topology.Topology, st *routing.State, scheme, model, to
 		BatchSize:    200,
 		MinBatches:   1 << 30, // never converge early: drain the stream
 		MaxCycles:    o.MaxCycles,
-		Shards:       o.Shards,
 	})
 	if err != nil {
 		panic(err)
@@ -259,7 +256,6 @@ func workloadServeRun(topo topology.Topology, st *routing.State, budget int32, m
 		Requests:     o.Requests,
 		WindowCycles: o.Window,
 		Flits:        o.Flits,
-		Shards:       o.Shards,
 		MaxCycles:    o.MaxCycles,
 		Cache:        cache,
 		Workload:     workloadStream(topo, model, topoKey, o),

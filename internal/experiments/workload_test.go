@@ -30,7 +30,7 @@ func workloadTestOptions() WorkloadOptions {
 // TestWorkloadStudySmall runs the reduced workload study and pins its
 // invariants: every stream drains under every scheme, the packer sweep
 // serves every request, and every output is byte-identical across sweep
-// workers, planner workers, and simulator shards.
+// workers and planner workers.
 func TestWorkloadStudySmall(t *testing.T) {
 	o := workloadTestOptions()
 	o.Parallel = 1
@@ -82,9 +82,8 @@ func TestWorkloadStudySmall(t *testing.T) {
 		t.Errorf("uniform ranking %v, want 2 schemes", r)
 	}
 
-	// Byte-identity across sweep workers, planner workers, and shards.
+	// Byte-identity across sweep workers and planner workers.
 	o.Parallel = 4
-	o.Shards = 2
 	par := WorkloadStudy(o)
 	figs := [][2][]byte{
 		{figCSV(t, serial.SchemeFigs[0]), figCSV(t, par.SchemeFigs[0])},
@@ -93,7 +92,7 @@ func TestWorkloadStudySmall(t *testing.T) {
 	}
 	for i, f := range figs {
 		if !bytes.Equal(f[0], f[1]) {
-			t.Errorf("figure %d diverges between parallel=1 and parallel=4 shards=2:\n%s\n---\n%s",
+			t.Errorf("figure %d diverges between parallel=1 and parallel=4:\n%s\n---\n%s",
 				i, f[0], f[1])
 		}
 	}
@@ -124,11 +123,10 @@ func TestServeStudyWorkloadOption(t *testing.T) {
 		}
 	}
 	o.Parallel = 3
-	o.Shards = 2
 	par := ServeStudy(o)
 	for i := range serial.Points {
 		if serial.Points[i] != par.Points[i] {
-			t.Errorf("point %d diverges under workers/shards:\nserial %+v\npar    %+v",
+			t.Errorf("point %d diverges under workers:\nserial %+v\npar    %+v",
 				i, serial.Points[i], par.Points[i])
 		}
 	}

@@ -27,10 +27,6 @@ type RetryPolicy struct {
 	// channel ownership, delivery accounting) throughout every attempt —
 	// a testing aid; violations abort the operation with an error.
 	Check bool
-	// Shards steps each attempt's network with the sharded parallel
-	// engine (wormsim.Network.SetShards); 0 or 1 selects the serial
-	// engine. Outcomes are byte-identical at any shard count.
-	Shards int
 }
 
 func (p RetryPolicy) withDefaults() RetryPolicy {
@@ -174,10 +170,6 @@ func (s *Service) MulticastUnderFaults(source topology.NodeID, g Group, bytes in
 		// Replay the attempt: failed hardware is dead from the start,
 		// later events activate as the operation clock crosses them.
 		net := wormsim.NewNetwork(s.cfg.Topology)
-		if pol.Shards > 1 {
-			net.SetShards(pol.Shards)
-			defer net.Close()
-		}
 		net.FailWhere(lr.Mask().ChannelDead)
 		delivered := make(map[topology.NodeID]bool)
 		net.OnDelivery(func(d topology.NodeID, _ int64) { delivered[d] = true })

@@ -27,7 +27,6 @@ type ServeConfig struct {
 
 	WindowCycles int64 // admission window length
 	Flits        int   // message length
-	Shards       int   // simulator shard count (any value: identical output)
 	Seed         uint64
 	// PoolSeed, when nonzero, draws the group pool from its own stream so
 	// sweeps can hold the pool fixed while Seed varies the arrivals.
@@ -74,7 +73,7 @@ type ServeResult struct {
 // Serve runs one configuration to completion (or MaxCycles) and returns
 // the aggregate result. Output is a pure function of the config: the
 // request stream, window schedule, and simulation are all deterministic,
-// at any Shards or Service.Workers value.
+// at any Service.Workers value.
 func Serve(cfg ServeConfig) ServeResult {
 	topo := cfg.Service.Router.State().Topology()
 	svc := New(cfg.Service)
@@ -116,10 +115,6 @@ func Serve(cfg ServeConfig) ServeResult {
 	}
 
 	net := wormsim.NewNetwork(topo)
-	if cfg.Shards > 1 {
-		net.SetShards(cfg.Shards)
-		defer net.Close()
-	}
 
 	arrival := make([]int64, cfg.Requests)
 	latencies := make([]float64, 0, cfg.Requests)

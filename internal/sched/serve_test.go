@@ -7,7 +7,7 @@ import (
 	"multicastnet/internal/topology"
 )
 
-func serveConfig(t *testing.T, budget int32, workers, shards int) ServeConfig {
+func serveConfig(t *testing.T, budget int32, workers int) ServeConfig {
 	m := topology.NewMesh2D(16, 16)
 	cache := routing.NewPlanCache(0)
 	return ServeConfig{
@@ -22,7 +22,6 @@ func serveConfig(t *testing.T, budget int32, workers, shards int) ServeConfig {
 		MeanInterarrival: 40,
 		WindowCycles:     256,
 		Flits:            16,
-		Shards:           shards,
 		Seed:             3,
 		MaxCycles:        2_000_000,
 		Cache:            cache,
@@ -33,7 +32,7 @@ func serveConfig(t *testing.T, budget int32, workers, shards int) ServeConfig {
 // is planned, admitted, simulated, and completed, with sane latency
 // ordering and a warm cache.
 func TestServeCompletesAll(t *testing.T) {
-	res := Serve(serveConfig(t, 40, 1, 0))
+	res := Serve(serveConfig(t, 40, 1))
 	if res.Completed != res.Requests {
 		t.Fatalf("completed %d of %d (deadlocked=%v)", res.Completed, res.Requests, res.Deadlocked)
 	}
@@ -55,23 +54,18 @@ func TestServeCompletesAll(t *testing.T) {
 }
 
 // TestServeDeterministic pins the determinism protocol end to end: the
-// full ServeResult is identical at any simulator shard count and any
-// planning worker count.
+// full ServeResult is identical at any planning worker count.
 func TestServeDeterministic(t *testing.T) {
-	want := Serve(serveConfig(t, 40, 1, 0))
-	for _, tc := range []struct{ workers, shards int }{{4, 0}, {1, 4}, {4, 4}} {
-		got := Serve(serveConfig(t, 40, tc.workers, tc.shards))
-		if got != want {
-			t.Fatalf("workers=%d shards=%d diverged:\nwant %+v\ngot  %+v",
-				tc.workers, tc.shards, want, got)
-		}
+	want := Serve(serveConfig(t, 40, 1))
+	if got := Serve(serveConfig(t, 40, 4)); got != want {
+		t.Fatalf("workers=4 diverged:\nwant %+v\ngot  %+v", want, got)
 	}
 }
 
 // TestServeFIFOBaseline pins the unbudgeted baseline: it also completes
 // and never defers.
 func TestServeFIFOBaseline(t *testing.T) {
-	res := Serve(serveConfig(t, 0, 1, 0))
+	res := Serve(serveConfig(t, 0, 1))
 	if res.Completed != res.Requests {
 		t.Fatalf("completed %d of %d", res.Completed, res.Requests)
 	}

@@ -8,7 +8,7 @@ import (
 	"multicastnet/internal/workload"
 )
 
-func workloadServeConfig(t *testing.T, budget int32, workers, shards int, spec workload.Spec) ServeConfig {
+func workloadServeConfig(t *testing.T, budget int32, workers int, spec workload.Spec) ServeConfig {
 	t.Helper()
 	m := topology.NewMesh2D(16, 16)
 	src, err := workload.New(m, spec, 31)
@@ -25,7 +25,6 @@ func workloadServeConfig(t *testing.T, budget int32, workers, shards int, spec w
 		Requests:     spec.Requests,
 		WindowCycles: 256,
 		Flits:        16,
-		Shards:       shards,
 		MaxCycles:    2_000_000,
 		Cache:        cache,
 		Workload:     src,
@@ -37,7 +36,7 @@ func workloadServeConfig(t *testing.T, budget int32, workers, shards int, spec w
 // issued count as the offer.
 func TestServeWorkloadSource(t *testing.T) {
 	spec := workload.Spec{Model: workload.ModelZipf, Requests: 300, Groups: 16, MeanGap: 30}
-	res := Serve(workloadServeConfig(t, 40, 1, 0, spec))
+	res := Serve(workloadServeConfig(t, 40, 1, spec))
 	if res.Requests != spec.Requests {
 		t.Fatalf("offered %d requests, want %d", res.Requests, spec.Requests)
 	}
@@ -50,18 +49,14 @@ func TestServeWorkloadSource(t *testing.T) {
 }
 
 // TestServeWorkloadDeterministic: the full result is identical at any
-// shard and worker count, for a plain and a bursty stream.
+// worker count, for a plain and a bursty stream.
 func TestServeWorkloadDeterministic(t *testing.T) {
 	for _, arrivals := range workload.Arrivals() {
 		spec := workload.Spec{Model: workload.ModelZipf, Arrivals: arrivals,
 			Requests: 200, Groups: 16, MeanGap: 20}
-		base := Serve(workloadServeConfig(t, 40, 1, 0, spec))
-		for _, cfg := range [][2]int{{1, 2}, {4, 0}, {4, 3}} {
-			got := Serve(workloadServeConfig(t, 40, cfg[0], cfg[1], spec))
-			if got != base {
-				t.Fatalf("%s workers=%d shards=%d: result differs\n got %+v\nwant %+v",
-					arrivals, cfg[0], cfg[1], got, base)
-			}
+		base := Serve(workloadServeConfig(t, 40, 1, spec))
+		if got := Serve(workloadServeConfig(t, 40, 4, spec)); got != base {
+			t.Fatalf("%s workers=4: result differs\n got %+v\nwant %+v", arrivals, got, base)
 		}
 	}
 }
@@ -121,7 +116,7 @@ func TestForceAdmitBound(t *testing.T) {
 func TestForceAdmitUnderServe(t *testing.T) {
 	spec := workload.Spec{Model: workload.ModelZipf, Requests: 200, Groups: 4,
 		ZipfS: 3, MeanGap: 4} // rank-1 group receives ~87% of requests
-	cfg := workloadServeConfig(t, 1, 1, 0, spec)
+	cfg := workloadServeConfig(t, 1, 1, spec)
 	res := Serve(cfg)
 	if res.Completed != res.Requests {
 		t.Fatalf("completed %d of %d (deadlocked=%v)", res.Completed, res.Requests, res.Deadlocked)

@@ -43,11 +43,11 @@ func arenaWorkload(t testing.TB) (*topology.Mesh2D, []routing.Plan) {
 	return m, plans
 }
 
-// TestSteadyStateAllocationFree pins the arena contract on both
-// engines: once slice capacities, the intern table, the worm freelist
-// and the epoch-stamped scratch have warmed up, an inject-and-drain
-// round allocates nothing — worms, multicast records, tree levels and
-// wake lists are all recycled. The round includes a mid-drain FailWhere
+// TestSteadyStateAllocationFree pins the arena contract: once slice
+// capacities, the intern table, the worm freelist and the
+// epoch-stamped scratch have warmed up, an inject-and-drain round
+// allocates nothing — worms, multicast records, tree levels and wake
+// lists are all recycled. The round includes a mid-drain FailWhere
 // activation (fault-killing worms on first contact in later rounds), and
 // an invariant check and a deadlock search after every cycle, so the
 // fault path's victim scratch, the checker's slice-indexed scratch and
@@ -59,43 +59,37 @@ func TestSteadyStateAllocationFree(t *testing.T) {
 	// every virtual-channel class). The pred never captures, so
 	// activating it allocates nothing.
 	crossFault := func(c dfr.Channel) bool { return c.From == 36 && c.To == 37 }
-	for _, shards := range []int{0, 4} {
-		net := NewNetwork(m)
-		if shards > 1 {
-			net.SetShards(shards)
-			defer net.Close()
+	net := NewNetwork(m)
+	// Each activation appends its pred to the standing fault list; that
+	// bounded, amortized growth is driver state, not round state, so
+	// pre-size it to keep the measurement on the scratch.
+	net.deadPreds = make([]func(dfr.Channel) bool, 0, 64)
+	lost := 0
+	net.OnLost(func(topology.NodeID, int) { lost++ })
+	round := func() {
+		for _, p := range plans {
+			net.InjectMulticast(p.Paths, p.Trees, 16)
 		}
-		// Each activation appends its pred to the standing fault list;
-		// that bounded, amortized growth is driver state, not round
-		// state, so pre-size it to keep the measurement on the scratch.
-		net.deadPreds = make([]func(dfr.Channel) bool, 0, 64)
-		lost := 0
-		net.OnLost(func(topology.NodeID, int) { lost++ })
-		round := func() {
-			for _, p := range plans {
-				net.InjectMulticast(p.Paths, p.Trees, 16)
+		for i := 0; net.ActiveWorms() > 0; i++ {
+			if i == 3 {
+				net.FailWhere(crossFault)
 			}
-			for i := 0; net.ActiveWorms() > 0; i++ {
-				if i == 3 {
-					net.FailWhere(crossFault)
-				}
-				net.Step()
-				if err := net.CheckInvariants(); err != nil {
-					t.Fatal(err)
-				}
-				if ids := net.DetectDeadlock(); ids != nil {
-					t.Fatalf("shards=%d: deadlock-free workload deadlocked: %v", shards, ids)
-				}
+			net.Step()
+			if err := net.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+			if ids := net.DetectDeadlock(); ids != nil {
+				t.Fatalf("deadlock-free workload deadlocked: %v", ids)
 			}
 		}
-		for i := 0; i < 4; i++ {
-			round() // warm capacities, the freelist and the scratch
-		}
-		if avg := testing.AllocsPerRun(20, round); avg > 0 {
-			t.Errorf("shards=%d: steady-state round allocates %.1f objects, want 0", shards, avg)
-		}
-		if lost == 0 {
-			t.Errorf("shards=%d: fault never killed a delivery; the round is not exercising the fault path", shards)
-		}
+	}
+	for i := 0; i < 4; i++ {
+		round() // warm capacities, the freelist and the scratch
+	}
+	if avg := testing.AllocsPerRun(20, round); avg > 0 {
+		t.Errorf("steady-state round allocates %.1f objects, want 0", avg)
+	}
+	if lost == 0 {
+		t.Error("fault never killed a delivery; the round is not exercising the fault path")
 	}
 }

@@ -129,14 +129,12 @@ var ddSchemes = []string{
 // that builds on it, one random multicast per script byte (low two bits:
 // the gap in cycles after the previous one; the rest: the average
 // destination count), messages of 1+length%12 flits, the outgoing
-// channels of one node failed at cycle failAt when it is non-zero, and
-// two shards when sharded.
+// channels of one node failed at cycle failAt when it is non-zero.
 type ddCase struct {
 	topo, size, scheme uint8
 	seed               uint64
 	script             []byte
 	length, failAt     uint8
-	sharded            bool
 }
 
 // ddSeeds are the fuzz seeds; TestDetectDeadlockMatchesReference runs
@@ -144,25 +142,25 @@ type ddCase struct {
 // worm that has advanced but is not yet queued on its next channel.
 var ddSeeds = []ddCase{
 	{topo: 0, size: 10, scheme: 0, seed: 1, script: []byte{20, 24, 28, 32, 20, 24, 28, 32, 36, 40, 44, 48}, length: 8},
-	{topo: 0, size: 15, scheme: 0, seed: 7, script: []byte{60, 61, 62, 63, 60, 61, 62, 63, 60, 61}, length: 11, sharded: true},
+	{topo: 0, size: 15, scheme: 0, seed: 7, script: []byte{60, 61, 62, 63, 60, 61, 62, 63, 60, 61}, length: 11},
 	{topo: 0, size: 5, scheme: 0, seed: 3, script: []byte{12, 16, 20, 24, 28, 12, 16, 20}, length: 6, failAt: 9},
-	{topo: 0, size: 10, scheme: 1, seed: 11, script: []byte{40, 41, 42, 43, 44, 45, 46, 47, 48, 49}, length: 9, failAt: 14, sharded: true},
+	{topo: 0, size: 10, scheme: 1, seed: 11, script: []byte{40, 41, 42, 43, 44, 45, 46, 47, 48, 49}, length: 9, failAt: 14},
 	{topo: 0, size: 6, scheme: 2, seed: 5, script: []byte{8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19}, length: 7},
-	{topo: 0, size: 9, scheme: 3, seed: 13, script: []byte{24, 25, 26, 27, 24, 25, 26, 27}, length: 5, failAt: 6, sharded: true},
+	{topo: 0, size: 9, scheme: 3, seed: 13, script: []byte{24, 25, 26, 27, 24, 25, 26, 27}, length: 5, failAt: 6},
 	{topo: 1, size: 2, scheme: 4, seed: 17, script: []byte{32, 0, 1, 2, 3, 32, 33, 34}, length: 10},
-	{topo: 1, size: 3, scheme: 5, seed: 19, script: []byte{16, 17, 18, 19, 20, 21, 22, 23}, length: 4, failAt: 5, sharded: true},
+	{topo: 1, size: 3, scheme: 5, seed: 19, script: []byte{16, 17, 18, 19, 20, 21, 22, 23}, length: 4, failAt: 5},
 	{topo: 0, size: 12, scheme: 7, seed: 23, script: []byte{12, 13, 14, 15, 16, 17, 18, 19}, length: 12},
 	{topo: 1, size: 1, scheme: 8, seed: 29, script: []byte{28, 29, 30, 31, 28, 29}, length: 3, failAt: 3},
 	{topo: 0, size: 0, scheme: 0, seed: 112, script: []byte{0xb2, 0xd2, 0xd8, 0x60, 0x36, 0x2e, 0x5d, 0x8e,
 		0x1e, 0xca, 0x9e, 0xb2, 0x62, 0x1f, 0xc3}, length: 11, failAt: 7},
 	{topo: 0, size: 1, scheme: 0, seed: 187, script: []byte{0x0d, 0x5e, 0x80, 0x5f, 0x3a, 0xa9, 0x43, 0x10,
-		0xfb, 0x73, 0x72, 0x85, 0xe4, 0xde, 0x22, 0xdc, 0x46, 0x86, 0x29, 0x55, 0x70}, length: 8, sharded: true},
+		0xfb, 0x73, 0x72, 0x85, 0xe4, 0xde, 0x22, 0xdc, 0x46, 0x86, 0x29, 0x55, 0x70}, length: 8},
 }
 
 // ddStats counts the checks one case made and how many found a cycle.
 type ddStats struct {
 	checks, deadlocked int
-	faulted, sharded   bool
+	faulted            bool
 }
 
 // runDeadlockCase simulates c and, after every injection burst and every
@@ -191,11 +189,7 @@ func runDeadlockCase(t *testing.T, c ddCase) ddStats {
 		t.Fatalf("no deadlock-fuzz scheme builds on %s", topo.Name())
 	}
 	net := NewNetwork(topo)
-	res := ddStats{sharded: c.sharded}
-	if c.sharded {
-		net.SetShards(2)
-		defer net.Close()
-	}
+	var res ddStats
 	rng := stats.NewRand(c.seed)
 	script := c.script
 	if len(script) > 48 {
@@ -256,8 +250,8 @@ func runDeadlockCase(t *testing.T, c ddCase) ddStats {
 
 // TestDetectDeadlockMatchesReference runs the fuzz seeds: the
 // one-edge-per-FIFO-position graph must agree with the all-ahead
-// reference at every check, and the seeds must reach real deadlocks,
-// faults and the sharded engine, or the agreement is vacuous.
+// reference at every check, and the seeds must reach real deadlocks and
+// faults, or the agreement is vacuous.
 func TestDetectDeadlockMatchesReference(t *testing.T) {
 	var total ddStats
 	for _, c := range ddSeeds {
@@ -265,23 +259,21 @@ func TestDetectDeadlockMatchesReference(t *testing.T) {
 		total.checks += s.checks
 		total.deadlocked += s.deadlocked
 		total.faulted = total.faulted || s.faulted
-		total.sharded = total.sharded || s.sharded
 	}
-	if total.deadlocked == 0 || !total.faulted || !total.sharded {
-		t.Fatalf("seeds made %d checks, %d deadlocked, faulted=%v sharded=%v: coverage is vacuous",
-			total.checks, total.deadlocked, total.faulted, total.sharded)
+	if total.deadlocked == 0 || !total.faulted {
+		t.Fatalf("seeds made %d checks, %d deadlocked, faulted=%v: coverage is vacuous",
+			total.checks, total.deadlocked, total.faulted)
 	}
 }
 
 // FuzzDetectDeadlock is TestDetectDeadlockMatchesReference over
-// fuzzer-chosen topologies, schemes, injection scripts, faults and
-// engines.
+// fuzzer-chosen topologies, schemes, injection scripts and faults.
 func FuzzDetectDeadlock(f *testing.F) {
 	for _, c := range ddSeeds {
-		f.Add(c.topo, c.size, c.scheme, c.seed, c.script, c.length, c.failAt, c.sharded)
+		f.Add(c.topo, c.size, c.scheme, c.seed, c.script, c.length, c.failAt)
 	}
 	f.Fuzz(func(t *testing.T, topo, size, scheme uint8, seed uint64, script []byte,
-		length, failAt uint8, sharded bool) {
-		runDeadlockCase(t, ddCase{topo, size, scheme, seed, script, length, failAt, sharded})
+		length, failAt uint8) {
+		runDeadlockCase(t, ddCase{topo, size, scheme, seed, script, length, failAt})
 	})
 }

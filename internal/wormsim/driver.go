@@ -80,11 +80,6 @@ type Config struct {
 	// declared deadlocked. Zero selects a safe default.
 	StallLimit int64
 
-	// Shards splits in-run stepping across worker goroutines — the
-	// region-partitioned parallel engine (shard.go). 0 or 1 selects the
-	// serial engine; results are byte-identical at any shard count.
-	Shards int
-
 	// Workload, when set, replaces the per-node exponential generators
 	// (Section 7.2) with an externally supplied time-ordered request
 	// stream: MeanInterarrivalMicros, AvgDests, and UnicastFraction are
@@ -221,10 +216,6 @@ func Run(cfg Config) (Result, error) {
 	topo := cfg.Topology
 	rng := stats.NewRand(cfg.Seed)
 	net := NewNetwork(topo)
-	if cfg.Shards > 1 {
-		net.SetShards(cfg.Shards)
-		defer net.Close()
-	}
 	lengthFlits := cfg.MessageBytes / cfg.FlitBytes
 	if lengthFlits < 1 {
 		lengthFlits = 1

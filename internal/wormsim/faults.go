@@ -49,7 +49,6 @@ func (n *Network) FailWhere(pred func(c dfr.Channel) bool) int {
 		// Collect the owner before the dead sentinel overwrites it.
 		collect(n.chanOwner[id])
 		n.chanOwner[id] = deadChan
-		n.chanDead[id] = true
 		for _, q := range n.chanWaiters(id) {
 			collect(q)
 		}

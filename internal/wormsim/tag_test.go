@@ -13,64 +13,49 @@ import (
 
 // TestInjectFlatTagCompletions pins the tagged-completion contract: every
 // tagged injection reports exactly one completion carrying its tag, with
-// the same latency as the untagged OnComplete observer, and the stream is
-// identical under sharded stepping.
+// the same latency as the untagged OnComplete observer.
 func TestInjectFlatTagCompletions(t *testing.T) {
 	type completion struct {
 		tag uint64
 		lat int64
 	}
-	run := func(shards int) []completion {
-		m := topology.NewMesh2D(8, 8)
-		st := routing.NewStateWithLabeling(m, labeling.NewMeshBoustrophedon(m))
-		r, err := routing.New("dual-path", st)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fr := routing.Flat(r, routing.NewPlanCache(0))
-		n := NewNetwork(m)
-		if shards > 1 {
-			n.SetShards(shards)
-			defer n.Close()
-		}
-		var got []completion
-		var untagged []int64
-		n.OnCompleteTag(func(tag uint64, lat int64) { got = append(got, completion{tag, lat}) })
-		n.OnComplete(func(lat int64) { untagged = append(untagged, lat) })
-		rng := stats.NewRand(7)
-		for tag := uint64(1); tag <= 24; tag++ {
-			src := topology.NodeID(rng.Intn(m.Nodes()))
-			raw := rng.Sample(m.Nodes(), 4, int(src))
-			dests := make([]topology.NodeID, len(raw))
-			for i, v := range raw {
-				dests[i] = topology.NodeID(v)
-			}
-			k := core.MustMulticastSet(m, src, dests)
-			n.InjectFlatTag(fr.FlatSet(k), 8, tag)
-		}
-		if !runUntilQuiet(n, 10_000) {
-			t.Fatalf("shards=%d did not drain", shards)
-		}
-		if len(got) != 24 {
-			t.Fatalf("shards=%d: %d tagged completions, want 24", shards, len(got))
-		}
-		seen := map[uint64]bool{}
-		for i, c := range got {
-			if c.tag < 1 || c.tag > 24 || seen[c.tag] {
-				t.Fatalf("shards=%d: bad or duplicate tag %d", shards, c.tag)
-			}
-			seen[c.tag] = true
-			if c.lat != untagged[i] {
-				t.Fatalf("shards=%d: tagged latency %d != untagged %d at %d", shards, c.lat, untagged[i], i)
-			}
-		}
-		return got
+	m := topology.NewMesh2D(8, 8)
+	st := routing.NewStateWithLabeling(m, labeling.NewMeshBoustrophedon(m))
+	r, err := routing.New("dual-path", st)
+	if err != nil {
+		t.Fatal(err)
 	}
-	serial := run(0)
-	sharded := run(4)
-	for i := range serial {
-		if serial[i] != sharded[i] {
-			t.Fatalf("completion %d diverged: serial %+v sharded %+v", i, serial[i], sharded[i])
+	fr := routing.Flat(r, routing.NewPlanCache(0))
+	n := NewNetwork(m)
+	var got []completion
+	var untagged []int64
+	n.OnCompleteTag(func(tag uint64, lat int64) { got = append(got, completion{tag, lat}) })
+	n.OnComplete(func(lat int64) { untagged = append(untagged, lat) })
+	rng := stats.NewRand(7)
+	for tag := uint64(1); tag <= 24; tag++ {
+		src := topology.NodeID(rng.Intn(m.Nodes()))
+		raw := rng.Sample(m.Nodes(), 4, int(src))
+		dests := make([]topology.NodeID, len(raw))
+		for i, v := range raw {
+			dests[i] = topology.NodeID(v)
+		}
+		k := core.MustMulticastSet(m, src, dests)
+		n.InjectFlatTag(fr.FlatSet(k), 8, tag)
+	}
+	if !runUntilQuiet(n, 10_000) {
+		t.Fatal("did not drain")
+	}
+	if len(got) != 24 {
+		t.Fatalf("%d tagged completions, want 24", len(got))
+	}
+	seen := map[uint64]bool{}
+	for i, c := range got {
+		if c.tag < 1 || c.tag > 24 || seen[c.tag] {
+			t.Fatalf("bad or duplicate tag %d", c.tag)
+		}
+		seen[c.tag] = true
+		if c.lat != untagged[i] {
+			t.Fatalf("tagged latency %d != untagged %d at %d", c.lat, untagged[i], i)
 		}
 	}
 }

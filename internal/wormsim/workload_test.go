@@ -81,34 +81,6 @@ func TestRunWorkloadInjection(t *testing.T) {
 	}
 }
 
-// TestRunWorkloadDeterministicAcrossShards: identical workload results
-// at any shard count.
-func TestRunWorkloadDeterministicAcrossShards(t *testing.T) {
-	m := topology.NewMesh2D(8, 8)
-	l := labeling.NewMeshBoustrophedon(m)
-	run := func(shards int) Result {
-		res, err := Run(Config{
-			Topology:   m,
-			Route:      DualPathScheme(m, l),
-			Workload:   fixedWorkload(workloadReqs(m)),
-			BatchSize:  10,
-			MinBatches: 1 << 30,
-			MaxCycles:  100_000,
-			Shards:     shards,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	serial := run(1)
-	for _, shards := range []int{2, 3} {
-		if got := run(shards); got != serial {
-			t.Errorf("shards=%d result differs:\n got %+v\nwant %+v", shards, got, serial)
-		}
-	}
-}
-
 // TestRunWorkloadValidation: a config with neither a rate nor a
 // workload source is rejected.
 func TestRunWorkloadValidation(t *testing.T) {

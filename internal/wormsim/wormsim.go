@@ -36,8 +36,8 @@
 //     parallel arrays.
 //   - Worms live in a slot arena (Network.slots) and are referenced by
 //     dense int32 indices (wormRef) everywhere — the in-flight list, the
-//     active list, wake queues, channel owner and FIFO state, shard round
-//     entries. The scheduling hot loop therefore moves int32s, not
+//     active list, wake queues, channel owner and FIFO state. The
+//     scheduling hot loop therefore moves int32s, not
 //     pointers: no GC write barriers on queue/list writes, 2-8x denser
 //     queues, and nothing extra for the collector to trace.
 //   - Per-channel state is struct-of-arrays: chanOwner / chanQHead /
@@ -53,6 +53,10 @@
 //   - The cold audits reuse epoch-stamped scratch (DetectDeadlock,
 //     CheckInvariants, FailWhere), so periodic checks neither allocate
 //     nor distort profiles.
+//
+// Stepping is serial: one engine advances every worm of a run in
+// ascending id order. Parallelism lives one layer up, where independent
+// runs (sweep points) execute concurrently.
 //
 // Observer callbacks (OnDelivery, OnComplete, OnLost, ...) are
 // notifications: they must not inject traffic or step the network.
@@ -139,11 +143,6 @@ type worm struct {
 	done        bool  // retired; awaiting compaction out of n.worms
 	doneCycle   int64 // cycle of retirement, gating freelist reuse (arena.go)
 
-	// mask is the set of shard regions (bit per worker) the worm's next
-	// advance touches; maintained only when sharded stepping is enabled
-	// (see shard.go) and recomputed whenever the head moves.
-	mask uint64
-
 	mcast int32 // multicast record index (Network.mcSlots), -1 when unset
 }
 
@@ -177,11 +176,6 @@ type Network struct {
 	chanOwner []wormRef   // owning worm, noWorm, or deadChan
 	chanQHead []int32     // FIFO cursor into chanQueue[id]
 	chanQueue [][]wormRef // per-channel FIFO backing, front at chanQHead
-	// chanDead mirrors the deadChan sentinel: it changes only between
-	// cycles (FailWhere, intern), so sharded workers may read it for
-	// channels outside their region — chanOwner words of foreign regions
-	// are being written concurrently during a round.
-	chanDead []bool
 
 	// Worm arena: every worm lives in slots and is referenced by index.
 	// Pointers into slots are taken locally only and never held across an
@@ -216,10 +210,6 @@ type Network struct {
 	victimStamp []int64
 	victimEpoch int64
 	victimBuf   []wormRef
-
-	// Sharded parallel stepping (shard.go); the zero value is the serial
-	// engine.
-	shard shardState
 
 	// Worm arena freelist (arena.go): retired slots and multicast records
 	// are recycled; the epoch-stamped node scratch replaces per-injection
@@ -340,7 +330,6 @@ func (n *Network) intern(c dfr.Channel) int32 {
 	n.chanOwner = append(n.chanOwner, owner)
 	n.chanQHead = append(n.chanQHead, 0)
 	n.chanQueue = append(n.chanQueue, nil)
-	n.chanDead = append(n.chanDead, owner == deadChan)
 	return id
 }
 
@@ -415,11 +404,7 @@ func (n *Network) addWorm(wi wormRef) {
 	n.worms = append(n.worms, wi)
 	n.inFlight++
 	n.active = append(n.active, wi)
-	w := &n.slots[wi]
-	n.mcSlots[w.mcast].worms++
-	if n.shard.n > 1 {
-		w.mask = n.regionMask(w)
-	}
+	n.mcSlots[n.slots[wi].mcast].worms++
 }
 
 // InjectMulticast injects one multicast routed as a set of path routes
@@ -661,9 +646,6 @@ func (n *Network) wake(wi wormRef) {
 // last cycle) merged, in ascending id order, with worms woken by channel
 // releases. Parked worms cost nothing until a release reaches them.
 func (n *Network) Step() bool {
-	if n.shard.n > 1 {
-		return n.stepSharded()
-	}
 	n.cycle++
 	n.progress = false
 	n.mergeWokenNext()
@@ -708,8 +690,7 @@ func (n *Network) Step() bool {
 }
 
 // mergeWokenNext folds last cycle's deferred wakes into the active list,
-// preserving ascending id order. Shared by the serial and sharded step
-// paths.
+// preserving ascending id order.
 func (n *Network) mergeWokenNext() {
 	if len(n.wokenNext) == 0 {
 		return
