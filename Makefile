@@ -76,16 +76,22 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDetectDeadlock -fuzztime 30s ./internal/wormsim
 
 ## check-figures: regenerate the mcfigures outputs at -quick, the fidelity
-## committed in results/, and require every file to match byte for byte
+## committed in results/, and require every file to match byte for byte,
+## both as written by one full run and as printed on stdout by
+## `mcfigures -quick -fig <base>` (with -csv for the .csv files)
 check-figures:
 	@d=$$(mktemp -d); \
-	$(GO) run ./cmd/mcfigures -quick -out $$d >/dev/null || exit 1; \
-	n=0; for f in $$d/*; do \
-		cmp $$f results/$$(basename $$f) || { echo "check-figures: $$(basename $$f) differs from results/"; exit 1; }; \
+	$(GO) build -o $$d/mcfigures ./cmd/mcfigures || exit 1; \
+	$$d/mcfigures -quick -out $$d/out >/dev/null 2>$$d/stderr || { cat $$d/stderr; exit 1; }; \
+	n=0; for f in $$d/out/*; do \
+		b=$$(basename $$f); csv=; case $$b in *.csv) csv=-csv;; esac; \
+		cmp $$f results/$$b || { echo "check-figures: $$b differs from results/"; exit 1; }; \
+		$$d/mcfigures -quick -fig $${b%.*} $$csv >$$d/stdout 2>$$d/stderr && cmp -s $$d/stdout results/$$b || \
+			{ cat $$d/stderr; echo "check-figures: mcfigures -quick -fig $${b%.*} $$csv differs from results/$$b"; exit 1; }; \
 		n=$$((n+1)); \
 	done; \
 	rm -rf $$d; \
-	echo "check-figures: $$n mcfigures outputs byte-identical to results/"
+	echo "check-figures: $$n mcfigures outputs byte-identical to results/, written by -out and printed by -fig"
 
 ## check-fault: the fault-injection acceptance suite — masked-CDG acyclicity for every scheme, degraded routing, mid-run kill semantics, retry accounting, exact-vs-heuristic bounds on faulty meshes, and the mcfault parallel determinism contract
 check-fault:
@@ -105,7 +111,7 @@ check-scale:
 ## bridge, the reduced churn study, and byte-identity of every
 ## deterministic mcchurn output across -parallel
 check-churn:
-	$(GO) test -run 'TestChurnEquivalence|TestLiveRouterTargetedInvalidation|TestMaskedStateMemo|TestPlanDeltas|TestSimSchedule' ./internal/fault
+	$(GO) test -run 'TestChurnEquivalence|TestLiveRouterTargetedInvalidation|TestPlanDeltas|TestSimSchedule' ./internal/fault
 	$(GO) test -run 'TestChurnStudySmall' ./internal/experiments
 	@a=$$(mktemp -d); b=$$(mktemp -d); \
 	$(GO) run ./cmd/mcchurn -quick -parallel 1 -out $$a >/dev/null; \

@@ -19,75 +19,40 @@
 package main
 
 import (
-	"flag"
 	"fmt"
-	"os"
-	"path/filepath"
+	"io"
 	"runtime"
-	"strings"
 
+	"multicastnet/internal/cli"
 	"multicastnet/internal/experiments"
-	"multicastnet/internal/profiling"
-	"multicastnet/internal/stats"
 )
 
 func main() {
-	out := flag.String("out", "results", "output directory")
-	quick := flag.Bool("quick", false, "reduced stream and cycle budgets")
-	seed := flag.Uint64("seed", 1990, "study seed")
-	csv := flag.Bool("csv", false, "emit CSV on stdout instead of writing files")
-	parallel := flag.Int("parallel", 0, "sweep workers for the counting passes (0 = GOMAXPROCS, 1 = sequential)")
-	simcheck := flag.Bool("simcheck", false, "run wormsim invariant checks inside the simulator runs")
-	prof := profiling.AddFlags()
-	flag.Parse()
-	stopProf, err := prof.Start()
-	if err != nil {
-		fatal(err)
-	}
-	defer stopProf()
-
-	opts := experiments.ChurnDefaults()
-	if *quick {
-		opts = experiments.ChurnQuick()
-	}
-	opts.Seed = *seed
-	opts.Parallel = *parallel
-	opts.Check = *simcheck
-
-	res := experiments.ChurnStudy(opts)
-
-	if *csv {
-		for _, fig := range []*stats.Figure{res.HitRate, res.Evictions} {
-			if err := fig.WriteCSV(os.Stdout); err != nil {
-				fatal(err)
-			}
+	flags := cli.Register(cli.Out | cli.Quick | cli.Seed | cli.Parallel | cli.CSV | cli.SimCheck | cli.Profile)
+	flags.Run(func() error {
+		opts := experiments.ChurnDefaults()
+		if flags.Quick {
+			opts = experiments.ChurnQuick()
 		}
-		return
-	}
-	if err := os.MkdirAll(*out, 0o755); err != nil {
-		fatal(err)
-	}
-	for _, fig := range []*stats.Figure{res.HitRate, res.Evictions} {
-		base := strings.ReplaceAll(strings.ToLower(fig.ID), " ", "_")
-		writeFigure(*out, base+".txt", fig, false)
-		writeFigure(*out, base+".csv", fig, true)
-		fmt.Printf("wrote %s\n", base)
-	}
-	writeSim(*out, res)
-	fmt.Printf("wrote churn_sim.txt\n")
-	writeSummary(*out, res)
-	fmt.Printf("wrote churn_study.txt (gomaxprocs=%d)\n", res.GOMAXPROCS)
+		opts.Seed = flags.Seed
+		opts.Parallel = flags.Parallel
+		opts.Check = flags.SimCheck
+
+		res := experiments.ChurnStudy(opts)
+		if err := flags.WriteFigures(res.HitRate, res.Evictions); err != nil || flags.CSV {
+			return err
+		}
+		if err := flags.WriteText("churn_sim.txt", func(w io.Writer) error { return writeSim(w, res) }); err != nil {
+			return err
+		}
+		return flags.WriteText("churn_study.txt", func(w io.Writer) error { return writeSummary(w, res) })
+	})
 }
 
 // writeSim records the delta-driven simulator runs' delivery accounting —
 // deterministic fields only, so the file is byte-identical at any
 // -parallel value.
-func writeSim(dir string, res experiments.ChurnResult) {
-	f, err := os.Create(filepath.Join(dir, "churn_sim.txt"))
-	if err != nil {
-		fatal(err)
-	}
-	defer f.Close()
+func writeSim(f io.Writer, res experiments.ChurnResult) error {
 	fmt.Fprintf(f, "Delta-driven dynamic simulation under churn\n")
 	fmt.Fprintf(f, "Mid-run fault epochs kill channels inside the wormhole engine and\n")
 	fmt.Fprintf(f, "re-plan through one fault.LiveRouter advanced by the same deltas\n")
@@ -99,16 +64,12 @@ func writeSim(dir string, res experiments.ChurnResult) {
 			s.Workload, s.Epochs, s.MulticastsSent, s.Delivered, s.Lost,
 			s.WormsKilled, s.Cycles, s.Deadlocked)
 	}
+	return nil
 }
 
 // writeSummary records the wall-clock comparison; timings vary run to
 // run, so this file is excluded from the byte-identity check.
-func writeSummary(dir string, res experiments.ChurnResult) {
-	f, err := os.Create(filepath.Join(dir, "churn_study.txt"))
-	if err != nil {
-		fatal(err)
-	}
-	defer f.Close()
+func writeSummary(f io.Writer, res experiments.ChurnResult) error {
 	fmt.Fprintf(f, "Churn study: incremental delta application vs full rebuild\n")
 	fmt.Fprintf(f, "gomaxprocs: %d\n", res.GOMAXPROCS)
 	fmt.Fprintf(f, "cpus: %d\n\n", runtime.NumCPU())
@@ -129,25 +90,5 @@ func writeSummary(dir string, res experiments.ChurnResult) {
 	fmt.Fprintf(f, "targeted and nuke-everything invalidation (also plotted step by step\n")
 	fmt.Fprintf(f, "in churn_hitrate); they are deterministic, the millisecond columns\n")
 	fmt.Fprintf(f, "are wall-clock and vary run to run.\n")
-}
-
-func writeFigure(dir, name string, fig *stats.Figure, csv bool) {
-	f, err := os.Create(filepath.Join(dir, name))
-	if err != nil {
-		fatal(err)
-	}
-	defer f.Close()
-	if csv {
-		err = fig.WriteCSV(f)
-	} else {
-		err = fig.WriteTable(f)
-	}
-	if err != nil {
-		fatal(err)
-	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "mcchurn:", err)
-	os.Exit(1)
+	return nil
 }

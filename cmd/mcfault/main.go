@@ -14,60 +14,30 @@
 package main
 
 import (
-	"flag"
 	"fmt"
-	"os"
-	"path/filepath"
-	"strings"
 
+	"multicastnet/internal/cli"
 	"multicastnet/internal/experiments"
-	"multicastnet/internal/profiling"
-	"multicastnet/internal/stats"
 )
 
 func main() {
-	out := flag.String("out", "results", "output directory")
-	quick := flag.Bool("quick", false, "reduced trial counts and rate sweep")
-	seed := flag.Uint64("seed", 1990, "study seed")
-	csv := flag.Bool("csv", false, "emit CSV on stdout instead of writing files")
-	parallel := flag.Int("parallel", 0, "sweep workers (0 = GOMAXPROCS, 1 = sequential)")
-	simcheck := flag.Bool("simcheck", false, "run wormsim invariant checks inside every attempt")
-	prof := profiling.AddFlags()
-	flag.Parse()
-	stopProf, err := prof.Start()
-	if err != nil {
-		fatal(err)
-	}
-	defer stopProf()
-
-	opts := experiments.FaultDefaults()
-	if *quick {
-		opts = experiments.FaultQuick()
-	}
-	opts.Seed = *seed
-	opts.Parallel = *parallel
-	opts.Check = *simcheck
-
-	delivery, latency, cacheStats := experiments.FaultFiguresStats(opts)
-
-	if *csv {
-		for _, fig := range []*stats.Figure{delivery, latency} {
-			if err := fig.WriteCSV(os.Stdout); err != nil {
-				fatal(err)
-			}
+	flags := cli.Register(cli.Out | cli.Quick | cli.Seed | cli.Parallel | cli.CSV | cli.SimCheck | cli.Profile)
+	flags.Run(func() error {
+		opts := experiments.FaultDefaults()
+		if flags.Quick {
+			opts = experiments.FaultQuick()
 		}
-		return
-	}
-	if err := os.MkdirAll(*out, 0o755); err != nil {
-		fatal(err)
-	}
-	for _, fig := range []*stats.Figure{delivery, latency} {
-		base := strings.ReplaceAll(strings.ToLower(fig.ID), " ", "_")
-		writeFigure(*out, base+".txt", fig, false)
-		writeFigure(*out, base+".csv", fig, true)
-		fmt.Printf("wrote %s\n", base)
-	}
-	printCacheStats(cacheStats)
+		opts.Seed = flags.Seed
+		opts.Parallel = flags.Parallel
+		opts.Check = flags.SimCheck
+
+		delivery, latency, cacheStats := experiments.FaultFiguresStats(opts)
+		if err := flags.WriteFigures(delivery, latency); err != nil || flags.CSV {
+			return err
+		}
+		printCacheStats(cacheStats)
+		return nil
+	})
 }
 
 // printCacheStats reports the retry path's plan-cache accounting: hits
@@ -83,25 +53,4 @@ func printCacheStats(cs []experiments.SchemeCacheStats) {
 			c.Scheme, c.Stats.Hits, c.Stats.Misses, c.Stats.Evictions,
 			c.Stats.Invalidations, c.Stats.HitRate())
 	}
-}
-
-func writeFigure(dir, name string, fig *stats.Figure, csv bool) {
-	f, err := os.Create(filepath.Join(dir, name))
-	if err != nil {
-		fatal(err)
-	}
-	defer f.Close()
-	if csv {
-		err = fig.WriteCSV(f)
-	} else {
-		err = fig.WriteTable(f)
-	}
-	if err != nil {
-		fatal(err)
-	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "mcfault:", err)
-	os.Exit(1)
 }

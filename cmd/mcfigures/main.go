@@ -2,18 +2,25 @@
 // dissertation into a results directory: Tables 5.1–5.4, the worked route
 // examples of Chapters 5 and 6, the deadlock demonstrations, Fig. 2.3,
 // the static figures 7.1–7.7 (plus ablations), and the dynamic figures
-// 7.8–7.11. Each artifact is written both as an aligned text table and as
-// CSV.
+// 7.8–7.11. Each figure is written both as an aligned text table and as
+// CSV. -fig prints any one of those files on stdout instead, computing
+// only that artifact.
 //
 // Usage:
 //
-//	mcfigures -out results -quick   # reduced workloads (seconds): the committed results/
-//	mcfigures -out full             # full fidelity (about 2 minutes on 2 vCPUs)
-//	mcfigures -bench -out .         # write BENCH_wormsim.json only
+//	mcfigures -out results -quick         # reduced workloads (seconds): the committed results/
+//	mcfigures -out full                   # full fidelity (about 2 minutes on 2 vCPUs)
+//	mcfigures -quick -fig fig_7_10 -csv   # results/fig_7_10.csv on stdout
+//	mcfigures -quick -scheme fixed-path   # latency vs load for one registry scheme, on stdout
+//	mcfigures -bench -out .               # write BENCH_wormsim.json only
+//
+// The plan-cache counters of each dynamic figure sweep go to stderr, so
+// stdout under -fig is byte-identical to the results/ file.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -23,83 +30,157 @@ import (
 	"strings"
 	"time"
 
+	"multicastnet/internal/cli"
 	"multicastnet/internal/experiments"
-	"multicastnet/internal/profiling"
+	"multicastnet/internal/routing"
 	"multicastnet/internal/stats"
 )
 
 func main() {
-	out := flag.String("out", "results", "output directory")
-	quick := flag.Bool("quick", false, "reduced workloads")
-	parallel := flag.Int("parallel", 0, "sweep workers (0 = GOMAXPROCS, 1 = sequential)")
+	flags := cli.Register(cli.Out | cli.Quick | cli.Seed | cli.Parallel | cli.CSV | cli.SimCheck | cli.Scheme | cli.Profile)
+	figName := flag.String("fig", "", "print one results/ artifact on stdout by base name (e.g. fig_7_11, table_5_1); with -csv its CSV twin")
 	bench := flag.Bool("bench", false, "measure simulator throughput and figure wall times, write BENCH_wormsim.json, and exit")
 	benchCompare := flag.String("bench-compare", "", "measure throughput against this committed BENCH_wormsim.json: exit 1 if the core regressed >25%, warn from 15%")
-	prof := profiling.AddFlags()
-	flag.Parse()
-	stopProf, err := prof.Start()
-	if err != nil {
-		fatal(err)
-	}
-	defer stopProf()
+	flags.Run(func() error {
+		if *benchCompare != "" {
+			return runBenchCompare(*benchCompare)
+		}
 
-	if *benchCompare != "" {
-		runBenchCompare(*benchCompare)
-		return
-	}
+		sopts, dopts := experiments.Defaults(), experiments.DynamicDefaults()
+		if flags.Quick {
+			sopts, dopts = experiments.Quick(), experiments.DynamicQuick()
+		}
+		sopts.Seed, dopts.Seed = flags.Seed, flags.Seed
+		sopts.Parallel, dopts.Parallel = flags.Parallel, flags.Parallel
+		dopts.Check = flags.SimCheck
 
-	if err := os.MkdirAll(*out, 0o755); err != nil {
-		fatal(err)
-	}
+		if *bench {
+			return runBench(flags.Out, dopts)
+		}
+		defer reportPlanCaches()()
 
-	sopts := experiments.Defaults()
-	dopts := experiments.DynamicDefaults()
-	if *quick {
-		sopts = experiments.Quick()
-		dopts = experiments.DynamicQuick()
-	}
-	sopts.Parallel = *parallel
-	dopts.Parallel = *parallel
+		switch {
+		case *figName != "" && flags.Scheme != "":
+			return errors.New("-fig and -scheme each print one figure; give one of them")
+		case flags.Scheme != "":
+			fig, err := experiments.FigSchemeLoad(flags.Scheme, dopts)
+			if err != nil {
+				return err
+			}
+			return printFigure(fig, flags.CSV)
+		case *figName != "":
+			return printArtifact(artifacts(sopts, dopts), *figName, flags.CSV)
+		}
+		for _, a := range artifacts(sopts, dopts) {
+			var err error
+			switch {
+			case a.fig != nil:
+				err = flags.WriteFigures(a.fig())
+			case !flags.CSV:
+				err = flags.WriteText(a.base+".txt", a.text)
+			}
+			if err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
 
-	if *bench {
-		runBench(*out, dopts)
-		return
-	}
+// artifact is one results/ entry under its file base name: a text file
+// BASE.txt, or a figure written as BASE.txt and BASE.csv. Nothing is
+// computed until the entry is written.
+type artifact struct {
+	base string
+	text func(io.Writer) error
+	fig  func() *stats.Figure
+}
 
-	// Chapter 5 tables and worked examples.
-	writeText(*out, "table_5_1.txt", experiments.WriteTable51)
-	writeText(*out, "table_5_2.txt", experiments.WriteTable52)
-	writeText(*out, "table_5_3.txt", experiments.WriteTable53)
-	writeText(*out, "table_5_4.txt", experiments.WriteTable54)
-	writeText(*out, "examples.txt", func(w io.Writer) error { return experiments.ExampleRoutes(w, *parallel) })
-	writeText(*out, "deadlocks.txt", func(w io.Writer) error { return experiments.DeadlockDemos(w, *parallel) })
+// artifacts lists every results/ entry in the order a full run writes
+// them.
+func artifacts(sopts experiments.Options, dopts experiments.DynamicOptions) []artifact {
+	return []artifact{
+		// Chapter 5 tables and worked examples.
+		{base: "table_5_1", text: experiments.WriteTable51},
+		{base: "table_5_2", text: experiments.WriteTable52},
+		{base: "table_5_3", text: experiments.WriteTable53},
+		{base: "table_5_4", text: experiments.WriteTable54},
+		{base: "examples", text: func(w io.Writer) error { return experiments.ExampleRoutes(w, sopts.Parallel) }},
+		{base: "deadlocks", text: func(w io.Writer) error { return experiments.DeadlockDemos(w, sopts.Parallel) }},
 
-	// Figures.
-	figures := []*stats.Figure{
-		experiments.Fig23Switching(),
-		experiments.Fig71SortedMPMesh(sopts),
-		experiments.Fig72SortedMPCube(sopts),
-		experiments.Fig73GreedySTMesh(sopts),
-		experiments.Fig74GreedySTCube(sopts),
-		experiments.Fig75MTMesh(sopts),
-		experiments.Fig76PathTrafficCube(sopts),
-		experiments.Fig77PathTrafficMesh(sopts),
-		experiments.AblationLabeling(sopts),
-		experiments.AblationDestinationOrder(sopts),
-		experiments.ExtVirtualChannelsStatic(sopts),
-		experiments.ExtDualPath3D(sopts),
-		experiments.Fig78LatencyVsLoadDouble(dopts),
-		experiments.Fig79LatencyVsDestsDouble(dopts),
-		experiments.Fig710LatencyVsLoadSingle(dopts),
-		experiments.Fig711LatencyVsDestsSingle(dopts),
-		experiments.ExtVirtualChannelsDynamic(dopts),
-		experiments.ExtUnicastMix(dopts),
-		experiments.ExtAdaptive(dopts),
+		// Figures.
+		{base: "fig_2_3", fig: experiments.Fig23Switching},
+		{base: "fig_7_1", fig: with(experiments.Fig71SortedMPMesh, sopts)},
+		{base: "fig_7_2", fig: with(experiments.Fig72SortedMPCube, sopts)},
+		{base: "fig_7_3", fig: with(experiments.Fig73GreedySTMesh, sopts)},
+		{base: "fig_7_4", fig: with(experiments.Fig74GreedySTCube, sopts)},
+		{base: "fig_7_5", fig: with(experiments.Fig75MTMesh, sopts)},
+		{base: "fig_7_6", fig: with(experiments.Fig76PathTrafficCube, sopts)},
+		{base: "fig_7_7", fig: with(experiments.Fig77PathTrafficMesh, sopts)},
+		{base: "ablation_a", fig: with(experiments.AblationLabeling, sopts)},
+		{base: "ablation_b", fig: with(experiments.AblationDestinationOrder, sopts)},
+		{base: "ext_v", fig: with(experiments.ExtVirtualChannelsStatic, sopts)},
+		{base: "ext_3d", fig: with(experiments.ExtDualPath3D, sopts)},
+		{base: "fig_7_8", fig: with(experiments.Fig78LatencyVsLoadDouble, dopts)},
+		{base: "fig_7_9", fig: with(experiments.Fig79LatencyVsDestsDouble, dopts)},
+		{base: "fig_7_10", fig: with(experiments.Fig710LatencyVsLoadSingle, dopts)},
+		{base: "fig_7_11", fig: with(experiments.Fig711LatencyVsDestsSingle, dopts)},
+		{base: "ext_v-dyn", fig: with(experiments.ExtVirtualChannelsDynamic, dopts)},
+		{base: "ext_u", fig: with(experiments.ExtUnicastMix, dopts)},
+		{base: "ext_a", fig: with(experiments.ExtAdaptive, dopts)},
 	}
-	for _, fig := range figures {
-		base := figBase(fig.ID)
-		writeFigure(*out, base+".txt", fig, false)
-		writeFigure(*out, base+".csv", fig, true)
-		fmt.Printf("wrote %s\n", base)
+}
+
+// with defers a figure runner until its figure is needed.
+func with[O any](run func(O) *stats.Figure, opts O) func() *stats.Figure {
+	return func() *stats.Figure { return run(opts) }
+}
+
+// printArtifact writes the named entry's BASE.txt, or with csv its
+// BASE.csv, to stdout.
+func printArtifact(arts []artifact, name string, csv bool) error {
+	var names []string
+	for _, a := range arts {
+		switch {
+		case a.base != name:
+			names = append(names, a.base)
+		case a.fig != nil:
+			return printFigure(a.fig(), csv)
+		case csv:
+			return fmt.Errorf("%s has no CSV form", name)
+		default:
+			return a.text(os.Stdout)
+		}
+	}
+	return fmt.Errorf("unknown figure %q (want one of %s)", name, strings.Join(names, ", "))
+}
+
+// printFigure writes fig to stdout as its aligned table or as CSV.
+func printFigure(fig *stats.Figure, csv bool) error {
+	if csv {
+		return fig.WriteCSV(os.Stdout)
+	}
+	return fig.WriteTable(os.Stdout)
+}
+
+// reportPlanCaches collects the plan-cache counters of every dynamic
+// figure sweep and returns a function that prints them to stderr. The
+// counts depend on sweep scheduling (parallel workers racing to plan the
+// same multicast both miss), so they accompany the output instead of
+// entering any results/ file.
+func reportPlanCaches() func() {
+	var lines []string
+	experiments.FigureCacheStats = func(figure string, s routing.CacheStats) {
+		lines = append(lines, fmt.Sprintf("%-14s %8d %8d %10d %9.3f",
+			figure, s.Hits, s.Misses, s.Evictions, s.HitRate()))
+	}
+	return func() {
+		if len(lines) == 0 {
+			return
+		}
+		fmt.Fprintf(os.Stderr, "plan cache per figure sweep:\n%-14s %8s %8s %10s %9s\n",
+			"figure", "hits", "misses", "evictions", "hit_rate")
+		fmt.Fprintln(os.Stderr, strings.Join(lines, "\n"))
 	}
 }
 
@@ -121,7 +202,7 @@ type figureBench struct {
 	WallMs float64 `json:"wall_ms"`
 }
 
-func runBench(out string, dopts experiments.DynamicOptions) {
+func runBench(out string, dopts experiments.DynamicOptions) error {
 	cycles, secs := experiments.SimThroughput(dopts.Seed, 200_000)
 	report := benchReport{
 		Quick:        dopts.Loads != nil,
@@ -145,15 +226,19 @@ func runBench(out string, dopts experiments.DynamicOptions) {
 			ID: f.id, WallMs: float64(time.Since(start).Microseconds()) / 1000,
 		})
 	}
-	path := filepath.Join(out, "BENCH_wormsim.json")
 	buf, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
-		fatal(err)
+		return err
 	}
+	if err := os.MkdirAll(out, 0o755); err != nil {
+		return err
+	}
+	path := filepath.Join(out, "BENCH_wormsim.json")
 	if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
-		fatal(err)
+		return err
 	}
 	fmt.Printf("wrote %s (%.0f cycles/sec)\n", path, report.CyclesPerSec)
+	return nil
 }
 
 // runBenchCompare is the CI bench-regression gate. The core throughput
@@ -161,17 +246,17 @@ func runBench(out string, dopts experiments.DynamicOptions) {
 // baseline — large enough that shared-runner noise does not trip it,
 // small enough to catch a real hot-loop regression — and warns from
 // 15%.
-func runBenchCompare(path string) {
+func runBenchCompare(path string) error {
 	buf, err := os.ReadFile(path)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	var baseline benchReport
 	if err := json.Unmarshal(buf, &baseline); err != nil {
-		fatal(err)
+		return err
 	}
 	if baseline.CyclesPerSec <= 0 {
-		fatal(fmt.Errorf("baseline %s has no cycles_per_sec", path))
+		return fmt.Errorf("baseline %s has no cycles_per_sec", path)
 	}
 	seed := experiments.DynamicDefaults().Seed
 	cycles, secs := experiments.SimThroughput(seed, 200_000)
@@ -182,48 +267,9 @@ func runBenchCompare(path string) {
 	switch {
 	case ratio < 0.75:
 		fmt.Printf("FAIL: simulator throughput regressed >25%% against %s\n", path)
-		os.Exit(1)
+		return errors.New("bench-compare failed")
 	case ratio < 0.85:
 		fmt.Printf("WARN: simulator throughput regressed >15%% against %s\n", path)
 	}
-}
-
-func figBase(id string) string {
-	s := strings.ToLower(id)
-	s = strings.ReplaceAll(s, " ", "_")
-	s = strings.ReplaceAll(s, ".", "_")
-	return s
-}
-
-func writeFigure(dir, name string, fig *stats.Figure, csv bool) {
-	f, err := os.Create(filepath.Join(dir, name))
-	if err != nil {
-		fatal(err)
-	}
-	defer f.Close()
-	if csv {
-		err = fig.WriteCSV(f)
-	} else {
-		err = fig.WriteTable(f)
-	}
-	if err != nil {
-		fatal(err)
-	}
-}
-
-func writeText(dir, name string, fn func(w io.Writer) error) {
-	f, err := os.Create(filepath.Join(dir, name))
-	if err != nil {
-		fatal(err)
-	}
-	defer f.Close()
-	if err := fn(f); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("wrote %s\n", name)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "mcfigures:", err)
-	os.Exit(1)
+	return nil
 }

@@ -20,42 +20,45 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
 	"strconv"
 	"strings"
 
 	"multicastnet"
+	"multicastnet/internal/cli"
 	"multicastnet/internal/render"
 	"multicastnet/internal/routing"
 )
 
-func main() {
-	topoFlag := flag.String("topo", "mesh:8x8", "topology: mesh:WxH or cube:N")
-	algoFlag := flag.String("algo", "dual-path", "routing algorithm")
-	schemeFlag := flag.String("scheme", "", "routing-engine scheme name (overrides -algo; see -list-schemes)")
-	listSchemes := flag.Bool("list-schemes", false, "list the routing-engine schemes and exit")
-	vcFlag := flag.Int("vc", 0, "virtual-channel copies for -scheme virtual-channel (0 = scheme default)")
-	srcFlag := flag.Int("src", 0, "source node id")
-	destsFlag := flag.String("dests", "", "comma-separated destination node ids")
-	draw := flag.Bool("draw", true, "draw the routing pattern (mesh topologies)")
-	flag.Parse()
+var (
+	flags       = cli.Register(cli.Scheme)
+	topoFlag    = flag.String("topo", "mesh:8x8", "topology: mesh:WxH or cube:N")
+	algoFlag    = flag.String("algo", "dual-path", "routing algorithm (ignored when -scheme is set)")
+	listSchemes = flag.Bool("list-schemes", false, "list the routing-engine schemes and exit")
+	vcFlag      = flag.Int("vc", 0, "virtual-channel copies for -scheme virtual-channel (0 = scheme default)")
+	srcFlag     = flag.Int("src", 0, "source node id")
+	destsFlag   = flag.String("dests", "", "comma-separated destination node ids")
+	draw        = flag.Bool("draw", true, "draw the routing pattern (mesh topologies)")
+)
 
+func main() { flags.Run(route) }
+
+func route() error {
 	if *listSchemes {
 		printSchemes()
-		return
+		return nil
 	}
 
 	sys, err := parseSystem(*topoFlag)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	dests, err := parseDests(*destsFlag)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	k, err := sys.Set(multicastnet.NodeID(*srcFlag), dests...)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	mesh, isMesh := sys.Topology().(*multicastnet.Mesh2D)
@@ -70,14 +73,14 @@ func main() {
 		}
 	}
 
-	if *schemeFlag != "" {
+	if flags.Scheme != "" {
 		st, err := routing.SharedState(sys.Topology())
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		r, err := routing.NewWithOptions(*schemeFlag, st, routing.Options{VirtualChannels: *vcFlag})
+		r, err := routing.NewWithOptions(flags.Scheme, st, routing.Options{VirtualChannels: *vcFlag})
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		plan := r.PlanSet(k)
 		for i, p := range plan.Paths {
@@ -95,28 +98,28 @@ func main() {
 			drawPattern(chans)
 		}
 		fmt.Printf("multi-unicast baseline: %d channels\n", sys.MultiUnicastTraffic(k))
-		return
+		return nil
 	}
 
 	switch *algoFlag {
 	case "sorted-mp":
 		p, err := sys.SortedMP(k)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		fmt.Printf("path:    %v\n", p.Nodes)
 		fmt.Printf("traffic: %d channels\n", p.Traffic())
 	case "sorted-mc":
 		c, err := sys.SortedMC(k)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		fmt.Printf("cycle:   %v (closes back to %d)\n", c.Nodes, c.Nodes[0])
 		fmt.Printf("traffic: %d channels\n", c.Traffic())
 	case "greedy-st":
 		r, err := sys.GreedyST(k)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		printTreePattern(r)
 		if *draw && isMesh {
@@ -125,7 +128,7 @@ func main() {
 	case "x-first":
 		r, err := sys.XFirstMT(k)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		printTreePattern(r)
 		if *draw && isMesh {
@@ -134,7 +137,7 @@ func main() {
 	case "divided-greedy":
 		r, err := sys.DividedGreedyMT(k)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		printTreePattern(r)
 		if *draw && isMesh {
@@ -143,7 +146,7 @@ func main() {
 	case "len":
 		r, err := sys.LEN(k)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		printTreePattern(r)
 	case "dual-path":
@@ -153,7 +156,7 @@ func main() {
 	case "multi-path":
 		s, err := sys.MultiPath(k)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		printStar(s)
 		drawStar(s)
@@ -164,7 +167,7 @@ func main() {
 	case "tree":
 		trees, err := sys.DoubleChannelXFirst(k)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		total := 0
 		var chans []multicastnet.Channel
@@ -176,9 +179,10 @@ func main() {
 		fmt.Printf("traffic: %d channels\n", total)
 		drawPattern(chans)
 	default:
-		fatal(fmt.Errorf("unknown algorithm %q", *algoFlag))
+		return fmt.Errorf("unknown algorithm %q", *algoFlag)
 	}
 	fmt.Printf("multi-unicast baseline: %d channels\n", sys.MultiUnicastTraffic(k))
+	return nil
 }
 
 func parseSystem(spec string) (*multicastnet.System, error) {
@@ -243,9 +247,4 @@ func printSchemes() {
 		}
 		fmt.Printf("%-18s %-18s %s\n", info.Name, safety, info.Description)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "mcroute:", err)
-	os.Exit(1)
 }

@@ -12,53 +12,32 @@
 package main
 
 import (
-	"flag"
 	"fmt"
-	"os"
-	"path/filepath"
+	"io"
 	"runtime"
 
+	"multicastnet/internal/cli"
 	"multicastnet/internal/experiments"
-	"multicastnet/internal/profiling"
 )
 
 func main() {
-	out := flag.String("out", "results", "output directory")
-	quick := flag.Bool("quick", false, "reduced cycle budgets")
-	seed := flag.Uint64("seed", 1990, "study seed")
-	simcheck := flag.Bool("simcheck", false, "run wormsim invariant checks inside every run")
-	prof := profiling.AddFlags()
-	flag.Parse()
-	stopProf, err := prof.Start()
-	if err != nil {
-		fatal(err)
-	}
-	defer stopProf()
+	flags := cli.Register(cli.Out | cli.Quick | cli.Seed | cli.SimCheck | cli.Profile)
+	flags.Run(func() error {
+		opts := experiments.ScaleDefaults()
+		if flags.Quick {
+			opts = experiments.ScaleQuick()
+		}
+		opts.Seed = flags.Seed
+		opts.Check = flags.SimCheck
 
-	opts := experiments.ScaleDefaults()
-	if *quick {
-		opts = experiments.ScaleQuick()
-	}
-	opts.Seed = *seed
-	opts.Check = *simcheck
-
-	res := experiments.ScaleStudy(opts)
-
-	if err := os.MkdirAll(*out, 0o755); err != nil {
-		fatal(err)
-	}
-	writeSummary(*out, res)
-	fmt.Printf("wrote scale_study.txt (gomaxprocs=%d)\n", res.GOMAXPROCS)
+		res := experiments.ScaleStudy(opts)
+		return flags.WriteText("scale_study.txt", func(w io.Writer) error { return writeSummary(w, res) })
+	})
 }
 
 // writeSummary records the measured throughput with the host facts it
 // was measured on.
-func writeSummary(dir string, res experiments.ScaleResult) {
-	f, err := os.Create(filepath.Join(dir, "scale_study.txt"))
-	if err != nil {
-		fatal(err)
-	}
-	defer f.Close()
+func writeSummary(f io.Writer, res experiments.ScaleResult) error {
 	fmt.Fprintf(f, "Beyond-paper scale study\n")
 	fmt.Fprintf(f, "gomaxprocs: %d\n", res.GOMAXPROCS)
 	fmt.Fprintf(f, "cpus: %d\n", runtime.NumCPU())
@@ -69,9 +48,5 @@ func writeSummary(dir string, res experiments.ScaleResult) {
 	}
 	fmt.Fprintf(f, "\nEach workload ran twice, an untimed warm-up and the timed run, and\n")
 	fmt.Fprintf(f, "the study aborts unless the two Results match field for field.\n")
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "mcscale:", err)
-	os.Exit(1)
+	return nil
 }

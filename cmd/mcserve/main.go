@@ -22,83 +22,41 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
+	"slices"
 	"strings"
 
+	"multicastnet/internal/cli"
 	"multicastnet/internal/experiments"
-	"multicastnet/internal/profiling"
-	"multicastnet/internal/stats"
 )
 
 func main() {
-	out := flag.String("out", "results", "output directory")
-	quick := flag.Bool("quick", false, "reduced request and point budgets")
-	seed := flag.Uint64("seed", 1990, "study seed")
-	csv := flag.Bool("csv", false, "emit CSV on stdout instead of writing files")
-	parallel := flag.Int("parallel", 0, "sweep and planner workers (0 = GOMAXPROCS, 1 = sequential; outputs are byte-identical)")
-	workloadModel := flag.String("workload", "", "workload profile replacing the built-in group pool ("+strings.Join(experiments.WorkloadModelNames(), ", ")+"; empty = built-in pool)")
-	prof := profiling.AddFlags()
-	flag.Parse()
-	stopProf, err := prof.Start()
-	if err != nil {
-		fatal(err)
-	}
-	defer stopProf()
-
-	opts := experiments.ServeDefaults()
-	if *quick {
-		opts = experiments.ServeQuick()
-	}
-	opts.Seed = *seed
-	opts.Parallel = *parallel
-	if *workloadModel != "" {
-		valid := false
-		for _, m := range experiments.WorkloadModelNames() {
-			if m == *workloadModel {
-				valid = true
-			}
+	flags := cli.Register(cli.Out | cli.Quick | cli.Seed | cli.Parallel | cli.CSV | cli.Profile)
+	models := experiments.WorkloadModelNames()
+	workloadModel := flag.String("workload", "", "workload profile replacing the built-in group pool ("+strings.Join(models, ", ")+"; empty = built-in pool)")
+	flags.Run(func() error {
+		opts := experiments.ServeDefaults()
+		if flags.Quick {
+			opts = experiments.ServeQuick()
 		}
-		if !valid {
-			fatal(fmt.Errorf("unknown -workload %q (valid: %s)",
-				*workloadModel, strings.Join(experiments.WorkloadModelNames(), ", ")))
+		opts.Seed = flags.Seed
+		opts.Parallel = flags.Parallel
+		if *workloadModel != "" && !slices.Contains(models, *workloadModel) {
+			return fmt.Errorf("unknown -workload %q (valid: %s)", *workloadModel, strings.Join(models, ", "))
 		}
 		opts.Workload = *workloadModel
-	}
 
-	res := experiments.ServeStudy(opts)
-
-	figs := []*stats.Figure{res.Throughput, res.P99, res.WindowThroughput, res.WindowP99}
-	if *csv {
-		for _, fig := range figs {
-			if err := fig.WriteCSV(os.Stdout); err != nil {
-				fatal(err)
-			}
+		res := experiments.ServeStudy(opts)
+		if err := flags.WriteFigures(res.Throughput, res.P99, res.WindowThroughput, res.WindowP99); err != nil || flags.CSV {
+			return err
 		}
-		return
-	}
-	if err := os.MkdirAll(*out, 0o755); err != nil {
-		fatal(err)
-	}
-	for _, fig := range figs {
-		base := strings.ReplaceAll(strings.ToLower(fig.ID), " ", "_")
-		writeFigure(*out, base+".txt", fig, false)
-		writeFigure(*out, base+".csv", fig, true)
-		fmt.Printf("wrote %s\n", base)
-	}
-	writeSummary(*out, opts, res)
-	fmt.Printf("wrote serve_study.txt (gomaxprocs=%d)\n", res.GOMAXPROCS)
+		return flags.WriteText("serve_study.txt", func(w io.Writer) error { return writeSummary(w, opts, res) })
+	})
 }
 
 // writeSummary records every point of the sweep. All fields are
 // deterministic, so the file participates in the byte-identity check
 // (make check-serve).
-func writeSummary(dir string, opts experiments.ServeOptions, res experiments.ServeStudyResult) {
-	f, err := os.Create(filepath.Join(dir, "serve_study.txt"))
-	if err != nil {
-		fatal(err)
-	}
-	defer f.Close()
+func writeSummary(f io.Writer, opts experiments.ServeOptions, res experiments.ServeStudyResult) error {
 	fmt.Fprintf(f, "Serving study: window-batched multicast scheduling vs naive FIFO\n")
 	if opts.Workload != "" {
 		fmt.Fprintf(f, "64x64 mesh, dual-path routing, %d requests per point from the %q\n", opts.Requests, opts.Workload)
@@ -119,6 +77,7 @@ func writeSummary(dir string, opts experiments.ServeOptions, res experiments.Ser
 	}
 	// The load sweep occupies the first 2*len(Loads) points.
 	writeHeadline(f, res.Points[:2*len(opts.Loads)])
+	return nil
 }
 
 // writeHeadline compares the two policies at the highest offered load of
@@ -148,25 +107,4 @@ func writeHeadline(w io.Writer, points []experiments.ServePoint) {
 		100*(sched.ThroughputPerKCycle/fifo.ThroughputPerKCycle-1))
 	fmt.Fprintf(w, "at p99 completion latency %.0f vs %.0f cycles (%+.1f%%).\n",
 		sched.P99Latency, fifo.P99Latency, 100*(sched.P99Latency/fifo.P99Latency-1))
-}
-
-func writeFigure(dir, name string, fig *stats.Figure, csv bool) {
-	f, err := os.Create(filepath.Join(dir, name))
-	if err != nil {
-		fatal(err)
-	}
-	defer f.Close()
-	if csv {
-		err = fig.WriteCSV(f)
-	} else {
-		err = fig.WriteTable(f)
-	}
-	if err != nil {
-		fatal(err)
-	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "mcserve:", err)
-	os.Exit(1)
 }

@@ -24,75 +24,42 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"strings"
 
+	"multicastnet/internal/cli"
 	"multicastnet/internal/experiments"
-	"multicastnet/internal/profiling"
 	"multicastnet/internal/stats"
 	"multicastnet/internal/workload"
 )
 
 func main() {
-	out := flag.String("out", "results", "output directory")
-	quick := flag.Bool("quick", false, "reduced streams on small topologies")
-	seed := flag.Uint64("seed", 1990, "study seed")
-	csv := flag.Bool("csv", false, "emit CSV on stdout instead of writing files")
-	parallel := flag.Int("parallel", 0, "sweep and planner workers (0 = GOMAXPROCS, 1 = sequential; outputs are byte-identical)")
+	flags := cli.Register(cli.Out | cli.Quick | cli.Seed | cli.Parallel | cli.CSV | cli.Profile)
 	record := flag.String("record", "", "record the named model's stream to -o instead of running the study")
 	recordOut := flag.String("o", "", "trace output path for -record (default stdout)")
 	replay := flag.String("replay", "", "print a summary of a trace file and exit")
-	prof := profiling.AddFlags()
-	flag.Parse()
-	stopProf, err := prof.Start()
-	if err != nil {
-		fatal(err)
-	}
-	defer stopProf()
-
-	opts := experiments.WorkloadDefaults()
-	if *quick {
-		opts = experiments.WorkloadQuick()
-	}
-	opts.Seed = *seed
-	opts.Parallel = *parallel
-
-	if *record != "" {
-		if err := recordTrace(*record, *recordOut, opts); err != nil {
-			fatal(err)
+	flags.Run(func() error {
+		opts := experiments.WorkloadDefaults()
+		if flags.Quick {
+			opts = experiments.WorkloadQuick()
 		}
-		return
-	}
-	if *replay != "" {
-		if err := replayTrace(*replay); err != nil {
-			fatal(err)
-		}
-		return
-	}
+		opts.Seed = flags.Seed
+		opts.Parallel = flags.Parallel
 
-	res := experiments.WorkloadStudy(opts)
-
-	figs := append([]*stats.Figure{}, res.SchemeFigs...)
-	figs = append(figs, res.PackerThroughput, res.PackerP99)
-	if *csv {
-		for _, fig := range figs {
-			if err := fig.WriteCSV(os.Stdout); err != nil {
-				fatal(err)
-			}
+		if *record != "" {
+			return recordTrace(*record, *recordOut, opts)
 		}
-		return
-	}
-	if err := os.MkdirAll(*out, 0o755); err != nil {
-		fatal(err)
-	}
-	for _, fig := range figs {
-		base := strings.ReplaceAll(strings.ToLower(fig.ID), " ", "_")
-		writeFigure(*out, base+".txt", fig, false)
-		writeFigure(*out, base+".csv", fig, true)
-		fmt.Printf("wrote %s\n", base)
-	}
-	writeSummary(*out, opts, res)
-	fmt.Printf("wrote workload_study.txt (gomaxprocs=%d)\n", res.GOMAXPROCS)
+		if *replay != "" {
+			return replayTrace(*replay)
+		}
+
+		res := experiments.WorkloadStudy(opts)
+		figs := append([]*stats.Figure{}, res.SchemeFigs...)
+		figs = append(figs, res.PackerThroughput, res.PackerP99)
+		if err := flags.WriteFigures(figs...); err != nil || flags.CSV {
+			return err
+		}
+		return flags.WriteText("workload_study.txt", func(w io.Writer) error { return writeSummary(w, opts, res) })
+	})
 }
 
 // recordTrace writes the named model's stream over the study's first
@@ -102,22 +69,21 @@ func recordTrace(model, path string, opts experiments.WorkloadOptions) error {
 	if err != nil {
 		return err
 	}
-	w := io.Writer(os.Stdout)
-	if path != "" {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
+	if path == "" {
+		return workload.WriteTrace(os.Stdout, tr)
 	}
-	if err := workload.WriteTrace(w, tr); err != nil {
+	f, err := os.Create(path)
+	if err != nil {
 		return err
 	}
-	if path != "" {
-		fmt.Printf("recorded %d requests (%s on %s) to %s\n",
-			len(tr.Reqs), model, tr.Topo, path)
+	if err := workload.WriteTrace(f, tr); err != nil {
+		f.Close()
+		return err
 	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Printf("recorded %d requests (%s on %s) to %s\n", len(tr.Reqs), model, tr.Topo, path)
 	return nil
 }
 
@@ -153,12 +119,7 @@ func replayTrace(path string) error {
 // writeSummary records every point of both sweeps plus the model legend
 // and the ranking comparison. All fields are deterministic, so the file
 // participates in the byte-identity check (make check-workload).
-func writeSummary(dir string, opts experiments.WorkloadOptions, res experiments.WorkloadStudyResult) {
-	f, err := os.Create(filepath.Join(dir, "workload_study.txt"))
-	if err != nil {
-		fatal(err)
-	}
-	defer f.Close()
+func writeSummary(f io.Writer, opts experiments.WorkloadOptions, res experiments.WorkloadStudyResult) error {
 	fmt.Fprintf(f, "Workload study: scheme and packer rankings under realistic traffic\n")
 	fmt.Fprintf(f, "%d requests per stream, %d-group pool, mean %d destinations,\n",
 		opts.Requests, opts.Groups, opts.AvgDests)
@@ -192,6 +153,7 @@ func writeSummary(dir string, opts experiments.WorkloadOptions, res experiments.
 	}
 
 	writeRankings(f, opts, res)
+	return nil
 }
 
 func topoName(opts experiments.WorkloadOptions) string {
@@ -244,25 +206,4 @@ func writeRankings(w io.Writer, opts experiments.WorkloadOptions, res experiment
 		}
 		fmt.Fprintf(w, "  %-10s throughput %+6.1f%%  p99 %+6.1f%%\n", m, thr, p99)
 	}
-}
-
-func writeFigure(dir, name string, fig *stats.Figure, csv bool) {
-	f, err := os.Create(filepath.Join(dir, name))
-	if err != nil {
-		fatal(err)
-	}
-	defer f.Close()
-	if csv {
-		err = fig.WriteCSV(f)
-	} else {
-		err = fig.WriteTable(f)
-	}
-	if err != nil {
-		fatal(err)
-	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "mcworkload:", err)
-	os.Exit(1)
 }

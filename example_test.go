@@ -63,8 +63,8 @@ func ExampleSystem_VerifyDeadlockFree() {
 // service.
 func ExampleNewService() {
 	svc, err := multicastnet.NewService(multicastnet.ServiceConfig{
-		Topology: multicastnet.NewMesh2D(8, 8),
-		Scheme:   multicastnet.ServiceDualPath,
+		Topology:   multicastnet.NewMesh2D(8, 8),
+		SchemeName: "dual-path",
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -17,8 +17,8 @@ import (
 func main() {
 	mesh := multicastnet.NewMesh2D(16, 16)
 	svc, err := multicastnet.NewService(multicastnet.ServiceConfig{
-		Topology: mesh,
-		Scheme:   multicastnet.ServiceDualPath,
+		Topology:   mesh,
+		SchemeName: "dual-path",
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -234,9 +234,8 @@ type ChurnTiming struct {
 	// restoring full working-set service after each delta: the
 	// incremental path applies the delta in O(|delta|) and re-plans only
 	// evicted flows through the cache; the rebuild path constructs a
-	// fresh masked topology and routing state (memo bypassed) and
-	// re-plans every flow, which is what every mask change cost before
-	// the refactor.
+	// fresh masked topology and routing state and re-plans every flow,
+	// which is what every mask change cost before the refactor.
 	IncrementalMs, RebuildMs float64
 	// Speedup is RebuildMs over IncrementalMs.
 	Speedup float64
@@ -274,7 +273,7 @@ func churnTimingRun(w ChurnWorkload, st *routing.State, stream []fault.Delta,
 	start = time.Now()
 	for _, d := range stream {
 		mask.ApplyDelta(d)
-		r, err := fault.NewRouterRebuild(w.Scheme, st, mask, routing.Options{})
+		r, err := fault.NewRouter(w.Scheme, st, mask)
 		if err != nil {
 			panic(err)
 		}

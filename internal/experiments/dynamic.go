@@ -30,7 +30,7 @@ type DynamicOptions struct {
 	// sweep.
 	Dests []int
 	// Check runs the wormsim invariant checker inside every simulation —
-	// a testing aid (see `mcdynamic -simcheck`), slower; violations
+	// a testing aid (see `mcfigures -simcheck`), slower; violations
 	// panic.
 	Check bool
 }
@@ -138,7 +138,7 @@ func mustRouter(name string, st *routing.State, opts routing.Options) routing.Ro
 
 // FigureCacheStats, when non-nil, receives each cached figure sweep's
 // final plan-cache accounting (figure ID plus counters) after the sweep
-// completes. `mcdynamic` installs it to surface hit/miss/eviction
+// completes. `mcfigures` installs it to surface hit/miss/eviction
 // counts. The counts depend on sweep scheduling — workers racing to plan
 // the same multicast both miss — so they are reported to the operator,
 // never committed into figure bytes.
@@ -266,7 +266,7 @@ func Fig711LatencyVsDestsSingle(o DynamicOptions) *stats.Figure {
 }
 
 // FigSchemeLoad builds a latency-vs-load figure for one registry scheme
-// on the single-channel 8x8 mesh — the `mcdynamic -scheme <name>` entry
+// on the single-channel 8x8 mesh — the `mcfigures -scheme <name>` entry
 // point. Any scheme name from routing.Names() is accepted.
 func FigSchemeLoad(name string, o DynamicOptions) (*stats.Figure, error) {
 	if _, err := routing.Lookup(name); err != nil {

@@ -238,7 +238,7 @@ func TestLiveRouterTargetedInvalidation(t *testing.T) {
 	if rep.Invalidated != 1 {
 		t.Fatalf("delta evicted %d plans, want exactly k1's", rep.Invalidated)
 	}
-	if _, ok := cache.GetPlan(lr.ID(), k2); !ok {
+	if _, _, ok := cache.GetPlanAux(lr.ID(), k2); !ok {
 		t.Fatal("unaffected plan was evicted")
 	}
 	// The re-plan must detour and is cached again (fully served).
@@ -258,49 +258,5 @@ func TestLiveRouterTargetedInvalidation(t *testing.T) {
 	}
 	if _, _, served, _ := lr.PlanDegradedCached(k1); !served {
 		t.Fatal("repair evicted the detour plan")
-	}
-}
-
-// TestMaskedStateMemo: rebuilding a static router over an identical mask
-// reuses the memoized masked state instead of recomputing it.
-func TestMaskedStateMemo(t *testing.T) {
-	m := topology.NewMesh2D(6, 6)
-	st, err := routing.NewState(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mask := NewMask(m)
-	mask.Apply(Event{Kind: LinkFault, A: 0, B: 1})
-	mask.Apply(Event{Kind: NodeFault, A: 14})
-
-	r1, err := NewRouter("dual-path", st, mask)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Identical mask contents in a fresh Mask value — and even a different
-	// scheme — must hit the same memo entry.
-	mask2 := NewMask(m)
-	mask2.Apply(Event{Kind: NodeFault, A: 14})
-	mask2.Apply(Event{Kind: LinkFault, A: 0, B: 1})
-	r2, err := NewRouter("multi-path", st, mask2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.State() != r2.State() {
-		t.Fatal("identical masks rebuilt the masked state instead of memoizing")
-	}
-	if r1.Masked() != r2.Masked() {
-		t.Fatal("identical masks rebuilt the masked topology instead of memoizing")
-	}
-
-	// A different mask must not collide.
-	mask3 := NewMask(m)
-	mask3.Apply(Event{Kind: LinkFault, A: 0, B: 1})
-	r3, err := NewRouter("dual-path", st, mask3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r3.State() == r1.State() {
-		t.Fatal("different masks shared a memoized state")
 	}
 }

@@ -22,7 +22,6 @@
 package fault
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -401,23 +400,6 @@ func (m *Mask) DeadLinks() []topology.Link {
 		return out[i].V < out[j].V
 	})
 	return out
-}
-
-// deadSetKey encodes the physical dead sets (nodes + links, not VCs,
-// which don't shape the masked graph) canonically — the memo key for
-// masked-state reuse across identical masks.
-func (m *Mask) deadSetKey() string {
-	var b []byte
-	b = append(b, 'n')
-	for _, v := range m.DeadNodes() {
-		b = binary.AppendUvarint(b, uint64(v))
-	}
-	b = append(b, 'l')
-	for _, l := range m.DeadLinks() {
-		b = binary.AppendUvarint(b, uint64(l.U))
-		b = binary.AppendUvarint(b, uint64(l.V))
-	}
-	return string(b)
 }
 
 // MaskTopology returns the masked view of the mask's topology: dead

@@ -3,7 +3,6 @@ package fault
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"multicastnet/internal/core"
 	"multicastnet/internal/dfr"
@@ -108,29 +107,10 @@ func NewRouter(scheme string, healthy *routing.State, mask *Mask) (*Router, erro
 }
 
 // NewRouterWithOptions is NewRouter with registry options (e.g. the
-// virtual-channel copy count).
+// virtual-channel copy count). A non-empty mask builds its masked
+// topology and routing state from scratch.
 func NewRouterWithOptions(scheme string, healthy *routing.State, mask *Mask,
 	opts routing.Options) (*Router, error) {
-	return newRouterWithState(scheme, healthy, mask, opts, maskedStateFor)
-}
-
-// NewRouterRebuild is NewRouterWithOptions with the masked-state memo
-// bypassed: the masked topology and routing state are always recomputed
-// from scratch. It exists as the full-rebuild baseline for the churn
-// study and benchmarks — production callers want the memoized
-// constructor (or a LiveRouter).
-func NewRouterRebuild(scheme string, healthy *routing.State, mask *Mask,
-	opts routing.Options) (*Router, error) {
-	return newRouterWithState(scheme, healthy, mask, opts,
-		func(h *routing.State, m *Mask) (*topology.Masked, *routing.State) {
-			masked := m.MaskTopology()
-			return masked, routing.NewStateWithLabeling(masked, h.Labeling())
-		})
-}
-
-func newRouterWithState(scheme string, healthy *routing.State, mask *Mask,
-	opts routing.Options,
-	stateFor func(*routing.State, *Mask) (*topology.Masked, *routing.State)) (*Router, error) {
 	hr, err := routing.NewWithOptions(scheme, healthy, opts)
 	if err != nil {
 		return nil, err
@@ -150,9 +130,9 @@ func newRouterWithState(scheme string, healthy *routing.State, mask *Mask,
 		r.inner = hr
 		return r, nil
 	}
-	masked, mstate := stateFor(healthy, mask)
+	masked := mask.MaskTopology()
 	r.masked = masked
-	r.mstate = mstate
+	r.mstate = routing.NewStateWithLabeling(masked, healthy.Labeling())
 	r.id = hr.ID() + "@" + masked.Name()
 	if inner, err := routing.NewWithOptions(scheme, r.mstate, opts); err == nil {
 		r.inner = inner
@@ -166,56 +146,6 @@ func newRouterWithState(scheme string, healthy *routing.State, mask *Mask,
 		}
 	}
 	return r, nil
-}
-
-// maskedStateMemo caches (Masked, masked State) pairs across routers so
-// building several scheme routers — or rebuilding one — over the same
-// mask reuses the all-pairs distance table and labeling tables instead of
-// recomputing them per call. Keyed by the healthy state identity plus the
-// masked topology's fingerprinted name; bounded by wholesale reset.
-var maskedStateMemo struct {
-	sync.Mutex
-	entries map[maskedStateKey]maskedStateVal
-}
-
-type maskedStateKey struct {
-	healthy *routing.State
-	deadSet string
-}
-
-type maskedStateVal struct {
-	masked *topology.Masked
-	mstate *routing.State
-}
-
-// maskedStateMemoCap bounds the memo; on overflow the map resets rather
-// than tracking recency (mask churn workloads revisit few distinct masks,
-// and a reset only costs rebuilds, never correctness).
-const maskedStateMemoCap = 128
-
-// maskedStateFor returns the masked topology and masked routing state
-// for (healthy, mask), memoized across identical masks. The key is the
-// mask's canonical dead-set encoding, computed without building the
-// Masked view — the all-pairs distance table (the expensive part of
-// MaskTopology) is only ever computed once per distinct mask.
-func maskedStateFor(healthy *routing.State, mask *Mask) (*topology.Masked, *routing.State) {
-	key := maskedStateKey{healthy: healthy, deadSet: mask.deadSetKey()}
-	m := &maskedStateMemo
-	m.Lock()
-	if v, ok := m.entries[key]; ok {
-		m.Unlock()
-		return v.masked, v.mstate
-	}
-	m.Unlock()
-	masked := mask.MaskTopology()
-	mstate := routing.NewStateWithLabeling(masked, healthy.Labeling())
-	m.Lock()
-	if m.entries == nil || len(m.entries) >= maskedStateMemoCap {
-		m.entries = make(map[maskedStateKey]maskedStateVal)
-	}
-	m.entries[key] = maskedStateVal{masked: masked, mstate: mstate}
-	m.Unlock()
-	return masked, mstate
 }
 
 // repairBaseFor returns the first channel class free for escape-segment
@@ -254,15 +184,6 @@ func (r *Router) ID() string { return r.id }
 // State implements routing.Router: the masked state plans are derived
 // over (the healthy state when the mask is empty).
 func (r *Router) State() *routing.State { return r.mstate }
-
-// Masked returns the immutable masked topology snapshot, or nil for an
-// empty mask or a live (delta-driven) view.
-func (r *Router) Masked() *topology.Masked {
-	if mk, ok := r.masked.(*topology.Masked); ok {
-		return mk
-	}
-	return nil
-}
 
 // Plan implements routing.Router. Unreachable destinations yield a
 // PartitionError (errors.Is ErrPartitioned) alongside a plan covering

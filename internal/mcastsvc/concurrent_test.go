@@ -13,7 +13,7 @@ import (
 // the pool-safety check for the service path; results are compared
 // against serially computed answers.
 func TestConcurrentRequests(t *testing.T) {
-	s := newMeshService(t, DualPathScheme)
+	s := newMeshService(t, "dual-path")
 	groups := make([]Group, 8)
 	wantTraffic := make([]int, len(groups))
 	wantEst := make([]int, len(groups))

@@ -23,64 +23,6 @@ import (
 	"multicastnet/internal/topology"
 )
 
-// Scheme selects the deadlock-free routing used by the service.
-//
-// Deprecated: Scheme is a legacy enum kept as an alias layer over the
-// routing registry; new code should set Config.SchemeName to a
-// routing.Names() entry instead. Migration path: replace
-//
-//	mcastsvc.New(mcastsvc.Config{Topology: t, Scheme: mcastsvc.MultiPathScheme})
-//
-// with
-//
-//	mcastsvc.New(mcastsvc.Config{Topology: t, SchemeName: "multi-path"})
-//
-// Each constant's registry name is its Name() (equivalently String())
-// value: DualPathScheme -> "dual-path", MultiPathScheme -> "multi-path",
-// FixedPathScheme -> "fixed-path". The two selectors are interchangeable
-// — Config.SchemeName takes precedence when both are set, and a Service
-// built from either reports the registry name via SchemeName() and
-// produces identical plans. The enum will not grow: registry-only
-// schemes (e.g. "tree", "virtual-channel") are reachable only through
-// SchemeName.
-type Scheme int
-
-// Available routing schemes (deprecated aliases for registry names).
-const (
-	// DualPathScheme routes every multicast as at most two paths
-	// (Section 6.2.2) — the dissertation's recommended default.
-	DualPathScheme Scheme = iota
-	// MultiPathScheme uses up to degree-many paths; lower latency at
-	// moderate load, hot-spot prone for very large groups.
-	MultiPathScheme
-	// FixedPathScheme follows the Hamiltonian path; simplest hardware.
-	FixedPathScheme
-)
-
-// String implements fmt.Stringer. For the defined constants it returns
-// the scheme's routing-registry name, so String() round-trips through
-// routing.Lookup.
-func (s Scheme) String() string {
-	if name, err := s.Name(); err == nil {
-		return name
-	}
-	return fmt.Sprintf("Scheme(%d)", int(s))
-}
-
-// Name maps the deprecated enum value to its routing-registry name.
-func (s Scheme) Name() (string, error) {
-	switch s {
-	case DualPathScheme:
-		return "dual-path", nil
-	case MultiPathScheme:
-		return "multi-path", nil
-	case FixedPathScheme:
-		return "fixed-path", nil
-	default:
-		return "", fmt.Errorf("mcastsvc: unknown scheme Scheme(%d)", int(s))
-	}
-}
-
 // planCacheSize bounds the per-service plan cache. Group communication
 // is highly repetitive (the same barrier or allreduce routes recur every
 // iteration), so even a small cache removes nearly all route derivation
@@ -90,29 +32,15 @@ const planCacheSize = 4096
 // Config parameterizes a Service.
 type Config struct {
 	Topology topology.Topology
-	// Scheme is the legacy enum selector, honored when SchemeName is
-	// empty.
-	//
-	// Deprecated: set SchemeName to a routing registry name instead.
-	Scheme Scheme
 	// SchemeName selects the routing scheme by registry name (see
-	// routing.Names()). It must name a deadlock-free scheme. Empty falls
-	// back to Scheme, whose zero value is dual-path — the dissertation's
-	// recommended default.
+	// routing.Names()). It must name a deadlock-free scheme. Empty
+	// selects dual-path, the dissertation's recommended default.
 	SchemeName string
 	// MessageBytes is the default payload size; BandwidthMBps and
 	// FlitBytes fix the time base (defaults: 128 bytes, 20 MB/s, 1 byte).
 	MessageBytes  int
 	BandwidthMBps float64
 	FlitBytes     int
-}
-
-// schemeName resolves the configured scheme to a registry name.
-func (c Config) schemeName() (string, error) {
-	if c.SchemeName != "" {
-		return c.SchemeName, nil
-	}
-	return c.Scheme.Name()
 }
 
 // Service provides multicast primitives over one machine.
@@ -139,9 +67,9 @@ func New(cfg Config) (*Service, error) {
 	if cfg.FlitBytes <= 0 {
 		cfg.FlitBytes = 1
 	}
-	name, err := cfg.schemeName()
-	if err != nil {
-		return nil, err
+	name := cfg.SchemeName
+	if name == "" {
+		name = "dual-path"
 	}
 	info, err := routing.Lookup(name)
 	if err != nil {

@@ -7,9 +7,9 @@ import (
 	"multicastnet/internal/topology"
 )
 
-func newMeshService(t *testing.T, scheme Scheme) *Service {
+func newMeshService(t *testing.T, scheme string) *Service {
 	t.Helper()
-	s, err := New(Config{Topology: topology.NewMesh2D(8, 8), Scheme: scheme})
+	s, err := New(Config{Topology: topology.NewMesh2D(8, 8), SchemeName: scheme})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,23 +20,26 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Error("nil topology accepted")
 	}
-	// Rings are k-ary 1-cubes with a serpentine labeling: accepted.
-	if _, err := New(Config{Topology: topology.Ring(5)}); err != nil {
+	// Rings are k-ary 1-cubes with a serpentine labeling: accepted, and
+	// an empty SchemeName selects dual-path.
+	if s, err := New(Config{Topology: topology.Ring(5)}); err != nil {
 		t.Errorf("ring rejected: %v", err)
+	} else if s.SchemeName() != "dual-path" {
+		t.Errorf("empty SchemeName selected %q, want dual-path", s.SchemeName())
 	}
-	if _, err := New(Config{Topology: topology.NewMesh2D(4, 4), Scheme: Scheme(9)}); err == nil {
+	if _, err := New(Config{Topology: topology.NewMesh2D(4, 4), SchemeName: "no-such-scheme"}); err == nil {
 		t.Error("unknown scheme accepted")
 	}
-	if _, err := New(Config{Topology: topology.NewMesh3D(3, 3, 3), Scheme: MultiPathScheme}); err == nil {
+	if _, err := New(Config{Topology: topology.NewMesh3D(3, 3, 3), SchemeName: "multi-path"}); err == nil {
 		t.Error("multi-path on 3D mesh accepted")
 	}
-	if _, err := New(Config{Topology: topology.NewMesh3D(3, 3, 3), Scheme: DualPathScheme}); err != nil {
+	if _, err := New(Config{Topology: topology.NewMesh3D(3, 3, 3), SchemeName: "dual-path"}); err != nil {
 		t.Errorf("dual-path on 3D mesh rejected: %v", err)
 	}
 }
 
 func TestGroupValidation(t *testing.T) {
-	s := newMeshService(t, DualPathScheme)
+	s := newMeshService(t, "dual-path")
 	if _, err := s.NewGroup([]topology.NodeID{5}); err == nil {
 		t.Error("single-member group accepted")
 	}
@@ -61,7 +64,7 @@ func TestGroupValidation(t *testing.T) {
 }
 
 func TestMulticastCost(t *testing.T) {
-	for _, scheme := range []Scheme{DualPathScheme, MultiPathScheme, FixedPathScheme} {
+	for _, scheme := range []string{"dual-path", "multi-path", "fixed-path"} {
 		s := newMeshService(t, scheme)
 		g, err := s.NewGroup([]topology.NodeID{3, 12, 45, 60})
 		if err != nil {
@@ -83,7 +86,7 @@ func TestMulticastCost(t *testing.T) {
 }
 
 func TestMulticastFromGroupMember(t *testing.T) {
-	s := newMeshService(t, DualPathScheme)
+	s := newMeshService(t, "dual-path")
 	g, err := s.NewGroup([]topology.NodeID{3, 12, 45})
 	if err != nil {
 		t.Fatal(err)
@@ -99,7 +102,7 @@ func TestMulticastFromGroupMember(t *testing.T) {
 }
 
 func TestBroadcastCost(t *testing.T) {
-	s := newMeshService(t, FixedPathScheme)
+	s := newMeshService(t, "fixed-path")
 	c, err := s.Broadcast(0, 128)
 	if err != nil {
 		t.Fatal(err)
@@ -112,7 +115,7 @@ func TestBroadcastCost(t *testing.T) {
 }
 
 func TestBarrierCostAndSchemeOrdering(t *testing.T) {
-	s := newMeshService(t, DualPathScheme)
+	s := newMeshService(t, "dual-path")
 	var members []topology.NodeID
 	for v := topology.NodeID(0); v < 16; v++ {
 		members = append(members, v*4)
@@ -145,7 +148,7 @@ func TestBarrierCostAndSchemeOrdering(t *testing.T) {
 }
 
 func TestReduceAndAllReduce(t *testing.T) {
-	s := newMeshService(t, DualPathScheme)
+	s := newMeshService(t, "dual-path")
 	g, err := s.NewGroup([]topology.NodeID{0, 7, 56, 63})
 	if err != nil {
 		t.Fatal(err)
@@ -174,7 +177,7 @@ func TestReduceAndAllReduce(t *testing.T) {
 
 func TestSimulatedPrimitivesDrain(t *testing.T) {
 	rng := stats.NewRand(5)
-	for _, scheme := range []Scheme{DualPathScheme, MultiPathScheme} {
+	for _, scheme := range []string{"dual-path", "multi-path"} {
 		s := newMeshService(t, scheme)
 		raw := rng.Sample(64, 12)
 		members := make([]topology.NodeID, len(raw))
@@ -207,7 +210,7 @@ func TestSimulatedPrimitivesDrain(t *testing.T) {
 			t.Errorf("%v: simulated %.2f us below contention-free bound %.2f us",
 				scheme, mc.CompletionMicros, est.LatencyMicros)
 		}
-		if scheme == DualPathScheme && mc.CompletionMicros > est.LatencyMicros*1.01 {
+		if scheme == "dual-path" && mc.CompletionMicros > est.LatencyMicros*1.01 {
 			t.Errorf("dual-path: simulated %.2f us vs tight estimate %.2f us",
 				mc.CompletionMicros, est.LatencyMicros)
 		}
@@ -241,7 +244,7 @@ func TestSimulatedPrimitivesDrain(t *testing.T) {
 }
 
 func TestSimulateValidation(t *testing.T) {
-	s := newMeshService(t, DualPathScheme)
+	s := newMeshService(t, "dual-path")
 	g, err := s.NewGroup([]topology.NodeID{1, 2, 3})
 	if err != nil {
 		t.Fatal(err)
@@ -251,11 +254,5 @@ func TestSimulateValidation(t *testing.T) {
 	}
 	if _, err := s.SimulateAllReduce(9, g, 8); err == nil {
 		t.Error("root outside group accepted")
-	}
-}
-
-func TestSchemeString(t *testing.T) {
-	if DualPathScheme.String() != "dual-path" || Scheme(9).String() == "" {
-		t.Error("scheme strings wrong")
 	}
 }

@@ -8,89 +8,21 @@ import (
 	"multicastnet/internal/topology"
 )
 
-// TestSchemeNameRoundTrip pins the deprecated-alias contract: every
-// legacy Scheme constant's String() is a registry name that resolves
-// through routing.Lookup, and a Service built from either selector
-// reports the same name.
+// TestSchemeNameRoundTrip: every registry name the service accepts
+// resolves through routing.Lookup, and the Service reports it back.
 func TestSchemeNameRoundTrip(t *testing.T) {
 	m := topology.NewMesh2D(4, 4)
-	for _, s := range []Scheme{DualPathScheme, MultiPathScheme, FixedPathScheme} {
-		name := s.String()
+	for _, name := range []string{"dual-path", "multi-path", "fixed-path"} {
 		if _, err := routing.Lookup(name); err != nil {
-			t.Errorf("%v.String() = %q does not resolve in the registry: %v", s, name, err)
+			t.Errorf("%q does not resolve in the registry: %v", name, err)
 		}
-		viaEnum, err := New(Config{Topology: m, Scheme: s})
-		if err != nil {
-			t.Fatalf("New(Scheme: %v): %v", s, err)
-		}
-		viaName, err := New(Config{Topology: m, SchemeName: name})
+		svc, err := New(Config{Topology: m, SchemeName: name})
 		if err != nil {
 			t.Fatalf("New(SchemeName: %q): %v", name, err)
 		}
-		if viaEnum.SchemeName() != name || viaName.SchemeName() != name {
-			t.Errorf("SchemeName() = %q / %q, want %q",
-				viaEnum.SchemeName(), viaName.SchemeName(), name)
+		if svc.SchemeName() != name {
+			t.Errorf("SchemeName() = %q, want %q", svc.SchemeName(), name)
 		}
-	}
-}
-
-// TestSchemeAliasNameRoundTrip pins the documented alias table directly:
-// Name() yields exactly the promised registry name, String() agrees with
-// Name() for every defined constant, and a Service built through the
-// alias produces plans identical to one built through the name.
-func TestSchemeAliasNameRoundTrip(t *testing.T) {
-	want := map[Scheme]string{
-		DualPathScheme:  "dual-path",
-		MultiPathScheme: "multi-path",
-		FixedPathScheme: "fixed-path",
-	}
-	m := topology.NewMesh2D(4, 4)
-	for s, name := range want {
-		got, err := s.Name()
-		if err != nil {
-			t.Fatalf("%v.Name(): %v", s, err)
-		}
-		if got != name {
-			t.Errorf("%v.Name() = %q, want %q", s, got, name)
-		}
-		if s.String() != got {
-			t.Errorf("%v.String() = %q disagrees with Name() %q", s, s.String(), got)
-		}
-		viaEnum, err := New(Config{Topology: m, Scheme: s})
-		if err != nil {
-			t.Fatal(err)
-		}
-		viaName, err := New(Config{Topology: m, SchemeName: name})
-		if err != nil {
-			t.Fatal(err)
-		}
-		g, err := viaEnum.NewGroup([]topology.NodeID{2, 7, 11})
-		if err != nil {
-			t.Fatal(err)
-		}
-		a, err := viaEnum.Multicast(2, g, 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := viaName.Multicast(2, g, 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a != b {
-			t.Errorf("%v: enum-built and name-built services disagree: %+v vs %+v", s, a, b)
-		}
-	}
-}
-
-func TestUnknownSchemeEnumErrors(t *testing.T) {
-	if _, err := Scheme(9).Name(); err == nil {
-		t.Error("Scheme(9).Name() succeeded")
-	}
-	if got := Scheme(9).String(); got != "Scheme(9)" {
-		t.Errorf("Scheme(9).String() = %q", got)
-	}
-	if _, err := New(Config{Topology: topology.NewMesh2D(4, 4), Scheme: Scheme(9)}); err == nil {
-		t.Error("New accepted an undefined enum value")
 	}
 }
 
@@ -105,21 +37,6 @@ func TestUnknownSchemeNameListsValidNames(t *testing.T) {
 		if !strings.Contains(err.Error(), name) {
 			t.Errorf("error %q does not list valid name %q", err, name)
 		}
-	}
-}
-
-// TestSchemeNamePrecedence: a non-empty SchemeName wins over the enum.
-func TestSchemeNamePrecedence(t *testing.T) {
-	svc, err := New(Config{
-		Topology:   topology.NewMesh2D(4, 4),
-		Scheme:     MultiPathScheme,
-		SchemeName: "fixed-path",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if svc.SchemeName() != "fixed-path" {
-		t.Errorf("SchemeName() = %q, want fixed-path", svc.SchemeName())
 	}
 }
 

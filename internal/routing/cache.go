@@ -171,22 +171,6 @@ func planPairs(p Plan) []uint64 {
 	return sortedUniq(pairs)
 }
 
-// flatPairs collects the sorted, deduplicated directed links of a dense
-// CSR plan.
-func flatPairs(f *FlatPlan) []uint64 {
-	var pairs []uint64
-	for p := 0; p < f.Paths(); p++ {
-		row := f.PathNodes[f.PathOff[p]:f.PathOff[p+1]]
-		for i := 1; i < len(row); i++ {
-			pairs = append(pairs, ChannelPair(topology.NodeID(row[i-1]), topology.NodeID(row[i])))
-		}
-	}
-	for i := range f.TreeFrom {
-		pairs = append(pairs, ChannelPair(topology.NodeID(f.TreeFrom[i]), topology.NodeID(f.TreeTo[i])))
-	}
-	return sortedUniq(pairs)
-}
-
 // sortedUniq sorts pairs ascending and removes duplicates in place.
 func sortedUniq(pairs []uint64) []uint64 {
 	if len(pairs) == 0 {
@@ -375,23 +359,11 @@ func destsSorted(dests []topology.NodeID) bool {
 	return true
 }
 
-// GetPlan looks up the route-form plan cached under (id, k). It is the
-// exported lookup for callers that manage caching themselves — the
-// degraded-mode fault router caches only fully-served plans, a policy the
-// generic Cached wrapper cannot express.
-func (c *PlanCache) GetPlan(id string, k core.MulticastSet) (Plan, bool) {
-	p, _, ok := c.GetPlanAux(id, k)
-	return p, ok
-}
-
-// PutPlan caches a route-form plan under (id, k), tagging it with the
-// directed links it traverses for targeted invalidation.
-func (c *PlanCache) PutPlan(id string, k core.MulticastSet, p Plan) {
-	c.PutPlanAux(id, k, p, 0)
-}
-
-// GetPlanAux is GetPlan returning the opaque aux word stored with the
-// entry (0 when none was recorded).
+// GetPlanAux looks up the route-form plan cached under (id, k) and the
+// opaque aux word stored with it. It is the exported lookup for callers
+// that manage caching themselves — the degraded-mode fault router caches
+// only fully-served plans, a policy the generic Cached wrapper cannot
+// express.
 func (c *PlanCache) GetPlanAux(id string, k core.MulticastSet) (Plan, uint64, bool) {
 	e, ok := c.get(planKey(id, k, reprPlan))
 	if !ok {
@@ -400,10 +372,11 @@ func (c *PlanCache) GetPlanAux(id string, k core.MulticastSet) (Plan, uint64, bo
 	return e.plan, e.aux, true
 }
 
-// PutPlanAux is PutPlan with an opaque aux word stored alongside the
-// plan — the degraded fault router records each plan's accounting flags
-// here, so a later cache hit reports the same stats the original
-// planning did.
+// PutPlanAux caches a route-form plan under (id, k), tagging it with the
+// directed links it traverses for targeted invalidation, with an opaque
+// aux word stored alongside — the degraded fault router records each
+// plan's accounting flags here, so a later cache hit reports the same
+// stats the original planning did.
 func (c *PlanCache) PutPlanAux(id string, k core.MulticastSet, p Plan, aux uint64) {
 	c.put(planKey(id, k, reprPlan), cacheEntry{plan: p, aux: aux, pairs: planPairs(p)})
 }

@@ -250,7 +250,7 @@ func TestPlanCacheStatsConcurrent(t *testing.T) {
 	}
 	// On a single-core scheduler the racing invalidator may never catch a
 	// live entry; pin the eviction accounting deterministically instead.
-	c.PutPlan("hammer", sets[0], r.PlanSet(sets[0]))
+	c.PutPlanAux("hammer", sets[0], r.PlanSet(sets[0]), 0)
 	if c.InvalidateAll() == 0 {
 		t.Error("InvalidateAll evicted nothing despite a cached plan")
 	}

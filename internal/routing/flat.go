@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"multicastnet/internal/core"
-	"multicastnet/internal/topology"
 )
 
 // FlatPlan is the dense CSR (compressed sparse row) form of a Plan: every
@@ -191,32 +190,17 @@ func (r *FlatRouter) FlatSet(k core.MulticastSet) *FlatPlan {
 	return f
 }
 
-// FlatSetBuf is FlatSet with a caller-owned reusable key buffer — the
-// zero-allocation lookup of the scheduling service's steady state. When
-// k.Dests is sorted ascending (the scheduler canonicalizes at ingestion)
-// and the plan is cached, the call allocates nothing: the key is built
-// into buf and the map lookup converts it without copying. It returns
-// the plan and the (possibly grown) buffer for reuse. A nil cache or
-// unsorted destinations fall back to FlatSet.
-func (r *FlatRouter) FlatSetBuf(k core.MulticastSet, buf []byte) (*FlatPlan, []byte) {
-	if r.cache == nil || !destsSorted(k.Dests) {
-		return r.FlatSet(k), buf
-	}
-	buf = appendPlanKeySorted(buf[:0], r.Router.ID(), k, reprFlat)
-	if e, ok := r.cache.getBytes(buf); ok && e.flat != nil {
-		return e.flat, buf
-	}
-	f := Flatten(r.Router.PlanSet(k))
-	r.cache.put(string(buf), cacheEntry{flat: f})
-	return f, buf
-}
-
-// FlatProbeBuf splits FlatSetBuf's lookup from its planning: it probes
-// the cache for an already-canonicalized set (sorted dests) and reports
-// a miss instead of planning, so a scheduler can collect misses and
-// compute them on a worker pool. Like FlatSetBuf it counts exactly one
-// cache lookup, and a hit with a reused buffer allocates nothing.
-// Callers must complete a miss with FlatCompute + FlatInstallBuf.
+// FlatProbeBuf is the zero-allocation lookup of the scheduling
+// service's steady state: it probes the cache for an
+// already-canonicalized set (sorted dests) with a caller-owned reusable
+// key buffer and reports a miss instead of planning, so a scheduler can
+// collect misses and compute them on a worker pool. It counts exactly
+// one cache lookup, and a hit with a reused buffer allocates nothing:
+// the key is built into buf and the map lookup converts it without
+// copying. It returns the plan, the (possibly grown) buffer for reuse
+// and whether the plan was found. A nil cache or unsorted destinations
+// fall back to FlatSet, which always finds. Callers must complete a miss
+// with FlatCompute + FlatInstallBuf.
 func (r *FlatRouter) FlatProbeBuf(k core.MulticastSet, buf []byte) (*FlatPlan, []byte, bool) {
 	if r.cache == nil || !destsSorted(k.Dests) {
 		return r.FlatSet(k), buf, true
@@ -244,14 +228,4 @@ func (r *FlatRouter) FlatInstallBuf(k core.MulticastSet, f *FlatPlan, buf []byte
 	buf = appendPlanKeySorted(buf[:0], r.Router.ID(), k, reprFlat)
 	r.cache.put(string(buf), cacheEntry{flat: f})
 	return buf
-}
-
-// FlatPlanOf validates (source, dests) as a multicast set and returns the
-// dense form.
-func (r *FlatRouter) FlatPlanOf(src topology.NodeID, dests []topology.NodeID) (*FlatPlan, error) {
-	k, err := core.NewMulticastSet(r.State().Topology(), src, dests)
-	if err != nil {
-		return nil, err
-	}
-	return r.FlatSet(k), nil
 }

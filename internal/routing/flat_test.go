@@ -121,11 +121,12 @@ func TestCacheKeysSeparateRepresentations(t *testing.T) {
 	}
 }
 
-// TestFlatSetBuf pins the buffered lookup's contract: it shares cache
+// TestFlatProbeBuf pins the buffered lookup's contract: it shares cache
 // entries with FlatSet (same key bytes, same plan pointer on a hit),
-// falls back cleanly on unsorted destinations, and a warm hit with a
-// reused buffer allocates nothing.
-func TestFlatSetBuf(t *testing.T) {
+// falls back cleanly on unsorted destinations, reports a miss that
+// FlatCompute + FlatInstallBuf complete for FlatSet, and a warm hit with
+// a reused buffer allocates nothing.
+func TestFlatProbeBuf(t *testing.T) {
 	m := topology.NewMesh2D(8, 8)
 	st := NewStateWithLabeling(m, labeling.NewMeshBoustrophedon(m))
 	r, err := New("dual-path", st)
@@ -137,33 +138,38 @@ func TestFlatSetBuf(t *testing.T) {
 
 	sorted := core.MustMulticastSet(m, 3, []topology.NodeID{9, 18, 27, 40})
 	via := fr.FlatSet(sorted)
-	got, buf := fr.FlatSetBuf(sorted, nil)
-	if got != via {
-		t.Fatal("FlatSetBuf did not hit the FlatSet entry for sorted dests")
+	got, buf, ok := fr.FlatProbeBuf(sorted, nil)
+	if !ok || got != via {
+		t.Fatal("FlatProbeBuf did not hit the FlatSet entry for sorted dests")
 	}
 
 	// Unsorted destinations fall back to the canonicalizing path — and
 	// still share the same entry.
 	unsorted := core.MustMulticastSet(m, 3, []topology.NodeID{40, 9, 27, 18})
-	if got, _ := fr.FlatSetBuf(unsorted, buf); got != via {
+	if got, _, ok := fr.FlatProbeBuf(unsorted, buf); !ok || got != via {
 		t.Fatal("unsorted fallback did not share the canonical entry")
 	}
 
-	// A miss through the buffered path populates the cache for FlatSet.
+	// A miss is reported, not planned; installing the computed plan
+	// populates the cache for FlatSet.
 	fresh := core.MustMulticastSet(m, 5, []topology.NodeID{2, 13, 44})
-	first, buf := fr.FlatSetBuf(fresh, buf)
+	if got, _, ok := fr.FlatProbeBuf(fresh, buf); ok || got != nil {
+		t.Fatal("FlatProbeBuf reported a hit for an uncached set")
+	}
+	first := fr.FlatCompute(fresh)
+	buf = fr.FlatInstallBuf(fresh, first, buf)
 	if fr.FlatSet(fresh) != first {
-		t.Fatal("FlatSet did not hit the FlatSetBuf-populated entry")
+		t.Fatal("FlatSet did not hit the FlatInstallBuf-populated entry")
 	}
 
 	// Warm hits with a reused buffer are allocation-free.
 	if avg := testing.AllocsPerRun(100, func() {
 		var p *FlatPlan
-		p, buf = fr.FlatSetBuf(sorted, buf)
+		p, buf, _ = fr.FlatProbeBuf(sorted, buf)
 		if p != via {
 			t.Fatal("hit returned a different plan")
 		}
 	}); avg > 0 {
-		t.Errorf("warm FlatSetBuf hit allocates %.1f objects, want 0", avg)
+		t.Errorf("warm FlatProbeBuf hit allocates %.1f objects, want 0", avg)
 	}
 }

@@ -215,7 +215,7 @@ func TestPlanCacheTargetedInvalidation(t *testing.T) {
 	if c.Len() != 1 {
 		t.Fatalf("Len() after targeted invalidation = %d, want 1", c.Len())
 	}
-	if _, ok := c.GetPlan(r.ID(), k2); !ok {
+	if _, _, ok := c.GetPlanAux(r.ID(), k2); !ok {
 		t.Fatal("unaffected entry was evicted")
 	}
 	if st := c.Stats(); st.Invalidations != 1 {

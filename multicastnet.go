@@ -109,13 +109,6 @@ func NewMulticastSet(t Topology, source NodeID, dests []NodeID) (MulticastSet, e
 // Simulate runs a dynamic wormhole simulation (Section 7.2).
 func Simulate(cfg SimConfig) (SimResult, error) { return wormsim.Run(cfg) }
 
-// Service scheme selectors (see mcastsvc.Scheme).
-const (
-	ServiceDualPath  = mcastsvc.DualPathScheme
-	ServiceMultiPath = mcastsvc.MultiPathScheme
-	ServiceFixedPath = mcastsvc.FixedPathScheme
-)
-
 // NewService builds the multicast service over a topology.
 func NewService(cfg ServiceConfig) (*Service, error) { return mcastsvc.New(cfg) }
 
