@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race bench bench-wormsim-baseline bench-routing-baseline bench-heuristics-baseline bench-serve-baseline bench-regression profile-wormsim perfbench-smoke results fuzz check-figures check-fault check-scale check-churn check-serve check-workload
+.PHONY: check fmt vet build test race bench bench-wormsim-baseline bench-routing-baseline bench-heuristics-baseline bench-serve-baseline bench-regression profile-wormsim perfbench-smoke results fuzz check-figures check-results check-fault check-scale check-churn check-serve check-workload
 
 ## check: everything CI runs — format, vet, build, race tests, quick benchmarks
 check: fmt vet build race bench
@@ -92,6 +92,24 @@ check-figures:
 	done; \
 	rm -rf $$d; \
 	echo "check-figures: $$n mcfigures outputs byte-identical to results/, written by -out and printed by -fig"
+
+## check-results: run mcfault, mcserve and mcworkload at full fidelity,
+## the fidelity committed in results/, and require every file they write
+## to match its results/ copy byte for byte (mcchurn stays out: its full
+## run takes ~100 s, mostly timing the rebuild baseline)
+check-results:
+	@d=$$(mktemp -d); \
+	$(GO) build -o $$d/ ./cmd/mcfault ./cmd/mcserve ./cmd/mcworkload || exit 1; \
+	for c in mcfault mcserve mcworkload; do \
+		$$d/$$c -out $$d/out >/dev/null 2>$$d/stderr || { cat $$d/stderr; echo "check-results: $$c failed"; exit 1; }; \
+	done; \
+	n=0; for f in results/fault_* results/serve_* results/workload_*; do \
+		cmp $$f $$d/out/$$(basename $$f) || { echo "check-results: $$f differs"; exit 1; }; \
+		n=$$((n+1)); \
+	done; \
+	[ $$n -eq $$(ls $$d/out | wc -l) ] || { echo "check-results: outputs without a results/ copy:"; ls $$d/out; exit 1; }; \
+	rm -rf $$d; \
+	echo "check-results: $$n mcfault, mcserve and mcworkload outputs byte-identical to results/"
 
 ## check-fault: the fault-injection acceptance suite — masked-CDG acyclicity for every scheme, degraded routing, mid-run kill semantics, retry accounting, exact-vs-heuristic bounds on faulty meshes, and the mcfault parallel determinism contract
 check-fault:

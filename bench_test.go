@@ -348,11 +348,13 @@ func BenchmarkRouting_MultiPath(b *testing.B) {
 // BenchmarkSimulator measures raw simulator throughput: cycles per second
 // under a steady dual-path workload.
 func BenchmarkSimulator(b *testing.B) {
-	m := topology.NewMesh2D(8, 8)
-	l := labeling.NewMeshBoustrophedon(m)
+	sys, err := multicastnet.NewMeshSystem(8, 8)
+	if err != nil {
+		b.Fatal(err)
+	}
 	cfg := wormsim.Config{
-		Topology:               m,
-		Route:                  wormsim.DualPathScheme(m, l),
+		Topology:               sys.Topology(),
+		Route:                  sys.DualPathRouteFunc(),
 		MeanInterarrivalMicros: 400,
 		AvgDests:               10,
 		Seed:                   5,

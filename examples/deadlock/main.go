@@ -21,11 +21,17 @@ import (
 
 	"multicastnet/internal/core"
 	"multicastnet/internal/dfr"
+	"multicastnet/internal/routing"
 	"multicastnet/internal/topology"
 	"multicastnet/internal/wormsim"
 )
 
 const messageFlits = 128
+
+// inject flattens one multicast's routes and puts its worms on n.
+func inject(n *wormsim.Network, p routing.Plan) {
+	n.InjectFlatTag(routing.Flatten(p), messageFlits, 0)
+}
 
 // drains steps the network until it empties or stalls; it reports whether
 // the workload completed.
@@ -54,8 +60,8 @@ func main() {
 	fmt.Printf("  channel dependency cycle: %v\n", rec.FindCycle())
 
 	net := wormsim.NewNetwork(cube)
-	net.InjectMulticast(nil, []dfr.TreeRoute{t0}, messageFlits)
-	net.InjectMulticast(nil, []dfr.TreeRoute{t1}, messageFlits)
+	inject(net, routing.Plan{Trees: []dfr.TreeRoute{t0}})
+	inject(net, routing.Plan{Trees: []dfr.TreeRoute{t1}})
 	if drains(net) {
 		log.Fatal("expected the broadcasts to deadlock")
 	}
@@ -74,8 +80,8 @@ func main() {
 	fmt.Printf("  channel dependency cycle: %v\n", naive.FindCycle())
 
 	net2 := wormsim.NewNetwork(mesh)
-	net2.InjectMulticast(nil, dfr.XFirstTrees(mesh, m0), messageFlits)
-	net2.InjectMulticast(nil, dfr.XFirstTrees(mesh, m1), messageFlits)
+	inject(net2, routing.Plan{Trees: dfr.XFirstTrees(mesh, m0)})
+	inject(net2, routing.Plan{Trees: dfr.XFirstTrees(mesh, m1)})
 	if drains(net2) {
 		log.Fatal("expected the multicasts to deadlock")
 	}
@@ -85,8 +91,8 @@ func main() {
 	fmt.Println("Chapter 6 fixes, same two multicasts:")
 
 	safeTree := wormsim.NewNetwork(mesh)
-	safeTree.InjectMulticast(nil, dfr.DoubleChannelXFirst(mesh, m0), messageFlits)
-	safeTree.InjectMulticast(nil, dfr.DoubleChannelXFirst(mesh, m1), messageFlits)
+	inject(safeTree, routing.Plan{Trees: dfr.DoubleChannelXFirst(mesh, m0)})
+	inject(safeTree, routing.Plan{Trees: dfr.DoubleChannelXFirst(mesh, m1)})
 	if !drains(safeTree) {
 		log.Fatal("double-channel X-first should not deadlock")
 	}
@@ -97,8 +103,8 @@ func main() {
 		log.Fatal(err)
 	}
 	safePath := wormsim.NewNetwork(mesh)
-	safePath.InjectMulticast(dfr.DualPath(mesh, l, m0).Paths, nil, messageFlits)
-	safePath.InjectMulticast(dfr.DualPath(mesh, l, m1).Paths, nil, messageFlits)
+	inject(safePath, routing.Plan{Paths: dfr.DualPath(mesh, l, m0).Paths})
+	inject(safePath, routing.Plan{Paths: dfr.DualPath(mesh, l, m1).Paths})
 	if !drains(safePath) {
 		log.Fatal("dual-path should not deadlock")
 	}

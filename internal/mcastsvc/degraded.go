@@ -173,7 +173,7 @@ func (s *Service) MulticastUnderFaults(source topology.NodeID, g Group, bytes in
 		net.FailWhere(lr.Mask().ChannelDead)
 		delivered := make(map[topology.NodeID]bool)
 		net.OnDelivery(func(d topology.NodeID, _ int64) { delivered[d] = true })
-		net.InjectMulticast(plan.Paths, plan.Trees, flits)
+		net.InjectFlatTag(routing.Flatten(plan), flits, 0)
 		next := applied // events beyond the live mask activate mid-flight
 		base := clock
 		steps := 0

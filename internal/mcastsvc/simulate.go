@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"multicastnet/internal/core"
+	"multicastnet/internal/routing"
 	"multicastnet/internal/topology"
 	"multicastnet/internal/wormsim"
 )
@@ -39,11 +40,12 @@ func (s *Service) runPhases(phases []phase, bytes int) (Measured, error) {
 	}
 	var out Measured
 	var lastProgress int64
+	var fl routing.Flattener
+	var fp routing.FlatPlan
 	for _, ph := range phases {
 		start := net.Cycle()
 		for _, k := range ph.sets {
-			plan := s.route(k)
-			net.InjectMulticast(plan.Paths, plan.Trees, flits)
+			net.InjectFlatTag(fl.Flatten(&fp, s.route(k)), flits, 0)
 		}
 		for net.ActiveWorms() > 0 {
 			if net.Step() {

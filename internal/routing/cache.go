@@ -23,11 +23,12 @@ const cacheShards = 16
 // share one cache without collisions. Each shard evicts in FIFO order
 // once full, bounding memory under adversarial key streams.
 //
-// Every entry is tagged with the set of directed links its plan
-// traverses, so a fault delta can evict exactly the plans that touch
-// dead hardware (Invalidate) instead of nuking the whole cache; entries
-// for unaffected traffic — and their ~25x cached speedup — survive the
-// epoch change.
+// Invalidate matches every entry against the directed links its plan
+// traverses — a route-form entry through the link tag stored with it, a
+// flat entry by walking its arrays — so a fault delta evicts exactly the
+// plans that touch dead hardware instead of nuking the whole cache;
+// entries for unaffected traffic — and their ~25x cached speedup —
+// survive the epoch change.
 //
 // Cached plans are shared: callers must treat them as immutable.
 type PlanCache struct {
@@ -61,9 +62,10 @@ func (s CacheStats) HitRate() float64 {
 
 // cacheEntry is one cached plan in the representation its key encodes:
 // route form (plan) or dense CSR form (flat). Exactly one of plan/flat is
-// set. pairs is the sorted, deduplicated set of directed links the plan
-// traverses (see ChannelPair), the index targeted invalidation matches
-// fault deltas against.
+// set. pairs is the sorted, deduplicated set of directed links a
+// route-form plan traverses (see ChannelPair), the index targeted
+// invalidation matches fault deltas against; flat entries carry none and
+// are matched by walking their arrays.
 type cacheEntry struct {
 	plan Plan
 	flat *FlatPlan
@@ -76,8 +78,11 @@ type cacheEntry struct {
 }
 
 // touchesAny reports whether the entry's plan traverses any of the given
-// directed links (both inputs sorted ascending).
+// directed links (sorted ascending).
 func (e *cacheEntry) touchesAny(pairs []uint64) bool {
+	if e.flat != nil {
+		return e.flat.touchesAny(pairs)
+	}
 	a, b := e.pairs, pairs
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {

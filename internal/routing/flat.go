@@ -2,16 +2,19 @@ package routing
 
 import (
 	"fmt"
+	"slices"
 
 	"multicastnet/internal/core"
+	"multicastnet/internal/dfr"
+	"multicastnet/internal/topology"
 )
 
 // FlatPlan is the dense CSR (compressed sparse row) form of a Plan: every
 // path, tree level, channel and delivery packed into flat []int32 arrays
-// instead of pointer-chasing per-route slices and per-injection maps. The
-// simulator consumes it directly (wormsim.InjectFlat): path positions and
-// tree depths are resolved once at flattening time, so the injection hot
-// path allocates no maps and walks contiguous memory.
+// instead of pointer-chasing per-route slices. It is the one plan form
+// the simulator injects (wormsim.Network.InjectFlatTag): path positions
+// and tree depths are resolved once at flattening time, so injection
+// walks contiguous memory and allocates nothing.
 //
 // Layout. Paths are CSR over the path index: path p's node sequence is
 // PathNodes[PathOff[p]:PathOff[p+1]] and hop h's channel class is
@@ -25,11 +28,12 @@ import (
 //
 // Degenerate routes (paths with fewer than two nodes, trees with no
 // edges) are dropped from the arrays but their destination counts are
-// retained in TotalDests, preserving the multicast-size accounting of the
-// route-based injection path exactly.
+// retained in TotalDests, so the multicast's size counts every
+// destination its plan named.
 //
-// A FlatPlan is immutable after Flatten and safe to share across
-// goroutines and cache entries.
+// A FlatPlan returned by Flatten or cached by a FlatRouter is immutable
+// and safe to share across goroutines and cache entries; one refilled by
+// a Flattener belongs to its caller.
 type FlatPlan struct {
 	// Paths.
 	PathOff     []int32 // len nPaths+1: node-row bounds per path
@@ -60,18 +64,94 @@ func (f *FlatPlan) Paths() int { return len(f.PathOff) - 1 }
 // Trees returns the number of flattened trees.
 func (f *FlatPlan) Trees() int { return len(f.TreeOff) - 1 }
 
-// Flatten converts a routed plan into its dense CSR form, resolving
-// destination path positions and tree depths once. It panics on a plan
-// whose destinations are not on its routes — the same contract the
-// route-based injection path enforces per injection.
-func Flatten(p Plan) *FlatPlan {
-	f := &FlatPlan{
-		PathOff:      make([]int32, 1, len(p.Paths)+1),
-		PathDestOff:  make([]int32, 1, len(p.Paths)+1),
-		TreeOff:      make([]int32, 1, len(p.Trees)+1),
-		TreeLevelOff: []int32{0},
-		TreeDestOff:  make([]int32, 1, len(p.Trees)+1),
+// touchesAny reports whether the plan traverses any of the given directed
+// links (ChannelPair values, sorted ascending) — the flat-entry half of
+// PlanCache.Invalidate, walked there so installs stay untagged.
+func (f *FlatPlan) touchesAny(pairs []uint64) bool {
+	hit := func(from, to int32) bool {
+		_, ok := slices.BinarySearch(pairs, ChannelPair(topology.NodeID(from), topology.NodeID(to)))
+		return ok
 	}
+	for p := 0; p < f.Paths(); p++ {
+		for i := f.PathOff[p] + 1; i < f.PathOff[p+1]; i++ {
+			if hit(f.PathNodes[i-1], f.PathNodes[i]) {
+				return true
+			}
+		}
+	}
+	for c := range f.TreeFrom {
+		if hit(f.TreeFrom[c], f.TreeTo[c]) {
+			return true
+		}
+	}
+	return false
+}
+
+// Flatten converts a routed plan into a new dense CSR plan: the one-shot
+// case of Flattener, sizing every array exactly.
+func Flatten(p Plan) *FlatPlan {
+	var fl Flattener
+	return fl.Flatten(new(FlatPlan), p)
+}
+
+// Flattener converts routed plans into their dense CSR form, refilling a
+// caller-owned FlatPlan in place. It keeps an epoch-stamped node scratch
+// for tree depths; once the plan's arrays and the scratch have grown to
+// the largest plan seen, flattening allocates nothing. The zero value is
+// ready to use; a Flattener must not be used concurrently.
+type Flattener struct {
+	stamp []uint32 // node -> the tree epoch in which depth[node] is valid
+	depth []int32
+	epoch uint32
+	level []int32 // per-depth row counts, then placement cursors
+}
+
+// Flatten refills f with the dense form of p, resolving destination path
+// positions (first occurrence) and tree depths, and returns f. It panics
+// on a malformed plan: a path that does not visit one of its
+// destinations, a tree edge that leaves a node the tree has not reached
+// yet or reaches a node twice, a tree node with a negative id, or a tree
+// that does not reach one of its destinations.
+func (fl *Flattener) Flatten(f *FlatPlan, p Plan) *FlatPlan {
+	var paths, nodes, pathDests, trees, edges, treeDests int
+	for _, pr := range p.Paths {
+		if len(pr.Nodes) >= 2 {
+			paths++
+			nodes += len(pr.Nodes)
+			pathDests += len(pr.Dests)
+		}
+	}
+	maxNode := topology.NodeID(-1)
+	for _, tr := range p.Trees {
+		if len(tr.Edges) > 0 {
+			trees++
+			edges += len(tr.Edges)
+			treeDests += len(tr.Dests)
+			maxNode = max(maxNode, tr.Root)
+			for _, e := range tr.Edges {
+				maxNode = max(maxNode, e.From, e.To)
+			}
+		}
+	}
+	if n := int(maxNode) + 1; n > len(fl.stamp) {
+		fl.stamp = append(fl.stamp, make([]uint32, n-len(fl.stamp))...)
+		fl.depth = append(fl.depth, make([]int32, n-len(fl.depth))...)
+	}
+	f.PathOff = append(reuse(f.PathOff, paths+1), 0)
+	f.PathNodes = reuse(f.PathNodes, nodes)
+	f.PathClass = reuse(f.PathClass, nodes-paths)
+	f.PathDestOff = append(reuse(f.PathDestOff, paths+1), 0)
+	f.PathDest = reuse(f.PathDest, pathDests)
+	f.PathDestPos = reuse(f.PathDestPos, pathDests)
+	f.TreeOff = append(reuse(f.TreeOff, trees+1), 0)
+	f.TreeLevelOff = append(f.TreeLevelOff[:0], 0)
+	f.TreeFrom = reuse(f.TreeFrom, edges)
+	f.TreeTo = reuse(f.TreeTo, edges)
+	f.TreeClass = reuse(f.TreeClass, edges)
+	f.TreeDestOff = append(reuse(f.TreeDestOff, trees+1), 0)
+	f.TreeDest = reuse(f.TreeDest, treeDests)
+	f.TreeDestDepth = reuse(f.TreeDestDepth, treeDests)
+	f.TotalDests = 0
 	for _, pr := range p.Paths {
 		f.TotalDests += int32(len(pr.Dests))
 		if len(pr.Nodes) < 2 {
@@ -84,16 +164,8 @@ func Flatten(p Plan) *FlatPlan {
 			}
 		}
 		f.PathOff = append(f.PathOff, int32(len(f.PathNodes)))
-		// First-occurrence positions, as the injector's position map
-		// resolves them.
 		for _, d := range pr.Dests {
-			pos := -1
-			for i, node := range pr.Nodes {
-				if node == d {
-					pos = i
-					break
-				}
-			}
+			pos := slices.Index(pr.Nodes, d)
 			if pos <= 0 {
 				panic(fmt.Sprintf("routing: path does not visit destination %d", d))
 			}
@@ -104,60 +176,90 @@ func Flatten(p Plan) *FlatPlan {
 	}
 	for _, tr := range p.Trees {
 		f.TotalDests += int32(len(tr.Dests))
-		if len(tr.Edges) == 0 {
-			continue
+		if len(tr.Edges) > 0 {
+			fl.tree(f, tr)
 		}
-		depths := tr.Depths()
-		maxd := 0
-		for _, e := range tr.Edges {
-			if depths[e.To] > maxd {
-				maxd = depths[e.To]
-			}
-		}
-		// Bucket channels by level, preserving edge order within each
-		// level (the lock-step frontier order the simulator arbitrates
-		// in).
-		counts := make([]int32, maxd)
-		for _, e := range tr.Edges {
-			counts[depths[e.To]-1]++
-		}
-		base := int32(len(f.TreeFrom))
-		starts := make([]int32, maxd+1)
-		starts[0] = base
-		for l := 0; l < maxd; l++ {
-			starts[l+1] = starts[l] + counts[l]
-		}
-		grow := int(starts[maxd] - base)
-		for i := 0; i < grow; i++ {
-			f.TreeFrom = append(f.TreeFrom, 0)
-			f.TreeTo = append(f.TreeTo, 0)
-			f.TreeClass = append(f.TreeClass, 0)
-		}
-		cursor := make([]int32, maxd)
-		copy(cursor, starts[:maxd])
-		for _, e := range tr.Edges {
-			l := depths[e.To] - 1
-			at := cursor[l]
-			cursor[l]++
-			f.TreeFrom[at] = int32(e.From)
-			f.TreeTo[at] = int32(e.To)
-			f.TreeClass[at] = int32(e.Class)
-		}
-		for l := 1; l <= maxd; l++ {
-			f.TreeLevelOff = append(f.TreeLevelOff, starts[l])
-		}
-		f.TreeOff = append(f.TreeOff, int32(len(f.TreeLevelOff)-1))
-		for _, d := range tr.Dests {
-			dep, ok := depths[d]
-			if !ok || dep == 0 {
-				panic(fmt.Sprintf("routing: tree does not reach destination %d", d))
-			}
-			f.TreeDest = append(f.TreeDest, int32(d))
-			f.TreeDestDepth = append(f.TreeDestDepth, int32(dep))
-		}
-		f.TreeDestOff = append(f.TreeDestOff, int32(len(f.TreeDest)))
 	}
 	return f
+}
+
+// tree appends one tree's lock-step levels and deliveries to f. Edges
+// are parent-before-child, so one pass resolves every node's depth; a
+// second buckets the channels by level, keeping edge order within each
+// level (the frontier order the simulator arbitrates in).
+func (fl *Flattener) tree(f *FlatPlan, tr dfr.TreeRoute) {
+	if fl.epoch++; fl.epoch == 0 { // wrapped: no stamp may match a new epoch
+		clear(fl.stamp)
+		fl.epoch = 1
+	}
+	fl.reach(tr.Root, 0)
+	maxd := int32(0)
+	for _, e := range tr.Edges {
+		d := fl.depthOf(e.From)
+		if d < 0 {
+			panic(fmt.Sprintf("routing: tree edge %v leaves node %d before the tree reaches it", e, e.From))
+		}
+		if fl.depthOf(e.To) >= 0 {
+			panic(fmt.Sprintf("routing: tree edge %v reaches node %d twice", e, e.To))
+		}
+		fl.reach(e.To, d+1)
+		maxd = max(maxd, d+1)
+	}
+	level := reuse(fl.level, int(maxd)+1)[:maxd+1]
+	clear(level)
+	for _, e := range tr.Edges {
+		level[fl.depth[e.To]]++
+	}
+	at := int32(len(f.TreeFrom))
+	for d := 1; d <= int(maxd); d++ {
+		level[d], at = at, at+level[d]
+		f.TreeLevelOff = append(f.TreeLevelOff, at)
+	}
+	f.TreeFrom, f.TreeTo, f.TreeClass = f.TreeFrom[:at], f.TreeTo[:at], f.TreeClass[:at]
+	for _, e := range tr.Edges {
+		i := level[fl.depth[e.To]]
+		level[fl.depth[e.To]]++
+		f.TreeFrom[i], f.TreeTo[i], f.TreeClass[i] = int32(e.From), int32(e.To), int32(e.Class)
+	}
+	fl.level = level
+	f.TreeOff = append(f.TreeOff, int32(len(f.TreeLevelOff)-1))
+	for _, d := range tr.Dests {
+		dep := fl.depthOf(d)
+		if dep <= 0 {
+			panic(fmt.Sprintf("routing: tree does not reach destination %d", d))
+		}
+		f.TreeDest = append(f.TreeDest, int32(d))
+		f.TreeDestDepth = append(f.TreeDestDepth, dep)
+	}
+	f.TreeDestOff = append(f.TreeDestOff, int32(len(f.TreeDest)))
+}
+
+// reach records node at depth d in the current tree; Flatten has sized
+// the scratch to every node its trees name.
+func (fl *Flattener) reach(node topology.NodeID, d int32) {
+	if node < 0 {
+		panic(fmt.Sprintf("routing: tree reaches negative node %d", node))
+	}
+	fl.stamp[node] = fl.epoch
+	fl.depth[node] = d
+}
+
+// depthOf returns node's depth in the current tree, or -1 when the tree
+// has not reached it.
+func (fl *Flattener) depthOf(node topology.NodeID) int32 {
+	if uint(node) >= uint(len(fl.stamp)) || fl.stamp[node] != fl.epoch {
+		return -1
+	}
+	return fl.depth[node]
+}
+
+// reuse empties s and makes room for n elements, allocating (exactly n)
+// only when s's capacity falls short.
+func reuse(s []int32, n int) []int32 {
+	if cap(s) < n {
+		return make([]int32, 0, n)
+	}
+	return s[:0]
 }
 
 // FlatRouter plans multicasts in dense CSR form, memoizing flattened

@@ -1,6 +1,9 @@
 package routing
 
 import (
+	"fmt"
+	"math"
+	"reflect"
 	"testing"
 
 	"multicastnet/internal/core"
@@ -32,6 +35,32 @@ func TestFlattenLayout(t *testing.T) {
 		},
 	}
 	f := Flatten(p)
+	checkFlattenLayout(t, f)
+
+	// A warm flattener refilling a plan that held a larger one first
+	// yields exactly the one-shot arrays, and allocates nothing.
+	larger := p
+	larger.Paths = append(append([]dfr.PathRoute(nil), p.Paths...),
+		dfr.PathRoute{Nodes: []topology.NodeID{9, 10, 11, 12, 13}, Dests: []topology.NodeID{13, 11}})
+	larger.Trees = append(append([]dfr.TreeRoute(nil), p.Trees...), p.Trees[0], dfr.TreeRoute{
+		Root:  20,
+		Edges: []dfr.Channel{{From: 20, To: 21}, {From: 21, To: 22}, {From: 22, To: 23}, {From: 20, To: 24}},
+		Dests: []topology.NodeID{23, 24},
+	})
+	var fl Flattener
+	var refilled FlatPlan
+	fl.Flatten(&refilled, larger)
+	if got := fl.Flatten(&refilled, p); got != &refilled || !reflect.DeepEqual(refilled, *f) {
+		t.Fatalf("warm refill differs from Flatten:\nrefill: %+v\nFlatten: %+v", refilled, *f)
+	}
+	if avg := testing.AllocsPerRun(20, func() { fl.Flatten(&refilled, larger) }); avg > 0 {
+		t.Errorf("warm flattener allocates %.1f objects per plan, want 0", avg)
+	}
+}
+
+// checkFlattenLayout checks TestFlattenLayout's plan, flattened.
+func checkFlattenLayout(t *testing.T, f *FlatPlan) {
+	t.Helper()
 	if f.Paths() != 2 || f.Trees() != 1 {
 		t.Fatalf("Paths=%d Trees=%d, want 2 and 1", f.Paths(), f.Trees())
 	}
@@ -72,6 +101,67 @@ func TestFlattenLayout(t *testing.T) {
 	}
 	if f.TreeDest[0] != 5 || f.TreeDestDepth[0] != 1 || f.TreeDest[1] != 0 || f.TreeDestDepth[1] != 2 {
 		t.Fatalf("tree deliveries wrong: dest=%v depth=%v", f.TreeDest, f.TreeDestDepth)
+	}
+}
+
+// TestFlattenRejectsMalformedTrees: the flattener refuses, with a named
+// panic, a tree edge that leaves a node the tree has not reached yet —
+// which would otherwise flatten into the wrong lock-step level — a tree
+// that reaches a node twice, and a tree that misses a destination. A
+// refused plan leaves the flattener usable.
+func TestFlattenRejectsMalformedTrees(t *testing.T) {
+	var fl Flattener
+	var f FlatPlan
+	for _, tc := range []struct {
+		edges []dfr.Channel
+		dests []topology.NodeID
+		want  string
+	}{
+		{[]dfr.Channel{{From: 1, To: 2}, {From: 0, To: 1}}, []topology.NodeID{2},
+			"routing: tree edge [1,2] leaves node 1 before the tree reaches it"},
+		{[]dfr.Channel{{From: 0, To: 1}, {From: 1, To: 2}, {From: 0, To: 2}}, []topology.NodeID{2},
+			"routing: tree edge [0,2] reaches node 2 twice"},
+		{[]dfr.Channel{{From: 0, To: 1}, {From: 1, To: 0}}, []topology.NodeID{1},
+			"routing: tree edge [1,0] reaches node 0 twice"},
+		{[]dfr.Channel{{From: 0, To: 1}}, []topology.NodeID{1, 3},
+			"routing: tree does not reach destination 3"},
+	} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); msg != tc.want {
+					t.Errorf("edges %v: panic %q, want %q", tc.edges, msg, tc.want)
+				}
+			}()
+			fl.Flatten(&f, Plan{Trees: []dfr.TreeRoute{{Root: 0, Edges: tc.edges, Dests: tc.dests}}})
+		}()
+	}
+	good := Plan{Trees: []dfr.TreeRoute{{Root: 0, Edges: []dfr.Channel{{From: 0, To: 1}, {From: 1, To: 2}},
+		Dests: []topology.NodeID{2}}}}
+	if fl.Flatten(&f, good); !reflect.DeepEqual(f, *Flatten(good)) {
+		t.Fatalf("flattener after refused plans: %+v, want %+v", f, *Flatten(good))
+	}
+}
+
+// TestFlattenerEpochWrap: once the tree epoch wraps, neither the stamps
+// an earlier tree left nor the zero stamps of untouched nodes may count
+// as reached.
+func TestFlattenerEpochWrap(t *testing.T) {
+	for _, from := range []topology.NodeID{1, 5} { // stamped by the first tree; never stamped
+		var fl Flattener
+		var f FlatPlan
+		fl.Flatten(&f, Plan{Trees: []dfr.TreeRoute{{Root: 0, Edges: []dfr.Channel{{From: 0, To: 1}},
+			Dests: []topology.NodeID{1}}}})
+		fl.epoch = math.MaxUint32
+		want := fmt.Sprintf("routing: tree edge [%d,6] leaves node %d before the tree reaches it", from, from)
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); msg != want {
+					t.Errorf("after the wrap: panic %q, want %q", msg, want)
+				}
+			}()
+			fl.Flatten(&f, Plan{Trees: []dfr.TreeRoute{{Root: 0, Edges: []dfr.Channel{{From: from, To: 6}},
+				Dests: []topology.NodeID{6}}}})
+		}()
 	}
 }
 

@@ -182,21 +182,25 @@ func enumerateLinksTest(tp topology.Topology) []topology.Link {
 }
 
 // TestPlanCacheTargetedInvalidation: a delta evicts exactly the entries
-// whose plans traverse a dead channel; repairs evict nothing.
+// whose plans traverse a dead channel — route-form and flat entries on
+// one shared cache alike; repairs evict nothing.
 func TestPlanCacheTargetedInvalidation(t *testing.T) {
 	r, _, m := testRouter(t, "dual-path")
 	c := NewPlanCache(256)
 	cr := Cached(r, c)
+	fr := Flat(r, c)
 
 	k1 := core.MustMulticastSet(m, 0, []topology.NodeID{1})   // hugs the top-left corner
 	k2 := core.MustMulticastSet(m, 30, []topology.NodeID{35}) // far corner, disjoint
 	p1 := cr.PlanSet(k1)
 	cr.PlanSet(k2)
-	if c.Len() != 2 {
-		t.Fatalf("Len() = %d, want 2", c.Len())
+	fr.FlatSet(k1)
+	f2 := fr.FlatSet(k2)
+	if c.Len() != 4 {
+		t.Fatalf("Len() = %d, want 4", c.Len())
 	}
 
-	// Kill a directed pair on p1's route: only k1's entry goes.
+	// Kill a directed pair on p1's route: only k1's two entries go.
 	var pairs []uint64
 	for _, p := range p1.Paths {
 		if len(p.Nodes) >= 2 {
@@ -209,17 +213,24 @@ func TestPlanCacheTargetedInvalidation(t *testing.T) {
 	if len(pairs) == 0 {
 		t.Fatal("plan for k1 has no path edges")
 	}
-	if n := c.Invalidate(pairs); n != 1 {
-		t.Fatalf("Invalidate evicted %d entries, want 1", n)
+	if n := c.Invalidate(pairs); n != 2 {
+		t.Fatalf("Invalidate evicted %d entries, want 2 (route form and flat)", n)
 	}
-	if c.Len() != 1 {
-		t.Fatalf("Len() after targeted invalidation = %d, want 1", c.Len())
+	if c.Len() != 2 {
+		t.Fatalf("Len() after targeted invalidation = %d, want 2", c.Len())
 	}
 	if _, _, ok := c.GetPlanAux(r.ID(), k2); !ok {
-		t.Fatal("unaffected entry was evicted")
+		t.Fatal("unaffected route-form entry was evicted")
 	}
-	if st := c.Stats(); st.Invalidations != 1 {
-		t.Fatalf("Invalidations = %d, want 1", st.Invalidations)
+	misses := c.Stats().Misses
+	if fr.FlatSet(k2) != f2 || c.Stats().Misses != misses {
+		t.Fatal("unaffected flat entry was evicted")
+	}
+	if fr.FlatSet(k1); c.Stats().Misses != misses+1 {
+		t.Fatal("flat entry over the dead link was served after invalidation")
+	}
+	if st := c.Stats(); st.Invalidations != 2 {
+		t.Fatalf("Invalidations = %d, want 2", st.Invalidations)
 	}
 
 	// An irrelevant channel evicts nothing.
@@ -229,8 +240,8 @@ func TestPlanCacheTargetedInvalidation(t *testing.T) {
 
 	// Nuke-everything baseline.
 	cr.PlanSet(k1)
-	if n := c.InvalidateAll(); n != 2 {
-		t.Fatalf("InvalidateAll evicted %d, want 2", n)
+	if n := c.InvalidateAll(); n != 4 {
+		t.Fatalf("InvalidateAll evicted %d, want 4", n)
 	}
 	if c.Len() != 0 {
 		t.Fatalf("Len() after InvalidateAll = %d", c.Len())

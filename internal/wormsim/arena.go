@@ -4,10 +4,10 @@ package wormsim
 // with their chans/levels/deliveries backing arrays — are recycled
 // through a freelist instead of being dropped to the garbage collector,
 // mirroring the heuristics.Workspace approach of the static kernels.
-// Together with the epoch-stamped node scratch (which replaces the
-// per-injection position and depth maps) the steady-state inject/step
-// loop allocates nothing once slice capacities and the freelist have
-// warmed up.
+// Injection reads positions and depths the plan's flattener resolved
+// (routing.Flattener), so together with the freelist the steady-state
+// inject/step loop allocates nothing once slice capacities have warmed
+// up.
 //
 // Recycling safety: a retired worm's slot may still be referenced by the
 // wake lists for one cycle (a release can wake a worm in the same cycle
@@ -100,35 +100,4 @@ func (n *Network) sortRefsByID(ws []wormRef) {
 		}
 		ws[j+1] = w
 	}
-}
-
-// nodeMark stamps node as seen in the current scratch epoch with value v,
-// keeping the first value per epoch — the array-backed replacement for
-// the injector's first-occurrence position map and the tree-depth map.
-// It returns false when the node was already stamped this epoch.
-func (n *Network) nodeMark(node int, v int32) bool {
-	if n.scratchStamp[node] == n.scratchEpoch {
-		return false
-	}
-	n.scratchStamp[node] = n.scratchEpoch
-	n.scratchVal[node] = v
-	return true
-}
-
-// nodeVal returns the stamped value of node this epoch, or -1.
-func (n *Network) nodeVal(node int) int32 {
-	if n.scratchStamp[node] != n.scratchEpoch {
-		return -1
-	}
-	return n.scratchVal[node]
-}
-
-// beginScratch opens a fresh scratch epoch over the topology's nodes.
-func (n *Network) beginScratch() {
-	if n.scratchStamp == nil {
-		nodes := n.topo.Nodes()
-		n.scratchStamp = make([]int64, nodes)
-		n.scratchVal = make([]int32, nodes)
-	}
-	n.scratchEpoch++
 }

@@ -44,10 +44,10 @@ func arenaWorkload(t testing.TB) (*topology.Mesh2D, []routing.Plan) {
 }
 
 // TestSteadyStateAllocationFree pins the arena contract: once slice
-// capacities, the intern table, the worm freelist and the
-// epoch-stamped scratch have warmed up, an inject-and-drain round
-// allocates nothing — worms, multicast records, tree levels and wake
-// lists are all recycled. The round includes a mid-drain FailWhere
+// capacities, the intern table, the worm freelist and one flattener with
+// its plan have warmed up, a flatten-inject-and-drain round allocates
+// nothing — plans, worms, multicast records, tree levels and wake lists
+// are all recycled. The round includes a mid-drain FailWhere
 // activation (fault-killing worms on first contact in later rounds), and
 // an invariant check and a deadlock search after every cycle, so the
 // fault path's victim scratch, the checker's slice-indexed scratch and
@@ -66,9 +66,11 @@ func TestSteadyStateAllocationFree(t *testing.T) {
 	net.deadPreds = make([]func(dfr.Channel) bool, 0, 64)
 	lost := 0
 	net.OnLost(func(topology.NodeID, int) { lost++ })
+	var fl routing.Flattener
+	var fp routing.FlatPlan
 	round := func() {
 		for _, p := range plans {
-			net.InjectMulticast(p.Paths, p.Trees, 16)
+			net.InjectFlatTag(fl.Flatten(&fp, p), 16, 0)
 		}
 		for i := 0; net.ActiveWorms() > 0; i++ {
 			if i == 3 {
@@ -84,12 +86,34 @@ func TestSteadyStateAllocationFree(t *testing.T) {
 		}
 	}
 	for i := 0; i < 4; i++ {
-		round() // warm capacities, the freelist and the scratch
+		round() // warm capacities, the freelist and the flattener
 	}
 	if avg := testing.AllocsPerRun(20, round); avg > 0 {
 		t.Errorf("steady-state round allocates %.1f objects, want 0", avg)
 	}
 	if lost == 0 {
 		t.Error("fault never killed a delivery; the round is not exercising the fault path")
+	}
+}
+
+// TestEmptyInjectionsLeaveNoRecords: a plan with no worms — all its
+// routes degenerate, as fault.SimSchedule routes a multicast whose source
+// node is dead — takes no multicast record. Only a recycled worm frees a
+// record, so one taken here would stay in mcSlots for the network's life.
+func TestEmptyInjectionsLeaveNoRecords(t *testing.T) {
+	n := NewNetwork(topology.NewMesh2D(4, 4))
+	for _, p := range []routing.Plan{
+		{},
+		{Paths: []dfr.PathRoute{{Nodes: []topology.NodeID{5}, Dests: []topology.NodeID{6}}}},
+		{Trees: []dfr.TreeRoute{{Root: 5, Dests: []topology.NodeID{6}}}},
+	} {
+		fp := routing.Flatten(p)
+		for i := 0; i < 1000; i++ {
+			n.InjectFlatTag(fp, 8, uint64(i))
+			n.Step()
+		}
+	}
+	if len(n.mcSlots) != 0 || n.ActiveWorms() != 0 {
+		t.Fatalf("3000 empty injections left %d multicast records and %d worms", len(n.mcSlots), n.ActiveWorms())
 	}
 }

@@ -17,10 +17,10 @@ func TestCheckInvariantsQueueMembership(t *testing.T) {
 	// then queue on it, in that order.
 	build := func(t *testing.T) (*Network, int32) {
 		n := NewNetwork(topology.NewMesh2D(3, 1))
-		n.InjectMulticast([]dfr.PathRoute{pathTo(0, 1, 2)}, nil, 16)
+		injectRoutes(n, []dfr.PathRoute{pathTo(0, 1, 2)}, nil, 16)
 		n.Step()
-		n.InjectMulticast([]dfr.PathRoute{pathTo(0, 1)}, nil, 4)
-		n.InjectMulticast(nil, []dfr.TreeRoute{{Root: 0, Edges: []dfr.Channel{{From: 0, To: 1}},
+		injectRoutes(n, []dfr.PathRoute{pathTo(0, 1)}, nil, 4)
+		injectRoutes(n, nil, []dfr.TreeRoute{{Root: 0, Edges: []dfr.Channel{{From: 0, To: 1}},
 			Dests: []topology.NodeID{1}}}, 4)
 		n.Step()
 		id, _ := n.chans.Lookup(dfr.Channel{From: 0, To: 1})

@@ -226,7 +226,7 @@ func runDeadlockCase(t *testing.T, c ddCase) ddStats {
 			} else {
 				p = r.PlanSet(k)
 			}
-			net.InjectMulticast(p.Paths, p.Trees, length)
+			injectRoutes(net, p.Paths, p.Trees, length)
 			if next++; next < len(script) {
 				at += int64(script[next] & 3)
 			}

@@ -18,7 +18,7 @@ func TestRunDeterministic(t *testing.T) {
 	for _, cfg := range []Config{
 		{
 			Topology:               m,
-			Route:                  DualPathScheme(m, l),
+			Route:                  schemeRoute(t, "dual-path", m, l),
 			MeanInterarrivalMicros: 300,
 			AvgDests:               10,
 			Seed:                   42,
@@ -30,7 +30,7 @@ func TestRunDeterministic(t *testing.T) {
 		},
 		{
 			Topology:               m,
-			Route:                  MultiPathMeshScheme(m, l),
+			Route:                  schemeRoute(t, "multi-path", m, l),
 			MeanInterarrivalMicros: 400,
 			AvgDests:               15,
 			UnicastFraction:        0.5,

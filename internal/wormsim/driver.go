@@ -12,8 +12,10 @@ import (
 )
 
 // Injection is the routed form of one multicast, as produced by a routing
-// scheme: any mix of path routes and tree routes, or their dense CSR form
-// (Flat takes precedence when set — see InjectFlat).
+// scheme: any mix of path routes and tree routes, or their dense CSR form.
+// Run injects a set Flat as is — route functions that serve cached flat
+// plans (FlatRouteFuncOf) skip flattening — and flattens the routes
+// otherwise, through one routing.Flattener per run.
 type Injection struct {
 	Paths []dfr.PathRoute
 	Trees []dfr.TreeRoute
@@ -272,6 +274,22 @@ func Run(cfg Config) (Result, error) {
 	}
 
 	route := cfg.Route
+	var fl routing.Flattener
+	var plan routing.FlatPlan // refilled by fl for every route-form injection
+	inject := func(k core.MulticastSet) {
+		var inj Injection
+		if cfg.LiveRoute != nil {
+			inj = cfg.LiveRoute(k, net)
+		} else {
+			inj = route(k)
+		}
+		fp := inj.Flat
+		if fp == nil {
+			fp = fl.Flatten(&plan, routing.Plan{Paths: inj.Paths, Trees: inj.Trees})
+		}
+		net.InjectFlatTag(fp, lengthFlits, 0)
+		res.MulticastsSent++
+	}
 	nextFault := 0
 	var lastProgress int64
 	checkedBatches := -1 // batch count at the last convergence test
@@ -291,8 +309,7 @@ func Run(cfg Config) (Result, error) {
 		}
 		if cfg.Workload != nil {
 			for wlOK && wlAt <= now {
-				inject(net, cfg, route, wlSet, lengthFlits)
-				res.MulticastsSent++
+				inject(wlSet)
 				wlAt, wlSet, wlOK = cfg.Workload()
 			}
 			if !wlOK && net.ActiveWorms() == 0 {
@@ -307,8 +324,7 @@ func Run(cfg Config) (Result, error) {
 				if cfg.UnicastFraction > 0 && rng.Float64() < cfg.UnicastFraction {
 					avg = -1 // sentinel: exactly one destination
 				}
-				inject(net, cfg, route, randomMulticast(topo, rng, topology.NodeID(ev.node), avg), lengthFlits)
-				res.MulticastsSent++
+				inject(randomMulticast(topo, rng, topology.NodeID(ev.node), avg))
 				spawns.push(ev)
 			}
 		}
@@ -402,22 +418,6 @@ func Run(cfg Config) (Result, error) {
 		res.ThroughputPerMs = float64(latency.Observations()) / elapsedMs
 	}
 	return res, nil
-}
-
-// inject routes one multicast (live routing when configured) and puts
-// its worms on the network.
-func inject(net *Network, cfg Config, route RouteFunc, k core.MulticastSet, lengthFlits int) {
-	var inj Injection
-	if cfg.LiveRoute != nil {
-		inj = cfg.LiveRoute(k, net)
-	} else {
-		inj = route(k)
-	}
-	if inj.Flat != nil {
-		net.InjectFlat(inj.Flat, lengthFlits)
-	} else {
-		net.InjectMulticast(inj.Paths, inj.Trees, lengthFlits)
-	}
 }
 
 // spawnEvent is one pending multicast generation: node fires at cycle at.

@@ -5,6 +5,7 @@ import (
 	"log"
 
 	"multicastnet/internal/labeling"
+	"multicastnet/internal/routing"
 	"multicastnet/internal/topology"
 	"multicastnet/internal/wormsim"
 )
@@ -13,10 +14,13 @@ import (
 // under dual-path multicast at a light load converges without deadlock.
 func ExampleRun() {
 	m := topology.NewMesh2D(8, 8)
-	l := labeling.NewMeshBoustrophedon(m)
+	r, err := routing.New("dual-path", routing.NewStateWithLabeling(m, labeling.NewMeshBoustrophedon(m)))
+	if err != nil {
+		log.Fatal(err)
+	}
 	res, err := wormsim.Run(wormsim.Config{
 		Topology:               m,
-		Route:                  wormsim.DualPathScheme(m, l),
+		Route:                  wormsim.RouteFuncOf(r),
 		MeanInterarrivalMicros: 2000,
 		AvgDests:               5,
 		Seed:                   1,

@@ -24,7 +24,7 @@ func TestFailWhereKillsHolder(t *testing.T) {
 	})
 	delivered := false
 	net.OnDelivery(func(topology.NodeID, int64) { delivered = true })
-	net.InjectMulticast([]dfr.PathRoute{route}, nil, 8)
+	injectRoutes(net, []dfr.PathRoute{route}, nil, 8)
 	net.Step() // header takes (0,1)
 	net.Step() // header takes (1,2)
 	killed := net.FailWhere(func(c dfr.Channel) bool {
@@ -62,10 +62,10 @@ func TestFailWhereKillsWaiter(t *testing.T) {
 	b := dfr.PathRoute{Nodes: []topology.NodeID{1, 2, 3}, Dests: []topology.NodeID{3}}
 	deliveredTo := map[topology.NodeID]bool{}
 	net.OnDelivery(func(d topology.NodeID, _ int64) { deliveredTo[d] = true })
-	net.InjectMulticast([]dfr.PathRoute{a}, nil, 8)
+	injectRoutes(net, []dfr.PathRoute{a}, nil, 8)
 	net.Step() // A takes (0,1)
 	net.Step() // A takes (1,2)
-	net.InjectMulticast([]dfr.PathRoute{b}, nil, 8)
+	injectRoutes(net, []dfr.PathRoute{b}, nil, 8)
 	net.Step() // B blocks on (1,2), parks
 	// Fail channel (2,3): A holds nothing there yet but needs it next; B
 	// waits behind A on (1,2). Fail (1,2) instead to hit B's wait.
@@ -96,7 +96,7 @@ func TestInjectionOntoDeadChannel(t *testing.T) {
 	var lost int
 	net.OnLost(func(topology.NodeID, int) { lost++ })
 	route := dfr.PathRoute{Nodes: []topology.NodeID{0, 1, 2, 3, 4}, Dests: []topology.NodeID{4}}
-	net.InjectMulticast([]dfr.PathRoute{route}, nil, 4)
+	injectRoutes(net, []dfr.PathRoute{route}, nil, 4)
 	for i := 0; i < 10 && net.ActiveWorms() > 0; i++ {
 		net.Step()
 	}
@@ -122,7 +122,7 @@ func TestTreeWormDiesOnDeadFrontier(t *testing.T) {
 	var lost []topology.NodeID
 	net.OnLost(func(d topology.NodeID, _ int) { lost = append(lost, d) })
 	net.FailWhere(func(c dfr.Channel) bool { return c.From == 3 && c.To == 0 })
-	net.InjectMulticast(nil, []dfr.TreeRoute{tree}, 4)
+	injectRoutes(net, nil, []dfr.TreeRoute{tree}, 4)
 	for i := 0; i < 10 && net.ActiveWorms() > 0; i++ {
 		net.Step()
 	}
@@ -153,7 +153,7 @@ func TestRunWithFaultsDeterministic(t *testing.T) {
 	}
 	cfg := Config{
 		Topology:               m,
-		Route:                  DualPathScheme(m, l),
+		Route:                  schemeRoute(t, "dual-path", m, l),
 		MeanInterarrivalMicros: 300,
 		AvgDests:               10,
 		Seed:                   11,

@@ -27,10 +27,12 @@ func flatTopologies() []struct {
 	}
 }
 
-// TestFlatInjectionMatchesRouteForm runs the same workload through the
-// route-form injector and the dense CSR injector (InjectFlat): identical
-// Results prove the flattening preserves worm construction — channel
-// order, delivery positions, tree frontiers — bit for bit.
+// TestFlatInjectionMatchesRouteForm runs the same workload twice: with
+// route-form plans, which Run flattens into its one reused plan, and with
+// one-shot Flatten plans served from a FlatRouter cache. Identical Results
+// prove that a reused flattener builds every worm — channel order,
+// delivery positions, tree frontiers — exactly as a fresh one does, bit
+// for bit.
 func TestFlatInjectionMatchesRouteForm(t *testing.T) {
 	for _, tc := range flatTopologies() {
 		st := routing.NewStateWithLabeling(tc.topo, tc.lab)

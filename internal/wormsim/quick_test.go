@@ -28,7 +28,7 @@ func TestQuickSingleWormLatencyFormula(t *testing.T) {
 		n := NewNetwork(m)
 		var got int64 = -1
 		n.OnDelivery(func(_ topology.NodeID, c int64) { got = c })
-		n.InjectMulticast([]dfr.PathRoute{{Nodes: nodes, Dests: []topology.NodeID{dst}}}, nil, length)
+		injectRoutes(n, []dfr.PathRoute{{Nodes: nodes, Dests: []topology.NodeID{dst}}}, nil, length)
 		for n.ActiveWorms() > 0 {
 			if !n.Step() {
 				return false // a lone worm never stalls
@@ -53,8 +53,8 @@ func TestQuickSerialWormsFIFO(t *testing.T) {
 		n := NewNetwork(m)
 		var order []topology.NodeID
 		n.OnDelivery(func(d topology.NodeID, _ int64) { order = append(order, d) })
-		n.InjectMulticast([]dfr.PathRoute{{Nodes: route, Dests: []topology.NodeID{3}}}, nil, length)
-		n.InjectMulticast([]dfr.PathRoute{{Nodes: route[:3], Dests: []topology.NodeID{2}}}, nil, length)
+		injectRoutes(n, []dfr.PathRoute{{Nodes: route, Dests: []topology.NodeID{3}}}, nil, length)
+		injectRoutes(n, []dfr.PathRoute{{Nodes: route[:3], Dests: []topology.NodeID{2}}}, nil, length)
 		for n.ActiveWorms() > 0 {
 			if !n.Step() {
 				return false
@@ -75,7 +75,7 @@ func TestThroughputReported(t *testing.T) {
 	l := labeling.NewMeshBoustrophedon(m)
 	res, err := Run(Config{
 		Topology:               m,
-		Route:                  DualPathScheme(m, l),
+		Route:                  schemeRoute(t, "dual-path", m, l),
 		MeanInterarrivalMicros: 500,
 		AvgDests:               5,
 		Seed:                   2,

@@ -3,16 +3,12 @@ package wormsim
 import (
 	"multicastnet/internal/core"
 	"multicastnet/internal/dfr"
-	"multicastnet/internal/labeling"
 	"multicastnet/internal/routing"
-	"multicastnet/internal/topology"
 )
 
 // This file adapts the unified routing engine (internal/routing) to the
-// simulator: a routing.Router plans each multicast and the adapter
-// injects the plan. The named constructors below are retained for
-// callers that start from a (topology, labeling) pair; new code should
-// build routers through the routing registry and use RouteFuncOf.
+// simulator: a routing.Router, built through the routing registry, plans
+// each multicast and the adapter hands the plan to Run.
 
 // RouteFuncOf adapts a routing.Router to the simulator's RouteFunc.
 // Wrap the router with routing.Cached to share plans across injections.
@@ -24,9 +20,9 @@ func RouteFuncOf(r routing.Router) RouteFunc {
 }
 
 // FlatRouteFuncOf adapts a routing.FlatRouter to the simulator: plans are
-// injected in dense CSR form (InjectFlat), skipping the per-injection
-// position and depth maps of the route form. Behaviour is identical to
-// RouteFuncOf over the same underlying router.
+// served in dense CSR form, so Run injects them without flattening — a
+// cached plan is flattened once, when it is first planned. Behaviour is
+// identical to RouteFuncOf over the same underlying router.
 func FlatRouteFuncOf(r *routing.FlatRouter) RouteFunc {
 	return func(k core.MulticastSet) Injection {
 		return Injection{Flat: r.FlatSet(k)}
@@ -40,78 +36,4 @@ func LiveRouteFuncOf(r routing.LiveRouter) LiveRouteFunc {
 		p := r.PlanLive(k, oracle)
 		return Injection{Paths: p.Paths, Trees: p.Trees}
 	}
-}
-
-// schemeFunc builds the named registry scheme over (t, l) and adapts it;
-// the constructors below only pair it with statically valid topologies,
-// so a build error is a programming bug and panics.
-func schemeFunc(name string, t topology.Topology, l labeling.Labeling, opts routing.Options) RouteFunc {
-	r, err := routing.NewWithOptions(name, routing.NewStateWithLabeling(t, l), opts)
-	if err != nil {
-		panic(err)
-	}
-	return RouteFuncOf(r)
-}
-
-// DualPathScheme routes with the dual-path algorithm on single channels.
-func DualPathScheme(t topology.Topology, l labeling.Labeling) RouteFunc {
-	return schemeFunc("dual-path", t, l, routing.Options{})
-}
-
-// DualPathDoubleScheme is dual-path on the double-channel network.
-func DualPathDoubleScheme(t topology.Topology, l labeling.Labeling) RouteFunc {
-	return schemeFunc("dual-path-double", t, l, routing.Options{})
-}
-
-// MultiPathMeshScheme routes with the mesh multi-path algorithm on
-// single channels.
-func MultiPathMeshScheme(m *topology.Mesh2D, l labeling.Labeling) RouteFunc {
-	return schemeFunc("multi-path", m, l, routing.Options{})
-}
-
-// MultiPathMeshDoubleScheme is mesh multi-path on double channels.
-func MultiPathMeshDoubleScheme(m *topology.Mesh2D, l labeling.Labeling) RouteFunc {
-	return schemeFunc("multi-path-double", m, l, routing.Options{})
-}
-
-// MultiPathCubeScheme routes with the hypercube multi-path algorithm.
-func MultiPathCubeScheme(h *topology.Hypercube, l labeling.Labeling) RouteFunc {
-	return schemeFunc("multi-path", h, l, routing.Options{})
-}
-
-// FixedPathScheme routes with the fixed-path algorithm on single
-// channels.
-func FixedPathScheme(t topology.Topology, l labeling.Labeling) RouteFunc {
-	return schemeFunc("fixed-path", t, l, routing.Options{})
-}
-
-// DoubleChannelTreeScheme routes with the deadlock-free double-channel
-// X-first tree algorithm (Section 6.2.1).
-func DoubleChannelTreeScheme(m *topology.Mesh2D) RouteFunc {
-	return schemeFunc("tree", m, labeling.NewMeshBoustrophedon(m), routing.Options{})
-}
-
-// NaiveTreeScheme routes with the single-channel X-first multicast tree —
-// the deadlock-PRONE extension of Section 6.1, exposed so the simulator
-// can demonstrate the deadlock the chapter opens with.
-func NaiveTreeScheme(m *topology.Mesh2D) RouteFunc {
-	return schemeFunc("naive-tree", m, labeling.NewMeshBoustrophedon(m), routing.Options{})
-}
-
-// AdaptiveDualPathScheme routes with congestion-adaptive dual-path
-// routing (the Section 8.2 adaptive extension): hops avoid currently-busy
-// channels while staying label-monotone, hence deadlock-free.
-func AdaptiveDualPathScheme(t topology.Topology, l labeling.Labeling) LiveRouteFunc {
-	r, err := routing.New("adaptive-dual-path", routing.NewStateWithLabeling(t, l))
-	if err != nil {
-		panic(err)
-	}
-	return LiveRouteFuncOf(r.(routing.LiveRouter))
-}
-
-// VirtualChannelScheme routes with the Section 8.2 virtual-channel
-// extension: 2v label-monotone subnetworks over v channel copies per
-// direction.
-func VirtualChannelScheme(t topology.Topology, l labeling.Labeling, v int) RouteFunc {
-	return schemeFunc("virtual-channel", t, l, routing.Options{VirtualChannels: v})
 }

@@ -82,7 +82,7 @@ func TestIdleFastForward(t *testing.T) {
 	var completed int64 = -1
 	n.OnComplete(func(c int64) { completed = c })
 	const L = 8
-	n.InjectMulticast([]dfr.PathRoute{pathTo(0, 1, 2, 3)}, nil, L)
+	injectRoutes(n, []dfr.PathRoute{pathTo(0, 1, 2, 3)}, nil, L)
 	if n.Idle() {
 		t.Fatal("network with a movable worm reports idle")
 	}

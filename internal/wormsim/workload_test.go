@@ -56,7 +56,7 @@ func TestRunWorkloadInjection(t *testing.T) {
 	}
 	res, err := Run(Config{
 		Topology:   m,
-		Route:      DualPathScheme(m, l),
+		Route:      schemeRoute(t, "dual-path", m, l),
 		Workload:   fixedWorkload(reqs),
 		BatchSize:  10,
 		MinBatches: 1 << 30, // never converge early: drain the stream
@@ -86,7 +86,7 @@ func TestRunWorkloadInjection(t *testing.T) {
 func TestRunWorkloadValidation(t *testing.T) {
 	m := topology.NewMesh2D(4, 4)
 	l := labeling.NewMeshBoustrophedon(m)
-	_, err := Run(Config{Topology: m, Route: DualPathScheme(m, l)})
+	_, err := Run(Config{Topology: m, Route: schemeRoute(t, "dual-path", m, l)})
 	if err == nil {
 		t.Fatal("config without rate or workload accepted, want error")
 	}

@@ -20,6 +20,11 @@
 // behaviour that makes naive tree multicast slow under contention and
 // deadlock-prone (Figs. 6.1 and 6.4).
 //
+// Both kinds are built by one injector, InjectFlatTag, from one plan
+// form: the dense routing.FlatPlan. Callers holding routed paths and
+// trees flatten them first (routing.Flattener; Run does so with one
+// reused flattener per run).
+//
 // Channel arbitration is first-come first-served: a worm that finds a
 // channel busy enqueues on it and acquires it, in order, once free.
 // Deadlock is detected via wait-for-graph cycles and reported rather than
@@ -212,15 +217,11 @@ type Network struct {
 	victimBuf   []wormRef
 
 	// Worm arena freelist (arena.go): retired slots and multicast records
-	// are recycled; the epoch-stamped node scratch replaces per-injection
-	// position/depth maps.
-	free         []wormRef
-	freeHead     int
-	mcSlots      []mcastState
-	mcFree       []int32
-	scratchStamp []int64
-	scratchVal   []int32
-	scratchEpoch int64
+	// are recycled.
+	free     []wormRef
+	freeHead int
+	mcSlots  []mcastState
+	mcFree   []int32
 
 	// Reusable audit scratch (allocation-free steady state).
 	dd ddScratch // DetectDeadlock
@@ -302,8 +303,7 @@ func (n *Network) OnComplete(fn func(latencyCycles int64)) { n.onComplete = fn }
 
 // OnCompleteTag registers a completion callback that also receives the
 // caller-chosen tag of InjectFlatTag, letting a service correlate each
-// completion with the request that produced it. Multicasts injected
-// without a tag report tag 0.
+// completion with the request that produced it.
 func (n *Network) OnCompleteTag(fn func(tag uint64, latencyCycles int64)) { n.onCompleteTag = fn }
 
 // intern resolves a channel key to its dense id, creating (and
@@ -407,78 +407,20 @@ func (n *Network) addWorm(wi wormRef) {
 	n.mcSlots[n.slots[wi].mcast].worms++
 }
 
-// InjectMulticast injects one multicast routed as a set of path routes
-// and/or tree routes, all spawned at the current cycle. lengthFlits is
-// the message length in flits.
-func (n *Network) InjectMulticast(paths []dfr.PathRoute, trees []dfr.TreeRoute, lengthFlits int) {
-	if lengthFlits < 1 {
-		panic("wormsim: message must have at least one flit")
-	}
-	mci := n.allocMcast()
-	mc := &n.mcSlots[mci]
-	mc.spawned = n.cycle
-	for _, p := range paths {
-		mc.size += len(p.Dests)
-	}
-	for _, t := range trees {
-		mc.size += len(t.Dests)
-	}
-	for _, p := range paths {
-		if len(p.Nodes) < 2 {
-			// Degenerate: source-only path with no channels; its
-			// destinations could only be the source, which MulticastSet
-			// forbids.
-			continue
-		}
-		wi := n.allocWorm()
-		w := &n.slots[wi]
-		w.kind = pathWorm
-		w.id = n.nextID
-		n.nextID++
-		w.length = lengthFlits
-		w.spawned = n.cycle
-		w.queuedAt = -1
-		w.mcast = mci
-		for i := 1; i < len(p.Nodes); i++ {
-			w.chans = append(w.chans, n.intern(dfr.Channel{From: p.Nodes[i-1], To: p.Nodes[i], Class: p.HopClass(i - 1)}))
-		}
-		// First-occurrence path positions via the epoch scratch.
-		n.beginScratch()
-		for i, node := range p.Nodes {
-			n.nodeMark(int(node), int32(i))
-		}
-		for _, d := range p.Dests {
-			idx := n.nodeVal(int(d))
-			if idx <= 0 {
-				panic(fmt.Sprintf("wormsim: path does not visit destination %d", d))
-			}
-			w.deliveries = append(w.deliveries, delivery{dest: d, idx: int(idx)})
-			w.undeliv++
-			mc.remaining++
-		}
-		n.addWorm(wi)
-	}
-	for _, t := range trees {
-		if len(t.Edges) == 0 {
-			continue
-		}
-		n.addWorm(n.buildTreeWorm(t, lengthFlits, mci))
-	}
-}
-
-// InjectFlat injects one multicast from its dense CSR plan
-// (routing.Flatten): positions and depths were resolved at flattening
-// time, so injection walks packed arrays with no per-injection maps.
-// Behaviour is identical to InjectMulticast of the originating plan.
-func (n *Network) InjectFlat(fp *routing.FlatPlan, lengthFlits int) {
-	n.InjectFlatTag(fp, lengthFlits, 0)
-}
-
-// InjectFlatTag is InjectFlat with a caller-chosen tag reported back by
-// OnCompleteTag when the multicast's last destination is delivered.
+// InjectFlatTag injects one multicast from its dense CSR plan, spawned at
+// the current cycle: one path worm per flattened path, then one lock-step
+// tree worm per flattened tree, in plan order. Positions and depths were
+// resolved at flattening time (routing.Flattener), so injection walks
+// packed arrays, and each channel is validated once, when first
+// interned. lengthFlits is the message length in flits; tag is reported
+// back by OnCompleteTag when the multicast's last destination is
+// delivered. A plan with no worms injects nothing.
 func (n *Network) InjectFlatTag(fp *routing.FlatPlan, lengthFlits int, tag uint64) {
 	if lengthFlits < 1 {
 		panic("wormsim: message must have at least one flit")
+	}
+	if fp.Paths() == 0 && fp.Trees() == 0 {
+		return // no worm would ever free a multicast record
 	}
 	mci := n.allocMcast()
 	mc := &n.mcSlots[mci]
@@ -553,59 +495,6 @@ func (n *Network) InjectFlatTag(fp *routing.FlatPlan, lengthFlits int, tag uint6
 		}
 		n.addWorm(wi)
 	}
-}
-
-// buildTreeWorm converts a TreeRoute into a tree worm with per-depth
-// frontier levels. Node depths come from the epoch scratch (edges are
-// parent-before-child, so one pass resolves them) and the worm's level
-// and channel arrays are arena-recycled.
-func (n *Network) buildTreeWorm(t dfr.TreeRoute, lengthFlits int, mci int32) wormRef {
-	n.beginScratch()
-	// A root outside the topology is left unmarked: the edge leaving it
-	// fails validation below.
-	if uint(t.Root) < uint(len(n.scratchStamp)) {
-		n.nodeMark(int(t.Root), 0)
-	}
-	maxd := 0
-	for _, e := range t.Edges {
-		n.intern(e) // validates the edge before its nodes index the scratch
-		d := n.nodeVal(int(e.From)) + 1
-		n.nodeMark(int(e.To), d)
-		if int(d) > maxd {
-			maxd = int(d)
-		}
-	}
-	wi := n.allocWorm()
-	w := &n.slots[wi]
-	w.kind = treeWorm
-	w.id = n.nextID
-	n.nextID++
-	w.length = lengthFlits
-	w.spawned = n.cycle
-	w.queuedAt = -1
-	w.mcast = mci
-	w.levels = growLevels(w.levels, maxd)
-	for _, e := range t.Edges {
-		l := &w.levels[n.nodeVal(int(e.To))-1]
-		l.channels = append(l.channels, n.intern(e))
-	}
-	for i := range w.levels {
-		l := &w.levels[i]
-		for len(l.taken) < len(l.channels) {
-			l.taken = append(l.taken, false)
-		}
-		l.missing = len(l.channels)
-	}
-	for _, d := range t.Dests {
-		dep := n.nodeVal(int(d))
-		if dep <= 0 {
-			panic(fmt.Sprintf("wormsim: tree does not reach destination %d", d))
-		}
-		w.deliveries = append(w.deliveries, delivery{dest: d, idx: int(dep)})
-		w.undeliv++
-		n.mcSlots[mci].remaining++
-	}
-	return wi
 }
 
 // release frees channel id held by wi and wakes the FIFO head waiting on

@@ -25,6 +25,21 @@ func runUntilQuiet(n *Network, limit int64) bool {
 	return true
 }
 
+// injectRoutes flattens one multicast's routes and injects them.
+func injectRoutes(n *Network, paths []dfr.PathRoute, trees []dfr.TreeRoute, lengthFlits int) {
+	n.InjectFlatTag(routing.Flatten(routing.Plan{Paths: paths, Trees: trees}), lengthFlits, 0)
+}
+
+// schemeRoute builds the named registry scheme over (topo, l) for Run.
+func schemeRoute(t testing.TB, name string, topo topology.Topology, l labeling.Labeling) RouteFunc {
+	t.Helper()
+	r, err := routing.New(name, routing.NewStateWithLabeling(topo, l))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return RouteFuncOf(r)
+}
+
 // pathTo builds a simple path route along given nodes delivering to the
 // last one.
 func pathTo(nodes ...topology.NodeID) dfr.PathRoute {
@@ -39,7 +54,7 @@ func TestSingleWormLatency(t *testing.T) {
 	var got int64 = -1
 	n.OnDelivery(func(_ topology.NodeID, cycles int64) { got = cycles })
 	const L = 16
-	n.InjectMulticast([]dfr.PathRoute{pathTo(0, 1, 2, 3, 4, 5)}, nil, L)
+	injectRoutes(n, []dfr.PathRoute{pathTo(0, 1, 2, 3, 4, 5)}, nil, L)
 	if !runUntilQuiet(n, 1000) {
 		t.Fatal("network did not drain")
 	}
@@ -56,7 +71,7 @@ func TestSingleFlitLatency(t *testing.T) {
 	n := NewNetwork(m)
 	var got int64 = -1
 	n.OnDelivery(func(_ topology.NodeID, c int64) { got = c })
-	n.InjectMulticast([]dfr.PathRoute{pathTo(0, 1, 2, 3)}, nil, 1)
+	injectRoutes(n, []dfr.PathRoute{pathTo(0, 1, 2, 3)}, nil, 1)
 	if !runUntilQuiet(n, 1000) {
 		t.Fatal("did not drain")
 	}
@@ -76,7 +91,7 @@ func TestPathWormMultiDestination(t *testing.T) {
 	n.OnComplete(func(c int64) { completed = c })
 	p := dfr.PathRoute{Nodes: []topology.NodeID{0, 1, 2, 3, 4}, Dests: []topology.NodeID{2, 4}}
 	const L = 8
-	n.InjectMulticast([]dfr.PathRoute{p}, nil, L)
+	injectRoutes(n, []dfr.PathRoute{p}, nil, L)
 	if !runUntilQuiet(n, 1000) {
 		t.Fatal("did not drain")
 	}
@@ -98,8 +113,8 @@ func TestChannelContention(t *testing.T) {
 	const L = 10
 	// Worm A: 0 -> 1 -> 2; worm B: 4 -> 0 -> 1 -> 5 shares channel (0,1)
 	// but must wait for A's tail.
-	n.InjectMulticast([]dfr.PathRoute{pathTo(0, 1, 2)}, nil, L)
-	n.InjectMulticast([]dfr.PathRoute{pathTo(4, 0, 1, 5)}, nil, L)
+	injectRoutes(n, []dfr.PathRoute{pathTo(0, 1, 2)}, nil, L)
+	injectRoutes(n, []dfr.PathRoute{pathTo(4, 0, 1, 5)}, nil, L)
 	if !runUntilQuiet(n, 1000) {
 		t.Fatal("did not drain")
 	}
@@ -124,8 +139,8 @@ func TestPathDeadlockDetected(t *testing.T) {
 	// Worm A: 0 -> 1 -> 3 -> 2; worm B: 3 -> 2 -> 0 -> 1. After two
 	// cycles A holds (0,1),(1,3) and wants (3,2) while B holds
 	// (3,2),(2,0) and wants (0,1): a cycle.
-	n.InjectMulticast([]dfr.PathRoute{pathTo(0, 1, 3, 2)}, nil, L)
-	n.InjectMulticast([]dfr.PathRoute{pathTo(3, 2, 0, 1)}, nil, L)
+	injectRoutes(n, []dfr.PathRoute{pathTo(0, 1, 3, 2)}, nil, L)
+	injectRoutes(n, []dfr.PathRoute{pathTo(3, 2, 0, 1)}, nil, L)
 	if runUntilQuiet(n, 500) {
 		t.Fatal("expected deadlock, network drained")
 	}
@@ -141,8 +156,8 @@ func TestFig61TreeDeadlockInSimulator(t *testing.T) {
 	h := topology.NewHypercube(3)
 	n := NewNetwork(h)
 	const L = 32
-	n.InjectMulticast(nil, []dfr.TreeRoute{dfr.ECubeBroadcastTree(h, 0)}, L)
-	n.InjectMulticast(nil, []dfr.TreeRoute{dfr.ECubeBroadcastTree(h, 1)}, L)
+	injectRoutes(n, nil, []dfr.TreeRoute{dfr.ECubeBroadcastTree(h, 0)}, L)
+	injectRoutes(n, nil, []dfr.TreeRoute{dfr.ECubeBroadcastTree(h, 1)}, L)
 	if runUntilQuiet(n, 500) {
 		t.Fatal("expected the Fig. 6.1 deadlock, network drained")
 	}
@@ -157,7 +172,7 @@ func TestTreeWormAloneDelivers(t *testing.T) {
 	n.OnDelivery(func(d topology.NodeID, c int64) { lat[d] = c })
 	const L = 16
 	tree := dfr.ECubeBroadcastTree(h, 0)
-	n.InjectMulticast(nil, []dfr.TreeRoute{tree}, L)
+	injectRoutes(n, nil, []dfr.TreeRoute{tree}, L)
 	if !runUntilQuiet(n, 1000) {
 		t.Fatal("did not drain")
 	}
@@ -180,15 +195,15 @@ func TestFig64NaiveTreesDeadlockDynamic(t *testing.T) {
 	const L = 64
 
 	naive := NewNetwork(m)
-	naive.InjectMulticast(nil, dfr.XFirstTrees(m, m0), L)
-	naive.InjectMulticast(nil, dfr.XFirstTrees(m, m1), L)
+	injectRoutes(naive, nil, dfr.XFirstTrees(m, m0), L)
+	injectRoutes(naive, nil, dfr.XFirstTrees(m, m1), L)
 	if runUntilQuiet(naive, 500) {
 		t.Fatal("expected the Fig. 6.4 deadlock with naive trees")
 	}
 
 	safe := NewNetwork(m)
-	safe.InjectMulticast(nil, dfr.DoubleChannelXFirst(m, m0), L)
-	safe.InjectMulticast(nil, dfr.DoubleChannelXFirst(m, m1), L)
+	injectRoutes(safe, nil, dfr.DoubleChannelXFirst(m, m0), L)
+	injectRoutes(safe, nil, dfr.DoubleChannelXFirst(m, m1), L)
 	if !runUntilQuiet(safe, 2000) {
 		t.Fatal("double-channel X-first should not deadlock")
 	}
@@ -202,7 +217,7 @@ func TestRunDualPathConverges(t *testing.T) {
 	l := labeling.NewMeshBoustrophedon(m)
 	res, err := Run(Config{
 		Topology:               m,
-		Route:                  DualPathScheme(m, l),
+		Route:                  schemeRoute(t, "dual-path", m, l),
 		MeanInterarrivalMicros: 2000,
 		AvgDests:               5,
 		Seed:                   1,
@@ -247,12 +262,12 @@ func TestRunSchemesNoDeadlockUnderLoad(t *testing.T) {
 		topo  topology.Topology
 		route RouteFunc
 	}{
-		{"dual-path mesh", m, DualPathScheme(m, l)},
-		{"multi-path mesh", m, MultiPathMeshScheme(m, l)},
-		{"fixed-path mesh", m, FixedPathScheme(m, l)},
-		{"double-channel tree", m, DoubleChannelTreeScheme(m)},
-		{"dual-path cube", h, DualPathScheme(h, lh)},
-		{"multi-path cube", h, MultiPathCubeScheme(h, lh)},
+		{"dual-path mesh", m, schemeRoute(t, "dual-path", m, l)},
+		{"multi-path mesh", m, schemeRoute(t, "multi-path", m, l)},
+		{"fixed-path mesh", m, schemeRoute(t, "fixed-path", m, l)},
+		{"double-channel tree", m, schemeRoute(t, "tree", m, l)},
+		{"dual-path cube", h, schemeRoute(t, "dual-path", h, lh)},
+		{"multi-path cube", h, schemeRoute(t, "multi-path", h, lh)},
 	}
 	for _, s := range schemes {
 		res, err := Run(Config{
@@ -284,7 +299,7 @@ func TestRunNaiveTreeDeadlocksUnderLoad(t *testing.T) {
 	m := topology.NewMesh2D(8, 8)
 	res, err := Run(Config{
 		Topology:               m,
-		Route:                  NaiveTreeScheme(m),
+		Route:                  schemeRoute(t, "naive-tree", m, labeling.NewMeshBoustrophedon(m)),
 		MeanInterarrivalMicros: 100,
 		AvgDests:               10,
 		Seed:                   3,
@@ -300,18 +315,20 @@ func TestRunNaiveTreeDeadlocksUnderLoad(t *testing.T) {
 	}
 }
 
-// TestInjectValidation checks the injection guards.
+// TestInjectValidation checks the injection guards: a message without
+// flits, a path that misses its destination and a path over a
+// non-channel are all refused, by the flattener or the injector.
 func TestInjectValidation(t *testing.T) {
 	m := topology.NewMesh2D(3, 3)
 	n := NewNetwork(m)
 	for i, fn := range []func(){
-		func() { n.InjectMulticast([]dfr.PathRoute{pathTo(0, 1)}, nil, 0) },
+		func() { injectRoutes(n, []dfr.PathRoute{pathTo(0, 1)}, nil, 0) },
 		func() {
-			n.InjectMulticast([]dfr.PathRoute{{Nodes: []topology.NodeID{0, 1},
+			injectRoutes(n, []dfr.PathRoute{{Nodes: []topology.NodeID{0, 1},
 				Dests: []topology.NodeID{5}}}, nil, 4)
 		},
 		func() {
-			n.InjectMulticast([]dfr.PathRoute{{Nodes: []topology.NodeID{0, 5},
+			injectRoutes(n, []dfr.PathRoute{{Nodes: []topology.NodeID{0, 5},
 				Dests: []topology.NodeID{5}}}, nil, 4)
 		},
 	} {
@@ -328,10 +345,12 @@ func TestInjectValidation(t *testing.T) {
 
 // TestInjectRejectsNonChannels pins the validation in front of the channel
 // index: a hop that leaves the topology or joins non-adjacent nodes panics
-// with the non-channel message on every injection path. Several hops are
-// adjacent by node arithmetic alone — node 9 sits "above" node 6 in a 3x3
-// mesh, node -1 "left of" node 0, and node 16 differs from node 0 in one
-// bit of a 4-cube — so adjacency cannot stand in for the range check.
+// with the non-channel message, for path and tree worms alike. Several
+// hops are adjacent by node arithmetic alone — node 9 sits "above" node 6
+// in a 3x3 mesh, node -1 "left of" node 0, and node 16 differs from node
+// 0 in one bit of a 4-cube — so adjacency cannot stand in for the range
+// check. The flattener refuses a tree over a negative node id before the
+// simulator sees it.
 func TestInjectRejectsNonChannels(t *testing.T) {
 	mesh := topology.NewMesh2D(3, 3)
 	cube := topology.NewHypercube(4)
@@ -346,20 +365,23 @@ func TestInjectRejectsNonChannels(t *testing.T) {
 		path := dfr.PathRoute{Nodes: []topology.NodeID{h.from, h.to}, Dests: []topology.NodeID{h.to}}
 		tree := dfr.TreeRoute{Root: h.from, Edges: []dfr.Channel{{From: h.from, To: h.to}},
 			Dests: []topology.NodeID{h.to}}
-		for name, inject := range map[string]func(*Network){
-			"path": func(n *Network) { n.InjectMulticast([]dfr.PathRoute{path}, nil, 4) },
-			"tree": func(n *Network) { n.InjectMulticast(nil, []dfr.TreeRoute{tree}, 4) },
-			"flat": func(n *Network) { n.InjectFlat(routing.Flatten(routing.Plan{Paths: []dfr.PathRoute{path}}), 4) },
+		for name, plan := range map[string]routing.Plan{
+			"path": {Paths: []dfr.PathRoute{path}},
+			"tree": {Trees: []dfr.TreeRoute{tree}},
 		} {
+			want := "wormsim: route uses non-channel"
+			if name == "tree" && (h.from < 0 || h.to < 0) {
+				want = "routing: tree reaches negative node"
+			}
 			func() {
 				defer func() {
 					msg, _ := recover().(string)
-					if !strings.HasPrefix(msg, "wormsim: route uses non-channel") {
-						t.Errorf("%s hop %d->%d on %d nodes: panic %q, want the non-channel panic",
-							name, h.from, h.to, h.topo.Nodes(), msg)
+					if !strings.HasPrefix(msg, want) {
+						t.Errorf("%s hop %d->%d on %d nodes: panic %q, want %q",
+							name, h.from, h.to, h.topo.Nodes(), msg, want)
 					}
 				}()
-				inject(NewNetwork(h.topo))
+				NewNetwork(h.topo).InjectFlatTag(routing.Flatten(plan), 4, 0)
 			}()
 		}
 	}
@@ -370,7 +392,7 @@ func TestInjectRejectsNonChannels(t *testing.T) {
 // free, and asking never panics.
 func TestBusyOutsideTopology(t *testing.T) {
 	n := NewNetwork(topology.NewMesh2D(3, 3))
-	n.InjectMulticast([]dfr.PathRoute{pathTo(0, 1, 2)}, nil, 8)
+	injectRoutes(n, []dfr.PathRoute{pathTo(0, 1, 2)}, nil, 8)
 	n.Step()
 	if !n.Busy(dfr.Channel{From: 0, To: 1}) {
 		t.Fatal("Busy reports the held channel 0->1 free")
@@ -401,8 +423,8 @@ func TestDoubleChannelClassesAreDistinct(t *testing.T) {
 	// copies: neither should wait.
 	a := dfr.PathRoute{Nodes: []topology.NodeID{0, 1, 2}, Class: 0, Dests: []topology.NodeID{2}}
 	b := dfr.PathRoute{Nodes: []topology.NodeID{0, 1, 4}, Class: 1, Dests: []topology.NodeID{4}}
-	n.InjectMulticast([]dfr.PathRoute{a}, nil, L)
-	n.InjectMulticast([]dfr.PathRoute{b}, nil, L)
+	injectRoutes(n, []dfr.PathRoute{a}, nil, L)
+	injectRoutes(n, []dfr.PathRoute{b}, nil, L)
 	if !runUntilQuiet(n, 1000) {
 		t.Fatal("did not drain")
 	}
@@ -417,8 +439,8 @@ func TestDeadlockedWormIDs(t *testing.T) {
 	m := topology.NewMesh2D(2, 2)
 	n := NewNetwork(m)
 	const L = 64
-	n.InjectMulticast([]dfr.PathRoute{pathTo(0, 1, 3, 2)}, nil, L)
-	n.InjectMulticast([]dfr.PathRoute{pathTo(3, 2, 0, 1)}, nil, L)
+	injectRoutes(n, []dfr.PathRoute{pathTo(0, 1, 3, 2)}, nil, L)
+	injectRoutes(n, []dfr.PathRoute{pathTo(3, 2, 0, 1)}, nil, L)
 	if ids := n.DetectDeadlock(); ids != nil {
 		t.Fatalf("no deadlock before any cycle: %v", ids)
 	}

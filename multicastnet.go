@@ -29,6 +29,7 @@ import (
 	"multicastnet/internal/heuristics"
 	"multicastnet/internal/labeling"
 	"multicastnet/internal/mcastsvc"
+	"multicastnet/internal/routing"
 	"multicastnet/internal/topology"
 	"multicastnet/internal/wormsim"
 )
@@ -262,32 +263,39 @@ func (s *System) MultiUnicastTraffic(k MulticastSet) int {
 	return heuristics.MultiUnicastTraffic(s.topo, k)
 }
 
+// router builds the named registry scheme over the system's topology and
+// canonical labeling. The RouteFunc methods name only schemes the
+// system's topology supports, so a build error is a programming bug.
+func (s *System) router(name string, opts routing.Options) routing.Router {
+	r, err := routing.NewWithOptions(name, routing.NewStateWithLabeling(s.topo, s.label), opts)
+	if err != nil {
+		panic(err)
+	}
+	return r
+}
+
 // DualPathRouteFunc adapts the dual-path scheme for Simulate.
 func (s *System) DualPathRouteFunc() RouteFunc {
-	return wormsim.DualPathScheme(s.topo, s.label)
+	return wormsim.RouteFuncOf(s.router("dual-path", routing.Options{}))
 }
 
 // MultiPathRouteFunc adapts the multi-path scheme for Simulate.
 func (s *System) MultiPathRouteFunc() (RouteFunc, error) {
-	switch {
-	case s.mesh != nil:
-		return wormsim.MultiPathMeshScheme(s.mesh, s.label), nil
-	case s.cube != nil:
-		return wormsim.MultiPathCubeScheme(s.cube, s.label), nil
-	default:
+	if s.mesh == nil && s.cube == nil {
 		return nil, fmt.Errorf("multicastnet: multi-path unsupported on %s", s.topo.Name())
 	}
+	return wormsim.RouteFuncOf(s.router("multi-path", routing.Options{})), nil
 }
 
 // FixedPathRouteFunc adapts the fixed-path scheme for Simulate.
 func (s *System) FixedPathRouteFunc() RouteFunc {
-	return wormsim.FixedPathScheme(s.topo, s.label)
+	return wormsim.RouteFuncOf(s.router("fixed-path", routing.Options{}))
 }
 
 // AdaptiveDualPathRouteFunc adapts the congestion-adaptive dual-path
 // extension for Simulate: assign the result to SimConfig.LiveRoute.
 func (s *System) AdaptiveDualPathRouteFunc() LiveRouteFunc {
-	return wormsim.AdaptiveDualPathScheme(s.topo, s.label)
+	return wormsim.LiveRouteFuncOf(s.router("adaptive-dual-path", routing.Options{}).(routing.LiveRouter))
 }
 
 // TreeRouteFunc adapts the double-channel X-first tree scheme for
@@ -296,7 +304,7 @@ func (s *System) TreeRouteFunc() (RouteFunc, error) {
 	if s.mesh == nil {
 		return nil, fmt.Errorf("multicastnet: tree scheme requires a mesh")
 	}
-	return wormsim.DoubleChannelTreeScheme(s.mesh), nil
+	return wormsim.RouteFuncOf(s.router("tree", routing.Options{})), nil
 }
 
 // VirtualChannelPath runs the Section 8.2 virtual-channel extension:
@@ -308,7 +316,7 @@ func (s *System) VirtualChannelPath(k MulticastSet, v int) Star {
 
 // VirtualChannelRouteFunc adapts the virtual-channel scheme for Simulate.
 func (s *System) VirtualChannelRouteFunc(v int) RouteFunc {
-	return wormsim.VirtualChannelScheme(s.topo, s.label, v)
+	return wormsim.RouteFuncOf(s.router("virtual-channel", routing.Options{VirtualChannels: v}))
 }
 
 // VerifyDeadlockFree builds the complete unicast channel dependency graph
