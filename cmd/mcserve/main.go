@@ -1,11 +1,13 @@
 // Command mcserve runs the serving study: the window-batched multicast
 // scheduling service (internal/sched) against a naive FIFO baseline on
-// the 64x64 mesh under dual-path routing. A Poisson request stream drawn
-// from a hot group pool is batched into admission windows, planned
+// the 64x64 mesh under dual-path routing. A Poisson request stream from
+// a workload model (by default uniform: a fixed pool of multicast groups,
+// each equally likely) is batched into admission windows, planned
 // through a shared plan cache, congestion-packed, injected into wormsim,
-// and measured to completion. It writes delivered-throughput and p99
-// completion-latency figures versus offered load and versus admission
-// window size, plus a per-point table (serve_study.txt).
+// and measured to completion. The group pool stays the same across the
+// whole sweep. It writes delivered-throughput and p99 completion-latency
+// figures versus offered load and versus admission window size, plus a
+// per-point table (serve_study.txt).
 //
 // Every committed output is byte-identical at any -parallel (sweep and
 // planner workers) value.
@@ -16,6 +18,7 @@
 //	mcserve -quick                  # reduced request and point budgets
 //	mcserve -parallel 4             # worker count (outputs unchanged)
 //	mcserve -csv                    # emit CSV on stdout instead of files
+//	mcserve -workload zipf          # the same sweep over another workload model
 package main
 
 import (
@@ -27,12 +30,13 @@ import (
 
 	"multicastnet/internal/cli"
 	"multicastnet/internal/experiments"
+	"multicastnet/internal/workload"
 )
 
 func main() {
 	flags := cli.Register(cli.Out | cli.Quick | cli.Seed | cli.Parallel | cli.CSV | cli.Profile)
 	models := experiments.WorkloadModelNames()
-	workloadModel := flag.String("workload", "", "workload profile replacing the built-in group pool ("+strings.Join(models, ", ")+"; empty = built-in pool)")
+	workloadModel := flag.String("workload", workload.ModelUniform, "workload model generating the request stream ("+strings.Join(models, ", ")+")")
 	flags.Run(func() error {
 		opts := experiments.ServeDefaults()
 		if flags.Quick {
@@ -40,7 +44,7 @@ func main() {
 		}
 		opts.Seed = flags.Seed
 		opts.Parallel = flags.Parallel
-		if *workloadModel != "" && !slices.Contains(models, *workloadModel) {
+		if !slices.Contains(models, *workloadModel) {
 			return fmt.Errorf("unknown -workload %q (valid: %s)", *workloadModel, strings.Join(models, ", "))
 		}
 		opts.Workload = *workloadModel
@@ -58,7 +62,7 @@ func main() {
 // (make check-serve).
 func writeSummary(f io.Writer, opts experiments.ServeOptions, res experiments.ServeStudyResult) error {
 	fmt.Fprintf(f, "Serving study: window-batched multicast scheduling vs naive FIFO\n")
-	if opts.Workload != "" {
+	if opts.Workload != workload.ModelUniform {
 		fmt.Fprintf(f, "64x64 mesh, dual-path routing, %d requests per point from the %q\n", opts.Requests, opts.Workload)
 		fmt.Fprintf(f, "workload profile (%d groups), %d-flit messages, sched budget %d.\n\n", opts.Groups, opts.Flits, opts.Budget)
 	} else {

@@ -16,7 +16,7 @@
 //	mcworkload -quick                   # reduced streams on small topologies
 //	mcworkload -parallel 4              # worker count (outputs unchanged)
 //	mcworkload -record zipf -o s.trace  # record one model's stream to a trace file
-//	mcworkload -replay s.trace          # re-run the scheme sweep point from a trace
+//	mcworkload -replay s.trace          # parse a trace, print its provenance and shape
 package main
 
 import (

@@ -14,9 +14,11 @@ import (
 // The serving study: aggregate multicast throughput and completion-latency
 // percentiles of the window-batched scheduling service (internal/sched) on
 // the 64x64 mesh under dual-path routing. A Poisson stream of requests
-// drawn from a hot group pool is batched into admission windows, planned
-// through a shared plan cache, congestion-packed, and simulated to
-// completion in wormsim. Two policies run over identical request streams:
+// drawn from a fixed pool of multicast groups (the workload engine's
+// uniform model; any other model by name) is batched into admission
+// windows, planned through a shared plan cache, congestion-packed, and
+// simulated to completion in wormsim. Two policies run over identical
+// request streams:
 //
 //   - fifo:  Budget 0 — every planned request is injected at the next
 //     window close, no load accounting (the pre-scheduler baseline);
@@ -47,10 +49,9 @@ type ServeOptions struct {
 	Windows   []int64   // window sweep values, run at the highest load
 	MaxCycles int64
 
-	// Workload, when non-empty, names a workload profile (see
-	// WorkloadModelNames) that replaces the built-in group pool with a
-	// generated stream at each point's inter-arrival gap. Empty keeps
-	// the legacy pool — the committed serving figures.
+	// Workload names the workload profile (see WorkloadModelNames) that
+	// generates each point's stream at its inter-arrival gap. The
+	// committed serving figures run the uniform model.
 	Workload string
 }
 
@@ -69,6 +70,7 @@ func ServeDefaults() ServeOptions {
 		Loads:     []float64{8, 4, 2, 1, 0.5},
 		Windows:   []int64{64, 256, 1024},
 		MaxCycles: 5_000_000,
+		Workload:  workload.ModelUniform,
 	}
 }
 
@@ -109,9 +111,31 @@ type servePolicy struct {
 	budget int32
 }
 
+// serve runs one policy over src through a fresh dual-path router and
+// plan cache on st: the one serving run of the serving study and the
+// workload study's packer sweep.
+func serve(st *routing.State, budget int32, workers int, window int64, flits int,
+	maxCycles int64, src *workload.Stream) sched.ServeResult {
+	cache := routing.NewPlanCache(0)
+	r, err := routing.New("dual-path", st)
+	if err != nil {
+		panic(err)
+	}
+	return sched.Serve(sched.ServeConfig{
+		Service:      sched.Config{Router: routing.Flat(r, cache), Budget: budget, Workers: workers},
+		Workload:     src,
+		Requests:     src.Spec().Requests,
+		WindowCycles: window,
+		Flits:        flits,
+		MaxCycles:    maxCycles,
+		Cache:        cache,
+	})
+}
+
 // ServeStudy runs the full sweep. Each point builds its own plan cache
 // and service over the shared routing state, so points are independent
-// and safe to run on any sweep worker.
+// and safe to run on any sweep worker. One group pool serves the whole
+// sweep; each point draws its own arrivals.
 func ServeStudy(o ServeOptions) ServeStudyResult {
 	topo := topology.NewMesh2D(64, 64)
 	st, err := routing.SharedState(topo)
@@ -135,42 +159,17 @@ func ServeStudy(o ServeOptions) ServeStudyResult {
 	}
 
 	policies := []servePolicy{{"fifo", 0}, {"sched", o.Budget}}
+	poolSeed := stats.DeriveSeed(o.Seed, "serve/pool")
 	run := func(p servePolicy, ia float64, window int64, label string) sched.ServeResult {
-		cache := routing.NewPlanCache(0)
-		r, err := routing.New("dual-path", st)
+		spec, err := workloadStudySpec(o.Workload, o.Requests, o.Groups, o.AvgDests, ia, 1.2)
 		if err != nil {
 			panic(err)
 		}
-		scfg := sched.ServeConfig{
-			Service: sched.Config{
-				Router:  routing.Flat(r, cache),
-				Budget:  p.budget,
-				Workers: o.Parallel,
-			},
-			Requests:         o.Requests,
-			Groups:           o.Groups,
-			AvgDests:         o.AvgDests,
-			MeanInterarrival: ia,
-			WindowCycles:     window,
-			Flits:            o.Flits,
-			Seed:             stats.DeriveSeed(o.Seed, label),
-			PoolSeed:         stats.DeriveSeed(o.Seed, "serve/pool"),
-			MaxCycles:        o.MaxCycles,
-			Cache:            cache,
+		src, err := workload.NewSeeded(topo, spec, poolSeed, stats.DeriveSeed(o.Seed, label))
+		if err != nil {
+			panic(err)
 		}
-		if o.Workload != "" {
-			spec, err := workloadStudySpec(o.Workload, o.Requests, o.Groups,
-				o.AvgDests, ia, 1.2)
-			if err != nil {
-				panic(err)
-			}
-			src, err := workload.New(topo, spec, stats.DeriveSeed(o.Seed, label))
-			if err != nil {
-				panic(err)
-			}
-			scfg.Workload = src
-		}
-		return sched.Serve(scfg)
+		return serve(st, p.budget, o.Parallel, window, o.Flits, o.MaxCycles, src)
 	}
 
 	var points []SweepPoint

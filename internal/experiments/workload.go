@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"sort"
 
-	"multicastnet/internal/core"
 	"multicastnet/internal/routing"
 	"multicastnet/internal/sched"
 	"multicastnet/internal/stats"
@@ -190,19 +189,6 @@ type WorkloadStudyResult struct {
 	PackerPoints     []WorkloadPackerPoint
 }
 
-// simSource adapts a workload source to the simulator's injection hook,
-// skipping re-validation: generated and parsed streams are valid by
-// construction.
-func simSource(src workload.Source) wormsim.WorkloadFunc {
-	return func() (int64, core.MulticastSet, bool) {
-		r, ok := src.Next()
-		if !ok {
-			return 0, core.MulticastSet{}, false
-		}
-		return r.At, core.MulticastSet{Source: r.Src, Dests: r.Dests}, true
-	}
-}
-
 // workloadStream builds the model's stream over topo. The seed is
 // derived from the topology key only — every scheme and policy carries
 // the identical paired request stream.
@@ -227,7 +213,7 @@ func workloadSimRun(topo topology.Topology, st *routing.State, scheme, model, to
 		Topology:     topo,
 		Route:        route,
 		MessageBytes: o.Flits,
-		Workload:     simSource(workloadStream(topo, model, topoKey, o)),
+		Workload:     workloadStream(topo, model, topoKey, o),
 		Seed:         o.Seed, // unused by generation; kept for provenance
 		BatchSize:    200,
 		MinBatches:   1 << 30, // never converge early: drain the stream
@@ -237,29 +223,6 @@ func workloadSimRun(topo topology.Topology, st *routing.State, scheme, model, to
 		panic(err)
 	}
 	return res
-}
-
-// workloadServeRun serves one model's stream under one packer policy.
-func workloadServeRun(topo topology.Topology, st *routing.State, budget int32, model, topoKey string,
-	o WorkloadOptions) sched.ServeResult {
-	cache := routing.NewPlanCache(0)
-	r, err := routing.New("dual-path", st)
-	if err != nil {
-		panic(err)
-	}
-	return sched.Serve(sched.ServeConfig{
-		Service: sched.Config{
-			Router:  routing.Flat(r, cache),
-			Budget:  budget,
-			Workers: o.Parallel,
-		},
-		Requests:     o.Requests,
-		WindowCycles: o.Window,
-		Flits:        o.Flits,
-		MaxCycles:    o.MaxCycles,
-		Cache:        cache,
-		Workload:     workloadStream(topo, model, topoKey, o),
-	})
 }
 
 // WorkloadStudy runs the scheme and packer sweeps over one worker pool.
@@ -327,7 +290,10 @@ func WorkloadStudy(o WorkloadOptions) WorkloadStudyResult {
 			slot := len(out.PackerPoints)
 			out.PackerPoints = append(out.PackerPoints, WorkloadPackerPoint{})
 			points = append(points, SweepPoint{
-				Run: func() any { return workloadServeRun(ptopo, pst, policy.budget, model, pt.Name, o) },
+				Run: func() any {
+					return serve(pst, policy.budget, o.Parallel, o.Window, o.Flits, o.MaxCycles,
+						workloadStream(ptopo, model, pt.Name, o))
+				},
 				Commit: func(v any) {
 					res := v.(sched.ServeResult)
 					out.PackerPoints[slot] = WorkloadPackerPoint{Model: model, Policy: policy.name, ServeResult: res}

@@ -110,8 +110,8 @@ func TestWorkloadStudySmall(t *testing.T) {
 	}
 }
 
-// TestServeStudyWorkloadOption: the serving study accepts a workload
-// profile in place of its built-in pool and stays deterministic.
+// TestServeStudyWorkloadOption: the serving study runs a workload model
+// other than its default uniform one and stays deterministic.
 func TestServeStudyWorkloadOption(t *testing.T) {
 	o := serveTestOptions()
 	o.Workload = "zipf"

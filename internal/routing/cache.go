@@ -2,6 +2,7 @@ package routing
 
 import (
 	"encoding/binary"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -235,7 +236,7 @@ func (c *PlanCache) InvalidateAll() int {
 }
 
 // shardFor selects a shard by FNV-1a over the key.
-func (c *PlanCache) shardFor(key string) *cacheShard {
+func shardFor[K string | []byte](c *PlanCache, key K) *cacheShard {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
@@ -248,26 +249,12 @@ func (c *PlanCache) shardFor(key string) *cacheShard {
 	return &c.shards[h&(cacheShards-1)]
 }
 
-// shardForBytes is shardFor over a byte-buffer key (same FNV-1a).
-func (c *PlanCache) shardForBytes(key []byte) *cacheShard {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= prime64
-	}
-	return &c.shards[h&(cacheShards-1)]
-}
-
-// getBytes is get for a key held in a reusable byte buffer. The map
-// access converts the buffer without allocating (the compiler's
-// map[string(b)] special case), so a cache hit on the scheduling hot
-// path costs no allocation.
-func (c *PlanCache) getBytes(key []byte) (cacheEntry, bool) {
-	s := c.shardForBytes(key)
+// get looks key up and counts the hit or miss. For a key held in a
+// reusable byte buffer the map access converts it without allocating
+// (the compiler's map[string(b)] special case), so a cache hit on the
+// scheduling hot path costs no allocation.
+func get[K string | []byte](c *PlanCache, key K) (cacheEntry, bool) {
+	s := shardFor(c, key)
 	s.mu.Lock()
 	e, ok := s.plans[string(key)]
 	s.mu.Unlock()
@@ -279,21 +266,8 @@ func (c *PlanCache) getBytes(key []byte) (cacheEntry, bool) {
 	return e, ok
 }
 
-func (c *PlanCache) get(key string) (cacheEntry, bool) {
-	s := c.shardFor(key)
-	s.mu.Lock()
-	e, ok := s.plans[key]
-	s.mu.Unlock()
-	if ok {
-		c.hits.Add(1)
-	} else {
-		c.misses.Add(1)
-	}
-	return e, ok
-}
-
 func (c *PlanCache) put(key string, e cacheEntry) {
-	s := c.shardFor(key)
+	s := shardFor(c, key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, dup := s.plans[key]; dup {
@@ -323,25 +297,15 @@ func (c *PlanCache) put(key string, e cacheEntry) {
 // representation tag keeps route-form and CSR entries for the same
 // (router, set) distinct.
 func planKey(id string, k core.MulticastSet, repr byte) string {
-	buf := make([]byte, 0, len(id)+2+(len(k.Dests)+1)*3)
-	buf = append(buf, repr)
-	buf = append(buf, id...)
-	buf = append(buf, 0)
-	buf = binary.AppendUvarint(buf, uint64(k.Source))
-	dests := make([]topology.NodeID, len(k.Dests))
-	copy(dests, k.Dests)
-	sort.Slice(dests, func(i, j int) bool { return dests[i] < dests[j] })
-	for _, d := range dests {
-		buf = binary.AppendUvarint(buf, uint64(d))
-	}
-	return string(buf)
+	k.Dests = slices.Clone(k.Dests)
+	slices.Sort(k.Dests)
+	return string(appendPlanKeySorted(make([]byte, 0, len(id)+2+(len(k.Dests)+1)*3), id, k, repr))
 }
 
 // appendPlanKeySorted appends the cache key of (repr, id, k) to dst and
-// returns the grown buffer. It requires k.Dests already sorted ascending
-// and then produces exactly the bytes of planKey, so entries built
-// through either path share one cache slot. Unlike planKey it copies and
-// sorts nothing: with a reused buffer the key build is allocation-free.
+// returns the grown buffer. It requires k.Dests already sorted
+// ascending, and copies and sorts nothing: with a reused buffer the key
+// build is allocation-free.
 func appendPlanKeySorted(dst []byte, id string, k core.MulticastSet, repr byte) []byte {
 	dst = append(dst, repr)
 	dst = append(dst, id...)
@@ -370,7 +334,7 @@ func destsSorted(dests []topology.NodeID) bool {
 // only fully-served plans, a policy the generic Cached wrapper cannot
 // express.
 func (c *PlanCache) GetPlanAux(id string, k core.MulticastSet) (Plan, uint64, bool) {
-	e, ok := c.get(planKey(id, k, reprPlan))
+	e, ok := get(c, planKey(id, k, reprPlan))
 	if !ok {
 		return Plan{}, 0, false
 	}
@@ -395,7 +359,7 @@ type cachedRouter struct {
 // PlanSet implements Router, consulting the cache first.
 func (r *cachedRouter) PlanSet(k core.MulticastSet) Plan {
 	key := planKey(r.Router.ID(), k, reprPlan)
-	if e, ok := r.cache.get(key); ok {
+	if e, ok := get(r.cache, key); ok {
 		return e.plan
 	}
 	p := r.Router.PlanSet(k)

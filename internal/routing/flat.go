@@ -284,7 +284,7 @@ func (r *FlatRouter) FlatSet(k core.MulticastSet) *FlatPlan {
 		return Flatten(r.Router.PlanSet(k))
 	}
 	key := planKey(r.Router.ID(), k, reprFlat)
-	if e, ok := r.cache.get(key); ok && e.flat != nil {
+	if e, ok := get(r.cache, key); ok && e.flat != nil {
 		return e.flat
 	}
 	f := Flatten(r.Router.PlanSet(k))
@@ -308,7 +308,7 @@ func (r *FlatRouter) FlatProbeBuf(k core.MulticastSet, buf []byte) (*FlatPlan, [
 		return r.FlatSet(k), buf, true
 	}
 	buf = appendPlanKeySorted(buf[:0], r.Router.ID(), k, reprFlat)
-	if e, ok := r.cache.getBytes(buf); ok && e.flat != nil {
+	if e, ok := get(r.cache, buf); ok && e.flat != nil {
 		return e.flat, buf, true
 	}
 	return nil, buf, false

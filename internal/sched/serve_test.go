@@ -3,29 +3,14 @@ package sched
 import (
 	"testing"
 
-	"multicastnet/internal/routing"
-	"multicastnet/internal/topology"
+	"multicastnet/internal/workload"
 )
 
+// serveConfig serves a uniform stream of 400 requests over a pool of 24
+// groups at mean gap 40.
 func serveConfig(t *testing.T, budget int32, workers int) ServeConfig {
-	m := topology.NewMesh2D(16, 16)
-	cache := routing.NewPlanCache(0)
-	return ServeConfig{
-		Service: Config{
-			Router:  newRouter(t, m, cache),
-			Budget:  budget,
-			Workers: workers,
-		},
-		Requests:         400,
-		Groups:           24,
-		AvgDests:         4,
-		MeanInterarrival: 40,
-		WindowCycles:     256,
-		Flits:            16,
-		Seed:             3,
-		MaxCycles:        2_000_000,
-		Cache:            cache,
-	}
+	spec := workload.Spec{Model: workload.ModelUniform, Requests: 400, Groups: 24, AvgDests: 4, MeanGap: 40}
+	return workloadServeConfig(t, budget, workers, spec, 3)
 }
 
 // TestServeCompletesAll pins the end-to-end loop: every offered request
@@ -72,4 +57,17 @@ func TestServeFIFOBaseline(t *testing.T) {
 	if res.Deferrals != 0 || res.ForceAdmits != 0 {
 		t.Fatalf("FIFO baseline deferred: %+v", res)
 	}
+}
+
+// TestServeNilWorkload: the stream is Serve's one request source, and a
+// missing one panics with a message naming the field.
+func TestServeNilWorkload(t *testing.T) {
+	cfg := serveConfig(t, 40, 1)
+	cfg.Workload = nil
+	defer func() {
+		if r := recover(); r != "sched: ServeConfig.Workload is required" {
+			t.Fatalf("recovered %v, want the nil-Workload panic", r)
+		}
+	}()
+	Serve(cfg)
 }

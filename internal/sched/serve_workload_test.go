@@ -8,10 +8,11 @@ import (
 	"multicastnet/internal/workload"
 )
 
-func workloadServeConfig(t *testing.T, budget int32, workers int, spec workload.Spec) ServeConfig {
+// workloadServeConfig serves spec's stream at seed on the 16x16 mesh.
+func workloadServeConfig(t *testing.T, budget int32, workers int, spec workload.Spec, seed uint64) ServeConfig {
 	t.Helper()
 	m := topology.NewMesh2D(16, 16)
-	src, err := workload.New(m, spec, 31)
+	src, err := workload.New(m, spec, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,12 +32,11 @@ func workloadServeConfig(t *testing.T, budget int32, workers int, spec workload.
 	}
 }
 
-// TestServeWorkloadSource: a workload stream replaces the built-in
-// pool — every issued request completes and the result reports the
-// issued count as the offer.
+// TestServeWorkloadSource: over a zipf stream every issued request
+// completes and the result reports the issued count as the offer.
 func TestServeWorkloadSource(t *testing.T) {
 	spec := workload.Spec{Model: workload.ModelZipf, Requests: 300, Groups: 16, MeanGap: 30}
-	res := Serve(workloadServeConfig(t, 40, 1, spec))
+	res := Serve(workloadServeConfig(t, 40, 1, spec, 31))
 	if res.Requests != spec.Requests {
 		t.Fatalf("offered %d requests, want %d", res.Requests, spec.Requests)
 	}
@@ -54,8 +54,8 @@ func TestServeWorkloadDeterministic(t *testing.T) {
 	for _, arrivals := range workload.Arrivals() {
 		spec := workload.Spec{Model: workload.ModelZipf, Arrivals: arrivals,
 			Requests: 200, Groups: 16, MeanGap: 20}
-		base := Serve(workloadServeConfig(t, 40, 1, spec))
-		if got := Serve(workloadServeConfig(t, 40, 4, spec)); got != base {
+		base := Serve(workloadServeConfig(t, 40, 1, spec, 31))
+		if got := Serve(workloadServeConfig(t, 40, 4, spec, 31)); got != base {
 			t.Fatalf("%s workers=4: result differs\n got %+v\nwant %+v", arrivals, got, base)
 		}
 	}
@@ -116,7 +116,7 @@ func TestForceAdmitBound(t *testing.T) {
 func TestForceAdmitUnderServe(t *testing.T) {
 	spec := workload.Spec{Model: workload.ModelZipf, Requests: 200, Groups: 4,
 		ZipfS: 3, MeanGap: 4} // rank-1 group receives ~87% of requests
-	cfg := workloadServeConfig(t, 1, 1, spec)
+	cfg := workloadServeConfig(t, 1, 1, spec, 31)
 	res := Serve(cfg)
 	if res.Completed != res.Requests {
 		t.Fatalf("completed %d of %d (deadlocked=%v)", res.Completed, res.Requests, res.Deadlocked)

@@ -16,7 +16,7 @@
 //     rate) and a bursty two-state ON/OFF Markov process with
 //     geometric burst sizes.
 //
-// Every stream is a pure function of (topology, Spec, seed): the same
+// Every stream is a pure function of (topology, Spec, seeds): the same
 // inputs yield byte-identical request sequences on every platform and at
 // every consumer concurrency level. Streams can be recorded into a
 // versioned trace file and replayed byte-identically (trace.go).
@@ -225,9 +225,9 @@ func (sp Spec) normalize(t topology.Topology) (Spec, error) {
 }
 
 // Stream is a live generator: a deterministic Source over (topology,
-// Spec, seed). The group pool (when the model has one) is drawn from a
-// seed stream derived with label "workload/pool" and the arrivals from
-// "workload/stream", so two specs sharing a seed share their pool.
+// Spec, pool seed, stream seed). The group pool (when the model has one)
+// is drawn from the pool seed and the arrivals from the stream seed, so
+// two streams sharing a pool seed share their pool.
 type Stream struct {
 	topo topology.Topology
 	spec Spec
@@ -247,9 +247,20 @@ type Stream struct {
 	stage []Request // collective: generated, not yet emitted (sorted by At)
 }
 
-// New builds a stream over t. The spec is normalized (defaults filled)
-// and validated; the normalized form is available via Spec().
+// New builds a stream over t whose pool and stream seeds are derived
+// from seed with labels "workload/pool" and "workload/stream". The spec
+// is normalized (defaults filled) and validated; the normalized form is
+// available via Spec().
 func New(t topology.Topology, spec Spec, seed uint64) (*Stream, error) {
+	return NewSeeded(t, spec, stats.DeriveSeed(seed, "workload/pool"),
+		stats.DeriveSeed(seed, "workload/stream"))
+}
+
+// NewSeeded builds a stream over t with its group pool drawn from
+// poolSeed and its arrivals and per-request draws from streamSeed, so a
+// sweep can hold one pool fixed while every point draws its own
+// arrivals.
+func NewSeeded(t topology.Topology, spec Spec, poolSeed, streamSeed uint64) (*Stream, error) {
 	sp, err := spec.normalize(t)
 	if err != nil {
 		return nil, err
@@ -257,9 +268,9 @@ func New(t topology.Topology, spec Spec, seed uint64) (*Stream, error) {
 	s := &Stream{
 		topo: t,
 		spec: sp,
-		rng:  stats.NewRand(stats.DeriveSeed(seed, "workload/stream")),
+		rng:  stats.NewRand(streamSeed),
 	}
-	poolRng := stats.NewRand(stats.DeriveSeed(seed, "workload/pool"))
+	poolRng := stats.NewRand(poolSeed)
 	switch sp.Model {
 	case ModelUniform, ModelZipf:
 		s.srcs = make([]topology.NodeID, sp.Groups)

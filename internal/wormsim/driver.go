@@ -9,6 +9,7 @@ import (
 	"multicastnet/internal/routing"
 	"multicastnet/internal/stats"
 	"multicastnet/internal/topology"
+	"multicastnet/internal/workload"
 )
 
 // Injection is the routed form of one multicast, as produced by a routing
@@ -30,13 +31,6 @@ type RouteFunc func(k core.MulticastSet) Injection
 // Section 8.2 adaptive extension): the oracle reports current channel
 // occupancy at injection time.
 type LiveRouteFunc func(k core.MulticastSet, oracle dfr.ChannelOracle) Injection
-
-// WorkloadFunc supplies an externally generated request stream: each
-// call returns the next multicast and its injection cycle, in
-// nondecreasing cycle order; ok == false ends the stream. It is how the
-// workload layer (internal/workload) plugs into the simulator in place
-// of the paper's per-node exponential generators.
-type WorkloadFunc func() (at int64, k core.MulticastSet, ok bool)
 
 // Config drives one dynamic simulation (Section 7.2).
 type Config struct {
@@ -87,8 +81,9 @@ type Config struct {
 	// stream: MeanInterarrivalMicros, AvgDests, and UnicastFraction are
 	// ignored, and the run ends when the stream is exhausted and the
 	// network has drained (or at MaxCycles / on deadlock). Workload
-	// cycles are flit cycles, the simulator's native clock.
-	Workload WorkloadFunc
+	// cycles are flit cycles, the simulator's native clock. Requests are
+	// routed as given, without re-validation.
+	Workload workload.Source
 
 	// Faults schedules mid-run hardware failures, sorted by Cycle. Each
 	// activation fails the matching channels (killing the worms caught on
@@ -206,18 +201,20 @@ type Result struct {
 	Converged bool
 }
 
-// Run executes a dynamic simulation: every node runs a multicast
-// generator with exponential inter-arrival times and uniformly random
-// destination sets, the configured scheme routes each multicast, and the
-// flit-clock network carries the worms. It returns batch-means latency
-// statistics.
+// Run executes a dynamic simulation: requests come from cfg.Workload or,
+// when it is nil, from the paper's generators (every node with
+// exponential inter-arrival times and uniformly random destination
+// sets); the configured scheme routes each multicast, and the flit-clock
+// network carries the worms. It returns batch-means latency statistics.
 func Run(cfg Config) (Result, error) {
 	if err := cfg.validate(); err != nil {
 		return Result{}, err
 	}
-	topo := cfg.Topology
-	rng := stats.NewRand(cfg.Seed)
-	net := NewNetwork(topo)
+	src := cfg.Workload
+	if src == nil {
+		src = newPaperSource(&cfg)
+	}
+	net := NewNetwork(cfg.Topology)
 	lengthFlits := cfg.MessageBytes / cfg.FlitBytes
 	if lengthFlits < 1 {
 		lengthFlits = 1
@@ -252,44 +249,10 @@ func Run(cfg Config) (Result, error) {
 		res.Lost++
 	})
 
-	// Next-spawn events, one per node, on a min-heap ordered by
-	// (cycle, node). Spawn times are strictly increasing per node and the
-	// node id breaks ties, so events pop in exactly the order the
-	// original per-cycle all-nodes scan visited them — the RNG stream,
-	// and hence every result, is bit-identical. Workload mode replaces
-	// the generators with a one-request lookahead on the stream.
-	var interCycles float64
-	var spawns spawnHeap
-	var wlAt int64
-	var wlSet core.MulticastSet
-	var wlOK bool
-	if cfg.Workload != nil {
-		wlAt, wlSet, wlOK = cfg.Workload()
-	} else {
-		interCycles = cfg.MeanInterarrivalMicros / flitUs
-		spawns = make(spawnHeap, 0, topo.Nodes())
-		for i := 0; i < topo.Nodes(); i++ {
-			spawns.push(spawnEvent{at: int64(rng.ExpFloat64(interCycles)), node: int32(i)})
-		}
-	}
-
+	req, ok := src.Next()
 	route := cfg.Route
 	var fl routing.Flattener
 	var plan routing.FlatPlan // refilled by fl for every route-form injection
-	inject := func(k core.MulticastSet) {
-		var inj Injection
-		if cfg.LiveRoute != nil {
-			inj = cfg.LiveRoute(k, net)
-		} else {
-			inj = route(k)
-		}
-		fp := inj.Flat
-		if fp == nil {
-			fp = fl.Flatten(&plan, routing.Plan{Paths: inj.Paths, Trees: inj.Trees})
-		}
-		net.InjectFlatTag(fp, lengthFlits, 0)
-		res.MulticastsSent++
-	}
 	nextFault := 0
 	var lastProgress int64
 	checkedBatches := -1 // batch count at the last convergence test
@@ -307,26 +270,25 @@ func Run(cfg Config) (Result, error) {
 			}
 			nextFault++
 		}
-		if cfg.Workload != nil {
-			for wlOK && wlAt <= now {
-				inject(wlSet)
-				wlAt, wlSet, wlOK = cfg.Workload()
+		for ok && req.At <= now {
+			k := core.MulticastSet{Source: req.Src, Dests: req.Dests}
+			var inj Injection
+			if cfg.LiveRoute != nil {
+				inj = cfg.LiveRoute(k, net)
+			} else {
+				inj = route(k)
 			}
-			if !wlOK && net.ActiveWorms() == 0 {
-				// Stream exhausted and network drained: the run is done.
-				break
+			fp := inj.Flat
+			if fp == nil {
+				fp = fl.Flatten(&plan, routing.Plan{Paths: inj.Paths, Trees: inj.Trees})
 			}
-		} else {
-			for spawns[0].at <= now {
-				ev := spawns.pop()
-				ev.at += int64(rng.ExpFloat64(interCycles)) + 1
-				avg := cfg.AvgDests
-				if cfg.UnicastFraction > 0 && rng.Float64() < cfg.UnicastFraction {
-					avg = -1 // sentinel: exactly one destination
-				}
-				inject(randomMulticast(topo, rng, topology.NodeID(ev.node), avg))
-				spawns.push(ev)
-			}
+			net.InjectFlatTag(fp, lengthFlits, 0)
+			res.MulticastsSent++
+			req, ok = src.Next()
+		}
+		if !ok && net.ActiveWorms() == 0 {
+			// Stream exhausted and network drained: the run is done.
+			break
 		}
 		if net.Step() {
 			lastProgress = net.Cycle()
@@ -360,22 +322,18 @@ func Run(cfg Config) (Result, error) {
 		// Event-driven fast-forward: with no movable worm, the network
 		// state is frozen until the next injection, so the intervening
 		// cycles are no-ops. Jump the clock to the next event the loop
-		// would react to — a spawn, a periodic deadlock check (all-blocked
+		// would react to — a request, a periodic deadlock check (all-blocked
 		// worms are a wait-for cycle the %64 check will report), or the
 		// stall limit — keeping cycle counts identical to stepping.
 		if !net.movable() {
-			if cfg.Workload != nil && !wlOK && net.ActiveWorms() == 0 {
+			if !ok && net.ActiveWorms() == 0 {
 				// Stream exhausted and network drained: don't fast-forward
 				// to MaxCycles, the run ends at the drain cycle.
 				break
 			}
 			target := cfg.MaxCycles
-			if cfg.Workload != nil {
-				if wlOK {
-					target = wlAt
-				}
-			} else {
-				target = spawns[0].at
+			if ok {
+				target = req.At
 			}
 			if nextFault < len(cfg.Faults) && cfg.Faults[nextFault].Cycle < target {
 				target = cfg.Faults[nextFault].Cycle
@@ -418,6 +376,53 @@ func Run(cfg Config) (Result, error) {
 		res.ThroughputPerMs = float64(latency.Observations()) / elapsedMs
 	}
 	return res, nil
+}
+
+// paperSource is the paper's traffic (Section 7.2) as a request stream:
+// every node generates multicasts with exponential inter-arrival times
+// and uniformly random destination sets. Next-spawn events, one per
+// node, sit on a min-heap ordered by (cycle, node). Spawn times are
+// strictly increasing per node and the node id breaks ties, so events
+// pop in exactly the order a per-cycle all-nodes scan visits them, and
+// every RNG draw happens in that order.
+type paperSource struct {
+	topo     topology.Topology
+	rng      *stats.Rand
+	inter    float64 // mean inter-arrival gap per node, cycles
+	avgDests int
+	unicast  float64 // UnicastFraction
+	spawns   spawnHeap
+}
+
+func newPaperSource(cfg *Config) *paperSource {
+	n := cfg.Topology.Nodes()
+	s := &paperSource{
+		topo:     cfg.Topology,
+		rng:      stats.NewRand(cfg.Seed),
+		inter:    cfg.MeanInterarrivalMicros / cfg.flitMicros(),
+		avgDests: cfg.AvgDests,
+		unicast:  cfg.UnicastFraction,
+		spawns:   make(spawnHeap, 0, n),
+	}
+	for i := 0; i < n; i++ {
+		s.spawns.push(spawnEvent{at: int64(s.rng.ExpFloat64(s.inter)), node: int32(i)})
+	}
+	return s
+}
+
+// Next pops the earliest spawn, schedules that node's next one, and
+// draws the multicast. The stream never ends.
+func (s *paperSource) Next() (workload.Request, bool) {
+	ev := s.spawns.pop()
+	at := ev.at
+	ev.at += int64(s.rng.ExpFloat64(s.inter)) + 1
+	avg := s.avgDests
+	if s.unicast > 0 && s.rng.Float64() < s.unicast {
+		avg = -1 // sentinel: exactly one destination
+	}
+	k := randomMulticast(s.topo, s.rng, topology.NodeID(ev.node), avg)
+	s.spawns.push(ev)
+	return workload.Request{At: at, Src: k.Source, Dests: k.Dests}, true
 }
 
 // spawnEvent is one pending multicast generation: node fires at cycle at.

@@ -3,43 +3,23 @@ package wormsim
 import (
 	"testing"
 
-	"multicastnet/internal/core"
 	"multicastnet/internal/labeling"
 	"multicastnet/internal/topology"
+	"multicastnet/internal/workload"
 )
 
-// fixedWorkload returns a WorkloadFunc over a fixed request list.
-func fixedWorkload(reqs []struct {
-	at    int64
-	src   topology.NodeID
-	dests []topology.NodeID
-}) WorkloadFunc {
-	i := 0
-	return func() (int64, core.MulticastSet, bool) {
-		if i >= len(reqs) {
-			return 0, core.MulticastSet{}, false
-		}
-		r := reqs[i]
-		i++
-		return r.at, core.MulticastSet{Source: r.src, Dests: r.dests}, true
-	}
+// fixedWorkload replays a fixed request list as a recorded trace.
+func fixedWorkload(reqs []workload.Request) workload.Source {
+	return (&workload.Trace{Reqs: reqs}).Source()
 }
 
-func workloadReqs(m *topology.Mesh2D) []struct {
-	at    int64
-	src   topology.NodeID
-	dests []topology.NodeID
-} {
-	return []struct {
-		at    int64
-		src   topology.NodeID
-		dests []topology.NodeID
-	}{
-		{0, 0, []topology.NodeID{9, 18, 27}},
-		{5, 63, []topology.NodeID{0}},
-		{5, 7, []topology.NodeID{56, 12}},
-		{40, 21, []topology.NodeID{42, 43, 44}},
-		{1000, 3, []topology.NodeID{60, 61}},
+func workloadReqs() []workload.Request {
+	return []workload.Request{
+		{At: 0, Src: 0, Dests: []topology.NodeID{9, 18, 27}},
+		{At: 5, Src: 63, Dests: []topology.NodeID{0}},
+		{At: 5, Src: 7, Dests: []topology.NodeID{56, 12}},
+		{At: 40, Src: 21, Dests: []topology.NodeID{42, 43, 44}},
+		{At: 1000, Src: 3, Dests: []topology.NodeID{60, 61}},
 	}
 }
 
@@ -49,10 +29,10 @@ func workloadReqs(m *topology.Mesh2D) []struct {
 func TestRunWorkloadInjection(t *testing.T) {
 	m := topology.NewMesh2D(8, 8)
 	l := labeling.NewMeshBoustrophedon(m)
-	reqs := workloadReqs(m)
+	reqs := workloadReqs()
 	wantDests := 0
 	for _, r := range reqs {
-		wantDests += len(r.dests)
+		wantDests += len(r.Dests)
 	}
 	res, err := Run(Config{
 		Topology:   m,
