@@ -28,9 +28,10 @@ import (
 
 const messageFlits = 128
 
-// inject flattens one multicast's routes and puts its worms on n.
-func inject(n *wormsim.Network, p routing.Plan) {
-	n.InjectFlatTag(routing.Flatten(p), messageFlits, 0)
+// inject flattens one multicast's routes over t's channels and puts its
+// worms on n, a network over t.
+func inject(n *wormsim.Network, t topology.Topology, p routing.Plan) {
+	n.InjectFlatTag(routing.Flatten(t, p), messageFlits, 0)
 }
 
 // drains steps the network until it empties or stalls; it reports whether
@@ -60,8 +61,8 @@ func main() {
 	fmt.Printf("  channel dependency cycle: %v\n", rec.FindCycle())
 
 	net := wormsim.NewNetwork(cube)
-	inject(net, routing.Plan{Trees: []dfr.TreeRoute{t0}})
-	inject(net, routing.Plan{Trees: []dfr.TreeRoute{t1}})
+	inject(net, cube, routing.Plan{Trees: []dfr.TreeRoute{t0}})
+	inject(net, cube, routing.Plan{Trees: []dfr.TreeRoute{t1}})
 	if drains(net) {
 		log.Fatal("expected the broadcasts to deadlock")
 	}
@@ -80,8 +81,8 @@ func main() {
 	fmt.Printf("  channel dependency cycle: %v\n", naive.FindCycle())
 
 	net2 := wormsim.NewNetwork(mesh)
-	inject(net2, routing.Plan{Trees: dfr.XFirstTrees(mesh, m0)})
-	inject(net2, routing.Plan{Trees: dfr.XFirstTrees(mesh, m1)})
+	inject(net2, mesh, routing.Plan{Trees: dfr.XFirstTrees(mesh, m0)})
+	inject(net2, mesh, routing.Plan{Trees: dfr.XFirstTrees(mesh, m1)})
 	if drains(net2) {
 		log.Fatal("expected the multicasts to deadlock")
 	}
@@ -91,8 +92,8 @@ func main() {
 	fmt.Println("Chapter 6 fixes, same two multicasts:")
 
 	safeTree := wormsim.NewNetwork(mesh)
-	inject(safeTree, routing.Plan{Trees: dfr.DoubleChannelXFirst(mesh, m0)})
-	inject(safeTree, routing.Plan{Trees: dfr.DoubleChannelXFirst(mesh, m1)})
+	inject(safeTree, mesh, routing.Plan{Trees: dfr.DoubleChannelXFirst(mesh, m0)})
+	inject(safeTree, mesh, routing.Plan{Trees: dfr.DoubleChannelXFirst(mesh, m1)})
 	if !drains(safeTree) {
 		log.Fatal("double-channel X-first should not deadlock")
 	}
@@ -103,8 +104,8 @@ func main() {
 		log.Fatal(err)
 	}
 	safePath := wormsim.NewNetwork(mesh)
-	inject(safePath, routing.Plan{Paths: dfr.DualPath(mesh, l, m0).Paths})
-	inject(safePath, routing.Plan{Paths: dfr.DualPath(mesh, l, m1).Paths})
+	inject(safePath, mesh, routing.Plan{Paths: dfr.DualPath(mesh, l, m0).Paths})
+	inject(safePath, mesh, routing.Plan{Paths: dfr.DualPath(mesh, l, m1).Paths})
 	if !drains(safePath) {
 		log.Fatal("dual-path should not deadlock")
 	}

@@ -7,24 +7,30 @@ import (
 	"multicastnet/internal/topology"
 )
 
-// ChannelIndexer assigns dense integer ids to channels so channel
-// dependency graphs can be built over them: a ChanIndex that also keeps
-// the channel of every id.
+// ChannelIndexer assigns dense integer ids to channels, in first-use
+// order, so channel dependency graphs can be built over them. The ids
+// are first-use rather than a topology's ChannelNumbering because the
+// cycle FindCycle reports depends on them; indexing is a cold path (CDG
+// builds and audits), so a map serves.
 type ChannelIndexer struct {
-	idx  ChanIndex
+	ids  map[Channel]int32
 	list []Channel
 }
 
 // NewChannelIndexer returns an empty indexer.
-func NewChannelIndexer() *ChannelIndexer { return &ChannelIndexer{} }
+func NewChannelIndexer() *ChannelIndexer {
+	return &ChannelIndexer{ids: make(map[Channel]int32)}
+}
 
 // ID returns the dense id for c, allocating one on first use.
 func (x *ChannelIndexer) ID(c Channel) int {
-	id := int(x.idx.Intern(c))
-	if id == len(x.list) {
+	id, ok := x.ids[c]
+	if !ok {
+		id = int32(len(x.list))
+		x.ids[c] = id
 		x.list = append(x.list, c)
 	}
-	return id
+	return int(id)
 }
 
 // Len returns the number of channels indexed so far.

@@ -17,7 +17,9 @@ import (
 // hypercube — measuring simulated cycles per wall-clock second. Each
 // workload runs twice, an untimed warm-up and the timed run, and the two
 // Results must match field for field, so the study doubles as a
-// large-topology determinism audit.
+// large-topology determinism audit. The timed run also reports the
+// bytes it allocated, so a change to the simulator's per-channel state
+// shows its memory cost on the 65536-node hypercube.
 
 // ScaleWorkload is one fixed simulation workload of the study.
 type ScaleWorkload struct {
@@ -99,6 +101,9 @@ type ScalePoint struct {
 	Cycles       int64
 	WallSecs     float64
 	CyclesPerSec float64
+	// AllocMB is the heap the timed run allocated, in MiB (the
+	// runtime's TotalAlloc delta across the run).
+	AllocMB float64
 }
 
 // ScaleResult is the full study output.
@@ -107,9 +112,10 @@ type ScaleResult struct {
 	Points     []ScalePoint
 }
 
-// scaleRun executes one run of a workload.
+// scaleRun executes one run of a workload and returns its result, wall
+// seconds and allocated MiB.
 func scaleRun(w ScaleWorkload, topo topology.Topology, route wormsim.RouteFunc,
-	o ScaleOptions) (wormsim.Result, float64) {
+	o ScaleOptions) (wormsim.Result, float64, float64) {
 	budget := w.MaxCycles
 	if o.CycleFrac > 0 {
 		budget = int64(float64(budget) * o.CycleFrac)
@@ -126,12 +132,16 @@ func scaleRun(w ScaleWorkload, topo topology.Topology, route wormsim.RouteFunc,
 		MaxCycles:              budget,
 		Check:                  o.Check,
 	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	start := time.Now()
 	res, err := wormsim.Run(cfg)
+	secs := time.Since(start).Seconds()
+	runtime.ReadMemStats(&after)
 	if err != nil {
 		panic(fmt.Sprintf("scale %s: %v", w.Name, err))
 	}
-	return res, time.Since(start).Seconds()
+	return res, secs, float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
 }
 
 // ScaleStudy measures every workload. Runs execute sequentially — each
@@ -155,15 +165,15 @@ func ScaleStudy(o ScaleOptions) ScaleResult {
 
 		// Untimed warmup: populates the shared plan cache (and the
 		// allocator) so the timed run is not charged for one-time costs.
-		warm, _ := scaleRun(w, topo, route, o)
-		res, secs := scaleRun(w, topo, route, o)
+		warm, _, _ := scaleRun(w, topo, route, o)
+		res, secs, allocMB := scaleRun(w, topo, route, o)
 		scaleAudit(w.Name, warm, res)
 		if res.Delivered == 0 {
 			panic(fmt.Sprintf("scale %s: workload delivered nothing", w.Name))
 		}
 		out.Points = append(out.Points, ScalePoint{
 			Workload: w.Name, Cycles: res.Cycles, WallSecs: secs,
-			CyclesPerSec: float64(res.Cycles) / secs,
+			CyclesPerSec: float64(res.Cycles) / secs, AllocMB: allocMB,
 		})
 	}
 	return out

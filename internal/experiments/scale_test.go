@@ -42,7 +42,7 @@ func TestScaleStudySmall(t *testing.T) {
 		t.Fatalf("points = %d, want %d", got, want)
 	}
 	for _, p := range res.Points {
-		if p.Cycles != 6_000 || p.CyclesPerSec <= 0 {
+		if p.Cycles != 6_000 || p.CyclesPerSec <= 0 || p.AllocMB <= 0 {
 			t.Errorf("%s: degenerate measurement %+v", p.Workload, p)
 		}
 	}

@@ -40,7 +40,7 @@ func (s *Service) runPhases(phases []phase, bytes int) (Measured, error) {
 	}
 	var out Measured
 	var lastProgress int64
-	var fl routing.Flattener
+	fl := routing.NewFlattener(s.cfg.Topology)
 	var fp routing.FlatPlan
 	for _, ph := range phases {
 		start := net.Cycle()

@@ -25,11 +25,11 @@ const cacheShards = 16
 // once full, bounding memory under adversarial key streams.
 //
 // Invalidate matches every entry against the directed links its plan
-// traverses — a route-form entry through the link tag stored with it, a
-// flat entry by walking its arrays — so a fault delta evicts exactly the
-// plans that touch dead hardware instead of nuking the whole cache;
-// entries for unaffected traffic — and their ~25x cached speedup —
-// survive the epoch change.
+// traverses, walking the plan — route form or flat arrays — and
+// binary-searching the sorted dead links, so installs carry no link tag
+// and a fault delta evicts exactly the plans that touch dead hardware
+// instead of nuking the whole cache; entries for unaffected traffic —
+// and their ~25x cached speedup — survive the epoch change.
 //
 // Cached plans are shared: callers must treat them as immutable.
 type PlanCache struct {
@@ -63,10 +63,7 @@ func (s CacheStats) HitRate() float64 {
 
 // cacheEntry is one cached plan in the representation its key encodes:
 // route form (plan) or dense CSR form (flat). Exactly one of plan/flat is
-// set. pairs is the sorted, deduplicated set of directed links a
-// route-form plan traverses (see ChannelPair), the index targeted
-// invalidation matches fault deltas against; flat entries carry none and
-// are matched by walking their arrays.
+// set.
 type cacheEntry struct {
 	plan Plan
 	flat *FlatPlan
@@ -74,8 +71,7 @@ type cacheEntry struct {
 	// — e.g. the fault router's per-plan degraded accounting, so a cache
 	// hit reproduces the accounting of the original planning byte for
 	// byte.
-	aux   uint64
-	pairs []uint64
+	aux uint64
 }
 
 // touchesAny reports whether the entry's plan traverses any of the given
@@ -84,19 +80,28 @@ func (e *cacheEntry) touchesAny(pairs []uint64) bool {
 	if e.flat != nil {
 		return e.flat.touchesAny(pairs)
 	}
-	a, b := e.pairs, pairs
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] == b[j]:
-			return true
-		case a[i] < b[j]:
-			i++
-		default:
-			j++
+	for _, pr := range e.plan.Paths {
+		for i := 1; i < len(pr.Nodes); i++ {
+			if hasPair(pairs, pr.Nodes[i-1], pr.Nodes[i]) {
+				return true
+			}
+		}
+	}
+	for _, tr := range e.plan.Trees {
+		for _, c := range tr.Edges {
+			if hasPair(pairs, c.From, c.To) {
+				return true
+			}
 		}
 	}
 	return false
+}
+
+// hasPair reports whether the directed link from -> to is among pairs
+// (ChannelPair values, sorted ascending).
+func hasPair(pairs []uint64, from, to topology.NodeID) bool {
+	_, ok := slices.BinarySearch(pairs, ChannelPair(from, to))
+	return ok
 }
 
 type cacheShard struct {
@@ -151,30 +156,14 @@ func (c *PlanCache) Stats() CacheStats {
 	}
 }
 
-// ChannelPair encodes the directed link from -> to as the uint64 entries
-// of an entry's channel tag. Channel classes are deliberately folded
+// ChannelPair encodes the directed link from -> to as the uint64 values
+// Invalidate matches plans against. Channel classes are deliberately folded
 // away: a link fault kills every class of both directions and a node
 // fault every incident link, so matching on the directed link is exact
 // for them; for a single virtual-channel fault it over-invalidates the
 // other classes of that direction — conservative, never unsafe.
 func ChannelPair(from, to topology.NodeID) uint64 {
 	return uint64(uint32(from))<<32 | uint64(uint32(to))
-}
-
-// planPairs collects the sorted, deduplicated directed links of a plan.
-func planPairs(p Plan) []uint64 {
-	var pairs []uint64
-	for _, pr := range p.Paths {
-		for i := 1; i < len(pr.Nodes); i++ {
-			pairs = append(pairs, ChannelPair(pr.Nodes[i-1], pr.Nodes[i]))
-		}
-	}
-	for _, tr := range p.Trees {
-		for _, e := range tr.Edges {
-			pairs = append(pairs, ChannelPair(e.From, e.To))
-		}
-	}
-	return sortedUniq(pairs)
 }
 
 // sortedUniq sorts pairs ascending and removes duplicates in place.
@@ -341,13 +330,12 @@ func (c *PlanCache) GetPlanAux(id string, k core.MulticastSet) (Plan, uint64, bo
 	return e.plan, e.aux, true
 }
 
-// PutPlanAux caches a route-form plan under (id, k), tagging it with the
-// directed links it traverses for targeted invalidation, with an opaque
-// aux word stored alongside — the degraded fault router records each
-// plan's accounting flags here, so a later cache hit reports the same
-// stats the original planning did.
+// PutPlanAux caches a route-form plan under (id, k) with an opaque aux
+// word stored alongside — the degraded fault router records each plan's
+// accounting flags here, so a later cache hit reports the same stats the
+// original planning did.
 func (c *PlanCache) PutPlanAux(id string, k core.MulticastSet, p Plan, aux uint64) {
-	c.put(planKey(id, k, reprPlan), cacheEntry{plan: p, aux: aux, pairs: planPairs(p)})
+	c.put(planKey(id, k, reprPlan), cacheEntry{plan: p, aux: aux})
 }
 
 // cachedRouter memoizes PlanSet through a PlanCache.
@@ -363,7 +351,7 @@ func (r *cachedRouter) PlanSet(k core.MulticastSet) Plan {
 		return e.plan
 	}
 	p := r.Router.PlanSet(k)
-	r.cache.put(key, cacheEntry{plan: p, pairs: planPairs(p)})
+	r.cache.put(key, cacheEntry{plan: p})
 	return p
 }
 

@@ -12,19 +12,23 @@ import (
 // FlatPlan is the dense CSR (compressed sparse row) form of a Plan: every
 // path, tree level, channel and delivery packed into flat []int32 arrays
 // instead of pointer-chasing per-route slices. It is the one plan form
-// the simulator injects (wormsim.Network.InjectFlatTag): path positions
-// and tree depths are resolved once at flattening time, so injection
-// walks contiguous memory and allocates nothing.
+// the simulator injects (wormsim.Network.InjectFlatTag): path positions,
+// tree depths and channel ids are resolved once at flattening time, so
+// neither injection nor the scheduler's load accounting looks a channel
+// up, and injection walks contiguous memory and allocates nothing.
 //
 // Layout. Paths are CSR over the path index: path p's node sequence is
-// PathNodes[PathOff[p]:PathOff[p+1]] and hop h's channel class is
-// PathClass[PathOff[p]-int32(p)+h] (one fewer class than nodes per path).
-// Its deliveries are the parallel PathDest/PathDestPos rows of
+// PathNodes[PathOff[p]:PathOff[p+1]] and hop h's channel id is
+// PathChan[PathOff[p]-int32(p)+h] (one fewer channel than nodes per
+// path). Its deliveries are the parallel PathDest/PathDestPos rows of
 // [PathDestOff[p], PathDestOff[p+1]). Trees are a two-level CSR: tree t
 // owns level boundaries TreeLevelOff[TreeOff[t]:TreeOff[t+1]+1], each
 // consecutive pair bounding one lock-step frontier's rows in
-// TreeFrom/TreeTo/TreeClass; its deliveries are TreeDest/TreeDestDepth
-// rows of [TreeDestOff[t], TreeDestOff[t+1]).
+// TreeFrom/TreeTo/TreeChan; its deliveries are TreeDest/TreeDestDepth
+// rows of [TreeDestOff[t], TreeDestOff[t+1]). Channel ids are the
+// dfr.ChannelNumbering of the topology the plan was flattened in; the
+// node rows (PathNodes, TreeFrom, TreeTo) stay for PlanCache.Invalidate,
+// which matches plans by directed link.
 //
 // Degenerate routes (paths with fewer than two nodes, trees with no
 // edges) are dropped from the arrays but their destination counts are
@@ -38,7 +42,7 @@ type FlatPlan struct {
 	// Paths.
 	PathOff     []int32 // len nPaths+1: node-row bounds per path
 	PathNodes   []int32 // packed node sequences
-	PathClass   []int32 // packed per-hop channel classes
+	PathChan    []int32 // packed per-hop channel ids
 	PathDestOff []int32 // len nPaths+1: delivery-row bounds per path
 	PathDest    []int32 // destination node ids
 	PathDestPos []int32 // 1-based path position of each destination
@@ -48,7 +52,7 @@ type FlatPlan struct {
 	TreeLevelOff  []int32 // channel-row bounds; level l of tree t is [TreeLevelOff[TreeOff[t]+l], TreeLevelOff[TreeOff[t]+l+1])
 	TreeFrom      []int32 // packed frontier channels, level by level
 	TreeTo        []int32
-	TreeClass     []int32
+	TreeChan      []int32 // channel id of each row
 	TreeDestOff   []int32 // len nTrees+1: delivery-row bounds per tree
 	TreeDest      []int32 // destination node ids
 	TreeDestDepth []int32 // tree depth of each destination
@@ -68,49 +72,54 @@ func (f *FlatPlan) Trees() int { return len(f.TreeOff) - 1 }
 // links (ChannelPair values, sorted ascending) — the flat-entry half of
 // PlanCache.Invalidate, walked there so installs stay untagged.
 func (f *FlatPlan) touchesAny(pairs []uint64) bool {
-	hit := func(from, to int32) bool {
-		_, ok := slices.BinarySearch(pairs, ChannelPair(topology.NodeID(from), topology.NodeID(to)))
-		return ok
-	}
 	for p := 0; p < f.Paths(); p++ {
 		for i := f.PathOff[p] + 1; i < f.PathOff[p+1]; i++ {
-			if hit(f.PathNodes[i-1], f.PathNodes[i]) {
+			if hasPair(pairs, topology.NodeID(f.PathNodes[i-1]), topology.NodeID(f.PathNodes[i])) {
 				return true
 			}
 		}
 	}
 	for c := range f.TreeFrom {
-		if hit(f.TreeFrom[c], f.TreeTo[c]) {
+		if hasPair(pairs, topology.NodeID(f.TreeFrom[c]), topology.NodeID(f.TreeTo[c])) {
 			return true
 		}
 	}
 	return false
 }
 
-// Flatten converts a routed plan into a new dense CSR plan: the one-shot
-// case of Flattener, sizing every array exactly.
-func Flatten(p Plan) *FlatPlan {
-	var fl Flattener
+// Flatten converts a routed plan into a new dense CSR plan over t's
+// channels: the one-shot case of Flattener, sizing every array exactly.
+func Flatten(t topology.Topology, p Plan) *FlatPlan {
+	fl := Flattener{chans: dfr.NewChannelNumbering(t)}
 	return fl.Flatten(new(FlatPlan), p)
 }
 
 // Flattener converts routed plans into their dense CSR form, refilling a
-// caller-owned FlatPlan in place. It keeps an epoch-stamped node scratch
-// for tree depths; once the plan's arrays and the scratch have grown to
-// the largest plan seen, flattening allocates nothing. The zero value is
-// ready to use; a Flattener must not be used concurrently.
+// caller-owned FlatPlan in place. It numbers channels in one topology and
+// keeps an epoch-stamped node scratch for tree depths; once the plan's
+// arrays and the scratch have grown to the largest plan seen, flattening
+// allocates nothing. Build one with NewFlattener; a Flattener must not be
+// used concurrently.
 type Flattener struct {
+	chans dfr.ChannelNumbering
 	stamp []uint32 // node -> the tree epoch in which depth[node] is valid
 	depth []int32
 	epoch uint32
 	level []int32 // per-depth row counts, then placement cursors
+	ids   []int32 // the current tree's channel ids, in edge order
+}
+
+// NewFlattener returns a flattener for plans over t's channels.
+func NewFlattener(t topology.Topology) *Flattener {
+	return &Flattener{chans: dfr.NewChannelNumbering(t)}
 }
 
 // Flatten refills f with the dense form of p, resolving destination path
-// positions (first occurrence) and tree depths, and returns f. It panics
-// on a malformed plan: a path that does not visit one of its
+// positions (first occurrence), tree depths and channel ids, and returns
+// f. It panics on a malformed plan: a hop that is not a channel of the
+// flattener's topology, a path that does not visit one of its
 // destinations, a tree edge that leaves a node the tree has not reached
-// yet or reaches a node twice, a tree node with a negative id, or a tree
+// yet or reaches a node twice, a tree root with a negative id, or a tree
 // that does not reach one of its destinations.
 func (fl *Flattener) Flatten(f *FlatPlan, p Plan) *FlatPlan {
 	var paths, nodes, pathDests, trees, edges, treeDests int
@@ -139,7 +148,7 @@ func (fl *Flattener) Flatten(f *FlatPlan, p Plan) *FlatPlan {
 	}
 	f.PathOff = append(reuse(f.PathOff, paths+1), 0)
 	f.PathNodes = reuse(f.PathNodes, nodes)
-	f.PathClass = reuse(f.PathClass, nodes-paths)
+	f.PathChan = reuse(f.PathChan, nodes-paths)
 	f.PathDestOff = append(reuse(f.PathDestOff, paths+1), 0)
 	f.PathDest = reuse(f.PathDest, pathDests)
 	f.PathDestPos = reuse(f.PathDestPos, pathDests)
@@ -147,7 +156,7 @@ func (fl *Flattener) Flatten(f *FlatPlan, p Plan) *FlatPlan {
 	f.TreeLevelOff = append(f.TreeLevelOff[:0], 0)
 	f.TreeFrom = reuse(f.TreeFrom, edges)
 	f.TreeTo = reuse(f.TreeTo, edges)
-	f.TreeClass = reuse(f.TreeClass, edges)
+	f.TreeChan = reuse(f.TreeChan, edges)
 	f.TreeDestOff = append(reuse(f.TreeDestOff, trees+1), 0)
 	f.TreeDest = reuse(f.TreeDest, treeDests)
 	f.TreeDestDepth = reuse(f.TreeDestDepth, treeDests)
@@ -159,9 +168,14 @@ func (fl *Flattener) Flatten(f *FlatPlan, p Plan) *FlatPlan {
 		}
 		for i, node := range pr.Nodes {
 			f.PathNodes = append(f.PathNodes, int32(node))
-			if i > 0 {
-				f.PathClass = append(f.PathClass, int32(pr.HopClass(i-1)))
+			if i == 0 {
+				continue
 			}
+			class := pr.Class // pr.HopClass(i-1), without copying pr per hop
+			if pr.Classes != nil {
+				class = pr.Classes[i-1]
+			}
+			f.PathChan = append(f.PathChan, fl.chanID(dfr.Channel{From: pr.Nodes[i-1], To: node, Class: class}))
 		}
 		f.PathOff = append(f.PathOff, int32(len(f.PathNodes)))
 		for _, d := range pr.Dests {
@@ -183,11 +197,18 @@ func (fl *Flattener) Flatten(f *FlatPlan, p Plan) *FlatPlan {
 	return f
 }
 
-// tree appends one tree's lock-step levels and deliveries to f. Edges
-// are parent-before-child, so one pass resolves every node's depth; a
-// second buckets the channels by level, keeping edge order within each
-// level (the frontier order the simulator arbitrates in).
+// tree appends one tree's lock-step levels and deliveries to f. Its
+// channels are numbered first, so a hop off the topology is refused
+// before any node is reached. Edges are parent-before-child, so one pass
+// resolves every node's depth; a second buckets the channels by level,
+// keeping edge order within each level (the frontier order the simulator
+// arbitrates in).
 func (fl *Flattener) tree(f *FlatPlan, tr dfr.TreeRoute) {
+	ids := fl.ids[:0]
+	for _, e := range tr.Edges {
+		ids = append(ids, fl.chanID(e))
+	}
+	fl.ids = ids
 	if fl.epoch++; fl.epoch == 0 { // wrapped: no stamp may match a new epoch
 		clear(fl.stamp)
 		fl.epoch = 1
@@ -215,11 +236,11 @@ func (fl *Flattener) tree(f *FlatPlan, tr dfr.TreeRoute) {
 		level[d], at = at, at+level[d]
 		f.TreeLevelOff = append(f.TreeLevelOff, at)
 	}
-	f.TreeFrom, f.TreeTo, f.TreeClass = f.TreeFrom[:at], f.TreeTo[:at], f.TreeClass[:at]
-	for _, e := range tr.Edges {
+	f.TreeFrom, f.TreeTo, f.TreeChan = f.TreeFrom[:at], f.TreeTo[:at], f.TreeChan[:at]
+	for j, e := range tr.Edges {
 		i := level[fl.depth[e.To]]
 		level[fl.depth[e.To]]++
-		f.TreeFrom[i], f.TreeTo[i], f.TreeClass[i] = int32(e.From), int32(e.To), int32(e.Class)
+		f.TreeFrom[i], f.TreeTo[i], f.TreeChan[i] = int32(e.From), int32(e.To), ids[j]
 	}
 	fl.level = level
 	f.TreeOff = append(f.TreeOff, int32(len(f.TreeLevelOff)-1))
@@ -232,6 +253,16 @@ func (fl *Flattener) tree(f *FlatPlan, tr dfr.TreeRoute) {
 		f.TreeDestDepth = append(f.TreeDestDepth, dep)
 	}
 	f.TreeDestOff = append(f.TreeDestOff, int32(len(f.TreeDest)))
+}
+
+// chanID returns c's channel id, panicking with the hop's name when c is
+// not a channel of the flattener's topology.
+func (fl *Flattener) chanID(c dfr.Channel) int32 {
+	id, ok := fl.chans.ID(c)
+	if !ok {
+		panic(fmt.Sprintf("routing: hop %v is not a channel of %s", c, fl.chans.Topology().Name()))
+	}
+	return id
 }
 
 // reach records node at depth d in the current tree; Flatten has sized
@@ -281,13 +312,13 @@ func Flat(r Router, c *PlanCache) *FlatRouter {
 // dense form.
 func (r *FlatRouter) FlatSet(k core.MulticastSet) *FlatPlan {
 	if r.cache == nil {
-		return Flatten(r.Router.PlanSet(k))
+		return r.FlatCompute(k)
 	}
 	key := planKey(r.Router.ID(), k, reprFlat)
 	if e, ok := get(r.cache, key); ok && e.flat != nil {
 		return e.flat
 	}
-	f := Flatten(r.Router.PlanSet(k))
+	f := r.FlatCompute(k)
 	r.cache.put(key, cacheEntry{flat: f})
 	return f
 }
@@ -315,9 +346,10 @@ func (r *FlatRouter) FlatProbeBuf(k core.MulticastSet, buf []byte) (*FlatPlan, [
 }
 
 // FlatCompute plans and flattens without touching the cache — the
-// compute half of a FlatProbeBuf miss, safe to run concurrently.
+// compute half of a FlatProbeBuf miss, safe to run concurrently. Channel
+// ids are numbered in the router's state topology.
 func (r *FlatRouter) FlatCompute(k core.MulticastSet) *FlatPlan {
-	return Flatten(r.Router.PlanSet(k))
+	return Flatten(r.Router.State().Topology(), r.Router.PlanSet(k))
 }
 
 // FlatInstallBuf stores a FlatCompute result under the canonical key of

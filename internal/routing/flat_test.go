@@ -12,11 +12,12 @@ import (
 	"multicastnet/internal/topology"
 )
 
-// TestFlattenLayout flattens a hand-built plan and checks every CSR
-// invariant: offsets bound the packed arrays, node/class/level/dest rows
-// reproduce the source routes in order, and degenerate routes are dropped
-// from the arrays but kept in TotalDests.
+// TestFlattenLayout flattens a hand-built plan on a 4x8 mesh and checks
+// every CSR invariant: offsets bound the packed arrays, node/channel/
+// level/dest rows reproduce the source routes in order, and degenerate
+// routes are dropped from the arrays but kept in TotalDests.
 func TestFlattenLayout(t *testing.T) {
+	m := topology.NewMesh2D(4, 8)
 	p := Plan{
 		Paths: []dfr.PathRoute{
 			{Nodes: []topology.NodeID{0, 1, 2, 3}, Class: 1, Dests: []topology.NodeID{3, 2}},
@@ -25,29 +26,29 @@ func TestFlattenLayout(t *testing.T) {
 		},
 		Trees: []dfr.TreeRoute{
 			{
-				Root: 4,
+				Root: 5,
 				Edges: []dfr.Channel{
-					{From: 4, To: 3}, {From: 4, To: 5, Class: 1}, {From: 3, To: 0},
+					{From: 5, To: 1}, {From: 5, To: 6, Class: 1}, {From: 1, To: 0},
 				},
-				Dests: []topology.NodeID{5, 0},
+				Dests: []topology.NodeID{6, 0},
 			},
 			{Root: 9, Dests: []topology.NodeID{7}}, // degenerate
 		},
 	}
-	f := Flatten(p)
+	f := Flatten(m, p)
 	checkFlattenLayout(t, f)
 
 	// A warm flattener refilling a plan that held a larger one first
 	// yields exactly the one-shot arrays, and allocates nothing.
 	larger := p
 	larger.Paths = append(append([]dfr.PathRoute(nil), p.Paths...),
-		dfr.PathRoute{Nodes: []topology.NodeID{9, 10, 11, 12, 13}, Dests: []topology.NodeID{13, 11}})
+		dfr.PathRoute{Nodes: []topology.NodeID{8, 9, 10, 11, 15}, Dests: []topology.NodeID{15, 10}})
 	larger.Trees = append(append([]dfr.TreeRoute(nil), p.Trees...), p.Trees[0], dfr.TreeRoute{
 		Root:  20,
 		Edges: []dfr.Channel{{From: 20, To: 21}, {From: 21, To: 22}, {From: 22, To: 23}, {From: 20, To: 24}},
 		Dests: []topology.NodeID{23, 24},
 	})
-	var fl Flattener
+	fl := NewFlattener(m)
 	var refilled FlatPlan
 	fl.Flatten(&refilled, larger)
 	if got := fl.Flatten(&refilled, p); got != &refilled || !reflect.DeepEqual(refilled, *f) {
@@ -73,33 +74,33 @@ func checkFlattenLayout(t *testing.T, f *FlatPlan) {
 			t.Fatalf("PathNodes=%v, want %v", f.PathNodes, wantNodes)
 		}
 	}
-	wantClass := []int32{1, 1, 1, 2}
-	for i, v := range wantClass {
-		if f.PathClass[i] != v {
-			t.Fatalf("PathClass=%v, want %v", f.PathClass, wantClass)
-		}
+	// Channel ids on the 4x8 mesh (N = 32, D = 4, ports x-1, x+1, y-1,
+	// y+1): (class·N + from)·D + port.
+	wantChan := []int32{(32+0)*4 + 1, (32+1)*4 + 1, (32+2)*4 + 1, (64+0)*4 + 3}
+	if !reflect.DeepEqual(f.PathChan, wantChan) {
+		t.Fatalf("PathChan=%v, want %v", f.PathChan, wantChan)
 	}
 	// Path 0 deliveries: dest 3 at position 3, dest 2 at position 2 — in
 	// listed order.
 	if f.PathDest[0] != 3 || f.PathDestPos[0] != 3 || f.PathDest[1] != 2 || f.PathDestPos[1] != 2 {
 		t.Fatalf("path 0 deliveries wrong: dest=%v pos=%v", f.PathDest, f.PathDestPos)
 	}
-	// Tree 0: two levels — level 0 has channels (4,3) and (4,5)#1 in edge
-	// order, level 1 has (3,0).
+	// Tree 0: two levels — level 0 has channels (5,1) and (5,6)#1 in edge
+	// order, level 1 has (1,0).
 	llo, lhi := f.TreeOff[0], f.TreeOff[1]
 	if lhi-llo != 2 {
 		t.Fatalf("tree levels = %d, want 2", lhi-llo)
 	}
 	l0lo, l0hi := f.TreeLevelOff[llo], f.TreeLevelOff[llo+1]
-	if l0hi-l0lo != 2 || f.TreeFrom[l0lo] != 4 || f.TreeTo[l0lo] != 3 ||
-		f.TreeFrom[l0lo+1] != 4 || f.TreeTo[l0lo+1] != 5 || f.TreeClass[l0lo+1] != 1 {
-		t.Fatalf("tree level 0 wrong: from=%v to=%v class=%v", f.TreeFrom, f.TreeTo, f.TreeClass)
+	if l0hi-l0lo != 2 || f.TreeFrom[l0lo] != 5 || f.TreeTo[l0lo] != 1 || f.TreeChan[l0lo] != 5*4+2 ||
+		f.TreeFrom[l0lo+1] != 5 || f.TreeTo[l0lo+1] != 6 || f.TreeChan[l0lo+1] != (32+5)*4+1 {
+		t.Fatalf("tree level 0 wrong: from=%v to=%v chan=%v", f.TreeFrom, f.TreeTo, f.TreeChan)
 	}
 	l1lo, l1hi := f.TreeLevelOff[llo+1], f.TreeLevelOff[llo+2]
-	if l1hi-l1lo != 1 || f.TreeFrom[l1lo] != 3 || f.TreeTo[l1lo] != 0 {
-		t.Fatalf("tree level 1 wrong: from=%v to=%v", f.TreeFrom, f.TreeTo)
+	if l1hi-l1lo != 1 || f.TreeFrom[l1lo] != 1 || f.TreeTo[l1lo] != 0 || f.TreeChan[l1lo] != 1*4+0 {
+		t.Fatalf("tree level 1 wrong: from=%v to=%v chan=%v", f.TreeFrom, f.TreeTo, f.TreeChan)
 	}
-	if f.TreeDest[0] != 5 || f.TreeDestDepth[0] != 1 || f.TreeDest[1] != 0 || f.TreeDestDepth[1] != 2 {
+	if f.TreeDest[0] != 6 || f.TreeDestDepth[0] != 1 || f.TreeDest[1] != 0 || f.TreeDestDepth[1] != 2 {
 		t.Fatalf("tree deliveries wrong: dest=%v depth=%v", f.TreeDest, f.TreeDestDepth)
 	}
 }
@@ -107,10 +108,12 @@ func checkFlattenLayout(t *testing.T, f *FlatPlan) {
 // TestFlattenRejectsMalformedTrees: the flattener refuses, with a named
 // panic, a tree edge that leaves a node the tree has not reached yet —
 // which would otherwise flatten into the wrong lock-step level — a tree
-// that reaches a node twice, and a tree that misses a destination. A
-// refused plan leaves the flattener usable.
+// that reaches a node twice, a tree that misses a destination, and a
+// hop that is not a channel. A refused plan leaves the flattener usable.
+// The trees run on a 3-node ring, where every pair of nodes is linked.
 func TestFlattenRejectsMalformedTrees(t *testing.T) {
-	var fl Flattener
+	ring := topology.Ring(3)
+	fl := NewFlattener(ring)
 	var f FlatPlan
 	for _, tc := range []struct {
 		edges []dfr.Channel
@@ -125,6 +128,10 @@ func TestFlattenRejectsMalformedTrees(t *testing.T) {
 			"routing: tree edge [1,0] reaches node 0 twice"},
 		{[]dfr.Channel{{From: 0, To: 1}}, []topology.NodeID{1, 3},
 			"routing: tree does not reach destination 3"},
+		{[]dfr.Channel{{From: 0, To: 1}, {From: 1, To: 3}}, []topology.NodeID{3},
+			"routing: hop [1,3] is not a channel of 3-ary 1-cube"},
+		{[]dfr.Channel{{From: 0, To: 0}}, []topology.NodeID{1},
+			"routing: hop [0,0] is not a channel of 3-ary 1-cube"},
 	} {
 		func() {
 			defer func() {
@@ -137,17 +144,17 @@ func TestFlattenRejectsMalformedTrees(t *testing.T) {
 	}
 	good := Plan{Trees: []dfr.TreeRoute{{Root: 0, Edges: []dfr.Channel{{From: 0, To: 1}, {From: 1, To: 2}},
 		Dests: []topology.NodeID{2}}}}
-	if fl.Flatten(&f, good); !reflect.DeepEqual(f, *Flatten(good)) {
-		t.Fatalf("flattener after refused plans: %+v, want %+v", f, *Flatten(good))
+	if fl.Flatten(&f, good); !reflect.DeepEqual(f, *Flatten(ring, good)) {
+		t.Fatalf("flattener after refused plans: %+v, want %+v", f, *Flatten(ring, good))
 	}
 }
 
 // TestFlattenerEpochWrap: once the tree epoch wraps, neither the stamps
 // an earlier tree left nor the zero stamps of untouched nodes may count
-// as reached.
+// as reached. Nodes 1 and 5 both neighbor node 6 on a 5x2 mesh.
 func TestFlattenerEpochWrap(t *testing.T) {
 	for _, from := range []topology.NodeID{1, 5} { // stamped by the first tree; never stamped
-		var fl Flattener
+		fl := NewFlattener(topology.NewMesh2D(5, 2))
 		var f FlatPlan
 		fl.Flatten(&f, Plan{Trees: []dfr.TreeRoute{{Root: 0, Edges: []dfr.Channel{{From: 0, To: 1}},
 			Dests: []topology.NodeID{1}}}})
@@ -198,7 +205,7 @@ func TestCacheKeysSeparateRepresentations(t *testing.T) {
 	if cache.Len() != 2 {
 		t.Fatalf("cache len = %d, want 2 distinct representation entries", cache.Len())
 	}
-	if got := Flatten(plain); got.TotalDests != flat.TotalDests || got.Paths() != flat.Paths() {
+	if got := Flatten(m, plain); got.TotalDests != flat.TotalDests || got.Paths() != flat.Paths() {
 		t.Fatalf("representations disagree: %+v vs %+v", got, flat)
 	}
 

@@ -11,9 +11,10 @@
 // The steady-state window path — Submit through CloseWindow with a warm
 // PlanCache — allocates nothing: requests live in a recycled item arena,
 // plan lookups go through FlatProbeBuf's reusable key buffer, and
-// per-channel load accounting uses epoch-stamped dense arrays indexed by
-// channel ids from a dfr.ChanIndex, which interns a channel by scanning
-// the block of channels leaving its source node instead of hashing it.
+// per-channel load accounting uses epoch-stamped dense arrays indexed
+// directly by the channel ids each FlatPlan carries (the topology's
+// arithmetic dfr.ChannelNumbering, resolved once when the plan was
+// flattened), so counting a hop's load looks nothing up.
 //
 // Determinism: for a given submission sequence the admitted stream,
 // deferral counts, and PlanCache counters are identical at every worker
@@ -95,10 +96,10 @@ type Service struct {
 	queue []*item // pending, admission order: carried deferrals first
 	free  []*item
 
-	// Per-channel load accounting: channel ids from the hash-free index
-	// into epoch-stamped dense arrays, reset by bumping the epoch rather
-	// than clearing.
-	chans     dfr.ChanIndex
+	// Per-channel load accounting: epoch-stamped dense arrays indexed by
+	// the channel ids the plans carry, reset by bumping the epoch rather
+	// than clearing, and grown one class layer (layer ids) at a time.
+	layer     int
 	loadStamp []int64
 	loadVal   []int32
 	epoch     int64
@@ -119,13 +120,13 @@ func New(cfg Config) *Service {
 	if cfg.MaxDefer == 0 {
 		cfg.MaxDefer = 8
 	}
-	s := &Service{
+	topo := cfg.Router.State().Topology()
+	return &Service{
 		cfg:    cfg,
 		router: cfg.Router,
-		topo:   cfg.Router.State().Topology(),
+		topo:   topo,
+		layer:  dfr.NewChannelNumbering(topo).Layer(),
 	}
-	s.chans.Grow(s.topo.Nodes())
-	return s
 }
 
 // Stats returns the cumulative counters.
@@ -396,35 +397,24 @@ func dilationOf(f *routing.FlatPlan) int32 {
 // the maximum resulting per-channel load.
 func (s *Service) addLoad(f *routing.FlatPlan, delta int32) int32 {
 	var max int32
-	for p := 0; p < f.Paths(); p++ {
-		lo, hi := f.PathOff[p], f.PathOff[p+1]
-		clo := lo - int32(p)
-		for i := lo + 1; i < hi; i++ {
-			if v := s.bump(f.PathNodes[i-1], f.PathNodes[i], f.PathClass[clo+i-lo-1], delta); v > max {
-				max = v
-			}
+	for _, id := range f.PathChan {
+		if v := s.bump(id, delta); v > max {
+			max = v
 		}
 	}
-	for t := 0; t < f.Trees(); t++ {
-		llo, lhi := f.TreeOff[t], f.TreeOff[t+1]
-		clo, chi := f.TreeLevelOff[llo], f.TreeLevelOff[lhi]
-		for c := clo; c < chi; c++ {
-			if v := s.bump(f.TreeFrom[c], f.TreeTo[c], f.TreeClass[c], delta); v > max {
-				max = v
-			}
+	for _, id := range f.TreeChan {
+		if v := s.bump(id, delta); v > max {
+			max = v
 		}
 	}
 	return max
 }
 
-// bump adds delta to channel (from, to, class)'s load for the current
-// epoch and returns the new value. A channel's first use interns it and
-// grows the load arrays.
-func (s *Service) bump(from, to, class, delta int32) int32 {
-	id := s.chans.Intern(dfr.Channel{From: topology.NodeID(from), To: topology.NodeID(to), Class: int(class)})
-	if int(id) == len(s.loadVal) {
-		s.loadVal = append(s.loadVal, 0)
-		s.loadStamp = append(s.loadStamp, 0)
+// bump adds delta to channel id's load for the current epoch and returns
+// the new value.
+func (s *Service) bump(id, delta int32) int32 {
+	if int(id) >= len(s.loadVal) {
+		s.grow(id)
 	}
 	if s.loadStamp[id] != s.epoch {
 		s.loadStamp[id] = s.epoch
@@ -432,4 +422,12 @@ func (s *Service) bump(from, to, class, delta int32) int32 {
 	}
 	s.loadVal[id] += delta
 	return s.loadVal[id]
+}
+
+// grow extends the load arrays by whole class layers until they cover
+// channel id.
+func (s *Service) grow(id int32) {
+	n := (int(id)/s.layer + 1) * s.layer
+	s.loadStamp = append(s.loadStamp, make([]int64, n-len(s.loadStamp))...)
+	s.loadVal = append(s.loadVal, make([]int32, n-len(s.loadVal))...)
 }

@@ -1,6 +1,9 @@
 package topology
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Hypercube is the n-dimensional binary cube of Definition 4.2: 2^n nodes,
 // each with a unique n-bit address; two nodes are adjacent exactly when
@@ -42,6 +45,23 @@ func (h *Hypercube) Neighbors(v NodeID, buf []NodeID) []NodeID {
 // Adjacent implements Topology.
 func (h *Hypercube) Adjacent(u, v NodeID) bool {
 	return popcount(uint(u^v)) == 1
+}
+
+// Port implements Topology: the dimension u and v differ in.
+func (h *Hypercube) Port(u, v NodeID) int {
+	n, x := uint(h.Nodes()), uint(u^v)
+	if uint(u) >= n || uint(v) >= n || x == 0 || x&(x-1) != 0 {
+		return -1
+	}
+	return bits.TrailingZeros(x)
+}
+
+// PortNeighbor implements Topology: u with bit p flipped.
+func (h *Hypercube) PortNeighbor(u NodeID, p int) NodeID {
+	if uint(u) >= uint(h.Nodes()) || uint(p) >= uint(h.Dim) {
+		return -1
+	}
+	return u ^ NodeID(1)<<p
 }
 
 // Distance implements Topology: the Hamming distance ||b(u) XOR b(v)||.

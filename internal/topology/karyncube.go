@@ -99,6 +99,54 @@ func (c *KAryNCube) Neighbors(v NodeID, buf []NodeID) []NodeID {
 // Adjacent implements Topology.
 func (c *KAryNCube) Adjacent(u, v NodeID) bool { return c.Distance(u, v) == 1 }
 
+// Port implements Topology. Dimension i owns ports 2i (digit + 1) and
+// 2i+1 (digit - 1), both modulo k; when k == 2 the two coincide and
+// dimension i owns port i alone.
+func (c *KAryNCube) Port(u, v NodeID) int {
+	n := c.Nodes()
+	if uint(u) >= uint(n) || uint(v) >= uint(n) {
+		return -1
+	}
+	x, y := int(u), int(v)
+	for i := 0; x != y; i++ {
+		du, dv := x%c.K, y%c.K
+		x, y = x/c.K, y/c.K
+		if du == dv {
+			continue
+		}
+		if x != y { // the nodes differ in a second dimension
+			return -1
+		}
+		switch {
+		case c.K == 2:
+			return i
+		case dv == (du+1)%c.K:
+			return 2 * i
+		case du == (dv+1)%c.K:
+			return 2*i + 1
+		}
+		return -1
+	}
+	return -1
+}
+
+// PortNeighbor implements Topology.
+func (c *KAryNCube) PortNeighbor(u NodeID, p int) NodeID {
+	if uint(u) >= uint(c.Nodes()) || uint(p) >= uint(c.MaxDegree()) {
+		return -1
+	}
+	dim, step := p, 1
+	if c.K > 2 {
+		dim, step = p/2, 1-2*(p%2)
+	}
+	stride := 1
+	for i := 0; i < dim; i++ {
+		stride *= c.K
+	}
+	digit := int(u) / stride % c.K
+	return u + NodeID(((digit+step+c.K)%c.K-digit)*stride)
+}
+
 // Distance implements Topology: the sum over dimensions of ring distances
 // min(|a-b|, k-|a-b|).
 func (c *KAryNCube) Distance(u, v NodeID) int {

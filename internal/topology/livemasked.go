@@ -187,6 +187,13 @@ func (m *LiveMasked) NeighborsShared(v NodeID) []NodeID {
 	return m.neighbors[v]
 }
 
+// Port implements Topology for the base topology: masking removes links
+// but renumbers none, so a channel keeps its id across fault epochs.
+func (m *LiveMasked) Port(u, v NodeID) int { return m.base.Port(u, v) }
+
+// PortNeighbor implements Topology for the base topology, like Port.
+func (m *LiveMasked) PortNeighbor(u NodeID, p int) NodeID { return m.base.PortNeighbor(u, p) }
+
 // Adjacent implements Topology over the current epoch's masked graph.
 func (m *LiveMasked) Adjacent(u, v NodeID) bool {
 	checkNode(u, len(m.deadNode), m)

@@ -168,6 +168,13 @@ func (m *Masked) Neighbors(v NodeID, buf []NodeID) []NodeID {
 	return append(buf, m.neighbors[v]...)
 }
 
+// Port implements Topology for the base topology: masking removes links
+// but renumbers none, so a channel keeps its id across fault epochs.
+func (m *Masked) Port(u, v NodeID) int { return m.base.Port(u, v) }
+
+// PortNeighbor implements Topology for the base topology, like Port.
+func (m *Masked) PortNeighbor(u NodeID, p int) NodeID { return m.base.PortNeighbor(u, p) }
+
 // Adjacent implements Topology over the masked graph.
 func (m *Masked) Adjacent(u, v NodeID) bool {
 	checkNode(u, len(m.deadNode), m)

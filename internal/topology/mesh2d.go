@@ -81,6 +81,65 @@ func (m *Mesh2D) Adjacent(u, v NodeID) bool {
 	return abs(ux-vx)+abs(uy-vy) == 1
 }
 
+// Port implements Topology. The ports are x-1, x+1, y-1, y+1 in that
+// order; an axis one node long owns none, so a 1xN mesh numbers its y
+// links 0 and 1.
+func (m *Mesh2D) Port(u, v NodeID) int {
+	n := m.Width * m.Height
+	if uint(u) >= uint(n) || uint(v) >= uint(n) {
+		return -1
+	}
+	d, p := int(v)-int(u), 0
+	if m.Width > 1 {
+		// A step of one must stay in u's row: 2 -> 3 on a 3x3 mesh wraps.
+		switch {
+		case d == -1 && int(u)%m.Width != 0:
+			return 0
+		case d == 1 && int(v)%m.Width != 0:
+			return 1
+		}
+		p = 2
+	}
+	if m.Height > 1 { // v is in range, so a step of one row stays in the mesh
+		switch d {
+		case -m.Width:
+			return p
+		case m.Width:
+			return p + 1
+		}
+	}
+	return -1
+}
+
+// PortNeighbor implements Topology.
+func (m *Mesh2D) PortNeighbor(u NodeID, p int) NodeID {
+	n := m.Width * m.Height
+	if uint(u) >= uint(n) {
+		return -1
+	}
+	if m.Width > 1 {
+		x := int(u) % m.Width
+		switch {
+		case p == 0 && x > 0:
+			return u - 1
+		case p == 1 && x < m.Width-1:
+			return u + 1
+		case p < 2:
+			return -1
+		}
+		p -= 2
+	}
+	if m.Height > 1 {
+		switch {
+		case p == 0 && int(u) >= m.Width:
+			return u - NodeID(m.Width)
+		case p == 1 && int(u)+m.Width < n:
+			return u + NodeID(m.Width)
+		}
+	}
+	return -1
+}
+
 // Distance implements Topology: the Manhattan distance.
 func (m *Mesh2D) Distance(u, v NodeID) int {
 	ux, uy := m.XY(u)

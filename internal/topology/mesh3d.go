@@ -87,6 +87,55 @@ func (m *Mesh3D) Neighbors(v NodeID, buf []NodeID) []NodeID {
 // Adjacent implements Topology.
 func (m *Mesh3D) Adjacent(u, v NodeID) bool { return m.Distance(u, v) == 1 }
 
+// Port implements Topology. The ports are x-1, x+1, y-1, y+1, z-1, z+1
+// in that order; an axis one node long owns none.
+func (m *Mesh3D) Port(u, v NodeID) int {
+	n := m.Nodes()
+	if uint(u) >= uint(n) || uint(v) >= uint(n) {
+		return -1
+	}
+	d, p, stride := int(v)-int(u), 0, 1
+	for _, size := range [3]int{m.Width, m.Height, m.Depth} {
+		if size > 1 {
+			// The step must keep every other coordinate: its own
+			// coordinate may not wrap into the next row or plane.
+			switch c := int(u) / stride % size; {
+			case d == -stride && c > 0:
+				return p
+			case d == stride && c < size-1:
+				return p + 1
+			}
+			p += 2
+		}
+		stride *= size
+	}
+	return -1
+}
+
+// PortNeighbor implements Topology.
+func (m *Mesh3D) PortNeighbor(u NodeID, p int) NodeID {
+	if uint(u) >= uint(m.Nodes()) || p < 0 {
+		return -1
+	}
+	stride := 1
+	for _, size := range [3]int{m.Width, m.Height, m.Depth} {
+		if size > 1 {
+			if p < 2 {
+				switch c := int(u) / stride % size; {
+				case p == 0 && c > 0:
+					return u - NodeID(stride)
+				case p == 1 && c < size-1:
+					return u + NodeID(stride)
+				}
+				return -1
+			}
+			p -= 2
+		}
+		stride *= size
+	}
+	return -1
+}
+
 // Distance implements Topology: the L1 distance.
 func (m *Mesh3D) Distance(u, v NodeID) int {
 	ux, uy, uz := m.XYZ(u)

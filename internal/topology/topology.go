@@ -29,6 +29,18 @@ type Topology interface {
 	Neighbors(v NodeID, buf []NodeID) []NodeID
 	// Adjacent reports whether (u, v) is an edge.
 	Adjacent(u, v NodeID) bool
+	// Port numbers the directed link u -> v among the links leaving u:
+	// an index in [0, MaxDegree()) computed from u's and v's
+	// coordinates, or -1 when u -> v is not a link (an endpoint out of
+	// range, u == v, or v not adjacent to u). When u has every neighbor
+	// its shape allows, port p leads to the p-th node of Neighbors(u).
+	// Masked views answer for their base topology, so a port survives
+	// fault epochs.
+	Port(u, v NodeID) int
+	// PortNeighbor inverts Port: the node port p of u leads to, or -1
+	// when u is out of range, p is outside [0, MaxDegree()), or the port
+	// leads off a border.
+	PortNeighbor(u NodeID, p int) NodeID
 	// Distance returns d_G(u, v), the length of a shortest path.
 	Distance(u, v NodeID) int
 	// Diameter returns the maximum distance over all node pairs.

@@ -50,6 +50,38 @@ func TestNeighborsSymmetric(t *testing.T) {
 	}
 }
 
+// TestPortsNumberNeighbors checks Port and PortNeighbor against the
+// neighbor lists: every neighbor of v gets a distinct port in
+// [0, MaxDegree()) that leads back to it, the other ports lead nowhere,
+// and a node with MaxDegree() neighbors numbers them in Neighbors order.
+func TestPortsNumberNeighbors(t *testing.T) {
+	for _, topo := range append(allTopologies(), NewMesh2D(5, 1), NewMesh2D(1, 1), NewKAryNCube(2, 4)) {
+		d := topo.MaxDegree()
+		for v := NodeID(0); int(v) < topo.Nodes(); v++ {
+			nbrs := topo.Neighbors(v, nil)
+			used := make([]bool, d)
+			for i, w := range nbrs {
+				p := topo.Port(v, w)
+				if p < 0 || p >= d || used[p] {
+					t.Fatalf("%s: Port(%d, %d) = %d, want a fresh port in [0,%d)", topo.Name(), v, w, p, d)
+				}
+				used[p] = true
+				if len(nbrs) == d && p != i {
+					t.Errorf("%s: Port(%d, %d) = %d, want its Neighbors index %d", topo.Name(), v, w, p, i)
+				}
+				if got := topo.PortNeighbor(v, p); got != w {
+					t.Errorf("%s: PortNeighbor(%d, %d) = %d, want %d", topo.Name(), v, p, got, w)
+				}
+			}
+			for p := -1; p <= d; p++ {
+				if (p < 0 || p >= d || !used[p]) && topo.PortNeighbor(v, p) != -1 {
+					t.Errorf("%s: PortNeighbor(%d, %d) = %d, want -1", topo.Name(), v, p, topo.PortNeighbor(v, p))
+				}
+			}
+		}
+	}
+}
+
 func TestNeighborsDistinct(t *testing.T) {
 	for _, topo := range allTopologies() {
 		for v := NodeID(0); int(v) < topo.Nodes(); v++ {

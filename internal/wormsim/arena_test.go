@@ -44,7 +44,7 @@ func arenaWorkload(t testing.TB) (*topology.Mesh2D, []routing.Plan) {
 }
 
 // TestSteadyStateAllocationFree pins the arena contract: once slice
-// capacities, the intern table, the worm freelist and one flattener with
+// capacities, the channel slot table, the worm freelist and one flattener with
 // its plan have warmed up, a flatten-inject-and-drain round allocates
 // nothing — plans, worms, multicast records, tree levels and wake lists
 // are all recycled. The round includes a mid-drain FailWhere
@@ -66,7 +66,7 @@ func TestSteadyStateAllocationFree(t *testing.T) {
 	net.deadPreds = make([]func(dfr.Channel) bool, 0, 64)
 	lost := 0
 	net.OnLost(func(topology.NodeID, int) { lost++ })
-	var fl routing.Flattener
+	fl := routing.NewFlattener(m)
 	var fp routing.FlatPlan
 	round := func() {
 		for _, p := range plans {
@@ -107,7 +107,7 @@ func TestEmptyInjectionsLeaveNoRecords(t *testing.T) {
 		{Paths: []dfr.PathRoute{{Nodes: []topology.NodeID{5}, Dests: []topology.NodeID{6}}}},
 		{Trees: []dfr.TreeRoute{{Root: 5, Dests: []topology.NodeID{6}}}},
 	} {
-		fp := routing.Flatten(p)
+		fp := routing.Flatten(n.topo, p)
 		for i := 0; i < 1000; i++ {
 			n.InjectFlatTag(fp, 8, uint64(i))
 			n.Step()

@@ -23,7 +23,7 @@ func TestCheckInvariantsQueueMembership(t *testing.T) {
 		injectRoutes(n, nil, []dfr.TreeRoute{{Root: 0, Edges: []dfr.Channel{{From: 0, To: 1}},
 			Dests: []topology.NodeID{1}}}, 4)
 		n.Step()
-		id, _ := n.chans.Lookup(dfr.Channel{From: 0, To: 1})
+		id, _ := n.lookup(dfr.Channel{From: 0, To: 1})
 		if err := n.CheckInvariants(); err != nil {
 			t.Fatalf("uncorrupted state: %v", err)
 		}

@@ -16,7 +16,7 @@ import (
 // scheme: any mix of path routes and tree routes, or their dense CSR form.
 // Run injects a set Flat as is — route functions that serve cached flat
 // plans (FlatRouteFuncOf) skip flattening — and flattens the routes
-// otherwise, through one routing.Flattener per run.
+// otherwise, through one routing.Flattener over cfg.Topology per run.
 type Injection struct {
 	Paths []dfr.PathRoute
 	Trees []dfr.TreeRoute
@@ -251,7 +251,7 @@ func Run(cfg Config) (Result, error) {
 
 	req, ok := src.Next()
 	route := cfg.Route
-	var fl routing.Flattener
+	fl := routing.NewFlattener(cfg.Topology)
 	var plan routing.FlatPlan // refilled by fl for every route-form injection
 	nextFault := 0
 	var lastProgress int64

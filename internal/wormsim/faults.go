@@ -23,7 +23,7 @@ func (n *Network) OnLost(fn func(dest topology.NodeID, mcastSize int)) { n.onLos
 func (n *Network) KilledWorms() int { return n.killed }
 
 // FailWhere fails every channel matching pred — both channels already
-// interned and channels interned later (routes injected after the fault
+// seen and channels first seen later (routes injected after the fault
 // that still reference dead hardware lose their worms on contact). Worms
 // currently holding or queued on a failing channel are killed
 // immediately, in ascending id order. It returns the number of worms
@@ -42,21 +42,25 @@ func (n *Network) FailWhere(pred func(c dfr.Channel) bool) int {
 			victims = append(victims, wi)
 		}
 	}
-	n.chans.Each(func(id int32, c dfr.Channel) {
-		if n.chanOwner[id] == deadChan || !pred(c) {
-			return
+	for id, s := range n.slot {
+		ci := s - 1
+		if s == 0 || n.chanOwner[ci] == deadChan {
+			continue
+		}
+		if c, _ := n.chans.Channel(int32(id)); !pred(c) {
+			continue
 		}
 		// Collect the owner before the dead sentinel overwrites it.
-		collect(n.chanOwner[id])
-		n.chanOwner[id] = deadChan
-		for _, q := range n.chanWaiters(id) {
+		collect(n.chanOwner[ci])
+		n.chanOwner[ci] = deadChan
+		for _, q := range n.chanWaiters(ci) {
 			collect(q)
 		}
-	})
-	// Kill in ascending worm id order: the collection above follows the
-	// channel index's source-node order, which says nothing about worm
-	// ids, and the kill order — and with it the OnLost callback order and
-	// all downstream wakes — must not depend on how channels are stored.
+	}
+	// Kill in ascending worm id order: the collection above follows
+	// channel ids, which say nothing about worm ids, and the kill order —
+	// and with it the OnLost callback order and all downstream wakes —
+	// must not depend on how channels are numbered.
 	n.sortRefsByID(victims)
 	for _, wi := range victims {
 		n.killWorm(wi)

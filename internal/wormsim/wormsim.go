@@ -35,10 +35,12 @@
 // The simulator is indexed, event-driven and data-oriented (see
 // DESIGN.md, "Simulator data layout"):
 //
-//   - Channels are interned to dense int32 ids at injection time by a
-//     hash-free dfr.ChanIndex, so neither injection nor the per-cycle
-//     inner loop hashes dfr.Channel keys; the inner loop indexes flat
-//     parallel arrays.
+//   - Plans carry every hop's channel id, numbered by arithmetic on the
+//     topology (dfr.ChannelNumbering) when the plan was flattened.
+//     Injection maps an id to the channel's compact index through one
+//     direct-mapped slot table, so neither injection nor the per-cycle
+//     inner loop hashes or scans for a channel; the inner loop indexes
+//     flat parallel arrays.
 //   - Worms live in a slot arena (Network.slots) and are referenced by
 //     dense int32 indices (wormRef) everywhere — the in-flight list, the
 //     active list, wake queues, channel owner and FIFO state. The
@@ -112,7 +114,7 @@ type delivery struct {
 // The lock-step header advances a full level at a time, claiming free
 // channels immediately and waiting (while holding them) for the rest.
 type treeLevel struct {
-	channels []int32 // interned channel ids
+	channels []int32 // compact channel indices
 	taken    []bool
 	missing  int
 	queued   bool
@@ -127,7 +129,7 @@ type worm struct {
 	id   int
 
 	// Path worms.
-	chans    []int32 // interned channel ids along the route
+	chans    []int32 // compact channel indices along the route
 	headIdx  int     // next channel index to acquire
 	queuedAt int     // headIdx value already enqueued for (-1: none)
 	progress int     // total head advances, including drain into the final destination
@@ -167,13 +169,17 @@ type mcastState struct {
 type Network struct {
 	topo topology.Topology
 
-	// Channel interning: every hop of every injected route resolves its
-	// dfr.Channel to a dense id by scanning the source node's block of
-	// channels (no hashing); every per-cycle access is then a slice index.
-	chans dfr.ChanIndex
+	// Channels: a plan names each hop by its id in the topology's
+	// arithmetic numbering; slot maps an id to 1 + the channel's compact
+	// index (0: not seen yet) and grows one class layer of ids at a time.
+	// Compact indices are dealt in first-use order, so the per-channel
+	// arrays below hold only the channels the traffic uses, never
+	// N·D·classes entries.
+	chans dfr.ChannelNumbering
+	slot  []int32
 
 	// Channel state, struct-of-arrays: parallel flat slices indexed by
-	// the interned channel id. chanOwner is the only array the
+	// the compact channel index. chanOwner is the only array the
 	// uncontended advance touches; the FIFO arrays join in only under
 	// contention. Queues are head-indexed: dequeuing advances the cursor
 	// instead of reslicing, so the backing arrays keep their capacity and
@@ -205,8 +211,8 @@ type Network struct {
 	scanID    int  // id of the worm being processed by Step
 	inStep    bool // routes wakes between wokenNow and wokenNext
 
-	// Fault state: predicates applied to every channel — existing and
-	// future-interned — by FailWhere; killed counts fault-killed worms.
+	// Fault state: predicates applied to every channel — seen already
+	// and seen later — by FailWhere; killed counts fault-killed worms.
 	deadPreds []func(dfr.Channel) bool
 	killed    int
 
@@ -235,12 +241,11 @@ type Network struct {
 	onLost           func(dest topology.NodeID, mcastSize int)
 }
 
-// NewNetwork returns an empty network over topo. Channels are created
-// lazily, so any channel class used by the injected routes is accepted.
+// NewNetwork returns an empty network over topo. Channel state is
+// created on a channel's first use, so any channel class the injected
+// plans number is accepted.
 func NewNetwork(topo topology.Topology) *Network {
-	n := &Network{topo: topo}
-	n.chans.Grow(topo.Nodes())
-	return n
+	return &Network{topo: topo, chans: dfr.NewChannelNumbering(topo)}
 }
 
 // Cycle returns the current simulation cycle.
@@ -276,11 +281,21 @@ func (n *Network) FastForward(target int64) {
 
 // Busy implements dfr.ChannelOracle: it reports whether a channel is
 // currently held by a worm, letting adaptive schemes route around live
-// congestion at injection time. A channel never interned — including one
+// congestion at injection time. A channel never used — including one
 // outside the topology — is free.
 func (n *Network) Busy(c dfr.Channel) bool {
-	id, ok := n.chans.Lookup(c)
-	return ok && n.chanOwner[id] >= 0
+	ci, ok := n.lookup(c)
+	return ok && n.chanOwner[ci] >= 0
+}
+
+// lookup returns the compact index of channel c, or false when no
+// injected plan has used c.
+func (n *Network) lookup(c dfr.Channel) (int32, bool) {
+	id, ok := n.chans.ID(c)
+	if !ok || int(id) >= len(n.slot) || n.slot[id] == 0 {
+		return -1, false
+	}
+	return n.slot[id] - 1, true
 }
 
 // OnDelivery registers a callback invoked for every destination delivery
@@ -306,20 +321,36 @@ func (n *Network) OnComplete(fn func(latencyCycles int64)) { n.onComplete = fn }
 // completion with the request that produced it.
 func (n *Network) OnCompleteTag(fn func(tag uint64, latencyCycles int64)) { n.onCompleteTag = fn }
 
-// intern resolves a channel key to its dense id, creating (and
-// validating) the state slots on first use. Validation therefore happens
-// once per distinct channel rather than once per injection; its range
-// check comes first because topology adjacency is arithmetic on node ids
-// and holds for some ids outside the topology.
-func (n *Network) intern(c dfr.Channel) int32 {
-	if id, ok := n.chans.Lookup(c); ok {
-		return id
+// chanOf returns the compact index of the channel a plan numbers id, on
+// its hop from -> to: one slot-table read once the channel has been seen.
+func (n *Network) chanOf(id, from, to int32) int32 {
+	if uint(id) < uint(len(n.slot)) && n.slot[id] != 0 {
+		return n.slot[id] - 1
 	}
-	if nodes := n.topo.Nodes(); c.From < 0 || int(c.From) >= nodes || c.To < 0 || int(c.To) >= nodes ||
-		!n.topo.Adjacent(c.From, c.To) {
-		panic(fmt.Sprintf("wormsim: route uses non-channel %v", c))
+	return n.see(id, from, to)
+}
+
+// see admits a channel on its first use. It recomputes the hop's id in
+// the network's own topology, from the plan's own nodes, and panics
+// unless it matches the plan's — which refuses a hop off this topology
+// and a plan numbered in another one — so validation costs once per
+// distinct channel, not once per injection or step. The channel then
+// gets the next compact index, dead from the start if a failure
+// predicate covers it.
+func (n *Network) see(id, from, to int32) int32 {
+	c := dfr.Channel{From: topology.NodeID(from), To: topology.NodeID(to)}
+	layer := n.chans.Layer()
+	if layer > 0 && int(id) >= layer {
+		c.Class = int(id) / layer
 	}
-	id := n.chans.Intern(c)
+	if want, ok := n.chans.ID(c); !ok || want != id {
+		panic(fmt.Sprintf("wormsim: plan channel %d is not hop %v of %s", id, c, n.topo.Name()))
+	}
+	if int(id) >= len(n.slot) {
+		n.slot = append(n.slot, make([]int32, (int(id)/layer+1)*layer-len(n.slot))...)
+	}
+	ci := int32(len(n.chanOwner))
+	n.slot[id] = ci + 1
 	owner := noWorm
 	for _, pred := range n.deadPreds {
 		if pred(c) {
@@ -330,7 +361,7 @@ func (n *Network) intern(c dfr.Channel) int32 {
 	n.chanOwner = append(n.chanOwner, owner)
 	n.chanQHead = append(n.chanQHead, 0)
 	n.chanQueue = append(n.chanQueue, nil)
-	return id
+	return ci
 }
 
 // chanEnqueue appends wi to channel id's FIFO; callers guarantee
@@ -409,10 +440,10 @@ func (n *Network) addWorm(wi wormRef) {
 
 // InjectFlatTag injects one multicast from its dense CSR plan, spawned at
 // the current cycle: one path worm per flattened path, then one lock-step
-// tree worm per flattened tree, in plan order. Positions and depths were
-// resolved at flattening time (routing.Flattener), so injection walks
-// packed arrays, and each channel is validated once, when first
-// interned. lengthFlits is the message length in flits; tag is reported
+// tree worm per flattened tree, in plan order. Positions, depths and
+// channel ids were resolved at flattening time (routing.Flattener), so
+// injection walks packed arrays, and each channel is validated once,
+// when first seen. lengthFlits is the message length in flits; tag is reported
 // back by OnCompleteTag when the multicast's last destination is
 // delivered. A plan with no worms injects nothing.
 func (n *Network) InjectFlatTag(fp *routing.FlatPlan, lengthFlits int, tag uint64) {
@@ -440,11 +471,7 @@ func (n *Network) InjectFlatTag(fp *routing.FlatPlan, lengthFlits int, tag uint6
 		lo, hi := fp.PathOff[p], fp.PathOff[p+1]
 		clo := lo - int32(p)
 		for i := lo + 1; i < hi; i++ {
-			w.chans = append(w.chans, n.intern(dfr.Channel{
-				From:  topology.NodeID(fp.PathNodes[i-1]),
-				To:    topology.NodeID(fp.PathNodes[i]),
-				Class: int(fp.PathClass[clo+i-lo-1]),
-			}))
+			w.chans = append(w.chans, n.chanOf(fp.PathChan[clo+i-lo-1], fp.PathNodes[i-1], fp.PathNodes[i]))
 		}
 		dlo, dhi := fp.PathDestOff[p], fp.PathDestOff[p+1]
 		for d := dlo; d < dhi; d++ {
@@ -473,11 +500,7 @@ func (n *Network) InjectFlatTag(fp *routing.FlatPlan, lengthFlits int, tag uint6
 			clo, chi := fp.TreeLevelOff[l], fp.TreeLevelOff[l+1]
 			lv := &w.levels[l-llo]
 			for c := clo; c < chi; c++ {
-				lv.channels = append(lv.channels, n.intern(dfr.Channel{
-					From:  topology.NodeID(fp.TreeFrom[c]),
-					To:    topology.NodeID(fp.TreeTo[c]),
-					Class: int(fp.TreeClass[c]),
-				}))
+				lv.channels = append(lv.channels, n.chanOf(fp.TreeChan[c], fp.TreeFrom[c], fp.TreeTo[c]))
 			}
 			for len(lv.taken) < len(lv.channels) {
 				lv.taken = append(lv.taken, false)

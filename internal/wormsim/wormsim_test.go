@@ -1,7 +1,7 @@
 package wormsim
 
 import (
-	"strings"
+	"fmt"
 	"testing"
 
 	"multicastnet/internal/core"
@@ -25,9 +25,10 @@ func runUntilQuiet(n *Network, limit int64) bool {
 	return true
 }
 
-// injectRoutes flattens one multicast's routes and injects them.
+// injectRoutes flattens one multicast's routes over the network's
+// topology and injects them.
 func injectRoutes(n *Network, paths []dfr.PathRoute, trees []dfr.TreeRoute, lengthFlits int) {
-	n.InjectFlatTag(routing.Flatten(routing.Plan{Paths: paths, Trees: trees}), lengthFlits, 0)
+	n.InjectFlatTag(routing.Flatten(n.topo, routing.Plan{Paths: paths, Trees: trees}), lengthFlits, 0)
 }
 
 // schemeRoute builds the named registry scheme over (topo, l) for Run.
@@ -343,14 +344,15 @@ func TestInjectValidation(t *testing.T) {
 	}
 }
 
-// TestInjectRejectsNonChannels pins the validation in front of the channel
-// index: a hop that leaves the topology or joins non-adjacent nodes panics
-// with the non-channel message, for path and tree worms alike. Several
-// hops are adjacent by node arithmetic alone — node 9 sits "above" node 6
-// in a 3x3 mesh, node -1 "left of" node 0, and node 16 differs from node
-// 0 in one bit of a 4-cube — so adjacency cannot stand in for the range
-// check. The flattener refuses a tree over a negative node id before the
-// simulator sees it.
+// TestInjectRejectsNonChannels pins the validation in front of the
+// simulator: a hop that leaves the topology or joins non-adjacent nodes
+// is refused with a named panic when the plan is flattened, for path and
+// tree worms alike. Several hops are adjacent by node arithmetic alone —
+// node 9 sits "above" node 6 in a 3x3 mesh, node -1 "left of" node 0, and
+// node 16 differs from node 0 in one bit of a 4-cube — so adjacency
+// cannot stand in for the range check. A plan flattened in another
+// topology is refused by the network when it first sees the channel: the
+// hop 0->4 is a link of a 4x4 mesh but not of a 3x3 one.
 func TestInjectRejectsNonChannels(t *testing.T) {
 	mesh := topology.NewMesh2D(3, 3)
 	cube := topology.NewHypercube(4)
@@ -369,26 +371,32 @@ func TestInjectRejectsNonChannels(t *testing.T) {
 			"path": {Paths: []dfr.PathRoute{path}},
 			"tree": {Trees: []dfr.TreeRoute{tree}},
 		} {
-			want := "wormsim: route uses non-channel"
-			if name == "tree" && (h.from < 0 || h.to < 0) {
-				want = "routing: tree reaches negative node"
-			}
+			want := fmt.Sprintf("routing: hop %v is not a channel of %s",
+				dfr.Channel{From: h.from, To: h.to}, h.topo.Name())
 			func() {
 				defer func() {
-					msg, _ := recover().(string)
-					if !strings.HasPrefix(msg, want) {
+					if msg, _ := recover().(string); msg != want {
 						t.Errorf("%s hop %d->%d on %d nodes: panic %q, want %q",
 							name, h.from, h.to, h.topo.Nodes(), msg, want)
 					}
 				}()
-				NewNetwork(h.topo).InjectFlatTag(routing.Flatten(plan), 4, 0)
+				NewNetwork(h.topo).InjectFlatTag(routing.Flatten(h.topo, plan), 4, 0)
 			}()
 		}
 	}
+
+	foreign := routing.Flatten(topology.NewMesh2D(4, 4), routing.Plan{Paths: []dfr.PathRoute{
+		{Nodes: []topology.NodeID{0, 4}, Dests: []topology.NodeID{4}}}})
+	defer func() {
+		if msg, want := recover(), "wormsim: plan channel 3 is not hop [0,4] of 3x3 mesh"; msg != want {
+			t.Errorf("4x4-mesh plan in a 3x3 network: panic %v, want %q", msg, want)
+		}
+	}()
+	NewNetwork(mesh).InjectFlatTag(foreign, 4, 0)
 }
 
 // TestBusyOutsideTopology pins Busy's miss path: a channel that was never
-// interned — including one whose source lies outside the topology — is
+// used — including one whose source lies outside the topology — is
 // free, and asking never panics.
 func TestBusyOutsideTopology(t *testing.T) {
 	n := NewNetwork(topology.NewMesh2D(3, 3))
@@ -402,7 +410,7 @@ func TestBusyOutsideTopology(t *testing.T) {
 		{From: 0, To: 9}, {From: 0, To: 1, Class: 1}, {From: 1, To: 0},
 	} {
 		if n.Busy(c) {
-			t.Errorf("Busy(%v) = true for a channel never interned", c)
+			t.Errorf("Busy(%v) = true for a channel never used", c)
 		}
 	}
 }
