@@ -96,7 +96,8 @@ check-figures:
 ## check-results: run mcfault, mcserve and mcworkload at full fidelity,
 ## the fidelity committed in results/, and require every file they write
 ## to match its results/ copy byte for byte (mcchurn stays out: its full
-## run takes ~100 s, mostly timing the rebuild baseline)
+## run takes 85-87 s on a 2-vCPU host, mostly timing the rebuild
+## baseline)
 check-results:
 	@d=$$(mktemp -d); \
 	$(GO) build -o $$d/ ./cmd/mcfault ./cmd/mcserve ./cmd/mcworkload || exit 1; \
@@ -111,9 +112,9 @@ check-results:
 	rm -rf $$d; \
 	echo "check-results: $$n mcfault, mcserve and mcworkload outputs byte-identical to results/"
 
-## check-fault: the fault-injection acceptance suite — masked-CDG acyclicity for every scheme, degraded routing, mid-run kill semantics, retry accounting, exact-vs-heuristic bounds on faulty meshes, and the mcfault parallel determinism contract
+## check-fault: the fault-injection acceptance suite — masked-CDG acyclicity for every scheme, degraded routing, the masked view against its from-scratch reference, mid-run kill semantics, retry accounting, exact-vs-heuristic bounds on faulty meshes, and the mcfault parallel determinism contract
 check-fault:
-	$(GO) test ./internal/fault ./internal/wormsim ./internal/mcastsvc
+	$(GO) test ./internal/fault ./internal/topology ./internal/wormsim ./internal/mcastsvc
 	$(GO) test -run 'TestFaultFigures' ./internal/experiments
 	$(GO) test -run 'TestKMBVsExactOnFaultyMeshes' ./internal/opt
 
@@ -124,10 +125,11 @@ check-scale:
 	$(GO) run ./cmd/mcscale -quick -out $$(mktemp -d)
 
 ## check-churn: the incremental-topology acceptance suite — churn
-## equivalence (live delta-driven router vs static rebuild at every
-## epoch), targeted cache invalidation, the delta-driven simulator
-## bridge, the reduced churn study, and byte-identity of every
-## deterministic mcchurn output across -parallel
+## equivalence (a delta-driven router vs a fresh router given the same
+## active faults, at every epoch, with the union of all plans acyclic),
+## targeted cache invalidation, the delta-driven simulator bridge, the
+## reduced churn study, and byte-identity of every deterministic mcchurn
+## output across -parallel
 check-churn:
 	$(GO) test -run 'TestChurnEquivalence|TestLiveRouterTargetedInvalidation|TestPlanDeltas|TestSimSchedule' ./internal/fault
 	$(GO) test -run 'TestChurnStudySmall' ./internal/experiments

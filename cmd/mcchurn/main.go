@@ -76,9 +76,8 @@ func writeSummary(f io.Writer, res experiments.ChurnResult) error {
 	fmt.Fprintf(f, "Per delta, both paths restore full working-set service: the\n")
 	fmt.Fprintf(f, "incremental path patches the live state in O(|delta|) and re-plans\n")
 	fmt.Fprintf(f, "only the flows targeted invalidation evicted; the rebuild path\n")
-	fmt.Fprintf(f, "reconstructs the masked topology and routing state from scratch\n")
-	fmt.Fprintf(f, "(memo bypassed) and re-plans every flow — the pre-refactor cost of\n")
-	fmt.Fprintf(f, "any mask change.\n\n")
+	fmt.Fprintf(f, "builds a fresh router from scratch, applies every active fault as\n")
+	fmt.Fprintf(f, "one delta and re-plans every flow.\n\n")
 	fmt.Fprintf(f, "%-14s %6s %6s %12s %12s %8s %10s %10s\n",
 		"workload", "steps", "flows", "inc_ms", "rebuild_ms", "speedup", "hit_tgt", "hit_nuke")
 	for _, t := range res.Timings {

@@ -14,8 +14,6 @@
 package main
 
 import (
-	"fmt"
-
 	"multicastnet/internal/cli"
 	"multicastnet/internal/experiments"
 )
@@ -31,26 +29,6 @@ func main() {
 		opts.Parallel = flags.Parallel
 		opts.Check = flags.SimCheck
 
-		delivery, latency, cacheStats := experiments.FaultFiguresStats(opts)
-		if err := flags.WriteFigures(delivery, latency); err != nil || flags.CSV {
-			return err
-		}
-		printCacheStats(cacheStats)
-		return nil
+		return flags.WriteFigures(experiments.FaultFigures(opts))
 	})
-}
-
-// printCacheStats reports the retry path's plan-cache accounting: hits
-// are attempts served by a surviving cached plan, invalidations are
-// entries evicted by fault deltas (targeted: only plans touching dead
-// channels). The sums are deterministic for any -parallel.
-func printCacheStats(cs []experiments.SchemeCacheStats) {
-	fmt.Printf("\nplan cache (summed over all fault points):\n")
-	fmt.Printf("%-12s %8s %8s %10s %13s %9s\n",
-		"scheme", "hits", "misses", "evictions", "invalidations", "hit_rate")
-	for _, c := range cs {
-		fmt.Printf("%-12s %8d %8d %10d %13d %9.3f\n",
-			c.Scheme, c.Stats.Hits, c.Stats.Misses, c.Stats.Evictions,
-			c.Stats.Invalidations, c.Stats.HitRate())
-	}
 }

@@ -10,8 +10,9 @@ import (
 // ChannelIndexer assigns dense integer ids to channels, in first-use
 // order, so channel dependency graphs can be built over them. The ids
 // are first-use rather than a topology's ChannelNumbering because the
-// cycle FindCycle reports depends on them; indexing is a cold path (CDG
-// builds and audits), so a map serves.
+// cycle FindCycle reports depends on them; indexing is a cold path
+// (dependency graphs are built to verify schemes, never to route), so a
+// map serves.
 type ChannelIndexer struct {
 	ids  map[Channel]int32
 	list []Channel

@@ -239,7 +239,7 @@ func MultiPathMesh(m *topology.Mesh2D, l labeling.Labeling, k core.MulticastSet)
 
 // MultiPathMeshOn is MultiPathMesh with the routed topology decoupled
 // from the coordinate mesh: t supplies adjacency and distances (it may be
-// a topology.Masked view of m, so degraded-mode routing can run the
+// a topology.LiveMasked view of m, so degraded-mode routing can run the
 // multi-path split over a faulty mesh), m supplies the (x, y) geometry of
 // the split rule.
 func MultiPathMeshOn(t topology.Topology, m *topology.Mesh2D, l labeling.Labeling, k core.MulticastSet) Star {
@@ -307,7 +307,7 @@ func MultiPathCube(h *topology.Hypercube, l labeling.Labeling, k core.MulticastS
 
 // MultiPathCubeOn is MultiPathCube with the routed topology decoupled
 // from the cube: t supplies adjacency and distances (it may be a
-// topology.Masked view of h for degraded-mode routing); h is only
+// topology.LiveMasked view of h for degraded-mode routing); h is only
 // documentation of the underlying geometry.
 func MultiPathCubeOn(t topology.Topology, h *topology.Hypercube, l labeling.Labeling, k core.MulticastSet) Star {
 	dh, dl := HighLowPartition(l, k)

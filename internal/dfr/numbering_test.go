@@ -35,14 +35,16 @@ func numberingTopologies() []topology.Topology {
 	mesh := topology.NewMesh2D(4, 3)
 	live := topology.NewLiveMasked(topology.NewMesh2D(3, 3))
 	live.Apply(topology.GraphDelta{FailLinks: []topology.Link{{U: 3, V: 4}, {U: 1, V: 4}}})
+	deadNode := topology.NewLiveMasked(mesh)
+	deadNode.Apply(topology.GraphDelta{FailNodes: []topology.NodeID{5},
+		FailLinks: []topology.Link{{U: 0, V: 1}, {U: 6, V: 10}}})
 	return []topology.Topology{
 		topology.NewMesh2D(3, 3), mesh,
 		topology.NewMesh2D(1, 5), topology.NewMesh2D(5, 1), topology.NewMesh2D(1, 1),
 		topology.NewMesh3D(3, 2, 4), topology.NewMesh3D(1, 3, 2), topology.NewMesh3D(2, 1, 1),
 		topology.NewHypercube(1), topology.NewHypercube(4),
 		topology.NewKAryNCube(2, 3), topology.NewKAryNCube(3, 2), topology.NewKAryNCube(8, 2),
-		topology.NewMasked(mesh, []topology.NodeID{5}, []topology.Link{{U: 0, V: 1}, {U: 6, V: 10}}),
-		live,
+		deadNode, live,
 	}
 }
 
@@ -163,8 +165,9 @@ func FuzzChannelNumbering(f *testing.F) {
 		case 3:
 			topo = topology.NewKAryNCube(2+int(a%7), 1+int(b%3))
 		default:
-			base := topology.NewMesh2D(2+int(a%7), 1+int(b%8))
-			topo = topology.NewMasked(base, nil, []topology.Link{{U: 0, V: 1}})
+			masked := topology.NewLiveMasked(topology.NewMesh2D(2+int(a%7), 1+int(b%8)))
+			masked.Apply(topology.GraphDelta{FailLinks: []topology.Link{{U: 0, V: 1}}})
+			topo = masked
 		}
 		m := NewChannelNumbering(topo)
 		layer := int64(topo.Nodes() * topo.MaxDegree())

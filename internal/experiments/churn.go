@@ -25,8 +25,9 @@ import (
 //     counts, committed as figures;
 //   - re-plan latency per delta for the incremental path (LiveRouter:
 //     O(|delta|) state patch + replanning only evicted flows) versus a
-//     full rebuild (fresh masked topology + routing state + every flow
-//     re-planned) — wall-clock timings, recorded in churn_study.txt;
+//     full rebuild (a fresh LiveRouter given every active fault as one
+//     delta, every flow re-planned) — wall-clock timings, recorded in
+//     churn_study.txt;
 //   - a full dynamic wormhole simulation whose mid-run fault epochs
 //     re-plan through the same delta path (fault.SimSchedule) — the
 //     delivery accounting is deterministic and is committed in
@@ -233,9 +234,9 @@ type ChurnTiming struct {
 	// IncrementalMs and RebuildMs are the total wall milliseconds spent
 	// restoring full working-set service after each delta: the
 	// incremental path applies the delta in O(|delta|) and re-plans only
-	// evicted flows through the cache; the rebuild path constructs a
-	// fresh masked topology and routing state and re-plans every flow,
-	// which is what every mask change cost before the refactor.
+	// evicted flows through the cache; the rebuild path builds a fresh
+	// router, applies every active fault as one delta and re-plans every
+	// flow without a cache.
 	IncrementalMs, RebuildMs float64
 	// Speedup is RebuildMs over IncrementalMs.
 	Speedup float64
@@ -273,10 +274,11 @@ func churnTimingRun(w ChurnWorkload, st *routing.State, stream []fault.Delta,
 	start = time.Now()
 	for _, d := range stream {
 		mask.ApplyDelta(d)
-		r, err := fault.NewRouter(w.Scheme, st, mask)
+		r, err := fault.NewLiveRouter(w.Scheme, st, routing.Options{})
 		if err != nil {
 			panic(err)
 		}
+		r.ApplyDelta(mask.ActiveDelta())
 		for _, k := range working {
 			if mask.NodeDead(k.Source) {
 				continue

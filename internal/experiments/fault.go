@@ -5,7 +5,6 @@ import (
 
 	"multicastnet/internal/fault"
 	"multicastnet/internal/mcastsvc"
-	"multicastnet/internal/routing"
 	"multicastnet/internal/stats"
 	"multicastnet/internal/topology"
 )
@@ -75,19 +74,6 @@ type faultResult struct {
 	ratio   float64
 	latency float64
 	ops     int
-	// cache is the point's final service plan-cache accounting: the
-	// retry path serves surviving cached plans across attempts and
-	// operations, evicting only what each fault delta touched.
-	cache routing.CacheStats
-}
-
-// SchemeCacheStats pairs a scheme with its plan-cache counters summed
-// over every figure point. The sums are deterministic: each point owns
-// its service (and cache) and runs its operations sequentially, so the
-// sweep worker count never changes the totals.
-type SchemeCacheStats struct {
-	Scheme string
-	Stats  routing.CacheStats
 }
 
 // faultPoint executes Trials fault plans x Ops multicasts for one
@@ -139,7 +125,6 @@ func faultPoint(m topology.Topology, schemeName string, links int, seed uint64,
 	if res.ops > 0 {
 		res.latency = sumUs / float64(res.ops)
 	}
-	res.cache = svc.CacheStats()
 	return res
 }
 
@@ -151,14 +136,6 @@ func faultPoint(m topology.Topology, schemeName string, links int, seed uint64,
 // retry/backoff until the attempt budget runs out — so the curves
 // measure the whole degraded-mode stack, not just routing.
 func FaultFigures(o FaultOptions) (delivery, latency *stats.Figure) {
-	delivery, latency, _ = FaultFiguresStats(o)
-	return delivery, latency
-}
-
-// FaultFiguresStats is FaultFigures plus the per-scheme plan-cache
-// accounting (hits/misses/evictions/invalidations summed over every
-// figure point) — the counters `mcfault` prints alongside the figures.
-func FaultFiguresStats(o FaultOptions) (delivery, latency *stats.Figure, cacheStats []SchemeCacheStats) {
 	m := topology.NewMesh2D(8, 8)
 	nLinks := len(fault.EnumerateLinks(m))
 	delivery = &stats.Figure{ID: "Fault delivery",
@@ -168,15 +145,14 @@ func FaultFiguresStats(o FaultOptions) (delivery, latency *stats.Figure, cacheSt
 		Title:  "Operation latency vs link fault rate, 8x8 mesh",
 		XLabel: "failed links (%)", YLabel: "latency (us)"}
 	var points []SweepPoint
-	totals := make([]routing.CacheStats, len(o.schemes()))
-	for si, scheme := range o.schemes() {
+	for _, scheme := range o.schemes() {
 		ds := delivery.AddSeries(scheme)
 		ls := latency.AddSeries(scheme)
 		for i, rate := range o.rates() {
 			links := int(rate*float64(nLinks) + 0.5)
 			x := rate * 100
 			seed := stats.DeriveSeed(o.Seed, fmt.Sprintf("fault/%s/%d", scheme, i))
-			scheme, si := scheme, si
+			scheme := scheme
 			points = append(points, SweepPoint{
 				Run: func() any { return faultPoint(m, scheme, links, seed, o) },
 				Commit: func(v any) {
@@ -185,18 +161,10 @@ func FaultFiguresStats(o FaultOptions) (delivery, latency *stats.Figure, cacheSt
 					if r.ops > 0 {
 						ls.Add(x, r.latency)
 					}
-					t := &totals[si]
-					t.Hits += r.cache.Hits
-					t.Misses += r.cache.Misses
-					t.Evictions += r.cache.Evictions
-					t.Invalidations += r.cache.Invalidations
 				},
 			})
 		}
 	}
 	RunSweep(points, o.Parallel)
-	for si, scheme := range o.schemes() {
-		cacheStats = append(cacheStats, SchemeCacheStats{Scheme: scheme, Stats: totals[si]})
-	}
-	return delivery, latency, cacheStats
+	return delivery, latency
 }

@@ -63,7 +63,7 @@ func TestMaskedCDGAcyclic(t *testing.T) {
 				masked := mask.MaskTopology()
 				sets := randomSets(topo, mask, rng, 3)
 				for _, name := range routing.Names() {
-					dr, err := NewRouter(name, st, mask)
+					dr, err := routerFor(name, st, mask)
 					if err != nil {
 						continue // scheme unsupported on this topology
 					}
@@ -94,13 +94,7 @@ func TestMaskedCDGAcyclic(t *testing.T) {
 							perPlanAcyclic(t, name, trial, plan)
 							continue
 						}
-						rec := recorders[name]
-						for _, p := range plan.Paths {
-							rec.AddPath(p)
-						}
-						for _, tr := range plan.Trees {
-							rec.AddTree(tr)
-						}
+						recordPlan(recorders[name], plan)
 					}
 				}
 			}
@@ -116,10 +110,21 @@ func TestMaskedCDGAcyclic(t *testing.T) {
 	}
 }
 
+// routerFor builds the degraded router for one mask from scratch: a
+// fresh LiveRouter advanced by one delta of the mask's active faults.
+func routerFor(scheme string, st *routing.State, mask *Mask) (*LiveRouter, error) {
+	r, err := NewLiveRouter(scheme, st, routing.Options{})
+	if err != nil {
+		return nil, err
+	}
+	r.ApplyDelta(mask.ActiveDelta())
+	return r, nil
+}
+
 // planNoPanic converts a degraded-planning panic into a test failure
 // with the scheme attached (the acceptance criterion says "never a
 // panic").
-func planNoPanic(t *testing.T, dr *Router, k core.MulticastSet) (plan routing.Plan, st PlanStats, err error) {
+func planNoPanic(t *testing.T, dr *LiveRouter, k core.MulticastSet) (plan routing.Plan, st PlanStats, err error) {
 	t.Helper()
 	defer func() {
 		if r := recover(); r != nil {
@@ -153,7 +158,7 @@ func randomSets(topo topology.Topology, mask *Mask, rng *stats.Rand, n int) []co
 
 // liveSubset restricts k to the destinations reachable over the masked
 // graph; ok is false when none survive.
-func liveSubset(topo topology.Topology, masked *topology.Masked, k core.MulticastSet) (core.MulticastSet, bool) {
+func liveSubset(topo topology.Topology, masked *topology.LiveMasked, k core.MulticastSet) (core.MulticastSet, bool) {
 	var live []topology.NodeID
 	for _, d := range k.Dests {
 		if masked.Reachable(k.Source, d) {
@@ -172,13 +177,18 @@ func liveSubset(topo topology.Topology, masked *topology.Masked, k core.Multicas
 func perPlanAcyclic(t *testing.T, name string, trial int, plan routing.Plan) {
 	t.Helper()
 	rec := dfr.NewDependencyRecorder()
+	recordPlan(rec, plan)
+	if cyc := rec.FindCycle(); cyc != nil {
+		t.Fatalf("%s trial %d: single-plan dependency cycle: %v", name, trial, cyc)
+	}
+}
+
+// recordPlan folds every path and tree of plan into rec.
+func recordPlan(rec *dfr.DependencyRecorder, plan routing.Plan) {
 	for _, p := range plan.Paths {
 		rec.AddPath(p)
 	}
 	for _, tr := range plan.Trees {
 		rec.AddTree(tr)
-	}
-	if cyc := rec.FindCycle(); cyc != nil {
-		t.Fatalf("%s trial %d: single-plan dependency cycle: %v", name, trial, cyc)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"multicastnet/internal/core"
+	"multicastnet/internal/dfr"
 	"multicastnet/internal/routing"
 	"multicastnet/internal/stats"
 	"multicastnet/internal/topology"
@@ -54,13 +55,15 @@ func maskOf(topo topology.Topology, active []Event) *Mask {
 	return m
 }
 
-// TestChurnEquivalence is the tentpole invariant: a LiveRouter driven by
-// an arbitrary interleaving of fault and repair deltas plans
-// byte-identically, at every intermediate step, to a static degraded
-// Router rebuilt from scratch with the same active mask — for every
-// registry scheme on both the mesh and the hypercube. A second LiveRouter
-// with an attached plan cache must agree too, whether a plan comes fresh
-// or from cache (targeted invalidation must never serve a stale plan).
+// TestChurnEquivalence is the incremental path's invariant: a LiveRouter
+// driven by an arbitrary interleaving of fault and repair deltas plans
+// byte-identically, at every intermediate step, to a fresh LiveRouter
+// given that step's active faults as one delta — for every registry
+// scheme on both the mesh and the hypercube. A second LiveRouter with an
+// attached plan cache must agree too, whether a plan comes fresh or from
+// cache (targeted invalidation must never serve a stale plan). For the
+// deadlock-free schemes, the channel dependency graph over every plan
+// produced so far, across all epochs, must stay acyclic after every step.
 func TestChurnEquivalence(t *testing.T) {
 	cases := []struct {
 		topo topology.Topology
@@ -101,11 +104,12 @@ func churnScheme(t *testing.T, topo topology.Topology, st *routing.State, scheme
 		t.Fatal(err)
 	}
 	cached.AttachCache(routing.NewPlanCache(512))
-	// The union-CDG audit only holds for deadlock-free schemes:
+	// The union CDG is only acyclic for deadlock-free schemes:
 	// naive-tree is the paper's deliberate counterexample, cyclic across
 	// concurrent multicasts by design.
+	var union *dfr.DependencyRecorder
 	if info, err := routing.Lookup(scheme); err == nil && info.DeadlockFree {
-		cached.EnableCDGAudit(8)
+		union = dfr.NewDependencyRecorder()
 	}
 
 	links := EnumerateLinks(topo)
@@ -126,25 +130,28 @@ func churnScheme(t *testing.T, topo topology.Topology, st *routing.State, scheme
 		}
 
 		mask := maskOf(topo, active)
-		static, err := NewRouter(scheme, st, mask)
+		fresh, err := routerFor(scheme, st, mask)
 		if err != nil {
-			t.Fatalf("step %d: static rebuild: %v", step, err)
+			t.Fatalf("step %d: fresh router: %v", step, err)
 		}
 		for _, k := range working {
 			if mask.NodeDead(k.Source) {
 				continue // dead sources are covered by TestSourceDead
 			}
-			lp, lst, lerr := planNoPanic(t, &lr.Router, k)
-			sp, sst, serr := planNoPanic(t, static, k)
+			lp, lst, lerr := planNoPanic(t, lr, k)
+			sp, sst, serr := planNoPanic(t, fresh, k)
 			if !reflect.DeepEqual(lp, sp) {
-				t.Fatalf("step %d (epoch %d): live plan diverged from full rebuild for %v\nlive:   %+v\nstatic: %+v",
+				t.Fatalf("step %d (epoch %d): live plan diverged from a fresh router for %v\nlive:  %+v\nfresh: %+v",
 					step, lr.Epoch(), k, lp, sp)
 			}
 			if lst != sst {
-				t.Fatalf("step %d: stats diverged: live %+v static %+v", step, lst, sst)
+				t.Fatalf("step %d: stats diverged: live %+v fresh %+v", step, lst, sst)
 			}
 			if (lerr == nil) != (serr == nil) || (lerr != nil && !errors.Is(lerr, ErrPartitioned)) {
-				t.Fatalf("step %d: errors diverged: live %v static %v", step, lerr, serr)
+				t.Fatalf("step %d: errors diverged: live %v fresh %v", step, lerr, serr)
+			}
+			if union != nil {
+				recordPlan(union, lp)
 			}
 			cp, _, served, cerr := cached.PlanDegradedCached(k)
 			if served {
@@ -156,9 +163,7 @@ func churnScheme(t *testing.T, topo topology.Topology, st *routing.State, scheme
 				if cerr != nil {
 					t.Fatalf("step %d: cache hit returned error %v", step, cerr)
 				}
-				// (On a fully healed mask the static router has no masked
-				// view; every channel is trivially alive.)
-				if !mask.Empty() && !static.planValid(cp, k) {
+				if !fresh.planValid(cp, k) {
 					t.Fatalf("step %d: cache served a plan invalid under the current mask for %v", step, k)
 				}
 			} else {
@@ -168,6 +173,12 @@ func churnScheme(t *testing.T, topo topology.Topology, st *routing.State, scheme
 				if !reflect.DeepEqual(cp, sp) {
 					t.Fatalf("step %d: cached live router miss-path plan diverged for %v", step, k)
 				}
+			}
+		}
+		if union != nil {
+			if cyc := union.FindCycle(); cyc != nil {
+				t.Fatalf("step %d (epoch %d): union of all plans so far has a dependency cycle %v",
+					step, lr.Epoch(), cyc)
 			}
 		}
 	}
@@ -184,7 +195,7 @@ func churnScheme(t *testing.T, topo topology.Topology, st *routing.State, scheme
 		t.Fatal(err)
 	}
 	for _, k := range randomSets(topo, NewMask(topo), rng, 3) {
-		lp, lst, lerr := planNoPanic(t, &lr.Router, k)
+		lp, lst, lerr := planNoPanic(t, lr, k)
 		if lerr != nil || lst.Degraded() {
 			t.Fatalf("healed router still degraded: %+v %v", lst, lerr)
 		}

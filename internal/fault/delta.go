@@ -1,15 +1,14 @@
 package fault
 
 import (
-	"multicastnet/internal/dfr"
 	"multicastnet/internal/routing"
 	"multicastnet/internal/topology"
 )
 
 // Delta is one batch of fault-model changes: events that fire and events
-// that are repaired. It is the unit the live routing path consumes — a
-// LiveRouter absorbs a Delta in O(|delta|) where the static path rebuilds
-// in O(topology).
+// that are repaired. It is the unit degraded routing consumes: a
+// LiveRouter absorbs a Delta in O(|delta|) instead of rebuilding its
+// masked state in O(topology).
 //
 // A Delta carries Events rather than raw graph changes because the fault
 // model is richer than the physical graph: a VCFault kills one directed
@@ -85,32 +84,4 @@ func (m *Mask) ApplyDelta(d Delta) {
 	for _, e := range d.Repair {
 		m.Unapply(e)
 	}
-}
-
-// DeadChannels enumerates the dfr channels of classes [0, maxClass) the
-// delta's Fail events kill — the frontier for incremental CDG work.
-func (d Delta) DeadChannels(t topology.Topology, maxClass int) []dfr.Channel {
-	var out []dfr.Channel
-	var buf []topology.NodeID
-	addBoth := func(a, b topology.NodeID) {
-		for cl := 0; cl < maxClass; cl++ {
-			out = append(out,
-				dfr.Channel{From: a, To: b, Class: cl},
-				dfr.Channel{From: b, To: a, Class: cl})
-		}
-	}
-	for _, e := range d.Fail {
-		switch e.Kind {
-		case LinkFault:
-			addBoth(e.A, e.B)
-		case NodeFault:
-			buf = t.Neighbors(e.A, buf[:0])
-			for _, w := range buf {
-				addBoth(e.A, w)
-			}
-		case VCFault:
-			out = append(out, dfr.Channel{From: e.A, To: e.B, Class: e.Class})
-		}
-	}
-	return out
 }

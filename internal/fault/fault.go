@@ -1,8 +1,8 @@
 // Package fault is the fault-injection subsystem: deterministic, seeded
 // fault plans (link, node, and virtual-channel failures with activation
-// times), cumulative fault masks over a topology, and a degraded-mode
-// router that keeps every registry scheme routing — and provably
-// deadlock-free — around dead hardware.
+// times), cumulative fault masks over a topology, and one degraded-mode
+// router, LiveRouter, that keeps every registry scheme routing — and
+// provably deadlock-free — around dead hardware as faults come and go.
 //
 // The fault model follows the dissertation's hardware assumptions: links
 // are bidirectional physical channels, so a link fault removes both
@@ -11,14 +11,17 @@
 // removes a single directed channel copy (one dfr.Channel) while the
 // physical link keeps carrying its other classes.
 //
-// Degraded-mode routing (see Router) masks the routing.State adjacency
-// with the fault mask, re-runs the original scheme over the masked
-// graph, falls back through the path-based schemes, and as a last resort
-// repairs plans with label-monotone escape segments on escalating
-// channel classes. Every produced plan keeps the channel dependency
-// graph acyclic (re-verifiable via internal/dfr); destinations severed
-// from the source are reported with a typed partition error
-// (ErrPartitioned) rather than routed through dead hardware.
+// Degraded-mode routing (see LiveRouter) masks the routing.State
+// adjacency with the fault mask, re-runs the original scheme over the
+// masked graph, falls back through the path-based schemes, and as a last
+// resort repairs plans with label-monotone escape segments on escalating
+// channel classes. Fault and repair events reach the router as Deltas,
+// absorbed in O(|delta|); a router for a fixed mask is a fresh router
+// plus one delta of that mask's active faults (Mask.ActiveDelta). Every
+// produced plan keeps the channel dependency graph acyclic
+// (re-verifiable via internal/dfr); destinations severed from the source
+// are reported with a typed partition error (ErrPartitioned) rather than
+// routed through dead hardware.
 package fault
 
 import (
@@ -374,38 +377,33 @@ func (m *Mask) ChannelDead(c dfr.Channel) bool {
 		m.linkDead[topology.NormLink(c.From, c.To)] || m.vcDead[c]
 }
 
-// DeadNodes returns the failed nodes, ascending.
-func (m *Mask) DeadNodes() []topology.NodeID {
-	var out []topology.NodeID
+// ActiveDelta lists the mask's active faults as one fail-only Delta in
+// canonical order: dead nodes, then dead links, then dead channel
+// copies, each ascending. Applied to a fresh LiveRouter, it builds the
+// degraded router for this mask.
+func (m *Mask) ActiveDelta() Delta {
+	var d Delta
 	for v, dead := range m.nodeDead {
 		if dead {
-			out = append(out, topology.NodeID(v))
+			d.Fail = append(d.Fail, Event{Kind: NodeFault, A: topology.NodeID(v)})
 		}
 	}
-	return out
-}
-
-// DeadLinks returns the directly failed links in canonical order
-// (dead-node-induced link loss is not materialized here; topology.Masked
-// handles dead nodes separately).
-func (m *Mask) DeadLinks() []topology.Link {
-	out := make([]topology.Link, 0, len(m.linkDead))
 	for l := range m.linkDead {
-		out = append(out, l)
+		d.Fail = append(d.Fail, Event{Kind: LinkFault, A: l.U, B: l.V})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].U != out[j].U {
-			return out[i].U < out[j].U
-		}
-		return out[i].V < out[j].V
-	})
-	return out
+	for c := range m.vcDead {
+		d.Fail = append(d.Fail, Event{Kind: VCFault, A: c.From, B: c.To, Class: c.Class})
+	}
+	sortEvents(d.Fail)
+	return d
 }
 
-// MaskTopology returns the masked view of the mask's topology: dead
+// MaskTopology returns a fresh masked view of the mask's topology: dead
 // nodes isolated, dead links removed. VC faults do not affect the
 // physical graph (the link's other classes still carry flits), so they
 // are excluded here and enforced per-channel by the degraded router.
-func (m *Mask) MaskTopology() *topology.Masked {
-	return topology.NewMasked(m.topo, m.DeadNodes(), m.DeadLinks())
+func (m *Mask) MaskTopology() *topology.LiveMasked {
+	v := topology.NewLiveMasked(m.topo)
+	v.Apply(m.ActiveDelta().GraphDelta())
+	return v
 }

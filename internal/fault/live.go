@@ -1,121 +1,28 @@
 package fault
 
 import (
-	"fmt"
-
 	"multicastnet/internal/core"
-	"multicastnet/internal/dfr"
 	"multicastnet/internal/routing"
 )
 
-// LiveRouter is the delta-driven counterpart of Router: one degraded-mode
-// router that absorbs fault AND repair deltas in O(|delta|) and keeps
-// planning, instead of being rebuilt per mask. It is built once over the
-// healthy state; ApplyDelta patches the live masked graph in place
-// (routing.LiveState), updates the cumulative mask, and — when a plan
-// cache is attached — evicts exactly the cached plans that traverse
-// killed channels.
-//
-// Plans at any epoch are byte-identical to a static NewRouter built from
-// scratch with the same active mask (the churn-equivalence tests pin
-// this). When repairs drain the mask completely, planning bypasses the
-// degraded machinery and is byte-identical to the healthy scheme.
-//
-// Concurrency follows the epoch protocol: ApplyDelta is a write and must
-// be externally synchronized against planning; within an epoch any number
-// of goroutines may plan concurrently.
-type LiveRouter struct {
-	Router
-	ls    *routing.LiveState
-	cache *routing.PlanCache
-	cdg   *dfr.IncrementalCDG
-
-	replans       uint64 // PlanDegradedCached calls that missed the cache
-	cachedServes  uint64 // calls served straight from the cache
-	lastEvicted   int    // entries evicted by the most recent delta
-	totalEvicted  int
-	auditMaxClass int
-}
-
-// NewLiveRouter builds delta-driven degraded routing for the named
-// registry scheme over the healthy state. The router starts at epoch 0
-// with no active faults.
-func NewLiveRouter(scheme string, healthy *routing.State, opts routing.Options) (*LiveRouter, error) {
-	hr, err := routing.NewWithOptions(scheme, healthy, opts)
-	if err != nil {
-		return nil, err
-	}
-	ls := routing.NewLiveState(healthy)
-	base, treeFam := repairBaseFor(scheme, opts)
-	lr := &LiveRouter{ls: ls}
-	lr.Router = Router{
-		scheme:  scheme,
-		healthy: healthy,
-		// The identity is epoch-independent on purpose: cached plans
-		// survive deltas (targeted invalidation handles correctness), so
-		// unaffected traffic keeps its cache hits across the churn.
-		id:         hr.ID() + "@live",
-		mask:       NewMask(healthy.Topology()),
-		masked:     ls.Live(),
-		mstate:     ls.State(),
-		repairBase: base,
-		treeFamily: treeFam,
-	}
-	// Inner scheme and fallbacks are built ONCE over the live state; the
-	// scheme kernels read adjacency through it at plan time, so every
-	// applied delta is visible to them without rebuild.
-	if inner, err := routing.NewWithOptions(scheme, ls.State(), opts); err == nil {
-		lr.inner = inner
-	}
-	for _, fb := range []string{"dual-path", "multi-path"} {
-		if fb == scheme {
-			continue
-		}
-		if fr, err := routing.New(fb, ls.State()); err == nil {
-			lr.fallbacks = append(lr.fallbacks, fr)
-		}
-	}
-	return lr, nil
-}
-
 // AttachCache gives the router a plan cache consulted by
 // PlanDegradedCached and kept consistent by ApplyDelta via targeted
-// invalidation. The cache may be shared with other routers.
-func (lr *LiveRouter) AttachCache(c *routing.PlanCache) { lr.cache = c }
-
-// Cache returns the attached plan cache, or nil.
-func (lr *LiveRouter) Cache() *routing.PlanCache { return lr.cache }
-
-// EnableCDGAudit turns on the incremental channel-dependency audit:
-// every freshly planned multicast's dependencies are added to an
-// IncrementalCDG and acyclicity is re-verified from the changed classes
-// only. maxClass bounds the channel classes the scheme can emit (used to
-// seed the dirty frontier from deltas). A detected cycle panics — it
-// would mean the degraded-planning invariant is broken.
-func (lr *LiveRouter) EnableCDGAudit(maxClass int) {
-	lr.cdg = dfr.NewIncrementalCDG()
-	lr.auditMaxClass = maxClass
-}
-
-// CDG returns the audit CDG, or nil when auditing is off.
-func (lr *LiveRouter) CDG() *dfr.IncrementalCDG { return lr.cdg }
-
-// LiveState returns the underlying incremental routing state.
-func (lr *LiveRouter) LiveState() *routing.LiveState { return lr.ls }
+// invalidation. The cache must not be shared with another router: its
+// entries are keyed by the epoch-independent ID, so a sharer with other
+// faults would be served this router's detours and their accounting.
+func (r *LiveRouter) AttachCache(c *routing.PlanCache) { r.cache = c }
 
 // Epoch returns the number of deltas applied so far.
-func (lr *LiveRouter) Epoch() uint64 { return lr.ls.Epoch() }
+func (r *LiveRouter) Epoch() uint64 { return r.ls.Epoch() }
 
 // Mask returns the cumulative active-fault mask. Callers must treat it
 // as read-only; ApplyDelta is the only mutator.
-func (lr *LiveRouter) Mask() *Mask { return lr.mask }
+func (r *LiveRouter) Mask() *Mask { return r.mask }
 
 // DeltaReport summarizes one ApplyDelta.
 type DeltaReport struct {
 	// Epoch is the state's epoch after the delta.
 	Epoch uint64
-	// ChangedNodes is how many adjacency rows the delta patched.
-	ChangedNodes int
 	// Invalidated is how many cached plans the delta evicted (0 without
 	// an attached cache, and always 0 for pure-repair deltas).
 	Invalidated int
@@ -129,22 +36,19 @@ type DeltaReport struct {
 // Repair events never evict anything — a plan that avoided dead hardware
 // stays valid when the hardware returns; re-optimization happens lazily
 // as entries age out or their traffic replans.
-func (lr *LiveRouter) ApplyDelta(d Delta) DeltaReport {
-	lr.mask.ApplyDelta(d)
-	changed := lr.ls.Apply(d.GraphDelta())
+func (r *LiveRouter) ApplyDelta(d Delta) DeltaReport {
+	r.mask.ApplyDelta(d)
+	r.ls.Apply(d.GraphDelta())
 	evicted := 0
-	if lr.cache != nil {
-		if pairs := d.DeadChannelPairs(lr.healthy.Topology()); len(pairs) > 0 {
-			evicted = lr.cache.Invalidate(pairs)
+	if r.cache != nil {
+		if pairs := d.DeadChannelPairs(r.healthy.Topology()); len(pairs) > 0 {
+			evicted = r.cache.Invalidate(pairs)
 		}
 	}
-	lr.lastEvicted = evicted
-	lr.totalEvicted += evicted
 	return DeltaReport{
-		Epoch:        lr.ls.Epoch(),
-		ChangedNodes: len(changed),
+		Epoch:        r.ls.Epoch(),
 		Invalidated:  evicted,
-		ActiveFaults: lr.mask.Events(),
+		ActiveFaults: r.mask.Events(),
 	}
 }
 
@@ -155,20 +59,16 @@ func (lr *LiveRouter) ApplyDelta(d Delta) DeltaReport {
 // produced, so outcomes are byte-identical whether a plan comes fresh or
 // from cache. Without an attached cache it is exactly PlanDegraded with
 // served=false.
-func (lr *LiveRouter) PlanDegradedCached(k core.MulticastSet) (routing.Plan, PlanStats, bool, error) {
-	if lr.cache != nil {
-		if p, aux, ok := lr.cache.GetPlanAux(lr.id, k); ok {
-			lr.cachedServes++
+func (r *LiveRouter) PlanDegradedCached(k core.MulticastSet) (routing.Plan, PlanStats, bool, error) {
+	if r.cache != nil {
+		if p, aux, ok := r.cache.GetPlanAux(r.id, k); ok {
+			r.cachedServes++
 			return p, statsFromAux(aux), true, nil
 		}
 	}
-	plan, st, err := lr.PlanDegraded(k)
-	lr.replans++
-	if lr.cache != nil && err == nil && st.Unreachable == 0 {
-		lr.cache.PutPlanAux(lr.id, k, plan, auxFromStats(st))
-	}
-	if lr.cdg != nil {
-		lr.auditPlan(plan)
+	plan, st, err := r.PlanDegraded(k)
+	if r.cache != nil && err == nil && st.Unreachable == 0 {
+		r.cache.PutPlanAux(r.id, k, plan, auxFromStats(st))
 	}
 	return plan, st, false, err
 }
@@ -191,26 +91,6 @@ func statsFromAux(aux uint64) PlanStats {
 	return PlanStats{FellBack: aux&1 != 0, Repaired: aux&2 != 0}
 }
 
-// Replans and CachedServes return the PlanDegradedCached miss/hit split.
-func (lr *LiveRouter) Replans() uint64 { return lr.replans }
-
 // CachedServes returns how many PlanDegradedCached calls were served
 // straight from the cache.
-func (lr *LiveRouter) CachedServes() uint64 { return lr.cachedServes }
-
-// auditPlan folds a freshly produced plan into the incremental CDG and
-// re-verifies acyclicity from the dirty classes only. The class-run
-// invariant guarantees the union CDG over every plan ever produced stays
-// acyclic, so a cycle here is a routing bug, not a workload property.
-func (lr *LiveRouter) auditPlan(p routing.Plan) {
-	for _, pr := range p.Paths {
-		lr.cdg.AddPath(pr)
-	}
-	for _, tr := range p.Trees {
-		lr.cdg.AddTree(tr)
-	}
-	if cyc := lr.cdg.Check(); cyc != nil {
-		panic(fmt.Sprintf("fault: live CDG audit found a dependency cycle %v at epoch %d",
-			cyc, lr.ls.Epoch()))
-	}
-}
+func (r *LiveRouter) CachedServes() uint64 { return r.cachedServes }

@@ -48,7 +48,7 @@ type pathBuilder struct {
 // extend appends a BFS leg to the worm, assigning per-hop classes. It
 // returns false — leaving the builder untouched — when the leg would
 // reuse a channel the worm already holds.
-func (b *pathBuilder) extend(r *Router, leg []topology.NodeID) bool {
+func (b *pathBuilder) extend(r *LiveRouter, leg []topology.NodeID) bool {
 	cls := make([]int, 0, len(leg)-1)
 	class, dir := b.class, b.dir
 	for i := 1; i < len(leg); i++ {
@@ -81,7 +81,7 @@ func (b *pathBuilder) extend(r *Router, leg []topology.NodeID) bool {
 // repairPaths builds escape-segment repair paths for every destination
 // of k (all assumed reachable over the masked graph), starting class
 // assignment at base.
-func (r *Router) repairPaths(k core.MulticastSet, base int) []dfr.PathRoute {
+func (r *LiveRouter) repairPaths(k core.MulticastSet, base int) []dfr.PathRoute {
 	dh, dl := dfr.HighLowPartition(r.healthy.Labeling(), k)
 	var out []dfr.PathRoute
 	for _, group := range [2][]topology.NodeID{dh, dl} {
@@ -95,7 +95,7 @@ func (r *Router) repairPaths(k core.MulticastSet, base int) []dfr.PathRoute {
 // repairGroup chains BFS legs through one label-ordered destination
 // group, starting a new worm from the source whenever a leg would make
 // the current worm wait on itself.
-func (r *Router) repairGroup(src topology.NodeID, dests []topology.NodeID, base int) []dfr.PathRoute {
+func (r *LiveRouter) repairGroup(src topology.NodeID, dests []topology.NodeID, base int) []dfr.PathRoute {
 	var out []dfr.PathRoute
 	var b *pathBuilder
 	reset := func() {
@@ -140,8 +140,9 @@ func (r *Router) repairGroup(src topology.NodeID, dests []topology.NodeID, base 
 // bfsPath returns the deterministic shortest path from u to v over the
 // masked graph — BFS visiting neighbors in the masked topology's
 // precomputed order, parent-first — or nil when v is unreachable.
-func (r *Router) bfsPath(u, v topology.NodeID) []topology.NodeID {
-	n := r.masked.Nodes()
+func (r *LiveRouter) bfsPath(u, v topology.NodeID) []topology.NodeID {
+	masked := r.ls.Live()
+	n := masked.Nodes()
 	parent := make([]int32, n)
 	for i := range parent {
 		parent[i] = -1
@@ -153,7 +154,7 @@ func (r *Router) bfsPath(u, v topology.NodeID) []topology.NodeID {
 	for len(queue) > 0 && parent[v] < 0 {
 		cur := queue[0]
 		queue = queue[1:]
-		buf = r.masked.Neighbors(cur, buf[:0])
+		buf = masked.Neighbors(cur, buf[:0])
 		for _, w := range buf {
 			if parent[w] < 0 {
 				parent[w] = int32(cur)

@@ -50,10 +50,15 @@ type PlanStats struct {
 // Degraded reports whether the plan needed any degraded-mode treatment.
 func (s PlanStats) Degraded() bool { return s.FellBack || s.Repaired || s.Unreachable > 0 }
 
-// Router wraps one registry scheme with degraded-mode routing over a
-// fault mask. It implements routing.Router (PlanSet silently drops
-// unreachable destinations; use PlanDegraded for the typed partition
-// error and accounting).
+// LiveRouter is degraded-mode routing for one registry scheme over a
+// fault mask that changes by deltas. It is built once over the healthy
+// state, with no active faults; ApplyDelta absorbs each batch of fault
+// and repair events in O(|delta|) by patching the live masked graph in
+// place (routing.LiveState) and updating the cumulative mask. A router
+// for a given mask is a fresh NewLiveRouter plus one ApplyDelta of that
+// mask's ActiveDelta. It implements routing.Router (PlanSet silently
+// drops unreachable destinations; use PlanDegraded for the typed
+// partition error and accounting).
 //
 // Plan derivation tries, in order:
 //
@@ -68,6 +73,12 @@ func (s PlanStats) Degraded() bool { return s.FellBack || s.Repaired || s.Unreac
 //     escalated at every direction reversal (see repair.go). This always
 //     succeeds for reachable destinations.
 //
+// The scheme and its fallbacks are built once over the live state and
+// read adjacency through it at plan time, so every applied delta is
+// visible to them without a rebuild. When repairs drain the mask,
+// planning bypasses the degraded machinery and is byte-identical to the
+// healthy scheme.
+//
 // Every accepted plan is re-validated against the mask: channels must be
 // alive and every path must keep a non-decreasing class sequence that is
 // label-monotone within each equal-class run — the invariant that keeps
@@ -78,70 +89,54 @@ func (s PlanStats) Degraded() bool { return s.FellBack || s.Repaired || s.Unreac
 // the destinations of broken trees with escape segments starting above
 // the tree's channel classes, so tree dependencies and repair
 // dependencies can never form a mixed cycle.
-type Router struct {
+//
+// Concurrency follows the epoch protocol: ApplyDelta is a write and must
+// be externally synchronized against planning; within an epoch any number
+// of goroutines may plan concurrently.
+type LiveRouter struct {
 	scheme     string
 	id         string
 	healthy    *routing.State
 	mask       *Mask
-	masked     maskedView
-	mstate     *routing.State
+	ls         *routing.LiveState
 	inner      routing.Router
 	fallbacks  []routing.Router
 	repairBase int
 	treeFamily bool
+
+	cache        *routing.PlanCache
+	cachedServes uint64 // PlanDegradedCached calls served from the cache
 }
 
-// maskedView is the masked-graph surface degraded routing needs: both
-// the immutable topology.Masked snapshot of the static path and the
-// delta-patched topology.LiveMasked of the live path satisfy it.
-type maskedView interface {
-	topology.Topology
-	Reachable(u, v topology.NodeID) bool
-}
-
-// NewRouter builds degraded-mode routing for the named registry scheme
-// over the healthy state and the given mask (nil or empty mask routes
-// exactly like the plain scheme).
-func NewRouter(scheme string, healthy *routing.State, mask *Mask) (*Router, error) {
-	return NewRouterWithOptions(scheme, healthy, mask, routing.Options{})
-}
-
-// NewRouterWithOptions is NewRouter with registry options (e.g. the
-// virtual-channel copy count). A non-empty mask builds its masked
-// topology and routing state from scratch.
-func NewRouterWithOptions(scheme string, healthy *routing.State, mask *Mask,
-	opts routing.Options) (*Router, error) {
-	hr, err := routing.NewWithOptions(scheme, healthy, opts)
+// NewLiveRouter builds degraded routing for the named registry scheme
+// over the healthy state, with registry options (e.g. the
+// virtual-channel copy count). The router starts at epoch 0 with no
+// active faults.
+func NewLiveRouter(scheme string, healthy *routing.State, opts routing.Options) (*LiveRouter, error) {
+	ls := routing.NewLiveState(healthy)
+	inner, err := routing.NewWithOptions(scheme, ls.State(), opts)
 	if err != nil {
 		return nil, err
 	}
 	base, treeFam := repairBaseFor(scheme, opts)
-	r := &Router{
-		scheme:     scheme,
-		id:         hr.ID(),
-		healthy:    healthy,
-		mask:       mask,
+	r := &LiveRouter{
+		scheme:  scheme,
+		healthy: healthy,
+		// The identity is epoch-independent on purpose: cached plans
+		// survive deltas (targeted invalidation handles correctness), so
+		// unaffected traffic keeps its cache hits across the churn.
+		id:         inner.ID() + "@live",
+		mask:       NewMask(healthy.Topology()),
+		ls:         ls,
+		inner:      inner,
 		repairBase: base,
 		treeFamily: treeFam,
-	}
-	if mask == nil || mask.Empty() {
-		r.mask = nil
-		r.mstate = healthy
-		r.inner = hr
-		return r, nil
-	}
-	masked := mask.MaskTopology()
-	r.masked = masked
-	r.mstate = routing.NewStateWithLabeling(masked, healthy.Labeling())
-	r.id = hr.ID() + "@" + masked.Name()
-	if inner, err := routing.NewWithOptions(scheme, r.mstate, opts); err == nil {
-		r.inner = inner
 	}
 	for _, fb := range []string{"dual-path", "multi-path"} {
 		if fb == scheme {
 			continue
 		}
-		if fr, err := routing.New(fb, r.mstate); err == nil {
+		if fr, err := routing.New(fb, ls.State()); err == nil {
 			r.fallbacks = append(r.fallbacks, fr)
 		}
 	}
@@ -175,20 +170,20 @@ func repairBaseFor(scheme string, opts routing.Options) (base int, tree bool) {
 }
 
 // Scheme implements routing.Router.
-func (r *Router) Scheme() string { return r.scheme }
+func (r *LiveRouter) Scheme() string { return r.scheme }
 
-// ID implements routing.Router; it includes the mask fingerprint, so
-// cached plans never leak across fault epochs.
-func (r *Router) ID() string { return r.id }
+// ID implements routing.Router: the scheme's identity with an "@live"
+// suffix, the same at every epoch.
+func (r *LiveRouter) ID() string { return r.id }
 
-// State implements routing.Router: the masked state plans are derived
-// over (the healthy state when the mask is empty).
-func (r *Router) State() *routing.State { return r.mstate }
+// State implements routing.Router: the live masked state plans are
+// derived over.
+func (r *LiveRouter) State() *routing.State { return r.ls.State() }
 
 // Plan implements routing.Router. Unreachable destinations yield a
 // PartitionError (errors.Is ErrPartitioned) alongside a plan covering
 // the reachable ones.
-func (r *Router) Plan(src topology.NodeID, dests []topology.NodeID) (routing.Plan, error) {
+func (r *LiveRouter) Plan(src topology.NodeID, dests []topology.NodeID) (routing.Plan, error) {
 	k, err := core.NewMulticastSet(r.healthy.Topology(), src, dests)
 	if err != nil {
 		return routing.Plan{}, err
@@ -200,7 +195,7 @@ func (r *Router) Plan(src topology.NodeID, dests []topology.NodeID) (routing.Pla
 // PlanSet implements routing.Router: the hot path for the simulator.
 // Unreachable destinations are silently dropped from the plan; callers
 // needing the typed error use PlanDegraded.
-func (r *Router) PlanSet(k core.MulticastSet) routing.Plan {
+func (r *LiveRouter) PlanSet(k core.MulticastSet) routing.Plan {
 	plan, _, _ := r.PlanDegraded(k)
 	return plan
 }
@@ -209,12 +204,10 @@ func (r *Router) PlanSet(k core.MulticastSet) routing.Plan {
 // destination still reachable from the source; severed destinations are
 // reported via a *PartitionError (matching errors.Is(err,
 // ErrPartitioned)). The plan and stats are valid even when err != nil.
-func (r *Router) PlanDegraded(k core.MulticastSet) (routing.Plan, PlanStats, error) {
-	// Empty() re-checks dynamically for the live path: when repairs have
-	// drained the mask, planning bypasses the degraded machinery entirely
-	// and is byte-identical to the healthy scheme, exactly like a router
-	// built with no mask.
-	if r.mask == nil || (r.mask.Empty() && r.inner != nil) {
+func (r *LiveRouter) PlanDegraded(k core.MulticastSet) (routing.Plan, PlanStats, error) {
+	// With no active fault, planning bypasses the degraded machinery
+	// entirely and is byte-identical to the healthy scheme.
+	if r.mask.Empty() {
 		return r.inner.PlanSet(k), PlanStats{}, nil
 	}
 	if r.mask.NodeDead(k.Source) {
@@ -222,9 +215,10 @@ func (r *Router) PlanDegraded(k core.MulticastSet) (routing.Plan, PlanStats, err
 		return routing.Plan{}, PlanStats{Unreachable: len(lost)},
 			&PartitionError{Scheme: r.scheme, Source: k.Source, Unreachable: lost}
 	}
+	masked := r.ls.Live()
 	var live, lost []topology.NodeID
 	for _, d := range k.Dests {
-		if r.masked.Reachable(k.Source, d) {
+		if masked.Reachable(k.Source, d) {
 			live = append(live, d)
 		} else {
 			lost = append(lost, d)
@@ -245,10 +239,8 @@ func (r *Router) PlanDegraded(k core.MulticastSet) (routing.Plan, PlanStats, err
 		st.Repaired = repaired
 		return plan, st, perr
 	}
-	if r.inner != nil {
-		if plan, ok := attemptPlan(r.inner, lk); ok && r.planValid(plan, lk) {
-			return plan, st, perr
-		}
+	if plan, ok := attemptPlan(r.inner, lk); ok && r.planValid(plan, lk) {
+		return plan, st, perr
 	}
 	for _, fb := range r.fallbacks {
 		if plan, ok := attemptPlan(fb, lk); ok && r.planValid(plan, lk) {
@@ -264,13 +256,10 @@ func (r *Router) PlanDegraded(k core.MulticastSet) (routing.Plan, PlanStats, err
 // the mask are kept; destinations of broken trees are served by escape
 // paths whose classes start above the tree classes, keeping the two
 // dependency families disjoint.
-func (r *Router) planTrees(k core.MulticastSet) (routing.Plan, bool) {
+func (r *LiveRouter) planTrees(k core.MulticastSet) (routing.Plan, bool) {
 	var out routing.Plan
 	var broken []topology.NodeID
-	plan, ok := routing.Plan{}, false
-	if r.inner != nil {
-		plan, ok = attemptPlan(r.inner, k)
-	}
+	plan, ok := attemptPlan(r.inner, k)
 	if !ok {
 		broken = k.Dests
 	} else {
@@ -292,8 +281,8 @@ func (r *Router) planTrees(k core.MulticastSet) (routing.Plan, bool) {
 
 // treeAlive reports whether a tree route survives the mask intact:
 // well-formed over the masked graph with every channel copy alive.
-func (r *Router) treeAlive(tr dfr.TreeRoute) bool {
-	if err := tr.Validate(r.masked, core.MulticastSet{Source: tr.Root, Dests: tr.Dests}); err != nil {
+func (r *LiveRouter) treeAlive(tr dfr.TreeRoute) bool {
+	if err := tr.Validate(r.ls.Live(), core.MulticastSet{Source: tr.Root, Dests: tr.Dests}); err != nil {
 		return false
 	}
 	for _, e := range tr.Edges {
@@ -322,8 +311,8 @@ func attemptPlan(rt routing.Router, k core.MulticastSet) (plan routing.Plan, ok 
 // every path must satisfy the class-run invariant — non-decreasing
 // classes, strictly label-monotone inside each equal-class run — that
 // keeps the union channel dependency graph acyclic.
-func (r *Router) planValid(p routing.Plan, k core.MulticastSet) bool {
-	if p.Validate(r.masked, k) != nil {
+func (r *LiveRouter) planValid(p routing.Plan, k core.MulticastSet) bool {
+	if p.Validate(r.ls.Live(), k) != nil {
 		return false
 	}
 	for _, pr := range p.Paths {
@@ -352,7 +341,7 @@ func (r *Router) planValid(p routing.Plan, k core.MulticastSet) bool {
 // strictly in one direction. A masked-graph walk that lost monotonicity
 // (the routing function R can wander when the Hamiltonian sub-path is
 // severed) is rejected here and repaired instead.
-func (r *Router) pathSafe(pr dfr.PathRoute) bool {
+func (r *LiveRouter) pathSafe(pr dfr.PathRoute) bool {
 	prevClass := -1
 	dir := 0
 	for i := 0; i+1 < len(pr.Nodes); i++ {

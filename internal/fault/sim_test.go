@@ -56,9 +56,9 @@ func TestSimScheduleRejectsRepairs(t *testing.T) {
 // TestSimScheduleMatchesStaticSchedule is the bridge's equivalence
 // anchor: a full dynamic wormsim run whose mid-run fault epochs re-plan
 // through ONE delta-advanced LiveRouter must be field-for-field identical
-// to the same run where every epoch's route is a static degraded Router
-// rebuilt from the cumulative mask — the pre-existing manual way of
-// wiring wormsim.ScheduledFault.
+// to the same run where every epoch's route is a fresh router built from
+// that epoch's cumulative mask — the manual way of wiring
+// wormsim.ScheduledFault.
 func TestSimScheduleMatchesStaticSchedule(t *testing.T) {
 	m := topology.NewMesh2D(8, 8)
 	st, err := routing.NewState(m)
@@ -109,7 +109,7 @@ func TestSimScheduleMatchesStaticSchedule(t *testing.T) {
 	}
 
 	staticRoute := func(mask *Mask) wormsim.RouteFunc {
-		dr, err := NewRouter(scheme, st, mask)
+		dr, err := routerFor(scheme, st, mask)
 		if err != nil {
 			t.Fatal(err)
 		}

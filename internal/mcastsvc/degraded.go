@@ -125,15 +125,13 @@ func (s *Service) MulticastUnderFaults(source topology.NodeID, g Group, bytes in
 
 	// One live router serves every attempt: each retry advances it by the
 	// delta of newly activated events instead of rebuilding masked state
-	// from scratch. The service plan cache is attached, so an attempt
-	// whose pending set was already planned — and whose plan survived
-	// targeted invalidation — is served without re-planning; only requests
-	// the deltas actually touched re-plan.
+	// from scratch. It plans without the service plan cache: its plans
+	// and their degraded-mode accounting belong to this operation's
+	// fault plan, and must not be served to another operation.
 	lr, err := fault.NewLiveRouter(s.router.Scheme(), st, routing.Options{})
 	if err != nil {
 		return DegradedOutcome{}, err
 	}
-	lr.AttachCache(s.cache)
 	applied := 0 // events folded into the live mask so far
 
 	var out DegradedOutcome
@@ -152,7 +150,7 @@ func (s *Service) MulticastUnderFaults(source topology.NodeID, g Group, bytes in
 		if err != nil {
 			return out, err
 		}
-		plan, stats, _, perr := lr.PlanDegradedCached(k)
+		plan, stats, perr := lr.PlanDegraded(k)
 		out.FellBack = out.FellBack || stats.FellBack
 		out.Repaired = out.Repaired || stats.Repaired
 		severed := make(map[topology.NodeID]bool)

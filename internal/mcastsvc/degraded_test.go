@@ -68,6 +68,45 @@ func TestMulticastUnderFaultsRoutesAround(t *testing.T) {
 	}
 }
 
+// TestMulticastUnderFaultsIsolatesOperations: one operation's degraded
+// plan must never serve another. A fault-free run after a run that
+// detoured around a dead link returns exactly what the same fault-free
+// run returns on a fresh service.
+func TestMulticastUnderFaultsIsolatesOperations(t *testing.T) {
+	m := topology.NewMesh2D(4, 4)
+	dead := fault.NewStaticPlan(m, []fault.Event{{Kind: fault.LinkFault, A: 1, B: 2}})
+	for _, scheme := range []string{"dual-path", "multi-path", "tree"} {
+		run := func(svc *Service, fp *fault.Plan) DegradedOutcome {
+			t.Helper()
+			g, err := svc.NewGroup([]topology.NodeID{0, 1, 2, 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, err := svc.MulticastUnderFaults(0, g, 0, fp, RetryPolicy{})
+			if err != nil {
+				t.Fatalf("%s: %v", scheme, err)
+			}
+			return out
+		}
+		newService := func() *Service {
+			svc, err := New(Config{Topology: m, SchemeName: scheme})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return svc
+		}
+		svc := newService()
+		if out := run(svc, dead); !out.FellBack && !out.Repaired {
+			t.Fatalf("%s: the dead link did not degrade the first operation: %+v", scheme, out)
+		}
+		got := run(svc, nil)
+		if want := run(newService(), nil); got != want {
+			t.Fatalf("%s: fault-free run after a degraded one = %+v, on a fresh service %+v",
+				scheme, got, want)
+		}
+	}
+}
+
 // TestMulticastUnderFaultsMidRunRetry activates a fault mid-flight so
 // the first attempt loses worms, then verifies the retry (re-routed over
 // the updated mask) completes the delivery.

@@ -51,10 +51,11 @@ func checkMonotone(t *testing.T, st *routing.State, name string, p dfr.PathRoute
 func checkDegraded(t *testing.T, name string, st *routing.State, mask *fault.Mask,
 	k core.MulticastSet) {
 	t.Helper()
-	dr, err := fault.NewRouter(name, st, mask)
+	dr, err := fault.NewLiveRouter(name, st, routing.Options{})
 	if err != nil {
-		t.Fatalf("%s: NewRouter: %v", name, err)
+		t.Fatalf("%s: NewLiveRouter: %v", name, err)
 	}
+	dr.ApplyDelta(mask.ActiveDelta())
 	defer func() {
 		if r := recover(); r != nil {
 			t.Fatalf("%s: PlanDegraded panicked on mask (%d events): %v",

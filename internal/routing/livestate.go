@@ -15,9 +15,9 @@ import (
 // plan: the scheme builders capture the State and read adjacency through
 // it at plan time, so one router survives arbitrarily many epochs without
 // rebuild. Plans produced at any epoch are byte-identical to plans over a
-// freshly built NewStateWithLabeling(NewMasked(...), labeling) with the
-// same dead sets (the churn-equivalence tests in internal/fault pin
-// this).
+// state built from scratch with the same dead sets —
+// NewStateWithLabeling over a fresh topology.LiveMasked advanced by one
+// delta (TestLiveStatePlanEquivalence pins this).
 //
 // Concurrency contract (the epoch protocol): Apply is a write and must be
 // externally synchronized against reads — apply deltas between planning

@@ -11,8 +11,9 @@ import (
 
 // TestLiveStatePlanEquivalence churns a LiveState through a seeded
 // fault/repair stream and, at every epoch, requires each registry scheme
-// to plan identically over the live state and over a full
-// NewStateWithLabeling(NewMasked(...)) rebuild with the same dead sets.
+// to plan identically over the live state and over a state built from
+// scratch with the same dead sets: NewStateWithLabeling over a fresh
+// LiveMasked advanced by one delta of every dead link.
 // This is the routing-layer half of the churn-equivalence guarantee (the
 // fault package pins the degraded-router half).
 func TestLiveStatePlanEquivalence(t *testing.T) {
@@ -67,7 +68,9 @@ func TestLiveStatePlanEquivalence(t *testing.T) {
 				for l := range deadLinks {
 					dl = append(dl, l)
 				}
-				rebuilt := NewStateWithLabeling(topology.NewMasked(base, nil, dl), healthy.Labeling())
+				fresh := topology.NewLiveMasked(base)
+				fresh.Apply(topology.GraphDelta{FailLinks: dl})
+				rebuilt := NewStateWithLabeling(fresh, healthy.Labeling())
 
 				k := randomSet(base, rng, 4)
 				// Keep the set plannable: skip sets whose members got cut

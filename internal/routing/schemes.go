@@ -197,8 +197,8 @@ func init() {
 	})
 }
 
-// multiPathFn dispatches the multi-path algorithm by topology. Masked
-// views are routed over the mask but split by the underlying geometry.
+// multiPathFn dispatches the multi-path algorithm by topology. A masked
+// view is routed over the mask but split by the underlying geometry.
 func multiPathFn(s *State) (func(k core.MulticastSet) dfr.Star, error) {
 	if m, ok := meshOf(s.topo); ok {
 		return func(k core.MulticastSet) dfr.Star {
@@ -213,7 +213,7 @@ func multiPathFn(s *State) (func(k core.MulticastSet) dfr.Star, error) {
 	return nil, fmt.Errorf("routing: multi-path needs a 2D mesh or hypercube, got %s", s.topo.Name())
 }
 
-// meshOf unwraps the 2D mesh beneath t, looking through a Masked view,
+// meshOf unwraps the 2D mesh beneath t, looking through a masked view,
 // so geometry-dependent schemes stay buildable over faulty meshes (the
 // degraded router validates and repairs their blind spots).
 func meshOf(t topology.Topology) (*topology.Mesh2D, bool) {
@@ -221,19 +221,16 @@ func meshOf(t topology.Topology) (*topology.Mesh2D, bool) {
 	return m, ok
 }
 
-// cubeOf unwraps the hypercube beneath t, looking through a Masked view.
+// cubeOf unwraps the hypercube beneath t, looking through a masked view.
 func cubeOf(t topology.Topology) (*topology.Hypercube, bool) {
 	h, ok := baseOf(t).(*topology.Hypercube)
 	return h, ok
 }
 
-// baseOf looks through masked views — immutable Masked and incremental
-// LiveMasked alike — to the underlying healthy topology.
+// baseOf looks through a masked view (topology.LiveMasked) to the
+// underlying healthy topology.
 func baseOf(t topology.Topology) topology.Topology {
-	switch v := t.(type) {
-	case *topology.Masked:
-		return v.Base()
-	case *topology.LiveMasked:
+	if v, ok := t.(*topology.LiveMasked); ok {
 		return v.Base()
 	}
 	return t

@@ -5,6 +5,20 @@ import (
 	"sync"
 )
 
+// Link is an undirected host-graph link, stored in canonical (low, high)
+// endpoint order so a link and its reverse compare equal.
+type Link struct {
+	U, V NodeID
+}
+
+// NormLink returns the canonical form of the link between u and v.
+func NormLink(u, v NodeID) Link {
+	if u > v {
+		u, v = v, u
+	}
+	return Link{U: u, V: v}
+}
+
 // GraphDelta is one batch of physical host-graph changes: hardware that
 // fails and hardware that comes back. It is the topology-level half of a
 // fault/repair delta (virtual-channel faults do not change the physical
@@ -20,12 +34,19 @@ func (d GraphDelta) Empty() bool {
 		len(d.FailLinks) == 0 && len(d.RepairLinks) == 0
 }
 
-// LiveMasked is the incremental counterpart of Masked: a masked view of a
-// base topology whose dead sets evolve by GraphDelta in O(|delta|) work
-// instead of a full rebuild. Every read — Neighbors order, Adjacent,
-// Distance, Reachable — is defined to agree exactly with a fresh
-// NewMasked built from the same dead sets, so routing over a LiveMasked
-// is byte-identical to routing over the equivalent immutable Masked.
+// LiveMasked is a base topology with a set of failed links and nodes —
+// the host graph as degraded-mode routing sees it — whose dead sets
+// evolve by GraphDelta in O(|delta|) work. A dead node loses all its
+// incident links; a dead link is removed in both directions. The node-id
+// space is unchanged (dead nodes remain addressable but isolated), so
+// labelings and routing tables built over the base topology keep their
+// indices, and each node's neighbors keep their base order.
+//
+// Distance is computed by BFS over the masked graph. For unreachable
+// pairs it returns Nodes() — one more than any real path length — so
+// distance-guided routing simply finds no distance-reducing neighbor;
+// use Reachable to test connectivity explicitly. A view for a fixed set
+// of dead hardware is a fresh NewLiveMasked plus one Apply.
 //
 // Concurrency contract (the epoch protocol): Apply is a write and must
 // not run concurrently with any read; between Apply calls — one epoch —
@@ -40,7 +61,7 @@ type LiveMasked struct {
 	neighbors [][]NodeID
 
 	// Lazily computed per-source distance rows of the current epoch.
-	// Unreachable pairs hold Nodes(), exactly like Masked.
+	// Unreachable pairs hold Nodes().
 	mu   sync.Mutex
 	rows map[NodeID][]int16
 }
@@ -98,7 +119,7 @@ func (m *LiveMasked) Apply(d GraphDelta) []NodeID {
 		checkNode(l.U, n, m)
 		checkNode(l.V, n, m)
 		if !m.base.Adjacent(l.U, l.V) {
-			return // non-edges are ignored, as in NewMasked
+			return // non-edges are ignored
 		}
 		if m.deadLink[l] == fail {
 			return
@@ -135,7 +156,7 @@ func (m *LiveMasked) Apply(d GraphDelta) []NodeID {
 }
 
 // rebuildRow refilters v's base neighbor list against the dead sets,
-// reusing row's storage. The filter order matches NewMasked exactly.
+// reusing row's storage and keeping the base order.
 func (m *LiveMasked) rebuildRow(v NodeID, row []NodeID, buf *[]NodeID) []NodeID {
 	if m.deadNode[v] {
 		return row[:0]
@@ -156,10 +177,9 @@ func (m *LiveMasked) Epoch() uint64 { return m.epoch }
 // Base returns the underlying healthy topology.
 func (m *LiveMasked) Base() Topology { return m.base }
 
-// Name implements Topology. Unlike Masked's fingerprint name it is
-// epoch-stamped: live views are identified by their position in the delta
-// stream, not by their dead sets, and must never be used as shared-state
-// cache keys.
+// Name implements Topology. It is epoch-stamped: live views are
+// identified by their position in the delta stream, not by their dead
+// sets, and must never be used as shared-state cache keys.
 func (m *LiveMasked) Name() string {
 	return fmt.Sprintf("%s/live@%d", m.base.Name(), m.epoch)
 }
@@ -203,8 +223,8 @@ func (m *LiveMasked) Adjacent(u, v NodeID) bool {
 }
 
 // Distance implements Topology over the masked graph; unreachable pairs
-// return Nodes(), exactly like Masked. Rows are computed by BFS on first
-// use per source and memoized for the epoch.
+// return Nodes() (see the type comment). Rows are computed by BFS on
+// first use per source and memoized for the epoch.
 func (m *LiveMasked) Distance(u, v NodeID) int {
 	n := len(m.deadNode)
 	checkNode(u, n, m)
