@@ -3,8 +3,8 @@
 // examples of Chapters 5 and 6, the deadlock demonstrations, Fig. 2.3,
 // the static figures 7.1–7.7 (plus ablations), and the dynamic figures
 // 7.8–7.11. Each figure is written both as an aligned text table and as
-// CSV. -fig prints any one of those files on stdout instead, computing
-// only that artifact.
+// CSV. -fig prints any one of those files on stdout instead, byte for
+// byte, computing only that artifact.
 //
 // Usage:
 //
@@ -13,9 +13,6 @@
 //	mcfigures -quick -fig fig_7_10 -csv   # results/fig_7_10.csv on stdout
 //	mcfigures -quick -scheme fixed-path   # latency vs load for one registry scheme, on stdout
 //	mcfigures -bench -out .               # write BENCH_wormsim.json only
-//
-// The plan-cache counters of each dynamic figure sweep go to stderr, so
-// stdout under -fig is byte-identical to the results/ file.
 package main
 
 import (
@@ -32,7 +29,6 @@ import (
 
 	"multicastnet/internal/cli"
 	"multicastnet/internal/experiments"
-	"multicastnet/internal/routing"
 	"multicastnet/internal/stats"
 )
 
@@ -57,7 +53,6 @@ func main() {
 		if *bench {
 			return runBench(flags.Out, dopts)
 		}
-		defer reportPlanCaches()()
 
 		switch {
 		case *figName != "" && flags.Scheme != "":
@@ -161,27 +156,6 @@ func printFigure(fig *stats.Figure, csv bool) error {
 		return fig.WriteCSV(os.Stdout)
 	}
 	return fig.WriteTable(os.Stdout)
-}
-
-// reportPlanCaches collects the plan-cache counters of every dynamic
-// figure sweep and returns a function that prints them to stderr. The
-// counts depend on sweep scheduling (parallel workers racing to plan the
-// same multicast both miss), so they accompany the output instead of
-// entering any results/ file.
-func reportPlanCaches() func() {
-	var lines []string
-	experiments.FigureCacheStats = func(figure string, s routing.CacheStats) {
-		lines = append(lines, fmt.Sprintf("%-14s %8d %8d %10d %9.3f",
-			figure, s.Hits, s.Misses, s.Evictions, s.HitRate()))
-	}
-	return func() {
-		if len(lines) == 0 {
-			return
-		}
-		fmt.Fprintf(os.Stderr, "plan cache per figure sweep:\n%-14s %8s %8s %10s %9s\n",
-			"figure", "hits", "misses", "evictions", "hit_rate")
-		fmt.Fprintln(os.Stderr, strings.Join(lines, "\n"))
-	}
 }
 
 // benchReport is the schema of BENCH_wormsim.json: simulator core

@@ -74,7 +74,7 @@ func route() error {
 	}
 
 	if flags.Scheme != "" {
-		st, err := routing.SharedState(sys.Topology())
+		st, err := routing.NewState(sys.Topology())
 		if err != nil {
 			return err
 		}

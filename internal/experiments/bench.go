@@ -16,7 +16,7 @@ import (
 // BenchmarkWormsimCyclesPerSec so both report the same workload.
 func SimThroughput(seed uint64, maxCycles int64) (cycles int64, secs float64) {
 	m := topology.NewMesh2D(8, 8)
-	route := wormsim.RouteFuncOf(mustRouter("dual-path", mustState(m), routing.Options{}))
+	route := simRoute("dual-path", mustState(m), routing.Options{})
 	start := time.Now()
 	res, err := wormsim.Run(wormsim.Config{
 		Topology:               m,

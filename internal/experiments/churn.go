@@ -374,7 +374,7 @@ func ChurnStudy(o ChurnOptions) ChurnResult {
 	finals := make(map[string]routing.CacheStats)
 	for _, w := range o.workloads() {
 		topo := w.Build()
-		st, err := routing.SharedState(topo)
+		st, err := routing.NewState(topo)
 		if err != nil {
 			panic(err)
 		}

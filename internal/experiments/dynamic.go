@@ -117,10 +117,10 @@ type namedScheme struct {
 	route wormsim.RouteFunc
 }
 
-// mustState returns the process-wide shared precomputed routing state of
-// t (one Hamiltonian labeling per topology, shared by every figure).
+// mustState builds the precomputed routing state of t (its canonical
+// Hamiltonian labeling); each figure or study builds one per topology.
 func mustState(t topology.Topology) *routing.State {
-	st, err := routing.SharedState(t)
+	st, err := routing.NewState(t)
 	if err != nil {
 		panic(err)
 	}
@@ -136,30 +136,13 @@ func mustRouter(name string, st *routing.State, opts routing.Options) routing.Ro
 	return r
 }
 
-// FigureCacheStats, when non-nil, receives each cached figure sweep's
-// final plan-cache accounting (figure ID plus counters) after the sweep
-// completes. `mcfigures` installs it to surface hit/miss/eviction
-// counts. The counts depend on sweep scheduling — workers racing to plan
-// the same multicast both miss — so they are reported to the operator,
-// never committed into figure bytes.
-var FigureCacheStats func(figure string, s routing.CacheStats)
-
-// reportFigureCache forwards the sweep's final cache counters to the
-// FigureCacheStats hook, if installed.
-func reportFigureCache(fig *stats.Figure, cache *routing.PlanCache) *stats.Figure {
-	if FigureCacheStats != nil {
-		FigureCacheStats(fig.ID, cache.Stats())
-	}
-	return fig
-}
-
-// cachedScheme builds the named registry scheme over st, memoizes its
-// plans in the figure's shared cache, and adapts it to the simulator.
-// The cache is concurrency-safe, so the sweep workers of RunSweep hit it
-// in parallel.
-func cachedScheme(name string, st *routing.State, cache *routing.PlanCache,
-	opts routing.Options) wormsim.RouteFunc {
-	return wormsim.RouteFuncOf(routing.Cached(mustRouter(name, st, opts), cache))
+// simRoute builds the named registry scheme over st and adapts it to the
+// simulator. It plans uncached: the paper's simulations draw every
+// destination set at random, so a figure sweep almost never repeats a
+// plan. Registry routers plan from immutable state, so the sweep workers
+// of RunSweep share one route function.
+func simRoute(name string, st *routing.State, opts routing.Options) wormsim.RouteFunc {
+	return wormsim.RouteFuncOf(mustRouter(name, st, opts))
 }
 
 // loadSweep builds the points of a latency-vs-load figure: one
@@ -204,47 +187,47 @@ func destSweep(fig *stats.Figure, topo topology.Topology, schemes []namedScheme,
 // 20 Mbytes/s channels).
 func Fig78LatencyVsLoadDouble(o DynamicOptions) *stats.Figure {
 	m := topology.NewMesh2D(8, 8)
-	st, cache := mustState(m), routing.NewPlanCache(0)
+	st := mustState(m)
 	fig := &stats.Figure{ID: "Fig 7.8", Title: "Latency under load, double-channel 8x8 mesh",
 		XLabel: "load (multicasts/ms/node)", YLabel: "latency (us)"}
 	schemes := []namedScheme{
-		{"tree", cachedScheme("tree", st, cache, routing.Options{})},
-		{"dual-path", cachedScheme("dual-path-double", st, cache, routing.Options{})},
-		{"multi-path", cachedScheme("multi-path-double", st, cache, routing.Options{})},
+		{"tree", simRoute("tree", st, routing.Options{})},
+		{"dual-path", simRoute("dual-path-double", st, routing.Options{})},
+		{"multi-path", simRoute("multi-path-double", st, routing.Options{})},
 	}
 	RunSweep(loadSweep(fig, m, schemes, 10, o), o.Parallel)
-	return reportFigureCache(fig, cache)
+	return fig
 }
 
 // Fig79LatencyVsDestsDouble reproduces Fig. 7.9: latency vs destination
 // count on the double-channel mesh at 300 us inter-arrival.
 func Fig79LatencyVsDestsDouble(o DynamicOptions) *stats.Figure {
 	m := topology.NewMesh2D(8, 8)
-	st, cache := mustState(m), routing.NewPlanCache(0)
+	st := mustState(m)
 	fig := &stats.Figure{ID: "Fig 7.9", Title: "Latency vs destinations, double-channel 8x8 mesh",
 		XLabel: "average destinations", YLabel: "latency (us)"}
 	schemes := []namedScheme{
-		{"tree", cachedScheme("tree", st, cache, routing.Options{})},
-		{"dual-path", cachedScheme("dual-path-double", st, cache, routing.Options{})},
-		{"multi-path", cachedScheme("multi-path-double", st, cache, routing.Options{})},
+		{"tree", simRoute("tree", st, routing.Options{})},
+		{"dual-path", simRoute("dual-path-double", st, routing.Options{})},
+		{"multi-path", simRoute("multi-path-double", st, routing.Options{})},
 	}
 	RunSweep(destSweep(fig, m, schemes, 300, o), o.Parallel)
-	return reportFigureCache(fig, cache)
+	return fig
 }
 
 // Fig710LatencyVsLoadSingle reproduces Fig. 7.10: dual- vs multi-path on
 // single channels across loads (10 average destinations).
 func Fig710LatencyVsLoadSingle(o DynamicOptions) *stats.Figure {
 	m := topology.NewMesh2D(8, 8)
-	st, cache := mustState(m), routing.NewPlanCache(0)
+	st := mustState(m)
 	fig := &stats.Figure{ID: "Fig 7.10", Title: "Latency under load, single-channel 8x8 mesh",
 		XLabel: "load (multicasts/ms/node)", YLabel: "latency (us)"}
 	schemes := []namedScheme{
-		{"dual-path", cachedScheme("dual-path", st, cache, routing.Options{})},
-		{"multi-path", cachedScheme("multi-path", st, cache, routing.Options{})},
+		{"dual-path", simRoute("dual-path", st, routing.Options{})},
+		{"multi-path", simRoute("multi-path", st, routing.Options{})},
 	}
 	RunSweep(loadSweep(fig, m, schemes, 10, o), o.Parallel)
-	return reportFigureCache(fig, cache)
+	return fig
 }
 
 // Fig711LatencyVsDestsSingle reproduces Fig. 7.11: dual-, multi-, and
@@ -253,37 +236,33 @@ func Fig710LatencyVsLoadSingle(o DynamicOptions) *stats.Figure {
 // the dual/fixed convergence appear.
 func Fig711LatencyVsDestsSingle(o DynamicOptions) *stats.Figure {
 	m := topology.NewMesh2D(8, 8)
-	st, cache := mustState(m), routing.NewPlanCache(0)
+	st := mustState(m)
 	fig := &stats.Figure{ID: "Fig 7.11", Title: "Latency vs destinations, single-channel 8x8 mesh",
 		XLabel: "average destinations", YLabel: "latency (us)"}
 	schemes := []namedScheme{
-		{"dual-path", cachedScheme("dual-path", st, cache, routing.Options{})},
-		{"multi-path", cachedScheme("multi-path", st, cache, routing.Options{})},
-		{"fixed-path", cachedScheme("fixed-path", st, cache, routing.Options{})},
+		{"dual-path", simRoute("dual-path", st, routing.Options{})},
+		{"multi-path", simRoute("multi-path", st, routing.Options{})},
+		{"fixed-path", simRoute("fixed-path", st, routing.Options{})},
 	}
 	RunSweep(destSweep(fig, m, schemes, 300, o), o.Parallel)
-	return reportFigureCache(fig, cache)
+	return fig
 }
 
 // FigSchemeLoad builds a latency-vs-load figure for one registry scheme
 // on the single-channel 8x8 mesh — the `mcfigures -scheme <name>` entry
 // point. Any scheme name from routing.Names() is accepted.
 func FigSchemeLoad(name string, o DynamicOptions) (*stats.Figure, error) {
-	if _, err := routing.Lookup(name); err != nil {
-		return nil, err
-	}
 	m := topology.NewMesh2D(8, 8)
-	st, cache := mustState(m), routing.NewPlanCache(0)
-	fig := &stats.Figure{ID: "Scheme " + name,
-		Title:  fmt.Sprintf("Latency under load, %s on an 8x8 mesh", name),
-		XLabel: "load (multicasts/ms/node)", YLabel: "latency (us)"}
-	r, err := routing.New(name, st)
+	r, err := routing.New(name, mustState(m))
 	if err != nil {
 		return nil, err
 	}
-	schemes := []namedScheme{{name, wormsim.RouteFuncOf(routing.Cached(r, cache))}}
+	fig := &stats.Figure{ID: "Scheme " + name,
+		Title:  fmt.Sprintf("Latency under load, %s on an 8x8 mesh", name),
+		XLabel: "load (multicasts/ms/node)", YLabel: "latency (us)"}
+	schemes := []namedScheme{{name, wormsim.RouteFuncOf(r)}}
 	RunSweep(loadSweep(fig, m, schemes, 10, o), o.Parallel)
-	return reportFigureCache(fig, cache), nil
+	return fig, nil
 }
 
 // Fig23Switching reproduces the Fig. 2.3 comparison: contention-free

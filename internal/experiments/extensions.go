@@ -104,13 +104,13 @@ func ExtVirtualChannelsStatic(opts Options) *stats.Figure {
 // physically replicated channels; see EXPERIMENTS.md).
 func ExtVirtualChannelsDynamic(o DynamicOptions) *stats.Figure {
 	m := topology.NewMesh2D(8, 8)
-	st, cache := mustState(m), routing.NewPlanCache(0)
+	st := mustState(m)
 	fig := &stats.Figure{ID: "Ext V-dyn", Title: "Virtual-channel partitioning under load (8x8 mesh)",
 		XLabel: "load (multicasts/ms/node)", YLabel: "latency (us)"}
 	var schemes []namedScheme
 	for _, v := range []int{1, 2, 4} {
 		schemes = append(schemes, namedScheme{vName(v),
-			cachedScheme("virtual-channel", st, cache, routing.Options{VirtualChannels: v})})
+			simRoute("virtual-channel", st, routing.Options{VirtualChannels: v})})
 	}
 	RunSweep(loadSweep(fig, m, schemes, 10, o), o.Parallel)
 	return fig
@@ -133,8 +133,7 @@ func vName(v int) string {
 // routing.
 func ExtUnicastMix(o DynamicOptions) *stats.Figure {
 	m := topology.NewMesh2D(8, 8)
-	st, cache := mustState(m), routing.NewPlanCache(0)
-	route := cachedScheme("dual-path", st, cache, routing.Options{})
+	route := simRoute("dual-path", mustState(m), routing.Options{})
 	fig := &stats.Figure{ID: "Ext U", Title: "Unicast/multicast interaction, dual-path on an 8x8 mesh",
 		XLabel: "unicast fraction (%)", YLabel: "latency (us)"}
 	uni := fig.AddSeries("unicast latency")
@@ -191,12 +190,12 @@ func ExtUnicastMix(o DynamicOptions) *stats.Figure {
 // deadlock freedom preserved by the label-monotone window) across loads.
 func ExtAdaptive(o DynamicOptions) *stats.Figure {
 	m := topology.NewMesh2D(8, 8)
-	st, cache := mustState(m), routing.NewPlanCache(0)
+	st := mustState(m)
 	fig := &stats.Figure{ID: "Ext A", Title: "Adaptive vs deterministic dual-path (8x8 mesh)",
 		XLabel: "load (multicasts/ms/node)", YLabel: "latency (us)"}
 	det := fig.AddSeries("deterministic")
 	ada := fig.AddSeries("adaptive")
-	detRoute := cachedScheme("dual-path", st, cache, routing.Options{})
+	detRoute := simRoute("dual-path", st, routing.Options{})
 	adaRoute := wormsim.LiveRouteFuncOf(
 		mustRouter("adaptive-dual-path", st, routing.Options{}).(routing.LiveRouter))
 	var points []SweepPoint

@@ -7,7 +7,6 @@ import (
 	"multicastnet/internal/core"
 	"multicastnet/internal/dfr"
 	"multicastnet/internal/labeling"
-	"multicastnet/internal/routing"
 	"multicastnet/internal/stats"
 	"multicastnet/internal/topology"
 	"multicastnet/internal/wormsim"
@@ -62,42 +61,14 @@ func TestGoldenFigureCSVAgainstLegacyRouting(t *testing.T) {
 }
 
 // TestFigureCSVIdenticalAcrossWorkers pins the RunSweep determinism
-// contract through the shared plan cache: the same figure is
-// byte-identical whether the sweep runs sequentially or with concurrent
-// workers hitting the cache (run under -race, this is also the
-// concurrency check for the engine's figure wiring).
+// contract: the same figure is byte-identical whether the sweep runs
+// sequentially or with concurrent workers sharing one router per scheme
+// (run under -race, this is also the concurrency check for the engine's
+// figure wiring).
 func TestFigureCSVIdenticalAcrossWorkers(t *testing.T) {
 	sequential := figureCSV(t, Fig711LatencyVsDestsSingle(tinyDyn(1)))
 	parallel := figureCSV(t, Fig711LatencyVsDestsSingle(tinyDyn(4)))
 	if !bytes.Equal(sequential, parallel) {
 		t.Fatal("Fig 7.11 CSV depends on the sweep worker count")
-	}
-}
-
-// TestSweepSharesPlanCache runs a parallel sweep whose points share one
-// plan cache, then replays one point sequentially and requires cache
-// hits — proving the sweep populated the cache the replay reads.
-func TestSweepSharesPlanCache(t *testing.T) {
-	m := topology.NewMesh2D(8, 8)
-	st := mustState(m)
-	cache := routing.NewPlanCache(0)
-	route := cachedScheme("dual-path", st, cache, routing.Options{})
-	o := tinyDyn(4)
-	fig := &stats.Figure{ID: "cache-test", XLabel: "load", YLabel: "latency"}
-	schemes := []namedScheme{{"dual-path", route}}
-	RunSweep(loadSweep(fig, m, schemes, 10, o), o.Parallel)
-	missesBefore := cache.Stats().Misses
-	if missesBefore == 0 {
-		t.Fatal("sweep never consulted the plan cache")
-	}
-	// Replaying the first point re-issues the exact same multicast sets.
-	seed := pointSeed(o, fig.ID, "dual-path", 0)
-	if _, ok := dynamicPoint(m, route, o.loads()[0], 10, seed, o); !ok {
-		t.Fatal("replay point failed")
-	}
-	cs := cache.Stats()
-	hits, misses := cs.Hits, cs.Misses
-	if hits == 0 {
-		t.Fatalf("no cache hits after replay (misses = %d)", misses)
 	}
 }

@@ -153,7 +153,7 @@ func ScaleStudy(o ScaleOptions) ScaleResult {
 	out := ScaleResult{GOMAXPROCS: runtime.GOMAXPROCS(0)}
 	for _, w := range o.workloads() {
 		topo := w.Build()
-		st, err := routing.SharedState(topo)
+		st, err := routing.NewState(topo)
 		if err != nil {
 			panic(err)
 		}

@@ -133,12 +133,12 @@ func serve(st *routing.State, budget int32, workers int, window int64, flits int
 }
 
 // ServeStudy runs the full sweep. Each point builds its own plan cache
-// and service over the shared routing state, so points are independent
-// and safe to run on any sweep worker. One group pool serves the whole
-// sweep; each point draws its own arrivals.
+// and service over the study's one routing state, so points are
+// independent and safe to run on any sweep worker. One group pool serves
+// the whole sweep; each point draws its own arrivals.
 func ServeStudy(o ServeOptions) ServeStudyResult {
 	topo := topology.NewMesh2D(64, 64)
-	st, err := routing.SharedState(topo)
+	st, err := routing.NewState(topo)
 	if err != nil {
 		panic(err)
 	}

@@ -241,10 +241,14 @@ func WorkloadStudy(o WorkloadOptions) WorkloadStudyResult {
 	}
 
 	var points []SweepPoint
+	var pst *routing.State // the first topology's, reused by the packer sweep
 	for _, wt := range topos {
 		wt := wt
 		topo := wt.Build()
 		st := mustState(topo)
+		if pst == nil {
+			pst = st
+		}
 		fig := &stats.Figure{ID: "Workload scheme " + wt.Name,
 			Title: fmt.Sprintf("Mean multicast completion latency per workload model on the %s",
 				topo.Name()),
@@ -278,9 +282,7 @@ func WorkloadStudy(o WorkloadOptions) WorkloadStudyResult {
 	}
 
 	// Packer sweep on the first topology.
-	pt := topos[0]
-	ptopo := pt.Build()
-	pst := mustState(ptopo)
+	pt, ptopo := topos[0], pst.Topology()
 	for _, policy := range []servePolicy{{"fifo", 0}, {"sched", o.Budget}} {
 		policy := policy
 		ts := out.PackerThroughput.AddSeries(policy.name)

@@ -360,12 +360,6 @@ func (m *Mask) Events() int { return m.events }
 // NodeDead reports whether v failed.
 func (m *Mask) NodeDead(v topology.NodeID) bool { return m.nodeDead[v] }
 
-// LinkDead reports whether the undirected link (u, v) is unusable in
-// every class — failed directly or via a dead endpoint.
-func (m *Mask) LinkDead(u, v topology.NodeID) bool {
-	return m.nodeDead[u] || m.nodeDead[v] || m.linkDead[topology.NormLink(u, v)]
-}
-
 // VCDead reports whether the specific directed channel copy failed (VC
 // faults only; use ChannelDead for the full liveness check).
 func (m *Mask) VCDead(c dfr.Channel) bool { return m.vcDead[c] }

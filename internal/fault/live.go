@@ -21,8 +21,6 @@ func (r *LiveRouter) Mask() *Mask { return r.mask }
 
 // DeltaReport summarizes one ApplyDelta.
 type DeltaReport struct {
-	// Epoch is the state's epoch after the delta.
-	Epoch uint64
 	// Invalidated is how many cached plans the delta evicted (0 without
 	// an attached cache, and always 0 for pure-repair deltas).
 	Invalidated int
@@ -45,11 +43,7 @@ func (r *LiveRouter) ApplyDelta(d Delta) DeltaReport {
 			evicted = r.cache.Invalidate(pairs)
 		}
 	}
-	return DeltaReport{
-		Epoch:        r.ls.Epoch(),
-		Invalidated:  evicted,
-		ActiveFaults: r.mask.Events(),
-	}
+	return DeltaReport{Invalidated: evicted, ActiveFaults: r.mask.Events()}
 }
 
 // PlanDegradedCached is PlanDegraded through the attached cache. Only

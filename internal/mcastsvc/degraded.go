@@ -110,10 +110,6 @@ func (s *Service) MulticastUnderFaults(source topology.NodeID, g Group, bytes in
 	if len(pending) == 0 {
 		return DegradedOutcome{Attempts: 1}, fmt.Errorf("mcastsvc: source %d is the only member", source)
 	}
-	st, err := routing.SharedState(s.cfg.Topology)
-	if err != nil {
-		return DegradedOutcome{}, err
-	}
 	flitUs := s.flitMicros()
 	flits := bytes / s.cfg.FlitBytes
 	if flits < 1 {
@@ -123,12 +119,13 @@ func (s *Service) MulticastUnderFaults(source topology.NodeID, g Group, bytes in
 	backoffCycles := int64(pol.BackoffMicros / flitUs)
 	events := fp.Events()
 
-	// One live router serves every attempt: each retry advances it by the
-	// delta of newly activated events instead of rebuilding masked state
-	// from scratch. It plans without the service plan cache: its plans
-	// and their degraded-mode accounting belong to this operation's
-	// fault plan, and must not be served to another operation.
-	lr, err := fault.NewLiveRouter(s.router.Scheme(), st, routing.Options{})
+	// One live router over the service's healthy routing state serves
+	// every attempt: each retry advances it by the delta of newly
+	// activated events instead of rebuilding masked state from scratch.
+	// It plans without the service plan cache: its plans and their
+	// degraded-mode accounting belong to this operation's fault plan, and
+	// must not be served to another operation.
+	lr, err := fault.NewLiveRouter(s.router.Scheme(), s.router.State(), routing.Options{})
 	if err != nil {
 		return DegradedOutcome{}, err
 	}

@@ -51,7 +51,7 @@ type Service struct {
 }
 
 // New validates the configuration and returns a Service. The routing
-// scheme is resolved through the routing registry over shared
+// scheme is resolved through the routing registry over the service's own
 // precomputed topology state, and plans are memoized in a bounded
 // concurrency-safe cache.
 func New(cfg Config) (*Service, error) {
@@ -78,7 +78,7 @@ func New(cfg Config) (*Service, error) {
 	if !info.DeadlockFree {
 		return nil, fmt.Errorf("mcastsvc: scheme %q is not deadlock-free", name)
 	}
-	st, err := routing.SharedState(cfg.Topology)
+	st, err := routing.NewState(cfg.Topology)
 	if err != nil {
 		return nil, err
 	}

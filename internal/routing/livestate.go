@@ -6,10 +6,10 @@ import (
 
 // LiveState is the incremental counterpart of State: a versioned routing
 // state that absorbs fault/repair deltas in O(|delta|) instead of a full
-// per-topology rebuild. It keeps the healthy baseline State immutable and
-// maintains a second State whose topology is a topology.LiveMasked and
-// whose per-node adjacency rows are patched in place as deltas arrive,
-// all behind an epoch counter.
+// per-topology rebuild. It leaves the healthy baseline State untouched
+// and maintains a second State whose topology is a topology.LiveMasked
+// and whose per-node adjacency rows are patched in place as deltas
+// arrive, all behind an epoch counter.
 //
 // Routers built over State() observe every applied delta on their next
 // plan: the scheme builders capture the State and read adjacency through
@@ -24,9 +24,8 @@ import (
 // rounds, never during one. Within an epoch the state is safe for
 // unlimited concurrent readers, like State.
 type LiveState struct {
-	baseline *State
-	live     *topology.LiveMasked
-	cur      *State
+	live *topology.LiveMasked
+	cur  *State
 }
 
 // NewLiveState builds the live state over a healthy baseline. The
@@ -41,9 +40,8 @@ func NewLiveState(baseline *State) *LiveState {
 		neighbors[v] = live.NeighborsShared(topology.NodeID(v))
 	}
 	return &LiveState{
-		baseline: baseline,
-		live:     live,
-		cur:      &State{topo: live, label: baseline.label, neighbors: neighbors},
+		live: live,
+		cur:  &State{topo: live, label: baseline.label, neighbors: neighbors},
 	}
 }
 
@@ -61,10 +59,6 @@ func (ls *LiveState) Apply(d topology.GraphDelta) []topology.NodeID {
 // State returns the live routing state. The pointer is stable across
 // epochs: build routers over it once and they follow every delta.
 func (ls *LiveState) State() *State { return ls.cur }
-
-// Baseline returns the immutable healthy state the live state was built
-// from.
-func (ls *LiveState) Baseline() *State { return ls.baseline }
 
 // Live returns the underlying live masked topology view.
 func (ls *LiveState) Live() *topology.LiveMasked { return ls.live }

@@ -2,11 +2,8 @@ package routing
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
-	"sync"
-
-	"multicastnet/internal/topology"
 )
 
 // Options parameterize scheme construction. The zero value selects every
@@ -22,9 +19,9 @@ type Options struct {
 // It errors when the scheme does not support the state's topology.
 type Builder func(s *State, opts Options) (Router, error)
 
-// Info describes one registered scheme.
+// Info describes one scheme of the table.
 type Info struct {
-	// Name is the registry key, e.g. "dual-path".
+	// Name is the scheme's unique name, e.g. "dual-path".
 	Name string
 	// Description is a one-line summary for -list-schemes output.
 	Description string
@@ -36,72 +33,30 @@ type Info struct {
 	Build Builder
 }
 
-var (
-	registryMu sync.RWMutex
-	registry   = make(map[string]Info)
-)
-
-// Register adds a scheme to the registry. It errors on duplicate or
-// empty names and nil builders.
-func Register(info Info) error {
-	if info.Name == "" {
-		return fmt.Errorf("routing: scheme name must not be empty")
-	}
-	if info.Build == nil {
-		return fmt.Errorf("routing: scheme %q has no builder", info.Name)
-	}
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	if _, dup := registry[info.Name]; dup {
-		return fmt.Errorf("routing: scheme %q already registered", info.Name)
-	}
-	registry[info.Name] = info
-	return nil
-}
-
-// MustRegister is Register that panics on error; for init-time use.
-func MustRegister(info Info) {
-	if err := Register(info); err != nil {
-		panic(err)
-	}
-}
-
-// Lookup returns the scheme registered under name. An unknown name
-// errors with the sorted list of valid names, so callers can surface a
-// helpful message directly.
+// Lookup returns the scheme named name. An unknown name errors with the
+// sorted list of valid names, so callers can surface a helpful message
+// directly.
 func Lookup(name string) (Info, error) {
-	registryMu.RLock()
-	info, ok := registry[name]
-	registryMu.RUnlock()
-	if !ok {
-		return Info{}, fmt.Errorf("routing: unknown scheme %q (valid: %s)",
-			name, strings.Join(Names(), ", "))
+	for _, info := range schemes {
+		if info.Name == name {
+			return info, nil
+		}
 	}
-	return info, nil
+	return Info{}, fmt.Errorf("routing: unknown scheme %q (valid: %s)",
+		name, strings.Join(Names(), ", "))
 }
 
-// Names returns the sorted names of every registered scheme.
+// Names returns the sorted names of every scheme.
 func Names() []string {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	names := make([]string, 0, len(registry))
-	for name := range registry {
-		names = append(names, name)
+	names := make([]string, len(schemes))
+	for i, info := range schemes {
+		names[i] = info.Name
 	}
-	sort.Strings(names)
 	return names
 }
 
-// Schemes returns the Info of every registered scheme, sorted by name.
-func Schemes() []Info {
-	names := Names()
-	out := make([]Info, 0, len(names))
-	for _, name := range names {
-		info, _ := Lookup(name)
-		out = append(out, info)
-	}
-	return out
-}
+// Schemes returns the Info of every scheme, sorted by name.
+func Schemes() []Info { return slices.Clone(schemes) }
 
 // New builds the named scheme's router over s with default options.
 func New(name string, s *State) (Router, error) {
@@ -115,26 +70,4 @@ func NewWithOptions(name string, s *State, opts Options) (Router, error) {
 		return nil, err
 	}
 	return info.Build(s, opts)
-}
-
-// sharedStates caches one State per topology, keyed by the topology's
-// canonical name (unique per shape for every built-in topology), so
-// every consumer of the same machine shares one precomputed labeling.
-var sharedStates sync.Map // string -> *State
-
-// SharedState returns the process-wide shared State of t under its
-// canonical labeling, precomputing it on first use. Concurrent callers
-// for the same topology may race to build the state; exactly one wins
-// and all receive the same (immutable) value.
-func SharedState(t topology.Topology) (*State, error) {
-	key := t.Name()
-	if st, ok := sharedStates.Load(key); ok {
-		return st.(*State), nil
-	}
-	st, err := NewState(t)
-	if err != nil {
-		return nil, err
-	}
-	actual, _ := sharedStates.LoadOrStore(key, st)
-	return actual.(*State), nil
 }

@@ -7,14 +7,15 @@
 //
 //   - State: immutable per-topology precomputed routing state (the
 //     Hamiltonian labeling as dense label/position tables plus adjacency
-//     lists), constructed once and safely shared across goroutines.
-//   - A named scheme registry (Register / Lookup / Names) covering the
-//     deadlock-free schemes of Chapter 6 and the Section 8.2 extensions;
-//     each scheme builds a Router over a State.
+//     lists), built once per topology by each caller and safely shared
+//     across goroutines.
+//   - A static, name-sorted scheme table (Lookup / Names / Schemes)
+//     covering the deadlock-free schemes of Chapter 6 and the Section 8.2
+//     extensions; each scheme builds a Router over a State.
 //   - A bounded, sharded, concurrency-safe plan cache (PlanCache, Cached)
 //     keyed on the router identity and the canonicalized multicast set,
-//     so parallel sweeps and the multicast service stop re-deriving
-//     identical routes.
+//     so callers that repeat multicasts (the scheduling and multicast
+//     services, the churn study) stop re-deriving identical routes.
 //
 // Concurrency contract: State and Router are immutable after construction
 // and safe for unlimited concurrent use. Plans returned by Plan/PlanSet
@@ -135,8 +136,8 @@ type LiveRouter interface {
 
 // State is the immutable precomputed routing state of one topology: the
 // Hamiltonian labeling flattened into dense label and position tables,
-// plus per-node adjacency lists. Construct it once per topology (or use
-// SharedState) and share it freely across goroutines.
+// plus per-node adjacency lists. Each caller constructs it once per
+// topology it routes on and shares it freely across goroutines.
 type State struct {
 	topo      topology.Topology
 	label     *tableLabeling

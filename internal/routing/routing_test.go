@@ -53,18 +53,6 @@ func TestLookupUnknownListsValidNames(t *testing.T) {
 	}
 }
 
-func TestRegisterRejectsBadInfo(t *testing.T) {
-	if err := Register(Info{Name: "", Build: func(*State, Options) (Router, error) { return nil, nil }}); err == nil {
-		t.Error("Register accepted an empty name")
-	}
-	if err := Register(Info{Name: "no-builder"}); err == nil {
-		t.Error("Register accepted a nil builder")
-	}
-	if err := Register(Info{Name: "dual-path", Build: func(*State, Options) (Router, error) { return nil, nil }}); err == nil {
-		t.Error("Register accepted a duplicate name")
-	}
-}
-
 func TestSchemesMatchesNames(t *testing.T) {
 	infos := Schemes()
 	names := Names()
@@ -78,28 +66,9 @@ func TestSchemesMatchesNames(t *testing.T) {
 		if info.Description == "" {
 			t.Errorf("scheme %q has no description", info.Name)
 		}
-	}
-}
-
-func TestSharedStateIdentity(t *testing.T) {
-	m := topology.NewMesh2D(5, 4)
-	a, err := SharedState(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := SharedState(topology.NewMesh2D(5, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Error("SharedState returned distinct states for the same topology shape")
-	}
-	other, err := SharedState(topology.NewMesh2D(4, 5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a == other {
-		t.Error("SharedState shared a state across different topology shapes")
+		if info.Build == nil {
+			t.Errorf("scheme %q has no builder", info.Name)
+		}
 	}
 }
 

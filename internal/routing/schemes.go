@@ -8,9 +8,9 @@ import (
 	"multicastnet/internal/topology"
 )
 
-// This file registers the Chapter 6 deadlock-free schemes and the
-// Section 8.2 extensions. Every builder captures the precomputed State,
-// so per-plan work is pure route construction.
+// This file holds the scheme table: the Chapter 6 deadlock-free schemes
+// and the Section 8.2 extensions. Every builder captures the precomputed
+// State, so per-plan work is pure route construction.
 
 // router is the common Router implementation: a name, an identity, the
 // state, and a plan function. live is non-nil for adaptive schemes.
@@ -67,101 +67,10 @@ func classifyDouble(s dfr.Star) []dfr.PathRoute {
 	return out
 }
 
-func init() {
-	MustRegister(Info{
-		Name:         "dual-path",
-		Description:  "dual-path routing: at most two label-monotone paths (Section 6.2.2)",
-		DeadlockFree: true,
-		Build: func(s *State, _ Options) (Router, error) {
-			return &router{scheme: "dual-path", id: "dual-path", st: s,
-				plan: func(k core.MulticastSet) Plan {
-					return Plan{Paths: dfr.DualPath(s.topo, s.label, k).Paths}
-				}}, nil
-		},
-	})
-	MustRegister(Info{
-		Name:         "dual-path-double",
-		Description:  "dual-path on the double-channel network (Fig. 7.8 comparison)",
-		DeadlockFree: true,
-		Build: func(s *State, _ Options) (Router, error) {
-			return &router{scheme: "dual-path-double", id: "dual-path-double", st: s,
-				plan: func(k core.MulticastSet) Plan {
-					return Plan{Paths: classifyDouble(dfr.DualPath(s.topo, s.label, k))}
-				}}, nil
-		},
-	})
-	MustRegister(Info{
-		Name:         "multi-path",
-		Description:  "multi-path routing: up to degree-many label-monotone paths (Figs. 6.14, 6.20)",
-		DeadlockFree: true,
-		Build: func(s *State, _ Options) (Router, error) {
-			star, err := multiPathFn(s)
-			if err != nil {
-				return nil, err
-			}
-			return &router{scheme: "multi-path", id: "multi-path", st: s,
-				plan: func(k core.MulticastSet) Plan {
-					return Plan{Paths: star(k).Paths}
-				}}, nil
-		},
-	})
-	MustRegister(Info{
-		Name:         "multi-path-double",
-		Description:  "multi-path on the double-channel network (Fig. 7.8 comparison)",
-		DeadlockFree: true,
-		Build: func(s *State, _ Options) (Router, error) {
-			star, err := multiPathFn(s)
-			if err != nil {
-				return nil, err
-			}
-			return &router{scheme: "multi-path-double", id: "multi-path-double", st: s,
-				plan: func(k core.MulticastSet) Plan {
-					return Plan{Paths: classifyDouble(star(k))}
-				}}, nil
-		},
-	})
-	MustRegister(Info{
-		Name:         "fixed-path",
-		Description:  "fixed-path routing along the Hamiltonian path (Section 6.2.2)",
-		DeadlockFree: true,
-		Build: func(s *State, _ Options) (Router, error) {
-			return &router{scheme: "fixed-path", id: "fixed-path", st: s,
-				plan: func(k core.MulticastSet) Plan {
-					return Plan{Paths: dfr.FixedPath(s.topo, s.label, k).Paths}
-				}}, nil
-		},
-	})
-	MustRegister(Info{
-		Name:         "tree",
-		Description:  "double-channel X-first multicast tree (Section 6.2.1, 2D mesh)",
-		DeadlockFree: true,
-		Build: func(s *State, _ Options) (Router, error) {
-			m, ok := meshOf(s.topo)
-			if !ok {
-				return nil, fmt.Errorf("routing: tree scheme needs a 2D mesh, got %s", s.topo.Name())
-			}
-			return &router{scheme: "tree", id: "tree", st: s,
-				plan: func(k core.MulticastSet) Plan {
-					return Plan{Trees: dfr.DoubleChannelXFirst(m, k)}
-				}}, nil
-		},
-	})
-	MustRegister(Info{
-		Name:         "naive-tree",
-		Description:  "single-channel X-first tree — deadlock-PRONE (Section 6.1 demonstration)",
-		DeadlockFree: false,
-		Build: func(s *State, _ Options) (Router, error) {
-			m, ok := meshOf(s.topo)
-			if !ok {
-				return nil, fmt.Errorf("routing: naive-tree scheme needs a 2D mesh, got %s", s.topo.Name())
-			}
-			return &router{scheme: "naive-tree", id: "naive-tree", st: s,
-				plan: func(k core.MulticastSet) Plan {
-					return Plan{Trees: dfr.XFirstTrees(m, k)}
-				}}, nil
-		},
-	})
-	MustRegister(Info{
+// schemes is the scheme table, sorted by name. Lookup, Names and
+// Schemes read it; nothing writes it.
+var schemes = []Info{
+	{
 		Name:         "adaptive-dual-path",
 		Description:  "congestion-adaptive dual-path routing (Section 8.2 extension)",
 		DeadlockFree: true,
@@ -175,8 +84,101 @@ func init() {
 				},
 				live: live}}, nil
 		},
-	})
-	MustRegister(Info{
+	},
+	{
+		Name:         "dual-path",
+		Description:  "dual-path routing: at most two label-monotone paths (Section 6.2.2)",
+		DeadlockFree: true,
+		Build: func(s *State, _ Options) (Router, error) {
+			return &router{scheme: "dual-path", id: "dual-path", st: s,
+				plan: func(k core.MulticastSet) Plan {
+					return Plan{Paths: dfr.DualPath(s.topo, s.label, k).Paths}
+				}}, nil
+		},
+	},
+	{
+		Name:         "dual-path-double",
+		Description:  "dual-path on the double-channel network (Fig. 7.8 comparison)",
+		DeadlockFree: true,
+		Build: func(s *State, _ Options) (Router, error) {
+			return &router{scheme: "dual-path-double", id: "dual-path-double", st: s,
+				plan: func(k core.MulticastSet) Plan {
+					return Plan{Paths: classifyDouble(dfr.DualPath(s.topo, s.label, k))}
+				}}, nil
+		},
+	},
+	{
+		Name:         "fixed-path",
+		Description:  "fixed-path routing along the Hamiltonian path (Section 6.2.2)",
+		DeadlockFree: true,
+		Build: func(s *State, _ Options) (Router, error) {
+			return &router{scheme: "fixed-path", id: "fixed-path", st: s,
+				plan: func(k core.MulticastSet) Plan {
+					return Plan{Paths: dfr.FixedPath(s.topo, s.label, k).Paths}
+				}}, nil
+		},
+	},
+	{
+		Name:         "multi-path",
+		Description:  "multi-path routing: up to degree-many label-monotone paths (Figs. 6.14, 6.20)",
+		DeadlockFree: true,
+		Build: func(s *State, _ Options) (Router, error) {
+			star, err := multiPathFn(s)
+			if err != nil {
+				return nil, err
+			}
+			return &router{scheme: "multi-path", id: "multi-path", st: s,
+				plan: func(k core.MulticastSet) Plan {
+					return Plan{Paths: star(k).Paths}
+				}}, nil
+		},
+	},
+	{
+		Name:         "multi-path-double",
+		Description:  "multi-path on the double-channel network (Fig. 7.8 comparison)",
+		DeadlockFree: true,
+		Build: func(s *State, _ Options) (Router, error) {
+			star, err := multiPathFn(s)
+			if err != nil {
+				return nil, err
+			}
+			return &router{scheme: "multi-path-double", id: "multi-path-double", st: s,
+				plan: func(k core.MulticastSet) Plan {
+					return Plan{Paths: classifyDouble(star(k))}
+				}}, nil
+		},
+	},
+	{
+		Name:         "naive-tree",
+		Description:  "single-channel X-first tree — deadlock-PRONE (Section 6.1 demonstration)",
+		DeadlockFree: false,
+		Build: func(s *State, _ Options) (Router, error) {
+			m, ok := meshOf(s.topo)
+			if !ok {
+				return nil, fmt.Errorf("routing: naive-tree scheme needs a 2D mesh, got %s", s.topo.Name())
+			}
+			return &router{scheme: "naive-tree", id: "naive-tree", st: s,
+				plan: func(k core.MulticastSet) Plan {
+					return Plan{Trees: dfr.XFirstTrees(m, k)}
+				}}, nil
+		},
+	},
+	{
+		Name:         "tree",
+		Description:  "double-channel X-first multicast tree (Section 6.2.1, 2D mesh)",
+		DeadlockFree: true,
+		Build: func(s *State, _ Options) (Router, error) {
+			m, ok := meshOf(s.topo)
+			if !ok {
+				return nil, fmt.Errorf("routing: tree scheme needs a 2D mesh, got %s", s.topo.Name())
+			}
+			return &router{scheme: "tree", id: "tree", st: s,
+				plan: func(k core.MulticastSet) Plan {
+					return Plan{Trees: dfr.DoubleChannelXFirst(m, k)}
+				}}, nil
+		},
+	},
+	{
 		Name:         "virtual-channel",
 		Description:  "virtual-channel network partitioning into 2v monotone subnetworks (Section 8.2)",
 		DeadlockFree: true,
@@ -194,7 +196,7 @@ func init() {
 					return Plan{Paths: dfr.VirtualChannelPath(s.topo, s.label, k, v).Paths}
 				}}, nil
 		},
-	})
+	},
 }
 
 // multiPathFn dispatches the multi-path algorithm by topology. A masked

@@ -48,11 +48,15 @@ func (d GraphDelta) Empty() bool {
 // use Reachable to test connectivity explicitly. A view for a fixed set
 // of dead hardware is a fresh NewLiveMasked plus one Apply.
 //
+// The masked graph is undirected, so Distance(u, v) reads v's BFS row:
+// routing asks the distance from every candidate next hop toward one
+// destination, and one row per destination serves all of those queries.
+//
 // Concurrency contract (the epoch protocol): Apply is a write and must
 // not run concurrently with any read; between Apply calls — one epoch —
 // any number of goroutines may read. Distance rows are computed lazily by
-// per-source BFS and memoized for the current epoch behind an internal
-// mutex, so concurrent readers within an epoch are safe.
+// per-destination BFS and memoized for the current epoch behind an
+// internal mutex, so concurrent readers within an epoch are safe.
 type LiveMasked struct {
 	base      Topology
 	epoch     uint64
@@ -60,8 +64,8 @@ type LiveMasked struct {
 	deadLink  map[Link]bool
 	neighbors [][]NodeID
 
-	// Lazily computed per-source distance rows of the current epoch.
-	// Unreachable pairs hold Nodes().
+	// Lazily computed per-destination distance rows of the current
+	// epoch. Unreachable pairs hold Nodes().
 	mu   sync.Mutex
 	rows map[NodeID][]int16
 }
@@ -179,7 +183,7 @@ func (m *LiveMasked) Base() Topology { return m.base }
 
 // Name implements Topology. It is epoch-stamped: live views are
 // identified by their position in the delta stream, not by their dead
-// sets, and must never be used as shared-state cache keys.
+// sets.
 func (m *LiveMasked) Name() string {
 	return fmt.Sprintf("%s/live@%d", m.base.Name(), m.epoch)
 }
@@ -223,13 +227,13 @@ func (m *LiveMasked) Adjacent(u, v NodeID) bool {
 }
 
 // Distance implements Topology over the masked graph; unreachable pairs
-// return Nodes() (see the type comment). Rows are computed by BFS on
-// first use per source and memoized for the epoch.
+// return Nodes() (see the type comment). It reads v's row, computed by
+// BFS on first use per destination and memoized for the epoch.
 func (m *LiveMasked) Distance(u, v NodeID) int {
 	n := len(m.deadNode)
 	checkNode(u, n, m)
 	checkNode(v, n, m)
-	return int(m.row(u)[v])
+	return int(m.row(v)[u])
 }
 
 // Reachable reports whether a path exists between u and v in the current
@@ -272,8 +276,9 @@ func (m *LiveMasked) LinkDead(u, v NodeID) bool {
 	return m.deadNode[u] || m.deadNode[v] || m.deadLink[NormLink(u, v)]
 }
 
-// row returns u's memoized distance row, computing it by BFS over the
-// live adjacency on first use in the current epoch.
+// row returns the memoized distances from u to every node (equally, by
+// symmetry, from every node to u), computing them by BFS over the live
+// adjacency on first use in the current epoch.
 func (m *LiveMasked) row(u NodeID) []int16 {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -284,3 +284,27 @@ func TestMaskedDeadNode(t *testing.T) {
 		t.Fatalf("dead node reachable")
 	}
 }
+
+// TestDistanceMemoizesOneRowPerDestination: routing asks Distance(p, v)
+// from every candidate hop p toward one destination v, so all of those
+// queries must share v's BFS row instead of computing one row per p.
+func TestDistanceMemoizesOneRowPerDestination(t *testing.T) {
+	base := NewMesh2D(8, 8)
+	deadNodes := map[NodeID]bool{base.ID(3, 3): true}
+	deadLinks := map[Link]bool{
+		NormLink(base.ID(1, 1), base.ID(1, 2)): true,
+		NormLink(base.ID(5, 4), base.ID(6, 4)): true,
+	}
+	m := masked(base, []NodeID{base.ID(3, 3)},
+		[]Link{NormLink(base.ID(1, 1), base.ID(1, 2)), NormLink(base.ID(5, 4), base.ID(6, 4))})
+	ref := newRefMasked(base, deadNodes, deadLinks)
+	v := base.ID(6, 5)
+	for p := NodeID(0); int(p) < m.Nodes(); p++ {
+		if got, want := m.Distance(p, v), ref.dist[p][v]; got != want {
+			t.Fatalf("Distance(%d, %d) = %d, want %d", p, v, got, want)
+		}
+	}
+	if got := len(m.rows); got != 1 {
+		t.Fatalf("distances toward one destination memoized %d rows, want 1", got)
+	}
+}

@@ -14,7 +14,7 @@ import (
 func arenaWorkload(t testing.TB) (*topology.Mesh2D, []routing.Plan) {
 	t.Helper()
 	m := topology.NewMesh2D(8, 8)
-	st, err := routing.SharedState(m)
+	st, err := routing.NewState(m)
 	if err != nil {
 		t.Fatal(err)
 	}

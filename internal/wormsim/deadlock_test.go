@@ -175,7 +175,7 @@ func runDeadlockCase(t *testing.T, c ddCase) ddStats {
 	} else {
 		topo = topology.NewHypercube(2 + int(c.size)%4)
 	}
-	st, err := routing.SharedState(topo)
+	st, err := routing.NewState(topo)
 	if err != nil {
 		t.Fatal(err)
 	}
