@@ -1,8 +1,10 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race bench bench-wormsim-baseline bench-routing-baseline bench-heuristics-baseline bench-serve-baseline bench-regression profile-wormsim perfbench-smoke results fuzz check-figures check-results check-scale check-churn check-serve check-workload
+.PHONY: check fmt vet build test race bench bench-wormsim-baseline bench-routing-baseline bench-heuristics-baseline bench-serve-baseline bench-regression profile-wormsim perfbench-smoke results fuzz check-results
 
-## check: everything CI runs — format, vet, build, race tests, quick benchmarks
+## check: format, vet, build, race tests, quick benchmarks. CI's check job
+## runs it, then check-results, perfbench-smoke and bench-regression; its
+## fuzz-smoke job runs fuzz
 check: fmt vet build race bench
 
 fmt:
@@ -75,120 +77,68 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzChannelNumbering -fuzztime 30s ./internal/dfr
 	$(GO) test -run '^$$' -fuzz FuzzDetectDeadlock -fuzztime 30s ./internal/wormsim
 
-## check-figures: regenerate the mcfigures outputs at -quick, the fidelity
-## committed in results/, and require every file to match byte for byte,
-## both as written by one full run and as printed on stdout by
-## `mcfigures -quick -fig <base>` (with -csv for the .csv files)
-check-figures:
-	@d=$$(mktemp -d); \
-	$(GO) build -o $$d/mcfigures ./cmd/mcfigures || exit 1; \
-	$$d/mcfigures -quick -out $$d/out >/dev/null 2>$$d/stderr || { cat $$d/stderr; exit 1; }; \
-	n=0; for f in $$d/out/*; do \
-		b=$$(basename $$f); csv=; case $$b in *.csv) csv=-csv;; esac; \
-		cmp $$f results/$$b || { echo "check-figures: $$b differs from results/"; exit 1; }; \
-		$$d/mcfigures -quick -fig $${b%.*} $$csv >$$d/stdout 2>$$d/stderr && cmp -s $$d/stdout results/$$b || \
-			{ cat $$d/stderr; echo "check-figures: mcfigures -quick -fig $${b%.*} $$csv differs from results/$$b"; exit 1; }; \
-		n=$$((n+1)); \
-	done; \
-	rm -rf $$d; \
-	echo "check-figures: $$n mcfigures outputs byte-identical to results/, written by -out and printed by -fig"
+# FIGURES then STUDIES is the one list of commands that regenerate the
+# committed results/ files, each at the fidelity it is committed at:
+# mcfigures at -quick, every study at full fidelity, and full_static.txt
+# (Figs 7.1 and 7.2 at the paper's 1000 repetitions). `make results` runs
+# it into results/, `make check-results` into scratch directories that it
+# compares with results/. It runs in a shell where $b holds the built
+# commands, $o is the output directory and $p the -parallel count
+# (0 = GOMAXPROCS). FIGURES stands apart because check-results also
+# replays each file it writes through `mcfigures -fig`.
+FIGURES = $$b/mcfigures -quick -parallel $$p -out $$o
+STUDIES = $$b/mcfault -parallel $$p -out $$o && \
+	$$b/mcchurn -parallel $$p -out $$o && \
+	$$b/mcserve -parallel $$p -out $$o && \
+	$$b/mcworkload -parallel $$p -out $$o && \
+	{ $$b/mcfigures -parallel $$p -fig fig_7_1 && echo && \
+	  $$b/mcfigures -parallel $$p -fig fig_7_2 && echo; } >$$o/full_static.txt
 
-## check-results: run mcfault, mcserve and mcworkload at full fidelity,
-## the fidelity committed in results/, and require every file they write
-## to match its results/ copy byte for byte (check-churn pins mcchurn's
-## files the same way, at two worker counts)
-check-results:
-	@d=$$(mktemp -d); \
-	$(GO) build -o $$d/ ./cmd/mcfault ./cmd/mcserve ./cmd/mcworkload || exit 1; \
-	for c in mcfault mcserve mcworkload; do \
-		$$d/$$c -out $$d/out >/dev/null 2>$$d/stderr || { cat $$d/stderr; echo "check-results: $$c failed"; exit 1; }; \
-	done; \
-	n=0; for f in results/fault_* results/serve_* results/workload_*; do \
-		cmp $$f $$d/out/$$(basename $$f) || { echo "check-results: $$f differs"; exit 1; }; \
-		n=$$((n+1)); \
-	done; \
-	[ $$n -eq $$(ls $$d/out | wc -l) ] || { echo "check-results: outputs without a results/ copy:"; ls $$d/out; exit 1; }; \
-	rm -rf $$d; \
-	echo "check-results: $$n mcfault, mcserve and mcworkload outputs byte-identical to results/"
+# The committed results/ files that check-results does not compare: both
+# hold host facts and wall-clock timings, which change from run to run.
+# mcscale writes scale_study.txt; churn_study.txt comes with mcchurn's
+# deterministic files.
+UNPINNED = churn_study.txt scale_study.txt
 
-## check-scale: a quick end-to-end scale study on the 64x64 mesh, the
-## 8-ary 4-cube and the 65536-node hypercube; the study aborts unless
-## each workload's timed run reproduces its warm-up run
-check-scale:
-	$(GO) run ./cmd/mcscale -quick -out $$(mktemp -d)
-
-## check-churn: the incremental-topology acceptance suite — churn
-## equivalence (a delta-driven router vs a fresh router given the same
-## active faults, at every epoch, with the union of all plans acyclic),
-## targeted cache invalidation, the delta-driven simulator bridge, the
-## reduced churn study, and mcchurn at full fidelity, the fidelity
-## committed in results/, once with -parallel 1 and once with -parallel
-## 4: both runs' five deterministic files must match their results/
-## copies byte for byte. churn_study.txt is left out by name because it
-## holds host facts and wall-clock timings
-check-churn:
-	$(GO) test -run 'TestChurnEquivalence|TestLiveRouterTargetedInvalidation|TestPlanDeltas|TestSimSchedule' ./internal/fault
-	$(GO) test -run 'TestChurnStudySmall' ./internal/experiments
-	@d=$$(mktemp -d); \
-	$(GO) build -o $$d/ ./cmd/mcchurn || exit 1; \
-	for p in 1 4; do \
-		$$d/mcchurn -parallel $$p -out $$d/p$$p >/dev/null 2>$$d/stderr || \
-			{ cat $$d/stderr; echo "check-churn: mcchurn -parallel $$p failed"; exit 1; }; \
-		for f in churn_hitrate.txt churn_hitrate.csv churn_evictions.txt churn_evictions.csv churn_sim.txt; do \
-			cmp results/$$f $$d/p$$p/$$f || { echo "check-churn: $$f differs from results/ at -parallel $$p"; exit 1; }; \
-		done; \
-	done; \
-	rm -rf $$d; \
-	echo "check-churn: 5 deterministic mcchurn outputs byte-identical to results/ at -parallel 1 and 4"
-
-## check-serve: the scheduling-service acceptance suite — window packing,
-## worker-count invariance, the allocation-free steady state, the reduced
-## serving study, and byte-identity of every mcserve output across
-## -parallel
-check-serve:
-	$(GO) test ./internal/sched
-	$(GO) test -run 'TestServeStudySmall' ./internal/experiments
-	@a=$$(mktemp -d); b=$$(mktemp -d); \
-	$(GO) run ./cmd/mcserve -quick -parallel 1 -out $$a >/dev/null; \
-	$(GO) run ./cmd/mcserve -quick -parallel 4 -out $$b >/dev/null; \
-	for f in serve_throughput.txt serve_throughput.csv serve_p99.txt serve_p99.csv \
-		serve_window_throughput.txt serve_window_throughput.csv \
-		serve_window_p99.txt serve_window_p99.csv serve_study.txt; do \
-		cmp $$a/$$f $$b/$$f || { echo "check-serve: $$f differs across -parallel"; exit 1; }; \
-	done; \
-	echo "check-serve: mcserve outputs byte-identical across -parallel"
-
-## check-workload: the workload-engine acceptance suite — statistical
-## property tests and golden streams for every model, the trace
-## round-trip contract, the workload-driven simulator/service paths, the
-## reduced workload study, and byte-identity of every mcworkload output
-## across -parallel
-check-workload:
-	$(GO) test ./internal/workload
-	$(GO) test -run 'TestRunWorkload' ./internal/wormsim
-	$(GO) test -run 'TestServeWorkload|TestForceAdmit' ./internal/sched
-	$(GO) test -run 'TestWorkloadStudySmall|TestServeStudyWorkloadOption' ./internal/experiments
-	@a=$$(mktemp -d); b=$$(mktemp -d); \
-	$(GO) run ./cmd/mcworkload -quick -parallel 1 -out $$a >/dev/null; \
-	$(GO) run ./cmd/mcworkload -quick -parallel 4 -out $$b >/dev/null; \
-	for f in workload_scheme_mesh.txt workload_scheme_mesh.csv \
-		workload_scheme_cube.txt workload_scheme_cube.csv \
-		workload_packer_throughput.txt workload_packer_throughput.csv \
-		workload_packer_p99.txt workload_packer_p99.csv workload_study.txt; do \
-		cmp $$a/$$f $$b/$$f || { echo "check-workload: $$f differs across -parallel"; exit 1; }; \
-	done; \
-	$(GO) run ./cmd/mcworkload -quick -record bursty -o $$a/bursty.trace >/dev/null; \
-	$(GO) run ./cmd/mcworkload -quick -replay $$a/bursty.trace >/dev/null || \
-		{ echo "check-workload: trace record/replay failed"; exit 1; }; \
-	echo "check-workload: mcworkload outputs byte-identical across -parallel"
-
-## results: regenerate every committed table and figure — mcfigures at
-## -quick (check-figures pins that output), the other studies at full
-## fidelity
+## results: regenerate every committed table, figure and study, plus
+## scale_study.txt, which only mcscale's full run writes
 results:
-	$(GO) run ./cmd/mcfigures -quick -out results
-	$(GO) run ./cmd/mcfault -out results
-	$(GO) run ./cmd/mcscale -out results
-	$(GO) run ./cmd/mcchurn -out results
-	$(GO) run ./cmd/mcserve -out results
-	$(GO) run ./cmd/mcworkload -out results
+	@b=$$(mktemp -d); trap 'rm -rf $$b' EXIT; o=results; p=0; \
+	$(GO) build -o $$b/ ./cmd/... && $(FIGURES) && $(STUDIES) && $$b/mcscale -out $$o
+
+## check-results: the reproduction gate. Regenerates every committed
+## results/ file once with -parallel 1 and once with -parallel 4, and
+## requires both runs to match results/ byte for byte in both directions:
+## every output has a results/ copy and every results/ file is produced,
+## except the two UNPINNED timing files. Then it replays every mcfigures
+## file through `mcfigures -quick -fig` (-csv for the .csv files), runs
+## the quick scale study, which aborts unless each timed run reproduces
+## its warm-up run, and records and replays a workload trace
+check-results:
+	@d=$$(mktemp -d); trap 'rm -rf $$d' EXIT; b=$$d/bin; \
+	$(GO) build -o $$b/ ./cmd/... || exit 1; \
+	for p in 1 4; do \
+		o=$$d/p$$p; mkdir $$o; \
+		{ $(FIGURES) && ls $$o >$$d/figures && $(STUDIES); } >/dev/null 2>$$d/stderr || \
+			{ cat $$d/stderr; echo "check-results: regenerating results/ at -parallel $$p failed"; exit 1; }; \
+		n=0; for f in $$( (ls results; ls $$o) | sort -u); do \
+			case " $(UNPINNED) " in *" $$f "*) continue;; esac; \
+			cmp results/$$f $$o/$$f || { echo "check-results: $$f at -parallel $$p does not match results/"; exit 1; }; \
+			n=$$((n+1)); \
+		done; \
+		echo "check-results: $$n files byte-identical to results/ at -parallel $$p"; \
+	done; \
+	n=0; for f in $$(cat $$d/figures); do \
+		csv=; case $$f in *.csv) csv=-csv;; esac; \
+		$$b/mcfigures -quick -fig $${f%.*} $$csv >$$d/stdout 2>$$d/stderr && cmp -s $$d/stdout results/$$f || \
+			{ cat $$d/stderr; echo "check-results: mcfigures -quick -fig $${f%.*} $$csv differs from results/$$f"; exit 1; }; \
+		n=$$((n+1)); \
+	done; \
+	echo "check-results: $$n mcfigures files printed byte for byte by -fig"; \
+	$$b/mcscale -quick -out $$d/scale >/dev/null 2>$$d/stderr || \
+		{ cat $$d/stderr; echo "check-results: mcscale -quick self-audit failed"; exit 1; }; \
+	echo "check-results: mcscale -quick timed runs reproduce their warm-up runs"; \
+	$$b/mcworkload -quick -record bursty -o $$d/bursty.trace >/dev/null 2>$$d/stderr && \
+	$$b/mcworkload -quick -replay $$d/bursty.trace >/dev/null 2>>$$d/stderr || \
+		{ cat $$d/stderr; echo "check-results: mcworkload trace record/replay failed"; exit 1; }; \
+	echo "check-results: mcworkload trace record/replay round trip"

@@ -352,9 +352,13 @@ func BenchmarkSimulator(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	route, err := sys.RouteFunc("dual-path", multicastnet.RouterOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
 	cfg := wormsim.Config{
 		Topology:               sys.Topology(),
-		Route:                  sys.DualPathRouteFunc(),
+		Route:                  route,
 		MeanInterarrivalMicros: 400,
 		AvgDests:               10,
 		Seed:                   5,

@@ -59,7 +59,7 @@ func main() {
 
 // writeSummary records every point of the sweep. All fields are
 // deterministic, so the file participates in the byte-identity check
-// (make check-serve).
+// (make check-results).
 func writeSummary(f io.Writer, opts experiments.ServeOptions, res experiments.ServeStudyResult) error {
 	fmt.Fprintf(f, "Serving study: window-batched multicast scheduling vs naive FIFO\n")
 	if opts.Workload != workload.ModelUniform {

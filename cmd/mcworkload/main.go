@@ -118,7 +118,7 @@ func replayTrace(path string) error {
 
 // writeSummary records every point of both sweeps plus the model legend
 // and the ranking comparison. All fields are deterministic, so the file
-// participates in the byte-identity check (make check-workload).
+// participates in the byte-identity check (make check-results).
 func writeSummary(f io.Writer, opts experiments.WorkloadOptions, res experiments.WorkloadStudyResult) error {
 	fmt.Fprintf(f, "Workload study: scheme and packer rankings under realistic traffic\n")
 	fmt.Fprintf(f, "%d requests per stream, %d-group pool, mean %d destinations,\n",

@@ -54,9 +54,13 @@ func main() {
 	// (Fig. 6.1): two simultaneous full-cube barriers from adjacent
 	// coordinators can block forever. The path-based release cannot.
 	fmt.Println("\nsimulating concurrent barrier rounds (all nodes fire releases)...")
+	dualRoute, err := sys.RouteFunc("dual-path", multicastnet.RouterOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
 	res, err := multicastnet.Simulate(multicastnet.SimConfig{
 		Topology:               cube,
-		Route:                  sys.DualPathRouteFunc(),
+		Route:                  dualRoute,
 		MeanInterarrivalMicros: 250,
 		AvgDests:               16,
 		MessageBytes:           16, // a release token is small
@@ -71,7 +75,7 @@ func main() {
 	fmt.Printf("dual-path release: avg latency %.2f us (±%.2f), %d deliveries, deadlocked=%v\n",
 		res.AvgLatencyMicros, res.CIHalfWidthMicros, res.Deliveries, res.Deadlocked)
 
-	multiRoute, err := sys.MultiPathRouteFunc()
+	multiRoute, err := sys.RouteFunc("multi-path", multicastnet.RouterOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -106,9 +106,13 @@ func main() {
 
 	// Dynamic merge phase: nodes fire merge multicasts concurrently.
 	// Dual-path keeps the phase deadlock-free under contention.
+	route, err := sys.RouteFunc("dual-path", multicastnet.RouterOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
 	res, err := multicastnet.Simulate(multicastnet.SimConfig{
 		Topology:               mesh,
-		Route:                  sys.DualPathRouteFunc(),
+		Route:                  route,
 		MeanInterarrivalMicros: 200,
 		AvgDests:               6, // typical footprint size above
 		MessageBytes:           32,

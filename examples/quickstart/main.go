@@ -74,9 +74,13 @@ func main() {
 
 	// A short dynamic simulation: every node multicasts to 10 average
 	// destinations every ~300 us; dual-path routing carries the traffic.
+	route, err := sys.RouteFunc("dual-path", multicastnet.RouterOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
 	res, err := multicastnet.Simulate(multicastnet.SimConfig{
 		Topology:               sys.Topology(),
-		Route:                  sys.DualPathRouteFunc(),
+		Route:                  route,
 		MeanInterarrivalMicros: 300,
 		AvgDests:               10,
 		Seed:                   42,

@@ -203,9 +203,6 @@ func (tr *Tree) Contains(v topology.NodeID) bool {
 	return ok
 }
 
-// Children returns the (sorted) children of v.
-func (tr *Tree) Children(v topology.NodeID) []topology.NodeID { return tr.children[v] }
-
 // Parent returns the parent of v and whether v has one (the root and
 // absent nodes do not).
 func (tr *Tree) Parent(v topology.NodeID) (topology.NodeID, bool) {

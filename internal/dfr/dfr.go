@@ -102,15 +102,6 @@ func (s Star) MaxDistance() int {
 	return maxd
 }
 
-// CoreStar converts to the core model representation for validation.
-func (s Star) CoreStar() core.Star {
-	out := core.Star{}
-	for _, p := range s.Paths {
-		out.Paths = append(out.Paths, core.Path{Nodes: p.Nodes})
-	}
-	return out
-}
-
 // Validate checks that the star delivers every destination exactly once
 // over host-graph channels, each path starting at the source.
 func (s Star) Validate(t topology.Topology, k core.MulticastSet) error {

@@ -85,25 +85,6 @@ func (g *Graph) Edges() int {
 	return total / 2
 }
 
-// EdgeList returns all edges (u < v), sorted, for deterministic iteration.
-func (g *Graph) EdgeList() [][2]int {
-	var edges [][2]int
-	for u, a := range g.adj {
-		for _, v := range a {
-			if u < v {
-				edges = append(edges, [2]int{u, v})
-			}
-		}
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i][0] != edges[j][0] {
-			return edges[i][0] < edges[j][0]
-		}
-		return edges[i][1] < edges[j][1]
-	})
-	return edges
-}
-
 func (g *Graph) check(v int) {
 	if v < 0 || v >= len(g.adj) {
 		panic(fmt.Sprintf("graphx: vertex %d out of range [0,%d)", v, len(g.adj)))

@@ -12,16 +12,6 @@ func (g *Graph) HamiltonPathFrom(src int) []int {
 	return g.hamiltonSearch(src, -1, false)
 }
 
-// HamiltonPath returns a Hamilton path with any endpoints, or nil.
-func (g *Graph) HamiltonPath() []int {
-	for s := 0; s < g.N(); s++ {
-		if p := g.HamiltonPathFrom(s); p != nil {
-			return p
-		}
-	}
-	return nil
-}
-
 // HamiltonPathBetween returns a Hamilton path from src to dst (the
 // (G, s, t) problem of result G2), or nil.
 func (g *Graph) HamiltonPathBetween(src, dst int) []int {

@@ -54,13 +54,6 @@ func (c *HamiltonCycle) At(h int) topology.NodeID {
 	return c.seq[h-1]
 }
 
-// Seq returns a copy of the cycle's node sequence v_1 ... v_m.
-func (c *HamiltonCycle) Seq() []topology.NodeID {
-	out := make([]topology.NodeID, len(c.seq))
-	copy(out, c.seq)
-	return out
-}
-
 // SortKey returns the sorting key f of the sorted MP algorithm
 // (Fig. 5.1): distances are measured around the cycle starting from the
 // source u0, so nodes "behind" the source wrap around:

@@ -65,9 +65,10 @@ type LiveMasked struct {
 	neighbors [][]NodeID
 
 	// Lazily computed per-destination distance rows of the current
-	// epoch. Unreachable pairs hold Nodes().
+	// epoch. Unreachable pairs hold Nodes(), which needs 32 bits from
+	// 32,768 nodes on.
 	mu   sync.Mutex
-	rows map[NodeID][]int16
+	rows map[NodeID][]int32
 }
 
 // NewLiveMasked returns the live masked view of base with every node and
@@ -79,7 +80,7 @@ func NewLiveMasked(base Topology) *LiveMasked {
 		deadNode:  make([]bool, n),
 		deadLink:  make(map[Link]bool),
 		neighbors: make([][]NodeID, n),
-		rows:      make(map[NodeID][]int16),
+		rows:      make(map[NodeID][]int32),
 	}
 	for v := 0; v < n; v++ {
 		m.neighbors[v] = base.Neighbors(NodeID(v), nil)
@@ -154,7 +155,7 @@ func (m *LiveMasked) Apply(d GraphDelta) []NodeID {
 	}
 	m.epoch++
 	m.mu.Lock()
-	m.rows = make(map[NodeID][]int16)
+	m.rows = make(map[NodeID][]int32)
 	m.mu.Unlock()
 	return changed
 }
@@ -279,15 +280,15 @@ func (m *LiveMasked) LinkDead(u, v NodeID) bool {
 // row returns the memoized distances from u to every node (equally, by
 // symmetry, from every node to u), computing them by BFS over the live
 // adjacency on first use in the current epoch.
-func (m *LiveMasked) row(u NodeID) []int16 {
+func (m *LiveMasked) row(u NodeID) []int32 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if r, ok := m.rows[u]; ok {
 		return r
 	}
 	n := len(m.deadNode)
-	unreach := int16(n)
-	r := make([]int16, n)
+	unreach := int32(n)
+	r := make([]int32, n)
 	for i := range r {
 		r[i] = unreach
 	}

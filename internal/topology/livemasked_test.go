@@ -285,6 +285,25 @@ func TestMaskedDeadNode(t *testing.T) {
 	}
 }
 
+// TestMaskedUnreachableSentinelOnLargeCubes kills one node of 14-, 15-
+// and 16-cubes: the unreachable sentinel Nodes() must survive the row
+// storage from 32,768 nodes on, or a router would plan toward dead nodes.
+func TestMaskedUnreachableSentinelOnLargeCubes(t *testing.T) {
+	for _, dim := range []int{14, 15, 16} {
+		base := NewHypercube(dim)
+		m := masked(base, []NodeID{5}, nil)
+		if got := m.Distance(0, 5); got != m.Nodes() {
+			t.Errorf("%d-cube: Distance(0, dead 5) = %d, want %d", dim, got, m.Nodes())
+		}
+		if m.Reachable(0, 5) {
+			t.Errorf("%d-cube: dead node 5 reachable from 0", dim)
+		}
+		if got := m.Distance(0, 6); got != 2 {
+			t.Errorf("%d-cube: Distance(0, 6) = %d, want 2", dim, got)
+		}
+	}
+}
+
 // TestDistanceMemoizesOneRowPerDestination: routing asks Distance(p, v)
 // from every candidate hop p toward one destination v, so all of those
 // queries must share v's BFS row instead of computing one row per p.

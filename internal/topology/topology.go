@@ -58,11 +58,6 @@ type ShortestRegion interface {
 	NearestOnShortestPaths(s, t, u NodeID) NodeID
 }
 
-// NeighborsOf is a convenience wrapper allocating a fresh neighbor slice.
-func NeighborsOf(t Topology, v NodeID) []NodeID {
-	return t.Neighbors(v, nil)
-}
-
 // checkNode panics when v is out of range for a topology of n nodes. The
 // topologies are used by randomized simulations; failing loudly on a bad
 // address catches workload-generation bugs immediately. It takes the

@@ -394,14 +394,8 @@ func (n *Network) chanFreeFor(id int32, wi wormRef) bool {
 	return int(h) == len(q) || q[h] == wi
 }
 
-// chanAvailableTo reports whether wi may take channel id now: alive,
-// free, and wi is first in line.
-func (n *Network) chanAvailableTo(id int32, wi wormRef) bool {
-	return n.chanOwner[id] == noWorm && n.chanFreeFor(id, wi)
-}
-
-// chanAvailableToQueued is chanAvailableTo for a worm known to be
-// enqueued.
+// chanAvailableToQueued reports whether wi, known to be enqueued on
+// channel id, may take it now: alive, free, and wi is first in line.
 func (n *Network) chanAvailableToQueued(id int32, wi wormRef) bool {
 	if n.chanOwner[id] != noWorm {
 		return false

@@ -86,6 +86,9 @@ type (
 	RouteFunc = wormsim.RouteFunc
 	// LiveRouteFunc routes with sight of live channel occupancy.
 	LiveRouteFunc = wormsim.LiveRouteFunc
+	// RouterOptions parameterize System.RouteFunc; the zero value
+	// selects every scheme's defaults.
+	RouterOptions = routing.Options
 	// Injection is a routed multicast handed to the simulator.
 	Injection = wormsim.Injection
 )
@@ -263,48 +266,18 @@ func (s *System) MultiUnicastTraffic(k MulticastSet) int {
 	return heuristics.MultiUnicastTraffic(s.topo, k)
 }
 
-// router builds the named registry scheme over the system's topology and
-// canonical labeling. The RouteFunc methods name only schemes the
-// system's topology supports, so a build error is a programming bug.
-func (s *System) router(name string, opts routing.Options) routing.Router {
+// RouteFunc adapts the named routing scheme ("dual-path", "multi-path",
+// "fixed-path", "tree", "virtual-channel", ...; `mcroute -list-schemes`
+// prints them all) for Simulate, over the system's topology and
+// canonical labeling. It errors on an unknown name, on a scheme the
+// topology does not support (tree needs a 2D mesh, multi-path a 2D mesh
+// or hypercube) and on invalid options.
+func (s *System) RouteFunc(name string, opts RouterOptions) (RouteFunc, error) {
 	r, err := routing.NewWithOptions(name, routing.NewStateWithLabeling(s.topo, s.label), opts)
 	if err != nil {
-		panic(err)
+		return nil, err
 	}
-	return r
-}
-
-// DualPathRouteFunc adapts the dual-path scheme for Simulate.
-func (s *System) DualPathRouteFunc() RouteFunc {
-	return wormsim.RouteFuncOf(s.router("dual-path", routing.Options{}))
-}
-
-// MultiPathRouteFunc adapts the multi-path scheme for Simulate.
-func (s *System) MultiPathRouteFunc() (RouteFunc, error) {
-	if s.mesh == nil && s.cube == nil {
-		return nil, fmt.Errorf("multicastnet: multi-path unsupported on %s", s.topo.Name())
-	}
-	return wormsim.RouteFuncOf(s.router("multi-path", routing.Options{})), nil
-}
-
-// FixedPathRouteFunc adapts the fixed-path scheme for Simulate.
-func (s *System) FixedPathRouteFunc() RouteFunc {
-	return wormsim.RouteFuncOf(s.router("fixed-path", routing.Options{}))
-}
-
-// AdaptiveDualPathRouteFunc adapts the congestion-adaptive dual-path
-// extension for Simulate: assign the result to SimConfig.LiveRoute.
-func (s *System) AdaptiveDualPathRouteFunc() LiveRouteFunc {
-	return wormsim.LiveRouteFuncOf(s.router("adaptive-dual-path", routing.Options{}).(routing.LiveRouter))
-}
-
-// TreeRouteFunc adapts the double-channel X-first tree scheme for
-// Simulate (mesh only).
-func (s *System) TreeRouteFunc() (RouteFunc, error) {
-	if s.mesh == nil {
-		return nil, fmt.Errorf("multicastnet: tree scheme requires a mesh")
-	}
-	return wormsim.RouteFuncOf(s.router("tree", routing.Options{})), nil
+	return wormsim.RouteFuncOf(r), nil
 }
 
 // VirtualChannelPath runs the Section 8.2 virtual-channel extension:
@@ -312,11 +285,6 @@ func (s *System) TreeRouteFunc() (RouteFunc, error) {
 // label-monotone paths. v = 1 is dual-path routing.
 func (s *System) VirtualChannelPath(k MulticastSet, v int) Star {
 	return dfr.VirtualChannelPath(s.topo, s.label, k, v)
-}
-
-// VirtualChannelRouteFunc adapts the virtual-channel scheme for Simulate.
-func (s *System) VirtualChannelRouteFunc(v int) RouteFunc {
-	return wormsim.RouteFuncOf(s.router("virtual-channel", routing.Options{VirtualChannels: v}))
 }
 
 // VerifyDeadlockFree builds the complete unicast channel dependency graph

@@ -107,7 +107,7 @@ func TestCubeSystemEndToEnd(t *testing.T) {
 	if _, err := sys.DoubleChannelXFirst(k); err == nil {
 		t.Error("double-channel tree should be mesh-only")
 	}
-	if _, err := sys.TreeRouteFunc(); err == nil {
+	if _, err := sys.RouteFunc("tree", multicastnet.RouterOptions{}); err == nil {
 		t.Error("tree route func should be mesh-only")
 	}
 	if err := sys.VerifyDeadlockFree(); err != nil {
@@ -144,15 +144,11 @@ func TestSimulateFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	multiRoute, err := sys.MultiPathRouteFunc()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, route := range map[string]multicastnet.RouteFunc{
-		"dual":  sys.DualPathRouteFunc(),
-		"multi": multiRoute,
-		"fixed": sys.FixedPathRouteFunc(),
-	} {
+	for _, name := range []string{"dual-path", "multi-path", "fixed-path"} {
+		route, err := sys.RouteFunc(name, multicastnet.RouterOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
 		res, err := multicastnet.Simulate(multicastnet.SimConfig{
 			Topology:               sys.Topology(),
 			Route:                  route,
@@ -223,9 +219,16 @@ func TestVirtualChannelFacade(t *testing.T) {
 		t.Errorf("more copies should not lengthen the worst path (%d vs %d)",
 			v4.MaxDistance(), v1.MaxDistance())
 	}
+	if _, err := sys.RouteFunc("virtual-channel", multicastnet.RouterOptions{VirtualChannels: -1}); err == nil {
+		t.Error("virtual-channel route func accepted v = -1")
+	}
+	route, err := sys.RouteFunc("virtual-channel", multicastnet.RouterOptions{VirtualChannels: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
 	res, err := multicastnet.Simulate(multicastnet.SimConfig{
 		Topology:               sys.Topology(),
-		Route:                  sys.VirtualChannelRouteFunc(2),
+		Route:                  route,
 		MeanInterarrivalMicros: 1000,
 		AvgDests:               5,
 		Seed:                   9,
