@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"time"
 
 	"multicastnet/internal/core"
@@ -212,7 +213,7 @@ func churnPolicyRun(w ChurnWorkload, st *routing.State, stream []fault.Delta,
 			cache.InvalidateAll()
 		}
 		for _, k := range working {
-			if lr.Mask().NodeDead(k.Source) {
+			if lr.NodeDead(k.Source) {
 				continue
 			}
 			lr.PlanDegradedCached(k)
@@ -262,7 +263,7 @@ func churnTimingRun(w ChurnWorkload, st *routing.State, stream []fault.Delta,
 	for _, d := range stream {
 		lr.ApplyDelta(d)
 		for _, k := range working {
-			if lr.Mask().NodeDead(k.Source) {
+			if lr.NodeDead(k.Source) {
 				continue
 			}
 			lr.PlanDegradedCached(k)
@@ -270,17 +271,16 @@ func churnTimingRun(w ChurnWorkload, st *routing.State, stream []fault.Delta,
 	}
 	incMs = float64(time.Since(start).Microseconds()) / 1e3
 
-	mask := fault.NewMask(st.Topology())
+	actives := activeEvents(stream)
 	start = time.Now()
-	for _, d := range stream {
-		mask.ApplyDelta(d)
+	for _, active := range actives {
 		r, err := fault.NewLiveRouter(w.Scheme, st, routing.Options{})
 		if err != nil {
 			panic(err)
 		}
-		r.ApplyDelta(mask.ActiveDelta())
+		r.ApplyDelta(fault.Delta{Fail: active})
 		for _, k := range working {
-			if mask.NodeDead(k.Source) {
+			if r.NodeDead(k.Source) {
 				continue
 			}
 			r.PlanDegraded(k)
@@ -288,6 +288,28 @@ func churnTimingRun(w ChurnWorkload, st *routing.State, stream []fault.Delta,
 	}
 	rebMs = float64(time.Since(start).Microseconds()) / 1e3
 	return incMs, rebMs
+}
+
+// activeEvents lists the faults active after each delta of the stream:
+// re-failing active hardware and repairing healthy hardware change
+// nothing.
+func activeEvents(stream []fault.Delta) [][]fault.Event {
+	var active []fault.Event
+	out := make([][]fault.Event, 0, len(stream))
+	for _, d := range stream {
+		for _, e := range d.Fail {
+			if !slices.Contains(active, e) {
+				active = append(active, e)
+			}
+		}
+		for _, e := range d.Repair {
+			if i := slices.Index(active, e); i >= 0 {
+				active = slices.Delete(active, i, i+1)
+			}
+		}
+		out = append(out, slices.Clone(active))
+	}
+	return out
 }
 
 // ChurnSimResult is one delta-driven simulator run: a dynamic wormhole

@@ -59,11 +59,11 @@ func TestMaskedCDGAcyclic(t *testing.T) {
 					MaxClass: 2,
 					Seed:     seed,
 				}
-				mask := NewPlan(topo, spec).FullMask()
-				masked := mask.MaskTopology()
-				sets := randomSets(topo, mask, rng, 3)
+				events := NewPlan(topo, spec).Events()
+				masked := maskedOf(topo, events)
+				sets := randomSets(topo, events, rng, 3)
 				for _, name := range routing.Names() {
-					dr, err := routerFor(name, st, mask)
+					dr, err := routerFor(name, st, events)
 					if err != nil {
 						continue // scheme unsupported on this topology
 					}
@@ -110,17 +110,6 @@ func TestMaskedCDGAcyclic(t *testing.T) {
 	}
 }
 
-// routerFor builds the degraded router for one mask from scratch: a
-// fresh LiveRouter advanced by one delta of the mask's active faults.
-func routerFor(scheme string, st *routing.State, mask *Mask) (*LiveRouter, error) {
-	r, err := NewLiveRouter(scheme, st, routing.Options{})
-	if err != nil {
-		return nil, err
-	}
-	r.ApplyDelta(mask.ActiveDelta())
-	return r, nil
-}
-
 // planNoPanic converts a degraded-planning panic into a test failure
 // with the scheme attached (the acceptance criterion says "never a
 // panic").
@@ -135,12 +124,13 @@ func planNoPanic(t *testing.T, dr *LiveRouter, k core.MulticastSet) (plan routin
 }
 
 // randomSets draws n multicast sets over the healthy topology with a
-// live source, mirroring what a fault-epoch workload looks like.
-func randomSets(topo topology.Topology, mask *Mask, rng *stats.Rand, n int) []core.MulticastSet {
+// source the events leave alive, mirroring what a fault-epoch workload
+// looks like.
+func randomSets(topo topology.Topology, events []Event, rng *stats.Rand, n int) []core.MulticastSet {
 	var out []core.MulticastSet
 	for len(out) < n {
 		src := topology.NodeID(rng.Intn(topo.Nodes()))
-		if mask.NodeDead(src) {
+		if nodeDeadIn(events, src) {
 			continue // dead sources are covered by TestSourceDead
 		}
 		var dests []topology.NodeID

@@ -2,6 +2,7 @@ package fault
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -46,15 +47,6 @@ func drawDelta(rng *stats.Rand, topo topology.Topology, links []topology.Link, a
 	return d, active
 }
 
-// maskOf rebuilds a fresh cumulative mask from the active event set.
-func maskOf(topo topology.Topology, active []Event) *Mask {
-	m := NewMask(topo)
-	for _, e := range active {
-		m.Apply(e)
-	}
-	return m
-}
-
 // TestChurnEquivalence is the incremental path's invariant: a LiveRouter
 // driven by an arbitrary interleaving of fault and repair deltas plans
 // byte-identically, at every intermediate step, to a fresh LiveRouter
@@ -63,7 +55,8 @@ func maskOf(topo topology.Topology, active []Event) *Mask {
 // attached plan cache must agree too, whether a plan comes fresh or from
 // cache (targeted invalidation must never serve a stale plan). For the
 // deadlock-free schemes, the channel dependency graph over every plan
-// produced so far, across all epochs, must stay acyclic after every step.
+// produced so far, across all epochs, must stay acyclic after every step,
+// and the router's dead-hardware answers must match the active events.
 func TestChurnEquivalence(t *testing.T) {
 	cases := []struct {
 		topo topology.Topology
@@ -103,7 +96,8 @@ func churnScheme(t *testing.T, topo topology.Topology, st *routing.State, scheme
 	if err != nil {
 		t.Fatal(err)
 	}
-	cached.AttachCache(routing.NewPlanCache(512))
+	cache := routing.NewPlanCache(512)
+	cached.AttachCache(cache)
 	// The union CDG is only acyclic for deadlock-free schemes:
 	// naive-tree is the paper's deliberate counterexample, cyclic across
 	// concurrent multicasts by design.
@@ -117,25 +111,21 @@ func churnScheme(t *testing.T, topo topology.Topology, st *routing.State, scheme
 	// A fixed working set of multicasts, re-planned every epoch — the
 	// realistic churn shape (steady traffic, moving faults) and the one
 	// that exercises cache survival across deltas.
-	working := randomSets(topo, NewMask(topo), rng, 6)
+	working := randomSets(topo, nil, rng, 6)
 	var active []Event
 	for step := 0; step < 18; step++ {
 		var d Delta
 		d, active = drawDelta(rng, topo, links, active)
-		rep := lr.ApplyDelta(d)
+		lr.ApplyDelta(d)
 		cached.ApplyDelta(d)
-		if rep.ActiveFaults != len(active) {
-			t.Fatalf("step %d: live mask counts %d active faults, stream has %d",
-				step, rep.ActiveFaults, len(active))
-		}
+		checkDeadHardware(t, fmt.Sprintf("step %d", step), lr, topo, active)
 
-		mask := maskOf(topo, active)
-		fresh, err := routerFor(scheme, st, mask)
+		fresh, err := routerFor(scheme, st, active)
 		if err != nil {
 			t.Fatalf("step %d: fresh router: %v", step, err)
 		}
 		for _, k := range working {
-			if mask.NodeDead(k.Source) {
+			if nodeDeadIn(active, k.Source) {
 				continue // dead sources are covered by TestSourceDead
 			}
 			lp, lst, lerr := planNoPanic(t, lr, k)
@@ -157,14 +147,14 @@ func churnScheme(t *testing.T, topo topology.Topology, st *routing.State, scheme
 			if served {
 				// A surviving cache entry may predate this epoch; the
 				// policy contract is that it is still fully valid over
-				// the CURRENT mask (fresh re-optimization is lazy). A
+				// the CURRENT faults (fresh re-optimization is lazy). A
 				// cached entry is only ever a fully-served plan, so every
 				// destination must still be reachable and delivered.
 				if cerr != nil {
 					t.Fatalf("step %d: cache hit returned error %v", step, cerr)
 				}
 				if !fresh.planValid(cp, k) {
-					t.Fatalf("step %d: cache served a plan invalid under the current mask for %v", step, k)
+					t.Fatalf("step %d: cache served a plan invalid under the current faults for %v", step, k)
 				}
 			} else {
 				if (cerr == nil) != (serr == nil) {
@@ -183,18 +173,19 @@ func churnScheme(t *testing.T, topo topology.Topology, st *routing.State, scheme
 		}
 	}
 
-	// Drain every remaining fault: the live router must plan exactly like
-	// the plain healthy scheme again (empty-mask bypass).
+	// Drain every remaining fault: the live router must record no dead
+	// hardware and plan exactly like the plain healthy scheme again
+	// (healthy bypass).
 	lr.ApplyDelta(Delta{Repair: active})
 	cached.ApplyDelta(Delta{Repair: active})
-	if !lr.Mask().Empty() {
-		t.Fatalf("mask not empty after repairing all %d faults", len(active))
+	if !lr.live.Healthy() || len(lr.deadVC) != 0 {
+		t.Fatalf("router still records dead hardware after repairing all %d faults", len(active))
 	}
 	hr, err := routing.New(scheme, st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, k := range randomSets(topo, NewMask(topo), rng, 3) {
+	for _, k := range randomSets(topo, nil, rng, 3) {
 		lp, lst, lerr := planNoPanic(t, lr, k)
 		if lerr != nil || lst.Degraded() {
 			t.Fatalf("healed router still degraded: %+v %v", lst, lerr)
@@ -203,7 +194,7 @@ func churnScheme(t *testing.T, topo topology.Topology, st *routing.State, scheme
 			t.Fatalf("healed live plan differs from the healthy scheme for %v", k)
 		}
 	}
-	if cached.CachedServes() == 0 {
+	if cache.Stats().Hits == 0 {
 		t.Error("churn workload never hit the plan cache")
 	}
 }
@@ -245,9 +236,9 @@ func TestLiveRouterTargetedInvalidation(t *testing.T) {
 	if !found {
 		t.Fatal("healthy plan has no edges")
 	}
-	rep := lr.ApplyDelta(Delta{Fail: []Event{{Kind: LinkFault, A: link.U, B: link.V}}})
-	if rep.Invalidated != 1 {
-		t.Fatalf("delta evicted %d plans, want exactly k1's", rep.Invalidated)
+	lr.ApplyDelta(Delta{Fail: []Event{{Kind: LinkFault, A: link.U, B: link.V}}})
+	if n := cache.Stats().Invalidations; n != 1 {
+		t.Fatalf("delta evicted %d plans, want exactly k1's", n)
 	}
 	if _, _, ok := cache.GetPlanAux(lr.ID(), k2); !ok {
 		t.Fatal("unaffected plan was evicted")
@@ -263,9 +254,9 @@ func TestLiveRouterTargetedInvalidation(t *testing.T) {
 
 	// Repair: nothing is evicted; the detour plan keeps serving (lazily
 	// re-optimized only when it ages out).
-	rep = lr.ApplyDelta(Delta{Repair: []Event{{Kind: LinkFault, A: link.U, B: link.V}}})
-	if rep.Invalidated != 0 {
-		t.Fatalf("repair evicted %d plans, want 0", rep.Invalidated)
+	lr.ApplyDelta(Delta{Repair: []Event{{Kind: LinkFault, A: link.U, B: link.V}}})
+	if n := cache.Stats().Invalidations; n != 1 {
+		t.Fatalf("repair evicted %d plans, want 0", n-1)
 	}
 	if _, _, served, _ := lr.PlanDegradedCached(k1); !served {
 		t.Fatal("repair evicted the detour plan")

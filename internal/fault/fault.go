@@ -1,8 +1,9 @@
 // Package fault is the fault-injection subsystem: deterministic, seeded
 // fault plans (link, node, and virtual-channel failures with activation
-// times), cumulative fault masks over a topology, and one degraded-mode
-// router, LiveRouter, that keeps every registry scheme routing — and
-// provably deadlock-free — around dead hardware as faults come and go.
+// times) and one degraded-mode router, LiveRouter, that keeps every
+// registry scheme routing — and provably deadlock-free — around dead
+// hardware as faults come and go. The router is the one record of which
+// hardware is dead.
 //
 // The fault model follows the dissertation's hardware assumptions: links
 // are bidirectional physical channels, so a link fault removes both
@@ -11,14 +12,14 @@
 // removes a single directed channel copy (one dfr.Channel) while the
 // physical link keeps carrying its other classes.
 //
-// Degraded-mode routing (see LiveRouter) masks the routing.State
-// adjacency with the fault mask, re-runs the original scheme over the
-// masked graph, falls back through the path-based schemes, and as a last
-// resort repairs plans with label-monotone escape segments on escalating
-// channel classes. Fault and repair events reach the router as Deltas,
-// absorbed in O(|delta|); a router for a fixed mask is a fresh router
-// plus one delta of that mask's active faults (Mask.ActiveDelta). Every
-// produced plan keeps the channel dependency graph acyclic
+// Degraded-mode routing (see LiveRouter) re-runs the original scheme
+// over the masked graph — the topology minus its dead nodes and links —
+// falls back through the path-based schemes, and as a last resort
+// repairs plans with label-monotone escape segments on escalating channel
+// classes. Fault and repair events reach the router as Deltas, absorbed
+// in O(|delta|); a router for a fixed set of faults is a fresh router plus
+// one fail-only delta of those events. Every produced plan keeps the
+// channel dependency graph acyclic
 // (re-verifiable via internal/dfr); destinations severed from the source
 // are reported with a typed partition error (ErrPartitioned) rather than
 // routed through dead hardware.
@@ -63,8 +64,8 @@ func (k Kind) String() string {
 
 // Event is one timed hardware failure. The fault activates at the start
 // of simulation cycle Cycle; within a static Plan it is permanent, while
-// the delta path (Delta, Mask.Unapply) models repair as the exact
-// reversal of an active event.
+// the delta path (Delta.Repair) models repair as the exact reversal of an
+// active event.
 type Event struct {
 	Kind  Kind
 	Cycle int64
@@ -76,7 +77,7 @@ type Event struct {
 }
 
 // Matches reports whether the event's failure covers the directed
-// channel c — the per-event form of Mask.ChannelDead, used to fail
+// channel c — the per-event form of LiveRouter.ChannelDead, used to fail
 // channels in a running simulation as each event activates.
 func (e Event) Matches(c dfr.Channel) bool {
 	switch e.Kind {
@@ -122,7 +123,6 @@ type Spec struct {
 // topology, sorted by activation cycle. Plans are immutable and safe for
 // concurrent use.
 type Plan struct {
-	topo   topology.Topology
 	events []Event
 }
 
@@ -182,15 +182,15 @@ func NewPlan(t topology.Topology, spec Spec) *Plan {
 		}
 	}
 	sortEvents(events)
-	return &Plan{topo: t, events: events}
+	return &Plan{events: events}
 }
 
 // NewStaticPlan wraps explicit events (all fields caller-chosen) as a
 // plan; used by tests and by callers with externally computed scenarios.
-func NewStaticPlan(t topology.Topology, events []Event) *Plan {
+func NewStaticPlan(events []Event) *Plan {
 	own := append([]Event(nil), events...)
 	sortEvents(own)
-	return &Plan{topo: t, events: own}
+	return &Plan{events: own}
 }
 
 // sortEvents orders events by (cycle, kind, endpoints, class) so epoch
@@ -230,15 +230,12 @@ func EnumerateLinks(t topology.Topology) []topology.Link {
 	return links
 }
 
-// Topology returns the topology the plan was drawn over.
-func (p *Plan) Topology() topology.Topology { return p.topo }
-
 // Events returns the plan's events sorted by activation cycle. Callers
 // must not modify the slice.
 func (p *Plan) Events() []Event { return p.events }
 
 // Epochs returns the distinct activation cycles, ascending. Each epoch
-// boundary is a point where the cumulative mask — and hence degraded
+// boundary is a point where the dead hardware — and hence degraded
 // routing — changes.
 func (p *Plan) Epochs() []int64 {
 	var out []int64
@@ -248,156 +245,4 @@ func (p *Plan) Epochs() []int64 {
 		}
 	}
 	return out
-}
-
-// MaskAt returns the cumulative fault mask of every event with
-// activation cycle <= cycle.
-func (p *Plan) MaskAt(cycle int64) *Mask {
-	m := NewMask(p.topo)
-	for _, e := range p.events {
-		if e.Cycle > cycle {
-			break
-		}
-		m.Apply(e)
-	}
-	return m
-}
-
-// FullMask returns the mask with every event applied.
-func (p *Plan) FullMask() *Mask {
-	m := NewMask(p.topo)
-	for _, e := range p.events {
-		m.Apply(e)
-	}
-	return m
-}
-
-// Mask is the cumulative dead-hardware set of a fault plan at one point
-// in time. A Mask is mutable while events are applied or unapplied;
-// routing wrappers treat it as immutable afterwards (the live delta path
-// synchronizes mutation externally via the epoch protocol).
-type Mask struct {
-	topo     topology.Topology
-	nodeDead []bool
-	linkDead map[topology.Link]bool
-	vcDead   map[dfr.Channel]bool
-	events   int
-}
-
-// NewMask returns the empty (healthy) mask over t.
-func NewMask(t topology.Topology) *Mask {
-	return &Mask{
-		topo:     t,
-		nodeDead: make([]bool, t.Nodes()),
-		linkDead: make(map[topology.Link]bool),
-		vcDead:   make(map[dfr.Channel]bool),
-	}
-}
-
-// Apply adds one fault event to the mask. Re-failing already-dead
-// hardware is a no-op, so the event count stays the exact number of
-// active faults (Empty is reliable under fault/repair interleavings).
-func (m *Mask) Apply(e Event) {
-	switch e.Kind {
-	case LinkFault:
-		l := topology.NormLink(e.A, e.B)
-		if m.linkDead[l] {
-			return
-		}
-		m.linkDead[l] = true
-	case NodeFault:
-		if m.nodeDead[e.A] {
-			return
-		}
-		m.nodeDead[e.A] = true
-	case VCFault:
-		c := dfr.Channel{From: e.A, To: e.B, Class: e.Class}
-		if m.vcDead[c] {
-			return
-		}
-		m.vcDead[c] = true
-	default:
-		panic(fmt.Sprintf("fault: unknown event kind %d", e.Kind))
-	}
-	m.events++
-}
-
-// Unapply removes one fault event from the mask — the repair of exactly
-// that hardware. Repairing healthy hardware is a no-op. Note the model is
-// per-fault-site: repairing a node restores the node, not any separately
-// failed incident links.
-func (m *Mask) Unapply(e Event) {
-	switch e.Kind {
-	case LinkFault:
-		l := topology.NormLink(e.A, e.B)
-		if !m.linkDead[l] {
-			return
-		}
-		delete(m.linkDead, l)
-	case NodeFault:
-		if !m.nodeDead[e.A] {
-			return
-		}
-		m.nodeDead[e.A] = false
-	case VCFault:
-		c := dfr.Channel{From: e.A, To: e.B, Class: e.Class}
-		if !m.vcDead[c] {
-			return
-		}
-		delete(m.vcDead, c)
-	default:
-		panic(fmt.Sprintf("fault: unknown event kind %d", e.Kind))
-	}
-	m.events--
-}
-
-// Empty reports a healthy mask (no faults currently active).
-func (m *Mask) Empty() bool { return m.events == 0 }
-
-// Events returns the number of currently active faults.
-func (m *Mask) Events() int { return m.events }
-
-// NodeDead reports whether v failed.
-func (m *Mask) NodeDead(v topology.NodeID) bool { return m.nodeDead[v] }
-
-// VCDead reports whether the specific directed channel copy failed (VC
-// faults only; use ChannelDead for the full liveness check).
-func (m *Mask) VCDead(c dfr.Channel) bool { return m.vcDead[c] }
-
-// ChannelDead reports whether the directed channel c is unusable: its
-// copy failed, its link failed, or either endpoint failed.
-func (m *Mask) ChannelDead(c dfr.Channel) bool {
-	return m.nodeDead[c.From] || m.nodeDead[c.To] ||
-		m.linkDead[topology.NormLink(c.From, c.To)] || m.vcDead[c]
-}
-
-// ActiveDelta lists the mask's active faults as one fail-only Delta in
-// canonical order: dead nodes, then dead links, then dead channel
-// copies, each ascending. Applied to a fresh LiveRouter, it builds the
-// degraded router for this mask.
-func (m *Mask) ActiveDelta() Delta {
-	var d Delta
-	for v, dead := range m.nodeDead {
-		if dead {
-			d.Fail = append(d.Fail, Event{Kind: NodeFault, A: topology.NodeID(v)})
-		}
-	}
-	for l := range m.linkDead {
-		d.Fail = append(d.Fail, Event{Kind: LinkFault, A: l.U, B: l.V})
-	}
-	for c := range m.vcDead {
-		d.Fail = append(d.Fail, Event{Kind: VCFault, A: c.From, B: c.To, Class: c.Class})
-	}
-	sortEvents(d.Fail)
-	return d
-}
-
-// MaskTopology returns a fresh masked view of the mask's topology: dead
-// nodes isolated, dead links removed. VC faults do not affect the
-// physical graph (the link's other classes still carry flits), so they
-// are excluded here and enforced per-channel by the degraded router.
-func (m *Mask) MaskTopology() *topology.LiveMasked {
-	v := topology.NewLiveMasked(m.topo)
-	v.Apply(m.ActiveDelta().GraphDelta())
-	return v
 }

@@ -58,46 +58,128 @@ func TestPlanCapsAtHardware(t *testing.T) {
 }
 
 // TestMaskSemantics checks the three fault kinds map to the right
-// channel-liveness answers.
+// liveness answers: the router's NodeDead and ChannelDead must agree with
+// the events' own Matches on every node and channel copy, and the masked
+// graph must lose link and node faults but keep a VC-faulted link.
 func TestMaskSemantics(t *testing.T) {
 	m := topology.NewMesh2D(4, 4)
-	mask := NewMask(m)
-	if !mask.Empty() {
-		t.Fatalf("fresh mask not empty")
+	st, err := routing.NewState(m)
+	if err != nil {
+		t.Fatal(err)
 	}
-	mask.Apply(Event{Kind: LinkFault, A: 1, B: 2})
-	mask.Apply(Event{Kind: NodeFault, A: 5})
-	mask.Apply(Event{Kind: VCFault, A: 8, B: 9, Class: 1})
-	if mask.Empty() {
-		t.Fatalf("mask with events reports empty")
+	events := []Event{
+		{Kind: LinkFault, A: 1, B: 2},
+		{Kind: NodeFault, A: 5},
+		{Kind: VCFault, A: 8, B: 9, Class: 1},
 	}
+	lr, err := routerFor("dual-path", st, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkDeadHardware(t, "fresh router", lr, m, nil)
+	lr.ApplyDelta(Delta{Fail: events})
+	checkDeadHardware(t, "faulted router", lr, m, events)
 	// Link fault: both directions, every class.
 	for _, c := range []dfr.Channel{{From: 1, To: 2}, {From: 2, To: 1}, {From: 1, To: 2, Class: 3}} {
-		if !mask.ChannelDead(c) {
+		if !lr.ChannelDead(c) {
 			t.Fatalf("link-fault channel %v alive", c)
 		}
 	}
 	// Node fault: every incident channel.
-	if !mask.ChannelDead(dfr.Channel{From: 5, To: 6}) || !mask.ChannelDead(dfr.Channel{From: 4, To: 5}) {
+	if !lr.ChannelDead(dfr.Channel{From: 5, To: 6}) || !lr.ChannelDead(dfr.Channel{From: 4, To: 5}) {
 		t.Fatalf("node-fault incident channel alive")
 	}
 	// VC fault: only the one copy and direction.
-	if !mask.ChannelDead(dfr.Channel{From: 8, To: 9, Class: 1}) {
+	if !lr.ChannelDead(dfr.Channel{From: 8, To: 9, Class: 1}) {
 		t.Fatalf("vc-fault channel alive")
 	}
 	for _, c := range []dfr.Channel{{From: 8, To: 9, Class: 0}, {From: 9, To: 8, Class: 1}} {
-		if mask.ChannelDead(c) {
+		if lr.ChannelDead(c) {
 			t.Fatalf("vc fault killed unrelated copy %v", c)
 		}
 	}
 	// Masked topology: link and node faults visible, VC faults not.
-	mt := mask.MaskTopology()
+	mt := lr.State().Topology()
 	if mt.Adjacent(1, 2) || mt.Adjacent(5, 6) {
 		t.Fatalf("masked topology kept dead hardware")
 	}
 	if !mt.Adjacent(8, 9) {
 		t.Fatalf("vc fault removed the physical link")
 	}
+	// Repair is the exact reversal.
+	lr.ApplyDelta(Delta{Repair: events})
+	checkDeadHardware(t, "repaired router", lr, m, nil)
+}
+
+// checkDeadHardware compares the router's NodeDead and ChannelDead with
+// the events' Matches on every node and on every channel copy of classes
+// 0 to 3.
+func checkDeadHardware(t *testing.T, what string, lr *LiveRouter, topo topology.Topology, events []Event) {
+	t.Helper()
+	var buf []topology.NodeID
+	for u := topology.NodeID(0); int(u) < topo.Nodes(); u++ {
+		if got, want := lr.NodeDead(u), nodeDeadIn(events, u); got != want {
+			t.Fatalf("%s: NodeDead(%d) = %v, want %v", what, u, got, want)
+		}
+		buf = topo.Neighbors(u, buf[:0])
+		for _, w := range buf {
+			for class := 0; class < 4; class++ {
+				c := dfr.Channel{From: u, To: w, Class: class}
+				if got, want := lr.ChannelDead(c), channelDeadIn(events, c); got != want {
+					t.Fatalf("%s: ChannelDead(%v) = %v, want %v", what, c, got, want)
+				}
+			}
+		}
+	}
+}
+
+// routerFor builds the degraded router for a fixed fault set from
+// scratch: a fresh LiveRouter advanced by one fail-only delta.
+func routerFor(scheme string, st *routing.State, events []Event) (*LiveRouter, error) {
+	r, err := NewLiveRouter(scheme, st, routing.Options{})
+	if err != nil {
+		return nil, err
+	}
+	r.ApplyDelta(Delta{Fail: events})
+	return r, nil
+}
+
+// maskedOf is the reference masked graph of events: a fresh LiveMasked
+// advanced by one GraphDelta of their link and node faults. VC faults
+// leave the physical graph alone.
+func maskedOf(topo topology.Topology, events []Event) *topology.LiveMasked {
+	var g topology.GraphDelta
+	for _, e := range events {
+		switch e.Kind {
+		case LinkFault:
+			g.FailLinks = append(g.FailLinks, topology.NormLink(e.A, e.B))
+		case NodeFault:
+			g.FailNodes = append(g.FailNodes, e.A)
+		}
+	}
+	v := topology.NewLiveMasked(topo)
+	v.Apply(g)
+	return v
+}
+
+// nodeDeadIn reports whether events kill node v.
+func nodeDeadIn(events []Event, v topology.NodeID) bool {
+	for _, e := range events {
+		if e.Kind == NodeFault && e.A == v {
+			return true
+		}
+	}
+	return false
+}
+
+// channelDeadIn reports whether any of events kills the channel c.
+func channelDeadIn(events []Event, c dfr.Channel) bool {
+	for _, e := range events {
+		if e.Matches(c) {
+			return true
+		}
+	}
+	return false
 }
 
 // mustSet builds a multicast set over t.
@@ -124,7 +206,7 @@ func TestHealthyMaskIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dr, err := routerFor(name, st, NewMask(m))
+		dr, err := routerFor(name, st, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,13 +231,11 @@ func TestDegradedRoutesAroundLinkFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mask := NewMask(m)
-	mask.Apply(Event{Kind: LinkFault, A: 5, B: 6})
-	mask.Apply(Event{Kind: LinkFault, A: 9, B: 10})
+	events := []Event{{Kind: LinkFault, A: 5, B: 6}, {Kind: LinkFault, A: 9, B: 10}}
 	k := mustSet(t, m, 5, []topology.NodeID{0, 6, 10, 15})
-	masked := mask.MaskTopology()
+	masked := maskedOf(m, events)
 	for _, name := range routing.Names() {
-		dr, err := routerFor(name, st, mask)
+		dr, err := routerFor(name, st, events)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,7 +247,7 @@ func TestDegradedRoutesAroundLinkFaults(t *testing.T) {
 			t.Fatalf("%s: degraded plan invalid: %v", name, err)
 		}
 		forEachChannel(plan, func(c dfr.Channel) {
-			if mask.ChannelDead(c) {
+			if channelDeadIn(events, c) {
 				t.Fatalf("%s: plan uses dead channel %v", name, c)
 			}
 		})
@@ -182,13 +262,11 @@ func TestPartitionError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mask := NewMask(m)
 	// Node 15 is the corner (3,3): links to 14 and 11.
-	mask.Apply(Event{Kind: LinkFault, A: 14, B: 15})
-	mask.Apply(Event{Kind: LinkFault, A: 11, B: 15})
+	events := []Event{{Kind: LinkFault, A: 14, B: 15}, {Kind: LinkFault, A: 11, B: 15}}
 	k := mustSet(t, m, 0, []topology.NodeID{3, 12, 15})
 	for _, name := range routing.Names() {
-		dr, err := routerFor(name, st, mask)
+		dr, err := routerFor(name, st, events)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,7 +285,7 @@ func TestPartitionError(t *testing.T) {
 			t.Fatalf("%s: stats.Unreachable = %d", name, stats.Unreachable)
 		}
 		live := mustSet(t, m, 0, []topology.NodeID{3, 12})
-		if err := plan.Validate(mask.MaskTopology(), live); err != nil {
+		if err := plan.Validate(maskedOf(m, events), live); err != nil {
 			t.Fatalf("%s: surviving plan invalid: %v", name, err)
 		}
 	}
@@ -221,9 +299,7 @@ func TestSourceDead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mask := NewMask(m)
-	mask.Apply(Event{Kind: NodeFault, A: 5})
-	dr, err := routerFor("dual-path", st, mask)
+	dr, err := routerFor("dual-path", st, []Event{{Kind: NodeFault, A: 5}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,9 +325,8 @@ func TestVCFaultAvoided(t *testing.T) {
 	plain, _ := routing.New("dual-path", st)
 	healthy := plain.PlanSet(k)
 	ch := healthy.Paths[0].Channels()[0]
-	mask := NewMask(m)
-	mask.Apply(Event{Kind: VCFault, A: ch.From, B: ch.To, Class: ch.Class})
-	dr, err := routerFor("dual-path", st, mask)
+	events := []Event{{Kind: VCFault, A: ch.From, B: ch.To, Class: ch.Class}}
+	dr, err := routerFor("dual-path", st, events)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +338,7 @@ func TestVCFaultAvoided(t *testing.T) {
 		t.Fatalf("vc fault on the route did not degrade the plan")
 	}
 	forEachChannel(plan, func(c dfr.Channel) {
-		if mask.ChannelDead(c) {
+		if channelDeadIn(events, c) {
 			t.Fatalf("plan uses dead channel copy %v", c)
 		}
 	})

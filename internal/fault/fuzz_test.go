@@ -37,7 +37,7 @@ func FuzzFaultMaskCDG(f *testing.F) {
 			VCs:   int(vcs) % 8,
 			Seed:  seed,
 		})
-		mask := fp.FullMask()
+		events := fp.Events()
 		source := topology.NodeID(src) % 16
 		var dests []topology.NodeID
 		for v := 0; v < 16; v++ {
@@ -49,9 +49,9 @@ func FuzzFaultMaskCDG(f *testing.F) {
 		if err != nil {
 			t.Skip()
 		}
-		masked := mask.MaskTopology()
+		masked := maskedOf(m, events)
 		for _, name := range schemes {
-			dr, err := routerFor(name, st, mask)
+			dr, err := routerFor(name, st, events)
 			if err != nil {
 				t.Fatalf("%s: router build: %v", name, err)
 			}
@@ -59,7 +59,7 @@ func FuzzFaultMaskCDG(f *testing.F) {
 			if err != nil && !errors.Is(err, ErrPartitioned) {
 				t.Fatalf("%s: untyped degraded error: %v", name, err)
 			}
-			if live, ok := liveSubset(m, masked, k); ok && !mask.NodeDead(source) {
+			if live, ok := liveSubset(m, masked, k); ok && !nodeDeadIn(events, source) {
 				if err := plan.Validate(masked, live); err != nil {
 					t.Fatalf("%s: degraded plan invalid: %v", name, err)
 				}
@@ -67,7 +67,7 @@ func FuzzFaultMaskCDG(f *testing.F) {
 			rec := dfr.NewDependencyRecorder()
 			recordPlan(rec, plan)
 			if cyc := rec.FindCycle(); cyc != nil {
-				t.Fatalf("%s: dependency cycle under mask: %v", name, cyc)
+				t.Fatalf("%s: dependency cycle under faults: %v", name, cyc)
 			}
 		}
 
@@ -81,7 +81,7 @@ func FuzzFaultMaskCDG(f *testing.F) {
 		}
 		union := dfr.NewDependencyRecorder()
 		planInto := func() {
-			if !lr.Mask().NodeDead(k.Source) {
+			if !lr.NodeDead(k.Source) {
 				plan, _, err := lr.PlanDegraded(k)
 				if err != nil && !errors.Is(err, ErrPartitioned) {
 					t.Fatalf("live: untyped degraded error: %v", err)
@@ -92,7 +92,6 @@ func FuzzFaultMaskCDG(f *testing.F) {
 				t.Fatalf("epoch %d: union dependency cycle %v", lr.Epoch(), cyc)
 			}
 		}
-		events := fp.Events()
 		for _, e := range events {
 			lr.ApplyDelta(Delta{Fail: []Event{e}})
 			planInto()

@@ -1,9 +1,28 @@
 package fault
 
 import (
+	"fmt"
+
 	"multicastnet/internal/core"
+	"multicastnet/internal/dfr"
 	"multicastnet/internal/routing"
+	"multicastnet/internal/topology"
 )
+
+// Delta is one batch of fault-model changes: events that fire and events
+// that are repaired. It is the unit degraded routing consumes: a
+// LiveRouter absorbs a Delta in O(|delta|) instead of rebuilding its
+// masked state in O(topology).
+//
+// A Delta carries Events rather than raw graph changes because the fault
+// model is richer than the physical graph: a VCFault kills one directed
+// channel copy without touching adjacency.
+type Delta struct {
+	Fail, Repair []Event
+}
+
+// Empty reports a delta with no changes.
+func (d Delta) Empty() bool { return len(d.Fail) == 0 && len(d.Repair) == 0 }
 
 // AttachCache gives the router a plan cache consulted by
 // PlanDegradedCached and kept consistent by ApplyDelta via targeted
@@ -13,37 +32,69 @@ import (
 func (r *LiveRouter) AttachCache(c *routing.PlanCache) { r.cache = c }
 
 // Epoch returns the number of deltas applied so far.
-func (r *LiveRouter) Epoch() uint64 { return r.ls.Epoch() }
+func (r *LiveRouter) Epoch() uint64 { return r.live.Epoch() }
 
-// Mask returns the cumulative active-fault mask. Callers must treat it
-// as read-only; ApplyDelta is the only mutator.
-func (r *LiveRouter) Mask() *Mask { return r.mask }
+// NodeDead reports whether node v is dead.
+func (r *LiveRouter) NodeDead(v topology.NodeID) bool { return r.live.NodeDead(v) }
 
-// DeltaReport summarizes one ApplyDelta.
-type DeltaReport struct {
-	// Invalidated is how many cached plans the delta evicted (0 without
-	// an attached cache, and always 0 for pure-repair deltas).
-	Invalidated int
-	// ActiveFaults is the mask's active event count after the delta.
-	ActiveFaults int
+// ChannelDead reports whether the directed channel c is unusable: its
+// copy failed, its link failed, or either endpoint failed.
+func (r *LiveRouter) ChannelDead(c dfr.Channel) bool {
+	return r.live.LinkDead(c.From, c.To) || r.deadVC[c]
 }
 
-// ApplyDelta absorbs one batch of fault/repair events: the cumulative
-// mask is updated exactly, the live masked graph is patched in
-// O(|delta|), and cached plans touching killed channels are evicted.
-// Repair events never evict anything — a plan that avoided dead hardware
-// stays valid when the hardware returns; re-optimization happens lazily
-// as entries age out or their traffic replans.
-func (r *LiveRouter) ApplyDelta(d Delta) DeltaReport {
-	r.mask.ApplyDelta(d)
-	r.ls.Apply(d.GraphDelta())
-	evicted := 0
-	if r.cache != nil {
-		if pairs := d.DeadChannelPairs(r.healthy.Topology()); len(pairs) > 0 {
-			evicted = r.cache.Invalidate(pairs)
+// ApplyDelta absorbs one batch of fault and repair events. It is the only
+// place a Delta becomes dead hardware: link and node events patch the
+// live masked graph in O(|delta|), and VC events change the dead-copy
+// set, since the link's other classes still carry flits. Fail events go
+// first and Repair events second, so for hardware both failed and
+// repaired in one batch the repair wins. Failing dead hardware and
+// repairing healthy hardware are no-ops; repairing a node restores the
+// node, not any separately failed incident link.
+//
+// With an attached cache, plans crossing a channel the delta kills are
+// evicted; a VC fault evicts every class of its direction, which is
+// conservative, never unsafe. Repairs evict nothing — a plan that avoided
+// dead hardware stays valid when the hardware returns; re-optimization
+// happens lazily as entries age out or their traffic replans.
+func (r *LiveRouter) ApplyDelta(d Delta) {
+	var g topology.GraphDelta
+	var pairs []uint64
+	var buf []topology.NodeID
+	for _, e := range d.Fail {
+		switch e.Kind {
+		case LinkFault:
+			g.FailLinks = append(g.FailLinks, topology.NormLink(e.A, e.B))
+			pairs = append(pairs, routing.ChannelPair(e.A, e.B), routing.ChannelPair(e.B, e.A))
+		case NodeFault:
+			g.FailNodes = append(g.FailNodes, e.A)
+			buf = r.live.Base().Neighbors(e.A, buf[:0])
+			for _, w := range buf {
+				pairs = append(pairs, routing.ChannelPair(e.A, w), routing.ChannelPair(w, e.A))
+			}
+		case VCFault:
+			r.deadVC[dfr.Channel{From: e.A, To: e.B, Class: e.Class}] = true
+			pairs = append(pairs, routing.ChannelPair(e.A, e.B))
+		default:
+			panic(fmt.Sprintf("fault: unknown event kind %d", e.Kind))
 		}
 	}
-	return DeltaReport{Invalidated: evicted, ActiveFaults: r.mask.Events()}
+	for _, e := range d.Repair {
+		switch e.Kind {
+		case LinkFault:
+			g.RepairLinks = append(g.RepairLinks, topology.NormLink(e.A, e.B))
+		case NodeFault:
+			g.RepairNodes = append(g.RepairNodes, e.A)
+		case VCFault:
+			delete(r.deadVC, dfr.Channel{From: e.A, To: e.B, Class: e.Class})
+		default:
+			panic(fmt.Sprintf("fault: unknown event kind %d", e.Kind))
+		}
+	}
+	r.live.Apply(g)
+	if r.cache != nil && len(pairs) > 0 {
+		r.cache.Invalidate(pairs)
+	}
 }
 
 // PlanDegradedCached is PlanDegraded through the attached cache. Only
@@ -56,7 +107,6 @@ func (r *LiveRouter) ApplyDelta(d Delta) DeltaReport {
 func (r *LiveRouter) PlanDegradedCached(k core.MulticastSet) (routing.Plan, PlanStats, bool, error) {
 	if r.cache != nil {
 		if p, aux, ok := r.cache.GetPlanAux(r.id, k); ok {
-			r.cachedServes++
 			return p, statsFromAux(aux), true, nil
 		}
 	}
@@ -84,7 +134,3 @@ func auxFromStats(st PlanStats) uint64 {
 func statsFromAux(aux uint64) PlanStats {
 	return PlanStats{FellBack: aux&1 != 0, Repaired: aux&2 != 0}
 }
-
-// CachedServes returns how many PlanDegradedCached calls were served
-// straight from the cache.
-func (r *LiveRouter) CachedServes() uint64 { return r.cachedServes }

@@ -54,14 +54,14 @@ func (b *pathBuilder) extend(r *LiveRouter, leg []topology.NodeID) bool {
 	for i := 1; i < len(leg); i++ {
 		u, v := leg[i-1], leg[i]
 		d := 1
-		if r.healthy.Label(v) < r.healthy.Label(u) {
+		if r.st.Label(v) < r.st.Label(u) {
 			d = -1
 		}
 		if dir != 0 && d != dir {
 			class++ // direction reversal: escalate into a fresh class
 		}
 		dir = d
-		for r.mask.VCDead(dfr.Channel{From: u, To: v, Class: class}) {
+		for r.deadVC[dfr.Channel{From: u, To: v, Class: class}] {
 			class++ // dead virtual-channel copy: next copy up
 		}
 		if b.used[dfr.Channel{From: u, To: v, Class: class}] {
@@ -82,7 +82,7 @@ func (b *pathBuilder) extend(r *LiveRouter, leg []topology.NodeID) bool {
 // of k (all assumed reachable over the masked graph), starting class
 // assignment at base.
 func (r *LiveRouter) repairPaths(k core.MulticastSet, base int) []dfr.PathRoute {
-	dh, dl := dfr.HighLowPartition(r.healthy.Labeling(), k)
+	dh, dl := dfr.HighLowPartition(r.st.Labeling(), k)
 	var out []dfr.PathRoute
 	for _, group := range [2][]topology.NodeID{dh, dl} {
 		if len(group) > 0 {
@@ -141,8 +141,7 @@ func (r *LiveRouter) repairGroup(src topology.NodeID, dests []topology.NodeID, b
 // masked graph — BFS visiting neighbors in the masked topology's
 // precomputed order, parent-first — or nil when v is unreachable.
 func (r *LiveRouter) bfsPath(u, v topology.NodeID) []topology.NodeID {
-	masked := r.ls.Live()
-	n := masked.Nodes()
+	n := r.live.Nodes()
 	parent := make([]int32, n)
 	for i := range parent {
 		parent[i] = -1
@@ -154,7 +153,7 @@ func (r *LiveRouter) bfsPath(u, v topology.NodeID) []topology.NodeID {
 	for len(queue) > 0 && parent[v] < 0 {
 		cur := queue[0]
 		queue = queue[1:]
-		buf = masked.Neighbors(cur, buf[:0])
+		buf = r.live.Neighbors(cur, buf[:0])
 		for _, w := range buf {
 			if parent[w] < 0 {
 				parent[w] = int32(cur)

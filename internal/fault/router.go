@@ -10,13 +10,13 @@ import (
 	"multicastnet/internal/topology"
 )
 
-// ErrPartitioned is the sentinel matched by errors.Is when a fault mask
+// ErrPartitioned is the sentinel matched by errors.Is when dead hardware
 // severs destinations from the source. Plans returned alongside it still
 // cover every reachable destination and are still deadlock-free; only
 // the listed unreachable destinations are undeliverable.
 var ErrPartitioned = errors.New("fault: network partitioned")
 
-// PartitionError reports the destinations a fault mask severed from the
+// PartitionError reports the destinations dead hardware severed from the
 // source. It wraps ErrPartitioned for errors.Is.
 type PartitionError struct {
 	Scheme      string
@@ -50,15 +50,17 @@ type PlanStats struct {
 // Degraded reports whether the plan needed any degraded-mode treatment.
 func (s PlanStats) Degraded() bool { return s.FellBack || s.Repaired || s.Unreachable > 0 }
 
-// LiveRouter is degraded-mode routing for one registry scheme over a
-// fault mask that changes by deltas. It is built once over the healthy
+// LiveRouter is degraded-mode routing for one registry scheme over dead
+// hardware that changes by deltas, and the one record of that hardware:
+// a topology.LiveMasked view holds the dead nodes and links, the masked
+// adjacency and the distance rows, and a set holds the dead channel
+// copies, which the graph cannot show. It is built once over the healthy
 // state, with no active faults; ApplyDelta absorbs each batch of fault
-// and repair events in O(|delta|) by patching the live masked graph in
-// place (routing.LiveState) and updating the cumulative mask. A router
-// for a given mask is a fresh NewLiveRouter plus one ApplyDelta of that
-// mask's ActiveDelta. It implements routing.Router (PlanSet silently
-// drops unreachable destinations; use PlanDegraded for the typed
-// partition error and accounting).
+// and repair events in O(|delta|). A router for a fixed set of faults is
+// a fresh NewLiveRouter plus one ApplyDelta(Delta{Fail: events}). It
+// implements routing.Router (PlanSet silently drops unreachable
+// destinations; use PlanDegraded for the typed partition error and
+// accounting).
 //
 // Plan derivation tries, in order:
 //
@@ -73,17 +75,17 @@ func (s PlanStats) Degraded() bool { return s.FellBack || s.Repaired || s.Unreac
 //     escalated at every direction reversal (see repair.go). This always
 //     succeeds for reachable destinations.
 //
-// The scheme and its fallbacks are built once over the live state and
-// read adjacency through it at plan time, so every applied delta is
-// visible to them without a rebuild. When repairs drain the mask,
-// planning bypasses the degraded machinery and is byte-identical to the
-// healthy scheme.
+// The scheme and its fallbacks are built once over one routing.State of
+// the live view and read adjacency through it at plan time, so every
+// applied delta is visible to them without a rebuild. When repairs bring
+// back every piece of dead hardware, planning bypasses the degraded
+// machinery and is byte-identical to the healthy scheme.
 //
-// Every accepted plan is re-validated against the mask: channels must be
-// alive and every path must keep a non-decreasing class sequence that is
-// label-monotone within each equal-class run — the invariant that keeps
-// the union channel dependency graph acyclic (verified in the tests via
-// internal/dfr).
+// Every accepted plan is re-validated against the dead hardware:
+// channels must be alive and every path must keep a non-decreasing class
+// sequence that is label-monotone within each equal-class run — the
+// invariant that keeps the union channel dependency graph acyclic
+// (verified in the tests via internal/dfr).
 //
 // Tree schemes keep their intact (fully alive) quadrant trees and repair
 // the destinations of broken trees with escape segments starting above
@@ -96,16 +98,14 @@ func (s PlanStats) Degraded() bool { return s.FellBack || s.Repaired || s.Unreac
 type LiveRouter struct {
 	scheme     string
 	id         string
-	healthy    *routing.State
-	mask       *Mask
-	ls         *routing.LiveState
+	live       *topology.LiveMasked
+	deadVC     map[dfr.Channel]bool // dead channel copies of VC faults
+	st         *routing.State       // over live
 	inner      routing.Router
 	fallbacks  []routing.Router
 	repairBase int
 	treeFamily bool
-
-	cache        *routing.PlanCache
-	cachedServes uint64 // PlanDegradedCached calls served from the cache
+	cache      *routing.PlanCache
 }
 
 // NewLiveRouter builds degraded routing for the named registry scheme
@@ -113,21 +113,22 @@ type LiveRouter struct {
 // virtual-channel copy count). The router starts at epoch 0 with no
 // active faults.
 func NewLiveRouter(scheme string, healthy *routing.State, opts routing.Options) (*LiveRouter, error) {
-	ls := routing.NewLiveState(healthy)
-	inner, err := routing.NewWithOptions(scheme, ls.State(), opts)
+	live := topology.NewLiveMasked(healthy.Topology())
+	st := routing.NewStateWithLabeling(live, healthy.Labeling())
+	inner, err := routing.NewWithOptions(scheme, st, opts)
 	if err != nil {
 		return nil, err
 	}
 	base, treeFam := repairBaseFor(scheme, opts)
 	r := &LiveRouter{
-		scheme:  scheme,
-		healthy: healthy,
+		scheme: scheme,
 		// The identity is epoch-independent on purpose: cached plans
 		// survive deltas (targeted invalidation handles correctness), so
 		// unaffected traffic keeps its cache hits across the churn.
 		id:         inner.ID() + "@live",
-		mask:       NewMask(healthy.Topology()),
-		ls:         ls,
+		live:       live,
+		deadVC:     make(map[dfr.Channel]bool),
+		st:         st,
 		inner:      inner,
 		repairBase: base,
 		treeFamily: treeFam,
@@ -136,7 +137,7 @@ func NewLiveRouter(scheme string, healthy *routing.State, opts routing.Options) 
 		if fb == scheme {
 			continue
 		}
-		if fr, err := routing.New(fb, ls.State()); err == nil {
+		if fr, err := routing.New(fb, st); err == nil {
 			r.fallbacks = append(r.fallbacks, fr)
 		}
 	}
@@ -178,19 +179,7 @@ func (r *LiveRouter) ID() string { return r.id }
 
 // State implements routing.Router: the live masked state plans are
 // derived over.
-func (r *LiveRouter) State() *routing.State { return r.ls.State() }
-
-// Plan implements routing.Router. Unreachable destinations yield a
-// PartitionError (errors.Is ErrPartitioned) alongside a plan covering
-// the reachable ones.
-func (r *LiveRouter) Plan(src topology.NodeID, dests []topology.NodeID) (routing.Plan, error) {
-	k, err := core.NewMulticastSet(r.healthy.Topology(), src, dests)
-	if err != nil {
-		return routing.Plan{}, err
-	}
-	plan, _, err := r.PlanDegraded(k)
-	return plan, err
-}
+func (r *LiveRouter) State() *routing.State { return r.st }
 
 // PlanSet implements routing.Router: the hot path for the simulator.
 // Unreachable destinations are silently dropped from the plan; callers
@@ -200,25 +189,25 @@ func (r *LiveRouter) PlanSet(k core.MulticastSet) routing.Plan {
 	return plan
 }
 
-// PlanDegraded routes k around the mask. The returned plan covers every
-// destination still reachable from the source; severed destinations are
-// reported via a *PartitionError (matching errors.Is(err,
-// ErrPartitioned)). The plan and stats are valid even when err != nil.
+// PlanDegraded routes k around the dead hardware. The returned plan
+// covers every destination still reachable from the source; severed
+// destinations are reported via a *PartitionError (matching
+// errors.Is(err, ErrPartitioned)). The plan and stats are valid even
+// when err != nil.
 func (r *LiveRouter) PlanDegraded(k core.MulticastSet) (routing.Plan, PlanStats, error) {
 	// With no active fault, planning bypasses the degraded machinery
 	// entirely and is byte-identical to the healthy scheme.
-	if r.mask.Empty() {
+	if r.live.Healthy() && len(r.deadVC) == 0 {
 		return r.inner.PlanSet(k), PlanStats{}, nil
 	}
-	if r.mask.NodeDead(k.Source) {
+	if r.live.NodeDead(k.Source) {
 		lost := append([]topology.NodeID(nil), k.Dests...)
 		return routing.Plan{}, PlanStats{Unreachable: len(lost)},
 			&PartitionError{Scheme: r.scheme, Source: k.Source, Unreachable: lost}
 	}
-	masked := r.ls.Live()
 	var live, lost []topology.NodeID
 	for _, d := range k.Dests {
-		if masked.Reachable(k.Source, d) {
+		if r.live.Reachable(k.Source, d) {
 			live = append(live, d)
 		} else {
 			lost = append(lost, d)
@@ -253,9 +242,9 @@ func (r *LiveRouter) PlanDegraded(k core.MulticastSet) (routing.Plan, PlanStats,
 }
 
 // planTrees routes a tree-family multicast: quadrant trees untouched by
-// the mask are kept; destinations of broken trees are served by escape
-// paths whose classes start above the tree classes, keeping the two
-// dependency families disjoint.
+// dead hardware are kept; destinations of broken trees are served by
+// escape paths whose classes start above the tree classes, keeping the
+// two dependency families disjoint.
 func (r *LiveRouter) planTrees(k core.MulticastSet) (routing.Plan, bool) {
 	var out routing.Plan
 	var broken []topology.NodeID
@@ -279,14 +268,14 @@ func (r *LiveRouter) planTrees(k core.MulticastSet) (routing.Plan, bool) {
 	return out, true
 }
 
-// treeAlive reports whether a tree route survives the mask intact:
-// well-formed over the masked graph with every channel copy alive.
+// treeAlive reports whether a tree route survives the dead hardware
+// intact: well-formed over the masked graph with every channel copy alive.
 func (r *LiveRouter) treeAlive(tr dfr.TreeRoute) bool {
-	if err := tr.Validate(r.ls.Live(), core.MulticastSet{Source: tr.Root, Dests: tr.Dests}); err != nil {
+	if err := tr.Validate(r.live, core.MulticastSet{Source: tr.Root, Dests: tr.Dests}); err != nil {
 		return false
 	}
 	for _, e := range tr.Edges {
-		if r.mask.ChannelDead(e) {
+		if r.ChannelDead(e) {
 			return false
 		}
 	}
@@ -296,7 +285,7 @@ func (r *LiveRouter) treeAlive(tr dfr.TreeRoute) bool {
 // attemptPlan runs a routing attempt, absorbing panics: the healthy
 // routing kernels fail loudly when a masked graph strands them
 // (core.NextHopLiteral "stuck", core.RoutePath non-convergence), which
-// the degraded router treats as "this scheme cannot serve this mask".
+// the degraded router treats as "this scheme cannot serve these faults".
 func attemptPlan(rt routing.Router, k core.MulticastSet) (plan routing.Plan, ok bool) {
 	defer func() {
 		if recover() != nil {
@@ -312,7 +301,7 @@ func attemptPlan(rt routing.Router, k core.MulticastSet) (plan routing.Plan, ok 
 // classes, strictly label-monotone inside each equal-class run — that
 // keeps the union channel dependency graph acyclic.
 func (r *LiveRouter) planValid(p routing.Plan, k core.MulticastSet) bool {
-	if p.Validate(r.ls.Live(), k) != nil {
+	if p.Validate(r.live, k) != nil {
 		return false
 	}
 	for _, pr := range p.Paths {
@@ -321,14 +310,14 @@ func (r *LiveRouter) planValid(p routing.Plan, k core.MulticastSet) bool {
 		}
 		for i := 1; i < len(pr.Nodes); i++ {
 			c := dfr.Channel{From: pr.Nodes[i-1], To: pr.Nodes[i], Class: pr.HopClass(i - 1)}
-			if r.mask.ChannelDead(c) {
+			if r.ChannelDead(c) {
 				return false
 			}
 		}
 	}
 	for _, tr := range p.Trees {
 		for _, e := range tr.Edges {
-			if r.mask.ChannelDead(e) {
+			if r.ChannelDead(e) {
 				return false
 			}
 		}
@@ -352,8 +341,8 @@ func (r *LiveRouter) pathSafe(pr dfr.PathRoute) bool {
 		if c != prevClass {
 			dir = 0
 		}
-		lu := r.healthy.Label(pr.Nodes[i])
-		lv := r.healthy.Label(pr.Nodes[i+1])
+		lu := r.st.Label(pr.Nodes[i])
+		lv := r.st.Label(pr.Nodes[i+1])
 		d := 1
 		if lv < lu {
 			d = -1

@@ -90,7 +90,7 @@ func SimInitialRoute(lr *LiveRouter) wormsim.RouteFunc {
 // the caller's delivery accounting reports them undelivered; any other
 // planning error injects nothing.
 func liveInjection(lr *LiveRouter, k core.MulticastSet) wormsim.Injection {
-	if lr.Mask().NodeDead(k.Source) {
+	if lr.NodeDead(k.Source) {
 		return wormsim.Injection{}
 	}
 	plan, _, err := lr.PlanDegraded(k)

@@ -108,13 +108,13 @@ func TestSimScheduleMatchesStaticSchedule(t *testing.T) {
 		return res
 	}
 
-	staticRoute := func(mask *Mask) wormsim.RouteFunc {
-		dr, err := routerFor(scheme, st, mask)
+	staticRoute := func(events []Event) wormsim.RouteFunc {
+		dr, err := routerFor(scheme, st, events)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return func(k core.MulticastSet) wormsim.Injection {
-			if mask.NodeDead(k.Source) {
+			if nodeDeadIn(events, k.Source) {
 				return wormsim.Injection{}
 			}
 			plan, _, err := dr.PlanDegraded(k)
@@ -126,12 +126,18 @@ func TestSimScheduleMatchesStaticSchedule(t *testing.T) {
 	}
 	runStatic := func() wormsim.Result {
 		cfg := baseCfg
-		cfg.Route = staticRoute(NewMask(m))
+		cfg.Route = staticRoute(nil)
 		for _, td := range deltas {
+			var active []Event
+			for _, e := range fp.Events() {
+				if e.Cycle <= td.Cycle {
+					active = append(active, e)
+				}
+			}
 			cfg.Faults = append(cfg.Faults, wormsim.ScheduledFault{
 				Cycle: td.Cycle,
 				Dead:  deadPredicate(td.Delta.Fail),
-				Route: staticRoute(fp.MaskAt(td.Cycle)),
+				Route: staticRoute(active),
 			})
 		}
 		res, err := wormsim.Run(cfg)

@@ -32,8 +32,61 @@ func benchWorkload(tb testing.TB, t topology.Topology, dests, count int) []core.
 // The kernel benchmarks drive the Workspace methods the way the static
 // study does: one warm workspace, reused across calls. After the first
 // call on a topology the arrays are sized, so allocs/op must be 0 —
-// TestWriteHeuristicsBenchBaseline enforces that on the committed
-// baseline.
+// TestWorkspaceKernelsAllocationFree enforces that live, and
+// TestWriteHeuristicsBenchBaseline on the committed baseline.
+
+// TestWorkspaceKernelsAllocationFree is the live form of the zero-alloc
+// claim BENCH_heuristics.json records: once a workspace has seen a
+// topology, SortedMP, GreedyST, GreedySTCarried and KMB allocate nothing
+// per call on the 16x16 mesh and the 10-cube, over the benchmarks' sets.
+func TestWorkspaceKernelsAllocationFree(t *testing.T) {
+	m := topology.NewMesh2D(16, 16)
+	h := topology.NewHypercube(10)
+	mc, err := labeling.MeshHamiltonCycle(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hc, err := labeling.CubeHamiltonCycle(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		topo  RegionTopology
+		cycle *labeling.HamiltonCycle
+	}{{"mesh16x16", m, mc}, {"cube10", h, hc}} {
+		sets := benchWorkload(t, tc.topo, 10, 64)
+		g := TopologyGraph(tc.topo)
+		terms := make([][]int, len(sets))
+		for i, k := range sets {
+			terms[i] = append(terms[i], int(k.Source))
+			for _, d := range k.Dests {
+				terms[i] = append(terms[i], int(d))
+			}
+		}
+		for _, kernel := range []struct {
+			name string
+			run  func(ws *Workspace, i int) int
+		}{
+			{"SortedMP", func(ws *Workspace, i int) int { return ws.SortedMP(tc.topo, tc.cycle, sets[i]) }},
+			{"GreedyST", func(ws *Workspace, i int) int { return ws.GreedyST(tc.topo, sets[i]) }},
+			{"GreedySTCarried", func(ws *Workspace, i int) int { return ws.GreedySTCarried(tc.topo, sets[i]) }},
+			{"KMB", func(ws *Workspace, i int) int { return ws.KMB(g, terms[i]) }},
+		} {
+			ws := NewWorkspace()
+			// AllocsPerRun's own warm-up pass sizes the workspace.
+			allocs := testing.AllocsPerRun(2, func() {
+				for i := range sets {
+					kernel.run(ws, i)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("%s on %s: %v allocations per pass over %d sets, want 0",
+					kernel.name, tc.name, allocs, len(sets))
+			}
+		}
+	}
+}
 
 func BenchmarkGreedyST(b *testing.B) {
 	b.Run("mesh16x16", func(b *testing.B) {

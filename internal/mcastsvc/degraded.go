@@ -99,7 +99,7 @@ func (s *Service) MulticastUnderFaults(source topology.NodeID, g Group, bytes in
 	}
 	pol = pol.withDefaults()
 	if fp == nil {
-		fp = fault.NewStaticPlan(s.cfg.Topology, nil)
+		fp = fault.NewStaticPlan(nil)
 	}
 	pending := make([]topology.NodeID, 0, g.Size())
 	for _, m := range g.members {
@@ -110,13 +110,12 @@ func (s *Service) MulticastUnderFaults(source topology.NodeID, g Group, bytes in
 	if len(pending) == 0 {
 		return DegradedOutcome{Attempts: 1}, fmt.Errorf("mcastsvc: source %d is the only member", source)
 	}
-	flitUs := s.flitMicros()
-	flits := bytes / s.cfg.FlitBytes
+	flits := bytes / wormsim.FlitBytes
 	if flits < 1 {
 		flits = 1
 	}
-	timeoutCycles := int64(pol.TimeoutMicros / flitUs)
-	backoffCycles := int64(pol.BackoffMicros / flitUs)
+	timeoutCycles := int64(pol.TimeoutMicros / wormsim.FlitMicros)
+	backoffCycles := int64(pol.BackoffMicros / wormsim.FlitMicros)
 	events := fp.Events()
 
 	// One live router over the service's healthy routing state serves
@@ -129,7 +128,7 @@ func (s *Service) MulticastUnderFaults(source topology.NodeID, g Group, bytes in
 	if err != nil {
 		return DegradedOutcome{}, err
 	}
-	applied := 0 // events folded into the live mask so far
+	applied := 0 // events folded into lr so far
 
 	var out DegradedOutcome
 	clock := int64(0) // operation clock in flit cycles
@@ -165,11 +164,11 @@ func (s *Service) MulticastUnderFaults(source topology.NodeID, g Group, bytes in
 		// Replay the attempt: failed hardware is dead from the start,
 		// later events activate as the operation clock crosses them.
 		net := wormsim.NewNetwork(s.cfg.Topology)
-		net.FailWhere(lr.Mask().ChannelDead)
+		net.FailWhere(lr.ChannelDead)
 		delivered := make(map[topology.NodeID]bool)
 		net.OnDelivery(func(d topology.NodeID, _ int64) { delivered[d] = true })
 		net.InjectFlatTag(routing.Flatten(s.cfg.Topology, plan), flits, 0)
-		next := applied // events beyond the live mask activate mid-flight
+		next := applied // events lr has not absorbed activate mid-flight
 		base := clock
 		steps := 0
 		for net.ActiveWorms() > 0 && net.Cycle() < timeoutCycles {
@@ -214,6 +213,6 @@ func (s *Service) MulticastUnderFaults(source topology.NodeID, g Group, bytes in
 		}
 	}
 	out.Lost = len(pending)
-	out.CompletionMicros = float64(clock) * flitUs
+	out.CompletionMicros = float64(clock) * wormsim.FlitMicros
 	return out, nil
 }

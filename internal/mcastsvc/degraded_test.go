@@ -53,7 +53,7 @@ func TestMulticastUnderFaultsRoutesAround(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp := fault.NewStaticPlan(m, []fault.Event{
+	fp := fault.NewStaticPlan([]fault.Event{
 		{Kind: fault.LinkFault, A: 1, B: 2},
 	})
 	out, err := svc.MulticastUnderFaults(0, g, 64, fp, RetryPolicy{})
@@ -74,7 +74,7 @@ func TestMulticastUnderFaultsRoutesAround(t *testing.T) {
 // run returns on a fresh service.
 func TestMulticastUnderFaultsIsolatesOperations(t *testing.T) {
 	m := topology.NewMesh2D(4, 4)
-	dead := fault.NewStaticPlan(m, []fault.Event{{Kind: fault.LinkFault, A: 1, B: 2}})
+	dead := fault.NewStaticPlan([]fault.Event{{Kind: fault.LinkFault, A: 1, B: 2}})
 	for _, scheme := range []string{"dual-path", "multi-path", "tree"} {
 		run := func(svc *Service, fp *fault.Plan) DegradedOutcome {
 			t.Helper()
@@ -123,7 +123,7 @@ func TestMulticastUnderFaultsMidRunRetry(t *testing.T) {
 	}
 	// Activation at cycle 20: mid-worm for a 64-flit message crossing an
 	// 8x8 mesh. Cut links near the source so in-flight worms die.
-	fp := fault.NewStaticPlan(m, []fault.Event{
+	fp := fault.NewStaticPlan([]fault.Event{
 		{Kind: fault.LinkFault, Cycle: 20, A: 0, B: 1},
 		{Kind: fault.LinkFault, Cycle: 20, A: 1, B: 2},
 		{Kind: fault.LinkFault, Cycle: 20, A: 2, B: 3},
@@ -155,7 +155,7 @@ func TestMulticastUnderFaultsPartition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp := fault.NewStaticPlan(m, []fault.Event{
+	fp := fault.NewStaticPlan([]fault.Event{
 		{Kind: fault.LinkFault, A: 14, B: 15},
 		{Kind: fault.LinkFault, A: 11, B: 15},
 	})

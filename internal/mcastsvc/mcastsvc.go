@@ -21,6 +21,7 @@ import (
 	"multicastnet/internal/heuristics"
 	"multicastnet/internal/routing"
 	"multicastnet/internal/topology"
+	"multicastnet/internal/wormsim"
 )
 
 // planCacheSize bounds the per-service plan cache. Group communication
@@ -36,18 +37,14 @@ type Config struct {
 	// routing.Names()). It must name a deadlock-free scheme. Empty
 	// selects dual-path, the dissertation's recommended default.
 	SchemeName string
-	// MessageBytes is the default payload size; BandwidthMBps and
-	// FlitBytes fix the time base (defaults: 128 bytes, 20 MB/s, 1 byte).
-	MessageBytes  int
-	BandwidthMBps float64
-	FlitBytes     int
+	// MessageBytes is the default payload size (default 128 bytes).
+	MessageBytes int
 }
 
 // Service provides multicast primitives over one machine.
 type Service struct {
 	cfg    Config
 	router routing.Router
-	cache  *routing.PlanCache
 }
 
 // New validates the configuration and returns a Service. The routing
@@ -60,12 +57,6 @@ func New(cfg Config) (*Service, error) {
 	}
 	if cfg.MessageBytes <= 0 {
 		cfg.MessageBytes = 128
-	}
-	if cfg.BandwidthMBps <= 0 {
-		cfg.BandwidthMBps = 20
-	}
-	if cfg.FlitBytes <= 0 {
-		cfg.FlitBytes = 1
 	}
 	name := cfg.SchemeName
 	if name == "" {
@@ -86,16 +77,11 @@ func New(cfg Config) (*Service, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mcastsvc: %w", err)
 	}
-	cache := routing.NewPlanCache(planCacheSize)
-	return &Service{cfg: cfg, router: routing.Cached(r, cache), cache: cache}, nil
+	return &Service{cfg: cfg, router: routing.Cached(r, routing.NewPlanCache(planCacheSize))}, nil
 }
 
 // SchemeName returns the registry name of the service's routing scheme.
 func (s *Service) SchemeName() string { return s.router.Scheme() }
-
-// CacheStats returns the cumulative plan-cache counters of the service's
-// router (hits, misses, evictions, invalidations).
-func (s *Service) CacheStats() routing.CacheStats { return s.cache.Stats() }
 
 // Group is a process group; one process per node (Section 1.1's
 // assumption that each process resides in a separate node).
@@ -154,19 +140,14 @@ type Cost struct {
 	Messages int
 }
 
-// flitMicros is the duration of one flit cycle.
-func (s *Service) flitMicros() float64 {
-	return float64(s.cfg.FlitBytes) / s.cfg.BandwidthMBps
-}
-
 // wormLatency is the contention-free wormhole latency for a route of the
 // given hop count carrying bytes of payload.
 func (s *Service) wormLatency(hops, bytes int) float64 {
-	flits := bytes / s.cfg.FlitBytes
+	flits := bytes / wormsim.FlitBytes
 	if flits < 1 {
 		flits = 1
 	}
-	return float64(hops+flits-1) * s.flitMicros()
+	return float64(hops+flits-1) * wormsim.FlitMicros
 }
 
 // route plans k through the service's (cached) router.

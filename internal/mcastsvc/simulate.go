@@ -34,7 +34,7 @@ type phase struct {
 // runPhases executes the phases on a fresh simulated network.
 func (s *Service) runPhases(phases []phase, bytes int) (Measured, error) {
 	net := wormsim.NewNetwork(s.cfg.Topology)
-	flits := bytes / s.cfg.FlitBytes
+	flits := bytes / wormsim.FlitBytes
 	if flits < 1 {
 		flits = 1
 	}
@@ -53,13 +53,13 @@ func (s *Service) runPhases(phases []phase, bytes int) (Measured, error) {
 			} else if net.DetectDeadlock() != nil ||
 				net.Cycle()-lastProgress > int64(20*(flits+s.cfg.Topology.Nodes())) {
 				out.Deadlocked = true
-				out.CompletionMicros = float64(net.Cycle()) * s.flitMicros()
+				out.CompletionMicros = float64(net.Cycle()) * wormsim.FlitMicros
 				return out, nil
 			}
 		}
-		out.Phases = append(out.Phases, float64(net.Cycle()-start)*s.flitMicros())
+		out.Phases = append(out.Phases, float64(net.Cycle()-start)*wormsim.FlitMicros)
 	}
-	out.CompletionMicros = float64(net.Cycle()) * s.flitMicros()
+	out.CompletionMicros = float64(net.Cycle()) * wormsim.FlitMicros
 	return out, nil
 }
 

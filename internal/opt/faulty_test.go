@@ -32,14 +32,19 @@ func TestKMBVsExactOnFaultyMeshes(t *testing.T) {
 		for trial := 0; trial < trials; trial++ {
 			seed := stats.DeriveSeed(0xFA11, fmt.Sprintf("%s/%d", m.Name(), trial))
 			rng := stats.NewRand(seed)
-			mask := fault.NewPlan(m, fault.Spec{
+			events := fault.NewPlan(m, fault.Spec{
 				Links: rng.Intn(nLinks/3 + 1),
 				Seed:  stats.DeriveSeed(seed, "plan"),
-			}).FullMask()
-			masked := mask.MaskTopology()
+			}).Events()
+			var dead topology.GraphDelta
+			for _, e := range events {
+				dead.FailLinks = append(dead.FailLinks, topology.NormLink(e.A, e.B))
+			}
+			masked := topology.NewLiveMasked(m)
+			masked.Apply(dead)
 
 			// Source plus up to 5 destinations, keeping only the
-			// terminals still connected to the source under the mask.
+			// terminals still connected to the source over the masked mesh.
 			ids := rng.Sample(m.Nodes(), 2+rng.Intn(5))
 			source := topology.NodeID(ids[0])
 			terminals := []int{int(source)}
@@ -64,7 +69,7 @@ func TestKMBVsExactOnFaultyMeshes(t *testing.T) {
 			}
 			if cost < exact {
 				t.Fatalf("%s trial %d: KMB cost %d below exact Steiner length %d (terminals %v, %d faults)",
-					m.Name(), trial, cost, exact, terminals, mask.Events())
+					m.Name(), trial, cost, exact, terminals, len(events))
 			}
 			if exact < 1 {
 				t.Fatalf("%s trial %d: exact Steiner length %d for %d distinct terminals",

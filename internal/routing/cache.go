@@ -355,15 +355,6 @@ func (r *cachedRouter) PlanSet(k core.MulticastSet) Plan {
 	return p
 }
 
-// Plan implements Router through the cached PlanSet.
-func (r *cachedRouter) Plan(src topology.NodeID, dests []topology.NodeID) (Plan, error) {
-	k, err := core.NewMulticastSet(r.State().Topology(), src, dests)
-	if err != nil {
-		return Plan{}, err
-	}
-	return r.PlanSet(k), nil
-}
-
 // cachedLiveRouter is cachedRouter for adaptive schemes: deterministic
 // plans are cached, live (oracle-dependent) plans never are.
 type cachedLiveRouter struct {

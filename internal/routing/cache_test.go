@@ -105,13 +105,13 @@ func TestCacheDefaultCapacity(t *testing.T) {
 }
 
 func TestCachedPlanValidatesSet(t *testing.T) {
-	r, _, _ := testRouter(t, "dual-path")
+	r, _, m := testRouter(t, "dual-path")
 	cr := Cached(r, NewPlanCache(8))
-	if _, err := cr.Plan(0, []topology.NodeID{0}); err == nil {
-		t.Error("cached Plan accepted the source as a destination")
-	}
-	if _, err := cr.Plan(0, []topology.NodeID{4, 8}); err != nil {
-		t.Error(err)
+	k := core.MustMulticastSet(m, 0, []topology.NodeID{4, 8})
+	for i := 0; i < 2; i++ {
+		if err := cr.PlanSet(k).Validate(m, k); err != nil {
+			t.Errorf("cached plan %d: %v", i, err)
+		}
 	}
 }
 

@@ -44,32 +44,48 @@ func checkMonotone(t *testing.T, st *routing.State, name string, p dfr.PathRoute
 	}
 }
 
-// checkDegraded routes k around the mask with the named scheme's degraded
-// router and asserts the fault contract: no panic, every returned error
-// is a typed partition error, and the plan covers exactly the reachable
-// destinations using only live channels.
-func checkDegraded(t *testing.T, name string, st *routing.State, mask *fault.Mask,
+// checkDegraded routes k around the link faults of events with the named
+// scheme's degraded router and asserts the fault contract: no panic,
+// every returned error is a typed partition error, and the plan covers
+// exactly the reachable destinations using only live channels. The
+// reference is independent of the router: a fresh LiveMasked given the
+// dead links for reachability, and each event's own Matches for channel
+// liveness.
+func checkDegraded(t *testing.T, name string, st *routing.State, events []fault.Event,
 	k core.MulticastSet) {
 	t.Helper()
 	dr, err := fault.NewLiveRouter(name, st, routing.Options{})
 	if err != nil {
 		t.Fatalf("%s: NewLiveRouter: %v", name, err)
 	}
-	dr.ApplyDelta(mask.ActiveDelta())
+	dr.ApplyDelta(fault.Delta{Fail: events})
 	defer func() {
 		if r := recover(); r != nil {
-			t.Fatalf("%s: PlanDegraded panicked on mask (%d events): %v",
-				name, mask.Events(), r)
+			t.Fatalf("%s: PlanDegraded panicked on %d faults: %v",
+				name, len(events), r)
 		}
 	}()
 	plan, _, perr := dr.PlanDegraded(k)
 	if perr != nil && !errors.Is(perr, fault.ErrPartitioned) {
 		t.Fatalf("%s: untyped degraded error: %v", name, perr)
 	}
-	masked := mask.MaskTopology()
+	var dead topology.GraphDelta
+	for _, e := range events {
+		dead.FailLinks = append(dead.FailLinks, topology.NormLink(e.A, e.B))
+	}
+	masked := topology.NewLiveMasked(st.Topology())
+	masked.Apply(dead)
+	channelDead := func(c dfr.Channel) bool {
+		for _, e := range events {
+			if e.Matches(c) {
+				return true
+			}
+		}
+		return false
+	}
 	var live []topology.NodeID
 	for _, d := range k.Dests {
-		if !mask.NodeDead(k.Source) && masked.Reachable(k.Source, d) {
+		if masked.Reachable(k.Source, d) {
 			live = append(live, d)
 		}
 	}
@@ -87,14 +103,14 @@ func checkDegraded(t *testing.T, name string, st *routing.State, mask *fault.Mas
 	for _, p := range plan.Paths {
 		for i := 1; i < len(p.Nodes); i++ {
 			c := dfr.Channel{From: p.Nodes[i-1], To: p.Nodes[i], Class: p.HopClass(i - 1)}
-			if mask.ChannelDead(c) {
+			if channelDead(c) {
 				t.Fatalf("%s: degraded plan crosses dead channel %v", name, c)
 			}
 		}
 	}
 	for _, tr := range plan.Trees {
 		for _, e := range tr.Edges {
-			if mask.ChannelDead(e) {
+			if channelDead(e) {
 				t.Fatalf("%s: degraded tree crosses dead channel %v", name, e)
 			}
 		}
@@ -170,9 +186,9 @@ func FuzzPlan(f *testing.F) {
 		if links == 0 {
 			return
 		}
-		mask := fault.NewPlan(m, fault.Spec{Links: links, Seed: faultSeed}).FullMask()
+		events := fault.NewPlan(m, fault.Spec{Links: links, Seed: faultSeed}).Events()
 		for _, name := range append(append([]string(nil), fuzzSchemes...), fuzzTreeSchemes...) {
-			checkDegraded(t, name, st, mask, k)
+			checkDegraded(t, name, st, events, k)
 		}
 	})
 }

@@ -9,11 +9,12 @@ import (
 	"multicastnet/internal/topology"
 )
 
-// TestLiveStatePlanEquivalence churns a LiveState through a seeded
-// fault/repair stream and, at every epoch, requires each registry scheme
-// to plan identically over the live state and over a state built from
-// scratch with the same dead sets: NewStateWithLabeling over a fresh
-// LiveMasked advanced by one delta of every dead link.
+// TestLiveStatePlanEquivalence churns the live state — one State built
+// over a LiveMasked view that then absorbs a seeded fault/repair stream —
+// and, at every epoch, requires each registry scheme to plan identically
+// over the live state and over a state built from scratch with the same
+// dead sets: NewStateWithLabeling over a fresh LiveMasked advanced by one
+// delta of every dead link.
 // This is the routing-layer half of the churn-equivalence guarantee (the
 // fault package pins the degraded-router half).
 func TestLiveStatePlanEquivalence(t *testing.T) {
@@ -26,10 +27,8 @@ func TestLiveStatePlanEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ls := NewLiveState(healthy)
-			if ls.Epoch() != 0 {
-				t.Fatal("fresh live state is not at epoch 0")
-			}
+			view := topology.NewLiveMasked(base)
+			live := NewStateWithLabeling(view, healthy.Labeling())
 
 			links := enumerateLinksTest(base)
 			rng := stats.NewRand(0xD317A)
@@ -62,7 +61,7 @@ func TestLiveStatePlanEquivalence(t *testing.T) {
 						break
 					}
 				}
-				ls.Apply(d)
+				view.Apply(d)
 
 				var dl []topology.Link
 				for l := range deadLinks {
@@ -78,7 +77,7 @@ func TestLiveStatePlanEquivalence(t *testing.T) {
 				// severed traffic).
 				reachable := true
 				for _, dst := range k.Dests {
-					if !ls.Live().Reachable(k.Source, dst) {
+					if !view.Reachable(k.Source, dst) {
 						reachable = false
 						break
 					}
@@ -87,7 +86,7 @@ func TestLiveStatePlanEquivalence(t *testing.T) {
 					continue
 				}
 				for _, name := range schemes {
-					liveR, err := New(name, ls.State())
+					liveR, err := New(name, live)
 					if err != nil {
 						t.Fatalf("step %d: %s over live state: %v", step, name, err)
 					}
@@ -99,11 +98,11 @@ func TestLiveStatePlanEquivalence(t *testing.T) {
 					pf, okFull := planOrPanic(fullR, k)
 					if okLive != okFull {
 						t.Fatalf("step %d (epoch %d): scheme %s panic status diverged (live ok=%v, full ok=%v)",
-							step, ls.Epoch(), name, okLive, okFull)
+							step, view.Epoch(), name, okLive, okFull)
 					}
 					if okLive && !reflect.DeepEqual(pl, pf) {
 						t.Fatalf("step %d (epoch %d): scheme %s diverged from full rebuild\nlive: %+v\nfull: %+v",
-							step, ls.Epoch(), name, pl, pf)
+							step, view.Epoch(), name, pl, pf)
 					}
 				}
 			}
@@ -111,16 +110,17 @@ func TestLiveStatePlanEquivalence(t *testing.T) {
 	}
 }
 
-// TestLiveStateRouterSurvivesEpochs: a router built once over the live
-// state must observe deltas applied after its construction.
+// TestLiveStateRouterSurvivesEpochs: a router built once over a State of
+// a LiveMasked view must observe deltas applied to the view after its
+// construction.
 func TestLiveStateRouterSurvivesEpochs(t *testing.T) {
 	m := topology.NewMesh2D(6, 6)
 	healthy, err := NewState(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ls := NewLiveState(healthy)
-	r, err := New("dual-path", ls.State())
+	view := topology.NewLiveMasked(m)
+	r, err := New("dual-path", NewStateWithLabeling(view, healthy.Labeling()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestLiveStateRouterSurvivesEpochs(t *testing.T) {
 	if !found {
 		t.Fatal("healthy plan has no path edges to cut")
 	}
-	ls.Apply(topology.GraphDelta{FailLinks: []topology.Link{cut}})
+	view.Apply(topology.GraphDelta{FailLinks: []topology.Link{cut}})
 	after := r.PlanSet(k)
 	for _, p := range after.Paths {
 		for i := 1; i < len(p.Nodes); i++ {
@@ -150,7 +150,7 @@ func TestLiveStateRouterSurvivesEpochs(t *testing.T) {
 		}
 	}
 	// Repair restores the original plan exactly.
-	ls.Apply(topology.GraphDelta{RepairLinks: []topology.Link{cut}})
+	view.Apply(topology.GraphDelta{RepairLinks: []topology.Link{cut}})
 	if !reflect.DeepEqual(r.PlanSet(k), before) {
 		t.Fatal("plan after fail+repair differs from the healthy plan")
 	}

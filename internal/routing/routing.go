@@ -6,9 +6,8 @@
 // The engine has three parts:
 //
 //   - State: immutable per-topology precomputed routing state (the
-//     Hamiltonian labeling as dense label/position tables plus adjacency
-//     lists), built once per topology by each caller and safely shared
-//     across goroutines.
+//     Hamiltonian labeling as dense label/position tables), built once
+//     per topology by each caller and safely shared across goroutines.
 //   - A static, name-sorted scheme table (Lookup / Names / Schemes)
 //     covering the deadlock-free schemes of Chapter 6 and the Section 8.2
 //     extensions; each scheme builds a Router over a State.
@@ -18,7 +17,7 @@
 //     services, the churn study) stop re-deriving identical routes.
 //
 // Concurrency contract: State and Router are immutable after construction
-// and safe for unlimited concurrent use. Plans returned by Plan/PlanSet
+// and safe for unlimited concurrent use. Plans returned by PlanSet
 // are shared (possibly cache-resident) values; callers must treat every
 // slice reachable from a Plan as read-only.
 package routing
@@ -118,10 +117,9 @@ type Router interface {
 	ID() string
 	// State returns the precomputed topology state the router plans over.
 	State() *State
-	// Plan validates (source, dests) as a multicast set and routes it.
-	Plan(src topology.NodeID, dests []topology.NodeID) (Plan, error)
-	// PlanSet routes an already-validated multicast set. It is the hot
-	// path used by the simulator adapters and the plan cache.
+	// PlanSet routes a multicast set that core.NewMulticastSet
+	// validated. It is the hot path used by the simulator adapters and
+	// the plan cache.
 	PlanSet(k core.MulticastSet) Plan
 }
 
@@ -135,13 +133,14 @@ type LiveRouter interface {
 }
 
 // State is the immutable precomputed routing state of one topology: the
-// Hamiltonian labeling flattened into dense label and position tables,
-// plus per-node adjacency lists. Each caller constructs it once per
-// topology it routes on and shares it freely across goroutines.
+// Hamiltonian labeling flattened into dense label and position tables.
+// Each caller constructs it once per topology it routes on and shares it
+// freely across goroutines. A State over a topology.LiveMasked view reads
+// the view's adjacency at plan time, so routers built over it once follow
+// every delta applied to the view (fault.LiveRouter is built this way).
 type State struct {
-	topo      topology.Topology
-	label     *tableLabeling
-	neighbors [][]topology.NodeID
+	topo  topology.Topology
+	label *tableLabeling
 }
 
 // NewState precomputes routing state for t under its canonical
@@ -170,11 +169,7 @@ func NewStateWithLabeling(t topology.Topology, l labeling.Labeling) *State {
 		tl.labels[v] = int32(lab)
 		tl.at[lab] = topology.NodeID(v)
 	}
-	neighbors := make([][]topology.NodeID, n)
-	for v := 0; v < n; v++ {
-		neighbors[v] = t.Neighbors(topology.NodeID(v), nil)
-	}
-	return &State{topo: t, label: tl, neighbors: neighbors}
+	return &State{topo: t, label: tl}
 }
 
 // Topology returns the topology the state was built over.
@@ -188,10 +183,6 @@ func (s *State) Label(v topology.NodeID) int { return s.label.Label(v) }
 
 // At returns the node at the given Hamiltonian-path position.
 func (s *State) At(label int) topology.NodeID { return s.label.At(label) }
-
-// Neighbors returns the precomputed adjacency list of v. Callers must
-// not modify the returned slice.
-func (s *State) Neighbors(v topology.NodeID) []topology.NodeID { return s.neighbors[v] }
 
 // tableLabeling is a labeling.Labeling backed by dense arrays, the
 // precomputed form every State carries.

@@ -87,11 +87,6 @@ func TestStateMatchesCanonicalLabeling(t *testing.T) {
 		if st.At(st.Label(id)) != id {
 			t.Fatalf("At(Label(%d)) = %d", v, st.At(st.Label(id)))
 		}
-		got := st.Neighbors(id)
-		want := m.Neighbors(id, nil)
-		if len(got) != len(want) {
-			t.Fatalf("Neighbors(%d) = %v, want %v", v, got, want)
-		}
 	}
 	if st.Labeling().N() != m.Nodes() {
 		t.Fatalf("Labeling().N() = %d", st.Labeling().N())
@@ -108,17 +103,8 @@ func TestRouterPlanValidatesSet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Plan(0, []topology.NodeID{0}); err == nil {
-		t.Error("Plan accepted the source as a destination")
-	}
-	if _, err := r.Plan(0, []topology.NodeID{99}); err == nil {
-		t.Error("Plan accepted an out-of-range destination")
-	}
-	plan, err := r.Plan(0, []topology.NodeID{5, 10, 15})
-	if err != nil {
-		t.Fatal(err)
-	}
 	k := core.MustMulticastSet(m, 0, []topology.NodeID{5, 10, 15})
+	plan := r.PlanSet(k)
 	if err := plan.Validate(m, k); err != nil {
 		t.Fatal(err)
 	}

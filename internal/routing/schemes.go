@@ -31,15 +31,6 @@ func (r *router) ID() string { return r.id }
 // State implements Router.
 func (r *router) State() *State { return r.st }
 
-// Plan implements Router.
-func (r *router) Plan(src topology.NodeID, dests []topology.NodeID) (Plan, error) {
-	k, err := core.NewMulticastSet(r.st.topo, src, dests)
-	if err != nil {
-		return Plan{}, err
-	}
-	return r.plan(k), nil
-}
-
 // PlanSet implements Router.
 func (r *router) PlanSet(k core.MulticastSet) Plan { return r.plan(k) }
 

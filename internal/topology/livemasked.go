@@ -22,16 +22,10 @@ func NormLink(u, v NodeID) Link {
 // GraphDelta is one batch of physical host-graph changes: hardware that
 // fails and hardware that comes back. It is the topology-level half of a
 // fault/repair delta (virtual-channel faults do not change the physical
-// graph and are handled by the routing layers above).
+// graph; fault.LiveRouter keeps them in a set of its own).
 type GraphDelta struct {
 	FailNodes, RepairNodes []NodeID
 	FailLinks, RepairLinks []Link
-}
-
-// Empty reports a delta with no changes.
-func (d GraphDelta) Empty() bool {
-	return len(d.FailNodes) == 0 && len(d.RepairNodes) == 0 &&
-		len(d.FailLinks) == 0 && len(d.RepairLinks) == 0
 }
 
 // LiveMasked is a base topology with a set of failed links and nodes —
@@ -55,18 +49,19 @@ func (d GraphDelta) Empty() bool {
 // Concurrency contract (the epoch protocol): Apply is a write and must
 // not run concurrently with any read; between Apply calls — one epoch —
 // any number of goroutines may read. Distance rows are computed lazily by
-// per-destination BFS and memoized for the current epoch behind an
-// internal mutex, so concurrent readers within an epoch are safe.
+// per-destination BFS and memoized behind an internal mutex, so
+// concurrent readers within an epoch are safe.
 type LiveMasked struct {
 	base      Topology
 	epoch     uint64
 	deadNode  []bool
+	deadNodes int // count of true entries in deadNode
 	deadLink  map[Link]bool
 	neighbors [][]NodeID
 
-	// Lazily computed per-destination distance rows of the current
-	// epoch. Unreachable pairs hold Nodes(), which needs 32 bits from
-	// 32,768 nodes on.
+	// Lazily computed per-destination distance rows, valid until a delta
+	// changes the dead sets. Unreachable pairs hold Nodes(), which needs
+	// 32 bits from 32,768 nodes on.
 	mu   sync.Mutex
 	rows map[NodeID][]int32
 }
@@ -91,15 +86,22 @@ func NewLiveMasked(base Topology) *LiveMasked {
 // Apply advances the view by one delta: failed nodes and links leave the
 // graph, repaired ones return. Only the neighbor rows of affected nodes
 // are rebuilt — O(sum of affected degrees) — and the epoch counter is
-// bumped, discarding the memoized distance rows. Failing dead hardware
-// and repairing healthy hardware are no-ops. It returns the nodes whose
-// adjacency rows changed (ascending, deduplicated), which callers use to
-// patch derived per-node tables in place.
-func (m *LiveMasked) Apply(d GraphDelta) []NodeID {
+// bumped. Failing dead hardware and repairing healthy hardware are
+// no-ops. A delta that changes no dead set keeps the memoized distance
+// rows; any other discards them.
+func (m *LiveMasked) Apply(d GraphDelta) {
 	n := m.base.Nodes()
 	touched := make(map[NodeID]bool)
-	touchNode := func(v NodeID) {
-		checkNode(v, n, m)
+	touchNode := func(v NodeID, dead bool) {
+		if m.deadNode[v] == dead {
+			return
+		}
+		m.deadNode[v] = dead
+		if dead {
+			m.deadNodes++
+		} else {
+			m.deadNodes--
+		}
 		touched[v] = true
 		for _, w := range m.base.Neighbors(v, nil) {
 			touched[w] = true
@@ -107,17 +109,11 @@ func (m *LiveMasked) Apply(d GraphDelta) []NodeID {
 	}
 	for _, v := range d.FailNodes {
 		checkNode(v, n, m)
-		if !m.deadNode[v] {
-			m.deadNode[v] = true
-			touchNode(v)
-		}
+		touchNode(v, true)
 	}
 	for _, v := range d.RepairNodes {
 		checkNode(v, n, m)
-		if m.deadNode[v] {
-			m.deadNode[v] = false
-			touchNode(v)
-		}
+		touchNode(v, false)
 	}
 	touchLink := func(l Link, fail bool) {
 		l = NormLink(l.U, l.V)
@@ -144,20 +140,16 @@ func (m *LiveMasked) Apply(d GraphDelta) []NodeID {
 		touchLink(l, false)
 	}
 
-	changed := make([]NodeID, 0, len(touched))
-	for v := range touched {
-		changed = append(changed, v)
-	}
-	sortNodeIDs(changed)
 	var buf []NodeID
-	for _, v := range changed {
+	for v := range touched {
 		m.neighbors[v] = m.rebuildRow(v, m.neighbors[v][:0], &buf)
 	}
 	m.epoch++
-	m.mu.Lock()
-	m.rows = make(map[NodeID][]int32)
-	m.mu.Unlock()
-	return changed
+	if len(touched) > 0 {
+		m.mu.Lock()
+		m.rows = make(map[NodeID][]int32)
+		m.mu.Unlock()
+	}
 }
 
 // rebuildRow refilters v's base neighbor list against the dead sets,
@@ -203,15 +195,6 @@ func (m *LiveMasked) Neighbors(v NodeID, buf []NodeID) []NodeID {
 	return append(buf, m.neighbors[v]...)
 }
 
-// NeighborsShared returns v's live adjacency row without copying. The
-// returned slice is replaced wholesale (never mutated) by Apply, so
-// holding it across epochs yields a stale — not corrupted — view;
-// LiveState re-fetches rows for every node Apply reports changed.
-func (m *LiveMasked) NeighborsShared(v NodeID) []NodeID {
-	checkNode(v, len(m.deadNode), m)
-	return m.neighbors[v]
-}
-
 // Port implements Topology for the base topology: masking removes links
 // but renumbers none, so a channel keeps its id across fault epochs.
 func (m *LiveMasked) Port(u, v NodeID) int { return m.base.Port(u, v) }
@@ -229,7 +212,8 @@ func (m *LiveMasked) Adjacent(u, v NodeID) bool {
 
 // Distance implements Topology over the masked graph; unreachable pairs
 // return Nodes() (see the type comment). It reads v's row, computed by
-// BFS on first use per destination and memoized for the epoch.
+// BFS on first use per destination and memoized until the dead sets
+// change.
 func (m *LiveMasked) Distance(u, v NodeID) int {
 	n := len(m.deadNode)
 	checkNode(u, n, m)
@@ -245,7 +229,7 @@ func (m *LiveMasked) Reachable(u, v NodeID) bool {
 
 // Diameter implements Topology: the maximum distance over reachable
 // pairs of the current epoch. It materializes every distance row, so it
-// costs a full all-pairs BFS on first use per epoch; routing never calls
+// costs a full all-pairs BFS on first use; routing never calls
 // it on masked views.
 func (m *LiveMasked) Diameter() int {
 	diam := 0
@@ -277,9 +261,12 @@ func (m *LiveMasked) LinkDead(u, v NodeID) bool {
 	return m.deadNode[u] || m.deadNode[v] || m.deadLink[NormLink(u, v)]
 }
 
+// Healthy reports, in O(1), whether no node or link is dead.
+func (m *LiveMasked) Healthy() bool { return m.deadNodes == 0 && len(m.deadLink) == 0 }
+
 // row returns the memoized distances from u to every node (equally, by
 // symmetry, from every node to u), computing them by BFS over the live
-// adjacency on first use in the current epoch.
+// adjacency on first use since the dead sets last changed.
 func (m *LiveMasked) row(u NodeID) []int32 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -310,14 +297,4 @@ func (m *LiveMasked) row(u NodeID) []int32 {
 	}
 	m.rows[u] = r
 	return r
-}
-
-// sortNodeIDs sorts ids ascending (insertion sort; delta fan-outs are a
-// handful of nodes).
-func sortNodeIDs(ids []NodeID) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
 }

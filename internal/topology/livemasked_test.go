@@ -45,6 +45,10 @@ func churnEquivalence(t *testing.T, base Topology, steps int, seed uint64) {
 		}
 		live.Apply(d)
 		ref := newRefMasked(base, deadNodes, deadLinks)
+		if live.Healthy() != (len(deadNodes) == 0 && len(deadLinks) == 0) {
+			t.Fatalf("step %d: Healthy() = %v with %d dead nodes, %d dead links",
+				step, live.Healthy(), len(deadNodes), len(deadLinks))
+		}
 
 		n := base.Nodes()
 		for v := 0; v < n; v++ {
@@ -154,23 +158,139 @@ func TestLiveMaskedEquivalence(t *testing.T) {
 	})
 }
 
-// TestLiveMaskedNoOpDeltas: failing dead hardware and repairing healthy
-// hardware must change nothing, including the changed-node report.
+// FuzzLiveMaskedDistances drives a small mesh or cube through random
+// fail, repair and no-op deltas and, after every Apply, checks the view
+// against the reference of TestLiveMaskedEquivalence: every adjacency
+// row, then Distance and Reachable toward each destination whose row was
+// memoized before the delta, then toward one destination computed fresh.
+// It is the oracle for keeping distance rows across deltas: a kept row
+// that the delta made stale fails here.
+//
+// The input is a shape byte and (op, arg) byte pairs. An op fails or
+// repairs a link or a node in the pending delta, queries one distance
+// (memoizing its destination's row), or applies the pending delta, which
+// may be empty or hold nothing but no-ops.
+func FuzzLiveMaskedDistances(f *testing.F) {
+	f.Add(uint8(0), []byte{4, 1, 0, 0, 5, 0, 4, 1, 5, 1, 1, 0, 5, 1})
+	f.Add(uint8(5), []byte{4, 9, 2, 3, 5, 0, 4, 17, 5, 2, 3, 3, 0, 5, 5, 6, 4, 40, 0, 5, 5, 7})
+	f.Add(uint8(18), []byte{4, 8, 4, 30, 0, 2, 0, 9, 5, 4, 4, 8, 2, 4, 1, 2, 5, 0, 3, 4, 5, 8})
+	f.Fuzz(func(t *testing.T, shape uint8, ops []byte) {
+		var base Topology
+		if shape&1 == 0 {
+			base = NewMesh2D(2+int(shape>>1)%4, 1+int(shape>>3)%4)
+		} else {
+			base = NewHypercube(1 + int(shape>>1)%4)
+		}
+		n := base.Nodes()
+		links := enumerateLinksT(base)
+		live := NewLiveMasked(base)
+		deadNodes := make(map[NodeID]bool)
+		deadLinks := make(map[Link]bool)
+		ref := newRefMasked(base, deadNodes, deadLinks)
+		checkPair := func(u, v NodeID) {
+			t.Helper()
+			if got, want := live.Distance(u, v), ref.dist[u][v]; got != want {
+				t.Fatalf("epoch %d: Distance(%d, %d) = %d, want %d", live.Epoch(), u, v, got, want)
+			}
+			if got, want := live.Reachable(u, v), ref.dist[u][v] < n; got != want {
+				t.Fatalf("epoch %d: Reachable(%d, %d) = %v, want %v", live.Epoch(), u, v, got, want)
+			}
+		}
+		var d GraphDelta
+		for i := 0; i+1 < len(ops); i += 2 {
+			arg := int(ops[i+1])
+			switch ops[i] % 6 {
+			case 0:
+				d.FailLinks = append(d.FailLinks, links[arg%len(links)])
+			case 1:
+				d.RepairLinks = append(d.RepairLinks, links[arg%len(links)])
+			case 2:
+				d.FailNodes = append(d.FailNodes, NodeID(arg%n))
+			case 3:
+				d.RepairNodes = append(d.RepairNodes, NodeID(arg%n))
+			case 4:
+				checkPair(NodeID(arg%n), NodeID(arg/n%n))
+			default:
+				var memoized []NodeID
+				for v := range live.rows {
+					memoized = append(memoized, v)
+				}
+				live.Apply(d)
+				// Fail first, repair second: hardware both failed and
+				// repaired in one delta ends up alive.
+				for _, v := range d.FailNodes {
+					deadNodes[v] = true
+				}
+				for _, v := range d.RepairNodes {
+					delete(deadNodes, v)
+				}
+				for _, l := range d.FailLinks {
+					deadLinks[l] = true
+				}
+				for _, l := range d.RepairLinks {
+					delete(deadLinks, l)
+				}
+				d = GraphDelta{}
+				ref = newRefMasked(base, deadNodes, deadLinks)
+				for v := NodeID(0); int(v) < n; v++ {
+					if got := live.Neighbors(v, nil); !slices.Equal(got, ref.neighbors[v]) {
+						t.Fatalf("epoch %d: node %d neighbors %v, want %v", live.Epoch(), v, got, ref.neighbors[v])
+					}
+				}
+				for _, v := range append(memoized, NodeID(arg%n)) {
+					for u := NodeID(0); int(u) < n; u++ {
+						checkPair(u, v)
+					}
+				}
+			}
+		}
+	})
+}
+
+// TestLiveMaskedNoOpDeltas: failing dead hardware, repairing healthy
+// hardware, failing a non-edge and an empty delta change nothing — the
+// adjacency and every memoized distance row stay — while the epoch still
+// advances. A delta that does change a dead set drops the rows.
 func TestLiveMaskedNoOpDeltas(t *testing.T) {
 	base := NewMesh2D(3, 3)
 	live := NewLiveMasked(base)
-	if ch := live.Apply(GraphDelta{RepairNodes: []NodeID{4}, RepairLinks: []Link{{U: 0, V: 1}}}); len(ch) != 0 {
-		t.Fatalf("repairing healthy hardware reported changes: %v", ch)
+	const dest = 8
+	row := &live.row(dest)[0]
+	keeps := func(what string, d GraphDelta) {
+		t.Helper()
+		epoch := live.Epoch()
+		var before [][]NodeID
+		for v := NodeID(0); v < 9; v++ {
+			before = append(before, live.Neighbors(v, nil))
+		}
+		live.Apply(d)
+		if live.Epoch() != epoch+1 {
+			t.Fatalf("%s: epoch %d, want %d", what, live.Epoch(), epoch+1)
+		}
+		for v := NodeID(0); v < 9; v++ {
+			if got := live.Neighbors(v, nil); !slices.Equal(got, before[v]) {
+				t.Fatalf("%s changed node %d's neighbors: %v, was %v", what, v, got, before[v])
+			}
+		}
+		if r, ok := live.rows[dest]; !ok || &r[0] != row {
+			t.Fatalf("%s dropped the memoized distance row", what)
+		}
 	}
-	if ch := live.Apply(GraphDelta{FailLinks: []Link{{U: 0, V: 1}}}); len(ch) != 2 {
-		t.Fatalf("link fault changed %v, want the two endpoints", ch)
+	keeps("repairing healthy hardware", GraphDelta{RepairNodes: []NodeID{4}, RepairLinks: []Link{{U: 0, V: 1}}})
+	keeps("an empty delta", GraphDelta{})
+
+	live.Apply(GraphDelta{FailLinks: []Link{{U: 0, V: 1}}})
+	if slices.Contains(live.Neighbors(0, nil), 1) || slices.Contains(live.Neighbors(1, nil), 0) {
+		t.Fatal("link fault kept the link")
 	}
-	if ch := live.Apply(GraphDelta{FailLinks: []Link{{U: 1, V: 0}}}); len(ch) != 0 {
-		t.Fatalf("re-failing a dead link reported changes: %v", ch)
+	if _, ok := live.rows[dest]; ok {
+		t.Fatal("link fault kept a memoized distance row")
 	}
-	// Non-edges are ignored.
-	if ch := live.Apply(GraphDelta{FailLinks: []Link{{U: 0, V: 8}}}); len(ch) != 0 {
-		t.Fatalf("failing a non-edge reported changes: %v", ch)
+	row = &live.row(dest)[0]
+	keeps("re-failing a dead link", GraphDelta{FailLinks: []Link{{U: 1, V: 0}}})
+	keeps("failing a non-edge", GraphDelta{FailLinks: []Link{{U: 0, V: 8}}})
+	if got := live.Distance(1, dest); got != 3 {
+		t.Fatalf("Distance(1, %d) = %d, want 3", dest, got)
 	}
 }
 
@@ -215,6 +335,9 @@ func TestMaskedHealthy(t *testing.T) {
 	}
 	if m.Base() != Topology(base) {
 		t.Fatalf("Base() lost the wrapped topology")
+	}
+	if !m.Healthy() {
+		t.Fatalf("empty mask reports dead hardware")
 	}
 	for u := NodeID(0); int(u) < base.Nodes(); u++ {
 		for v := NodeID(0); int(v) < base.Nodes(); v++ {

@@ -3,6 +3,7 @@ package wormsim
 import (
 	"testing"
 
+	"multicastnet/internal/core"
 	"multicastnet/internal/dfr"
 	"multicastnet/internal/routing"
 	"multicastnet/internal/topology"
@@ -34,11 +35,11 @@ func arenaWorkload(t testing.TB) (*topology.Mesh2D, []routing.Plan) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := r.Plan(w.src, w.dests)
+		k, err := core.NewMulticastSet(m, w.src, w.dests)
 		if err != nil {
 			t.Fatal(err)
 		}
-		plans = append(plans, p)
+		plans = append(plans, r.PlanSet(k))
 	}
 	return m, plans
 }

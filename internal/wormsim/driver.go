@@ -41,11 +41,6 @@ type Config struct {
 
 	// MessageBytes is the message length L (the paper uses 128).
 	MessageBytes int
-	// FlitBytes sets the flit size (1 byte); one cycle moves one flit.
-	FlitBytes int
-	// BandwidthMBps is the channel speed in Mbytes/s (the paper uses
-	// 20), fixing the real-time value of a cycle.
-	BandwidthMBps float64
 
 	// MeanInterarrivalMicros is the mean of the exponential
 	// inter-message time at each node (the paper's base case is 300 us).
@@ -71,10 +66,6 @@ type Config struct {
 	MinBatches int
 	CIFrac     float64
 	MaxCycles  int64
-
-	// StallLimit is the no-progress cycle count after which the run is
-	// declared deadlocked. Zero selects a safe default.
-	StallLimit int64
 
 	// Workload, when set, replaces the per-node exponential generators
 	// (Section 7.2) with an externally supplied time-ordered request
@@ -115,12 +106,6 @@ func (c *Config) validate() error {
 	if c.MessageBytes <= 0 {
 		c.MessageBytes = 128
 	}
-	if c.FlitBytes <= 0 {
-		c.FlitBytes = 1
-	}
-	if c.BandwidthMBps <= 0 {
-		c.BandwidthMBps = 20
-	}
 	if c.MeanInterarrivalMicros <= 0 && c.Workload == nil {
 		return fmt.Errorf("wormsim: MeanInterarrivalMicros must be positive")
 	}
@@ -145,18 +130,17 @@ func (c *Config) validate() error {
 	if c.MaxCycles <= 0 {
 		c.MaxCycles = 5_000_000
 	}
-	if c.StallLimit <= 0 {
-		// Far beyond any legitimate stall: several maximal messages
-		// back to back.
-		c.StallLimit = int64(20 * (c.MessageBytes/c.FlitBytes + c.Topology.Nodes()))
-	}
 	return nil
 }
 
-// flitMicros returns the real-time duration of one cycle.
-func (c *Config) flitMicros() float64 {
-	return float64(c.FlitBytes) / c.BandwidthMBps
-}
+// The Section 7.2 time base: a flit is one byte and a channel carries
+// 20 Mbytes/s, so one cycle, one flit over one channel, lasts FlitMicros
+// microseconds.
+const (
+	FlitBytes     = 1
+	BandwidthMBps = 20.0
+	FlitMicros    = float64(FlitBytes) / BandwidthMBps
+)
 
 // Result summarizes one dynamic run.
 type Result struct {
@@ -215,11 +199,14 @@ func Run(cfg Config) (Result, error) {
 		src = newPaperSource(&cfg)
 	}
 	net := NewNetwork(cfg.Topology)
-	lengthFlits := cfg.MessageBytes / cfg.FlitBytes
+	lengthFlits := cfg.MessageBytes / FlitBytes
 	if lengthFlits < 1 {
 		lengthFlits = 1
 	}
-	flitUs := cfg.flitMicros()
+	// The no-progress cycle count after which the run is declared
+	// deadlocked: far beyond any legitimate stall, several maximal
+	// messages back to back.
+	stallLimit := int64(20 * (cfg.MessageBytes/FlitBytes + cfg.Topology.Nodes()))
 
 	latency := stats.NewBatchMeans(cfg.BatchSize)
 	var completion, uniLatency, mcastLatency stats.Mean
@@ -231,7 +218,7 @@ func Run(cfg Config) (Result, error) {
 			if seen == cfg.WarmupDeliveries+1 {
 				warmupEndCycle = net.Cycle()
 			}
-			us := float64(cycles) * flitUs
+			us := float64(cycles) * FlitMicros
 			latency.Add(us)
 			if size == 1 {
 				uniLatency.Add(us)
@@ -241,7 +228,7 @@ func Run(cfg Config) (Result, error) {
 		}
 	})
 	net.OnComplete(func(cycles int64) {
-		completion.Add(float64(cycles) * flitUs)
+		completion.Add(float64(cycles) * FlitMicros)
 	})
 
 	res := Result{}
@@ -292,7 +279,7 @@ func Run(cfg Config) (Result, error) {
 		}
 		if net.Step() {
 			lastProgress = net.Cycle()
-		} else if net.ActiveWorms() > 0 && net.Cycle()-lastProgress > cfg.StallLimit {
+		} else if net.ActiveWorms() > 0 && net.Cycle()-lastProgress > stallLimit {
 			res.Deadlocked = true
 			break
 		}
@@ -342,7 +329,7 @@ func Run(cfg Config) (Result, error) {
 				if b := (net.Cycle()/64+1)*64 - 1; b < target {
 					target = b
 				}
-				if s := lastProgress + cfg.StallLimit; s < target {
+				if s := lastProgress + stallLimit; s < target {
 					target = s
 				}
 			}
@@ -372,7 +359,7 @@ func Run(cfg Config) (Result, error) {
 	res.WormsKilled = net.KilledWorms()
 	res.Cycles = net.Cycle()
 	if cycles := res.Cycles - warmupEndCycle; cycles > 0 {
-		elapsedMs := float64(cycles) * flitUs / 1000
+		elapsedMs := float64(cycles) * FlitMicros / 1000
 		res.ThroughputPerMs = float64(latency.Observations()) / elapsedMs
 	}
 	return res, nil
@@ -399,7 +386,7 @@ func newPaperSource(cfg *Config) *paperSource {
 	s := &paperSource{
 		topo:     cfg.Topology,
 		rng:      stats.NewRand(cfg.Seed),
-		inter:    cfg.MeanInterarrivalMicros / cfg.flitMicros(),
+		inter:    cfg.MeanInterarrivalMicros / FlitMicros,
 		avgDests: cfg.AvgDests,
 		unicast:  cfg.UnicastFraction,
 		spawns:   make(spawnHeap, 0, n),
