@@ -414,8 +414,9 @@ func BenchmarkPublicAPI(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if sys.DualPath(k).Traffic() == 0 {
-			b.Fatal("empty route")
+		p, err := sys.Route("dual-path", k, multicastnet.RouterOptions{})
+		if err != nil || p.Traffic() == 0 {
+			b.Fatal("empty route", err)
 		}
 	}
 }

@@ -6,20 +6,19 @@
 //
 //	mcroute -topo mesh:8x8  -algo dual-path  -src 12 -dests 3,40,63
 //	mcroute -topo cube:6    -algo sorted-mp  -src 9  -dests 1,17,33
-//	mcroute -topo mesh:8x8  -scheme multi-path -src 12 -dests 3,40,63
+//	mcroute -topo mesh:8x8  -algo virtual-channel -vc 4 -src 12 -dests 3,40,63
 //	mcroute -list-schemes
 //
-// Algorithms (-algo): sorted-mp, sorted-mc, greedy-st, x-first,
-// divided-greedy, len, dual-path, multi-path, fixed-path, tree
-// (double-channel X-first).
-//
-// -scheme selects a routing-engine scheme by registry name instead
-// (overriding -algo); -list-schemes prints the registry.
+// -algo is the one selector. It takes a Chapter 5 heuristic (sorted-mp,
+// sorted-mc, greedy-st, x-first, divided-greedy, len) or any scheme of
+// the routing registry (dual-path, multi-path, fixed-path, tree,
+// virtual-channel, ...), which -list-schemes prints.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"sort"
 	"strconv"
 	"strings"
 
@@ -30,11 +29,11 @@ import (
 )
 
 var (
-	flags       = cli.Register(cli.Scheme)
+	flags       = cli.Register(0)
 	topoFlag    = flag.String("topo", "mesh:8x8", "topology: mesh:WxH or cube:N")
-	algoFlag    = flag.String("algo", "dual-path", "routing algorithm (ignored when -scheme is set)")
+	algoFlag    = flag.String("algo", "dual-path", "Chapter 5 heuristic or routing-registry scheme (-list-schemes prints the registry)")
 	listSchemes = flag.Bool("list-schemes", false, "list the routing-engine schemes and exit")
-	vcFlag      = flag.Int("vc", 0, "virtual-channel copies for -scheme virtual-channel (0 = scheme default)")
+	vcFlag      = flag.Int("vc", 0, "virtual-channel copies for -algo virtual-channel (0 = scheme default)")
 	srcFlag     = flag.Int("src", 0, "source node id")
 	destsFlag   = flag.String("dests", "", "comma-separated destination node ids")
 	draw        = flag.Bool("draw", true, "draw the routing pattern (mesh topologies)")
@@ -60,44 +59,44 @@ func route() error {
 	if err != nil {
 		return err
 	}
-
-	mesh, isMesh := sys.Topology().(*multicastnet.Mesh2D)
-	drawPattern := func(chans []multicastnet.Channel) {
-		if *draw && isMesh {
-			fmt.Print(render.Mesh(mesh, k, chans))
-		}
-	}
-	drawStar := func(s multicastnet.Star) {
-		if *draw && isMesh {
-			fmt.Print(render.MeshStar(mesh, k, s))
-		}
-	}
-
-	if flags.Scheme != "" {
-		st, err := routing.NewState(sys.Topology())
+	mesh, drawing := sys.Topology().(*multicastnet.Mesh2D)
+	drawing = drawing && *draw
+	// showTree prints a tree heuristic's pattern, with its deliveries in
+	// node order rather than the map's.
+	showTree := func(r *multicastnet.STResult, err error) error {
 		if err != nil {
 			return err
 		}
-		r, err := routing.NewWithOptions(flags.Scheme, st, routing.Options{VirtualChannels: *vcFlag})
+		fmt.Printf("traffic: %d channels (tree pattern: %v)\n", r.Links, r.IsTreePattern())
+		fmt.Printf("deliveries:\n")
+		nodes := make([]multicastnet.NodeID, 0, len(r.Delivered))
+		for d := range r.Delivered {
+			nodes = append(nodes, d)
+		}
+		sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
+		for _, d := range nodes {
+			fmt.Printf("  node %d at %d hops\n", d, r.Delivered[d])
+		}
+		if drawing {
+			fmt.Print(render.MeshEdges(mesh, k, r.Edges))
+		}
+		return nil
+	}
+	// showPlan prints a registry scheme's routes.
+	showPlan := func(p multicastnet.Plan, err error) error {
 		if err != nil {
 			return err
 		}
-		plan := r.PlanSet(k)
-		for i, p := range plan.Paths {
-			fmt.Printf("path %d:  %v -> dests %v\n", i, p.Nodes, p.Dests)
+		for i, pr := range p.Paths {
+			fmt.Printf("path %d:  %v -> dests %v\n", i, pr.Nodes, pr.Dests)
 		}
-		var chans []multicastnet.Channel
-		for i, tr := range plan.Trees {
+		for i, tr := range p.Trees {
 			fmt.Printf("subnetwork %d: %d channels, destinations %v\n", i, tr.Traffic(), tr.Dests)
-			chans = append(chans, tr.Edges...)
 		}
-		fmt.Printf("traffic: %d channels, max distance %d hops\n", plan.Traffic(), plan.MaxDistance())
-		if len(plan.Paths) > 0 {
-			drawStar(multicastnet.Star{Source: k.Source, Paths: plan.Paths})
-		} else {
-			drawPattern(chans)
+		fmt.Printf("traffic: %d channels, max distance %d hops\n", p.Traffic(), p.MaxDistance())
+		if drawing {
+			fmt.Print(render.MeshPlan(mesh, k, p))
 		}
-		fmt.Printf("multi-unicast baseline: %d channels\n", sys.MultiUnicastTraffic(k))
 		return nil
 	}
 
@@ -117,69 +116,18 @@ func route() error {
 		fmt.Printf("cycle:   %v (closes back to %d)\n", c.Nodes, c.Nodes[0])
 		fmt.Printf("traffic: %d channels\n", c.Traffic())
 	case "greedy-st":
-		r, err := sys.GreedyST(k)
-		if err != nil {
-			return err
-		}
-		printTreePattern(r)
-		if *draw && isMesh {
-			fmt.Print(render.MeshEdges(mesh, k, r.Edges))
-		}
+		err = showTree(sys.GreedyST(k))
 	case "x-first":
-		r, err := sys.XFirstMT(k)
-		if err != nil {
-			return err
-		}
-		printTreePattern(r)
-		if *draw && isMesh {
-			fmt.Print(render.MeshEdges(mesh, k, r.Edges))
-		}
+		err = showTree(sys.XFirstMT(k))
 	case "divided-greedy":
-		r, err := sys.DividedGreedyMT(k)
-		if err != nil {
-			return err
-		}
-		printTreePattern(r)
-		if *draw && isMesh {
-			fmt.Print(render.MeshEdges(mesh, k, r.Edges))
-		}
+		err = showTree(sys.DividedGreedyMT(k))
 	case "len":
-		r, err := sys.LEN(k)
-		if err != nil {
-			return err
-		}
-		printTreePattern(r)
-	case "dual-path":
-		s := sys.DualPath(k)
-		printStar(s)
-		drawStar(s)
-	case "multi-path":
-		s, err := sys.MultiPath(k)
-		if err != nil {
-			return err
-		}
-		printStar(s)
-		drawStar(s)
-	case "fixed-path":
-		s := sys.FixedPath(k)
-		printStar(s)
-		drawStar(s)
-	case "tree":
-		trees, err := sys.DoubleChannelXFirst(k)
-		if err != nil {
-			return err
-		}
-		total := 0
-		var chans []multicastnet.Channel
-		for i, tr := range trees {
-			fmt.Printf("subnetwork %d: %d channels, destinations %v\n", i, tr.Traffic(), tr.Dests)
-			total += tr.Traffic()
-			chans = append(chans, tr.Edges...)
-		}
-		fmt.Printf("traffic: %d channels\n", total)
-		drawPattern(chans)
+		err = showTree(sys.LEN(k))
 	default:
-		return fmt.Errorf("unknown algorithm %q", *algoFlag)
+		err = showPlan(sys.Route(*algoFlag, k, multicastnet.RouterOptions{VirtualChannels: *vcFlag}))
+	}
+	if err != nil {
+		return err
 	}
 	fmt.Printf("multi-unicast baseline: %d channels\n", sys.MultiUnicastTraffic(k))
 	return nil
@@ -222,21 +170,6 @@ func parseDests(s string) ([]multicastnet.NodeID, error) {
 		out = append(out, multicastnet.NodeID(v))
 	}
 	return out, nil
-}
-
-func printStar(s multicastnet.Star) {
-	for i, p := range s.Paths {
-		fmt.Printf("path %d:  %v -> dests %v\n", i, p.Nodes, p.Dests)
-	}
-	fmt.Printf("traffic: %d channels, max distance %d hops\n", s.Traffic(), s.MaxDistance())
-}
-
-func printTreePattern(r *multicastnet.STResult) {
-	fmt.Printf("traffic: %d channels (tree pattern: %v)\n", r.Links, r.IsTreePattern())
-	fmt.Printf("deliveries:\n")
-	for d, depth := range r.Delivered {
-		fmt.Printf("  node %d at %d hops\n", d, depth)
-	}
 }
 
 func printSchemes() {

@@ -26,9 +26,9 @@ func ExampleSystem_SortedMP() {
 	// Output: [9 13 12 8 4 0 1 2 6] traffic: 8
 }
 
-// ExampleSystem_DualPath reproduces Fig. 6.13: deadlock-free dual-path
+// ExampleSystem_Route reproduces Fig. 6.13: deadlock-free dual-path
 // routing on a 6x6 mesh uses 33 channels (18 high, 15 low).
-func ExampleSystem_DualPath() {
+func ExampleSystem_Route() {
 	sys, err := multicastnet.NewMeshSystem(6, 6)
 	if err != nil {
 		log.Fatal(err)
@@ -41,9 +41,12 @@ func ExampleSystem_DualPath() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	star := sys.DualPath(k)
+	plan, err := sys.Route("dual-path", k, multicastnet.RouterOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("%d paths, %d channels, max distance %d\n",
-		len(star.Paths), star.Traffic(), star.MaxDistance())
+		len(plan.Paths), plan.Traffic(), plan.MaxDistance())
 	// Output: 2 paths, 33 channels, max distance 18
 }
 

@@ -45,7 +45,10 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		dual := sys.DualPath(k)
+		dual, err := sys.Route("dual-path", k, multicastnet.RouterOptions{})
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("%12d  %10d  %8d  %d / %d\n",
 			n, sys.MultiUnicastTraffic(k), lenTree.Links, dual.Traffic(), dual.MaxDistance())
 	}

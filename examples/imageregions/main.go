@@ -81,8 +81,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		dual := sys.DualPath(k)
-		multi, err := sys.MultiPath(k)
+		dual, err := sys.Route("dual-path", k, multicastnet.RouterOptions{})
+		if err != nil {
+			log.Fatal(err)
+		}
+		multi, err := sys.Route("multi-path", k, multicastnet.RouterOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}

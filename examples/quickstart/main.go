@@ -49,19 +49,15 @@ func main() {
 	fmt.Printf("X-first MT      %2d channels\n", xf.Links)
 	fmt.Printf("divided greedy  %2d channels\n", dg.Links)
 
-	// Chapter 6 deadlock-free wormhole schemes.
-	dual := sys.DualPath(k)
-	multi, err := sys.MultiPath(k)
-	if err != nil {
-		log.Fatal(err)
+	// Chapter 6 deadlock-free wormhole schemes, picked by registry name.
+	for _, scheme := range []string{"dual-path", "multi-path", "fixed-path"} {
+		plan, err := sys.Route(scheme, k, multicastnet.RouterOptions{})
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("%-15s %2d channels  max distance %2d  (deadlock-free)\n",
+			scheme, plan.Traffic(), plan.MaxDistance())
 	}
-	fixed := sys.FixedPath(k)
-	fmt.Printf("dual-path       %2d channels  max distance %2d  (deadlock-free)\n",
-		dual.Traffic(), dual.MaxDistance())
-	fmt.Printf("multi-path      %2d channels  max distance %2d  (deadlock-free)\n",
-		multi.Traffic(), multi.MaxDistance())
-	fmt.Printf("fixed-path      %2d channels  max distance %2d  (deadlock-free)\n",
-		fixed.Traffic(), fixed.MaxDistance())
 	fmt.Printf("baseline        %2d channels  (multiple one-to-one)\n\n",
 		sys.MultiUnicastTraffic(k))
 

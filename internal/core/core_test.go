@@ -203,9 +203,6 @@ func TestPathValidateAndMetrics(t *testing.T) {
 	if good.Traffic() != 4 {
 		t.Errorf("traffic %d, want 4", good.Traffic())
 	}
-	if good.DistanceTo(5) != 4 || good.DistanceTo(15) != -1 {
-		t.Error("DistanceTo wrong")
-	}
 	cases := []Path{
 		{Nodes: []topology.NodeID{1, 2}},             // wrong start
 		{Nodes: []topology.NodeID{0, 2, 5}},          // non-edge
@@ -240,97 +237,6 @@ func TestCycleValidate(t *testing.T) {
 	open := Cycle{Nodes: []topology.NodeID{0, 1, 5}}
 	if err := open.Validate(m, k, true); err == nil {
 		t.Error("non-closing cycle accepted")
-	}
-}
-
-func TestTreeOperations(t *testing.T) {
-	m := topology.NewMesh2D(4, 4)
-	tr := NewTree(5)
-	tr.AddEdge(5, 6)
-	tr.AddEdge(5, 1)
-	tr.AddEdge(6, 10)
-	tr.AddEdge(6, 7)
-	if tr.Size() != 5 || tr.Traffic() != 4 {
-		t.Errorf("size=%d traffic=%d", tr.Size(), tr.Traffic())
-	}
-	if tr.Depth(10) != 2 || tr.Depth(5) != 0 || tr.Depth(12) != -1 {
-		t.Error("Depth wrong")
-	}
-	if tr.MaxDepth() != 2 {
-		t.Errorf("MaxDepth=%d", tr.MaxDepth())
-	}
-	if p, ok := tr.Parent(10); !ok || p != 6 {
-		t.Error("Parent wrong")
-	}
-	if _, ok := tr.Parent(5); ok {
-		t.Error("root has no parent")
-	}
-	var visited []topology.NodeID
-	tr.Walk(func(v topology.NodeID) { visited = append(visited, v) })
-	if len(visited) != 5 || visited[0] != 5 {
-		t.Errorf("walk order %v", visited)
-	}
-	k := MustMulticastSet(m, 5, []topology.NodeID{10, 1})
-	if err := tr.Validate(m, k); err != nil {
-		t.Errorf("valid tree rejected: %v", err)
-	}
-	if err := tr.ValidateMT(m, k); err != nil {
-		t.Errorf("valid MT rejected: %v", err)
-	}
-}
-
-func TestTreeMTDetectsDetour(t *testing.T) {
-	m := topology.NewMesh2D(4, 4)
-	tr := NewTree(0)
-	tr.AddEdge(0, 1)
-	tr.AddEdge(1, 5)
-	tr.AddEdge(5, 4)
-	k := MustMulticastSet(m, 0, []topology.NodeID{4})
-	if err := tr.Validate(m, k); err != nil {
-		t.Errorf("valid ST rejected: %v", err)
-	}
-	if err := tr.ValidateMT(m, k); err == nil {
-		t.Error("MT validation should reject non-shortest delivery")
-	}
-}
-
-func TestTreePanics(t *testing.T) {
-	tr := NewTree(0)
-	tr.AddEdge(0, 1)
-	for i, fn := range []func(){
-		func() { tr.AddEdge(5, 6) }, // absent parent
-		func() { tr.AddEdge(0, 1) }, // child already present
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("case %d: expected panic", i)
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
-func TestStarValidateAndMetrics(t *testing.T) {
-	m := topology.NewMesh2D(4, 4)
-	k := MustMulticastSet(m, 5, []topology.NodeID{7, 13})
-	s := Star{Paths: []Path{
-		{Nodes: []topology.NodeID{5, 6, 7}},
-		{Nodes: []topology.NodeID{5, 9, 13}},
-	}}
-	if err := s.Validate(m, k); err != nil {
-		t.Errorf("valid star rejected: %v", err)
-	}
-	if s.Traffic() != 4 {
-		t.Errorf("star traffic %d, want 4", s.Traffic())
-	}
-	if s.MaxDistance(k.Dests) != 2 {
-		t.Errorf("max distance %d, want 2", s.MaxDistance(k.Dests))
-	}
-	bad := Star{Paths: []Path{{Nodes: []topology.NodeID{5, 6}}}}
-	if err := bad.Validate(m, k); err == nil {
-		t.Error("star missing destination accepted")
 	}
 }
 

@@ -1,14 +1,16 @@
-// Package core defines the multicast communication models of Chapter 3 —
-// multicast path (MP), multicast cycle (MC), Steiner tree (ST), multicast
-// tree (MT), and multicast star (MS) — together with their validity
-// predicates (Definitions 3.1–3.5), the traffic and distance metrics of
-// the performance study, and the partial-order-preserving routing function
-// R of Sections 6.2.2/6.3.
+// Package core defines the multicast set of Chapter 3, the multicast
+// path (MP) and multicast cycle (MC) models with their validity
+// predicates (Definitions 3.1 and 3.2) and traffic metric, and the
+// partial-order-preserving routing function R of Sections 6.2.2/6.3.
+//
+// The other route models have one type each elsewhere: Steiner tree (ST)
+// and multicast tree (MT) patterns are heuristics.STResult, and
+// multicast stars (MS) are dfr.Star and, as the registry's routes,
+// routing.Plan.
 package core
 
 import (
 	"fmt"
-	"sort"
 
 	"multicastnet/internal/topology"
 )
@@ -86,19 +88,6 @@ func (p Path) Traffic() int {
 	return len(p.Nodes) - 1
 }
 
-// DistanceTo returns the number of hops from the source to the first
-// occurrence of v along the path, or -1 when v is not on the path. Under
-// path-based wormhole multicast this is the channel count traversed
-// before v's router sees the header.
-func (p Path) DistanceTo(v topology.NodeID) int {
-	for i, n := range p.Nodes {
-		if n == v {
-			return i
-		}
-	}
-	return -1
-}
-
 // Validate checks Definition 3.1 for the multicast set k, requiring
 // distinct nodes (a path, not a walk) when strict is true. Heuristic
 // path routing over a fixed Hamilton cycle may legitimately revisit nodes
@@ -156,211 +145,6 @@ func (c Cycle) Validate(t topology.Topology, k MulticastSet, strict bool) error 
 	if !t.Adjacent(c.Nodes[len(c.Nodes)-1], c.Nodes[0]) {
 		return fmt.Errorf("core: cycle does not close: %d,%d not adjacent",
 			c.Nodes[len(c.Nodes)-1], c.Nodes[0])
-	}
-	return nil
-}
-
-// Tree is a rooted multicast tree: the ST and MT models, and also the
-// delivery structure produced by tree-like wormhole routing. Children
-// lists are kept sorted for deterministic traversal.
-type Tree struct {
-	Root     topology.NodeID
-	children map[topology.NodeID][]topology.NodeID
-	parent   map[topology.NodeID]topology.NodeID
-}
-
-// NewTree returns a tree containing only the root.
-func NewTree(root topology.NodeID) *Tree {
-	return &Tree{
-		Root:     root,
-		children: make(map[topology.NodeID][]topology.NodeID),
-		parent:   make(map[topology.NodeID]topology.NodeID),
-	}
-}
-
-// AddEdge attaches child under parent. The parent must already be in the
-// tree and the child must not be.
-func (tr *Tree) AddEdge(parent, child topology.NodeID) {
-	if !tr.Contains(parent) {
-		panic(fmt.Sprintf("core: tree edge from absent parent %d", parent))
-	}
-	if tr.Contains(child) {
-		panic(fmt.Sprintf("core: tree already contains %d", child))
-	}
-	tr.children[parent] = append(tr.children[parent], child)
-	sort.Slice(tr.children[parent], func(i, j int) bool {
-		return tr.children[parent][i] < tr.children[parent][j]
-	})
-	tr.parent[child] = parent
-}
-
-// Contains reports whether v is a node of the tree.
-func (tr *Tree) Contains(v topology.NodeID) bool {
-	if v == tr.Root {
-		return true
-	}
-	_, ok := tr.parent[v]
-	return ok
-}
-
-// Parent returns the parent of v and whether v has one (the root and
-// absent nodes do not).
-func (tr *Tree) Parent(v topology.NodeID) (topology.NodeID, bool) {
-	p, ok := tr.parent[v]
-	return p, ok
-}
-
-// Nodes returns all tree nodes in sorted order.
-func (tr *Tree) Nodes() []topology.NodeID {
-	out := []topology.NodeID{tr.Root}
-	for v := range tr.parent {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Size returns the number of nodes.
-func (tr *Tree) Size() int { return len(tr.parent) + 1 }
-
-// Traffic returns the number of channels (edges) the tree uses.
-func (tr *Tree) Traffic() int { return len(tr.parent) }
-
-// Depth returns the hop distance from the root to v, or -1 when v is not
-// in the tree.
-func (tr *Tree) Depth(v topology.NodeID) int {
-	if !tr.Contains(v) {
-		return -1
-	}
-	d := 0
-	for v != tr.Root {
-		v = tr.parent[v]
-		d++
-	}
-	return d
-}
-
-// MaxDepth returns the maximum root-to-node distance.
-func (tr *Tree) MaxDepth() int {
-	maxd := 0
-	for v := range tr.parent {
-		if d := tr.Depth(v); d > maxd {
-			maxd = d
-		}
-	}
-	return maxd
-}
-
-// Walk visits every node in preorder (parent before children).
-func (tr *Tree) Walk(fn func(v topology.NodeID)) {
-	var rec func(v topology.NodeID)
-	rec = func(v topology.NodeID) {
-		fn(v)
-		for _, c := range tr.children[v] {
-			rec(c)
-		}
-	}
-	rec(tr.Root)
-}
-
-// Validate checks that the tree is rooted at the multicast source, all
-// tree edges are host-graph edges, and every destination is covered
-// (Definition 3.3, the ST model).
-func (tr *Tree) Validate(t topology.Topology, k MulticastSet) error {
-	if tr.Root != k.Source {
-		return fmt.Errorf("core: tree rooted at %d, source is %d", tr.Root, k.Source)
-	}
-	for child, parent := range tr.parent {
-		if !t.Adjacent(parent, child) {
-			return fmt.Errorf("core: tree edge (%d,%d) is not a host edge", parent, child)
-		}
-	}
-	for _, d := range k.Dests {
-		if !tr.Contains(d) {
-			return fmt.Errorf("core: tree misses destination %d", d)
-		}
-	}
-	return nil
-}
-
-// ValidateMT additionally checks condition (b) of Definition 3.4: the
-// tree distance from the source to each destination equals the host-graph
-// distance (the MT model minimizes time first).
-func (tr *Tree) ValidateMT(t topology.Topology, k MulticastSet) error {
-	if err := tr.Validate(t, k); err != nil {
-		return err
-	}
-	for _, d := range k.Dests {
-		if got, want := tr.Depth(d), t.Distance(k.Source, d); got != want {
-			return fmt.Errorf("core: destination %d at tree depth %d, graph distance %d", d, got, want)
-		}
-	}
-	return nil
-}
-
-// Star is a multicast star (Definition 3.5): a collection of multicast
-// paths, each starting at the source, whose destination subsets D_i
-// partition the destination set.
-type Star struct {
-	Paths []Path
-}
-
-// Traffic returns the total channel count over all paths.
-func (s Star) Traffic() int {
-	total := 0
-	for _, p := range s.Paths {
-		total += p.Traffic()
-	}
-	return total
-}
-
-// MaxDistance returns the largest source-to-destination hop count over
-// the given destinations, measuring each at the path that delivers it.
-func (s Star) MaxDistance(dests []topology.NodeID) int {
-	maxd := 0
-	for _, d := range dests {
-		best := -1
-		for _, p := range s.Paths {
-			if h := p.DistanceTo(d); h >= 0 && (best < 0 || h < best) {
-				best = h
-			}
-		}
-		if best > maxd {
-			maxd = best
-		}
-	}
-	return maxd
-}
-
-// Validate checks Definition 3.5: every path starts at the source and
-// walks host edges, and the destination set is covered. Disjointness of
-// the D_i is inherent (each destination is delivered by the path that
-// carries it in its header); covering every destination exactly once is
-// the responsibility of the routing algorithm's message preparation and is
-// asserted separately by the algorithms' tests.
-func (s Star) Validate(t topology.Topology, k MulticastSet) error {
-	if len(s.Paths) == 0 {
-		return fmt.Errorf("core: star has no paths")
-	}
-	covered := make(map[topology.NodeID]bool)
-	for i, p := range s.Paths {
-		if len(p.Nodes) == 0 || p.Nodes[0] != k.Source {
-			return fmt.Errorf("core: star path %d does not start at source", i)
-		}
-		for j := 1; j < len(p.Nodes); j++ {
-			if !t.Adjacent(p.Nodes[j-1], p.Nodes[j]) {
-				return fmt.Errorf("core: star path %d uses non-edge (%d,%d)",
-					i, p.Nodes[j-1], p.Nodes[j])
-			}
-		}
-		for _, v := range p.Nodes {
-			covered[v] = true
-		}
-	}
-	for _, d := range k.Dests {
-		if !covered[d] {
-			return fmt.Errorf("core: star misses destination %d", d)
-		}
 	}
 	return nil
 }

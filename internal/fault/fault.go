@@ -233,16 +233,3 @@ func EnumerateLinks(t topology.Topology) []topology.Link {
 // Events returns the plan's events sorted by activation cycle. Callers
 // must not modify the slice.
 func (p *Plan) Events() []Event { return p.events }
-
-// Epochs returns the distinct activation cycles, ascending. Each epoch
-// boundary is a point where the dead hardware — and hence degraded
-// routing — changes.
-func (p *Plan) Epochs() []int64 {
-	var out []int64
-	for _, e := range p.events {
-		if len(out) == 0 || out[len(out)-1] != e.Cycle {
-			out = append(out, e.Cycle)
-		}
-	}
-	return out
-}

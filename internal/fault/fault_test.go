@@ -29,11 +29,12 @@ func TestPlanDeterministic(t *testing.T) {
 	if got := len(a.Events()); got != 10 {
 		t.Fatalf("event count: got %d, want 10", got)
 	}
-	// Events sorted by cycle; epochs ascending and distinct.
-	ep := a.Epochs()
+	// Events sorted by cycle; the delta stream's epochs ascending and
+	// distinct.
+	ep := PlanDeltas(a)
 	for i := 1; i < len(ep); i++ {
-		if ep[i] <= ep[i-1] {
-			t.Fatalf("epochs not strictly ascending: %v", ep)
+		if ep[i].Cycle <= ep[i-1].Cycle {
+			t.Fatalf("epochs not strictly ascending: %d after %d", ep[i].Cycle, ep[i-1].Cycle)
 		}
 	}
 }

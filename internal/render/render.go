@@ -12,6 +12,7 @@ import (
 
 	"multicastnet/internal/core"
 	"multicastnet/internal/dfr"
+	"multicastnet/internal/routing"
 	"multicastnet/internal/topology"
 )
 
@@ -96,21 +97,16 @@ func Mesh(m *topology.Mesh2D, k core.MulticastSet, chans []dfr.Channel) string {
 	return b.String()
 }
 
-// MeshStar renders a multicast star.
-func MeshStar(m *topology.Mesh2D, k core.MulticastSet, s dfr.Star) string {
+// MeshPlan renders every route of a routing-registry plan, its paths
+// and its trees (e.g. the four double-channel X-first subnetwork trees),
+// as one pattern.
+func MeshPlan(m *topology.Mesh2D, k core.MulticastSet, p routing.Plan) string {
 	var chans []dfr.Channel
-	for _, p := range s.Paths {
-		chans = append(chans, p.Channels()...)
+	for _, pr := range p.Paths {
+		chans = append(chans, pr.Channels()...)
 	}
-	return Mesh(m, k, chans)
-}
-
-// MeshTrees renders a set of tree routes (e.g. the four double-channel
-// X-first subnetwork trees) as one pattern.
-func MeshTrees(m *topology.Mesh2D, k core.MulticastSet, trees []dfr.TreeRoute) string {
-	var chans []dfr.Channel
-	for _, t := range trees {
-		chans = append(chans, t.Edges...)
+	for _, tr := range p.Trees {
+		chans = append(chans, tr.Edges...)
 	}
 	return Mesh(m, k, chans)
 }

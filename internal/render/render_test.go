@@ -8,6 +8,7 @@ import (
 	"multicastnet/internal/dfr"
 	"multicastnet/internal/heuristics"
 	"multicastnet/internal/labeling"
+	"multicastnet/internal/routing"
 	"multicastnet/internal/topology"
 )
 
@@ -32,7 +33,7 @@ func TestMeshSmallGolden(t *testing.T) {
 	}
 }
 
-// TestMeshStarFig613 renders the Fig. 6.13 dual-path example and checks
+// TestMeshStarFig613 renders the Fig. 6.13 dual-path star and checks
 // structural facts: the source and all nine destinations are marked and
 // exactly 33 links are drawn.
 func TestMeshStarFig613(t *testing.T) {
@@ -42,7 +43,7 @@ func TestMeshStarFig613(t *testing.T) {
 	k := core.MustMulticastSet(m, id(3, 2), []topology.NodeID{
 		id(0, 0), id(0, 2), id(0, 5), id(1, 3), id(4, 5),
 		id(5, 0), id(5, 1), id(5, 3), id(5, 4)})
-	out := MeshStar(m, k, dfr.DualPath(m, l, k))
+	out := MeshPlan(m, k, routing.Plan{Paths: dfr.DualPath(m, l, k).Paths})
 	if strings.Count(out, "S") != 1 {
 		t.Errorf("expected one source marker:\n%s", out)
 	}
@@ -62,7 +63,7 @@ func TestMeshTreesCoverAllSubnetworks(t *testing.T) {
 	id := func(x, y int) topology.NodeID { return m.ID(x, y) }
 	k := core.MustMulticastSet(m, id(3, 2), []topology.NodeID{
 		id(0, 0), id(0, 5), id(5, 0), id(5, 5)})
-	out := MeshTrees(m, k, dfr.DoubleChannelXFirst(m, k))
+	out := MeshPlan(m, k, routing.Plan{Trees: dfr.DoubleChannelXFirst(m, k)})
 	if strings.Count(out, "D") != 4 || strings.Count(out, "S") != 1 {
 		t.Errorf("markers wrong:\n%s", out)
 	}

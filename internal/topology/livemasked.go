@@ -61,9 +61,11 @@ type LiveMasked struct {
 
 	// Lazily computed per-destination distance rows, valid until a delta
 	// changes the dead sets. Unreachable pairs hold Nodes(), which needs
-	// 32 bits from 32,768 nodes on.
-	mu   sync.Mutex
-	rows map[NodeID][]int32
+	// 32 bits from 32,768 nodes on. queue is the BFS queue every new row
+	// reuses; mu guards both.
+	mu    sync.Mutex
+	rows  map[NodeID][]int32
+	queue []NodeID
 }
 
 // NewLiveMasked returns the live masked view of base with every node and
@@ -281,11 +283,12 @@ func (m *LiveMasked) row(u NodeID) []int32 {
 	}
 	if !m.deadNode[u] {
 		r[u] = 0
-		queue := make([]NodeID, 0, n)
-		queue = append(queue, u)
-		for len(queue) > 0 {
-			cur := queue[0]
-			queue = queue[1:]
+		if m.queue == nil {
+			m.queue = make([]NodeID, 0, n)
+		}
+		queue := append(m.queue[:0], u)
+		for head := 0; head < len(queue); head++ {
+			cur := queue[head]
 			dc := r[cur]
 			for _, w := range m.neighbors[cur] {
 				if r[w] == unreach {

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"slices"
+	"sync"
 	"testing"
 
 	"multicastnet/internal/stats"
@@ -449,4 +450,56 @@ func TestDistanceMemoizesOneRowPerDestination(t *testing.T) {
 	if got := len(m.rows); got != 1 {
 		t.Fatalf("distances toward one destination memoized %d rows, want 1", got)
 	}
+}
+
+// TestFreshRowAllocatesOnlyTheRow: a distance row computed after the
+// memo is emptied costs one allocation, the row itself, because every
+// BFS reuses the view's queue.
+func TestFreshRowAllocatesOnlyTheRow(t *testing.T) {
+	base := NewMesh2D(16, 16)
+	m := masked(base, []NodeID{base.ID(5, 5), base.ID(9, 2)},
+		[]Link{NormLink(base.ID(1, 1), base.ID(1, 2)), NormLink(base.ID(7, 8), base.ID(8, 8))})
+	v := base.ID(12, 11)
+	allocs := testing.AllocsPerRun(100, func() {
+		clear(m.rows)
+		if m.Distance(0, v) != 23 {
+			t.Fatal("Distance(0, v) changed")
+		}
+	})
+	if allocs > 1 {
+		t.Fatalf("a fresh distance row costs %v allocations, want at most 1", allocs)
+	}
+}
+
+// TestLiveMaskedConcurrentRows: goroutines computing distance rows at
+// once share the view's BFS queue under its mutex, and every row must
+// still match the reference.
+func TestLiveMaskedConcurrentRows(t *testing.T) {
+	base := NewMesh2D(8, 8)
+	deadNodes := map[NodeID]bool{base.ID(3, 3): true}
+	deadLinks := map[Link]bool{
+		NormLink(base.ID(1, 1), base.ID(1, 2)): true,
+		NormLink(base.ID(5, 4), base.ID(6, 4)): true,
+	}
+	m := masked(base, []NodeID{base.ID(3, 3)},
+		[]Link{NormLink(base.ID(1, 1), base.ID(1, 2)), NormLink(base.ID(5, 4), base.ID(6, 4))})
+	ref := newRefMasked(base, deadNodes, deadLinks)
+	n := m.Nodes()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < n; i++ {
+				v := NodeID((7*i + 16*g) % n) // a different order per goroutine
+				for u := NodeID(0); int(u) < n; u++ {
+					if got, want := m.Distance(u, v), ref.dist[u][v]; got != want {
+						t.Errorf("goroutine %d: Distance(%d, %d) = %d, want %d", g, u, v, got, want)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -10,14 +10,15 @@
 //
 //	topology    host graphs (2D/3D mesh, hypercube, k-ary n-cube)
 //	labeling    Hamiltonian-path labelings and Hamilton cycles
-//	core        multicast models (path/cycle/tree/star) and routing function R
+//	core        multicast sets, the MP and MC models, and routing function R
 //	heuristics  sorted MP/MC, greedy ST, X-first and divided-greedy MT, baselines
 //	dfr         deadlock-free dual-path/multi-path/fixed-path/tree routing, CDG checks
+//	routing     the scheme registry every Chapter 6 route is picked from
 //	wormsim     flit-clock wormhole network simulator
 //	experiments the Chapter 7 tables and figures
 //
 // The System type bundles a topology with its canonical labeling and
-// Hamilton cycle and exposes every routing scheme with one call; see
+// Hamilton cycle and exposes every routing algorithm with one call; see
 // examples/quickstart.
 package multicastnet
 
@@ -55,10 +56,9 @@ type (
 	Path = core.Path
 	// Cycle is a multicast cycle (Definition 3.2).
 	Cycle = core.Cycle
-	// Star is the deadlock-free multicast star route.
-	Star = dfr.Star
-	// TreeRoute is a tree-shaped wormhole route.
-	TreeRoute = dfr.TreeRoute
+	// Plan is one routed multicast of a Chapter 6 scheme: its path
+	// routes, its tree routes, or both.
+	Plan = routing.Plan
 	// Channel is a unidirectional network channel.
 	Channel = dfr.Channel
 	// STResult is a multicast tree routing pattern with traffic and
@@ -86,8 +86,8 @@ type (
 	RouteFunc = wormsim.RouteFunc
 	// LiveRouteFunc routes with sight of live channel occupancy.
 	LiveRouteFunc = wormsim.LiveRouteFunc
-	// RouterOptions parameterize System.RouteFunc; the zero value
-	// selects every scheme's defaults.
+	// RouterOptions parameterize System.Route and System.RouteFunc; the
+	// zero value selects every scheme's defaults.
 	RouterOptions = routing.Options
 	// Injection is a routed multicast handed to the simulator.
 	Injection = wormsim.Injection
@@ -116,17 +116,24 @@ func Simulate(cfg SimConfig) (SimResult, error) { return wormsim.Run(cfg) }
 // NewService builds the multicast service over a topology.
 func NewService(cfg ServiceConfig) (*Service, error) { return mcastsvc.New(cfg) }
 
-// System bundles a topology with its canonical Hamiltonian labeling
-// (Section 6.2.2 for meshes, 6.3 for hypercubes) and Hamilton cycle
-// (Section 5.1), giving one handle on every routing algorithm of the
-// dissertation. Meshes and hypercubes are supported.
+// System bundles a topology with its precomputed routing state under the
+// canonical Hamiltonian labeling (Section 6.2.2 for meshes, 6.3 for
+// hypercubes) and its Hamilton cycle (Section 5.1), giving one handle on
+// every routing algorithm of the dissertation: the Chapter 5 heuristics
+// by method, the Chapter 6 schemes by registry name through Route.
+// Meshes and hypercubes are supported.
 type System struct {
-	topo   topology.Topology
-	mesh   *topology.Mesh2D    // nil unless a 2D mesh
-	mesh3d *topology.Mesh3D    // nil unless a 3D mesh
-	cube   *topology.Hypercube // nil unless a hypercube
-	label  labeling.Labeling
-	ham    *labeling.HamiltonCycle
+	st  *routing.State
+	ham *labeling.HamiltonCycle // nil when the topology has none
+}
+
+// newSystem builds a System over t with its canonical labeling.
+func newSystem(t topology.Topology, ham *labeling.HamiltonCycle) (*System, error) {
+	st, err := routing.NewState(t)
+	if err != nil {
+		return nil, err
+	}
+	return &System{st: st, ham: ham}, nil
 }
 
 // NewMeshSystem builds a System over a width x height mesh. The sorted
@@ -135,11 +142,11 @@ type System struct {
 // for every other algorithm and SortedMP returns an error.
 func NewMeshSystem(width, height int) (*System, error) {
 	m := topology.NewMesh2D(width, height)
-	s := &System{topo: m, mesh: m, label: labeling.NewMeshBoustrophedon(m)}
+	var ham *labeling.HamiltonCycle
 	if c, err := labeling.MeshHamiltonCycle(m); err == nil {
-		s.ham = c
+		ham = c
 	}
-	return s, nil
+	return newSystem(m, ham)
 }
 
 // NewCubeSystem builds a System over an n-cube.
@@ -149,7 +156,7 @@ func NewCubeSystem(n int) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &System{topo: h, cube: h, label: labeling.NewHypercubeGray(h), ham: c}, nil
+	return newSystem(h, c)
 }
 
 // NewMesh3DSystem builds a System over a 3D mesh (the Section 4.3
@@ -157,134 +164,110 @@ func NewCubeSystem(n int) (*System, error) {
 // available; the mesh-specific tree algorithms and the sorted MP/MC
 // algorithms (which need a Hamilton cycle construction) are not.
 func NewMesh3DSystem(width, height, depth int) (*System, error) {
-	m := topology.NewMesh3D(width, height, depth)
-	return &System{topo: m, mesh3d: m, label: labeling.NewMesh3DBoustrophedon(m)}, nil
+	return newSystem(topology.NewMesh3D(width, height, depth), nil)
 }
 
 // Topology returns the underlying host graph.
-func (s *System) Topology() Topology { return s.topo }
+func (s *System) Topology() Topology { return s.st.Topology() }
 
 // Set builds a validated multicast set.
 func (s *System) Set(source NodeID, dests ...NodeID) (MulticastSet, error) {
-	return core.NewMulticastSet(s.topo, source, dests)
+	return core.NewMulticastSet(s.Topology(), source, dests)
 }
 
 // SortedMP runs the sorted multicast path algorithm (Section 5.1).
 func (s *System) SortedMP(k MulticastSet) (Path, error) {
 	if s.ham == nil {
-		return Path{}, fmt.Errorf("multicastnet: %s has no Hamilton cycle for sorted MP", s.topo.Name())
+		return Path{}, fmt.Errorf("multicastnet: %s has no Hamilton cycle for sorted MP", s.Topology().Name())
 	}
-	return heuristics.SortedMP(s.topo, s.ham, k), nil
+	return heuristics.SortedMP(s.Topology(), s.ham, k), nil
 }
 
 // SortedMC runs the sorted multicast cycle algorithm (Section 5.1).
 func (s *System) SortedMC(k MulticastSet) (Cycle, error) {
 	if s.ham == nil {
-		return Cycle{}, fmt.Errorf("multicastnet: %s has no Hamilton cycle for sorted MC", s.topo.Name())
+		return Cycle{}, fmt.Errorf("multicastnet: %s has no Hamilton cycle for sorted MC", s.Topology().Name())
 	}
-	return heuristics.SortedMC(s.topo, s.ham, k), nil
+	return heuristics.SortedMC(s.Topology(), s.ham, k), nil
 }
 
 // GreedyST runs the greedy Steiner tree algorithm (Section 5.2). The
 // constant-time shortest-path-region primitive it needs exists on 2D
 // meshes, 3D meshes, and hypercubes.
 func (s *System) GreedyST(k MulticastSet) (*STResult, error) {
-	switch {
-	case s.mesh != nil:
-		return heuristics.GreedyST(s.mesh, k), nil
-	case s.cube != nil:
-		return heuristics.GreedyST(s.cube, k), nil
-	case s.mesh3d != nil:
-		return heuristics.GreedyST(s.mesh3d, k), nil
-	default:
-		return nil, fmt.Errorf("multicastnet: greedy ST unsupported on %s", s.topo.Name())
+	t, ok := s.Topology().(heuristics.RegionTopology)
+	if !ok {
+		return nil, fmt.Errorf("multicastnet: greedy ST unsupported on %s", s.Topology().Name())
 	}
+	return heuristics.GreedyST(t, k), nil
 }
 
 // XFirstMT runs the X-first multicast tree algorithm (mesh only).
 func (s *System) XFirstMT(k MulticastSet) (*STResult, error) {
-	if s.mesh == nil {
+	m, ok := s.Topology().(*topology.Mesh2D)
+	if !ok {
 		return nil, fmt.Errorf("multicastnet: X-first MT requires a mesh")
 	}
-	return heuristics.XFirstMT(s.mesh, k), nil
+	return heuristics.XFirstMT(m, k), nil
 }
 
 // DividedGreedyMT runs the divided greedy multicast tree algorithm (mesh
 // only).
 func (s *System) DividedGreedyMT(k MulticastSet) (*STResult, error) {
-	if s.mesh == nil {
+	m, ok := s.Topology().(*topology.Mesh2D)
+	if !ok {
 		return nil, fmt.Errorf("multicastnet: divided greedy MT requires a mesh")
 	}
-	return heuristics.DividedGreedyMT(s.mesh, k), nil
+	return heuristics.DividedGreedyMT(m, k), nil
 }
 
 // XYZFirstMT runs the dimension-ordered multicast tree on a 3D mesh.
 func (s *System) XYZFirstMT(k MulticastSet) (*STResult, error) {
-	if s.mesh3d == nil {
+	m, ok := s.Topology().(*topology.Mesh3D)
+	if !ok {
 		return nil, fmt.Errorf("multicastnet: XYZ-first MT requires a 3D mesh")
 	}
-	return heuristics.XYZFirstMT(s.mesh3d, k), nil
+	return heuristics.XYZFirstMT(m, k), nil
 }
 
 // LEN runs the Lan–Esfahanian–Ni multicast tree baseline (cube only).
 func (s *System) LEN(k MulticastSet) (*STResult, error) {
-	if s.cube == nil {
+	h, ok := s.Topology().(*topology.Hypercube)
+	if !ok {
 		return nil, fmt.Errorf("multicastnet: LEN requires a hypercube")
 	}
-	return heuristics.LEN(s.cube, k), nil
-}
-
-// DualPath runs the deadlock-free dual-path algorithm (Section 6.2.2/6.3).
-func (s *System) DualPath(k MulticastSet) Star { return dfr.DualPath(s.topo, s.label, k) }
-
-// MultiPath runs the deadlock-free multi-path algorithm.
-func (s *System) MultiPath(k MulticastSet) (Star, error) {
-	switch {
-	case s.mesh != nil:
-		return dfr.MultiPathMesh(s.mesh, s.label, k), nil
-	case s.cube != nil:
-		return dfr.MultiPathCube(s.cube, s.label, k), nil
-	default:
-		return Star{}, fmt.Errorf("multicastnet: multi-path unsupported on %s", s.topo.Name())
-	}
-}
-
-// FixedPath runs the deadlock-free fixed-path algorithm.
-func (s *System) FixedPath(k MulticastSet) Star { return dfr.FixedPath(s.topo, s.label, k) }
-
-// DoubleChannelXFirst runs the deadlock-free tree scheme (mesh only).
-func (s *System) DoubleChannelXFirst(k MulticastSet) ([]TreeRoute, error) {
-	if s.mesh == nil {
-		return nil, fmt.Errorf("multicastnet: double-channel X-first requires a mesh")
-	}
-	return dfr.DoubleChannelXFirst(s.mesh, k), nil
+	return heuristics.LEN(h, k), nil
 }
 
 // MultiUnicastTraffic returns the traffic of the multiple one-to-one
 // baseline.
 func (s *System) MultiUnicastTraffic(k MulticastSet) int {
-	return heuristics.MultiUnicastTraffic(s.topo, k)
+	return heuristics.MultiUnicastTraffic(s.Topology(), k)
 }
 
-// RouteFunc adapts the named routing scheme ("dual-path", "multi-path",
-// "fixed-path", "tree", "virtual-channel", ...; `mcroute -list-schemes`
-// prints them all) for Simulate, over the system's topology and
-// canonical labeling. It errors on an unknown name, on a scheme the
-// topology does not support (tree needs a 2D mesh, multi-path a 2D mesh
-// or hypercube) and on invalid options.
+// Route plans k with the named deadlock-free scheme of Chapter 6 or
+// Section 8.2 ("dual-path", "multi-path", "fixed-path", "tree",
+// "virtual-channel", ...; `mcroute -list-schemes` prints them all) over
+// the system's canonical labeling. It returns the routing registry's
+// error on an unknown name, on a scheme the topology does not support
+// (tree needs a 2D mesh, multi-path a 2D mesh or hypercube) and on
+// invalid options.
+func (s *System) Route(name string, k MulticastSet, opts RouterOptions) (Plan, error) {
+	r, err := routing.NewWithOptions(name, s.st, opts)
+	if err != nil {
+		return Plan{}, err
+	}
+	return r.PlanSet(k), nil
+}
+
+// RouteFunc adapts the named scheme for Simulate; it accepts and rejects
+// exactly what Route does.
 func (s *System) RouteFunc(name string, opts RouterOptions) (RouteFunc, error) {
-	r, err := routing.NewWithOptions(name, routing.NewStateWithLabeling(s.topo, s.label), opts)
+	r, err := routing.NewWithOptions(name, s.st, opts)
 	if err != nil {
 		return nil, err
 	}
 	return wormsim.RouteFuncOf(r), nil
-}
-
-// VirtualChannelPath runs the Section 8.2 virtual-channel extension:
-// destinations are spread over v channel copies, giving up to 2v
-// label-monotone paths. v = 1 is dual-path routing.
-func (s *System) VirtualChannelPath(k MulticastSet, v int) Star {
-	return dfr.VirtualChannelPath(s.topo, s.label, k, v)
 }
 
 // VerifyDeadlockFree builds the complete unicast channel dependency graph
@@ -293,7 +276,7 @@ func (s *System) VirtualChannelPath(k MulticastSet, v int) Star {
 // check is exposed so users extending the library with new labelings can
 // validate them).
 func (s *System) VerifyDeadlockFree() error {
-	if cyc := dfr.UnicastCDG(s.topo, s.label).FindCycle(); cyc != nil {
+	if cyc := dfr.UnicastCDG(s.Topology(), s.st.Labeling()).FindCycle(); cyc != nil {
 		return fmt.Errorf("multicastnet: channel dependency cycle %v", cyc)
 	}
 	return nil

@@ -1,10 +1,90 @@
 package multicastnet_test
 
 import (
+	"reflect"
 	"testing"
 
 	"multicastnet"
+	"multicastnet/internal/routing"
+	"multicastnet/internal/stats"
 )
+
+// mustRoute routes k with the named scheme through the facade's one
+// selector and fails the test on an error.
+func mustRoute(t *testing.T, sys *multicastnet.System, name string, k multicastnet.MulticastSet, vc int) multicastnet.Plan {
+	t.Helper()
+	p, err := sys.Route(name, k, multicastnet.RouterOptions{VirtualChannels: vc})
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return p
+}
+
+// TestRouteMatchesRegistry pins System.Route to the routing registry:
+// for every scheme, on a mesh and a cube, with default, explicit and
+// invalid virtual-channel counts, it returns the plan or the error of a
+// router built directly over routing.NewState.
+func TestRouteMatchesRegistry(t *testing.T) {
+	mesh, err := multicastnet.NewMeshSystem(8, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cube, err := multicastnet.NewCubeSystem(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := stats.NewRand(1990)
+	for _, sys := range []*multicastnet.System{mesh, cube} {
+		topo := sys.Topology()
+		st, err := routing.NewState(topo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sets []multicastnet.MulticastSet
+		for _, size := range []int{1, 5, 12} {
+			nodes := rng.Sample(topo.Nodes(), size+1)
+			dests := make([]multicastnet.NodeID, size)
+			for i, v := range nodes[1:] {
+				dests[i] = multicastnet.NodeID(v)
+			}
+			k, err := sys.Set(multicastnet.NodeID(nodes[0]), dests...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sets = append(sets, k)
+		}
+		for _, name := range routing.Names() {
+			for _, vc := range []int{-1, 0, 1, 2, 4} {
+				opts := multicastnet.RouterOptions{VirtualChannels: vc}
+				r, wantErr := routing.NewWithOptions(name, st, opts)
+				for _, k := range sets {
+					got, err := sys.Route(name, k, opts)
+					switch {
+					case wantErr != nil:
+						if err == nil || err.Error() != wantErr.Error() {
+							t.Errorf("%s on %s, v=%d: err = %v, want %v", name, topo.Name(), vc, err, wantErr)
+						}
+					case err != nil:
+						t.Errorf("%s on %s, v=%d: %v", name, topo.Name(), vc, err)
+					case !reflect.DeepEqual(got, r.PlanSet(k)):
+						t.Errorf("%s on %s, v=%d, set %v: plan differs from the registry's", name, topo.Name(), vc, k)
+					}
+				}
+			}
+		}
+		for _, k := range sets {
+			if _, err := sys.Route("virtual-channel", k, multicastnet.RouterOptions{VirtualChannels: -1}); err == nil {
+				t.Errorf("virtual-channel on %s accepted v = -1", topo.Name())
+			}
+			if def, two := mustRoute(t, sys, "virtual-channel", k, 0), mustRoute(t, sys, "virtual-channel", k, 2); !reflect.DeepEqual(def, two) {
+				t.Errorf("virtual-channel on %s: v = 0 routes %+v, v = 2 routes %+v", topo.Name(), def, two)
+			}
+		}
+		if _, err := sys.Route("no-such-scheme", sets[0], multicastnet.RouterOptions{}); err == nil {
+			t.Errorf("unknown scheme accepted on %s", topo.Name())
+		}
+	}
+}
 
 func TestMeshSystemEndToEnd(t *testing.T) {
 	sys, err := multicastnet.NewMeshSystem(8, 8)
@@ -50,21 +130,14 @@ func TestMeshSystemEndToEnd(t *testing.T) {
 		}
 	}
 
-	dual := sys.DualPath(k)
-	multi, err := sys.MultiPath(k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fixed := sys.FixedPath(k)
+	dual := mustRoute(t, sys, "dual-path", k, 0)
+	multi := mustRoute(t, sys, "multi-path", k, 0)
+	fixed := mustRoute(t, sys, "fixed-path", k, 0)
 	if dual.Traffic() <= 0 || multi.Traffic() <= 0 || fixed.Traffic() < dual.Traffic() {
 		t.Errorf("path traffic implausible: dual %d multi %d fixed %d",
 			dual.Traffic(), multi.Traffic(), fixed.Traffic())
 	}
-	trees, err := sys.DoubleChannelXFirst(k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(trees) == 0 {
+	if len(mustRoute(t, sys, "tree", k, 0).Trees) == 0 {
 		t.Error("no subnetwork trees")
 	}
 	if err := sys.VerifyDeadlockFree(); err != nil {
@@ -94,9 +167,7 @@ func TestCubeSystemEndToEnd(t *testing.T) {
 	if lenTree.Links <= 0 {
 		t.Error("empty LEN tree")
 	}
-	if _, err := sys.MultiPath(k); err != nil {
-		t.Error(err)
-	}
+	mustRoute(t, sys, "multi-path", k, 0)
 	// Mesh-only algorithms refuse politely.
 	if _, err := sys.XFirstMT(k); err == nil {
 		t.Error("X-first should be mesh-only")
@@ -104,7 +175,7 @@ func TestCubeSystemEndToEnd(t *testing.T) {
 	if _, err := sys.DividedGreedyMT(k); err == nil {
 		t.Error("divided greedy should be mesh-only")
 	}
-	if _, err := sys.DoubleChannelXFirst(k); err == nil {
+	if _, err := sys.Route("tree", k, multicastnet.RouterOptions{}); err == nil {
 		t.Error("double-channel tree should be mesh-only")
 	}
 	if _, err := sys.RouteFunc("tree", multicastnet.RouterOptions{}); err == nil {
@@ -131,7 +202,7 @@ func TestMeshSystemRefusesLENAndOddOddSortedMP(t *testing.T) {
 		t.Error("LEN should be cube-only")
 	}
 	// Everything else still works.
-	if sys.DualPath(k).Traffic() <= 0 {
+	if mustRoute(t, sys, "dual-path", k, 0).Traffic() <= 0 {
 		t.Error("dual-path should work on odd x odd meshes")
 	}
 	if err := sys.VerifyDeadlockFree(); err != nil {
@@ -181,8 +252,8 @@ func TestMesh3DSystemEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dual := sys.DualPath(k)
-	fixed := sys.FixedPath(k)
+	dual := mustRoute(t, sys, "dual-path", k, 0)
+	fixed := mustRoute(t, sys, "fixed-path", k, 0)
 	if dual.Traffic() <= 0 || fixed.Traffic() < dual.Traffic() {
 		t.Errorf("3D path traffic implausible: dual %d fixed %d", dual.Traffic(), fixed.Traffic())
 	}
@@ -210,9 +281,9 @@ func TestVirtualChannelFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v1 := sys.VirtualChannelPath(k, 1)
-	v4 := sys.VirtualChannelPath(k, 4)
-	if v1.Traffic() != sys.DualPath(k).Traffic() {
+	v1 := mustRoute(t, sys, "virtual-channel", k, 1)
+	v4 := mustRoute(t, sys, "virtual-channel", k, 4)
+	if v1.Traffic() != mustRoute(t, sys, "dual-path", k, 0).Traffic() {
 		t.Error("v=1 should equal dual-path")
 	}
 	if v4.MaxDistance() > v1.MaxDistance() {
