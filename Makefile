@@ -81,15 +81,17 @@ fuzz:
 # FIGURES then STUDIES is the one list of commands that regenerate the
 # committed results/ files, each at the fidelity it is committed at:
 # mcfigures at -quick, every study at full fidelity, and full_static.txt
-# (Figs 7.1 and 7.2 at the paper's 1000 repetitions). `make results` runs
+# (Figs 7.1 and 7.2 at the paper's 1000 repetitions). Every command that
+# simulates and has the flag runs with -simcheck, wormsim's invariant
+# audit, which changes no output byte. `make results` runs
 # it into results/, `make check-results` into scratch directories that it
 # compares with results/. It runs in a shell where $b holds the built
 # commands, $o is the output directory and $p the -parallel count
 # (0 = GOMAXPROCS). FIGURES stands apart because check-results also
 # replays each file it writes through `mcfigures -fig`.
-FIGURES = $$b/mcfigures -quick -parallel $$p -out $$o
-STUDIES = $$b/mcfault -parallel $$p -out $$o && \
-	$$b/mcchurn -parallel $$p -out $$o && \
+FIGURES = $$b/mcfigures -quick -simcheck -parallel $$p -out $$o
+STUDIES = $$b/mcfault -simcheck -parallel $$p -out $$o && \
+	$$b/mcchurn -simcheck -parallel $$p -out $$o && \
 	$$b/mcserve -parallel $$p -out $$o && \
 	$$b/mcworkload -parallel $$p -out $$o && \
 	{ $$b/mcfigures -parallel $$p -fig fig_7_1 && echo && \

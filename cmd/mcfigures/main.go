@@ -100,8 +100,8 @@ func artifacts(sopts experiments.Options, dopts experiments.DynamicOptions) []ar
 		{base: "table_5_2", text: experiments.WriteTable52},
 		{base: "table_5_3", text: experiments.WriteTable53},
 		{base: "table_5_4", text: experiments.WriteTable54},
-		{base: "examples", text: func(w io.Writer) error { return experiments.ExampleRoutes(w, sopts.Parallel) }},
-		{base: "deadlocks", text: func(w io.Writer) error { return experiments.DeadlockDemos(w, sopts.Parallel) }},
+		{base: "examples", text: experiments.ExampleRoutes},
+		{base: "deadlocks", text: experiments.DeadlockDemos},
 
 		// Figures.
 		{base: "fig_2_3", fig: experiments.Fig23Switching},

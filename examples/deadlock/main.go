@@ -5,11 +5,11 @@
 // block forever; the channel dependency graph shows the cycle.
 //
 // Part 2 replays Fig. 6.4: the same effect for two X-first tree
-// multicasts on a 4x3 mesh.
+// multicasts on a 4x3 mesh, routed by the registry's naive-tree scheme.
 //
 // Part 3 runs the SAME workloads under the dissertation's deadlock-free
-// schemes — the double-channel X-first tree and dual-path routing — and
-// watches them drain.
+// schemes — the registry's tree (double-channel X-first) and dual-path
+// schemes — and watches them drain.
 //
 // This example reaches into the internal packages on purpose: it
 // demonstrates the unsafe schemes, which the public API does not offer.
@@ -28,24 +28,36 @@ import (
 
 const messageFlits = 128
 
-// inject flattens one multicast's routes over t's channels and puts its
-// worms on n, a network over t.
-func inject(n *wormsim.Network, t topology.Topology, p routing.Plan) {
-	n.InjectFlatTag(routing.Flatten(t, p), messageFlits, 0)
+// plans routes each multicast set under the named registry scheme.
+func plans(st *routing.State, scheme string, sets ...core.MulticastSet) []routing.Plan {
+	r, err := routing.New(scheme, st)
+	if err != nil {
+		log.Fatal(err)
+	}
+	out := make([]routing.Plan, len(sets))
+	for i, k := range sets {
+		out[i] = r.PlanSet(k)
+	}
+	return out
 }
 
-// drains steps the network until it empties or stalls; it reports whether
-// the workload completed.
-func drains(n *wormsim.Network) bool {
+// run puts the worms of each plan, flattened over t's channels, on a
+// fresh network over t and steps it until it empties or stalls; it
+// reports whether the workload completed.
+func run(t topology.Topology, plans ...routing.Plan) (n *wormsim.Network, drained bool) {
+	n = wormsim.NewNetwork(t)
+	for _, p := range plans {
+		n.InjectFlatTag(routing.Flatten(t, p), messageFlits, 0)
+	}
 	var lastProgress int64
 	for n.ActiveWorms() > 0 {
 		if n.Step() {
 			lastProgress = n.Cycle()
 		} else if n.DetectDeadlock() != nil || n.Cycle()-lastProgress > 10_000 {
-			return false
+			return n, false
 		}
 	}
-	return true
+	return n, true
 }
 
 func main() {
@@ -60,10 +72,8 @@ func main() {
 	rec.AddTree(t1)
 	fmt.Printf("  channel dependency cycle: %v\n", rec.FindCycle())
 
-	net := wormsim.NewNetwork(cube)
-	inject(net, cube, routing.Plan{Trees: []dfr.TreeRoute{t0}})
-	inject(net, cube, routing.Plan{Trees: []dfr.TreeRoute{t1}})
-	if drains(net) {
+	net, drained := run(cube, routing.Plan{Trees: []dfr.TreeRoute{t0}}, routing.Plan{Trees: []dfr.TreeRoute{t1}})
+	if drained {
 		log.Fatal("expected the broadcasts to deadlock")
 	}
 	fmt.Printf("  simulator: blocked forever after cycle %d with %d worms stuck\n\n",
@@ -71,19 +81,27 @@ func main() {
 
 	// --- Part 2: Fig. 6.4 on a 4x3 mesh ------------------------------
 	mesh := topology.NewMesh2D(4, 3)
+	st, err := routing.NewState(mesh)
+	if err != nil {
+		log.Fatal(err)
+	}
 	id := func(x, y int) topology.NodeID { return mesh.ID(x, y) }
 	m0 := core.MustMulticastSet(mesh, id(1, 1), []topology.NodeID{id(0, 2), id(3, 1)})
 	m1 := core.MustMulticastSet(mesh, id(2, 1), []topology.NodeID{id(0, 1), id(3, 0)})
 	fmt.Println("Fig 6.4 — two X-first tree multicasts on a 4x3 mesh:")
 	fmt.Printf("  M0: src (1,1) -> (0,2),(3,1);  M1: src (2,1) -> (0,1),(3,0)\n")
 
-	naive := dfr.NaiveTreeCDG(mesh, []core.MulticastSet{m0, m1})
-	fmt.Printf("  channel dependency cycle: %v\n", naive.FindCycle())
+	naive := plans(st, "naive-tree", m0, m1)
+	rec = dfr.NewDependencyRecorder()
+	for _, p := range naive {
+		for _, tr := range p.Trees {
+			rec.AddTree(tr)
+		}
+	}
+	fmt.Printf("  channel dependency cycle: %v\n", rec.FindCycle())
 
-	net2 := wormsim.NewNetwork(mesh)
-	inject(net2, mesh, routing.Plan{Trees: dfr.XFirstTrees(mesh, m0)})
-	inject(net2, mesh, routing.Plan{Trees: dfr.XFirstTrees(mesh, m1)})
-	if drains(net2) {
+	net2, drained := run(mesh, naive...)
+	if drained {
 		log.Fatal("expected the multicasts to deadlock")
 	}
 	fmt.Printf("  simulator: blocked forever after cycle %d\n\n", net2.Cycle())
@@ -91,22 +109,14 @@ func main() {
 	// --- Part 3: the deadlock-free schemes on the same workload ------
 	fmt.Println("Chapter 6 fixes, same two multicasts:")
 
-	safeTree := wormsim.NewNetwork(mesh)
-	inject(safeTree, mesh, routing.Plan{Trees: dfr.DoubleChannelXFirst(mesh, m0)})
-	inject(safeTree, mesh, routing.Plan{Trees: dfr.DoubleChannelXFirst(mesh, m1)})
-	if !drains(safeTree) {
+	safeTree, drained := run(mesh, plans(st, "tree", m0, m1)...)
+	if !drained {
 		log.Fatal("double-channel X-first should not deadlock")
 	}
 	fmt.Printf("  double-channel X-first tree: drained in %d cycles\n", safeTree.Cycle())
 
-	l, err := core.LabelingFor(mesh)
-	if err != nil {
-		log.Fatal(err)
-	}
-	safePath := wormsim.NewNetwork(mesh)
-	inject(safePath, mesh, routing.Plan{Paths: dfr.DualPath(mesh, l, m0).Paths})
-	inject(safePath, mesh, routing.Plan{Paths: dfr.DualPath(mesh, l, m1).Paths})
-	if !drains(safePath) {
+	safePath, drained := run(mesh, plans(st, "dual-path", m0, m1)...)
+	if !drained {
 		log.Fatal("dual-path should not deadlock")
 	}
 	fmt.Printf("  dual-path routing:           drained in %d cycles\n", safePath.Cycle())

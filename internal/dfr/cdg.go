@@ -146,25 +146,10 @@ func XYUnicastCDG(m *topology.Mesh2D) *DependencyRecorder {
 	return r
 }
 
-// NaiveTreeCDG builds the dependency graph of single-channel X-first
-// multicast trees over the given multicast sets, using the lock-step
-// dependency rule. This is the unsafe extension of Section 6.1: with
-// opposing multicasts the graph develops cycles (Fig. 6.4), which is how
-// the tests demonstrate that the naive tree scheme is not deadlock-free.
-func NaiveTreeCDG(m *topology.Mesh2D, sets []core.MulticastSet) *DependencyRecorder {
-	r := NewDependencyRecorder()
-	for _, k := range sets {
-		for _, t := range XFirstTrees(m, k) {
-			r.AddTree(t)
-		}
-	}
-	return r
-}
-
 // XFirstTrees builds the X-first multicast tree of Fig. 6.3 on single
 // channels (class 0 everywhere): the deadlock-prone extension of unicast
-// XY routing to multicast, kept for demonstrating the Section 6.1
-// deadlock in the simulator.
+// XY routing to multicast, which the routing registry serves as
+// naive-tree to demonstrate the Section 6.1 deadlock.
 func XFirstTrees(m *topology.Mesh2D, k core.MulticastSet) []TreeRoute {
 	tr := TreeRoute{Root: k.Source, Dests: k.Dests}
 	type msg struct {

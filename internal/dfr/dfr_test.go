@@ -410,15 +410,28 @@ func TestFig64NaiveTreeDeadlock(t *testing.T) {
 	id := func(x, y int) topology.NodeID { return m.ID(x, y) }
 	m0 := core.MustMulticastSet(m, id(1, 1), []topology.NodeID{id(0, 2), id(3, 1)})
 	m1 := core.MustMulticastSet(m, id(2, 1), []topology.NodeID{id(0, 1), id(3, 0)})
-	rec := NaiveTreeCDG(m, []core.MulticastSet{m0, m1})
+	rec := naiveTreeCDG(m, []core.MulticastSet{m0, m1})
 	if cyc := rec.FindCycle(); cyc == nil {
 		t.Error("expected a dependency cycle between the two multicasts (Fig. 6.4)")
 	}
 	// A single multicast alone is fine.
-	solo := NaiveTreeCDG(m, []core.MulticastSet{m0})
+	solo := naiveTreeCDG(m, []core.MulticastSet{m0})
 	if cyc := solo.FindCycle(); cyc != nil {
 		t.Errorf("single multicast should not self-deadlock, got %v", cyc)
 	}
+}
+
+// naiveTreeCDG builds the dependency graph of single-channel X-first
+// multicast trees over the given multicast sets, using the lock-step
+// dependency rule: the unsafe extension of Section 6.1.
+func naiveTreeCDG(m *topology.Mesh2D, sets []core.MulticastSet) *DependencyRecorder {
+	r := NewDependencyRecorder()
+	for _, k := range sets {
+		for _, t := range XFirstTrees(m, k) {
+			r.AddTree(t)
+		}
+	}
+	return r
 }
 
 // TestFig61BroadcastDeadlock reproduces the Fig. 6.1 deadlock: the nCUBE-2

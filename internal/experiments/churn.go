@@ -342,7 +342,7 @@ func churnSim(w ChurnWorkload, topo topology.Topology, st *routing.State,
 	}
 	res, err := wormsim.Run(wormsim.Config{
 		Topology:               topo,
-		Route:                  fault.SimInitialRoute(lr),
+		Route:                  wormsim.RouteFuncOf(lr),
 		MeanInterarrivalMicros: 10_000,
 		AvgDests:               w.Dests,
 		Seed:                   stats.DeriveSeed(o.Seed, "churn/run/"+w.Name),

@@ -81,26 +81,26 @@ func pointSeed(o DynamicOptions, figID, series string, idx int) uint64 {
 	return stats.DeriveSeed(o.Seed, fmt.Sprintf("%s/%s/%d", figID, series, idx))
 }
 
-// dynamicPoint runs one simulation and returns the mean per-destination
-// latency in microseconds. Deadlocked or empty runs return a NaN-free
-// sentinel of 0, which the figures render as a gap.
-func dynamicPoint(topo topology.Topology, route wormsim.RouteFunc, interUs float64,
-	avgDests int, seed uint64, o DynamicOptions) (float64, bool) {
-	res, err := wormsim.Run(wormsim.Config{
-		Topology:               topo,
-		Route:                  route,
-		MeanInterarrivalMicros: interUs,
-		AvgDests:               avgDests,
-		Seed:                   seed,
-		WarmupDeliveries:       o.Warmup,
-		BatchSize:              o.BatchSize,
-		MinBatches:             5,
-		MaxCycles:              o.MaxCycles,
-		Check:                  o.Check,
-	})
+// run runs one simulation of cfg with o's warm-up, batch size, cycle cap
+// and invariant checker, over at least five batches.
+func (o DynamicOptions) run(cfg wormsim.Config) wormsim.Result {
+	cfg.WarmupDeliveries = o.Warmup
+	cfg.BatchSize = o.BatchSize
+	cfg.MinBatches = 5
+	cfg.MaxCycles = o.MaxCycles
+	cfg.Check = o.Check
+	res, err := wormsim.Run(cfg)
 	if err != nil {
 		panic(err)
 	}
+	return res
+}
+
+// dynamicPoint runs one simulation and returns the mean per-destination
+// latency in microseconds. Deadlocked or empty runs return a NaN-free
+// sentinel of 0, which the figures render as a gap.
+func dynamicPoint(cfg wormsim.Config, o DynamicOptions) (float64, bool) {
+	res := o.run(cfg)
 	if res.Deadlocked || res.Deliveries == 0 {
 		return 0, false
 	}
@@ -156,7 +156,8 @@ func loadSweep(fig *stats.Figure, topo topology.Topology, schemes []namedScheme,
 			route, inter := s.route, inter
 			seed := pointSeed(o, fig.ID, s.name, i)
 			points = append(points, seriesPoint(series, loadAxis(inter), func() (float64, bool) {
-				return dynamicPoint(topo, route, inter, avgDests, seed, o)
+				return dynamicPoint(wormsim.Config{Topology: topo, Route: route,
+					MeanInterarrivalMicros: inter, AvgDests: avgDests, Seed: seed}, o)
 			}))
 		}
 	}
@@ -174,7 +175,8 @@ func destSweep(fig *stats.Figure, topo topology.Topology, schemes []namedScheme,
 			route, d := s.route, d
 			seed := pointSeed(o, fig.ID, s.name, i)
 			points = append(points, seriesPoint(series, float64(d), func() (float64, bool) {
-				return dynamicPoint(topo, route, interUs, d, seed, o)
+				return dynamicPoint(wormsim.Config{Topology: topo, Route: route,
+					MeanInterarrivalMicros: interUs, AvgDests: d, Seed: seed}, o)
 			}))
 		}
 	}

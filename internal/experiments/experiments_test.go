@@ -129,8 +129,8 @@ func TestTables(t *testing.T) {
 		func(w *strings.Builder) error { return WriteTable52(w) },
 		func(w *strings.Builder) error { return WriteTable53(w) },
 		func(w *strings.Builder) error { return WriteTable54(w) },
-		func(w *strings.Builder) error { return ExampleRoutes(w, 0) },
-		func(w *strings.Builder) error { return DeadlockDemos(w, 0) },
+		func(w *strings.Builder) error { return ExampleRoutes(w) },
+		func(w *strings.Builder) error { return DeadlockDemos(w) },
 	} {
 		var sb strings.Builder
 		if err := fn(&sb); err != nil {
@@ -159,7 +159,7 @@ func TestTable52Values(t *testing.T) {
 
 func TestExampleRouteValues(t *testing.T) {
 	var sb strings.Builder
-	if err := ExampleRoutes(&sb, 0); err != nil {
+	if err := ExampleRoutes(&sb); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()

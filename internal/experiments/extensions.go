@@ -145,21 +145,8 @@ func ExtUnicastMix(o DynamicOptions) *stats.Figure {
 		seed := pointSeed(o, fig.ID, "mix", i)
 		points = append(points, SweepPoint{
 			Run: func() any {
-				res, err := wormsim.Run(wormsim.Config{
-					Topology:               m,
-					Route:                  route,
-					MeanInterarrivalMicros: 400,
-					AvgDests:               10,
-					UnicastFraction:        frac,
-					Seed:                   seed,
-					WarmupDeliveries:       o.Warmup,
-					BatchSize:              o.BatchSize,
-					MinBatches:             5,
-					MaxCycles:              o.MaxCycles,
-				})
-				if err != nil {
-					panic(err)
-				}
+				res := o.run(wormsim.Config{Topology: m, Route: route, MeanInterarrivalMicros: 400,
+					AvgDests: 10, UnicastFraction: frac, Seed: seed})
 				if res.Deadlocked || res.Deliveries == 0 {
 					return nil
 				}
@@ -203,28 +190,13 @@ func ExtAdaptive(o DynamicOptions) *stats.Figure {
 		inter := inter
 		detSeed := pointSeed(o, fig.ID, "deterministic", i)
 		points = append(points, seriesPoint(det, loadAxis(inter), func() (float64, bool) {
-			return dynamicPoint(m, detRoute, inter, 10, detSeed, o)
+			return dynamicPoint(wormsim.Config{Topology: m, Route: detRoute,
+				MeanInterarrivalMicros: inter, AvgDests: 10, Seed: detSeed}, o)
 		}))
 		adaSeed := pointSeed(o, fig.ID, "adaptive", i)
 		points = append(points, seriesPoint(ada, loadAxis(inter), func() (float64, bool) {
-			res, err := wormsim.Run(wormsim.Config{
-				Topology:               m,
-				LiveRoute:              adaRoute,
-				MeanInterarrivalMicros: inter,
-				AvgDests:               10,
-				Seed:                   adaSeed,
-				WarmupDeliveries:       o.Warmup,
-				BatchSize:              o.BatchSize,
-				MinBatches:             5,
-				MaxCycles:              o.MaxCycles,
-			})
-			if err != nil {
-				panic(err)
-			}
-			if res.Deadlocked || res.Deliveries == 0 {
-				return 0, false
-			}
-			return res.AvgLatencyMicros, true
+			return dynamicPoint(wormsim.Config{Topology: m, LiveRoute: adaRoute,
+				MeanInterarrivalMicros: inter, AvgDests: 10, Seed: adaSeed}, o)
 		}))
 	}
 	RunSweep(points, o.Parallel)

@@ -8,12 +8,12 @@ import (
 )
 
 // TestStaticParallelDeterminism is the static-study counterpart of
-// TestSweepParallelDeterminism: every static figure, the extension
-// sweeps, and the parallelized text reports must render byte-identically
-// at any worker count. The static sweeps guarantee this by construction —
-// workloads are pregenerated from one sequential RNG stream, workers only
-// fill disjoint integer slices, and the float fold runs serially in the
-// original replicate order.
+// TestSweepParallelDeterminism: the static figures and the extension
+// sweep must render byte-identically at any worker count. The static
+// sweeps guarantee this by construction — workloads are pregenerated
+// from one sequential RNG stream, workers only fill disjoint integer
+// slices, and the float fold runs serially in the original replicate
+// order.
 func TestStaticParallelDeterminism(t *testing.T) {
 	render := func(workers int) string {
 		o := Options{Reps: 25, Seed: 1990, Parallel: workers}
@@ -30,12 +30,6 @@ func TestStaticParallelDeterminism(t *testing.T) {
 			if err := fig.WriteCSV(&sb); err != nil {
 				t.Fatal(err)
 			}
-		}
-		if err := ExampleRoutes(&sb, workers); err != nil {
-			t.Fatal(err)
-		}
-		if err := DeadlockDemos(&sb, workers); err != nil {
-			t.Fatal(err)
 		}
 		return sb.String()
 	}

@@ -22,9 +22,9 @@ import (
 // The CDG is accumulated per (topology, scheme) across ALL masks and
 // multicast sets, which is strictly stronger than per-mask acyclicity:
 // worms from different fault epochs can coexist in a network while an
-// epoch turns over, so their dependencies must compose too. naive-tree
-// is the registry's documented deadlock-prone scheme; for it only
-// per-plan validity is asserted.
+// epoch turns over, so their dependencies must compose too. For a
+// scheme the registry does not mark deadlock-free (naive-tree) only
+// per-plan acyclicity is asserted.
 func TestMaskedCDGAcyclic(t *testing.T) {
 	masks := 1000
 	if testing.Short() {
@@ -62,7 +62,8 @@ func TestMaskedCDGAcyclic(t *testing.T) {
 				events := NewPlan(topo, spec).Events()
 				masked := maskedOf(topo, events)
 				sets := randomSets(topo, events, rng, 3)
-				for _, name := range routing.Names() {
+				for _, info := range routing.Schemes() {
+					name := info.Name
 					dr, err := routerFor(name, st, events)
 					if err != nil {
 						continue // scheme unsupported on this topology
@@ -90,7 +91,7 @@ func TestMaskedCDGAcyclic(t *testing.T) {
 						} else if plan.Messages() > 0 {
 							t.Fatalf("%s trial %d: non-empty plan with no reachable destinations", name, trial)
 						}
-						if name == "naive-tree" {
+						if !info.DeadlockFree {
 							perPlanAcyclic(t, name, trial, plan)
 							continue
 						}
@@ -98,12 +99,12 @@ func TestMaskedCDGAcyclic(t *testing.T) {
 					}
 				}
 			}
-			for name, rec := range recorders {
-				if name == "naive-tree" {
+			for _, info := range routing.Schemes() {
+				if !info.DeadlockFree {
 					continue
 				}
-				if cyc := rec.FindCycle(); cyc != nil {
-					t.Errorf("%s: degraded plans produced a channel dependency cycle: %v", name, cyc)
+				if cyc := recorders[info.Name].FindCycle(); cyc != nil {
+					t.Errorf("%s: degraded plans produced a channel dependency cycle: %v", info.Name, cyc)
 				}
 			}
 		})

@@ -27,8 +27,8 @@ import (
 // schemes place only label-monotone paths in their own classes, so
 // repair segments sharing class 0 with them preserve the argument; tree
 // schemes get repair classes strictly above the tree classes instead
-// (base = repairBase), because quadrant-tree dependencies are structured
-// by geometry, not labels.
+// (base = the registry's Info.TreeClasses), because quadrant-tree
+// dependencies are structured by geometry, not labels.
 //
 // A worm must never wait on a channel it already holds (self-deadlock in
 // the wormhole pipeline), so a leg that would reuse one of the worm's

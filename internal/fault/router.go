@@ -96,16 +96,17 @@ func (s PlanStats) Degraded() bool { return s.FellBack || s.Repaired || s.Unreac
 // be externally synchronized against planning; within an epoch any number
 // of goroutines may plan concurrently.
 type LiveRouter struct {
-	scheme     string
-	id         string
-	live       *topology.LiveMasked
-	deadVC     map[dfr.Channel]bool // dead channel copies of VC faults
-	st         *routing.State       // over live
-	inner      routing.Router
-	fallbacks  []routing.Router
-	repairBase int
-	treeFamily bool
-	cache      *routing.PlanCache
+	scheme    string
+	id        string
+	live      *topology.LiveMasked
+	deadVC    map[dfr.Channel]bool // dead channel copies of VC faults
+	st        *routing.State       // over live
+	inner     routing.Router
+	fallbacks []routing.Router
+	// treeClasses is the registry's Info.TreeClasses: nonzero for tree
+	// schemes, whose repairs start on the first class above the trees'.
+	treeClasses int
+	cache       *routing.PlanCache
 }
 
 // NewLiveRouter builds degraded routing for the named registry scheme
@@ -113,25 +114,27 @@ type LiveRouter struct {
 // virtual-channel copy count). The router starts at epoch 0 with no
 // active faults.
 func NewLiveRouter(scheme string, healthy *routing.State, opts routing.Options) (*LiveRouter, error) {
-	live := topology.NewLiveMasked(healthy.Topology())
-	st := routing.NewStateWithLabeling(live, healthy.Labeling())
-	inner, err := routing.NewWithOptions(scheme, st, opts)
+	info, err := routing.Lookup(scheme)
 	if err != nil {
 		return nil, err
 	}
-	base, treeFam := repairBaseFor(scheme, opts)
+	live := topology.NewLiveMasked(healthy.Topology())
+	st := routing.NewStateWithLabeling(live, healthy.Labeling())
+	inner, err := info.Build(st, opts)
+	if err != nil {
+		return nil, err
+	}
 	r := &LiveRouter{
 		scheme: scheme,
 		// The identity is epoch-independent on purpose: cached plans
 		// survive deltas (targeted invalidation handles correctness), so
 		// unaffected traffic keeps its cache hits across the churn.
-		id:         inner.ID() + "@live",
-		live:       live,
-		deadVC:     make(map[dfr.Channel]bool),
-		st:         st,
-		inner:      inner,
-		repairBase: base,
-		treeFamily: treeFam,
+		id:          inner.ID() + "@live",
+		live:        live,
+		deadVC:      make(map[dfr.Channel]bool),
+		st:          st,
+		inner:       inner,
+		treeClasses: info.TreeClasses,
 	}
 	for _, fb := range []string{"dual-path", "multi-path"} {
 		if fb == scheme {
@@ -142,32 +145,6 @@ func NewLiveRouter(scheme string, healthy *routing.State, opts routing.Options) 
 		}
 	}
 	return r, nil
-}
-
-// repairBaseFor returns the first channel class free for escape-segment
-// repair under the named scheme — one above every class the scheme's own
-// monotone paths use — and whether the scheme routes trees.
-func repairBaseFor(scheme string, opts routing.Options) (base int, tree bool) {
-	switch scheme {
-	case "dual-path", "multi-path", "fixed-path", "adaptive-dual-path":
-		return 1, false
-	case "dual-path-double", "multi-path-double":
-		return 2, false
-	case "virtual-channel":
-		v := opts.VirtualChannels
-		if v == 0 {
-			v = 2
-		}
-		return 2 * v, false
-	case "tree":
-		return 2, true
-	case "naive-tree":
-		return 1, true
-	default:
-		// Unknown future scheme: leave generous headroom; validation
-		// still gates every plan.
-		return 8, false
-	}
 }
 
 // Scheme implements routing.Router.
@@ -223,7 +200,7 @@ func (r *LiveRouter) PlanDegraded(k core.MulticastSet) (routing.Plan, PlanStats,
 	}
 	lk := core.MulticastSet{Source: k.Source, Dests: live}
 
-	if r.treeFamily {
+	if r.treeClasses > 0 {
 		plan, repaired := r.planTrees(lk)
 		st.Repaired = repaired
 		return plan, st, perr
@@ -264,7 +241,7 @@ func (r *LiveRouter) planTrees(k core.MulticastSet) (routing.Plan, bool) {
 		return out, false
 	}
 	bk := core.MulticastSet{Source: k.Source, Dests: broken}
-	out.Paths = r.repairPaths(bk, r.repairBase)
+	out.Paths = r.repairPaths(bk, r.treeClasses)
 	return out, true
 }
 

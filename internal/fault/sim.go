@@ -1,7 +1,6 @@
 package fault
 
 import (
-	"errors"
 	"fmt"
 
 	"multicastnet/internal/core"
@@ -37,7 +36,10 @@ func PlanDeltas(fp *Plan) []TimedDelta {
 // re-plan closure advances lr by the same delta — in O(|delta|), never a
 // rebuild — before planning the still-pending traffic. Deltas apply
 // lazily as the driver activates epochs, so lr must start at the stream's
-// beginning and must not be advanced elsewhere during the run.
+// beginning and must not be advanced elsewhere during the run. The run's
+// epoch-0 route is wormsim.RouteFuncOf(lr). Every route plans through
+// LiveRouter.PlanSet, so severed destinations are not injected and a
+// dead source injects nothing.
 //
 // Repair deltas are rejected: the wormhole engine's faults are permanent
 // (FailWhere has no inverse), matching the paper's static-fault model.
@@ -57,6 +59,7 @@ func SimSchedule(lr *LiveRouter, deltas []TimedDelta) ([]wormsim.ScheduledFault,
 	// The driver activates epochs in order but only calls the CURRENT
 	// route closure; a shared cursor lets each closure fold in every
 	// delta up to its own epoch, so zero-traffic epochs are never lost.
+	route := wormsim.RouteFuncOf(lr)
 	applied := 0
 	out := make([]wormsim.ScheduledFault, 0, len(deltas))
 	for i, td := range deltas {
@@ -69,35 +72,11 @@ func SimSchedule(lr *LiveRouter, deltas []TimedDelta) ([]wormsim.ScheduledFault,
 					lr.ApplyDelta(deltas[applied].Delta)
 					applied++
 				}
-				return liveInjection(lr, k)
+				return route(k)
 			},
 		})
 	}
 	return out, nil
-}
-
-// SimInitialRoute is the epoch-0 route for a wormsim Config driven by
-// SimSchedule: it plans through the same live router at its starting
-// epoch (before any scheduled delta fires).
-func SimInitialRoute(lr *LiveRouter) wormsim.RouteFunc {
-	return func(k core.MulticastSet) wormsim.Injection {
-		return liveInjection(lr, k)
-	}
-}
-
-// liveInjection plans k over the router's current epoch and lowers the
-// plan for the engine. Severed destinations are simply not injected —
-// the caller's delivery accounting reports them undelivered; any other
-// planning error injects nothing.
-func liveInjection(lr *LiveRouter, k core.MulticastSet) wormsim.Injection {
-	if lr.NodeDead(k.Source) {
-		return wormsim.Injection{}
-	}
-	plan, _, err := lr.PlanDegraded(k)
-	if err != nil && !errors.Is(err, ErrPartitioned) {
-		return wormsim.Injection{}
-	}
-	return wormsim.Injection{Paths: plan.Paths, Trees: plan.Trees}
 }
 
 // deadPredicate ORs the fail events' channel matches.

@@ -94,7 +94,7 @@ func TestSimScheduleMatchesStaticSchedule(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg := baseCfg
-		cfg.Route = SimInitialRoute(lr)
+		cfg.Route = wormsim.RouteFuncOf(lr)
 		cfg.Faults = sched
 		res, err := wormsim.Run(cfg)
 		if err != nil {

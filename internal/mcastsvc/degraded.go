@@ -101,12 +101,7 @@ func (s *Service) MulticastUnderFaults(source topology.NodeID, g Group, bytes in
 	if fp == nil {
 		fp = fault.NewStaticPlan(nil)
 	}
-	pending := make([]topology.NodeID, 0, g.Size())
-	for _, m := range g.members {
-		if m != source {
-			pending = append(pending, m)
-		}
-	}
+	pending := g.others(source)
 	if len(pending) == 0 {
 		return DegradedOutcome{Attempts: 1}, fmt.Errorf("mcastsvc: source %d is the only member", source)
 	}

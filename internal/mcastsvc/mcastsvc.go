@@ -127,6 +127,18 @@ func (g Group) Contains(v topology.NodeID) bool {
 	return false
 }
 
+// others returns, in a fresh slice, the members other than v in member
+// order: the destinations of a multicast from v.
+func (g Group) others(v topology.NodeID) []topology.NodeID {
+	out := make([]topology.NodeID, 0, len(g.members))
+	for _, m := range g.members {
+		if m != v {
+			out = append(out, m)
+		}
+	}
+	return out
+}
+
 // Cost is the routing-level cost of one primitive operation.
 type Cost struct {
 	// TrafficChannels is the total number of channel transmissions.
@@ -162,13 +174,7 @@ func (s *Service) Multicast(source topology.NodeID, g Group, bytes int) (Cost, e
 	if bytes <= 0 {
 		bytes = s.cfg.MessageBytes
 	}
-	dests := make([]topology.NodeID, 0, g.Size())
-	for _, m := range g.members {
-		if m != source {
-			dests = append(dests, m)
-		}
-	}
-	k, err := core.NewMulticastSet(s.cfg.Topology, source, dests)
+	k, err := core.NewMulticastSet(s.cfg.Topology, source, g.others(source))
 	if err != nil {
 		return Cost{}, err
 	}
@@ -207,10 +213,7 @@ func (s *Service) Barrier(coordinator topology.NodeID, g Group, tokenBytes int) 
 	}
 	var cost Cost
 	worstGather := 0
-	for _, m := range g.members {
-		if m == coordinator {
-			continue
-		}
+	for _, m := range g.others(coordinator) {
 		d := s.cfg.Topology.Distance(m, coordinator)
 		cost.TrafficChannels += d
 		cost.Messages++
@@ -242,10 +245,7 @@ func (s *Service) Reduce(root topology.NodeID, g Group, bytes int) (Cost, error)
 	}
 	var cost Cost
 	worst := 0
-	for _, m := range g.members {
-		if m == root {
-			continue
-		}
+	for _, m := range g.others(root) {
 		d := s.cfg.Topology.Distance(m, root)
 		cost.TrafficChannels += d
 		cost.Messages++
@@ -271,7 +271,7 @@ func (s *Service) ReduceBroadcast(root topology.NodeID, g Group, bytes int) (Cos
 	}
 	return Cost{
 		TrafficChannels: red.TrafficChannels + bc.TrafficChannels,
-		MaxDistance:     maxInt(red.MaxDistance, bc.MaxDistance),
+		MaxDistance:     max(red.MaxDistance, bc.MaxDistance),
 		LatencyMicros:   red.LatencyMicros + bc.LatencyMicros,
 		Messages:        red.Messages + bc.Messages,
 	}, nil
@@ -290,24 +290,11 @@ func (s *Service) SteinerEstimate(source topology.NodeID, g Group) (int, error) 
 	if !ok {
 		return 0, fmt.Errorf("mcastsvc: topology %T does not support Steiner estimates", s.cfg.Topology)
 	}
-	dests := make([]topology.NodeID, 0, g.Size())
-	for _, m := range g.members {
-		if m != source {
-			dests = append(dests, m)
-		}
-	}
-	k, err := core.NewMulticastSet(s.cfg.Topology, source, dests)
+	k, err := core.NewMulticastSet(s.cfg.Topology, source, g.others(source))
 	if err != nil {
 		return 0, err
 	}
 	ws := heuristics.AcquireWorkspace()
 	defer heuristics.ReleaseWorkspace(ws)
 	return ws.GreedySTCarried(rt, k), nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -68,13 +68,7 @@ func (s *Service) SimulateMulticast(source topology.NodeID, g Group, bytes int) 
 	if bytes <= 0 {
 		bytes = s.cfg.MessageBytes
 	}
-	dests := make([]topology.NodeID, 0, g.Size())
-	for _, m := range g.members {
-		if m != source {
-			dests = append(dests, m)
-		}
-	}
-	k, err := core.NewMulticastSet(s.cfg.Topology, source, dests)
+	k, err := core.NewMulticastSet(s.cfg.Topology, source, g.others(source))
 	if err != nil {
 		return Measured{}, err
 	}
@@ -93,28 +87,7 @@ func (s *Service) SimulateBarrier(coordinator topology.NodeID, g Group, tokenByt
 	if tokenBytes <= 0 {
 		tokenBytes = 8
 	}
-	var gather phase
-	for _, m := range g.members {
-		if m == coordinator {
-			continue
-		}
-		k, err := core.NewMulticastSet(s.cfg.Topology, m, []topology.NodeID{coordinator})
-		if err != nil {
-			return Measured{}, err
-		}
-		gather.sets = append(gather.sets, k)
-	}
-	dests := make([]topology.NodeID, 0, g.Size()-1)
-	for _, m := range g.members {
-		if m != coordinator {
-			dests = append(dests, m)
-		}
-	}
-	releaseSet, err := core.NewMulticastSet(s.cfg.Topology, coordinator, dests)
-	if err != nil {
-		return Measured{}, err
-	}
-	return s.runPhases([]phase{gather, {sets: []core.MulticastSet{releaseSet}}}, tokenBytes)
+	return s.simulateGatherMulticast(coordinator, g, tokenBytes)
 }
 
 // SimulateAllReduce executes reduce-then-broadcast on the simulator.
@@ -125,26 +98,25 @@ func (s *Service) SimulateAllReduce(root topology.NodeID, g Group, bytes int) (M
 	if bytes <= 0 {
 		bytes = s.cfg.MessageBytes
 	}
-	var reduce phase
-	for _, m := range g.members {
-		if m == root {
-			continue
-		}
+	return s.simulateGatherMulticast(root, g, bytes)
+}
+
+// simulateGatherMulticast runs the two phases a barrier and an allreduce
+// share: every other member sends to root at once, then root multicasts
+// to them all.
+func (s *Service) simulateGatherMulticast(root topology.NodeID, g Group, bytes int) (Measured, error) {
+	others := g.others(root)
+	var gather phase
+	for _, m := range others {
 		k, err := core.NewMulticastSet(s.cfg.Topology, m, []topology.NodeID{root})
 		if err != nil {
 			return Measured{}, err
 		}
-		reduce.sets = append(reduce.sets, k)
+		gather.sets = append(gather.sets, k)
 	}
-	dests := make([]topology.NodeID, 0, g.Size()-1)
-	for _, m := range g.members {
-		if m != root {
-			dests = append(dests, m)
-		}
-	}
-	bcastSet, err := core.NewMulticastSet(s.cfg.Topology, root, dests)
+	multicast, err := core.NewMulticastSet(s.cfg.Topology, root, others)
 	if err != nil {
 		return Measured{}, err
 	}
-	return s.runPhases([]phase{reduce, {sets: []core.MulticastSet{bcastSet}}}, bytes)
+	return s.runPhases([]phase{gather, {sets: []core.MulticastSet{multicast}}}, bytes)
 }

@@ -29,6 +29,11 @@ type Info struct {
 	// wormhole switching. The multicast service refuses schemes that are
 	// not.
 	DeadlockFree bool
+	// TreeClasses is the number of channel classes the scheme's trees
+	// use: 2 for the double-channel tree, 1 for the naive tree, 0 for
+	// the path schemes, which route no trees. Degraded routing repairs a
+	// broken tree on the classes above these.
+	TreeClasses int
 	// Build constructs the scheme's router.
 	Build Builder
 }

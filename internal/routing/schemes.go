@@ -143,6 +143,7 @@ var schemes = []Info{
 		Name:         "naive-tree",
 		Description:  "single-channel X-first tree — deadlock-PRONE (Section 6.1 demonstration)",
 		DeadlockFree: false,
+		TreeClasses:  1,
 		Build: func(s *State, _ Options) (Router, error) {
 			m, ok := meshOf(s.topo)
 			if !ok {
@@ -158,6 +159,7 @@ var schemes = []Info{
 		Name:         "tree",
 		Description:  "double-channel X-first multicast tree (Section 6.2.1, 2D mesh)",
 		DeadlockFree: true,
+		TreeClasses:  2,
 		Build: func(s *State, _ Options) (Router, error) {
 			m, ok := meshOf(s.topo)
 			if !ok {

@@ -249,47 +249,60 @@ func TestRunDualPathConverges(t *testing.T) {
 	}
 }
 
-// TestRunSchemesNoDeadlockUnderLoad runs every deadlock-free scheme at a
-// heavy load long enough for channel conflicts to be pervasive and checks
-// that none of them deadlocks — the dynamic counterpart of the CDG
-// acyclicity proofs.
+// TestRunSchemesNoDeadlockUnderLoad runs every scheme the routing
+// registry marks deadlock-free, on the 8x8 mesh and the 6-cube wherever
+// it builds, and checks that none of them deadlocks — the dynamic
+// counterpart of the CDG acyclicity proofs. The load keeps worms
+// contending for channels (mean latency up to three times the
+// contention-free floor) below saturation. Adaptive schemes route with
+// sight of the live channels.
 func TestRunSchemesNoDeadlockUnderLoad(t *testing.T) {
-	m := topology.NewMesh2D(8, 8)
-	l := labeling.NewMeshBoustrophedon(m)
-	h := topology.NewHypercube(6)
-	lh := labeling.NewHypercubeGray(h)
-	schemes := []struct {
-		name  string
-		topo  topology.Topology
-		route RouteFunc
-	}{
-		{"dual-path mesh", m, schemeRoute(t, "dual-path", m, l)},
-		{"multi-path mesh", m, schemeRoute(t, "multi-path", m, l)},
-		{"fixed-path mesh", m, schemeRoute(t, "fixed-path", m, l)},
-		{"double-channel tree", m, schemeRoute(t, "tree", m, l)},
-		{"dual-path cube", h, schemeRoute(t, "dual-path", h, lh)},
-		{"multi-path cube", h, schemeRoute(t, "multi-path", h, lh)},
-	}
-	for _, s := range schemes {
-		res, err := Run(Config{
-			Topology:               s.topo,
-			Route:                  s.route,
-			MeanInterarrivalMicros: 400,
-			AvgDests:               6,
-			Seed:                   7,
-			WarmupDeliveries:       100,
-			BatchSize:              300,
-			MinBatches:             4,
-			MaxCycles:              150_000,
-		})
+	ran := make(map[string]bool)
+	for _, topo := range []topology.Topology{topology.NewMesh2D(8, 8), topology.NewHypercube(6)} {
+		st, err := routing.NewState(topo)
 		if err != nil {
-			t.Fatalf("%s: %v", s.name, err)
+			t.Fatal(err)
 		}
-		if res.Deadlocked {
-			t.Errorf("%s deadlocked", s.name)
+		for _, info := range routing.Schemes() {
+			if !info.DeadlockFree {
+				continue
+			}
+			r, err := info.Build(st, routing.Options{})
+			if err != nil {
+				continue // scheme unsupported on this topology
+			}
+			ran[info.Name] = true
+			cfg := Config{
+				Topology:               topo,
+				MeanInterarrivalMicros: 400,
+				AvgDests:               6,
+				Seed:                   7,
+				WarmupDeliveries:       100,
+				BatchSize:              300,
+				MinBatches:             4,
+				MaxCycles:              150_000,
+			}
+			if lr, ok := r.(routing.LiveRouter); ok {
+				cfg.LiveRoute = LiveRouteFuncOf(lr)
+			} else {
+				cfg.Route = RouteFuncOf(r)
+			}
+			res, err := Run(cfg)
+			name := info.Name + " on " + topo.Name()
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if res.Deadlocked {
+				t.Errorf("%s deadlocked", name)
+			}
+			if res.Deliveries == 0 {
+				t.Errorf("%s made no deliveries", name)
+			}
 		}
-		if res.Deliveries == 0 {
-			t.Errorf("%s made no deliveries", s.name)
+	}
+	for _, info := range routing.Schemes() {
+		if info.DeadlockFree && !ran[info.Name] {
+			t.Errorf("%s builds on neither test topology", info.Name)
 		}
 	}
 }
