@@ -36,9 +36,10 @@ func TestParseDests(t *testing.T) {
 }
 
 // TestRouteOutput pins what `mcroute -algo X` prints for every registry
-// scheme and every Chapter 5 heuristic on an 8x8 mesh and a 4-cube, and
-// for a name that is neither. A failing run's golden holds the
-// "mcroute: error" line the command prints on stderr.
+// scheme and every Chapter 5 heuristic on an 8x8 mesh and a 4-cube, for
+// a name that is neither, and for mesh dimensions the topology rejects.
+// A failing run's golden holds the "mcroute: error" line the command
+// prints on stderr.
 func TestRouteOutput(t *testing.T) {
 	heuristics := []string{"sorted-mp", "sorted-mc", "greedy-st", "x-first", "divided-greedy", "len"}
 	type run struct{ file, topo, algo, vc, src, dests string }
@@ -50,7 +51,8 @@ func TestRouteOutput(t *testing.T) {
 	}
 	runs = append(runs,
 		run{"mesh_8x8-virtual-channel-vc4", "mesh:8x8", "virtual-channel", "4", "27", "4,18,35,49,62"},
-		run{"mesh_8x8-unknown", "mesh:8x8", "no-such", "0", "27", "4,18,35,49,62"})
+		run{"mesh_8x8-unknown", "mesh:8x8", "no-such", "0", "27", "4,18,35,49,62"},
+		run{"mesh_0x8-invalid", "mesh:0x8", "dual-path", "0", "0", "1"})
 	for _, r := range runs {
 		t.Run(r.file, func(t *testing.T) {
 			for name, value := range map[string]string{

@@ -188,9 +188,8 @@ type churnCounts struct {
 }
 
 // churnPolicyRun replays the stream over a cached LiveRouter under one
-// invalidation policy. nuke selects the pre-refactor baseline: any mask
-// change flushes the whole cache (the old per-mask router identity made
-// every cached plan unreachable). The counts are pure functions of the
+// invalidation policy. nuke selects the baseline in which any mask
+// change flushes the whole cache. The counts are pure functions of the
 // seeded configuration — wall time never feeds a figure.
 func churnPolicyRun(w ChurnWorkload, st *routing.State, stream []fault.Delta,
 	working []core.MulticastSet, nuke bool) churnCounts {

@@ -143,7 +143,7 @@ func churnScheme(t *testing.T, topo topology.Topology, st *routing.State, scheme
 			if union != nil {
 				recordPlan(union, lp)
 			}
-			cp, _, served, cerr := cached.PlanDegradedCached(k)
+			cp, served, cerr := cached.PlanDegradedCached(k)
 			if served {
 				// A surviving cache entry may predate this epoch; the
 				// policy contract is that it is still fully valid over
@@ -217,7 +217,7 @@ func TestLiveRouterTargetedInvalidation(t *testing.T) {
 
 	k1 := core.MustMulticastSet(m, 0, []topology.NodeID{1})
 	k2 := core.MustMulticastSet(m, 30, []topology.NodeID{35})
-	p1, _, _, _ := lr.PlanDegradedCached(k1)
+	p1, _, _ := lr.PlanDegradedCached(k1)
 	lr.PlanDegradedCached(k2)
 	if cache.Len() != 2 {
 		t.Fatalf("cache holds %d plans, want 2", cache.Len())
@@ -240,11 +240,11 @@ func TestLiveRouterTargetedInvalidation(t *testing.T) {
 	if n := cache.Stats().Invalidations; n != 1 {
 		t.Fatalf("delta evicted %d plans, want exactly k1's", n)
 	}
-	if _, _, ok := cache.GetPlanAux(lr.ID(), k2); !ok {
+	if _, served, _ := lr.PlanDegradedCached(k2); !served {
 		t.Fatal("unaffected plan was evicted")
 	}
 	// The re-plan must detour and is cached again (fully served).
-	p1b, _, served, _ := lr.PlanDegradedCached(k1)
+	p1b, served, _ := lr.PlanDegradedCached(k1)
 	if served {
 		t.Fatal("evicted plan reported as cache-served")
 	}
@@ -258,7 +258,7 @@ func TestLiveRouterTargetedInvalidation(t *testing.T) {
 	if n := cache.Stats().Invalidations; n != 1 {
 		t.Fatalf("repair evicted %d plans, want 0", n-1)
 	}
-	if _, _, served, _ := lr.PlanDegradedCached(k1); !served {
+	if _, served, _ := lr.PlanDegradedCached(k1); !served {
 		t.Fatal("repair evicted the detour plan")
 	}
 }

@@ -26,10 +26,13 @@ func (d Delta) Empty() bool { return len(d.Fail) == 0 && len(d.Repair) == 0 }
 
 // AttachCache gives the router a plan cache consulted by
 // PlanDegradedCached and kept consistent by ApplyDelta via targeted
-// invalidation. The cache must not be shared with another router: its
-// entries are keyed by the epoch-independent ID, so a sharer with other
-// faults would be served this router's detours and their accounting.
-func (r *LiveRouter) AttachCache(c *routing.PlanCache) { r.cache = c }
+// invalidation. The cache serves this router alone from then on (see
+// routing.PlanCache.Own), across every epoch: cached plans survive
+// deltas, so unaffected traffic keeps its cache hits across the churn.
+func (r *LiveRouter) AttachCache(c *routing.PlanCache) {
+	c.Own(r)
+	r.cache = c
+}
 
 // Epoch returns the number of deltas applied so far.
 func (r *LiveRouter) Epoch() uint64 { return r.live.Epoch() }
@@ -97,40 +100,20 @@ func (r *LiveRouter) ApplyDelta(d Delta) {
 	}
 }
 
-// PlanDegradedCached is PlanDegraded through the attached cache. Only
-// fully served plans (no unreachable destinations, no error) are cached,
-// so a later repair can never surface a stale partial plan; a cache hit
-// reports served=true and the PlanStats recorded when the plan was
-// produced, so outcomes are byte-identical whether a plan comes fresh or
-// from cache. Without an attached cache it is exactly PlanDegraded with
-// served=false.
-func (r *LiveRouter) PlanDegradedCached(k core.MulticastSet) (routing.Plan, PlanStats, bool, error) {
+// PlanDegradedCached is PlanDegraded through the attached cache, without
+// the accounting. Only fully served plans (no unreachable destinations,
+// no error) are cached, so a later repair can never surface a stale
+// partial plan. served reports that the plan came from the cache.
+// Without an attached cache it is PlanDegraded with served=false.
+func (r *LiveRouter) PlanDegradedCached(k core.MulticastSet) (plan routing.Plan, served bool, err error) {
 	if r.cache != nil {
-		if p, aux, ok := r.cache.GetPlanAux(r.id, k); ok {
-			return p, statsFromAux(aux), true, nil
+		if p, ok := r.cache.GetPlan(k); ok {
+			return p, true, nil
 		}
 	}
-	plan, st, err := r.PlanDegraded(k)
-	if r.cache != nil && err == nil && st.Unreachable == 0 {
-		r.cache.PutPlanAux(r.id, k, plan, auxFromStats(st))
+	plan, _, err = r.PlanDegraded(k)
+	if r.cache != nil && err == nil {
+		r.cache.PutPlan(k, plan)
 	}
-	return plan, st, false, err
-}
-
-// auxFromStats and statsFromAux round-trip a fully-served plan's
-// accounting flags through the cache's opaque aux word (Unreachable is
-// always 0 for cached entries).
-func auxFromStats(st PlanStats) uint64 {
-	var aux uint64
-	if st.FellBack {
-		aux |= 1
-	}
-	if st.Repaired {
-		aux |= 2
-	}
-	return aux
-}
-
-func statsFromAux(aux uint64) PlanStats {
-	return PlanStats{FellBack: aux&1 != 0, Repaired: aux&2 != 0}
+	return plan, false, err
 }

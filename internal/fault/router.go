@@ -97,7 +97,6 @@ func (s PlanStats) Degraded() bool { return s.FellBack || s.Repaired || s.Unreac
 // of goroutines may plan concurrently.
 type LiveRouter struct {
 	scheme    string
-	id        string
 	live      *topology.LiveMasked
 	deadVC    map[dfr.Channel]bool // dead channel copies of VC faults
 	st        *routing.State       // over live
@@ -125,11 +124,7 @@ func NewLiveRouter(scheme string, healthy *routing.State, opts routing.Options) 
 		return nil, err
 	}
 	r := &LiveRouter{
-		scheme: scheme,
-		// The identity is epoch-independent on purpose: cached plans
-		// survive deltas (targeted invalidation handles correctness), so
-		// unaffected traffic keeps its cache hits across the churn.
-		id:          inner.ID() + "@live",
+		scheme:      scheme,
 		live:        live,
 		deadVC:      make(map[dfr.Channel]bool),
 		st:          st,
@@ -149,10 +144,6 @@ func NewLiveRouter(scheme string, healthy *routing.State, opts routing.Options) 
 
 // Scheme implements routing.Router.
 func (r *LiveRouter) Scheme() string { return r.scheme }
-
-// ID implements routing.Router: the scheme's identity with an "@live"
-// suffix, the same at every epoch.
-func (r *LiveRouter) ID() string { return r.id }
 
 // State implements routing.Router: the live masked state plans are
 // derived over.

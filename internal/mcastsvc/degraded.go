@@ -161,7 +161,7 @@ func (s *Service) MulticastUnderFaults(source topology.NodeID, g Group, bytes in
 		net := wormsim.NewNetwork(s.cfg.Topology)
 		net.FailWhere(lr.ChannelDead)
 		delivered := make(map[topology.NodeID]bool)
-		net.OnDelivery(func(d topology.NodeID, _ int64) { delivered[d] = true })
+		net.OnDelivery(func(d topology.NodeID, _ int64, _ int) { delivered[d] = true })
 		net.InjectFlatTag(routing.Flatten(s.cfg.Topology, plan), flits, 0)
 		next := applied // events lr has not absorbed activate mid-flight
 		base := clock

@@ -60,26 +60,49 @@ func TestCacheCanonicalizesDestOrder(t *testing.T) {
 	}
 }
 
+// TestCacheNamespacesByRouterID: keys hold the multicast set alone, so
+// routers are kept apart by cache, one each. Two schemes planning one
+// set miss once in their own caches and then hit their own plans, and a
+// refused hand-off of one router's cache to the other leaves the owner's
+// entry as it was.
 func TestCacheNamespacesByRouterID(t *testing.T) {
 	m := topology.NewMesh2D(6, 6)
 	st, err := NewState(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewPlanCache(64)
 	dual, _ := New("dual-path", st)
 	fixed, _ := New("fixed-path", st)
+	dc, fc := NewPlanCache(64), NewPlanCache(64)
+	cd, cf := Cached(dual, dc), Cached(fixed, fc)
 	k := core.MustMulticastSet(m, 3, []topology.NodeID{10, 20, 30})
-	p1 := Cached(dual, c).PlanSet(k)
-	p2 := Cached(fixed, c).PlanSet(k)
+	p1 := cd.PlanSet(k)
+	p2 := cf.PlanSet(k)
 	if reflect.DeepEqual(p1, p2) {
-		t.Fatal("dual-path and fixed-path returned identical plans — ID namespacing untestable")
+		t.Fatal("dual-path and fixed-path returned identical plans — per-router caches untestable")
 	}
-	if st := c.Stats(); st.Misses != 2 {
-		t.Fatalf("expected 2 misses for 2 schemes, got %d", st.Misses)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("dual-path's cache was handed to fixed-path without a panic")
+			}
+		}()
+		Cached(fixed, dc)
+	}()
+	if !reflect.DeepEqual(cd.PlanSet(k), p1) {
+		t.Fatal("dual-path plan corrupted by the refused fixed-path hand-off")
 	}
-	if !reflect.DeepEqual(Cached(fixed, c).PlanSet(k), p2) {
-		t.Fatal("fixed-path plan corrupted by dual-path entry")
+	if !reflect.DeepEqual(cf.PlanSet(k), p2) {
+		t.Fatal("fixed-path plan corrupted by the dual-path entry")
+	}
+	for _, c := range []struct {
+		name  string
+		cache *PlanCache
+	}{{"dual-path", dc}, {"fixed-path", fc}} {
+		if s := c.cache.Stats(); s.Misses != 1 || s.Hits != 1 || c.cache.Len() != 1 {
+			t.Errorf("%s cache: %d misses, %d hits, %d plans; want 1, 1, 1",
+				c.name, s.Misses, s.Hits, c.cache.Len())
+		}
 	}
 }
 
@@ -98,9 +121,8 @@ func TestCacheBounded(t *testing.T) {
 }
 
 func TestCacheDefaultCapacity(t *testing.T) {
-	c := NewPlanCache(0)
-	if c.perShard*cacheShards < 4096 {
-		t.Fatalf("default capacity %d < 4096", c.perShard*cacheShards)
+	if c := NewPlanCache(0); c.capacity != 4096 {
+		t.Fatalf("default capacity %d, want 4096", c.capacity)
 	}
 }
 
@@ -119,11 +141,11 @@ func TestCachedLiveRouterBypassesCache(t *testing.T) {
 	r, _, m := testRouter(t, "adaptive-dual-path")
 	c := NewPlanCache(64)
 	cr := Cached(r, c)
-	lr, ok := cr.(LiveRouter)
-	if !ok {
-		t.Fatal("Cached dropped the LiveRouter interface")
+	if _, ok := cr.(LiveRouter); ok {
+		t.Fatal("Cached returned a LiveRouter; live plans belong on the router itself, uncached")
 	}
 	k := core.MustMulticastSet(m, 3, []topology.NodeID{10, 20, 30})
+	lr := r.(LiveRouter)
 	lr.PlanLive(k, dfr.IdleOracle())
 	lr.PlanLive(k, dfr.IdleOracle())
 	if st := c.Stats(); st.Hits != 0 || st.Misses != 0 {
@@ -250,11 +272,63 @@ func TestPlanCacheStatsConcurrent(t *testing.T) {
 	}
 	// On a single-core scheduler the racing invalidator may never catch a
 	// live entry; pin the eviction accounting deterministically instead.
-	c.PutPlanAux("hammer", sets[0], r.PlanSet(sets[0]), 0)
+	c.PutPlan(sets[0], r.PlanSet(sets[0]))
 	if c.InvalidateAll() == 0 {
 		t.Error("InvalidateAll evicted nothing despite a cached plan")
 	}
 	if got := c.Stats().Invalidations; got == 0 {
 		t.Error("invalidations counter did not advance")
+	}
+}
+
+// TestPlanCacheInvalidateDropsSlots: invalidation removes an evicted
+// entry's FIFO slot with the entry, so a set invalidated and planned
+// again holds one slot, at the back of the eviction order, however many
+// times it cycles.
+func TestPlanCacheInvalidateDropsSlots(t *testing.T) {
+	r, _, m := testRouter(t, "dual-path")
+	a := core.MustMulticastSet(m, 0, []topology.NodeID{1}) // the link 0-1 alone
+	dead := []uint64{ChannelPair(0, 1), ChannelPair(1, 0)}
+
+	c := NewPlanCache(4096)
+	cr := Cached(r, c)
+	for i := 0; i < 1000; i++ {
+		cr.PlanSet(a)
+		if n := c.Invalidate(dead); n != 1 {
+			t.Fatalf("cycle %d: Invalidate evicted %d plans, want 1", i, n)
+		}
+	}
+	cr.PlanSet(a)
+	if c.Len() != 1 || len(c.fifo) != 1 {
+		t.Fatalf("after 1000 invalidate/re-plan cycles: %d plans, %d FIFO slots; want 1 and 1",
+			c.Len(), len(c.fifo))
+	}
+
+	// Eviction order: a re-planned set is the newest entry, so a full
+	// cache evicts the older b first.
+	b := core.MustMulticastSet(m, 30, []topology.NodeID{35})
+	d := core.MustMulticastSet(m, 24, []topology.NodeID{29})
+	e := core.MustMulticastSet(m, 18, []topology.NodeID{23})
+	c = NewPlanCache(3)
+	cr = Cached(r, c)
+	cr.PlanSet(a)
+	cr.PlanSet(b)
+	cr.PlanSet(d)
+	if n := c.Invalidate(dead); n != 1 {
+		t.Fatalf("Invalidate evicted %d plans, want a's alone", n)
+	}
+	cr.PlanSet(a)
+	cr.PlanSet(e)
+	for _, k := range []core.MulticastSet{a, d, e} {
+		if _, ok := c.plans[planKey(k)]; !ok {
+			t.Errorf("%v was evicted, want b, the oldest entry", k)
+		}
+	}
+	if _, ok := c.plans[planKey(b)]; ok {
+		t.Error("b, the oldest entry, survived a full cache")
+	}
+	if st := c.Stats(); st.Evictions != 1 || len(c.fifo) != c.Len() {
+		t.Errorf("%d evictions, %d FIFO slots for %d plans; want 1 and one slot per plan",
+			st.Evictions, len(c.fifo), c.Len())
 	}
 }

@@ -294,17 +294,19 @@ func reuse(s []int32, n int) []int32 {
 }
 
 // FlatRouter plans multicasts in dense CSR form, memoizing flattened
-// plans in an optional PlanCache under representation-distinct keys (see
-// planKey): a cache shared with route-form consumers never serves one
-// representation where the other was requested.
+// plans in an optional PlanCache it owns.
 type FlatRouter struct {
 	Router
 	cache *PlanCache
 }
 
-// Flat wraps a router with CSR flattening. c may be nil (no memoization);
-// a non-nil cache may be shared freely with Cached route-form wrappers.
+// Flat wraps a router with CSR flattening. c may be nil (no
+// memoization); a non-nil cache serves this router alone from then on
+// (see PlanCache.Own).
 func Flat(r Router, c *PlanCache) *FlatRouter {
+	if c != nil {
+		c.Own(r)
+	}
 	return &FlatRouter{Router: r, cache: c}
 }
 
@@ -314,8 +316,8 @@ func (r *FlatRouter) FlatSet(k core.MulticastSet) *FlatPlan {
 	if r.cache == nil {
 		return r.FlatCompute(k)
 	}
-	key := planKey(r.Router.ID(), k, reprFlat)
-	if e, ok := get(r.cache, key); ok && e.flat != nil {
+	key := planKey(k)
+	if e, ok := get(r.cache, key); ok {
 		return e.flat
 	}
 	f := r.FlatCompute(k)
@@ -338,8 +340,8 @@ func (r *FlatRouter) FlatProbeBuf(k core.MulticastSet, buf []byte) (*FlatPlan, [
 	if r.cache == nil || !destsSorted(k.Dests) {
 		return r.FlatSet(k), buf, true
 	}
-	buf = appendPlanKeySorted(buf[:0], r.Router.ID(), k, reprFlat)
-	if e, ok := get(r.cache, buf); ok && e.flat != nil {
+	buf = appendPlanKeySorted(buf[:0], k)
+	if e, ok := get(r.cache, buf); ok {
 		return e.flat, buf, true
 	}
 	return nil, buf, false
@@ -359,7 +361,7 @@ func (r *FlatRouter) FlatInstallBuf(k core.MulticastSet, f *FlatPlan, buf []byte
 	if r.cache == nil || !destsSorted(k.Dests) {
 		return buf
 	}
-	buf = appendPlanKeySorted(buf[:0], r.Router.ID(), k, reprFlat)
+	buf = appendPlanKeySorted(buf[:0], k)
 	r.cache.put(string(buf), cacheEntry{flat: f})
 	return buf
 }

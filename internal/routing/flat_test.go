@@ -172,11 +172,11 @@ func TestFlattenerEpochWrap(t *testing.T) {
 	}
 }
 
-// TestCacheKeysSeparateRepresentations is the regression test for the
-// representation-tag bugfix: one shared cache, one router identity, one
-// multicast set — priming the route form must not serve the CSR request
-// (or vice versa), because the shapes are incompatible for their
-// consumers.
+// TestCacheKeysSeparateRepresentations: a cache holds its owner's one
+// representation, so one router's route-form and CSR plans live in
+// separate caches, and a route-form cache handed to Flat panics rather
+// than serve a Plan where a *FlatPlan is wanted. The two forms agree and
+// both warm.
 func TestCacheKeysSeparateRepresentations(t *testing.T) {
 	m := topology.NewMesh2D(4, 4)
 	st := NewStateWithLabeling(m, labeling.NewMeshBoustrophedon(m))
@@ -184,37 +184,44 @@ func TestCacheKeysSeparateRepresentations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := NewPlanCache(0)
+	routes, flats := NewPlanCache(0), NewPlanCache(0)
+	cr, fr := Cached(r, routes), Flat(r, flats)
 	k, err := core.NewMulticastSet(m, 0, []topology.NodeID{5, 10, 15})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Prime the cache with the route form.
-	plain := Cached(r, cache).PlanSet(k)
-	if cache.Len() != 1 {
-		t.Fatalf("cache len = %d after route-form prime, want 1", cache.Len())
-	}
-
-	// The CSR request must miss the route-form entry and create its own.
-	fr := Flat(r, cache)
+	plain := cr.PlanSet(k)
 	flat := fr.FlatSet(k)
 	if flat == nil || flat.Paths() == 0 {
 		t.Fatal("flat plan empty")
 	}
-	if cache.Len() != 2 {
-		t.Fatalf("cache len = %d, want 2 distinct representation entries", cache.Len())
-	}
 	if got := Flatten(m, plain); got.TotalDests != flat.TotalDests || got.Paths() != flat.Paths() {
 		t.Fatalf("representations disagree: %+v vs %+v", got, flat)
 	}
+	key := planKey(k)
+	if e, ok := routes.plans[key]; !ok || e.flat != nil || routes.Len() != 1 {
+		t.Fatalf("route-form cache: entry %+v (found %v), %d plans; want one route-form entry", e, ok, routes.Len())
+	}
+	if e, ok := flats.plans[key]; !ok || e.flat != flat || flats.Len() != 1 {
+		t.Fatalf("flat cache: entry %+v (found %v), %d plans; want one entry holding the FlatSet plan", e, ok, flats.Len())
+	}
+
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("the route-form cache was handed to Flat without a panic")
+			}
+		}()
+		Flat(r, routes)
+	}()
 
 	// Both representations must now hit.
-	m0 := cache.Stats().Misses
-	Cached(r, cache).PlanSet(k)
+	rm, fm := routes.Stats().Misses, flats.Stats().Misses
+	cr.PlanSet(k)
 	fr.FlatSet(k)
-	if m1 := cache.Stats().Misses; m1 != m0 {
-		t.Fatalf("warm representations missed: misses %d -> %d", m0, m1)
+	if rm1, fm1 := routes.Stats().Misses, flats.Stats().Misses; rm1 != rm || fm1 != fm {
+		t.Fatalf("warm representations missed: route misses %d -> %d, flat misses %d -> %d", rm, rm1, fm, fm1)
 	}
 }
 

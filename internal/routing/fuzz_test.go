@@ -11,17 +11,26 @@ import (
 	"multicastnet/internal/topology"
 )
 
-// fuzzSchemes are the path-based schemes checked for label monotonicity
-// (the Assertion 2 deadlock-freedom argument: every path stays inside
-// either the high- or the low-channel subnetwork).
-var fuzzSchemes = []string{
-	"dual-path", "dual-path-double", "multi-path", "multi-path-double",
-	"fixed-path", "adaptive-dual-path", "virtual-channel",
-}
+// fuzzSchemes are the registry's path schemes (no tree classes),
+// checked for label monotonicity (the Assertion 2 deadlock-freedom
+// argument: every path stays inside either the high- or the low-channel
+// subnetwork). fuzzTreeSchemes produce tree routes; they are checked for
+// coverage and channel validity only. A new table row is fuzzed with no
+// edit here.
+var fuzzSchemes, fuzzTreeSchemes = splitSchemes()
 
-// fuzzTreeSchemes produce tree routes; they are checked for coverage and
-// channel validity only.
-var fuzzTreeSchemes = []string{"tree", "naive-tree"}
+// splitSchemes splits the registry's names into path and tree schemes by
+// Info.TreeClasses.
+func splitSchemes() (paths, trees []string) {
+	for _, info := range routing.Schemes() {
+		if info.TreeClasses > 0 {
+			trees = append(trees, info.Name)
+		} else {
+			paths = append(paths, info.Name)
+		}
+	}
+	return paths, trees
+}
 
 // checkMonotone asserts that a path's labels are strictly monotone — the
 // property that keeps the high/low channel subnetworks acyclic.
@@ -187,7 +196,7 @@ func FuzzPlan(f *testing.F) {
 			return
 		}
 		events := fault.NewPlan(m, fault.Spec{Links: links, Seed: faultSeed}).Events()
-		for _, name := range append(append([]string(nil), fuzzSchemes...), fuzzTreeSchemes...) {
+		for _, name := range routing.Names() {
 			checkDegraded(t, name, st, events, k)
 		}
 	})

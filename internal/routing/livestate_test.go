@@ -185,13 +185,13 @@ func enumerateLinksTest(tp topology.Topology) []topology.Link {
 }
 
 // TestPlanCacheTargetedInvalidation: a delta evicts exactly the entries
-// whose plans traverse a dead channel — route-form and flat entries on
-// one shared cache alike; repairs evict nothing.
+// whose plans traverse a dead channel — route-form entries of a Cached
+// router and flat entries of a Flat router alike; repairs evict nothing.
 func TestPlanCacheTargetedInvalidation(t *testing.T) {
 	r, _, m := testRouter(t, "dual-path")
-	c := NewPlanCache(256)
-	cr := Cached(r, c)
-	fr := Flat(r, c)
+	rc, fc := NewPlanCache(256), NewPlanCache(256)
+	cr := Cached(r, rc)
+	fr := Flat(r, fc)
 
 	k1 := core.MustMulticastSet(m, 0, []topology.NodeID{1})   // hugs the top-left corner
 	k2 := core.MustMulticastSet(m, 30, []topology.NodeID{35}) // far corner, disjoint
@@ -199,11 +199,11 @@ func TestPlanCacheTargetedInvalidation(t *testing.T) {
 	cr.PlanSet(k2)
 	fr.FlatSet(k1)
 	f2 := fr.FlatSet(k2)
-	if c.Len() != 4 {
-		t.Fatalf("Len() = %d, want 4", c.Len())
+	if rc.Len() != 2 || fc.Len() != 2 {
+		t.Fatalf("Len() = %d route-form, %d flat; want 2 and 2", rc.Len(), fc.Len())
 	}
 
-	// Kill a directed pair on p1's route: only k1's two entries go.
+	// Kill a directed pair on p1's route: only k1's entries go.
 	var pairs []uint64
 	for _, p := range p1.Paths {
 		if len(p.Nodes) >= 2 {
@@ -216,38 +216,40 @@ func TestPlanCacheTargetedInvalidation(t *testing.T) {
 	if len(pairs) == 0 {
 		t.Fatal("plan for k1 has no path edges")
 	}
-	if n := c.Invalidate(pairs); n != 2 {
-		t.Fatalf("Invalidate evicted %d entries, want 2 (route form and flat)", n)
+	for _, c := range []*PlanCache{rc, fc} {
+		if n := c.Invalidate(pairs); n != 1 {
+			t.Fatalf("Invalidate evicted %d entries, want k1's alone", n)
+		}
+		if c.Len() != 1 {
+			t.Fatalf("Len() after targeted invalidation = %d, want 1", c.Len())
+		}
+		if st := c.Stats(); st.Invalidations != 1 {
+			t.Fatalf("Invalidations = %d, want 1", st.Invalidations)
+		}
 	}
-	if c.Len() != 2 {
-		t.Fatalf("Len() after targeted invalidation = %d, want 2", c.Len())
-	}
-	if _, _, ok := c.GetPlanAux(r.ID(), k2); !ok {
+	if _, ok := rc.GetPlan(k2); !ok {
 		t.Fatal("unaffected route-form entry was evicted")
 	}
-	misses := c.Stats().Misses
-	if fr.FlatSet(k2) != f2 || c.Stats().Misses != misses {
+	misses := fc.Stats().Misses
+	if fr.FlatSet(k2) != f2 || fc.Stats().Misses != misses {
 		t.Fatal("unaffected flat entry was evicted")
 	}
-	if fr.FlatSet(k1); c.Stats().Misses != misses+1 {
+	if fr.FlatSet(k1); fc.Stats().Misses != misses+1 {
 		t.Fatal("flat entry over the dead link was served after invalidation")
-	}
-	if st := c.Stats(); st.Invalidations != 2 {
-		t.Fatalf("Invalidations = %d, want 2", st.Invalidations)
 	}
 
 	// An irrelevant channel evicts nothing.
-	if n := c.Invalidate([]uint64{ChannelPair(2, 8)}); n != 0 {
+	if n := rc.Invalidate([]uint64{ChannelPair(2, 8)}); n != 0 {
 		t.Fatalf("irrelevant channel evicted %d entries", n)
 	}
 
 	// Nuke-everything baseline.
 	cr.PlanSet(k1)
-	if n := c.InvalidateAll(); n != 4 {
-		t.Fatalf("InvalidateAll evicted %d, want 4", n)
+	if n := rc.InvalidateAll(); n != 2 {
+		t.Fatalf("InvalidateAll evicted %d, want 2", n)
 	}
-	if c.Len() != 0 {
-		t.Fatalf("Len() after InvalidateAll = %d", c.Len())
+	if rc.Len() != 0 {
+		t.Fatalf("Len() after InvalidateAll = %d", rc.Len())
 	}
 }
 

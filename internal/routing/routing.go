@@ -11,10 +11,11 @@
 //   - A static, name-sorted scheme table (Lookup / Names / Schemes)
 //     covering the deadlock-free schemes of Chapter 6 and the Section 8.2
 //     extensions; each scheme builds a Router over a State.
-//   - A bounded, sharded, concurrency-safe plan cache (PlanCache, Cached)
-//     keyed on the router identity and the canonicalized multicast set,
-//     so callers that repeat multicasts (the scheduling and multicast
-//     services, the churn study) stop re-deriving identical routes.
+//   - A bounded, concurrency-safe plan cache (PlanCache, Cached, Flat)
+//     that serves one router and is keyed on the canonicalized multicast
+//     set alone, so callers that repeat multicasts (the scheduling and
+//     multicast services, the churn study) stop re-deriving identical
+//     routes.
 //
 // Concurrency contract: State and Router are immutable after construction
 // and safe for unlimited concurrent use. Plans returned by PlanSet
@@ -110,11 +111,6 @@ func (p Plan) Validate(t topology.Topology, k core.MulticastSet) error {
 type Router interface {
 	// Scheme returns the registry name the router was built from.
 	Scheme() string
-	// ID returns the router's full identity — the scheme name plus any
-	// option that changes its routes (e.g. the virtual-channel copy
-	// count). Equal IDs over equal states produce equal plans; the plan
-	// cache namespaces its keys by ID.
-	ID() string
 	// State returns the precomputed topology state the router plans over.
 	State() *State
 	// PlanSet routes a multicast set that core.NewMulticastSet

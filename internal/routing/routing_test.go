@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -180,14 +181,21 @@ func TestVirtualChannelOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if def.ID() != two.ID() {
-		t.Errorf("default ID %q differs from v=2 ID %q", def.ID(), two.ID())
-	}
 	four, err := NewWithOptions("virtual-channel", st, Options{VirtualChannels: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if four.ID() == two.ID() {
-		t.Error("v=4 shares the v=2 router identity")
+	// The default routes as v = 2, and v = 4 routes differently.
+	rng := stats.NewRand(5)
+	differs := false
+	for i := 0; i < 20; i++ {
+		k := randomSet(st.Topology(), rng, 1+rng.Intn(6))
+		if !reflect.DeepEqual(def.PlanSet(k), two.PlanSet(k)) {
+			t.Fatalf("default plan for %v differs from v = 2", k)
+		}
+		differs = differs || !reflect.DeepEqual(four.PlanSet(k), two.PlanSet(k))
+	}
+	if !differs {
+		t.Error("v = 4 planned every set as v = 2 does")
 	}
 }

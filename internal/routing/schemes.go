@@ -12,11 +12,10 @@ import (
 // and the Section 8.2 extensions. Every builder captures the precomputed
 // State, so per-plan work is pure route construction.
 
-// router is the common Router implementation: a name, an identity, the
-// state, and a plan function. live is non-nil for adaptive schemes.
+// router is the common Router implementation: a name, the state, and a
+// plan function. live is non-nil for adaptive schemes.
 type router struct {
 	scheme string
-	id     string
 	st     *State
 	plan   func(k core.MulticastSet) Plan
 	live   func(k core.MulticastSet, oracle dfr.ChannelOracle) Plan
@@ -24,9 +23,6 @@ type router struct {
 
 // Scheme implements Router.
 func (r *router) Scheme() string { return r.scheme }
-
-// ID implements Router.
-func (r *router) ID() string { return r.id }
 
 // State implements Router.
 func (r *router) State() *State { return r.st }
@@ -69,7 +65,7 @@ var schemes = []Info{
 			live := func(k core.MulticastSet, oracle dfr.ChannelOracle) Plan {
 				return Plan{Paths: dfr.AdaptiveDualPath(s.topo, s.label, k, oracle).Paths}
 			}
-			return &liveRouter{router{scheme: "adaptive-dual-path", id: "adaptive-dual-path", st: s,
+			return &liveRouter{router{scheme: "adaptive-dual-path", st: s,
 				plan: func(k core.MulticastSet) Plan {
 					return live(k, dfr.IdleOracle())
 				},
@@ -81,7 +77,7 @@ var schemes = []Info{
 		Description:  "dual-path routing: at most two label-monotone paths (Section 6.2.2)",
 		DeadlockFree: true,
 		Build: func(s *State, _ Options) (Router, error) {
-			return &router{scheme: "dual-path", id: "dual-path", st: s,
+			return &router{scheme: "dual-path", st: s,
 				plan: func(k core.MulticastSet) Plan {
 					return Plan{Paths: dfr.DualPath(s.topo, s.label, k).Paths}
 				}}, nil
@@ -92,7 +88,7 @@ var schemes = []Info{
 		Description:  "dual-path on the double-channel network (Fig. 7.8 comparison)",
 		DeadlockFree: true,
 		Build: func(s *State, _ Options) (Router, error) {
-			return &router{scheme: "dual-path-double", id: "dual-path-double", st: s,
+			return &router{scheme: "dual-path-double", st: s,
 				plan: func(k core.MulticastSet) Plan {
 					return Plan{Paths: classifyDouble(dfr.DualPath(s.topo, s.label, k))}
 				}}, nil
@@ -103,7 +99,7 @@ var schemes = []Info{
 		Description:  "fixed-path routing along the Hamiltonian path (Section 6.2.2)",
 		DeadlockFree: true,
 		Build: func(s *State, _ Options) (Router, error) {
-			return &router{scheme: "fixed-path", id: "fixed-path", st: s,
+			return &router{scheme: "fixed-path", st: s,
 				plan: func(k core.MulticastSet) Plan {
 					return Plan{Paths: dfr.FixedPath(s.topo, s.label, k).Paths}
 				}}, nil
@@ -118,7 +114,7 @@ var schemes = []Info{
 			if err != nil {
 				return nil, err
 			}
-			return &router{scheme: "multi-path", id: "multi-path", st: s,
+			return &router{scheme: "multi-path", st: s,
 				plan: func(k core.MulticastSet) Plan {
 					return Plan{Paths: star(k).Paths}
 				}}, nil
@@ -133,7 +129,7 @@ var schemes = []Info{
 			if err != nil {
 				return nil, err
 			}
-			return &router{scheme: "multi-path-double", id: "multi-path-double", st: s,
+			return &router{scheme: "multi-path-double", st: s,
 				plan: func(k core.MulticastSet) Plan {
 					return Plan{Paths: classifyDouble(star(k))}
 				}}, nil
@@ -149,7 +145,7 @@ var schemes = []Info{
 			if !ok {
 				return nil, fmt.Errorf("routing: naive-tree scheme needs a 2D mesh, got %s", s.topo.Name())
 			}
-			return &router{scheme: "naive-tree", id: "naive-tree", st: s,
+			return &router{scheme: "naive-tree", st: s,
 				plan: func(k core.MulticastSet) Plan {
 					return Plan{Trees: dfr.XFirstTrees(m, k)}
 				}}, nil
@@ -165,7 +161,7 @@ var schemes = []Info{
 			if !ok {
 				return nil, fmt.Errorf("routing: tree scheme needs a 2D mesh, got %s", s.topo.Name())
 			}
-			return &router{scheme: "tree", id: "tree", st: s,
+			return &router{scheme: "tree", st: s,
 				plan: func(k core.MulticastSet) Plan {
 					return Plan{Trees: dfr.DoubleChannelXFirst(m, k)}
 				}}, nil
@@ -183,8 +179,7 @@ var schemes = []Info{
 			if v < 1 {
 				return nil, fmt.Errorf("routing: virtual-channel needs v >= 1, got %d", v)
 			}
-			return &router{scheme: "virtual-channel",
-				id: fmt.Sprintf("virtual-channel?v=%d", v), st: s,
+			return &router{scheme: "virtual-channel", st: s,
 				plan: func(k core.MulticastSet) Plan {
 					return Plan{Paths: dfr.VirtualChannelPath(s.topo, s.label, k, v).Paths}
 				}}, nil

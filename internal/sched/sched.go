@@ -1,7 +1,7 @@
 // Package sched is the concurrent multicast scheduling service: a
 // long-lived layer over internal/routing that ingests streams of
 // multicast requests, batches them into admission windows, plans each
-// window through the shared PlanCache with a worker pool, and packs the
+// window through its router's PlanCache with a worker pool, and packs the
 // window under a congestion+dilation budget (Haeupler/Hershkowitz/Wajc:
 // simultaneous multicasts complete in roughly congestion + dilation, so
 // the packer bounds exactly that sum). Requests whose plans would push

@@ -13,14 +13,24 @@ type Hypercube struct {
 	Dim int // n, the number of dimensions
 }
 
-// NewHypercube returns an n-cube. Dimensions up to 62 are accepted so
-// that the Theorem 4.5 reductions (which need a 4k-cube for a k-vertex
-// grid) can be materialized; Nodes() stays within int range.
+// NewHypercube returns an n-cube. It panics with CheckHypercube's error
+// for a dimension it rejects.
 func NewHypercube(n int) *Hypercube {
-	if n < 1 || n > 62 {
-		panic(fmt.Sprintf("topology: invalid hypercube dimension %d", n))
+	if err := CheckHypercube(n); err != nil {
+		panic(err.Error())
 	}
 	return &Hypercube{Dim: n}
+}
+
+// CheckHypercube returns an error unless 1 <= n <= 62. Dimensions up to
+// 62 are accepted so that the Theorem 4.5 reductions (which need a
+// 4k-cube for a k-vertex grid) can be materialized; Nodes() stays within
+// int range.
+func CheckHypercube(n int) error {
+	if n < 1 || n > 62 {
+		return fmt.Errorf("topology: invalid hypercube dimension %d", n)
+	}
+	return nil
 }
 
 // Name implements Topology.

@@ -12,13 +12,21 @@ type Mesh2D struct {
 	Height int // number of rows (y ranges over 0..Height-1)
 }
 
-// NewMesh2D returns a Width x Height mesh. It panics when either dimension
-// is not positive.
+// NewMesh2D returns a Width x Height mesh. It panics with CheckMesh2D's
+// error when either dimension is not positive.
 func NewMesh2D(width, height int) *Mesh2D {
-	if width <= 0 || height <= 0 {
-		panic(fmt.Sprintf("topology: invalid mesh dimensions %dx%d", width, height))
+	if err := CheckMesh2D(width, height); err != nil {
+		panic(err.Error())
 	}
 	return &Mesh2D{Width: width, Height: height}
+}
+
+// CheckMesh2D returns an error unless both mesh dimensions are positive.
+func CheckMesh2D(width, height int) error {
+	if width <= 0 || height <= 0 {
+		return fmt.Errorf("topology: invalid mesh dimensions %dx%d", width, height)
+	}
+	return nil
 }
 
 // Name implements Topology.

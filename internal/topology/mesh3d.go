@@ -11,13 +11,22 @@ type Mesh3D struct {
 	Depth  int // z dimension
 }
 
-// NewMesh3D returns a Width x Height x Depth mesh. It panics when a
-// dimension is not positive.
+// NewMesh3D returns a Width x Height x Depth mesh. It panics with
+// CheckMesh3D's error when a dimension is not positive.
 func NewMesh3D(width, height, depth int) *Mesh3D {
-	if width <= 0 || height <= 0 || depth <= 0 {
-		panic(fmt.Sprintf("topology: invalid 3D mesh dimensions %dx%dx%d", width, height, depth))
+	if err := CheckMesh3D(width, height, depth); err != nil {
+		panic(err.Error())
 	}
 	return &Mesh3D{Width: width, Height: height, Depth: depth}
+}
+
+// CheckMesh3D returns an error unless every 3D mesh dimension is
+// positive.
+func CheckMesh3D(width, height, depth int) error {
+	if width <= 0 || height <= 0 || depth <= 0 {
+		return fmt.Errorf("topology: invalid 3D mesh dimensions %dx%dx%d", width, height, depth)
+	}
+	return nil
 }
 
 // Name implements Topology.

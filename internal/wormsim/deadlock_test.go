@@ -115,14 +115,10 @@ func checkWaitCycle(t *testing.T, label string, ids []int, waits map[int][]int) 
 	}
 }
 
-// ddSchemes are the registry schemes the deadlock fuzz draws from: the
-// deadlock-prone naive tree, the double-channel tree, double-channel
-// paths, and the single-channel path schemes (adaptive ones route
-// around live congestion at injection).
-var ddSchemes = []string{
-	"naive-tree", "tree", "dual-path-double", "multi-path-double",
-	"dual-path", "multi-path", "fixed-path", "adaptive-dual-path", "virtual-channel",
-}
+// ddSchemes are the schemes the deadlock fuzz draws from: every registry
+// scheme, in name order, so a new table row is fuzzed with no edit here.
+// Adaptive ones route around live congestion at injection.
+var ddSchemes = routing.Names()
 
 // ddCase is one fuzzed simulation: a small mesh (even topo) or hypercube
 // (odd topo) sized by size, the first scheme at or after ddSchemes[scheme]
@@ -141,19 +137,19 @@ type ddCase struct {
 // them as a fixed regression suite. The last two close a cycle through a
 // worm that has advanced but is not yet queued on its next channel.
 var ddSeeds = []ddCase{
-	{topo: 0, size: 10, scheme: 0, seed: 1, script: []byte{20, 24, 28, 32, 20, 24, 28, 32, 36, 40, 44, 48}, length: 8},
-	{topo: 0, size: 15, scheme: 0, seed: 7, script: []byte{60, 61, 62, 63, 60, 61, 62, 63, 60, 61}, length: 11},
-	{topo: 0, size: 5, scheme: 0, seed: 3, script: []byte{12, 16, 20, 24, 28, 12, 16, 20}, length: 6, failAt: 9},
-	{topo: 0, size: 10, scheme: 1, seed: 11, script: []byte{40, 41, 42, 43, 44, 45, 46, 47, 48, 49}, length: 9, failAt: 14},
+	{topo: 0, size: 10, scheme: 6, seed: 1, script: []byte{20, 24, 28, 32, 20, 24, 28, 32, 36, 40, 44, 48}, length: 8},
+	{topo: 0, size: 15, scheme: 6, seed: 7, script: []byte{60, 61, 62, 63, 60, 61, 62, 63, 60, 61}, length: 11},
+	{topo: 0, size: 5, scheme: 6, seed: 3, script: []byte{12, 16, 20, 24, 28, 12, 16, 20}, length: 6, failAt: 9},
+	{topo: 0, size: 10, scheme: 7, seed: 11, script: []byte{40, 41, 42, 43, 44, 45, 46, 47, 48, 49}, length: 9, failAt: 14},
 	{topo: 0, size: 6, scheme: 2, seed: 5, script: []byte{8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19}, length: 7},
-	{topo: 0, size: 9, scheme: 3, seed: 13, script: []byte{24, 25, 26, 27, 24, 25, 26, 27}, length: 5, failAt: 6},
-	{topo: 1, size: 2, scheme: 4, seed: 17, script: []byte{32, 0, 1, 2, 3, 32, 33, 34}, length: 10},
-	{topo: 1, size: 3, scheme: 5, seed: 19, script: []byte{16, 17, 18, 19, 20, 21, 22, 23}, length: 4, failAt: 5},
-	{topo: 0, size: 12, scheme: 7, seed: 23, script: []byte{12, 13, 14, 15, 16, 17, 18, 19}, length: 12},
+	{topo: 0, size: 9, scheme: 5, seed: 13, script: []byte{24, 25, 26, 27, 24, 25, 26, 27}, length: 5, failAt: 6},
+	{topo: 1, size: 2, scheme: 1, seed: 17, script: []byte{32, 0, 1, 2, 3, 32, 33, 34}, length: 10},
+	{topo: 1, size: 3, scheme: 4, seed: 19, script: []byte{16, 17, 18, 19, 20, 21, 22, 23}, length: 4, failAt: 5},
+	{topo: 0, size: 12, scheme: 0, seed: 23, script: []byte{12, 13, 14, 15, 16, 17, 18, 19}, length: 12},
 	{topo: 1, size: 1, scheme: 8, seed: 29, script: []byte{28, 29, 30, 31, 28, 29}, length: 3, failAt: 3},
-	{topo: 0, size: 0, scheme: 0, seed: 112, script: []byte{0xb2, 0xd2, 0xd8, 0x60, 0x36, 0x2e, 0x5d, 0x8e,
+	{topo: 0, size: 0, scheme: 6, seed: 112, script: []byte{0xb2, 0xd2, 0xd8, 0x60, 0x36, 0x2e, 0x5d, 0x8e,
 		0x1e, 0xca, 0x9e, 0xb2, 0x62, 0x1f, 0xc3}, length: 11, failAt: 7},
-	{topo: 0, size: 1, scheme: 0, seed: 187, script: []byte{0x0d, 0x5e, 0x80, 0x5f, 0x3a, 0xa9, 0x43, 0x10,
+	{topo: 0, size: 1, scheme: 6, seed: 187, script: []byte{0x0d, 0x5e, 0x80, 0x5f, 0x3a, 0xa9, 0x43, 0x10,
 		0xfb, 0x73, 0x72, 0x85, 0xe4, 0xde, 0x22, 0xdc, 0x46, 0x86, 0x29, 0x55, 0x70}, length: 8},
 }
 

@@ -212,7 +212,7 @@ func Run(cfg Config) (Result, error) {
 	var completion, uniLatency, mcastLatency stats.Mean
 	seen := 0
 	var warmupEndCycle int64 // cycle at which the warmup window closed
-	net.OnDeliveryDetail(func(_ topology.NodeID, cycles int64, size int) {
+	net.OnDelivery(func(_ topology.NodeID, cycles int64, size int) {
 		seen++
 		if seen > cfg.WarmupDeliveries {
 			if seen == cfg.WarmupDeliveries+1 {
@@ -227,7 +227,7 @@ func Run(cfg Config) (Result, error) {
 			}
 		}
 	})
-	net.OnComplete(func(cycles int64) {
+	net.OnCompleteTag(func(_ uint64, cycles int64) {
 		completion.Add(float64(cycles) * FlitMicros)
 	})
 

@@ -72,7 +72,7 @@ func (n *Network) FailWhere(pred func(c dfr.Channel) bool) int {
 // killWorm drops an in-flight worm: it leaves every wait queue, releases
 // every channel it holds (waking their FIFO heads), reports its
 // undelivered destinations through OnLost, and retires. The multicast is
-// marked lossy so OnComplete never fires for it.
+// marked lossy so OnCompleteTag never fires for it.
 func (n *Network) killWorm(wi wormRef) {
 	w := &n.slots[wi]
 	if w.done {

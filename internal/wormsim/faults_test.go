@@ -23,7 +23,7 @@ func TestFailWhereKillsHolder(t *testing.T) {
 		}
 	})
 	delivered := false
-	net.OnDelivery(func(topology.NodeID, int64) { delivered = true })
+	net.OnDelivery(func(topology.NodeID, int64, int) { delivered = true })
 	injectRoutes(net, []dfr.PathRoute{route}, nil, 8)
 	net.Step() // header takes (0,1)
 	net.Step() // header takes (1,2)
@@ -61,7 +61,7 @@ func TestFailWhereKillsWaiter(t *testing.T) {
 	a := dfr.PathRoute{Nodes: []topology.NodeID{0, 1, 2, 3, 4}, Dests: []topology.NodeID{4}}
 	b := dfr.PathRoute{Nodes: []topology.NodeID{1, 2, 3}, Dests: []topology.NodeID{3}}
 	deliveredTo := map[topology.NodeID]bool{}
-	net.OnDelivery(func(d topology.NodeID, _ int64) { deliveredTo[d] = true })
+	net.OnDelivery(func(d topology.NodeID, _ int64, _ int) { deliveredTo[d] = true })
 	injectRoutes(net, []dfr.PathRoute{a}, nil, 8)
 	net.Step() // A takes (0,1)
 	net.Step() // A takes (1,2)

@@ -27,7 +27,7 @@ func TestQuickSingleWormLatencyFormula(t *testing.T) {
 		nodes := core.RoutePath(m, l, src, dst)
 		n := NewNetwork(m)
 		var got int64 = -1
-		n.OnDelivery(func(_ topology.NodeID, c int64) { got = c })
+		n.OnDelivery(func(_ topology.NodeID, c int64, _ int) { got = c })
 		injectRoutes(n, []dfr.PathRoute{{Nodes: nodes, Dests: []topology.NodeID{dst}}}, nil, length)
 		for n.ActiveWorms() > 0 {
 			if !n.Step() {
@@ -52,7 +52,7 @@ func TestQuickSerialWormsFIFO(t *testing.T) {
 		route := []topology.NodeID{0, 1, 2, 3}
 		n := NewNetwork(m)
 		var order []topology.NodeID
-		n.OnDelivery(func(d topology.NodeID, _ int64) { order = append(order, d) })
+		n.OnDelivery(func(d topology.NodeID, _ int64, _ int) { order = append(order, d) })
 		injectRoutes(n, []dfr.PathRoute{{Nodes: route, Dests: []topology.NodeID{3}}}, nil, length)
 		injectRoutes(n, []dfr.PathRoute{{Nodes: route[:3], Dests: []topology.NodeID{2}}}, nil, length)
 		for n.ActiveWorms() > 0 {

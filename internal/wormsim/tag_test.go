@@ -13,7 +13,7 @@ import (
 
 // TestInjectFlatTagCompletions pins the tagged-completion contract: every
 // tagged injection reports exactly one completion carrying its tag, with
-// the same latency as the untagged OnComplete observer.
+// the latency of the multicast's last delivery.
 func TestInjectFlatTagCompletions(t *testing.T) {
 	type completion struct {
 		tag uint64
@@ -28,9 +28,14 @@ func TestInjectFlatTagCompletions(t *testing.T) {
 	fr := routing.Flat(r, routing.NewPlanCache(0))
 	n := NewNetwork(m)
 	var got []completion
-	var untagged []int64
-	n.OnCompleteTag(func(tag uint64, lat int64) { got = append(got, completion{tag, lat}) })
-	n.OnComplete(func(lat int64) { untagged = append(untagged, lat) })
+	var last int64 // latency of the latest delivery
+	n.OnDelivery(func(_ topology.NodeID, lat int64, _ int) { last = lat })
+	n.OnCompleteTag(func(tag uint64, lat int64) {
+		if lat != last {
+			t.Errorf("tag %d completed at latency %d, its last delivery at %d", tag, lat, last)
+		}
+		got = append(got, completion{tag, lat})
+	})
 	rng := stats.NewRand(7)
 	for tag := uint64(1); tag <= 24; tag++ {
 		src := topology.NodeID(rng.Intn(m.Nodes()))
@@ -49,14 +54,11 @@ func TestInjectFlatTagCompletions(t *testing.T) {
 		t.Fatalf("%d tagged completions, want 24", len(got))
 	}
 	seen := map[uint64]bool{}
-	for i, c := range got {
+	for _, c := range got {
 		if c.tag < 1 || c.tag > 24 || seen[c.tag] {
 			t.Fatalf("bad or duplicate tag %d", c.tag)
 		}
 		seen[c.tag] = true
-		if c.lat != untagged[i] {
-			t.Fatalf("tagged latency %d != untagged %d at %d", c.lat, untagged[i], i)
-		}
 	}
 }
 
@@ -80,7 +82,7 @@ func TestIdleFastForward(t *testing.T) {
 	}
 
 	var completed int64 = -1
-	n.OnComplete(func(c int64) { completed = c })
+	n.OnCompleteTag(func(_ uint64, c int64) { completed = c })
 	const L = 8
 	injectRoutes(n, []dfr.PathRoute{pathTo(0, 1, 2, 3)}, nil, L)
 	if n.Idle() {

@@ -65,7 +65,7 @@
 // ascending id order. Parallelism lives one layer up, where independent
 // runs (sweep points) execute concurrently.
 //
-// Observer callbacks (OnDelivery, OnComplete, OnLost, ...) are
+// Observer callbacks (OnDelivery, OnCompleteTag, OnLost) are
 // notifications: they must not inject traffic or step the network.
 package wormsim
 
@@ -234,11 +234,9 @@ type Network struct {
 	ck ckScratch // CheckInvariants (check.go)
 
 	// Observers.
-	onDelivery       func(dest topology.NodeID, latencyCycles int64)
-	onDeliveryDetail func(dest topology.NodeID, latencyCycles int64, mcastSize int)
-	onComplete       func(latencyCycles int64)
-	onCompleteTag    func(tag uint64, latencyCycles int64)
-	onLost           func(dest topology.NodeID, mcastSize int)
+	onDelivery    func(dest topology.NodeID, latencyCycles int64, mcastSize int)
+	onCompleteTag func(tag uint64, latencyCycles int64)
+	onLost        func(dest topology.NodeID, mcastSize int)
 }
 
 // NewNetwork returns an empty network over topo. Channel state is
@@ -299,26 +297,17 @@ func (n *Network) lookup(c dfr.Channel) (int32, bool) {
 }
 
 // OnDelivery registers a callback invoked for every destination delivery
-// with the per-destination latency in cycles.
-func (n *Network) OnDelivery(fn func(dest topology.NodeID, latencyCycles int64)) {
+// with the per-destination latency in cycles and the destination count
+// of the delivering multicast, so unicast (size 1) and multicast traffic
+// can be measured separately (the Section 8.2 interaction study).
+func (n *Network) OnDelivery(fn func(dest topology.NodeID, latencyCycles int64, mcastSize int)) {
 	n.onDelivery = fn
 }
 
-// OnDeliveryDetail registers a delivery callback that also receives the
-// destination count of the delivering multicast, so unicast (size 1) and
-// multicast traffic can be measured separately (the Section 8.2
-// interaction study).
-func (n *Network) OnDeliveryDetail(fn func(dest topology.NodeID, latencyCycles int64, mcastSize int)) {
-	n.onDeliveryDetail = fn
-}
-
-// OnComplete registers a callback invoked when the last destination of a
-// multicast is delivered, with the multicast's completion latency.
-func (n *Network) OnComplete(fn func(latencyCycles int64)) { n.onComplete = fn }
-
-// OnCompleteTag registers a completion callback that also receives the
-// caller-chosen tag of InjectFlatTag, letting a service correlate each
-// completion with the request that produced it.
+// OnCompleteTag registers a callback invoked when the last destination
+// of a multicast is delivered, with the multicast's tag (the caller's
+// InjectFlatTag argument, so a service can match each completion to its
+// request) and its completion latency.
 func (n *Network) OnCompleteTag(fn func(tag uint64, latencyCycles int64)) { n.onCompleteTag = fn }
 
 // chanOf returns the compact index of the channel a plan numbers id, on
@@ -772,25 +761,15 @@ func (n *Network) advanceTree(wi wormRef, w *worm) bool {
 func (n *Network) deliver(w *worm, d *delivery) {
 	d.done = true
 	w.undeliv--
-	mci := w.mcast
-	lat := n.cycle - w.spawned
+	mc := &n.mcSlots[w.mcast]
 	if n.onDelivery != nil {
-		n.onDelivery(d.dest, lat)
+		n.onDelivery(d.dest, n.cycle-w.spawned, mc.size)
 	}
-	if n.onDeliveryDetail != nil {
-		n.onDeliveryDetail(d.dest, lat, n.mcSlots[mci].size)
-	}
-	mc := &n.mcSlots[mci]
 	mc.remaining--
 	// A multicast that lost any destination to a fault never completes;
 	// completion latency is only defined for fully delivered multicasts.
-	if mc.remaining == 0 && mc.lost == 0 {
-		if n.onComplete != nil {
-			n.onComplete(n.cycle - mc.spawned)
-		}
-		if n.onCompleteTag != nil {
-			n.onCompleteTag(mc.tag, n.cycle-mc.spawned)
-		}
+	if mc.remaining == 0 && mc.lost == 0 && n.onCompleteTag != nil {
+		n.onCompleteTag(mc.tag, n.cycle-mc.spawned)
 	}
 }
 

@@ -53,7 +53,7 @@ func TestSingleWormLatency(t *testing.T) {
 	m := topology.NewMesh2D(8, 1)
 	n := NewNetwork(m)
 	var got int64 = -1
-	n.OnDelivery(func(_ topology.NodeID, cycles int64) { got = cycles })
+	n.OnDelivery(func(_ topology.NodeID, cycles int64, _ int) { got = cycles })
 	const L = 16
 	injectRoutes(n, []dfr.PathRoute{pathTo(0, 1, 2, 3, 4, 5)}, nil, L)
 	if !runUntilQuiet(n, 1000) {
@@ -71,7 +71,7 @@ func TestSingleFlitLatency(t *testing.T) {
 	m := topology.NewMesh2D(8, 1)
 	n := NewNetwork(m)
 	var got int64 = -1
-	n.OnDelivery(func(_ topology.NodeID, c int64) { got = c })
+	n.OnDelivery(func(_ topology.NodeID, c int64, _ int) { got = c })
 	injectRoutes(n, []dfr.PathRoute{pathTo(0, 1, 2, 3)}, nil, 1)
 	if !runUntilQuiet(n, 1000) {
 		t.Fatal("did not drain")
@@ -87,9 +87,9 @@ func TestPathWormMultiDestination(t *testing.T) {
 	m := topology.NewMesh2D(8, 1)
 	n := NewNetwork(m)
 	lat := map[topology.NodeID]int64{}
-	n.OnDelivery(func(d topology.NodeID, c int64) { lat[d] = c })
+	n.OnDelivery(func(d topology.NodeID, c int64, _ int) { lat[d] = c })
 	completed := int64(-1)
-	n.OnComplete(func(c int64) { completed = c })
+	n.OnCompleteTag(func(_ uint64, c int64) { completed = c })
 	p := dfr.PathRoute{Nodes: []topology.NodeID{0, 1, 2, 3, 4}, Dests: []topology.NodeID{2, 4}}
 	const L = 8
 	injectRoutes(n, []dfr.PathRoute{p}, nil, L)
@@ -110,7 +110,7 @@ func TestChannelContention(t *testing.T) {
 	m := topology.NewMesh2D(4, 4)
 	n := NewNetwork(m)
 	lat := map[topology.NodeID]int64{}
-	n.OnDelivery(func(d topology.NodeID, c int64) { lat[d] = c })
+	n.OnDelivery(func(d topology.NodeID, c int64, _ int) { lat[d] = c })
 	const L = 10
 	// Worm A: 0 -> 1 -> 2; worm B: 4 -> 0 -> 1 -> 5 shares channel (0,1)
 	// but must wait for A's tail.
@@ -170,7 +170,7 @@ func TestTreeWormAloneDelivers(t *testing.T) {
 	h := topology.NewHypercube(3)
 	n := NewNetwork(h)
 	lat := map[topology.NodeID]int64{}
-	n.OnDelivery(func(d topology.NodeID, c int64) { lat[d] = c })
+	n.OnDelivery(func(d topology.NodeID, c int64, _ int) { lat[d] = c })
 	const L = 16
 	tree := dfr.ECubeBroadcastTree(h, 0)
 	injectRoutes(n, nil, []dfr.TreeRoute{tree}, L)
@@ -252,10 +252,11 @@ func TestRunDualPathConverges(t *testing.T) {
 // TestRunSchemesNoDeadlockUnderLoad runs every scheme the routing
 // registry marks deadlock-free, on the 8x8 mesh and the 6-cube wherever
 // it builds, and checks that none of them deadlocks — the dynamic
-// counterpart of the CDG acyclicity proofs. The load keeps worms
-// contending for channels (mean latency up to three times the
-// contention-free floor) below saturation. Adaptive schemes route with
-// sight of the live channels.
+// counterpart of the CDG acyclicity proofs. The load saturates every
+// scheme: each run must end at the cycle cap with a growing backlog,
+// never meeting the stopping rule, so a scheme that deadlocks only near
+// saturation is caught. Adaptive schemes route with sight of the live
+// channels.
 func TestRunSchemesNoDeadlockUnderLoad(t *testing.T) {
 	ran := make(map[string]bool)
 	for _, topo := range []topology.Topology{topology.NewMesh2D(8, 8), topology.NewHypercube(6)} {
@@ -274,13 +275,13 @@ func TestRunSchemesNoDeadlockUnderLoad(t *testing.T) {
 			ran[info.Name] = true
 			cfg := Config{
 				Topology:               topo,
-				MeanInterarrivalMicros: 400,
-				AvgDests:               6,
+				MeanInterarrivalMicros: 150,
+				AvgDests:               10,
 				Seed:                   7,
 				WarmupDeliveries:       100,
 				BatchSize:              300,
 				MinBatches:             4,
-				MaxCycles:              150_000,
+				MaxCycles:              50_000,
 			}
 			if lr, ok := r.(routing.LiveRouter); ok {
 				cfg.LiveRoute = LiveRouteFuncOf(lr)
@@ -297,6 +298,10 @@ func TestRunSchemesNoDeadlockUnderLoad(t *testing.T) {
 			}
 			if res.Deliveries == 0 {
 				t.Errorf("%s made no deliveries", name)
+			}
+			if res.Converged || res.Cycles < cfg.MaxCycles {
+				t.Errorf("%s stopped at cycle %d (converged %v) below saturation; want the %d-cycle cap",
+					name, res.Cycles, res.Converged, cfg.MaxCycles)
 			}
 		}
 	}
@@ -434,7 +439,7 @@ func TestDoubleChannelClassesAreDistinct(t *testing.T) {
 	m := topology.NewMesh2D(3, 2)
 	n := NewNetwork(m)
 	lat := map[topology.NodeID]int64{}
-	n.OnDelivery(func(d topology.NodeID, c int64) {
+	n.OnDelivery(func(d topology.NodeID, c int64, _ int) {
 		if _, ok := lat[d]; !ok {
 			lat[d] = c
 		}

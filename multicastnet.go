@@ -139,8 +139,12 @@ func newSystem(t topology.Topology, ham *labeling.HamiltonCycle) (*System, error
 // NewMeshSystem builds a System over a width x height mesh. The sorted
 // MP/MC algorithms need a Hamilton cycle, which exists only when at least
 // one dimension is even; for odd x odd meshes the System is still usable
-// for every other algorithm and SortedMP returns an error.
+// for every other algorithm and SortedMP returns an error. A dimension
+// that is not positive is an error.
 func NewMeshSystem(width, height int) (*System, error) {
+	if err := topology.CheckMesh2D(width, height); err != nil {
+		return nil, err
+	}
 	m := topology.NewMesh2D(width, height)
 	var ham *labeling.HamiltonCycle
 	if c, err := labeling.MeshHamiltonCycle(m); err == nil {
@@ -149,8 +153,12 @@ func NewMeshSystem(width, height int) (*System, error) {
 	return newSystem(m, ham)
 }
 
-// NewCubeSystem builds a System over an n-cube.
+// NewCubeSystem builds a System over an n-cube. A dimension outside
+// 1..62 is an error.
 func NewCubeSystem(n int) (*System, error) {
+	if err := topology.CheckHypercube(n); err != nil {
+		return nil, err
+	}
 	h := topology.NewHypercube(n)
 	c, err := labeling.CubeHamiltonCycle(h)
 	if err != nil {
@@ -162,8 +170,12 @@ func NewCubeSystem(n int) (*System, error) {
 // NewMesh3DSystem builds a System over a 3D mesh (the Section 4.3
 // extension): the path-based deadlock-free schemes and the baselines are
 // available; the mesh-specific tree algorithms and the sorted MP/MC
-// algorithms (which need a Hamilton cycle construction) are not.
+// algorithms (which need a Hamilton cycle construction) are not. A
+// dimension that is not positive is an error.
 func NewMesh3DSystem(width, height, depth int) (*System, error) {
+	if err := topology.CheckMesh3D(width, height, depth); err != nil {
+		return nil, err
+	}
 	return newSystem(topology.NewMesh3D(width, height, depth), nil)
 }
 

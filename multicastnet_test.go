@@ -358,3 +358,28 @@ func TestMesh3DTreeFacade(t *testing.T) {
 		t.Error("XYZ-first should require a 3D mesh")
 	}
 }
+
+// TestSystemRejectsBadDimensions: the System constructors return an
+// error, not the topology package's panic, for dimensions it rejects.
+func TestSystemRejectsBadDimensions(t *testing.T) {
+	for name, build := range map[string]func() (*multicastnet.System, error){
+		"mesh 0x8":       func() (*multicastnet.System, error) { return multicastnet.NewMeshSystem(0, 8) },
+		"mesh 8x-1":      func() (*multicastnet.System, error) { return multicastnet.NewMeshSystem(8, -1) },
+		"cube 0":         func() (*multicastnet.System, error) { return multicastnet.NewCubeSystem(0) },
+		"cube -3":        func() (*multicastnet.System, error) { return multicastnet.NewCubeSystem(-3) },
+		"cube 63":        func() (*multicastnet.System, error) { return multicastnet.NewCubeSystem(63) },
+		"3D mesh 3x0x3":  func() (*multicastnet.System, error) { return multicastnet.NewMesh3DSystem(3, 0, 3) },
+		"3D mesh 3x3x-2": func() (*multicastnet.System, error) { return multicastnet.NewMesh3DSystem(3, 3, -2) },
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%s: panicked: %v", name, r)
+				}
+			}()
+			if sys, err := build(); err == nil || sys != nil {
+				t.Errorf("%s: got (%v, %v), want an error", name, sys, err)
+			}
+		}()
+	}
+}
