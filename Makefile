@@ -82,8 +82,9 @@ fuzz:
 # committed results/ files, each at the fidelity it is committed at:
 # mcfigures at -quick, every study at full fidelity, and full_static.txt
 # (Figs 7.1 and 7.2 at the paper's 1000 repetitions). Every command that
-# simulates and has the flag runs with -simcheck, wormsim's invariant
-# audit, which changes no output byte. `make results` runs
+# simulates runs with -simcheck, wormsim's invariant audit, which
+# changes no output byte; so do check-results' -fig replays and its
+# quick scale study. `make results` runs
 # it into results/, `make check-results` into scratch directories that it
 # compares with results/. It runs in a shell where $b holds the built
 # commands, $o is the output directory and $p the -parallel count
@@ -92,8 +93,8 @@ fuzz:
 FIGURES = $$b/mcfigures -quick -simcheck -parallel $$p -out $$o
 STUDIES = $$b/mcfault -simcheck -parallel $$p -out $$o && \
 	$$b/mcchurn -simcheck -parallel $$p -out $$o && \
-	$$b/mcserve -parallel $$p -out $$o && \
-	$$b/mcworkload -parallel $$p -out $$o && \
+	$$b/mcserve -simcheck -parallel $$p -out $$o && \
+	$$b/mcworkload -simcheck -parallel $$p -out $$o && \
 	{ $$b/mcfigures -parallel $$p -fig fig_7_1 && echo && \
 	  $$b/mcfigures -parallel $$p -fig fig_7_2 && echo; } >$$o/full_static.txt
 
@@ -133,12 +134,12 @@ check-results:
 	done; \
 	n=0; for f in $$(cat $$d/figures); do \
 		csv=; case $$f in *.csv) csv=-csv;; esac; \
-		$$b/mcfigures -quick -fig $${f%.*} $$csv >$$d/stdout 2>$$d/stderr && cmp -s $$d/stdout results/$$f || \
-			{ cat $$d/stderr; echo "check-results: mcfigures -quick -fig $${f%.*} $$csv differs from results/$$f"; exit 1; }; \
+		$$b/mcfigures -quick -simcheck -fig $${f%.*} $$csv >$$d/stdout 2>$$d/stderr && cmp -s $$d/stdout results/$$f || \
+			{ cat $$d/stderr; echo "check-results: mcfigures -quick -simcheck -fig $${f%.*} $$csv differs from results/$$f"; exit 1; }; \
 		n=$$((n+1)); \
 	done; \
 	echo "check-results: $$n mcfigures files printed byte for byte by -fig"; \
-	$$b/mcscale -quick -out $$d/scale >/dev/null 2>$$d/stderr || \
+	$$b/mcscale -quick -simcheck -out $$d/scale >/dev/null 2>$$d/stderr || \
 		{ cat $$d/stderr; echo "check-results: mcscale -quick self-audit failed"; exit 1; }; \
 	echo "check-results: mcscale -quick timed runs reproduce their warm-up runs"; \
 	$$b/mcworkload -quick -record bursty -o $$d/bursty.trace >/dev/null 2>$$d/stderr && \

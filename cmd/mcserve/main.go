@@ -19,6 +19,7 @@
 //	mcserve -parallel 4             # worker count (outputs unchanged)
 //	mcserve -csv                    # emit CSV on stdout instead of files
 //	mcserve -workload zipf          # the same sweep over another workload model
+//	mcserve -simcheck               # run wormsim invariant checks throughout
 package main
 
 import (
@@ -34,7 +35,7 @@ import (
 )
 
 func main() {
-	flags := cli.Register(cli.Out | cli.Quick | cli.Seed | cli.Parallel | cli.CSV | cli.Profile)
+	flags := cli.Register(cli.Out | cli.Quick | cli.Seed | cli.Parallel | cli.CSV | cli.SimCheck | cli.Profile)
 	models := experiments.WorkloadModelNames()
 	workloadModel := flag.String("workload", workload.ModelUniform, "workload model generating the request stream ("+strings.Join(models, ", ")+")")
 	flags.Run(func() error {
@@ -44,6 +45,7 @@ func main() {
 		}
 		opts.Seed = flags.Seed
 		opts.Parallel = flags.Parallel
+		opts.Check = flags.SimCheck
 		if !slices.Contains(models, *workloadModel) {
 			return fmt.Errorf("unknown -workload %q (valid: %s)", *workloadModel, strings.Join(models, ", "))
 		}

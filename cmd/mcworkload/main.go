@@ -17,6 +17,7 @@
 //	mcworkload -parallel 4              # worker count (outputs unchanged)
 //	mcworkload -record zipf -o s.trace  # record one model's stream to a trace file
 //	mcworkload -replay s.trace          # parse a trace, print its provenance and shape
+//	mcworkload -simcheck                # run wormsim invariant checks throughout
 package main
 
 import (
@@ -33,7 +34,7 @@ import (
 )
 
 func main() {
-	flags := cli.Register(cli.Out | cli.Quick | cli.Seed | cli.Parallel | cli.CSV | cli.Profile)
+	flags := cli.Register(cli.Out | cli.Quick | cli.Seed | cli.Parallel | cli.CSV | cli.SimCheck | cli.Profile)
 	record := flag.String("record", "", "record the named model's stream to -o instead of running the study")
 	recordOut := flag.String("o", "", "trace output path for -record (default stdout)")
 	replay := flag.String("replay", "", "print a summary of a trace file and exit")
@@ -44,6 +45,7 @@ func main() {
 		}
 		opts.Seed = flags.Seed
 		opts.Parallel = flags.Parallel
+		opts.Check = flags.SimCheck
 
 		if *record != "" {
 			return recordTrace(*record, *recordOut, opts)

@@ -7,7 +7,9 @@
 package dfr
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"multicastnet/internal/core"
@@ -136,18 +138,30 @@ func (s Star) Validate(t topology.Topology, k core.MulticastSet) error {
 
 // HighLowPartition is the message preparation of the dual-path algorithm
 // (Fig. 6.11): split the destinations into D_H (labels above the source,
-// ascending) and D_L (labels below, descending).
+// ascending) and D_L (labels below, descending). Both halves share one
+// array of len(k.Dests) entries; D_H's capacity ends where D_L begins,
+// so appending to either copies it. An empty half is nil.
 func HighLowPartition(l labeling.Labeling, k core.MulticastSet) (dh, dl []topology.NodeID) {
+	buf := make([]topology.NodeID, len(k.Dests))
+	h, lo := 0, len(buf)
 	l0 := l.Label(k.Source)
 	for _, d := range k.Dests {
 		if l.Label(d) > l0 {
-			dh = append(dh, d)
+			buf[h] = d
+			h++
 		} else {
-			dl = append(dl, d)
+			lo--
+			buf[lo] = d
 		}
 	}
-	sort.Slice(dh, func(i, j int) bool { return l.Label(dh[i]) < l.Label(dh[j]) })
-	sort.Slice(dl, func(i, j int) bool { return l.Label(dl[i]) > l.Label(dl[j]) })
+	if h > 0 {
+		dh = buf[:h:h]
+		slices.SortFunc(dh, func(a, b topology.NodeID) int { return cmp.Compare(l.Label(a), l.Label(b)) })
+	}
+	if lo < len(buf) {
+		dl = buf[lo:]
+		slices.SortFunc(dl, func(a, b topology.NodeID) int { return cmp.Compare(l.Label(b), l.Label(a)) })
+	}
 	return dh, dl
 }
 

@@ -199,6 +199,41 @@ func randomSet(t topology.Topology, rng *stats.Rand, k int) core.MulticastSet {
 	return core.MustMulticastSet(t, src, dests)
 }
 
+// TestHighLowPartitionHalves checks the partition on random sets: D_H
+// holds the destinations labelled above the source in ascending label
+// order, D_L the others in descending order, an empty half is nil, and
+// appending to D_H, which shares D_L's array, leaves D_L as it was.
+func TestHighLowPartitionHalves(t *testing.T) {
+	m := topology.NewMesh2D(6, 6)
+	l := labeling.NewMeshBoustrophedon(m)
+	rng := stats.NewRand(43)
+	for trial := 0; trial < 300; trial++ {
+		k := randomSet(m, rng, 1+rng.Intn(m.Nodes()-1))
+		dh, dl := HighLowPartition(l, k)
+		if len(dh)+len(dl) != len(k.Dests) || (len(dh) == 0) != (dh == nil) || (len(dl) == 0) != (dl == nil) {
+			t.Fatalf("trial %d: %d dests split into D_H %v and D_L %v", trial, len(k.Dests), dh, dl)
+		}
+		l0 := l.Label(k.Source)
+		for i, d := range dh {
+			if l.Label(d) <= l0 || i > 0 && l.Label(d) <= l.Label(dh[i-1]) {
+				t.Fatalf("trial %d: D_H %v is not ascending above label %d", trial, dh, l0)
+			}
+		}
+		for i, d := range dl {
+			if l.Label(d) >= l0 || i > 0 && l.Label(d) >= l.Label(dl[i-1]) {
+				t.Fatalf("trial %d: D_L %v is not descending below label %d", trial, dl, l0)
+			}
+		}
+		before := append([]topology.NodeID(nil), dl...)
+		_ = append(dh, k.Source)
+		for i := range dl {
+			if dl[i] != before[i] {
+				t.Fatalf("trial %d: appending to D_H changed D_L from %v to %v", trial, before, dl)
+			}
+		}
+	}
+}
+
 // TestPathSchemesPropertyMesh checks on random mesh workloads: valid
 // delivery, label monotonicity per path, and the traffic ordering
 // multi <= dual <= fixed.

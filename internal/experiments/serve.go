@@ -53,6 +53,10 @@ type ServeOptions struct {
 	// generates each point's stream at its inter-arrival gap. The
 	// committed serving figures run the uniform model.
 	Workload string
+
+	// Check runs the simulator's invariant audit in every run (see
+	// sched.ServeConfig.Check); outputs are unchanged.
+	Check bool
 }
 
 // ServeDefaults are the committed-figure settings. Budget 220 sits ~70
@@ -115,7 +119,7 @@ type servePolicy struct {
 // plan cache on st: the one serving run of the serving study and the
 // workload study's packer sweep.
 func serve(st *routing.State, budget int32, workers int, window int64, flits int,
-	maxCycles int64, src *workload.Stream) sched.ServeResult {
+	maxCycles int64, src *workload.Stream, check bool) sched.ServeResult {
 	cache := routing.NewPlanCache(0)
 	r, err := routing.New("dual-path", st)
 	if err != nil {
@@ -129,6 +133,7 @@ func serve(st *routing.State, budget int32, workers int, window int64, flits int
 		Flits:        flits,
 		MaxCycles:    maxCycles,
 		Cache:        cache,
+		Check:        check,
 	})
 }
 
@@ -169,7 +174,7 @@ func ServeStudy(o ServeOptions) ServeStudyResult {
 		if err != nil {
 			panic(err)
 		}
-		return serve(st, p.budget, o.Parallel, window, o.Flits, o.MaxCycles, src)
+		return serve(st, p.budget, o.Parallel, window, o.Flits, o.MaxCycles, src, o.Check)
 	}
 
 	var points []SweepPoint

@@ -95,6 +95,10 @@ type WorkloadOptions struct {
 	// committed 64x64 mesh and 4096-node hypercube. The packer sweep
 	// runs on Topos[0].
 	Topos []WorkloadTopo
+
+	// Check runs the simulator's invariant audit in every run of both
+	// sweeps; outputs are unchanged.
+	Check bool
 }
 
 func (o WorkloadOptions) models() []string {
@@ -218,6 +222,7 @@ func workloadSimRun(topo topology.Topology, st *routing.State, scheme, model, to
 		BatchSize:    200,
 		MinBatches:   1 << 30, // never converge early: drain the stream
 		MaxCycles:    o.MaxCycles,
+		Check:        o.Check,
 	})
 	if err != nil {
 		panic(err)
@@ -294,7 +299,7 @@ func WorkloadStudy(o WorkloadOptions) WorkloadStudyResult {
 			points = append(points, SweepPoint{
 				Run: func() any {
 					return serve(pst, policy.budget, o.Parallel, o.Window, o.Flits, o.MaxCycles,
-						workloadStream(ptopo, model, pt.Name, o))
+						workloadStream(ptopo, model, pt.Name, o), o.Check)
 				},
 				Commit: func(v any) {
 					res := v.(sched.ServeResult)

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"sort"
 
 	"multicastnet/internal/routing"
@@ -28,6 +29,12 @@ type ServeConfig struct {
 	// Cache, when set, is the PlanCache backing Service.Router; Serve
 	// reports its hit rate over the run.
 	Cache *routing.PlanCache
+
+	// Check runs the simulator's invariant audit
+	// (wormsim.Network.CheckInvariants) after every window close and at
+	// the end — the -simcheck mode. A violation, which only a simulator
+	// bug can cause, panics with the cycle it was found at.
+	Check bool
 }
 
 // ServeResult aggregates one serving run. Latencies are full
@@ -104,6 +111,9 @@ func Serve(cfg ServeConfig) ServeResult {
 				net.InjectFlatTag(a.Flat, cfg.Flits, a.ID)
 			}
 			nextWindow += cfg.WindowCycles
+			if cfg.Check {
+				audit(net, "")
+			}
 		}
 		if done() {
 			break
@@ -122,6 +132,9 @@ func Serve(cfg ServeConfig) ServeResult {
 			net.Step()
 		}
 		now = net.Cycle()
+	}
+	if cfg.Check {
+		audit(net, " (end)")
 	}
 
 	res := ServeResult{
@@ -159,4 +172,11 @@ func Serve(cfg ServeConfig) ServeResult {
 		}
 	}
 	return res
+}
+
+// audit panics with the simulator's first invariant violation, if any.
+func audit(net *wormsim.Network, when string) {
+	if err := net.CheckInvariants(); err != nil {
+		panic(fmt.Errorf("sched: cycle %d%s: %w", net.Cycle(), when, err))
+	}
 }

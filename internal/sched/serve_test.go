@@ -39,11 +39,17 @@ func TestServeCompletesAll(t *testing.T) {
 }
 
 // TestServeDeterministic pins the determinism protocol end to end: the
-// full ServeResult is identical at any planning worker count.
+// full ServeResult is identical at any planning worker count, and with
+// the simulator's invariant audit on, which must find no violation.
 func TestServeDeterministic(t *testing.T) {
 	want := Serve(serveConfig(t, 40, 1))
 	if got := Serve(serveConfig(t, 40, 4)); got != want {
 		t.Fatalf("workers=4 diverged:\nwant %+v\ngot  %+v", want, got)
+	}
+	checked := serveConfig(t, 40, 1)
+	checked.Check = true
+	if got := Serve(checked); got != want {
+		t.Fatalf("Check diverged:\nwant %+v\ngot  %+v", want, got)
 	}
 }
 

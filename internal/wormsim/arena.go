@@ -68,6 +68,15 @@ func (n *Network) recycleWorm(wi wormRef) {
 	n.free = append(n.free, wi)
 }
 
+// grow extends s with zero values to n entries if it is shorter: how the
+// audits' scratch keeps up with the arena and the channel table.
+func grow[T any](s []T, n int) []T {
+	if len(s) < n {
+		s = append(s, make([]T, n-len(s))...)
+	}
+	return s
+}
+
 // growLevels resizes a recycled levels slice to maxd frontiers, reusing
 // every level's channel and taken arrays.
 func growLevels(levels []treeLevel, maxd int) []treeLevel {

@@ -47,6 +47,8 @@ type ckWorm struct {
 //     queuedAt == headIdx, an untaken channel of a tree worm's queued
 //     frontier level), and every such worm is in that FIFO. The
 //     one-edge-per-position wait-for graph of DetectDeadlock rests on it;
+//   - active list: every live worm whose header need is not queued yet
+//     is on the active list, where DetectDeadlock's search starts;
 //   - delivery conservation: per-worm undelivered counts match the
 //     delivery flags, and each multicast's remaining+lost+delivered
 //     partitions its destination set.
@@ -54,19 +56,9 @@ func (n *Network) CheckInvariants() error {
 	ck := &n.ck
 	ck.epoch++
 	base := ck.epoch
-	if len(ck.ownerStamp) < len(n.chanOwner) {
-		grow := len(n.chanOwner) - len(ck.ownerStamp)
-		ck.ownerStamp = append(ck.ownerStamp, make([]int64, grow)...)
-		ck.owner = append(ck.owner, make([]wormRef, grow)...)
-	}
-	if len(ck.worms) < len(n.slots) {
-		ck.worms = append(ck.worms, make([]ckWorm, len(n.slots)-len(ck.worms))...)
-	}
-	if len(ck.mcStamp) < len(n.mcSlots) {
-		grow := len(n.mcSlots) - len(ck.mcStamp)
-		ck.mcStamp = append(ck.mcStamp, make([]int64, grow)...)
-		ck.mcUndeliv = append(ck.mcUndeliv, make([]int32, grow)...)
-	}
+	ck.ownerStamp, ck.owner = grow(ck.ownerStamp, len(n.chanOwner)), grow(ck.owner, len(n.chanOwner))
+	ck.worms = grow(ck.worms, len(n.slots))
+	ck.mcStamp, ck.mcUndeliv = grow(ck.mcStamp, len(n.mcSlots)), grow(ck.mcUndeliv, len(n.mcSlots))
 	ck.mcList = ck.mcList[:0]
 	live := 0
 	for _, wi := range n.worms {
@@ -187,10 +179,19 @@ func (n *Network) CheckInvariants() error {
 	// Every FIFO entry matched a distinct (worm, channel) pair of its
 	// worm's queued state, so a count left over is a pair missing from
 	// its FIFO.
+	ck.epoch++
+	for _, wi := range n.active {
+		ck.worms[wi].stamp = ck.epoch
+	}
 	for _, wi := range n.worms {
-		if w := &n.slots[wi]; !w.done && ck.worms[wi].queued != 0 {
+		w := &n.slots[wi]
+		if !w.done && ck.worms[wi].queued != 0 {
 			return fmt.Errorf("wormsim: worm %d is queued by its state but missing from %d wait queue(s)",
 				w.id, ck.worms[wi].queued)
+		}
+		if !w.done && ck.worms[wi].stamp != ck.epoch && (w.headIdx < len(w.chans) && w.queuedAt != w.headIdx ||
+			w.kind == treeWorm && w.headIdx < len(w.levels) && !w.levels[w.headIdx].queued) {
+			return fmt.Errorf("wormsim: worm %d needs a channel it is not queued on but is not active", w.id)
 		}
 	}
 	for _, mci := range ck.mcList {

@@ -8,10 +8,11 @@ import (
 	"multicastnet/internal/topology"
 )
 
-// TestCheckInvariantsQueueMembership corrupts one wait queue, or the
-// worm-side state it mirrors, and expects CheckInvariants to name the
-// break of the membership property DetectDeadlock's graph rests on: a
-// worm is queued on exactly the channels its header waits for.
+// TestCheckInvariantsQueueMembership corrupts one wait queue, the
+// worm-side state it mirrors or the active list, and expects
+// CheckInvariants to name the break of a property DetectDeadlock rests
+// on: a worm is queued on exactly the channels its header waits for, and
+// a worm whose header need is not queued yet is on the active list.
 func TestCheckInvariantsQueueMembership(t *testing.T) {
 	// Worm 0 holds channel 0->1 for 16 flits; path worm 1 and tree worm 2
 	// then queue on it, in that order.
@@ -53,6 +54,15 @@ func TestCheckInvariantsQueueMembership(t *testing.T) {
 			w := &n.slots[n.chanWaiters(id)[1]]
 			w.levels[w.headIdx].queued = false
 		}, "worm 2 queued on channel"},
+		{"unqueued path worm left off the active list", func(n *Network, id int32) {
+			injectRoutes(n, []dfr.PathRoute{pathTo(2, 1)}, nil, 4)
+			n.active = n.active[:len(n.active)-1]
+		}, "worm 3 needs a channel it is not queued on but is not active"},
+		{"unqueued tree worm left off the active list", func(n *Network, id int32) {
+			injectRoutes(n, nil, []dfr.TreeRoute{{Root: 2, Edges: []dfr.Channel{{From: 2, To: 1}},
+				Dests: []topology.NodeID{1}}}, 4)
+			n.active = n.active[:len(n.active)-1]
+		}, "worm 3 needs a channel it is not queued on but is not active"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			n, id := build(t)

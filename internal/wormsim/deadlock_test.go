@@ -125,46 +125,84 @@ var ddSchemes = routing.Names()
 // that builds on it, one random multicast per script byte (low two bits:
 // the gap in cycles after the previous one; the rest: the average
 // destination count), messages of 1+length%12 flits, the outgoing
-// channels of one node failed at cycle failAt when it is non-zero.
+// channels of one node failed at cycle failAt when it is non-zero, and
+// deadlock checks every 1+period%64 cycles in the periodic run.
 type ddCase struct {
 	topo, size, scheme uint8
 	seed               uint64
 	script             []byte
 	length, failAt     uint8
+	period             uint8
 }
 
 // ddSeeds are the fuzz seeds; TestDetectDeadlockMatchesReference runs
-// them as a fixed regression suite. The last two close a cycle through a
-// worm that has advanced but is not yet queued on its next channel.
+// them as a fixed regression suite. The two after the first ten close a
+// cycle through a worm that has advanced but is not yet queued on its
+// next channel. In the periodic run of the next one the first check
+// already finds a cycle, which the second must find again; in the last
+// one's, a fault removes a worm from the middle of a FIFO between two
+// checks.
 var ddSeeds = []ddCase{
-	{topo: 0, size: 10, scheme: 6, seed: 1, script: []byte{20, 24, 28, 32, 20, 24, 28, 32, 36, 40, 44, 48}, length: 8},
-	{topo: 0, size: 15, scheme: 6, seed: 7, script: []byte{60, 61, 62, 63, 60, 61, 62, 63, 60, 61}, length: 11},
-	{topo: 0, size: 5, scheme: 6, seed: 3, script: []byte{12, 16, 20, 24, 28, 12, 16, 20}, length: 6, failAt: 9},
-	{topo: 0, size: 10, scheme: 7, seed: 11, script: []byte{40, 41, 42, 43, 44, 45, 46, 47, 48, 49}, length: 9, failAt: 14},
-	{topo: 0, size: 6, scheme: 2, seed: 5, script: []byte{8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19}, length: 7},
-	{topo: 0, size: 9, scheme: 5, seed: 13, script: []byte{24, 25, 26, 27, 24, 25, 26, 27}, length: 5, failAt: 6},
-	{topo: 1, size: 2, scheme: 1, seed: 17, script: []byte{32, 0, 1, 2, 3, 32, 33, 34}, length: 10},
-	{topo: 1, size: 3, scheme: 4, seed: 19, script: []byte{16, 17, 18, 19, 20, 21, 22, 23}, length: 4, failAt: 5},
-	{topo: 0, size: 12, scheme: 0, seed: 23, script: []byte{12, 13, 14, 15, 16, 17, 18, 19}, length: 12},
-	{topo: 1, size: 1, scheme: 8, seed: 29, script: []byte{28, 29, 30, 31, 28, 29}, length: 3, failAt: 3},
+	{topo: 0, size: 10, scheme: 6, seed: 1, script: []byte{20, 24, 28, 32, 20, 24, 28, 32, 36, 40, 44, 48}, length: 8, period: 63},
+	{topo: 0, size: 15, scheme: 6, seed: 7, script: []byte{60, 61, 62, 63, 60, 61, 62, 63, 60, 61}, length: 11, period: 7},
+	{topo: 0, size: 5, scheme: 6, seed: 3, script: []byte{12, 16, 20, 24, 28, 12, 16, 20}, length: 6, failAt: 9, period: 3},
+	{topo: 0, size: 10, scheme: 7, seed: 11, script: []byte{40, 41, 42, 43, 44, 45, 46, 47, 48, 49}, length: 9, failAt: 14, period: 5},
+	{topo: 0, size: 6, scheme: 2, seed: 5, script: []byte{8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19}, length: 7, period: 15},
+	{topo: 0, size: 9, scheme: 5, seed: 13, script: []byte{24, 25, 26, 27, 24, 25, 26, 27}, length: 5, failAt: 6, period: 1},
+	{topo: 1, size: 2, scheme: 1, seed: 17, script: []byte{32, 0, 1, 2, 3, 32, 33, 34}, length: 10, period: 31},
+	{topo: 1, size: 3, scheme: 4, seed: 19, script: []byte{16, 17, 18, 19, 20, 21, 22, 23}, length: 4, failAt: 5, period: 2},
+	{topo: 0, size: 12, scheme: 0, seed: 23, script: []byte{12, 13, 14, 15, 16, 17, 18, 19}, length: 12, period: 9},
+	{topo: 1, size: 1, scheme: 8, seed: 29, script: []byte{28, 29, 30, 31, 28, 29}, length: 3, failAt: 3, period: 4},
 	{topo: 0, size: 0, scheme: 6, seed: 112, script: []byte{0xb2, 0xd2, 0xd8, 0x60, 0x36, 0x2e, 0x5d, 0x8e,
 		0x1e, 0xca, 0x9e, 0xb2, 0x62, 0x1f, 0xc3}, length: 11, failAt: 7},
 	{topo: 0, size: 1, scheme: 6, seed: 187, script: []byte{0x0d, 0x5e, 0x80, 0x5f, 0x3a, 0xa9, 0x43, 0x10,
 		0xfb, 0x73, 0x72, 0x85, 0xe4, 0xde, 0x22, 0xdc, 0x46, 0x86, 0x29, 0x55, 0x70}, length: 8},
+	{topo: 0xfe, size: 6, scheme: 0x21, seed: 0x37a, script: []byte{0x6b, 0xa9, 0x89, 0x53, 0x48, 0x9c, 0x41,
+		0xc0, 0x2e, 0x66, 0xfa}, length: 4, period: 0x1c},
+	{topo: 0x4e, size: 0x7b, scheme: 0, seed: 0x38a, script: []byte{0x25, 0x02, 0xd1, 0x25, 0xa6, 0x62, 0x88,
+		0x04, 0xeb, 0x2a, 0xdc, 0x94, 0x51, 0x67}, length: 0x99, failAt: 0x23, period: 0x18},
 }
 
-// ddStats counts the checks one case made and how many found a cycle.
+// ddStats counts the checks cases made and how many found a cycle, and
+// records whether the cases reached the situations the search's start
+// points exist for.
 type ddStats struct {
 	checks, deadlocked int
 	faulted            bool
+	// foundAgain: a run's first check found a cycle and its second
+	// found one again.
+	foundAgain bool
+	// midDequeue: after a check that found no cycle, a fault removed a
+	// queued worm with a waiter behind it, and a later check ran.
+	midDequeue bool
 }
 
-// runDeadlockCase simulates c and, after every injection burst and every
-// Step, requires that DetectDeadlock finds a cycle exactly when the
-// reference does, that any cycle it returns is one of the reference
-// relation, and that the full invariants — queue membership among
-// them — hold.
+func (s *ddStats) add(o ddStats) {
+	s.checks += o.checks
+	s.deadlocked += o.deadlocked
+	s.faulted = s.faulted || o.faulted
+	s.foundAgain = s.foundAgain || o.foundAgain
+	s.midDequeue = s.midDequeue || o.midDequeue
+}
+
+// runDeadlockCase simulates c twice: once checking after every
+// injection burst and every Step, once checking only every 1+period%64
+// cycles, the way Run checks every 64, so that the worms whose wait-for
+// edges changed pile up between checks. Each check requires that
+// DetectDeadlock finds a cycle exactly when the all-ahead reference
+// does, and that any cycle it returns is one of the reference relation;
+// the full invariants, queue membership and the active list among them,
+// must hold after every Step.
 func runDeadlockCase(t *testing.T, c ddCase) ddStats {
+	var res ddStats
+	res.add(simulateDeadlockCase(t, c, 0))
+	res.add(simulateDeadlockCase(t, c, 1+int64(c.period)%64))
+	return res
+}
+
+// simulateDeadlockCase is one run of runDeadlockCase; period 0 checks
+// around every Step.
+func simulateDeadlockCase(t *testing.T, c ddCase, period int64) ddStats {
 	var topo topology.Topology
 	if c.topo%2 == 0 {
 		topo = topology.NewMesh2D(2+int(c.size)%4, 2+int(c.size/4)%4)
@@ -193,15 +231,21 @@ func runDeadlockCase(t *testing.T, c ddCase) ddStats {
 	}
 	length := 1 + int(c.length)%12
 	failNode := topology.NodeID(rng.Intn(topo.Nodes()))
+	var verdicts []bool // every check's verdict, in order
+	midDequeue := false // a fault removed a worm from mid-FIFO since the last clean check
 	check := func(label string) {
 		t.Helper()
 		got := net.DetectDeadlock()
 		want, waits := detectDeadlockRef(net)
 		res.checks++
 		if (got == nil) != (want == nil) {
-			t.Fatalf("%s %s cycle %d %s: DetectDeadlock = %v, reference = %v",
-				topo.Name(), name, net.Cycle(), label, got, want)
+			t.Fatalf("%s %s cycle %d %s (checks every %d cycles): DetectDeadlock = %v, reference = %v",
+				topo.Name(), name, net.Cycle(), label, period, got, want)
 		}
+		res.foundAgain = res.foundAgain || len(verdicts) == 1 && verdicts[0] && got != nil
+		res.midDequeue = res.midDequeue || midDequeue
+		midDequeue = false
+		verdicts = append(verdicts, got != nil)
 		if got != nil {
 			res.deadlocked++
 			checkWaitCycle(t, label+" reference", want, waits)
@@ -228,48 +272,62 @@ func runDeadlockCase(t *testing.T, c ddCase) ddStats {
 			}
 		}
 		if c.failAt > 0 && cycle == int64(c.failAt) {
+			fifos := make([][]wormRef, len(net.chanQueue))
+			for id := range fifos {
+				fifos[id] = append([]wormRef(nil), net.chanWaiters(int32(id))...)
+			}
 			net.FailWhere(func(ch dfr.Channel) bool { return ch.From == failNode })
 			res.faulted = true
+			clean := len(verdicts) > 0 && !verdicts[len(verdicts)-1]
+			for _, q := range fifos {
+				for i := 0; clean && i+1 < len(q); i++ {
+					midDequeue = midDequeue || net.slots[q[i]].done && !net.slots[q[len(q)-1]].done
+				}
+			}
 		}
-		check("before step")
+		if period == 0 {
+			check("before step")
+		}
 		net.Step()
 		if err := net.CheckInvariants(); err != nil {
 			t.Fatalf("%s %s cycle %d: %v", topo.Name(), name, net.Cycle(), err)
 		}
-		check("after step")
+		if period == 0 || net.Cycle()%period == 0 {
+			check("after step")
+		}
 		if next == len(script) && net.Idle() {
 			break // drained, or every worm left is parked on a cycle
 		}
 	}
+	check("at the end")
 	return res
 }
 
 // TestDetectDeadlockMatchesReference runs the fuzz seeds: the
-// one-edge-per-FIFO-position graph must agree with the all-ahead
-// reference at every check, and the seeds must reach real deadlocks and
-// faults, or the agreement is vacuous.
+// change-driven search must agree with the all-ahead reference at every
+// check, and the seeds must reach real deadlocks, faults, a cycle found
+// by the first two checks of a run and a fault that removes a worm from
+// the middle of a FIFO between checks, or the agreement is vacuous.
 func TestDetectDeadlockMatchesReference(t *testing.T) {
 	var total ddStats
 	for _, c := range ddSeeds {
-		s := runDeadlockCase(t, c)
-		total.checks += s.checks
-		total.deadlocked += s.deadlocked
-		total.faulted = total.faulted || s.faulted
+		total.add(runDeadlockCase(t, c))
 	}
-	if total.deadlocked == 0 || !total.faulted {
-		t.Fatalf("seeds made %d checks, %d deadlocked, faulted=%v: coverage is vacuous",
-			total.checks, total.deadlocked, total.faulted)
+	if total.deadlocked == 0 || !total.faulted || !total.foundAgain || !total.midDequeue {
+		t.Fatalf("seeds made %d checks, %d deadlocked, faulted=%v, foundAgain=%v, midDequeue=%v: coverage is vacuous",
+			total.checks, total.deadlocked, total.faulted, total.foundAgain, total.midDequeue)
 	}
 }
 
 // FuzzDetectDeadlock is TestDetectDeadlockMatchesReference over
-// fuzzer-chosen topologies, schemes, injection scripts and faults.
+// fuzzer-chosen topologies, schemes, injection scripts, faults and check
+// periods.
 func FuzzDetectDeadlock(f *testing.F) {
 	for _, c := range ddSeeds {
-		f.Add(c.topo, c.size, c.scheme, c.seed, c.script, c.length, c.failAt)
+		f.Add(c.topo, c.size, c.scheme, c.seed, c.script, c.length, c.failAt, c.period)
 	}
 	f.Fuzz(func(t *testing.T, topo, size, scheme uint8, seed uint64, script []byte,
-		length, failAt uint8) {
-		runDeadlockCase(t, ddCase{topo, size, scheme, seed, script, length, failAt})
+		length, failAt, period uint8) {
+		runDeadlockCase(t, ddCase{topo, size, scheme, seed, script, length, failAt, period})
 	})
 }

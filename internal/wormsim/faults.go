@@ -32,9 +32,7 @@ func (n *Network) KilledWorms() int { return n.killed }
 func (n *Network) FailWhere(pred func(c dfr.Channel) bool) int {
 	n.deadPreds = append(n.deadPreds, pred)
 	n.victimEpoch++
-	if len(n.victimStamp) < len(n.slots) {
-		n.victimStamp = append(n.victimStamp, make([]int64, len(n.slots)-len(n.victimStamp))...)
-	}
+	n.victimStamp = grow(n.victimStamp, len(n.slots))
 	victims := n.victimBuf[:0]
 	collect := func(wi wormRef) {
 		if wi >= 0 && !n.slots[wi].done && n.victimStamp[wi] != n.victimEpoch {
@@ -132,6 +130,9 @@ func (n *Network) dequeue(id int32, wi wormRef) {
 	for i, x := range live {
 		if x == wi {
 			n.chanQueue[id] = append(q[:h+i], live[i+1:]...)
+			if n.dd.clean > 0 && i+1 < len(live) {
+				n.dd.mark(n.chanQueue[id][h+i]) // it now waits for the worm ahead of wi
+			}
 			break
 		}
 	}

@@ -59,7 +59,10 @@
 //     (worms were always processed in injection order).
 //   - The cold audits reuse epoch-stamped scratch (DetectDeadlock,
 //     CheckInvariants, FailWhere), so periodic checks neither allocate
-//     nor distort profiles.
+//     nor distort profiles. DetectDeadlock starts only from the worms
+//     that enqueued, or sat behind a fault-dequeued worm, since its last
+//     nil verdict, and from the active list: a new cycle uses one of
+//     their changed edges, so every call is exact.
 //
 // Stepping is serial: one engine advances every worm of a run in
 // ascending id order. Parallelism lives one layer up, where independent
@@ -358,6 +361,9 @@ func (n *Network) see(id, from, to int32) int32 {
 // stalls O(1) per cycle.
 func (n *Network) chanEnqueue(id int32, wi wormRef) {
 	n.chanQueue[id] = append(n.chanQueue[id], wi)
+	if n.dd.clean > 0 {
+		n.dd.mark(wi)
+	}
 }
 
 // chanWaiters is the live FIFO content of channel id, front first.
@@ -773,37 +779,40 @@ func (n *Network) deliver(w *worm, d *delivery) {
 	}
 }
 
-// ddScratch is DetectDeadlock's reusable, epoch-stamped state. Its graph
-// rests on one property of the wait queues: a worm is queued on exactly
-// the channels its header waits for — a path worm on chans[headIdx] when
-// queuedAt == headIdx, a tree worm on the untaken channels of a queued
-// frontier level (CheckInvariants checks both directions). Walking a
-// channel's FIFO therefore visits every queued waiter of that channel,
-// and a worm's own state says whether it is among them.
+// ddScratch is DetectDeadlock's state: the marks, which persist between
+// calls, and per-call scratch stamped with the call count.
 type ddScratch struct {
-	live   []wormRef
-	pos    []int32 // slot -> index into live, valid when stamp == epoch
-	stamp  []int64
-	epoch  int64
-	chans  []ddChan  // per channel id
-	adj    [][]int32 // wait-for edges, indexed by live position
-	color  []uint8
-	parent []int32
-	stack  []ddFrame
+	call    int64
+	clean   int64     // the last call that returned nil; from the first, worms are marked
+	changed []wormRef // worms marked since the last nil verdict
+	slots   []ddSlot  // per worm slot
+	fifo    []int64   // per channel: the call that walked its FIFO
+	links   []ddLink  // this call's wait-for edges, chained per worm
+	stack   []ddLink  // the search path, each worm with its next edge
 }
 
-// ddChan is one channel's FIFO state in a DetectDeadlock check.
-type ddChan struct {
-	epoch int64 // the FIFO's edges were added in this check
-	tail  int32 // live index of the last live waiter, or -1
+// ddSlot is one worm slot's DetectDeadlock state.
+type ddSlot struct {
+	stamp  int64 // 3*call: edges listed; +1: on the search path; +2: searched
+	marked int64 // the clean call since which the worm is in changed
+	first  int32 // the worm's first edge in links this call, or -1
 }
 
-// ddFrame is one explicit DFS frame: the iterative traversal keeps very
-// large in-flight worm populations from overflowing the goroutine stack
-// (the recursion depth equals the wait-for chain length).
-type ddFrame struct {
-	u    int32
-	next int32 // index into adj[u] of the next edge to explore
+// ddLink is a wait-for edge to worm w, or a search-path frame at worm w;
+// next is the index in links of the worm's next edge, or -1. The explicit
+// path keeps long wait-for chains off the goroutine stack.
+type ddLink struct {
+	w    wormRef
+	next int32
+}
+
+// mark records that worm wi's wait-for edges changed.
+func (dd *ddScratch) mark(wi wormRef) {
+	dd.slots = grow(dd.slots, int(wi)+1)
+	if s := &dd.slots[wi]; s.marked != dd.clean {
+		s.marked = dd.clean
+		dd.changed = append(dd.changed, wi)
+	}
 }
 
 // DetectDeadlock searches the wait-for graph for a cycle. Worm A waits
@@ -812,13 +821,19 @@ type ddFrame struct {
 // acquired until its header advances (wormhole flow control,
 // Section 2.3.4), a wait-for cycle is a permanent deadlock.
 //
-// The graph keeps one edge per FIFO position of each needed channel:
-// every live waiter points at its nearest live predecessor, the first at
-// the owner, and a worm that needs the channel but is not queued on it
-// at the last live waiter (the owner when nobody waits). Each such edge
-// is a wait-for relation and each wait-for relation is a path of them,
-// so the graph has a cycle exactly when the relation does, at a size
-// linear in the queue lengths rather than quadratic.
+// The search follows one edge per FIFO position of each needed channel:
+// every waiter points at the waiter ahead of it, the first at the owner,
+// and a worm that needs the channel but is not queued on it at the last
+// waiter (the owner when nobody waits). Each such edge is a wait-for
+// relation and each wait-for relation is a path of them.
+//
+// Until a call returns nil, a call starts from every live worm. After,
+// it starts only from the worms whose edges can have changed since the
+// last nil verdict: those that queued on a channel (chanEnqueue marks
+// them), the waiter behind a worm a fault removed from a FIFO (dequeue
+// marks it), and the active list, which holds every worm that needs a
+// channel it is not queued on (CheckInvariants). A cycle the clean graph
+// lacked uses a changed edge, so every call is exact.
 //
 // It returns the ids of the worms on one cycle — each waits for the one
 // before it, the first for the last — or nil. Steady-state calls
@@ -826,137 +841,105 @@ type ddFrame struct {
 // allocation).
 func (n *Network) DetectDeadlock() []int {
 	dd := &n.dd
-	dd.epoch++
-	if len(dd.stamp) < len(n.slots) {
-		dd.stamp = append(dd.stamp, make([]int64, len(n.slots)-len(dd.stamp))...)
-		dd.pos = append(dd.pos, make([]int32, len(n.slots)-len(dd.pos))...)
+	dd.call++
+	dd.slots, dd.fifo = grow(dd.slots, len(n.slots)), grow(dd.fifo, len(n.chanOwner))
+	dd.links = dd.links[:0]
+	starts := [2][]wormRef{n.worms}
+	if dd.clean > 0 {
+		starts = [2][]wormRef{dd.changed, n.active}
 	}
-	if len(dd.chans) < len(n.chanOwner) {
-		dd.chans = append(dd.chans, make([]ddChan, len(n.chanOwner)-len(dd.chans))...)
-	}
-	live := dd.live[:0]
-	for _, wi := range n.worms {
-		if !n.slots[wi].done {
-			dd.stamp[wi] = dd.epoch
-			dd.pos[wi] = int32(len(live))
-			live = append(live, wi)
-		}
-	}
-	dd.live = live
-	for len(dd.adj) < len(live) {
-		dd.adj = append(dd.adj, nil)
-	}
-	adj := dd.adj[:len(live)]
-	for i := range adj {
-		adj[i] = adj[i][:0]
-	}
-	for i, wi := range live {
-		w := &n.slots[wi]
-		if w.kind == pathWorm {
-			if w.headIdx < len(w.chans) {
-				n.ddNeed(adj, int32(i), wi, w.chans[w.headIdx], w.queuedAt == w.headIdx)
+	onPath, searched := 3*dd.call+1, 3*dd.call+2
+	for _, list := range starts {
+		for _, s := range list {
+			if n.slots[s].done || dd.slots[s].stamp >= onPath {
+				continue
 			}
-			continue
-		}
-		if w.headIdx >= len(w.levels) {
-			continue // draining; never blocks
-		}
-		l := &w.levels[w.headIdx]
-		for ci, id := range l.channels {
-			if !l.taken[ci] {
-				n.ddNeed(adj, int32(i), wi, id, l.queued)
-			}
-		}
-	}
-	const (
-		white = 0
-		gray  = 1
-		black = 2
-	)
-	if cap(dd.color) < len(live) {
-		dd.color = make([]uint8, len(live))
-		dd.parent = make([]int32, len(live))
-	}
-	color := dd.color[:len(live)]
-	parent := dd.parent[:len(live)]
-	for i := range color {
-		color[i] = white
-		parent[i] = -1
-	}
-	stack := dd.stack[:0]
-	defer func() { dd.stack = stack[:0] }()
-	for start := range live {
-		if color[start] != white {
-			continue
-		}
-		color[start] = gray
-		stack = append(stack[:0], ddFrame{u: int32(start)})
-		for len(stack) > 0 {
-			f := &stack[len(stack)-1]
-			if int(f.next) < len(adj[f.u]) {
-				v := adj[f.u][f.next]
-				f.next++
-				switch color[v] {
-				case white:
-					parent[v] = f.u
-					color[v] = gray
-					stack = append(stack, ddFrame{u: v})
-				case gray:
-					cycle := []int{n.slots[live[v]].id}
-					for x := f.u; x != v; x = parent[x] {
-						cycle = append(cycle, n.slots[live[x]].id)
+			dd.stack = append(dd.stack[:0], n.ddPush(s))
+			for len(dd.stack) > 0 {
+				top := &dd.stack[len(dd.stack)-1]
+				if top.next < 0 {
+					dd.slots[top.w].stamp = searched
+					dd.stack = dd.stack[:len(dd.stack)-1]
+					continue
+				}
+				v := dd.links[top.next].w
+				top.next = dd.links[top.next].next
+				switch dd.slots[v].stamp {
+				case onPath:
+					cycle := []int{n.slots[v].id}
+					for i := len(dd.stack) - 1; dd.stack[i].w != v; i-- {
+						cycle = append(cycle, n.slots[dd.stack[i].w].id)
 					}
 					return cycle
+				case searched:
+				default:
+					dd.stack = append(dd.stack, n.ddPush(v))
 				}
-			} else {
-				color[f.u] = black
-				stack = stack[:len(stack)-1]
 			}
 		}
 	}
+	dd.changed, dd.clean = dd.changed[:0], dd.call
 	return nil
 }
 
-// ddNeed records that the worm at live position i (slot wi) needs channel
-// id. The first need of a channel in a check links its FIFO; a queued
-// worm got its edge there, and a worm not yet queued waits for the tail.
-func (n *Network) ddNeed(adj [][]int32, i int32, wi wormRef, id int32, queued bool) {
-	dd := &n.dd
-	c := &dd.chans[id]
-	if c.epoch != dd.epoch {
-		c.epoch = dd.epoch
-		c.tail = n.ddLinkFIFO(adj, id)
+// ddPush lists the wait-for edges of worm u, which the search reaches
+// for the first time in this call, and returns its frame.
+func (n *Network) ddPush(u wormRef) ddLink {
+	w := &n.slots[u]
+	switch {
+	case w.kind == pathWorm && w.headIdx < len(w.chans):
+		n.ddNeed(u, w.chans[w.headIdx], w.queuedAt == w.headIdx)
+	case w.kind == treeWorm && w.headIdx < len(w.levels):
+		l := &w.levels[w.headIdx]
+		for i, id := range l.channels {
+			if !l.taken[i] {
+				n.ddNeed(u, id, l.queued)
+			}
+		}
 	}
-	if queued {
-		return
+	s := &n.dd.slots[u]
+	if s.stamp < 3*n.dd.call {
+		s.first = -1 // no edges
 	}
-	if c.tail >= 0 {
-		adj[i] = append(adj[i], c.tail)
-	} else if o := n.chanOwner[id]; o >= 0 && o != wi && dd.stamp[o] == dd.epoch {
-		adj[i] = append(adj[i], dd.pos[o])
+	s.stamp = 3*n.dd.call + 1
+	return ddLink{u, s.first}
+}
+
+// ddNeed lists the edge of worm u on channel id, which its header needs.
+// A worm not queued on it waits for the last waiter, or else the owner.
+// A queued worm gets its edge when the FIFO is walked, once per call:
+// each waiter waits for the one ahead of it, the first for the owner.
+// The walk reaches u because a FIFO holds exactly the live worms whose
+// state says they are queued on it (CheckInvariants).
+func (n *Network) ddNeed(u wormRef, id int32, queued bool) {
+	q := n.chanWaiters(id)
+	switch {
+	case !queued && len(q) > 0:
+		n.ddEdge(u, q[len(q)-1])
+	case !queued:
+		n.ddEdge(u, n.chanOwner[id])
+	case n.dd.fifo[id] != n.dd.call:
+		n.dd.fifo[id] = n.dd.call
+		ahead := n.chanOwner[id]
+		for _, x := range q {
+			n.ddEdge(x, ahead)
+			ahead = x
+		}
 	}
 }
 
-// ddLinkFIFO adds one edge per live waiter of channel id — to its nearest
-// live predecessor, or to the owner for the first — and returns the live
-// index of the last live waiter, or -1.
-func (n *Network) ddLinkFIFO(adj [][]int32, id int32) int32 {
-	dd := &n.dd
-	o := n.chanOwner[id]
-	prev := int32(-1)
-	for _, q := range n.chanWaiters(id) {
-		if dd.stamp[q] != dd.epoch {
-			continue
-		}
-		p := dd.pos[q]
-		if prev >= 0 {
-			adj[p] = append(adj[p], prev)
-		} else if o >= 0 && o != q && dd.stamp[o] == dd.epoch {
-			adj[p] = append(adj[p], dd.pos[o])
-		}
-		prev = p
+// ddEdge records that worm u waits for v, unless v is no worm (noWorm,
+// deadChan) or u itself.
+func (n *Network) ddEdge(u, v wormRef) {
+	if v < 0 || v == u {
+		return
 	}
-	return prev
+	s := &n.dd.slots[u]
+	if s.stamp < 3*n.dd.call {
+		s.stamp, s.first = 3*n.dd.call, -1
+	}
+	n.dd.links = append(n.dd.links, ddLink{v, s.first})
+	s.first = int32(len(n.dd.links) - 1)
 }
 
 // wormHeap is a binary min-heap of worm slot indices keyed by worm id,
