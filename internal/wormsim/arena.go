@@ -1,7 +1,7 @@
 package wormsim
 
 // Worm arena: worms live by value in Network.slots and retired slots —
-// with their chans/levels/deliveries backing arrays — are recycled
+// with their chans/bounds/deliveries backing arrays — are recycled
 // through a freelist instead of being dropped to the garbage collector,
 // mirroring the heuristics.Workspace approach of the static kernels.
 // Injection reads positions and depths the plan's flattener resolved
@@ -31,8 +31,8 @@ func (n *Network) allocWorm() wormRef {
 				n.free = append(n.free[:0], n.free[n.freeHead:]...)
 				n.freeHead = 0
 			}
-			chans, levels, deliveries := w.chans[:0], w.levels[:0], w.deliveries[:0]
-			*w = worm{chans: chans, levels: levels, deliveries: deliveries, mcast: -1}
+			chans, bounds, deliveries := w.chans[:0], w.bounds[:0], w.deliveries[:0]
+			*w = worm{chans: chans, bounds: bounds, deliveries: deliveries, mcast: -1}
 			return wi
 		}
 	}
@@ -75,22 +75,6 @@ func grow[T any](s []T, n int) []T {
 		s = append(s, make([]T, n-len(s))...)
 	}
 	return s
-}
-
-// growLevels resizes a recycled levels slice to maxd frontiers, reusing
-// every level's channel and taken arrays.
-func growLevels(levels []treeLevel, maxd int) []treeLevel {
-	if cap(levels) < maxd {
-		levels = append(levels[:cap(levels)], make([]treeLevel, maxd-cap(levels))...)
-	}
-	levels = levels[:maxd]
-	for i := range levels {
-		levels[i].channels = levels[i].channels[:0]
-		levels[i].taken = levels[i].taken[:0]
-		levels[i].missing = 0
-		levels[i].queued = false
-	}
-	return levels
 }
 
 // sortRefsByID sorts a wake list in place by ascending worm id. Wake

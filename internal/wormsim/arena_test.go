@@ -47,7 +47,7 @@ func arenaWorkload(t testing.TB) (*topology.Mesh2D, []routing.Plan) {
 // TestSteadyStateAllocationFree pins the arena contract: once slice
 // capacities, the channel slot table, the worm freelist and one flattener with
 // its plan have warmed up, a flatten-inject-and-drain round allocates
-// nothing — plans, worms, multicast records, tree levels and wake lists
+// nothing — plans, worms, multicast records, level bounds and wake lists
 // are all recycled. The round includes a mid-drain FailWhere
 // activation (fault-killing worms on first contact in later rounds), and
 // an invariant check and a deadlock search after every cycle, so the

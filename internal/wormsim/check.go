@@ -1,6 +1,9 @@
 package wormsim
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // ckScratch is CheckInvariants' reusable state: the audit used to build
 // maps of channel owners and multicast tallies on every call, which made
@@ -38,15 +41,16 @@ type ckWorm struct {
 //     created or destroyed by the pipeline arithmetic;
 //   - channel ownership: every held channel is held by exactly the worm
 //     whose state says it holds it (no double-occupancy, no orphans),
-//     and failed channels are never owned;
+//     and failed channels are never owned; a worm that has not queued on
+//     its frontier level yet owns none of that level's channels;
 //   - queue consistency: wait queues contain only live worms, at most
 //     once each;
 //   - queue membership: a worm is queued on exactly the channels its
 //     header waits for — every FIFO entry is a worm whose state says it
-//     is queued on that channel (a path worm's header channel once
-//     queuedAt == headIdx, an untaken channel of a tree worm's queued
-//     frontier level), and every such worm is in that FIFO. The
-//     one-edge-per-position wait-for graph of DetectDeadlock rests on it;
+//     is queued on that channel (a frontier channel it does not own,
+//     once queuedAt == headIdx), and every such worm is in that FIFO.
+//     The one-edge-per-position wait-for graph of DetectDeadlock rests
+//     on it;
 //   - active list: every live worm whose header need is not queued yet
 //     is on the active list, where DetectDeadlock's search starts;
 //   - delivery conservation: per-worm undelivered counts match the
@@ -82,49 +86,35 @@ func (n *Network) CheckInvariants() error {
 			}
 			return nil
 		}
-		if w.kind == pathWorm {
-			if w.released < 0 || w.released > w.headIdx || w.headIdx > len(w.chans) {
-				return fmt.Errorf("wormsim: worm %d counters out of order: released %d head %d len %d",
-					w.id, w.released, w.headIdx, len(w.chans))
-			}
-			if w.progress < w.headIdx || w.progress > len(w.chans)+w.length {
-				return fmt.Errorf("wormsim: worm %d flit miscount: progress %d head %d len %d length %d",
-					w.id, w.progress, w.headIdx, len(w.chans), w.length)
-			}
-			for i := w.released; i < w.headIdx; i++ {
-				if err := holds(w.chans[i]); err != nil {
+		depth := w.depth()
+		if w.released < 0 || w.released > w.headIdx || w.headIdx > depth {
+			return fmt.Errorf("wormsim: worm %d counters out of order: released %d head %d levels %d",
+				w.id, w.released, w.headIdx, depth)
+		}
+		if w.progress < w.headIdx || w.progress > depth+w.length {
+			return fmt.Errorf("wormsim: worm %d flit miscount: progress %d head %d levels %d length %d",
+				w.id, w.progress, w.headIdx, depth, w.length)
+		}
+		for l := w.released; l < w.headIdx; l++ {
+			for _, id := range w.level(l) {
+				if err := holds(id); err != nil {
 					return err
 				}
 			}
-			if w.queuedAt == w.headIdx && w.headIdx < len(w.chans) {
-				ck.worms[wi].queued = 1
-			}
-		} else {
-			if w.released < 0 || w.released > w.headIdx || w.headIdx > len(w.levels) {
-				return fmt.Errorf("wormsim: tree worm %d counters out of order: released %d head %d levels %d",
-					w.id, w.released, w.headIdx, len(w.levels))
-			}
-			if w.progress < w.headIdx || w.progress > len(w.levels)+w.length {
-				return fmt.Errorf("wormsim: tree worm %d flit miscount: progress %d head %d levels %d length %d",
-					w.id, w.progress, w.headIdx, len(w.levels), w.length)
-			}
-			for li := w.released; li < w.headIdx; li++ {
-				for _, id := range w.levels[li].channels {
+		}
+		if w.headIdx < depth {
+			queued := w.queuedAt == w.headIdx
+			for _, id := range w.level(w.headIdx) {
+				switch {
+				case n.chanOwner[id] == wi && !queued:
+					return fmt.Errorf("wormsim: worm %d holds channel %d of frontier level %d it has not queued on",
+						w.id, id, w.headIdx)
+				case n.chanOwner[id] == wi:
 					if err := holds(id); err != nil {
 						return err
 					}
-				}
-			}
-			if w.headIdx < len(w.levels) {
-				l := &w.levels[w.headIdx]
-				for i, id := range l.channels {
-					if l.taken[i] {
-						if err := holds(id); err != nil {
-							return err
-						}
-					} else if l.queued {
-						ck.worms[wi].queued++
-					}
+				case queued:
+					ck.worms[wi].queued++
 				}
 			}
 		}
@@ -169,7 +159,7 @@ func (n *Network) CheckInvariants() error {
 				return fmt.Errorf("wormsim: worm %d queued twice on channel %d", n.slots[q].id, id)
 			}
 			ck.worms[q].stamp = ck.epoch
-			if !n.slots[q].queuedOn(int32(id)) {
+			if !n.queuedOn(q, int32(id)) {
 				return fmt.Errorf("wormsim: worm %d queued on channel %d its header does not wait on",
 					n.slots[q].id, id)
 			}
@@ -189,8 +179,7 @@ func (n *Network) CheckInvariants() error {
 			return fmt.Errorf("wormsim: worm %d is queued by its state but missing from %d wait queue(s)",
 				w.id, ck.worms[wi].queued)
 		}
-		if !w.done && ck.worms[wi].stamp != ck.epoch && (w.headIdx < len(w.chans) && w.queuedAt != w.headIdx ||
-			w.kind == treeWorm && w.headIdx < len(w.levels) && !w.levels[w.headIdx].queued) {
+		if !w.done && ck.worms[wi].stamp != ck.epoch && w.headIdx < w.depth() && w.queuedAt != w.headIdx {
 			return fmt.Errorf("wormsim: worm %d needs a channel it is not queued on but is not active", w.id)
 		}
 	}
@@ -208,21 +197,11 @@ func (n *Network) CheckInvariants() error {
 	return nil
 }
 
-// queuedOn reports whether w's state says it is queued on channel id: the
-// header channel of a path worm once queuedAt == headIdx, or an untaken
-// channel of a tree worm's queued frontier level.
-func (w *worm) queuedOn(id int32) bool {
-	if w.kind == pathWorm {
-		return w.queuedAt == w.headIdx && w.headIdx < len(w.chans) && w.chans[w.headIdx] == id
-	}
-	if w.headIdx >= len(w.levels) || !w.levels[w.headIdx].queued {
-		return false
-	}
-	l := &w.levels[w.headIdx]
-	for i, c := range l.channels {
-		if c == id && !l.taken[i] {
-			return true
-		}
-	}
-	return false
+// queuedOn reports whether worm wi's state says it is queued on channel
+// id: a frontier channel it does not own, once it has queued on its
+// frontier level.
+func (n *Network) queuedOn(wi wormRef, id int32) bool {
+	w := &n.slots[wi]
+	return w.queuedAt == w.headIdx && w.headIdx < w.depth() && n.chanOwner[id] != wi &&
+		slices.Contains(w.level(w.headIdx), id)
 }

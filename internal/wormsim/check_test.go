@@ -9,10 +9,11 @@ import (
 )
 
 // TestCheckInvariantsQueueMembership corrupts one wait queue, the
-// worm-side state it mirrors or the active list, and expects
-// CheckInvariants to name the break of a property DetectDeadlock rests
-// on: a worm is queued on exactly the channels its header waits for, and
-// a worm whose header need is not queued yet is on the active list.
+// worm-side state it mirrors, a channel owner or the active list, and
+// expects CheckInvariants to name the break of a property DetectDeadlock
+// rests on: a worm is queued on exactly the frontier channels it does not
+// own, a worm that has not queued on its frontier level owns none of it,
+// and a worm whose header need is not queued yet is on the active list.
 func TestCheckInvariantsQueueMembership(t *testing.T) {
 	// Worm 0 holds channel 0->1 for 16 flits; path worm 1 and tree worm 2
 	// then queue on it, in that order.
@@ -50,10 +51,14 @@ func TestCheckInvariantsQueueMembership(t *testing.T) {
 		{"path waiter's state forgets the queue", func(n *Network, id int32) {
 			n.slots[n.chanWaiters(id)[0]].queuedAt = -1
 		}, "worm 1 queued on channel"},
-		{"tree waiter's level forgets the queue", func(n *Network, id int32) {
-			w := &n.slots[n.chanWaiters(id)[1]]
-			w.levels[w.headIdx].queued = false
+		{"tree waiter's state forgets the queue", func(n *Network, id int32) {
+			n.slots[n.chanWaiters(id)[1]].queuedAt = -1
 		}, "worm 2 queued on channel"},
+		{"unqueued worm holds a frontier channel", func(n *Network, id int32) {
+			injectRoutes(n, []dfr.PathRoute{pathTo(2, 1)}, nil, 4)
+			wi := n.active[len(n.active)-1]
+			n.chanOwner[n.slots[wi].chans[0]] = wi
+		}, "worm 3 holds channel"},
 		{"unqueued path worm left off the active list", func(n *Network, id int32) {
 			injectRoutes(n, []dfr.PathRoute{pathTo(2, 1)}, nil, 4)
 			n.active = n.active[:len(n.active)-1]

@@ -40,15 +40,12 @@ func detectDeadlockRef(n *Network) (cycle []int, waits map[int][]int) {
 			continue
 		}
 		order = append(order, w.id)
-		switch {
-		case w.kind == pathWorm && w.headIdx < len(w.chans):
-			need(wi, w.chans[w.headIdx])
-		case w.kind == treeWorm && w.headIdx < len(w.levels):
-			l := &w.levels[w.headIdx]
-			for i, id := range l.channels {
-				if !l.taken[i] {
-					need(wi, id)
-				}
+		if w.headIdx == w.depth() {
+			continue
+		}
+		for _, id := range w.level(w.headIdx) {
+			if n.chanOwner[id] != wi {
+				need(wi, id)
 			}
 		}
 	}

@@ -76,9 +76,10 @@ type Config struct {
 	// routed as given, without re-validation.
 	Workload workload.Source
 
-	// Faults schedules mid-run hardware failures, sorted by Cycle. Each
-	// activation fails the matching channels (killing the worms caught on
-	// them) and can swap the routing function for the new fault epoch.
+	// Faults schedules mid-run hardware failures, sorted by Cycle (Run
+	// rejects an out-of-order list). Each activation fails the matching
+	// channels (killing the worms caught on them) and can swap the
+	// routing function for the new fault epoch, unless LiveRoute is set.
 	Faults []ScheduledFault
 	// Check runs the full invariant audit (CheckInvariants) at every
 	// periodic deadlock-check boundary and at run end — the -simcheck
@@ -94,7 +95,8 @@ type ScheduledFault struct {
 	// e.g. an epoch that only swaps routing).
 	Dead func(c dfr.Channel) bool
 	// Route, when non-nil, replaces the routing function from this epoch
-	// on — how degraded-mode routing follows the fault schedule.
+	// on — how degraded-mode routing follows the fault schedule. Run
+	// rejects it in a config whose LiveRoute would override it.
 	Route RouteFunc
 }
 
@@ -129,6 +131,14 @@ func (c *Config) validate() error {
 	}
 	if c.MaxCycles <= 0 {
 		c.MaxCycles = 5_000_000
+	}
+	for i, f := range c.Faults {
+		if i > 0 && f.Cycle < c.Faults[i-1].Cycle {
+			return fmt.Errorf("wormsim: Faults out of order: cycle %d after cycle %d", f.Cycle, c.Faults[i-1].Cycle)
+		}
+		if f.Route != nil && c.LiveRoute != nil {
+			return fmt.Errorf("wormsim: fault epoch at cycle %d swaps Route, which LiveRoute overrides", f.Cycle)
+		}
 	}
 	return nil
 }

@@ -1,6 +1,8 @@
 package wormsim
 
 import (
+	"slices"
+
 	"multicastnet/internal/dfr"
 	"multicastnet/internal/topology"
 )
@@ -67,39 +69,32 @@ func (n *Network) FailWhere(pred func(c dfr.Channel) bool) int {
 	return len(victims)
 }
 
-// killWorm drops an in-flight worm: it leaves every wait queue, releases
-// every channel it holds (waking their FIFO heads), reports its
-// undelivered destinations through OnLost, and retires. The multicast is
-// marked lossy so OnCompleteTag never fires for it.
+// killWorm drops an in-flight worm: it releases the frontier channels it
+// owns, leaves the wait queues of the rest and releases its held levels,
+// waking the FIFO heads behind it; it reports its undelivered
+// destinations through OnLost and retires. The multicast is marked lossy
+// so OnCompleteTag never fires for it. A worm killed partway through its
+// first visit to a level is queued on only some of the rest, and dequeue
+// leaves the others as they are.
 func (n *Network) killWorm(wi wormRef) {
 	w := &n.slots[wi]
 	if w.done {
 		return
 	}
 	n.killed++
-	if w.kind == pathWorm {
-		if w.queuedAt >= 0 && w.queuedAt == w.headIdx && w.headIdx < len(w.chans) {
-			n.dequeue(w.chans[w.headIdx], wi)
-		}
-		for i := w.released; i < w.headIdx; i++ {
-			n.release(w.chans[i], wi)
-		}
-	} else {
-		if w.headIdx < len(w.levels) {
-			l := &w.levels[w.headIdx]
-			for i, id := range l.channels {
-				switch {
-				case l.taken[i]:
-					n.release(id, wi)
-				case l.queued:
-					n.dequeue(id, wi)
-				}
-			}
-		}
-		for li := w.released; li < w.headIdx && li < len(w.levels); li++ {
-			for _, id := range w.levels[li].channels {
+	if w.headIdx < w.depth() {
+		queued := w.queuedAt == w.headIdx
+		for _, id := range w.level(w.headIdx) {
+			if n.chanOwner[id] == wi {
 				n.release(id, wi)
+			} else if queued {
+				n.dequeue(id, wi)
 			}
+		}
+	}
+	for l := w.released; l < w.headIdx; l++ {
+		for _, id := range w.level(l) {
+			n.release(id, wi)
 		}
 	}
 	mci := w.mcast
@@ -120,26 +115,21 @@ func (n *Network) killWorm(wi wormRef) {
 	n.retire(wi)
 }
 
-// dequeue removes wi from one channel's wait queue; if the channel is
-// free and a new head emerges, that head is woken (it may have been
-// waiting behind wi).
+// dequeue removes wi from channel id's wait queue; if the channel is
+// free, the new head is woken (it may have been waiting behind wi). A
+// worm that is not in the queue leaves it as it is and wakes no one.
 func (n *Network) dequeue(id int32, wi wormRef) {
-	q := n.chanQueue[id]
 	h := int(n.chanQHead[id])
-	live := q[h:]
-	for i, x := range live {
-		if x == wi {
-			n.chanQueue[id] = append(q[:h+i], live[i+1:]...)
-			if n.dd.clean > 0 && i+1 < len(live) {
-				n.dd.mark(n.chanQueue[id][h+i]) // it now waits for the worm ahead of wi
-			}
-			break
-		}
+	q := n.chanQueue[id]
+	i := slices.Index(q[h:], wi)
+	if i < 0 {
+		return
 	}
-	if int(n.chanQHead[id]) == len(n.chanQueue[id]) {
-		n.chanQueue[id] = n.chanQueue[id][:0]
-		n.chanQHead[id] = 0
+	q = append(q[:h+i], q[h+i+1:]...)
+	if h == len(q) {
+		q, n.chanQHead[id] = q[:0], 0
 	}
+	n.chanQueue[id] = q
 	if n.chanOwner[id] == noWorm {
 		if head := n.chanFront(id); head != noWorm {
 			n.wake(head)

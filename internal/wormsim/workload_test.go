@@ -1,8 +1,11 @@
 package wormsim
 
 import (
+	"strings"
 	"testing"
 
+	"multicastnet/internal/core"
+	"multicastnet/internal/dfr"
 	"multicastnet/internal/labeling"
 	"multicastnet/internal/topology"
 	"multicastnet/internal/workload"
@@ -61,13 +64,43 @@ func TestRunWorkloadInjection(t *testing.T) {
 	}
 }
 
-// TestRunWorkloadValidation: a config with neither a rate nor a
-// workload source is rejected.
-func TestRunWorkloadValidation(t *testing.T) {
+// TestRunRejectsInvalidConfig: Run returns an error, without
+// simulating, for a config with neither a rate nor a workload source, for
+// a fault schedule out of cycle order, which would activate its late
+// epochs silently late, and for an epoch that swaps Route under a
+// LiveRoute, which overrides the swap.
+func TestRunRejectsInvalidConfig(t *testing.T) {
 	m := topology.NewMesh2D(4, 4)
 	l := labeling.NewMeshBoustrophedon(m)
-	_, err := Run(Config{Topology: m, Route: schemeRoute(t, "dual-path", m, l)})
-	if err == nil {
-		t.Fatal("config without rate or workload accepted, want error")
+	route := schemeRoute(t, "dual-path", m, l)
+	live := func(k core.MulticastSet, _ dfr.ChannelOracle) Injection { return route(k) }
+	dead := func(c dfr.Channel) bool { return c.From == 5 }
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want string
+	}{
+		{"no rate or workload", Config{Topology: m, Route: route}, "MeanInterarrivalMicros"},
+		{"faults out of order", Config{Topology: m, Route: route, MeanInterarrivalMicros: 300,
+			Faults: []ScheduledFault{{Cycle: 20_000, Dead: dead}, {Cycle: 1_000, Dead: dead}}},
+			"out of order: cycle 1000 after cycle 20000"},
+		{"route swap under LiveRoute", Config{Topology: m, LiveRoute: live, MeanInterarrivalMicros: 300,
+			Faults: []ScheduledFault{{Cycle: 1_000, Route: route}}},
+			"fault epoch at cycle 1000 swaps Route"},
+	} {
+		_, err := Run(tc.cfg)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Run = %v, want an error containing %q", tc.name, err, tc.want)
+		}
+	}
+	// The same epochs in order, and a fail-only epoch under LiveRoute, run.
+	for _, cfg := range []Config{
+		{Topology: m, Route: route, Faults: []ScheduledFault{{Cycle: 1_000, Dead: dead}, {Cycle: 1_000, Route: route}}},
+		{Topology: m, LiveRoute: live, Faults: []ScheduledFault{{Cycle: 1_000, Dead: dead}}},
+	} {
+		cfg.MeanInterarrivalMicros, cfg.MaxCycles = 300, 2_000
+		if _, err := Run(cfg); err != nil {
+			t.Errorf("valid schedule rejected: %v", err)
+		}
 	}
 }

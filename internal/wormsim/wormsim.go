@@ -1,29 +1,28 @@
 // Package wormsim is a flit-clock wormhole network simulator — the
 // from-scratch replacement for the CSIM-based simulation program of
 // Section 7.2. One simulation cycle equals one flit time on a channel.
-// Worms (in-flight messages) acquire channels one hop per cycle; a
+// Worms (in-flight messages) acquire channels one level per cycle; a
 // blocked worm stalls in place holding everything it has acquired, which
 // is exactly the wormhole behaviour that creates deadlock (Section 6.1).
 //
-// Path worms model the path-based multicast schemes: a single header
-// acquires the route channel by channel and the body follows in a
-// pipeline.
+// Every worm is a list of levels crossed lock-step, the way Section 6.1
+// describes tree-like multicast: the header flit is replicated at branch
+// nodes and all branches proceed forward together, so a whole level (one
+// tree frontier) must be secured before any branch advances. The worm
+// claims whatever frontier channels are free — holding them — while it
+// waits for the busy ones ("all of the required channels must be
+// available before transmission on any of them may take place").
+// Blockage of any branch therefore stalls the entire tree while it keeps
+// channels occupied, the behaviour that makes naive tree multicast slow
+// under contention and deadlock-prone (Figs. 6.1 and 6.4). A path worm,
+// the form of the path-based multicast schemes, is the tree whose every
+// level holds one channel: its header acquires the route channel by
+// channel and the body follows in a pipeline.
 //
-// Tree worms model tree-like multicast routing as Section 6.1 describes
-// it: the header flit is replicated at branch nodes and all branches
-// proceed forward in lock-step, so the whole frontier (one tree level)
-// must be secured before any branch advances. The worm claims whatever
-// frontier channels are free — holding them — while it waits for the
-// busy ones ("all of the required channels must be available before
-// transmission on any of them may take place"). Blockage of any branch
-// therefore stalls the entire tree while it keeps channels occupied, the
-// behaviour that makes naive tree multicast slow under contention and
-// deadlock-prone (Figs. 6.1 and 6.4).
-//
-// Both kinds are built by one injector, InjectFlatTag, from one plan
-// form: the dense routing.FlatPlan. Callers holding routed paths and
-// trees flatten them first (routing.Flattener; Run does so with one
-// reused flattener per run).
+// One injector, InjectFlatTag, builds every worm from one plan form: the
+// dense routing.FlatPlan. Callers holding routed paths and trees flatten
+// them first (routing.Flattener; Run does so with one reused flattener
+// per run).
 //
 // Channel arbitration is first-come first-served: a worm that finds a
 // channel busy enqueues on it and acquires it, in order, once free.
@@ -60,9 +59,9 @@
 //   - The cold audits reuse epoch-stamped scratch (DetectDeadlock,
 //     CheckInvariants, FailWhere), so periodic checks neither allocate
 //     nor distort profiles. DetectDeadlock starts only from the worms
-//     that enqueued, or sat behind a fault-dequeued worm, since its last
-//     nil verdict, and from the active list: a new cycle uses one of
-//     their changed edges, so every call is exact.
+//     that enqueued since its last nil verdict and from the active list:
+//     a new cycle uses one of their changed edges, so every call is
+//     exact.
 //
 // Stepping is serial: one engine advances every worm of a run in
 // ascending id order. Parallelism lives one layer up, where independent
@@ -78,14 +77,6 @@ import (
 	"multicastnet/internal/dfr"
 	"multicastnet/internal/routing"
 	"multicastnet/internal/topology"
-)
-
-// wormKind distinguishes path worms from lock-step tree worms.
-type wormKind uint8
-
-const (
-	pathWorm wormKind = iota
-	treeWorm
 )
 
 // wormRef is a dense index into the worm arena (Network.slots). Slots are
@@ -104,42 +95,34 @@ const (
 	deadChan wormRef = -2
 )
 
-// delivery marks a destination and where its router sits: the channel
-// index along the path (path worms) or the depth of the arrival channel
-// (tree worms).
+// delivery marks a destination and where its router sits: the 1-based
+// level of the channel that arrives there (a path worm's path position,
+// a tree worm's depth).
 type delivery struct {
 	dest topology.NodeID
-	idx  int // path: 1-based position; tree: depth of the arrival channel
+	idx  int
 	done bool
-}
-
-// treeLevel is one frontier of a tree worm: all channels at one depth.
-// The lock-step header advances a full level at a time, claiming free
-// channels immediately and waiting (while holding them) for the rest.
-type treeLevel struct {
-	channels []int32 // compact channel indices
-	taken    []bool
-	missing  int
-	queued   bool
 }
 
 // worm is one in-flight wormhole message, stored by value in the slot
 // arena. The id is stable across the worm's lifetime and identifies it in
 // deadlock reports; the slot index (wormRef) is the reference every other
 // structure uses.
+//
+// The worm crosses its levels lock-step, one per cycle. chans holds the
+// compact channel indices level by level. A tree worm stores its level
+// bounds: level l is chans[bounds[l]:bounds[l+1]]. A path worm stores
+// none: its level l is channel l alone. A frontier channel is taken
+// exactly when the channel's owner is the worm.
 type worm struct {
-	kind wormKind
-	id   int
+	id int
 
-	// Path worms.
-	chans    []int32 // compact channel indices along the route
-	headIdx  int     // next channel index to acquire
-	queuedAt int     // headIdx value already enqueued for (-1: none)
-	progress int     // total head advances, including drain into the final destination
-	released int     // leading channels already released
-
-	// Tree worms.
-	levels []treeLevel
+	chans    []int32 // compact channel indices, level by level
+	bounds   []int32 // tree level bounds; empty for a path
+	headIdx  int     // frontier: the next level to cross
+	queuedAt int     // the level the worm is queued on (-1: none)
+	progress int     // levels crossed plus drain cycles
+	released int     // leading levels already released
 
 	deliveries []delivery
 	undeliv    int
@@ -151,9 +134,24 @@ type worm struct {
 	parked      bool
 	wakePending bool
 	done        bool  // retired; awaiting compaction out of n.worms
+	mcast       int32 // multicast record index (Network.mcSlots), -1 when unset
 	doneCycle   int64 // cycle of retirement, gating freelist reuse (arena.go)
+}
 
-	mcast int32 // multicast record index (Network.mcSlots), -1 when unset
+// depth returns the number of levels the worm crosses.
+func (w *worm) depth() int {
+	if len(w.bounds) == 0 {
+		return len(w.chans)
+	}
+	return len(w.bounds) - 1
+}
+
+// level returns the channels of level l.
+func (w *worm) level(l int) []int32 {
+	if len(w.bounds) == 0 {
+		return w.chans[l : l+1]
+	}
+	return w.chans[w.bounds[l]:w.bounds[l+1]]
 }
 
 // mcastState tracks one multicast (possibly several worms) for
@@ -357,7 +355,7 @@ func (n *Network) see(id, from, to int32) int32 {
 }
 
 // chanEnqueue appends wi to channel id's FIFO; callers guarantee
-// at-most-once per wait episode via the worm-side queued markers, keeping
+// at-most-once per wait episode via the worm's queuedAt level, keeping
 // stalls O(1) per cycle.
 func (n *Network) chanEnqueue(id int32, wi wormRef) {
 	n.chanQueue[id] = append(n.chanQueue[id], wi)
@@ -389,17 +387,6 @@ func (n *Network) chanFreeFor(id int32, wi wormRef) bool {
 	return int(h) == len(q) || q[h] == wi
 }
 
-// chanAvailableToQueued reports whether wi, known to be enqueued on
-// channel id, may take it now: alive, free, and wi is first in line.
-func (n *Network) chanAvailableToQueued(id int32, wi wormRef) bool {
-	if n.chanOwner[id] != noWorm {
-		return false
-	}
-	q := n.chanQueue[id]
-	h := n.chanQHead[id]
-	return int(h) < len(q) && q[h] == wi
-}
-
 // chanTake grants channel id to wi, popping it from the FIFO head if it
 // was queued. The queue resets in place whenever it drains, keeping the
 // backing array's capacity.
@@ -417,24 +404,48 @@ func (n *Network) chanTake(id int32, wi wormRef) {
 	n.chanOwner[id] = wi
 }
 
-// addWorm registers a freshly injected worm: it joins both the in-flight
-// list and the active list (ids are strictly increasing, so appends keep
-// both sorted).
-func (n *Network) addWorm(wi wormRef) {
+// newWorm takes a worm slot for multicast mci, spawned now and carrying
+// lengthFlits flits, and returns it for the caller to fill with levels.
+// The pointer is valid until the next allocWorm call.
+func (n *Network) newWorm(mci int32, lengthFlits int) (wormRef, *worm) {
+	wi := n.allocWorm()
+	w := &n.slots[wi]
+	w.id = n.nextID
+	n.nextID++
+	w.length = lengthFlits
+	w.spawned = n.cycle
+	w.queuedAt = -1
+	w.mcast = mci
+	return wi, w
+}
+
+// addWorm gives a filled worm its deliveries — destination rows dest,
+// arriving at the 1-based levels at — and registers it: it joins both
+// the in-flight list and the active list (ids are strictly increasing,
+// so appends keep both sorted).
+func (n *Network) addWorm(wi wormRef, dest, at []int32) {
+	w := &n.slots[wi]
+	for d, v := range dest {
+		w.deliveries = append(w.deliveries, delivery{dest: topology.NodeID(v), idx: int(at[d])})
+	}
+	w.undeliv = len(dest)
+	mc := &n.mcSlots[w.mcast]
+	mc.remaining += len(dest)
+	mc.worms++
 	n.worms = append(n.worms, wi)
 	n.inFlight++
 	n.active = append(n.active, wi)
-	n.mcSlots[n.slots[wi].mcast].worms++
 }
 
 // InjectFlatTag injects one multicast from its dense CSR plan, spawned at
-// the current cycle: one path worm per flattened path, then one lock-step
-// tree worm per flattened tree, in plan order. Positions, depths and
-// channel ids were resolved at flattening time (routing.Flattener), so
-// injection walks packed arrays, and each channel is validated once,
-// when first seen. lengthFlits is the message length in flits; tag is reported
-// back by OnCompleteTag when the multicast's last destination is
-// delivered. A plan with no worms injects nothing.
+// the current cycle: one worm per flattened path, whose levels are its
+// channels, then one per flattened tree, whose levels are its frontiers,
+// in plan order. Positions, depths and channel ids were resolved at
+// flattening time (routing.Flattener), so injection walks packed arrays,
+// and each channel is validated once, when first seen. lengthFlits is
+// the message length in flits; tag is reported back by OnCompleteTag
+// when the multicast's last destination is delivered. A plan with no
+// worms injects nothing.
 func (n *Network) InjectFlatTag(fp *routing.FlatPlan, lengthFlits int, tag uint64) {
 	if lengthFlits < 1 {
 		panic("wormsim: message must have at least one flit")
@@ -448,64 +459,26 @@ func (n *Network) InjectFlatTag(fp *routing.FlatPlan, lengthFlits int, tag uint6
 	mc.size = int(fp.TotalDests)
 	mc.tag = tag
 	for p := 0; p < fp.Paths(); p++ {
-		wi := n.allocWorm()
-		w := &n.slots[wi]
-		w.kind = pathWorm
-		w.id = n.nextID
-		n.nextID++
-		w.length = lengthFlits
-		w.spawned = n.cycle
-		w.queuedAt = -1
-		w.mcast = mci
+		wi, w := n.newWorm(mci, lengthFlits)
 		lo, hi := fp.PathOff[p], fp.PathOff[p+1]
 		clo := lo - int32(p)
 		for i := lo + 1; i < hi; i++ {
 			w.chans = append(w.chans, n.chanOf(fp.PathChan[clo+i-lo-1], fp.PathNodes[i-1], fp.PathNodes[i]))
 		}
 		dlo, dhi := fp.PathDestOff[p], fp.PathDestOff[p+1]
-		for d := dlo; d < dhi; d++ {
-			w.deliveries = append(w.deliveries, delivery{
-				dest: topology.NodeID(fp.PathDest[d]),
-				idx:  int(fp.PathDestPos[d]),
-			})
-			w.undeliv++
-			mc.remaining++
-		}
-		n.addWorm(wi)
+		n.addWorm(wi, fp.PathDest[dlo:dhi], fp.PathDestPos[dlo:dhi])
 	}
 	for t := 0; t < fp.Trees(); t++ {
-		wi := n.allocWorm()
-		w := &n.slots[wi]
-		w.kind = treeWorm
-		w.id = n.nextID
-		n.nextID++
-		w.length = lengthFlits
-		w.spawned = n.cycle
-		w.queuedAt = -1
-		w.mcast = mci
-		llo, lhi := fp.TreeOff[t], fp.TreeOff[t+1]
-		w.levels = growLevels(w.levels, int(lhi-llo))
-		for l := llo; l < lhi; l++ {
-			clo, chi := fp.TreeLevelOff[l], fp.TreeLevelOff[l+1]
-			lv := &w.levels[l-llo]
-			for c := clo; c < chi; c++ {
-				lv.channels = append(lv.channels, n.chanOf(fp.TreeChan[c], fp.TreeFrom[c], fp.TreeTo[c]))
+		wi, w := n.newWorm(mci, lengthFlits)
+		w.bounds = append(w.bounds, 0)
+		for l := fp.TreeOff[t]; l < fp.TreeOff[t+1]; l++ {
+			for c := fp.TreeLevelOff[l]; c < fp.TreeLevelOff[l+1]; c++ {
+				w.chans = append(w.chans, n.chanOf(fp.TreeChan[c], fp.TreeFrom[c], fp.TreeTo[c]))
 			}
-			for len(lv.taken) < len(lv.channels) {
-				lv.taken = append(lv.taken, false)
-			}
-			lv.missing = len(lv.channels)
+			w.bounds = append(w.bounds, int32(len(w.chans)))
 		}
 		dlo, dhi := fp.TreeDestOff[t], fp.TreeDestOff[t+1]
-		for d := dlo; d < dhi; d++ {
-			w.deliveries = append(w.deliveries, delivery{
-				dest: topology.NodeID(fp.TreeDest[d]),
-				idx:  int(fp.TreeDestDepth[d]),
-			})
-			w.undeliv++
-			mc.remaining++
-		}
-		n.addWorm(wi)
+		n.addWorm(wi, fp.TreeDest[dlo:dhi], fp.TreeDestDepth[dlo:dhi])
 	}
 }
 
@@ -572,13 +545,7 @@ func (n *Network) Step() bool {
 			continue // killed by a fault while on the active list
 		}
 		n.scanID = w.id
-		var live bool
-		if w.kind == pathWorm {
-			live = n.advancePath(wi, w)
-		} else {
-			live = n.advanceTree(wi, w)
-		}
-		if !live {
+		if !n.advance(wi, w) {
 			n.retire(wi)
 		} else if !w.parked {
 			next = append(next, wi)
@@ -649,118 +616,62 @@ func (n *Network) retire(wi wormRef) {
 	}
 }
 
-// advancePath moves a path worm one cycle; false retires it.
-func (n *Network) advancePath(wi wormRef, w *worm) bool {
-	moved := false
-	if w.headIdx < len(w.chans) {
-		id := w.chans[w.headIdx]
-		owner := n.chanOwner[id]
-		if owner == deadChan {
-			// The header reached failed hardware: the message is dropped
-			// and its in-flight flits are flushed (Section 2.3.4 flow
-			// control has no way to back up past an acquired channel).
-			n.killWorm(wi)
-			return false
-		}
-		if owner == noWorm && n.chanFreeFor(id, wi) {
-			n.chanTake(id, wi)
-			w.headIdx++
-			w.progress++
-			moved = true
-		} else {
-			if w.queuedAt != w.headIdx {
-				n.chanEnqueue(id, wi)
-				w.queuedAt = w.headIdx
-			}
-			w.parked = true
-		}
-	} else {
-		// Fully routed; the body drains at one flit per cycle.
-		w.progress++
-		moved = true
-	}
-	if moved {
-		n.progress = true
-		// Deliveries: the last flit crosses the arrival channel at
-		// progress idx + length - 1.
-		for i := range w.deliveries {
-			d := &w.deliveries[i]
-			if !d.done && w.progress >= d.idx+w.length-1 {
-				n.deliver(w, d)
-			}
-		}
-		// Releases: the tail crosses channel index i at progress i + length.
-		for w.released < len(w.chans) && w.progress >= w.released+w.length {
-			n.release(w.chans[w.released], wi)
-			w.released++
-		}
-	}
-	return w.released < len(w.chans) || w.undeliv > 0
-}
-
-// advanceTree moves a tree worm one cycle; false retires it. The header
-// frontier is the level at index w.headIdx: the worm claims whatever
-// frontier channels are free (holding them) and crosses the level — one
-// level per cycle, lock-step — only when the whole frontier is secured.
-// w.progress counts crossed levels plus drain cycles, exactly like a path
-// worm's channel count, so delivery and release timing share the path
-// formulas with depth in place of path position.
-func (n *Network) advanceTree(wi wormRef, w *worm) bool {
-	moved := false
-	if w.headIdx < len(w.levels) {
-		l := &w.levels[w.headIdx]
-		for _, id := range l.channels {
-			if n.chanOwner[id] == deadChan {
-				// Lock-step trees need the whole frontier; one dead
-				// branch channel drops the whole message.
+// advance moves a worm one cycle; false retires it. The header crosses
+// its frontier level only when the worm owns every channel of it. In one
+// pass over the frontier it takes each channel that is free and whose
+// FIFO is empty or headed by the worm, dies on a dead one, and, on its
+// first visit to the level only, enqueues on the rest; it holds what it
+// took while it waits. w.progress counts crossed levels plus drain
+// cycles: the last flit crosses 1-based level l at progress
+// l + length - 1, and the tail leaves 0-based level i at progress
+// i + length.
+func (n *Network) advance(wi wormRef, w *worm) bool {
+	depth := w.depth()
+	if w.headIdx < depth {
+		first := w.queuedAt != w.headIdx
+		w.queuedAt = w.headIdx
+		crossed := true
+		for _, id := range w.level(w.headIdx) {
+			switch owner := n.chanOwner[id]; {
+			case owner == noWorm && n.chanFreeFor(id, wi):
+				n.chanTake(id, wi)
+			case owner == wi:
+			case owner == deadChan:
+				// The header reached failed hardware: the message is dropped
+				// and its in-flight flits are flushed (Section 2.3.4 flow
+				// control has no way to back up past an acquired channel).
 				n.killWorm(wi)
 				return false
+			default:
+				crossed = false
+				if first {
+					n.chanEnqueue(id, wi)
+				}
 			}
 		}
-		if !l.queued {
-			for _, id := range l.channels {
-				n.chanEnqueue(id, wi)
-			}
-			l.queued = true
-		}
-		for i, id := range l.channels {
-			if l.taken[i] {
-				continue
-			}
-			if n.chanAvailableToQueued(id, wi) {
-				n.chanTake(id, wi)
-				l.taken[i] = true
-				l.missing--
-			}
-		}
-		if l.missing == 0 {
-			w.headIdx++
-			w.progress++
-			moved = true
-		} else {
+		if !crossed {
 			w.parked = true
+			return true
 		}
-	} else {
-		// Fully acquired; the replicated body drains one flit per cycle.
-		w.progress++
-		moved = true
+		w.headIdx++
 	}
-	if moved {
-		n.progress = true
-		for i := range w.deliveries {
-			d := &w.deliveries[i]
-			if !d.done && w.progress >= d.idx+w.length-1 {
-				n.deliver(w, d)
-			}
-		}
-		for w.released < len(w.levels) && w.progress >= w.released+w.length {
-			for _, id := range w.levels[w.released].channels {
-				n.release(id, wi)
-			}
-			w.released++
+	// The header crossed a level, or, fully routed, the body drains one
+	// flit per cycle.
+	w.progress++
+	n.progress = true
+	for i := range w.deliveries {
+		d := &w.deliveries[i]
+		if !d.done && w.progress >= d.idx+w.length-1 {
+			n.deliver(w, d)
 		}
 	}
-	return w.released < len(w.levels) || w.undeliv > 0
+	for w.released < depth && w.progress >= w.released+w.length {
+		for _, id := range w.level(w.released) {
+			n.release(id, wi)
+		}
+		w.released++
+	}
+	return w.released < depth || w.undeliv > 0
 }
 
 // deliver records one destination delivery.
@@ -830,10 +741,13 @@ func (dd *ddScratch) mark(wi wormRef) {
 // Until a call returns nil, a call starts from every live worm. After,
 // it starts only from the worms whose edges can have changed since the
 // last nil verdict: those that queued on a channel (chanEnqueue marks
-// them), the waiter behind a worm a fault removed from a FIFO (dequeue
-// marks it), and the active list, which holds every worm that needs a
-// channel it is not queued on (CheckInvariants). A cycle the clean graph
-// lacked uses a changed edge, so every call is exact.
+// them) and the active list, which holds every worm that needs a channel
+// it is not queued on (CheckInvariants). A cycle the clean graph lacked
+// uses one of their edges, so every call is exact. Any other edge is
+// one the clean graph had, or a shortcut of a path it had: when a fault
+// removes a worm from a FIFO, the waiter behind it now waits for the
+// one the removed worm waited for. A cycle through such edges therefore
+// implies a cycle in the clean graph, which had none.
 //
 // It returns the ids of the worms on one cycle — each waits for the one
 // before it, the first for the last — or nil. Steady-state calls
@@ -886,14 +800,11 @@ func (n *Network) DetectDeadlock() []int {
 // for the first time in this call, and returns its frame.
 func (n *Network) ddPush(u wormRef) ddLink {
 	w := &n.slots[u]
-	switch {
-	case w.kind == pathWorm && w.headIdx < len(w.chans):
-		n.ddNeed(u, w.chans[w.headIdx], w.queuedAt == w.headIdx)
-	case w.kind == treeWorm && w.headIdx < len(w.levels):
-		l := &w.levels[w.headIdx]
-		for i, id := range l.channels {
-			if !l.taken[i] {
-				n.ddNeed(u, id, l.queued)
+	if w.headIdx < w.depth() {
+		queued := w.queuedAt == w.headIdx
+		for _, id := range w.level(w.headIdx) {
+			if n.chanOwner[id] != u {
+				n.ddNeed(u, id, queued)
 			}
 		}
 	}
