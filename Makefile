@@ -69,7 +69,7 @@ bench-routing-baseline:
 bench-heuristics-baseline:
 	$(GO) test ./internal/heuristics -run TestWriteHeuristicsBenchBaseline -update-heuristics-bench
 
-## fuzz: 30-second smoke of each of the six fuzz targets (healthy routing invariants + fault-mask CDG acyclicity + trace-parser round-trip + channel numbering vs neighbor lists + wait-for graph vs the all-ahead reference + masked distances vs a from-scratch BFS after fail, repair and no-op deltas)
+## fuzz: 30-second smoke of each of the six fuzz targets (healthy routing invariants and flat plans vs their route form + fault-mask CDG acyclicity + trace-parser round-trip + channel numbering vs neighbor lists + wait-for graph vs the all-ahead reference + masked distances vs a from-scratch BFS after fail, repair and no-op deltas)
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzPlan -fuzztime 30s ./internal/routing
 	$(GO) test -run '^$$' -fuzz FuzzFaultMaskCDG -fuzztime 30s ./internal/fault

@@ -21,8 +21,9 @@ import (
 // under adversarial key streams.
 //
 // Invalidate matches every entry against the directed links its plan
-// traverses, walking the plan — route form or flat arrays — and
-// binary-searching the sorted dead links, so installs carry no link tag
+// traverses, walking the plan — route form, or a flat plan's channel ids
+// decoded through the numbering it records — and binary-searching the
+// sorted dead links, so installs carry no link tag
 // and a fault delta evicts exactly the plans that touch dead hardware
 // instead of nuking the whole cache; entries for unaffected traffic —
 // and their ~25x cached speedup — survive the epoch change.

@@ -10,25 +10,27 @@ import (
 )
 
 // FlatPlan is the dense CSR (compressed sparse row) form of a Plan: every
-// path, tree level, channel and delivery packed into flat []int32 arrays
+// route, level, channel and delivery packed into flat []int32 arrays
 // instead of pointer-chasing per-route slices. It is the one plan form
-// the simulator injects (wormsim.Network.InjectFlatTag): path positions,
-// tree depths and channel ids are resolved once at flattening time, so
-// neither injection nor the scheduler's load accounting looks a channel
-// up, and injection walks contiguous memory and allocates nothing.
+// the simulator injects (wormsim.Network.InjectFlatTag): delivery levels
+// and channel ids are resolved once at flattening time, so neither
+// injection nor the scheduler's load accounting looks a channel up, and
+// injection walks contiguous memory and allocates nothing.
 //
-// Layout. Paths are CSR over the path index: path p's node sequence is
-// PathNodes[PathOff[p]:PathOff[p+1]] and hop h's channel id is
-// PathChan[PathOff[p]-int32(p)+h] (one fewer channel than nodes per
-// path). Its deliveries are the parallel PathDest/PathDestPos rows of
-// [PathDestOff[p], PathDestOff[p+1]). Trees are a two-level CSR: tree t
-// owns level boundaries TreeLevelOff[TreeOff[t]:TreeOff[t+1]+1], each
-// consecutive pair bounding one lock-step frontier's rows in
-// TreeFrom/TreeTo/TreeChan; its deliveries are TreeDest/TreeDestDepth
-// rows of [TreeDestOff[t], TreeDestOff[t+1]). Channel ids are the
-// dfr.ChannelNumbering of the topology the plan was flattened in; the
-// node rows (PathNodes, TreeFrom, TreeTo) stay for PlanCache.Invalidate,
-// which matches plans by directed link.
+// Layout. Every route is a list of levels crossed in lock step, the way
+// Section 6.1 describes tree-like multicast: a tree's levels are its
+// frontiers, and a path is the tree whose every level holds one channel
+// (its hops in order). Routes are a two-level CSR: route r owns level
+// bounds LevelOff[RouteOff[r]:RouteOff[r+1]+1], each consecutive pair
+// bounding one level's channel ids in Chan, so Chan holds each route's
+// channels level by level. Its deliveries are the parallel Dest/DestLevel
+// rows of [DestOff[r], DestOff[r+1]), DestLevel being the 1-based level
+// whose channel arrives at the destination: a path position or a tree
+// depth. Paths come first, then trees, each in plan order. Channel ids
+// are the dfr.ChannelNumbering of the topology the plan was flattened
+// in, which the plan records (Numbering): PlanCache.Invalidate decodes
+// them to match plans by directed link, and the simulator refuses a plan
+// numbered in a topology other than its own.
 //
 // Degenerate routes (paths with fewer than two nodes, trees with no
 // edges) are dropped from the arrays but their destination counts are
@@ -39,48 +41,34 @@ import (
 // and safe to share across goroutines and cache entries; one refilled by
 // a Flattener belongs to its caller.
 type FlatPlan struct {
-	// Paths.
-	PathOff     []int32 // len nPaths+1: node-row bounds per path
-	PathNodes   []int32 // packed node sequences
-	PathChan    []int32 // packed per-hop channel ids
-	PathDestOff []int32 // len nPaths+1: delivery-row bounds per path
-	PathDest    []int32 // destination node ids
-	PathDestPos []int32 // 1-based path position of each destination
-
-	// Trees.
-	TreeOff       []int32 // len nTrees+1: level-boundary index per tree
-	TreeLevelOff  []int32 // channel-row bounds; level l of tree t is [TreeLevelOff[TreeOff[t]+l], TreeLevelOff[TreeOff[t]+l+1])
-	TreeFrom      []int32 // packed frontier channels, level by level
-	TreeTo        []int32
-	TreeChan      []int32 // channel id of each row
-	TreeDestOff   []int32 // len nTrees+1: delivery-row bounds per tree
-	TreeDest      []int32 // destination node ids
-	TreeDestDepth []int32 // tree depth of each destination
+	RouteOff  []int32 // len routes+1: level-bound index per route
+	LevelOff  []int32 // channel-row bounds; level l of route r is [LevelOff[RouteOff[r]+l], LevelOff[RouteOff[r]+l+1])
+	Chan      []int32 // channel ids, route by route, level by level
+	DestOff   []int32 // len routes+1: delivery-row bounds per route
+	Dest      []int32 // destination node ids
+	DestLevel []int32 // 1-based level that reaches each destination
 
 	// TotalDests is the destination count of the whole multicast,
 	// including destinations of degenerate routes dropped from the arrays.
 	TotalDests int32
+
+	chans dfr.ChannelNumbering
 }
 
-// Paths returns the number of flattened paths.
-func (f *FlatPlan) Paths() int { return len(f.PathOff) - 1 }
+// Routes returns the number of flattened routes, or -1 for the zero
+// FlatPlan, which was never flattened.
+func (f *FlatPlan) Routes() int { return len(f.RouteOff) - 1 }
 
-// Trees returns the number of flattened trees.
-func (f *FlatPlan) Trees() int { return len(f.TreeOff) - 1 }
+// Numbering returns the channel numbering the plan's ids are in: that of
+// the topology it was flattened in.
+func (f *FlatPlan) Numbering() dfr.ChannelNumbering { return f.chans }
 
 // touchesAny reports whether the plan traverses any of the given directed
 // links (ChannelPair values, sorted ascending) — the flat-entry half of
 // PlanCache.Invalidate, walked there so installs stay untagged.
 func (f *FlatPlan) touchesAny(pairs []uint64) bool {
-	for p := 0; p < f.Paths(); p++ {
-		for i := f.PathOff[p] + 1; i < f.PathOff[p+1]; i++ {
-			if hasPair(pairs, topology.NodeID(f.PathNodes[i-1]), topology.NodeID(f.PathNodes[i])) {
-				return true
-			}
-		}
-	}
-	for c := range f.TreeFrom {
-		if hasPair(pairs, topology.NodeID(f.TreeFrom[c]), topology.NodeID(f.TreeTo[c])) {
+	for _, id := range f.Chan {
+		if c, _ := f.chans.Channel(id); hasPair(pairs, c.From, c.To) {
 			return true
 		}
 	}
@@ -88,7 +76,8 @@ func (f *FlatPlan) touchesAny(pairs []uint64) bool {
 }
 
 // Flatten converts a routed plan into a new dense CSR plan over t's
-// channels: the one-shot case of Flattener, sizing every array exactly.
+// channels: the one-shot case of Flattener, sizing every array exactly
+// but LevelOff, which is sized for one level per channel.
 func Flatten(t topology.Topology, p Plan) *FlatPlan {
 	fl := Flattener{chans: dfr.NewChannelNumbering(t)}
 	return fl.Flatten(new(FlatPlan), p)
@@ -116,26 +105,28 @@ func NewFlattener(t topology.Topology) *Flattener {
 
 // Flatten refills f with the dense form of p, resolving destination path
 // positions (first occurrence), tree depths and channel ids, and returns
-// f. It panics on a malformed plan: a hop that is not a channel of the
-// flattener's topology, a path that does not visit one of its
+// f. The two input walks, over paths and over trees, write through one
+// writer: a route's channels level by level, then its deliveries, then
+// endRoute. It panics on a malformed plan: a hop that is not a channel of
+// the flattener's topology, a path that does not visit one of its
 // destinations, a tree edge that leaves a node the tree has not reached
 // yet or reaches a node twice, a tree root with a negative id, or a tree
 // that does not reach one of its destinations.
 func (fl *Flattener) Flatten(f *FlatPlan, p Plan) *FlatPlan {
-	var paths, nodes, pathDests, trees, edges, treeDests int
+	var routes, chans, dests int
 	for _, pr := range p.Paths {
 		if len(pr.Nodes) >= 2 {
-			paths++
-			nodes += len(pr.Nodes)
-			pathDests += len(pr.Dests)
+			routes++
+			chans += len(pr.Nodes) - 1
+			dests += len(pr.Dests)
 		}
 	}
 	maxNode := topology.NodeID(-1)
 	for _, tr := range p.Trees {
 		if len(tr.Edges) > 0 {
-			trees++
-			edges += len(tr.Edges)
-			treeDests += len(tr.Dests)
+			routes++
+			chans += len(tr.Edges)
+			dests += len(tr.Dests)
 			maxNode = max(maxNode, tr.Root)
 			for _, e := range tr.Edges {
 				maxNode = max(maxNode, e.From, e.To)
@@ -146,47 +137,36 @@ func (fl *Flattener) Flatten(f *FlatPlan, p Plan) *FlatPlan {
 		fl.stamp = append(fl.stamp, make([]uint32, n-len(fl.stamp))...)
 		fl.depth = append(fl.depth, make([]int32, n-len(fl.depth))...)
 	}
-	f.PathOff = append(reuse(f.PathOff, paths+1), 0)
-	f.PathNodes = reuse(f.PathNodes, nodes)
-	f.PathChan = reuse(f.PathChan, nodes-paths)
-	f.PathDestOff = append(reuse(f.PathDestOff, paths+1), 0)
-	f.PathDest = reuse(f.PathDest, pathDests)
-	f.PathDestPos = reuse(f.PathDestPos, pathDests)
-	f.TreeOff = append(reuse(f.TreeOff, trees+1), 0)
-	f.TreeLevelOff = append(f.TreeLevelOff[:0], 0)
-	f.TreeFrom = reuse(f.TreeFrom, edges)
-	f.TreeTo = reuse(f.TreeTo, edges)
-	f.TreeChan = reuse(f.TreeChan, edges)
-	f.TreeDestOff = append(reuse(f.TreeDestOff, trees+1), 0)
-	f.TreeDest = reuse(f.TreeDest, treeDests)
-	f.TreeDestDepth = reuse(f.TreeDestDepth, treeDests)
+	f.RouteOff = append(reuse(f.RouteOff, routes+1), 0)
+	f.LevelOff = append(reuse(f.LevelOff, chans+1), 0) // a level holds at least one channel
+	f.Chan = reuse(f.Chan, chans)
+	f.DestOff = append(reuse(f.DestOff, routes+1), 0)
+	f.Dest = reuse(f.Dest, dests)
+	f.DestLevel = reuse(f.DestLevel, dests)
 	f.TotalDests = 0
+	f.chans = fl.chans
 	for _, pr := range p.Paths {
 		f.TotalDests += int32(len(pr.Dests))
 		if len(pr.Nodes) < 2 {
 			continue
 		}
-		for i, node := range pr.Nodes {
-			f.PathNodes = append(f.PathNodes, int32(node))
-			if i == 0 {
-				continue
-			}
+		for i := 1; i < len(pr.Nodes); i++ {
 			class := pr.Class // pr.HopClass(i-1), without copying pr per hop
 			if pr.Classes != nil {
 				class = pr.Classes[i-1]
 			}
-			f.PathChan = append(f.PathChan, fl.chanID(dfr.Channel{From: pr.Nodes[i-1], To: node, Class: class}))
+			f.Chan = append(f.Chan, fl.chanID(dfr.Channel{From: pr.Nodes[i-1], To: pr.Nodes[i], Class: class}))
+			f.LevelOff = append(f.LevelOff, int32(len(f.Chan)))
 		}
-		f.PathOff = append(f.PathOff, int32(len(f.PathNodes)))
 		for _, d := range pr.Dests {
 			pos := slices.Index(pr.Nodes, d)
 			if pos <= 0 {
 				panic(fmt.Sprintf("routing: path does not visit destination %d", d))
 			}
-			f.PathDest = append(f.PathDest, int32(d))
-			f.PathDestPos = append(f.PathDestPos, int32(pos))
+			f.Dest = append(f.Dest, int32(d))
+			f.DestLevel = append(f.DestLevel, int32(pos))
 		}
-		f.PathDestOff = append(f.PathDestOff, int32(len(f.PathDest)))
+		f.endRoute()
 	}
 	for _, tr := range p.Trees {
 		f.TotalDests += int32(len(tr.Dests))
@@ -195,6 +175,13 @@ func (fl *Flattener) Flatten(f *FlatPlan, p Plan) *FlatPlan {
 		}
 	}
 	return f
+}
+
+// endRoute closes the route whose levels and deliveries were just
+// written.
+func (f *FlatPlan) endRoute() {
+	f.RouteOff = append(f.RouteOff, int32(len(f.LevelOff)-1))
+	f.DestOff = append(f.DestOff, int32(len(f.Dest)))
 }
 
 // tree appends one tree's lock-step levels and deliveries to f. Its
@@ -231,28 +218,26 @@ func (fl *Flattener) tree(f *FlatPlan, tr dfr.TreeRoute) {
 	for _, e := range tr.Edges {
 		level[fl.depth[e.To]]++
 	}
-	at := int32(len(f.TreeFrom))
+	at := int32(len(f.Chan))
 	for d := 1; d <= int(maxd); d++ {
 		level[d], at = at, at+level[d]
-		f.TreeLevelOff = append(f.TreeLevelOff, at)
+		f.LevelOff = append(f.LevelOff, at)
 	}
-	f.TreeFrom, f.TreeTo, f.TreeChan = f.TreeFrom[:at], f.TreeTo[:at], f.TreeChan[:at]
+	f.Chan = f.Chan[:at]
 	for j, e := range tr.Edges {
-		i := level[fl.depth[e.To]]
+		f.Chan[level[fl.depth[e.To]]] = ids[j]
 		level[fl.depth[e.To]]++
-		f.TreeFrom[i], f.TreeTo[i], f.TreeChan[i] = int32(e.From), int32(e.To), ids[j]
 	}
 	fl.level = level
-	f.TreeOff = append(f.TreeOff, int32(len(f.TreeLevelOff)-1))
 	for _, d := range tr.Dests {
 		dep := fl.depthOf(d)
 		if dep <= 0 {
 			panic(fmt.Sprintf("routing: tree does not reach destination %d", d))
 		}
-		f.TreeDest = append(f.TreeDest, int32(d))
-		f.TreeDestDepth = append(f.TreeDestDepth, dep)
+		f.Dest = append(f.Dest, int32(d))
+		f.DestLevel = append(f.DestLevel, dep)
 	}
-	f.TreeDestOff = append(f.TreeDestOff, int32(len(f.TreeDest)))
+	f.endRoute()
 }
 
 // chanID returns c's channel id, panicking with the hop's name when c is
@@ -294,28 +279,22 @@ func reuse(s []int32, n int) []int32 {
 }
 
 // FlatRouter plans multicasts in dense CSR form, memoizing flattened
-// plans in an optional PlanCache it owns.
+// plans in the PlanCache it owns.
 type FlatRouter struct {
 	Router
 	cache *PlanCache
 }
 
-// Flat wraps a router with CSR flattening. c may be nil (no
-// memoization); a non-nil cache serves this router alone from then on
-// (see PlanCache.Own).
+// Flat wraps a router with CSR flattening and the plan cache c, which
+// serves this router alone from then on (see PlanCache.Own).
 func Flat(r Router, c *PlanCache) *FlatRouter {
-	if c != nil {
-		c.Own(r)
-	}
+	c.Own(r)
 	return &FlatRouter{Router: r, cache: c}
 }
 
 // FlatSet routes an already-validated multicast set and returns the
 // dense form.
 func (r *FlatRouter) FlatSet(k core.MulticastSet) *FlatPlan {
-	if r.cache == nil {
-		return r.FlatCompute(k)
-	}
 	key := planKey(k)
 	if e, ok := get(r.cache, key); ok {
 		return e.flat
@@ -333,11 +312,11 @@ func (r *FlatRouter) FlatSet(k core.MulticastSet) *FlatPlan {
 // one cache lookup, and a hit with a reused buffer allocates nothing:
 // the key is built into buf and the map lookup converts it without
 // copying. It returns the plan, the (possibly grown) buffer for reuse
-// and whether the plan was found. A nil cache or unsorted destinations
-// fall back to FlatSet, which always finds. Callers must complete a miss
-// with FlatCompute + FlatInstallBuf.
+// and whether the plan was found. Unsorted destinations fall back to
+// FlatSet, which always finds. Callers must complete a miss with
+// FlatCompute + FlatInstallBuf.
 func (r *FlatRouter) FlatProbeBuf(k core.MulticastSet, buf []byte) (*FlatPlan, []byte, bool) {
-	if r.cache == nil || !destsSorted(k.Dests) {
+	if !destsSorted(k.Dests) {
 		return r.FlatSet(k), buf, true
 	}
 	buf = appendPlanKeySorted(buf[:0], k)
@@ -358,7 +337,7 @@ func (r *FlatRouter) FlatCompute(k core.MulticastSet) *FlatPlan {
 // an already-sorted set. Install order is the caller's, keeping FIFO
 // eviction deterministic however the misses were computed.
 func (r *FlatRouter) FlatInstallBuf(k core.MulticastSet, f *FlatPlan, buf []byte) []byte {
-	if r.cache == nil || !destsSorted(k.Dests) {
+	if !destsSorted(k.Dests) {
 		return buf
 	}
 	buf = appendPlanKeySorted(buf[:0], k)

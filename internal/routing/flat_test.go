@@ -13,9 +13,10 @@ import (
 )
 
 // TestFlattenLayout flattens a hand-built plan on a 4x8 mesh and checks
-// every CSR invariant: offsets bound the packed arrays, node/channel/
-// level/dest rows reproduce the source routes in order, and degenerate
-// routes are dropped from the arrays but kept in TotalDests.
+// every CSR invariant: offsets bound the packed arrays, level/channel/
+// dest rows reproduce the source routes in order — a path one channel
+// per level, paths before trees — and degenerate routes are dropped
+// from the arrays but kept in TotalDests.
 func TestFlattenLayout(t *testing.T) {
 	m := topology.NewMesh2D(4, 8)
 	p := Plan{
@@ -62,46 +63,40 @@ func TestFlattenLayout(t *testing.T) {
 // checkFlattenLayout checks TestFlattenLayout's plan, flattened.
 func checkFlattenLayout(t *testing.T, f *FlatPlan) {
 	t.Helper()
-	if f.Paths() != 2 || f.Trees() != 1 {
-		t.Fatalf("Paths=%d Trees=%d, want 2 and 1", f.Paths(), f.Trees())
+	if f.Routes() != 3 {
+		t.Fatalf("Routes=%d, want 3 (two paths, one tree)", f.Routes())
 	}
 	if f.TotalDests != 7 {
 		t.Fatalf("TotalDests=%d, want 7 (degenerate dests included)", f.TotalDests)
 	}
-	wantNodes := []int32{0, 1, 2, 3, 0, 4}
-	for i, v := range wantNodes {
-		if f.PathNodes[i] != v {
-			t.Fatalf("PathNodes=%v, want %v", f.PathNodes, wantNodes)
+	// Route 0 is path 0 (three levels), route 1 path 2 (one level),
+	// route 2 the tree (two levels); each route's level bounds end where
+	// the next route's begin.
+	for _, row := range []struct {
+		name      string
+		got, want []int32
+	}{
+		{"RouteOff", f.RouteOff, []int32{0, 3, 4, 6}},
+		{"LevelOff", f.LevelOff, []int32{0, 1, 2, 3, 4, 6, 7}},
+		// Channel ids on the 4x8 mesh (N = 32, D = 4, ports x-1, x+1,
+		// y-1, y+1): (class·N + from)·D + port. The path hops 0-1-2-3
+		// in class 1, then 0-4 in class 2; the tree's level 1 holds
+		// (5,1) and (5,6)#1 in edge order, its level 2 holds (1,0).
+		{"Chan", f.Chan, []int32{(32+0)*4 + 1, (32+1)*4 + 1, (32+2)*4 + 1, (64+0)*4 + 3,
+			5*4 + 2, (32+5)*4 + 1, 1*4 + 0}},
+		{"DestOff", f.DestOff, []int32{0, 2, 3, 5}},
+		// Deliveries in listed order: path 0's dest 3 at position 3 and
+		// dest 2 at position 2, path 2's dest 4 at 1, the tree's dest 6
+		// at depth 1 and dest 0 at depth 2.
+		{"Dest", f.Dest, []int32{3, 2, 4, 6, 0}},
+		{"DestLevel", f.DestLevel, []int32{3, 2, 1, 1, 2}},
+	} {
+		if !reflect.DeepEqual(row.got, row.want) {
+			t.Fatalf("%s=%v, want %v", row.name, row.got, row.want)
 		}
 	}
-	// Channel ids on the 4x8 mesh (N = 32, D = 4, ports x-1, x+1, y-1,
-	// y+1): (class·N + from)·D + port.
-	wantChan := []int32{(32+0)*4 + 1, (32+1)*4 + 1, (32+2)*4 + 1, (64+0)*4 + 3}
-	if !reflect.DeepEqual(f.PathChan, wantChan) {
-		t.Fatalf("PathChan=%v, want %v", f.PathChan, wantChan)
-	}
-	// Path 0 deliveries: dest 3 at position 3, dest 2 at position 2 — in
-	// listed order.
-	if f.PathDest[0] != 3 || f.PathDestPos[0] != 3 || f.PathDest[1] != 2 || f.PathDestPos[1] != 2 {
-		t.Fatalf("path 0 deliveries wrong: dest=%v pos=%v", f.PathDest, f.PathDestPos)
-	}
-	// Tree 0: two levels — level 0 has channels (5,1) and (5,6)#1 in edge
-	// order, level 1 has (1,0).
-	llo, lhi := f.TreeOff[0], f.TreeOff[1]
-	if lhi-llo != 2 {
-		t.Fatalf("tree levels = %d, want 2", lhi-llo)
-	}
-	l0lo, l0hi := f.TreeLevelOff[llo], f.TreeLevelOff[llo+1]
-	if l0hi-l0lo != 2 || f.TreeFrom[l0lo] != 5 || f.TreeTo[l0lo] != 1 || f.TreeChan[l0lo] != 5*4+2 ||
-		f.TreeFrom[l0lo+1] != 5 || f.TreeTo[l0lo+1] != 6 || f.TreeChan[l0lo+1] != (32+5)*4+1 {
-		t.Fatalf("tree level 0 wrong: from=%v to=%v chan=%v", f.TreeFrom, f.TreeTo, f.TreeChan)
-	}
-	l1lo, l1hi := f.TreeLevelOff[llo+1], f.TreeLevelOff[llo+2]
-	if l1hi-l1lo != 1 || f.TreeFrom[l1lo] != 1 || f.TreeTo[l1lo] != 0 || f.TreeChan[l1lo] != 1*4+0 {
-		t.Fatalf("tree level 1 wrong: from=%v to=%v chan=%v", f.TreeFrom, f.TreeTo, f.TreeChan)
-	}
-	if f.TreeDest[0] != 6 || f.TreeDestDepth[0] != 1 || f.TreeDest[1] != 0 || f.TreeDestDepth[1] != 2 {
-		t.Fatalf("tree deliveries wrong: dest=%v depth=%v", f.TreeDest, f.TreeDestDepth)
+	if f.Numbering().Topology().Name() != "4x8 mesh" {
+		t.Fatalf("plan numbered in %s, want the 4x8 mesh", f.Numbering().Topology().Name())
 	}
 }
 
@@ -193,10 +188,10 @@ func TestCacheKeysSeparateRepresentations(t *testing.T) {
 
 	plain := cr.PlanSet(k)
 	flat := fr.FlatSet(k)
-	if flat == nil || flat.Paths() == 0 {
+	if flat == nil || flat.Routes() == 0 {
 		t.Fatal("flat plan empty")
 	}
-	if got := Flatten(m, plain); got.TotalDests != flat.TotalDests || got.Paths() != flat.Paths() {
+	if got := Flatten(m, plain); got.TotalDests != flat.TotalDests || got.Routes() != flat.Routes() {
 		t.Fatalf("representations disagree: %+v vs %+v", got, flat)
 	}
 	key := planKey(k)

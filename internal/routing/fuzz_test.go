@@ -2,6 +2,7 @@ package routing_test
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"multicastnet/internal/core"
@@ -50,6 +51,99 @@ func checkMonotone(t *testing.T, st *routing.State, name string, p dfr.PathRoute
 			t.Fatalf("%s: path %v not label-decreasing at hop %d (%d -> %d)",
 				name, p.Nodes, i, prev, cur)
 		}
+	}
+}
+
+// checkFlat flattens a healthy plan and checks the flat form against the
+// route form, decoding every channel id with a numbering of its own, so
+// the check is independent of the flattener's writer. Routes are the
+// plan's non-degenerate paths, then its non-degenerate trees, in plan
+// order: a path's hop i sits alone at level i, class included; each
+// tree edge sits once at the level of its child's depth; a destination's
+// level is its path position or its tree depth; and TotalDests counts
+// every destination the plan names.
+func checkFlat(t *testing.T, name string, m topology.Topology, plan routing.Plan) {
+	t.Helper()
+	f := routing.Flatten(m, plan)
+	num := dfr.NewChannelNumbering(m)
+	levels := func(r int) [][]dfr.Channel {
+		var out [][]dfr.Channel
+		for l := f.RouteOff[r]; l < f.RouteOff[r+1]; l++ {
+			var cs []dfr.Channel
+			for _, id := range f.Chan[f.LevelOff[l]:f.LevelOff[l+1]] {
+				c, ok := num.Channel(id)
+				if !ok {
+					t.Fatalf("%s: route %d holds id %d, which no channel has", name, r, id)
+				}
+				cs = append(cs, c)
+			}
+			out = append(out, cs)
+		}
+		return out
+	}
+	checkDests := func(r int, dests []topology.NodeID, level func(topology.NodeID) int) {
+		lo, hi := f.DestOff[r], f.DestOff[r+1]
+		if int(hi-lo) != len(dests) {
+			t.Fatalf("%s: route %d has %d deliveries, want %d", name, r, hi-lo, len(dests))
+		}
+		for j, d := range dests {
+			if got, want := f.DestLevel[lo+int32(j)], level(d); f.Dest[lo+int32(j)] != int32(d) || int(got) != want {
+				t.Fatalf("%s: route %d delivery %d is node %d at level %d, want node %d at level %d",
+					name, r, j, f.Dest[lo+int32(j)], got, d, want)
+			}
+		}
+	}
+	r, total := 0, 0
+	for _, p := range plan.Paths {
+		total += len(p.Dests)
+		if len(p.Nodes) < 2 {
+			continue
+		}
+		lv := levels(r)
+		if len(lv) != len(p.Nodes)-1 {
+			t.Fatalf("%s: path %v flattened into %d levels", name, p.Nodes, len(lv))
+		}
+		for i, c := range p.Channels() {
+			if len(lv[i]) != 1 || lv[i][0] != c {
+				t.Fatalf("%s: path %v level %d holds %v, want %v alone", name, p.Nodes, i, lv[i], c)
+			}
+		}
+		checkDests(r, p.Dests, func(d topology.NodeID) int { return slices.Index(p.Nodes, d) })
+		r++
+	}
+	for _, tr := range plan.Trees {
+		total += len(tr.Dests)
+		if len(tr.Edges) == 0 {
+			continue
+		}
+		depth := map[topology.NodeID]int{tr.Root: 0}
+		edges := map[dfr.Channel]bool{}
+		maxd := 0
+		for _, e := range tr.Edges {
+			depth[e.To] = depth[e.From] + 1
+			edges[e] = true
+			maxd = max(maxd, depth[e.To])
+		}
+		lv := levels(r)
+		if len(lv) != maxd {
+			t.Fatalf("%s: tree of depth %d flattened into %d levels", name, maxd, len(lv))
+		}
+		for l, cs := range lv {
+			for _, c := range cs {
+				if !edges[c] || depth[c.To] != l+1 {
+					t.Fatalf("%s: tree level %d holds %v, not an edge of the tree at that depth", name, l, c)
+				}
+				delete(edges, c)
+			}
+		}
+		if len(edges) > 0 {
+			t.Fatalf("%s: tree edges %v missing from the flat levels", name, edges)
+		}
+		checkDests(r, tr.Dests, func(d topology.NodeID) int { return depth[d] })
+		r++
+	}
+	if f.Routes() != r || int(f.TotalDests) != total {
+		t.Fatalf("%s: %d routes and %d destinations, want %d and %d", name, f.Routes(), f.TotalDests, r, total)
 	}
 }
 
@@ -129,8 +223,9 @@ func checkDegraded(t *testing.T, name string, st *routing.State, events []fault.
 // FuzzPlan drives every registry scheme over fuzzer-chosen mesh sizes,
 // destination sets, and fault masks, and asserts the routing invariants:
 // on healthy hardware the plan covers each destination exactly once,
-// uses only real channels, and (for the path schemes) every path is
-// label-monotone; under the fuzzed fault mask the degraded router either
+// uses only real channels, (for the path schemes) every path is
+// label-monotone, and its flat form carries the same routes (checkFlat);
+// under the fuzzed fault mask the degraded router either
 // covers every reachable destination over live channels or reports a
 // typed partition error — never a panic.
 func FuzzPlan(f *testing.F) {
@@ -176,15 +271,18 @@ func FuzzPlan(f *testing.F) {
 			for _, p := range plan.Paths {
 				checkMonotone(t, st, name, p)
 			}
+			checkFlat(t, name, m, plan)
 		}
 		for _, name := range fuzzTreeSchemes {
 			r, err := routing.New(name, st)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			if err := r.PlanSet(k).Validate(m, k); err != nil {
+			plan := r.PlanSet(k)
+			if err := plan.Validate(m, k); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
+			checkFlat(t, name, m, plan)
 		}
 		// Fault-mask leg: kill a fuzzer-chosen set of links (at most a
 		// third of the mesh, so the mask stays routable often enough to

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"multicastnet/internal/core"
+	"multicastnet/internal/dfr"
 	"multicastnet/internal/stats"
 	"multicastnet/internal/topology"
 )
@@ -186,7 +187,8 @@ func enumerateLinksTest(tp topology.Topology) []topology.Link {
 
 // TestPlanCacheTargetedInvalidation: a delta evicts exactly the entries
 // whose plans traverse a dead channel — route-form entries of a Cached
-// router and flat entries of a Flat router alike; repairs evict nothing.
+// router and flat entries of a Flat router alike, flat entries in every
+// channel class; repairs evict nothing.
 func TestPlanCacheTargetedInvalidation(t *testing.T) {
 	r, _, m := testRouter(t, "dual-path")
 	rc, fc := NewPlanCache(256), NewPlanCache(256)
@@ -236,6 +238,41 @@ func TestPlanCacheTargetedInvalidation(t *testing.T) {
 	}
 	if fr.FlatSet(k1); fc.Stats().Misses != misses+1 {
 		t.Fatal("flat entry over the dead link was served after invalidation")
+	}
+
+	// A Flat cache over the tree scheme, whose decreasing-label trees use
+	// class 1: the flat walk decodes each id through the plan's
+	// numbering and folds the class away, as ChannelPair does, so a dead
+	// directed link evicts exactly the entry whose class-1 edge crosses
+	// it, and the reverse direction alone evicts nothing.
+	tr, _, _ := testRouter(t, "tree")
+	tc := NewPlanCache(256)
+	ft := Flat(tr, tc)
+	down := core.MustMulticastSet(m, 35, []topology.NodeID{30}) // along the bottom row
+	ft.FlatSet(k1)
+	ft.FlatSet(down)
+	var e dfr.Channel
+	for _, c := range tr.PlanSet(down).Trees[0].Edges {
+		if c.Class >= 1 {
+			e = c
+			break
+		}
+	}
+	if e.Class < 1 {
+		t.Fatal("the tree plan for 35 -> 30 uses no channel of class 1 or up")
+	}
+	if n := tc.Invalidate([]uint64{ChannelPair(e.To, e.From)}); n != 0 {
+		t.Fatalf("the reverse of %v evicted %d tree entries, want 0", e, n)
+	}
+	if n := tc.Invalidate([]uint64{ChannelPair(e.From, e.To)}); n != 1 || tc.Len() != 1 {
+		t.Fatalf("dead link under %v evicted %d tree entries leaving %d, want 1 and 1", e, n, tc.Len())
+	}
+	misses = tc.Stats().Misses
+	if ft.FlatSet(k1); tc.Stats().Misses != misses {
+		t.Fatal("the tree entry off the dead link was evicted")
+	}
+	if ft.FlatSet(down); tc.Stats().Misses != misses+1 {
+		t.Fatal("the tree entry over the dead link was served after invalidation")
 	}
 
 	// An irrelevant channel evicts nothing.

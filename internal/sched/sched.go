@@ -14,7 +14,10 @@
 // per-channel load accounting uses epoch-stamped dense arrays indexed
 // directly by the channel ids each FlatPlan carries (the topology's
 // arithmetic dfr.ChannelNumbering, resolved once when the plan was
-// flattened), so counting a hop's load looks nothing up.
+// flattened), so counting a hop's load looks nothing up. A plan is one
+// list of routes crossed level by level, paths and trees alike, so its
+// load is one walk over its channel ids and its dilation the most levels
+// any route crosses.
 //
 // Determinism: for a given submission sequence the admitted stream,
 // deferral counts, and PlanCache counters are identical at every worker
@@ -375,19 +378,12 @@ func (s *Service) plan() {
 	}
 }
 
-// dilationOf returns the plan's longest channel chain: max path hop
-// count and tree level count.
+// dilationOf returns the plan's dilation: the most levels any of its
+// routes crosses (a path's hop count, a tree's depth).
 func dilationOf(f *routing.FlatPlan) int32 {
 	var d int32
-	for p := 0; p < f.Paths(); p++ {
-		if hops := f.PathOff[p+1] - f.PathOff[p] - 1; hops > d {
-			d = hops
-		}
-	}
-	for t := 0; t < f.Trees(); t++ {
-		if levels := f.TreeOff[t+1] - f.TreeOff[t]; levels > d {
-			d = levels
-		}
+	for r := 0; r < f.Routes(); r++ {
+		d = max(d, f.RouteOff[r+1]-f.RouteOff[r])
 	}
 	return d
 }
@@ -397,12 +393,7 @@ func dilationOf(f *routing.FlatPlan) int32 {
 // the maximum resulting per-channel load.
 func (s *Service) addLoad(f *routing.FlatPlan, delta int32) int32 {
 	var max int32
-	for _, id := range f.PathChan {
-		if v := s.bump(id, delta); v > max {
-			max = v
-		}
-	}
-	for _, id := range f.TreeChan {
+	for _, id := range f.Chan {
 		if v := s.bump(id, delta); v > max {
 			max = v
 		}

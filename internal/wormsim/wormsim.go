@@ -20,9 +20,11 @@
 // channel and the body follows in a pipeline.
 //
 // One injector, InjectFlatTag, builds every worm from one plan form: the
-// dense routing.FlatPlan. Callers holding routed paths and trees flatten
-// them first (routing.Flattener; Run does so with one reused flattener
-// per run).
+// dense routing.FlatPlan, whose every route is a list of levels of
+// channel ids, one worm per route. Callers holding routed paths and
+// trees flatten them first (routing.Flattener; Run does so with one
+// reused flattener per run), in the topology the network runs on: the
+// injector refuses a plan flattened in any other.
 //
 // Channel arbitration is first-come first-served: a worm that finds a
 // channel busy enqueues on it and acquires it, in order, once free.
@@ -39,7 +41,8 @@
 //     Injection maps an id to the channel's compact index through one
 //     direct-mapped slot table, so neither injection nor the per-cycle
 //     inner loop hashes or scans for a channel; the inner loop indexes
-//     flat parallel arrays.
+//     flat parallel arrays. A channel's first sighting decodes its id
+//     through the same numbering, as FailWhere does.
 //   - Worms live in a slot arena (Network.slots) and are referenced by
 //     dense int32 indices (wormRef) everywhere — the in-flight list, the
 //     active list, wake queues, channel owner and FIFO state. The
@@ -110,15 +113,16 @@ type delivery struct {
 // structure uses.
 //
 // The worm crosses its levels lock-step, one per cycle. chans holds the
-// compact channel indices level by level. A tree worm stores its level
-// bounds: level l is chans[bounds[l]:bounds[l+1]]. A path worm stores
-// none: its level l is channel l alone. A frontier channel is taken
-// exactly when the channel's owner is the worm.
+// compact channel indices level by level. A worm with a level of several
+// channels stores its level bounds: level l is chans[bounds[l]:bounds[l+1]].
+// One whose levels each hold one channel, a path, stores none: its level
+// l is channel l alone. A frontier channel is taken exactly when the
+// channel's owner is the worm.
 type worm struct {
 	id int
 
 	chans    []int32 // compact channel indices, level by level
-	bounds   []int32 // tree level bounds; empty for a path
+	bounds   []int32 // level bounds; empty when each level holds one channel
 	headIdx  int     // frontier: the next level to cross
 	queuedAt int     // the level the worm is queued on (-1: none)
 	progress int     // levels crossed plus drain cycles
@@ -311,32 +315,26 @@ func (n *Network) OnDelivery(fn func(dest topology.NodeID, latencyCycles int64, 
 // request) and its completion latency.
 func (n *Network) OnCompleteTag(fn func(tag uint64, latencyCycles int64)) { n.onCompleteTag = fn }
 
-// chanOf returns the compact index of the channel a plan numbers id, on
-// its hop from -> to: one slot-table read once the channel has been seen.
-func (n *Network) chanOf(id, from, to int32) int32 {
+// chanOf returns the compact index of the channel a plan numbers id:
+// one slot-table read once the channel has been seen.
+func (n *Network) chanOf(id int32) int32 {
 	if uint(id) < uint(len(n.slot)) && n.slot[id] != 0 {
 		return n.slot[id] - 1
 	}
-	return n.see(id, from, to)
+	return n.see(id)
 }
 
-// see admits a channel on its first use. It recomputes the hop's id in
-// the network's own topology, from the plan's own nodes, and panics
-// unless it matches the plan's — which refuses a hop off this topology
-// and a plan numbered in another one — so validation costs once per
-// distinct channel, not once per injection or step. The channel then
-// gets the next compact index, dead from the start if a failure
-// predicate covers it.
-func (n *Network) see(id, from, to int32) int32 {
-	c := dfr.Channel{From: topology.NodeID(from), To: topology.NodeID(to)}
-	layer := n.chans.Layer()
-	if layer > 0 && int(id) >= layer {
-		c.Class = int(id) / layer
-	}
-	if want, ok := n.chans.ID(c); !ok || want != id {
-		panic(fmt.Sprintf("wormsim: plan channel %d is not hop %v of %s", id, c, n.topo.Name()))
+// see admits a channel on its first use. It decodes the id in the
+// network's numbering, which InjectFlatTag has checked is the plan's, and
+// panics when no channel has it; the channel then gets the next compact
+// index, dead from the start if a failure predicate covers it.
+func (n *Network) see(id int32) int32 {
+	c, ok := n.chans.Channel(id)
+	if !ok {
+		panic(fmt.Sprintf("wormsim: plan channel %d is not a channel of %s", id, n.topo.Name()))
 	}
 	if int(id) >= len(n.slot) {
+		layer := n.chans.Layer()
 		n.slot = append(n.slot, make([]int32, (int(id)/layer+1)*layer-len(n.slot))...)
 	}
 	ci := int32(len(n.chanOwner))
@@ -438,47 +436,48 @@ func (n *Network) addWorm(wi wormRef, dest, at []int32) {
 }
 
 // InjectFlatTag injects one multicast from its dense CSR plan, spawned at
-// the current cycle: one worm per flattened path, whose levels are its
-// channels, then one per flattened tree, whose levels are its frontiers,
-// in plan order. Positions, depths and channel ids were resolved at
-// flattening time (routing.Flattener), so injection walks packed arrays,
-// and each channel is validated once, when first seen. lengthFlits is
-// the message length in flits; tag is reported back by OnCompleteTag
-// when the multicast's last destination is delivered. A plan with no
-// worms injects nothing.
+// the current cycle: one worm per flattened route, in plan order, whose
+// levels are the route's levels. Delivery levels and channel ids were
+// resolved at flattening time (routing.Flattener), so injection walks
+// packed arrays. A route whose levels each hold one channel (a path)
+// gets no level bounds. lengthFlits is the message length in flits; tag
+// is reported back by OnCompleteTag when the multicast's last
+// destination is delivered. A plan with no routes injects nothing; a
+// plan flattened in a topology other than the network's panics, naming
+// both.
 func (n *Network) InjectFlatTag(fp *routing.FlatPlan, lengthFlits int, tag uint64) {
 	if lengthFlits < 1 {
 		panic("wormsim: message must have at least one flit")
 	}
-	if fp.Paths() == 0 && fp.Trees() == 0 {
+	if fp.Routes() <= 0 {
 		return // no worm would ever free a multicast record
+	}
+	if t := fp.Numbering().Topology(); t != n.topo {
+		name := "no topology"
+		if t != nil {
+			name = t.Name()
+		}
+		panic(fmt.Sprintf("wormsim: plan numbered in %s injected into a network over %s", name, n.topo.Name()))
 	}
 	mci := n.allocMcast()
 	mc := &n.mcSlots[mci]
 	mc.spawned = n.cycle
 	mc.size = int(fp.TotalDests)
 	mc.tag = tag
-	for p := 0; p < fp.Paths(); p++ {
+	for r := 0; r < fp.Routes(); r++ {
 		wi, w := n.newWorm(mci, lengthFlits)
-		lo, hi := fp.PathOff[p], fp.PathOff[p+1]
-		clo := lo - int32(p)
-		for i := lo + 1; i < hi; i++ {
-			w.chans = append(w.chans, n.chanOf(fp.PathChan[clo+i-lo-1], fp.PathNodes[i-1], fp.PathNodes[i]))
+		llo, lhi := fp.RouteOff[r], fp.RouteOff[r+1]
+		clo, chi := fp.LevelOff[llo], fp.LevelOff[lhi]
+		for _, id := range fp.Chan[clo:chi] {
+			w.chans = append(w.chans, n.chanOf(id))
 		}
-		dlo, dhi := fp.PathDestOff[p], fp.PathDestOff[p+1]
-		n.addWorm(wi, fp.PathDest[dlo:dhi], fp.PathDestPos[dlo:dhi])
-	}
-	for t := 0; t < fp.Trees(); t++ {
-		wi, w := n.newWorm(mci, lengthFlits)
-		w.bounds = append(w.bounds, 0)
-		for l := fp.TreeOff[t]; l < fp.TreeOff[t+1]; l++ {
-			for c := fp.TreeLevelOff[l]; c < fp.TreeLevelOff[l+1]; c++ {
-				w.chans = append(w.chans, n.chanOf(fp.TreeChan[c], fp.TreeFrom[c], fp.TreeTo[c]))
+		if chi-clo > lhi-llo { // some level holds several channels
+			for _, b := range fp.LevelOff[llo : lhi+1] {
+				w.bounds = append(w.bounds, b-clo)
 			}
-			w.bounds = append(w.bounds, int32(len(w.chans)))
 		}
-		dlo, dhi := fp.TreeDestOff[t], fp.TreeDestOff[t+1]
-		n.addWorm(wi, fp.TreeDest[dlo:dhi], fp.TreeDestDepth[dlo:dhi])
+		dlo, dhi := fp.DestOff[r], fp.DestOff[r+1]
+		n.addWorm(wi, fp.Dest[dlo:dhi], fp.DestLevel[dlo:dhi])
 	}
 }
 

@@ -369,8 +369,11 @@ func TestInjectValidation(t *testing.T) {
 // node 9 sits "above" node 6 in a 3x3 mesh, node -1 "left of" node 0, and
 // node 16 differs from node 0 in one bit of a 4-cube — so adjacency
 // cannot stand in for the range check. A plan flattened in another
-// topology is refused by the network when it first sees the channel: the
-// hop 0->4 is a link of a 4x4 mesh but not of a 3x3 one.
+// topology is refused on every injection, naming both topologies, even
+// when the network has already seen each of its channel ids: the 3x3
+// hop 0->3 and the 4x4 hop 0->4 are both id 3, node 0's y+1 port. The
+// zero FlatPlan, which was never flattened, injects nothing and leaves
+// no multicast record behind.
 func TestInjectRejectsNonChannels(t *testing.T) {
 	mesh := topology.NewMesh2D(3, 3)
 	cube := topology.NewHypercube(4)
@@ -405,12 +408,34 @@ func TestInjectRejectsNonChannels(t *testing.T) {
 
 	foreign := routing.Flatten(topology.NewMesh2D(4, 4), routing.Plan{Paths: []dfr.PathRoute{
 		{Nodes: []topology.NodeID{0, 4}, Dests: []topology.NodeID{4}}}})
-	defer func() {
-		if msg, want := recover(), "wormsim: plan channel 3 is not hop [0,4] of 3x3 mesh"; msg != want {
-			t.Errorf("4x4-mesh plan in a 3x3 network: panic %v, want %q", msg, want)
-		}
-	}()
-	NewNetwork(mesh).InjectFlatTag(foreign, 4, 0)
+	native := routing.Flatten(mesh, routing.Plan{Paths: []dfr.PathRoute{
+		{Nodes: []topology.NodeID{0, 3}, Dests: []topology.NodeID{3}}}})
+	if foreign.Chan[0] != 3 || native.Chan[0] != 3 {
+		t.Fatalf("channel ids %d and %d, want 3 and 3", foreign.Chan[0], native.Chan[0])
+	}
+	for _, first := range []*routing.FlatPlan{nil, native} {
+		func() {
+			n := NewNetwork(mesh)
+			if first != nil {
+				n.InjectFlatTag(first, 4, 0)
+			}
+			defer func() {
+				if msg, want := recover(), "wormsim: plan numbered in 4x4 mesh injected into a network over 3x3 mesh"; msg != want {
+					t.Errorf("4x4-mesh plan in a 3x3 network (native plan first: %v): panic %v, want %q",
+						first != nil, msg, want)
+				}
+			}()
+			n.InjectFlatTag(foreign, 4, 0)
+		}()
+	}
+
+	n := NewNetwork(mesh)
+	for i := 0; i < 5; i++ {
+		n.InjectFlatTag(&routing.FlatPlan{}, 4, 0)
+	}
+	if n.ActiveWorms() != 0 || len(n.mcSlots) != 0 {
+		t.Errorf("five zero plans left %d worms and %d multicast records, want none", n.ActiveWorms(), len(n.mcSlots))
+	}
 }
 
 // TestBusyOutsideTopology pins Busy's miss path: a channel that was never
