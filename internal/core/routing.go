@@ -34,10 +34,10 @@ func NextHop(t topology.Topology, l labeling.Labeling, u, v topology.NodeID) top
 	return nextHopInto(t, l, u, v, buf[:0])
 }
 
-// nextHopInto is NextHop over a caller-provided neighbor buffer. The
-// buffer crosses the Topology interface, so it always escapes; callers
-// that walk whole routes (AppendRoute) hoist one buffer across the walk
-// instead of paying one heap allocation per hop.
+// nextHopInto is NextHop over a caller-provided neighbor buffer, which
+// it reuses from buf[:0]. The buffer crosses the Topology interface, so
+// a buffer declared per call escapes to the heap; AppendRoute takes its
+// caller's buffer instead, so a whole plan can pay for one.
 func nextHopInto(t topology.Topology, l labeling.Labeling, u, v topology.NodeID, buf []topology.NodeID) topology.NodeID {
 	if u == v {
 		panic("core: NextHop with u == v")
@@ -118,20 +118,21 @@ func nextHopLiteralInto(t topology.Topology, l labeling.Labeling, u, v topology.
 // applying the routing function R. By Lemmas 6.1 and 6.4 the labels along
 // the sequence are strictly monotone, so the walk terminates.
 func RoutePath(t topology.Topology, l labeling.Labeling, u, v topology.NodeID) []topology.NodeID {
-	return AppendRoute(t, l, u, v, []topology.NodeID{u})
+	var buf [32]topology.NodeID
+	return AppendRoute(t, l, u, v, []topology.NodeID{u}, buf[:0])
 }
 
 // AppendRoute appends the nodes strictly after u on the route from u to v
 // selected by R, and returns the extended slice — RoutePath for callers
 // that stitch multi-destination paths (the dual-path and multi-path
-// preparation) without a heap-allocated leg per destination. One neighbor
-// buffer serves the whole walk, so a leg costs one allocation instead of
-// one per hop.
-func AppendRoute(t topology.Topology, l labeling.Labeling, u, v topology.NodeID, dst []topology.NodeID) []topology.NodeID {
-	var buf [32]topology.NodeID
+// preparation) without a heap-allocated leg per destination. nbuf is the
+// caller's neighbor buffer, reused at every hop from nbuf[:0]; give it
+// capacity t.MaxDegree() and the walk allocates nothing beyond growing
+// dst.
+func AppendRoute(t topology.Topology, l labeling.Labeling, u, v topology.NodeID, dst, nbuf []topology.NodeID) []topology.NodeID {
 	guard := 0
 	for u != v {
-		u = nextHopInto(t, l, u, v, buf[:0])
+		u = nextHopInto(t, l, u, v, nbuf[:0])
 		dst = append(dst, u)
 		if guard++; guard > t.Nodes()+1 {
 			panic("core: routing function R failed to converge")

@@ -42,6 +42,15 @@ func IdleOracle() ChannelOracle { return neverBusy{} }
 // label exactly as R does. With an idle oracle it returns R's choice.
 func AdaptiveNextHop(t topology.Topology, l labeling.Labeling, u, v topology.NodeID,
 	class int, oracle ChannelOracle) topology.NodeID {
+	var buf [32]topology.NodeID
+	return adaptiveNextHopInto(t, l, u, v, class, oracle, buf[:0])
+}
+
+// adaptiveNextHopInto is AdaptiveNextHop over the caller's neighbor
+// buffer, reused from nbuf[:0], so a plan pays for one buffer instead of
+// one per hop.
+func adaptiveNextHopInto(t topology.Topology, l labeling.Labeling, u, v topology.NodeID,
+	class int, oracle ChannelOracle, nbuf []topology.NodeID) topology.NodeID {
 	if u == v {
 		panic("dfr: AdaptiveNextHop with u == v")
 	}
@@ -61,8 +70,7 @@ func AdaptiveNextHop(t topology.Topology, l labeling.Labeling, u, v topology.Nod
 		}
 		return lp < cur
 	}
-	var buf [32]topology.NodeID
-	for _, p := range t.Neighbors(u, buf[:0]) {
+	for _, p := range t.Neighbors(u, nbuf[:0]) {
 		lp := l.Label(p)
 		inWindow := (lu < lv && lp > lu && lp <= lv) || (lu > lv && lp < lu && lp >= lv)
 		if !inWindow || t.Distance(p, v) != du-1 {
@@ -86,16 +94,18 @@ func AdaptiveNextHop(t topology.Topology, l labeling.Labeling, u, v topology.Nod
 	return core.NextHop(t, l, u, v)
 }
 
-// adaptiveRouteThrough extends a path through every destination in order
-// using AdaptiveNextHop.
+// adaptiveRouteThrough returns the path row from start through every
+// destination in order, routed by AdaptiveNextHop over the plan's
+// neighbor buffer nbuf. Its hops are shortest like R's, so the row is
+// sized as routeThrough's.
 func adaptiveRouteThrough(t topology.Topology, l labeling.Labeling, start topology.NodeID,
-	dests []topology.NodeID, class int, oracle ChannelOracle) []topology.NodeID {
-	nodes := []topology.NodeID{start}
+	dests []topology.NodeID, class int, oracle ChannelOracle, nbuf []topology.NodeID) []topology.NodeID {
+	nodes := newRow(t, start, start, dests)
 	cur := start
 	for _, d := range dests {
 		guard := 0
 		for cur != d {
-			next := AdaptiveNextHop(t, l, cur, d, class, oracle)
+			next := adaptiveNextHopInto(t, l, cur, d, class, oracle, nbuf)
 			nodes = append(nodes, next)
 			cur = next
 			if guard++; guard > t.Nodes()+1 {
@@ -115,18 +125,12 @@ func adaptiveRouteThrough(t topology.Topology, l labeling.Labeling, start topolo
 func AdaptiveDualPath(t topology.Topology, l labeling.Labeling, k core.MulticastSet,
 	oracle ChannelOracle) Star {
 	dh, dl := HighLowPartition(l, k)
-	s := Star{Source: k.Source}
-	if len(dh) > 0 {
-		s.Paths = append(s.Paths, PathRoute{
-			Nodes: adaptiveRouteThrough(t, l, k.Source, dh, 0, oracle),
-			Dests: dh,
-		})
-	}
-	if len(dl) > 0 {
-		s.Paths = append(s.Paths, PathRoute{
-			Nodes: adaptiveRouteThrough(t, l, k.Source, dl, 0, oracle),
-			Dests: dl,
-		})
+	nbuf := neighborBuf(t)
+	s := Star{Source: k.Source, Paths: pathsFor(dh, dl)}
+	for _, g := range [2][]topology.NodeID{dh, dl} {
+		if len(g) > 0 {
+			s.Paths = append(s.Paths, PathRoute{Nodes: adaptiveRouteThrough(t, l, k.Source, g, 0, oracle, nbuf), Dests: g})
+		}
 	}
 	return s
 }

@@ -10,7 +10,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"multicastnet/internal/core"
 	"multicastnet/internal/labeling"
@@ -165,21 +164,68 @@ func HighLowPartition(l labeling.Labeling, k core.MulticastSet) (dh, dl []topolo
 	return dh, dl
 }
 
-// routeThrough extends a path from its last node through every
-// destination in order using the routing function R (the message routing
-// of Fig. 6.12 run to completion).
-func routeThrough(t topology.Topology, l labeling.Labeling, start topology.NodeID,
-	dests []topology.NodeID) []topology.NodeID {
-	nodes := []topology.NodeID{start}
-	cur := start
+// routeThrough returns the path row from src through every destination
+// of dests in order, routed by R (the message routing of Fig. 6.12 run to
+// completion). When first != src, the row's first hop goes to first, a
+// neighbor of src, and R routes on from there (the hypercube multi-path's
+// hop to v_i). nbuf is the plan's neighbor buffer.
+func routeThrough(t topology.Topology, l labeling.Labeling, src, first topology.NodeID,
+	dests, nbuf []topology.NodeID) []topology.NodeID {
+	nodes := newRow(t, src, first, dests)
+	cur := first
 	for _, d := range dests {
 		if cur == d {
 			continue
 		}
-		nodes = core.AppendRoute(t, l, cur, d, nodes)
+		nodes = core.AppendRoute(t, l, cur, d, nodes, nbuf)
 		cur = d
 	}
 	return nodes
+}
+
+// newRow returns a path row holding src, then first if it differs, sized
+// once for the legs from first through dests: its nodes so far plus each
+// leg's distance. Under the canonical labelings R takes only shortest
+// hops (Lemmas 6.1 and 6.4), so the size is exact; elsewhere it is a
+// capacity hint, and a leg a masked view reports unreachable (distance
+// Nodes()) adds nothing to it.
+func newRow(t topology.Topology, src, first topology.NodeID, dests []topology.NodeID) []topology.NodeID {
+	size, cur := 1, first
+	if first != src {
+		size++
+	}
+	for _, d := range dests {
+		if d == cur {
+			continue
+		}
+		if dist := t.Distance(cur, d); dist < t.Nodes() {
+			size += dist
+		}
+		cur = d
+	}
+	nodes := append(make([]topology.NodeID, 0, size), src)
+	if first != src {
+		nodes = append(nodes, first)
+	}
+	return nodes
+}
+
+// neighborBuf returns a plan's neighbor buffer: one per plan, reused at
+// every hop of every leg.
+func neighborBuf(t topology.Topology) []topology.NodeID {
+	return make([]topology.NodeID, 0, t.MaxDegree())
+}
+
+// pathsFor returns an empty path list with room for one path per
+// non-empty destination group.
+func pathsFor(groups ...[]topology.NodeID) []PathRoute {
+	n := 0
+	for _, g := range groups {
+		if len(g) > 0 {
+			n++
+		}
+	}
+	return make([]PathRoute, 0, n)
 }
 
 // DualPath runs the dual-path multicast routing algorithm (Figs. 6.11 and
@@ -188,18 +234,12 @@ func routeThrough(t topology.Topology, l labeling.Labeling, start topology.NodeI
 // acyclic, so the scheme is deadlock-free (Assertion 2, Corollary 6.1).
 func DualPath(t topology.Topology, l labeling.Labeling, k core.MulticastSet) Star {
 	dh, dl := HighLowPartition(l, k)
-	s := Star{Source: k.Source}
-	if len(dh) > 0 {
-		s.Paths = append(s.Paths, PathRoute{
-			Nodes: routeThrough(t, l, k.Source, dh),
-			Dests: dh,
-		})
-	}
-	if len(dl) > 0 {
-		s.Paths = append(s.Paths, PathRoute{
-			Nodes: routeThrough(t, l, k.Source, dl),
-			Dests: dl,
-		})
+	nbuf := neighborBuf(t)
+	s := Star{Source: k.Source, Paths: pathsFor(dh, dl)}
+	for _, g := range [2][]topology.NodeID{dh, dl} {
+		if len(g) > 0 {
+			s.Paths = append(s.Paths, PathRoute{Nodes: routeThrough(t, l, k.Source, k.Source, g, nbuf), Dests: g})
+		}
 	}
 	return s
 }
@@ -211,7 +251,7 @@ func DualPath(t topology.Topology, l labeling.Labeling, k core.MulticastSet) Sta
 // visiting every intermediate label.
 func FixedPath(t topology.Topology, l labeling.Labeling, k core.MulticastSet) Star {
 	dh, dl := HighLowPartition(l, k)
-	s := Star{Source: k.Source}
+	s := Star{Source: k.Source, Paths: pathsFor(dh, dl)}
 	l0 := l.Label(k.Source)
 	if len(dh) > 0 {
 		top := l.Label(dh[len(dh)-1])
@@ -249,56 +289,66 @@ func MultiPathMesh(m *topology.Mesh2D, l labeling.Labeling, k core.MulticastSet)
 // the split rule.
 func MultiPathMeshOn(t topology.Topology, m *topology.Mesh2D, l labeling.Labeling, k core.MulticastSet) Star {
 	dh, dl := HighLowPartition(l, k)
-	s := Star{Source: k.Source}
-	x0, _ := m.XY(k.Source)
-	split := func(group []topology.NodeID, higher bool) [][]topology.NodeID {
-		if len(group) == 0 {
-			return nil
-		}
-		// Find the horizontal neighbor on the relevant side of the
-		// labeling, if any.
-		var horiz topology.NodeID
-		hasHoriz := false
-		var buf [4]topology.NodeID
-		_, y0 := m.XY(k.Source)
-		for _, p := range t.Neighbors(k.Source, buf[:0]) {
-			_, py := m.XY(p)
-			if py != y0 {
-				continue
-			}
-			if higher == (l.Label(p) > l.Label(k.Source)) {
-				horiz, hasHoriz = p, true
-			}
-		}
-		if !hasHoriz {
-			return [][]topology.NodeID{group}
-		}
-		hx, _ := m.XY(horiz)
-		var side, rest []topology.NodeID
-		for _, d := range group {
-			dx, _ := m.XY(d)
-			if (hx > x0 && dx >= hx) || (hx < x0 && dx <= hx) {
-				side = append(side, d)
+	nbuf := neighborBuf(t)
+	// The x of the source's horizontal neighbor on the high and on the low
+	// side of the labeling, or x0 when that side has none.
+	x0, y0 := m.XY(k.Source)
+	l0 := l.Label(k.Source)
+	hx := [2]int{x0, x0}
+	for _, p := range t.Neighbors(k.Source, nbuf[:0]) {
+		if px, py := m.XY(p); py == y0 {
+			if l.Label(p) > l0 {
+				hx[0] = px
 			} else {
-				rest = append(rest, d)
+				hx[1] = px
 			}
 		}
-		var out [][]topology.NodeID
-		if len(side) > 0 {
-			out = append(out, side)
-		}
-		if len(rest) > 0 {
-			out = append(out, rest)
-		}
-		return out
 	}
-	for _, g := range split(dh, true) {
-		s.Paths = append(s.Paths, PathRoute{Nodes: routeThrough(t, l, k.Source, g), Dests: g})
+	// Each half splits in place into the destinations on its horizontal
+	// neighbor's side of the source column, then the rest, each part in
+	// label order.
+	var groups [4][]topology.NodeID
+	for i, half := range [2][]topology.NodeID{dh, dl} {
+		n := len(half)
+		if x := hx[i]; x != x0 {
+			n = stablePartition(half, func(d topology.NodeID) bool {
+				dx, _ := m.XY(d)
+				return (x > x0 && dx >= x) || (x < x0 && dx <= x)
+			})
+		}
+		groups[2*i], groups[2*i+1] = half[:n:n], half[n:]
 	}
-	for _, g := range split(dl, false) {
-		s.Paths = append(s.Paths, PathRoute{Nodes: routeThrough(t, l, k.Source, g), Dests: g})
+	s := Star{Source: k.Source, Paths: pathsFor(groups[:]...)}
+	for _, g := range groups {
+		if len(g) > 0 {
+			s.Paths = append(s.Paths, PathRoute{Nodes: routeThrough(t, l, k.Source, k.Source, g, nbuf), Dests: g})
+		}
 	}
 	return s
+}
+
+// stablePartition reorders ds so that the entries first accepts come
+// before the others, each part keeping its order, and returns the size
+// of the first part. It partitions each half and rotates the middle into
+// place: O(n log n) moves and no allocation.
+func stablePartition(ds []topology.NodeID, first func(topology.NodeID) bool) int {
+	switch {
+	case len(ds) == 0:
+		return 0
+	case len(ds) == 1 && first(ds[0]):
+		return 1
+	case len(ds) == 1:
+		return 0
+	}
+	mid := len(ds) / 2
+	a := stablePartition(ds[:mid], first)
+	b := stablePartition(ds[mid:], first)
+	// ds is A1 A2 B1 B2 (1: accepted); make it A1 B1 A2 B2.
+	mixed := ds[a : mid+b]
+	slices.Reverse(mixed[:mid-a])
+	slices.Reverse(mixed[mid-a:])
+	slices.Reverse(mixed)
+	return a + b
 }
 
 // MultiPathCube runs the multi-path routing algorithm for the hypercube
@@ -316,66 +366,55 @@ func MultiPathCube(h *topology.Hypercube, l labeling.Labeling, k core.MulticastS
 // documentation of the underlying geometry.
 func MultiPathCubeOn(t topology.Topology, h *topology.Hypercube, l labeling.Labeling, k core.MulticastSet) Star {
 	dh, dl := HighLowPartition(l, k)
-	s := Star{Source: k.Source}
+	nbuf := neighborBuf(t)
+	// The source's neighbors: v_1 < ... < v_d above its label (hi), and
+	// those below it in descending label order (lo).
 	l0 := l.Label(k.Source)
-	var buf [32]topology.NodeID
-	var hi, lo []topology.NodeID
-	for _, p := range t.Neighbors(k.Source, buf[:0]) {
-		if l.Label(p) > l0 {
-			hi = append(hi, p)
-		} else {
-			lo = append(lo, p)
-		}
-	}
-	sort.Slice(hi, func(i, j int) bool { return l.Label(hi[i]) < l.Label(hi[j]) })
-	sort.Slice(lo, func(i, j int) bool { return l.Label(lo[i]) > l.Label(lo[j]) })
+	var vsBuf [32]topology.NodeID
+	vs := append(vsBuf[:0], t.Neighbors(k.Source, nbuf[:0])...)
+	nh := stablePartition(vs, func(p topology.NodeID) bool { return l.Label(p) > l0 })
+	hi, lo := vs[:nh], vs[nh:]
+	slices.SortFunc(hi, func(a, b topology.NodeID) int { return cmp.Compare(l.Label(a), l.Label(b)) })
+	slices.SortFunc(lo, func(a, b topology.NodeID) int { return cmp.Compare(l.Label(b), l.Label(a)) })
 
-	// Assign each high destination to the interval [l(v_i), l(v_{i+1})).
-	// Destinations below l(v_1) cannot exist: v_1 is the Hamilton-path
-	// successor with label l0+1.
-	assign := func(group, vs []topology.NodeID, higher bool) map[topology.NodeID][]topology.NodeID {
-		out := make(map[topology.NodeID][]topology.NodeID)
-		for _, d := range group {
-			ld := l.Label(d)
-			chosen := vs[0]
-			for _, v := range vs {
-				lv := l.Label(v)
-				if higher && lv <= ld {
-					chosen = v
+	// At most one path per neighbor on each side, or one direct path.
+	s := Star{Source: k.Source, Paths: make([]PathRoute, 0,
+		min(len(dh), max(len(hi), 1))+min(len(dl), max(len(lo), 1)))}
+	for i, group := range [2][]topology.NodeID{dh, dl} {
+		// dir orients labels so that vs and group ascend.
+		vs, dir := hi, 1
+		if i == 1 {
+			vs, dir = lo, -1
+		}
+		switch {
+		case len(group) == 0:
+		case len(vs) == 0:
+			// Every link of the source on this side is masked out; a
+			// single direct path is the best this scheme can offer (the
+			// degraded router validates or repairs it).
+			s.Paths = append(s.Paths, PathRoute{Nodes: routeThrough(t, l, k.Source, k.Source, group, nbuf), Dests: group})
+		default:
+			// D_i = {w : l(v_i) <= l(w) < l(v_{i+1})}, mirrored below the
+			// source. The group is in the label order of vs, so each D_i
+			// is a run of it, and the runs come in the order of vs. A
+			// destination before v_1 (possible only when a mask removed
+			// the Hamilton-path neighbor) joins D_1.
+			vi, start := 0, 0
+			for j := 0; j <= len(group); j++ {
+				next := vi
+				if j < len(group) {
+					ld := dir * l.Label(group[j])
+					for next+1 < len(vs) && dir*l.Label(vs[next+1]) <= ld {
+						next++
+					}
 				}
-				if !higher && lv >= ld {
-					chosen = v
+				if j == len(group) || next != vi {
+					if g := group[start:j:j]; len(g) > 0 {
+						s.Paths = append(s.Paths, PathRoute{Nodes: routeThrough(t, l, k.Source, vs[vi], g, nbuf), Dests: g})
+					}
+					vi, start = next, j
 				}
 			}
-			out[chosen] = append(out[chosen], d)
-		}
-		return out
-	}
-	emit := func(vs []topology.NodeID, groups map[topology.NodeID][]topology.NodeID) {
-		for _, v := range vs {
-			g := groups[v]
-			if len(g) == 0 {
-				continue
-			}
-			nodes := append([]topology.NodeID{k.Source}, routeThrough(t, l, v, g)...)
-			s.Paths = append(s.Paths, PathRoute{Nodes: nodes, Dests: g})
-		}
-	}
-	if len(dh) > 0 {
-		if len(hi) == 0 {
-			// Every up-link of the source is masked out; a single direct
-			// path is the best this scheme can offer (the degraded router
-			// validates or repairs it).
-			s.Paths = append(s.Paths, PathRoute{Nodes: routeThrough(t, l, k.Source, dh), Dests: dh})
-		} else {
-			emit(hi, assign(dh, hi, true))
-		}
-	}
-	if len(dl) > 0 {
-		if len(lo) == 0 {
-			s.Paths = append(s.Paths, PathRoute{Nodes: routeThrough(t, l, k.Source, dl), Dests: dl})
-		} else {
-			emit(lo, assign(dl, lo, false))
 		}
 	}
 	return s

@@ -32,44 +32,25 @@ func VirtualChannelPath(t topology.Topology, l labeling.Labeling, k core.Multica
 		panic("dfr: virtual channel count must be at least 1")
 	}
 	dh, dl := HighLowPartition(l, k)
-	s := Star{Source: k.Source}
-	for copyIdx, block := range splitBlocks(dh, v) {
-		s.Paths = append(s.Paths, PathRoute{
-			Nodes: routeThrough(t, l, k.Source, block),
-			Dests: block,
-			Class: 2 * copyIdx,
-		})
-	}
-	for copyIdx, block := range splitBlocks(dl, v) {
-		s.Paths = append(s.Paths, PathRoute{
-			Nodes: routeThrough(t, l, k.Source, block),
-			Dests: block,
-			Class: 2*copyIdx + 1,
-		})
+	nbuf := neighborBuf(t)
+	s := Star{Source: k.Source, Paths: make([]PathRoute, 0, min(len(dh), v)+min(len(dl), v))}
+	for half, ds := range [2][]topology.NodeID{dh, dl} {
+		// At most v contiguous, non-empty, nearly equal blocks, the
+		// larger ones first.
+		blocks := min(len(ds), v)
+		for copyIdx, start := 0, 0; copyIdx < blocks; copyIdx++ {
+			size := len(ds) / blocks
+			if copyIdx < len(ds)%blocks {
+				size++
+			}
+			block := ds[start : start+size : start+size]
+			start += size
+			s.Paths = append(s.Paths, PathRoute{
+				Nodes: routeThrough(t, l, k.Source, k.Source, block, nbuf),
+				Dests: block,
+				Class: 2*copyIdx + half,
+			})
+		}
 	}
 	return s
-}
-
-// splitBlocks divides an ordered destination list into at most v
-// contiguous, non-empty, nearly equal blocks.
-func splitBlocks(dests []topology.NodeID, v int) [][]topology.NodeID {
-	if len(dests) == 0 {
-		return nil
-	}
-	if v > len(dests) {
-		v = len(dests)
-	}
-	out := make([][]topology.NodeID, 0, v)
-	base := len(dests) / v
-	extra := len(dests) % v
-	start := 0
-	for i := 0; i < v; i++ {
-		size := base
-		if i < extra {
-			size++
-		}
-		out = append(out, dests[start:start+size])
-		start += size
-	}
-	return out
 }

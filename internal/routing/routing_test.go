@@ -199,3 +199,47 @@ func TestVirtualChannelOptions(t *testing.T) {
 		t.Error("v = 4 planned every set as v = 2 does")
 	}
 }
+
+// TestPathPlanAllocations pins what a warm path-scheme plan allocates:
+// the HighLowPartition array, the Paths list, one node row per path and
+// one neighbor buffer for the whole plan. Rows are sized exactly from
+// the legs' distances, so no append grows one, and every hop of every
+// leg reuses the one buffer; a buffer per leg or per hop, or a row that
+// grows by appends, fails the count.
+func TestPathPlanAllocations(t *testing.T) {
+	mesh, err := NewState(topology.NewMesh2D(8, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cube, err := NewState(topology.NewHypercube(6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		scheme string
+		st     *State
+	}{
+		{"dual-path", mesh},
+		{"multi-path", mesh},
+		{"multi-path", cube},
+		{"virtual-channel", mesh},
+		{"adaptive-dual-path", mesh},
+	} {
+		r, err := New(tc.scheme, tc.st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		topo := tc.st.Topology()
+		rng := stats.NewRand(11)
+		for i := 0; i < 60; i++ {
+			k := randomSet(topo, rng, 1+rng.Intn(topo.Nodes()-1))
+			var p Plan
+			got := testing.AllocsPerRun(3, func() { p = r.PlanSet(k) })
+			// HighLowPartition's array, Paths, a row per path, the neighbor buffer.
+			if want := float64(1 + 1 + len(p.Paths) + 1); got != want {
+				t.Fatalf("%s on %s, %d destinations in %d paths: %.1f allocations per plan, want %.0f",
+					tc.scheme, topo.Name(), len(k.Dests), len(p.Paths), got, want)
+			}
+		}
+	}
+}

@@ -77,6 +77,15 @@ func grow[T any](s []T, n int) []T {
 	return s
 }
 
+// resize returns s at length n, its entries to be overwritten: s
+// itself when its capacity allows, else one fresh array of exactly n.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
 // sortRefsByID sorts a wake list in place by ascending worm id. Wake
 // lists are short and nearly sorted (releases fire in scan order), so an
 // insertion sort beats sort.Slice — and unlike sort.Slice it does not

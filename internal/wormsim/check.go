@@ -55,7 +55,10 @@ type ckWorm struct {
 //     is on the active list, where DetectDeadlock's search starts;
 //   - delivery conservation: per-worm undelivered counts match the
 //     delivery flags, and each multicast's remaining+lost+delivered
-//     partitions its destination set.
+//     partitions its destination set;
+//   - due level: each worm's due level, the level whose crossing makes
+//     advance scan its deliveries, is the least level among its pending
+//     deliveries (noneDue when none is pending).
 func (n *Network) CheckInvariants() error {
 	ck := &n.ck
 	ck.epoch++
@@ -118,15 +121,20 @@ func (n *Network) CheckInvariants() error {
 				}
 			}
 		}
-		undeliv := 0
+		undeliv, due := 0, noneDue
 		for _, d := range w.deliveries {
 			if !d.done {
 				undeliv++
+				due = min(due, d.idx)
 			}
 		}
 		if undeliv != w.undeliv {
 			return fmt.Errorf("wormsim: worm %d undelivered count %d but %d deliveries pending",
 				w.id, w.undeliv, undeliv)
+		}
+		if due != w.due {
+			return fmt.Errorf("wormsim: worm %d due level %d but its least pending delivery level is %d",
+				w.id, w.due, due)
 		}
 		if ck.mcStamp[w.mcast] != base {
 			ck.mcStamp[w.mcast] = base

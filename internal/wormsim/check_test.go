@@ -79,3 +79,40 @@ func TestCheckInvariantsQueueMembership(t *testing.T) {
 		})
 	}
 }
+
+// TestCheckInvariantsDueLevel corrupts the due level advance reads to
+// decide whether to scan a worm's deliveries, and expects CheckInvariants
+// to name it. A due level above the least pending delivery would deliver
+// late; one below it, or one left on a worm with nothing pending, would
+// scan for nothing.
+func TestCheckInvariantsDueLevel(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		steps int
+		due   func(w *worm) int
+	}{
+		{"raised past the least pending delivery", 1, func(w *worm) int { return w.due + 1 }},
+		{"lowered below the least pending delivery", 1, func(w *worm) int { return w.due - 1 }},
+		{"cleared while deliveries are pending", 1, func(*worm) int { return noneDue }},
+		{"left at a delivered level", 3, func(*worm) int { return 2 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// One path worm of one flit delivers at levels 2 and 4.
+			n := NewNetwork(topology.NewMesh2D(5, 1))
+			injectRoutes(n, []dfr.PathRoute{{Nodes: []topology.NodeID{0, 1, 2, 3, 4},
+				Dests: []topology.NodeID{2, 4}}}, nil, 1)
+			for i := 0; i < tc.steps; i++ {
+				n.Step()
+			}
+			if err := n.CheckInvariants(); err != nil {
+				t.Fatalf("uncorrupted state: %v", err)
+			}
+			w := &n.slots[n.worms[0]]
+			w.due = tc.due(w)
+			err := n.CheckInvariants()
+			if want := "worm 0 due level"; err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("CheckInvariants = %v, want an error containing %q", err, want)
+			}
+		})
+	}
+}

@@ -3,6 +3,7 @@ package wormsim
 import (
 	"testing"
 
+	"multicastnet/internal/core"
 	"multicastnet/internal/dfr"
 	"multicastnet/internal/routing"
 	"multicastnet/internal/stats"
@@ -249,6 +250,7 @@ func simulateDeadlockCase(t *testing.T, c ddCase, period int64) ddStats {
 			checkWaitCycle(t, label, got, waits)
 		}
 	}
+	draw := newDestDraw(topo.Nodes())
 	next, at := 0, int64(0)
 	if len(script) > 0 {
 		at = int64(script[0] & 3)
@@ -256,7 +258,7 @@ func simulateDeadlockCase(t *testing.T, c ddCase, period int64) ddStats {
 	for cycle := int64(0); cycle < 4000; cycle++ {
 		for next < len(script) && at <= cycle {
 			src := topology.NodeID(rng.Intn(topo.Nodes()))
-			k := randomMulticast(topo, rng, src, 1+int(script[next]>>2)%(topo.Nodes()-1))
+			k := core.MulticastSet{Source: src, Dests: draw.dests(rng, src, 1+int(script[next]>>2)%(topo.Nodes()-1))}
 			var p routing.Plan
 			if lr, ok := r.(routing.LiveRouter); ok {
 				p = lr.PlanLive(k, net)

@@ -111,7 +111,7 @@ func (n *Network) killWorm(wi wormRef) {
 			n.onLost(d.dest, mc.size)
 		}
 	}
-	w.undeliv = 0
+	w.undeliv, w.due = 0, noneDue
 	n.retire(wi)
 }
 

@@ -76,6 +76,7 @@ package wormsim
 
 import (
 	"fmt"
+	"math"
 
 	"multicastnet/internal/dfr"
 	"multicastnet/internal/routing"
@@ -130,6 +131,7 @@ type worm struct {
 
 	deliveries []delivery
 	undeliv    int
+	due        int   // least level among pending deliveries; noneDue when none
 	length     int   // message length in flits
 	spawned    int64 // cycle at which the multicast was initiated
 
@@ -141,6 +143,9 @@ type worm struct {
 	mcast       int32 // multicast record index (Network.mcSlots), -1 when unset
 	doneCycle   int64 // cycle of retirement, gating freelist reuse (arena.go)
 }
+
+// noneDue is a worm's due level once no delivery is pending.
+const noneDue = math.MaxInt
 
 // depth returns the number of levels the worm crosses.
 func (w *worm) depth() int {
@@ -418,13 +423,16 @@ func (n *Network) newWorm(mci int32, lengthFlits int) (wormRef, *worm) {
 }
 
 // addWorm gives a filled worm its deliveries — destination rows dest,
-// arriving at the 1-based levels at — and registers it: it joins both
-// the in-flight list and the active list (ids are strictly increasing,
-// so appends keep both sorted).
+// arriving at the 1-based levels at — and its due level, and registers
+// it: it joins both the in-flight list and the active list (ids are
+// strictly increasing, so appends keep both sorted).
 func (n *Network) addWorm(wi wormRef, dest, at []int32) {
 	w := &n.slots[wi]
+	w.deliveries = resize(w.deliveries, len(dest))
+	w.due = noneDue
 	for d, v := range dest {
-		w.deliveries = append(w.deliveries, delivery{dest: topology.NodeID(v), idx: int(at[d])})
+		w.deliveries[d] = delivery{dest: topology.NodeID(v), idx: int(at[d])}
+		w.due = min(w.due, int(at[d]))
 	}
 	w.undeliv = len(dest)
 	mc := &n.mcSlots[w.mcast]
@@ -468,12 +476,14 @@ func (n *Network) InjectFlatTag(fp *routing.FlatPlan, lengthFlits int, tag uint6
 		wi, w := n.newWorm(mci, lengthFlits)
 		llo, lhi := fp.RouteOff[r], fp.RouteOff[r+1]
 		clo, chi := fp.LevelOff[llo], fp.LevelOff[lhi]
-		for _, id := range fp.Chan[clo:chi] {
-			w.chans = append(w.chans, n.chanOf(id))
+		w.chans = resize(w.chans, int(chi-clo))
+		for i, id := range fp.Chan[clo:chi] {
+			w.chans[i] = n.chanOf(id)
 		}
 		if chi-clo > lhi-llo { // some level holds several channels
-			for _, b := range fp.LevelOff[llo : lhi+1] {
-				w.bounds = append(w.bounds, b-clo)
+			w.bounds = resize(w.bounds, int(lhi-llo+1))
+			for i, b := range fp.LevelOff[llo : lhi+1] {
+				w.bounds[i] = b - clo
 			}
 		}
 		dlo, dhi := fp.DestOff[r], fp.DestOff[r+1]
@@ -655,14 +665,12 @@ func (n *Network) advance(wi wormRef, w *worm) bool {
 		w.headIdx++
 	}
 	// The header crossed a level, or, fully routed, the body drains one
-	// flit per cycle.
+	// flit per cycle. The last flit has crossed level progress-length+1;
+	// the deliveries are scanned only once that reaches the due level.
 	w.progress++
 	n.progress = true
-	for i := range w.deliveries {
-		d := &w.deliveries[i]
-		if !d.done && w.progress >= d.idx+w.length-1 {
-			n.deliver(w, d)
-		}
+	if w.progress-w.length+1 >= w.due {
+		n.deliverDue(w)
 	}
 	for w.released < depth && w.progress >= w.released+w.length {
 		for _, id := range w.level(w.released) {
@@ -671,6 +679,24 @@ func (n *Network) advance(wi wormRef, w *worm) bool {
 		w.released++
 	}
 	return w.released < depth || w.undeliv > 0
+}
+
+// deliverDue delivers, in array order, every pending delivery whose
+// level the worm's last flit has crossed, and moves the due level to the
+// least level still pending.
+func (n *Network) deliverDue(w *worm) {
+	crossed := w.progress - w.length + 1
+	w.due = noneDue
+	for i := range w.deliveries {
+		d := &w.deliveries[i]
+		switch {
+		case d.done:
+		case d.idx <= crossed:
+			n.deliver(w, d)
+		default:
+			w.due = min(w.due, d.idx)
+		}
+	}
 }
 
 // deliver records one destination delivery.
