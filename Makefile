@@ -81,7 +81,8 @@ fuzz:
 # FIGURES then STUDIES is the one list of commands that regenerate the
 # committed results/ files, each at the fidelity it is committed at:
 # mcfigures at -quick, every study at full fidelity, and full_static.txt
-# (Figs 7.1 and 7.2 at the paper's 1000 repetitions). Every command that
+# (the static Figs 7.1-7.7 at the paper's 1000 repetitions, each table
+# followed by a blank line). Every command that
 # simulates runs with -simcheck, wormsim's invariant audit, which
 # changes no output byte; so do check-results' -fig replays and its
 # quick scale study. `make results` runs
@@ -95,8 +96,9 @@ STUDIES = $$b/mcfault -simcheck -parallel $$p -out $$o && \
 	$$b/mcchurn -simcheck -parallel $$p -out $$o && \
 	$$b/mcserve -simcheck -parallel $$p -out $$o && \
 	$$b/mcworkload -simcheck -parallel $$p -out $$o && \
-	{ $$b/mcfigures -parallel $$p -fig fig_7_1 && echo && \
-	  $$b/mcfigures -parallel $$p -fig fig_7_2 && echo; } >$$o/full_static.txt
+	( for f in 1 2 3 4 5 6 7; do \
+		$$b/mcfigures -parallel $$p -fig fig_7_$$f && echo || exit 1; \
+	done ) >$$o/full_static.txt
 
 # The committed results/ files that check-results does not compare: both
 # hold host facts and wall-clock timings, which change from run to run.

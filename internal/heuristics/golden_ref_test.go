@@ -11,7 +11,9 @@ package heuristics
 // Workspace.KMB uses.
 
 import (
+	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -221,6 +223,12 @@ func refGreedySTSplit(t RegionTopology, u topology.NodeID, dests []topology.Node
 }
 
 func refGreedySTCarried(t RegionTopology, k core.MulticastSet) *STResult {
+	return refGreedySTCarriedLog(t, k, nil)
+}
+
+// refGreedySTCarriedLog is refGreedySTCarried that, given a non-nil log,
+// also appends its transmissions to *log in the order it makes them.
+func refGreedySTCarriedLog(t RegionTopology, k core.MulticastSet, log *[][2]topology.NodeID) *STResult {
 	res := newSTResult()
 	dests := refGreedySTPrepare(t, k)
 	destSet := k.DestSet()
@@ -256,6 +264,9 @@ func refGreedySTCarried(t RegionTopology, k core.MulticastSet) *STResult {
 			p := core.UnicastPath(router, cur.node, next)
 			for i := 1; i < len(p); i++ {
 				res.send(p[i-1], p[i])
+				if log != nil {
+					*log = append(*log, [2]topology.NodeID{p[i-1], p[i]})
+				}
 			}
 			stack = append(stack, visit{node: next, parent: cur.node, depth: cur.depth + len(p) - 1})
 		}
@@ -264,6 +275,12 @@ func refGreedySTCarried(t RegionTopology, k core.MulticastSet) *STResult {
 }
 
 func refGreedyST(t RegionTopology, k core.MulticastSet) *STResult {
+	return refGreedySTLog(t, k, nil)
+}
+
+// refGreedySTLog is refGreedyST that, given a non-nil log, also appends
+// its transmissions to *log in the order it makes them.
+func refGreedySTLog(t RegionTopology, k core.MulticastSet, log *[][2]topology.NodeID) *STResult {
 	router, err := core.RouterFor(t)
 	if err != nil {
 		panic(err)
@@ -284,6 +301,9 @@ func refGreedyST(t RegionTopology, k core.MulticastSet) *STResult {
 		if msg.at != u {
 			next := router.NextHopUnicast(msg.at, u)
 			res.send(msg.at, next)
+			if log != nil {
+				*log = append(*log, [2]topology.NodeID{msg.at, next})
+			}
 			queue = append(queue, message{at: next, depth: msg.depth + 1, list: msg.list})
 			continue
 		}
@@ -300,6 +320,9 @@ func refGreedyST(t RegionTopology, k core.MulticastSet) *STResult {
 			r := sub[0]
 			next := router.NextHopUnicast(u, r)
 			res.send(u, next)
+			if log != nil {
+				*log = append(*log, [2]topology.NodeID{u, next})
+			}
 			queue = append(queue, message{at: next, depth: msg.depth + 1, list: sub})
 		}
 	}
@@ -764,6 +787,32 @@ func sameST(t *testing.T, name string, got, want *STResult) {
 	}
 }
 
+// sameGreedyST runs both greedy ST kernels on ws and requires each to
+// match its reference: the traffic, the routing pattern, and every
+// transmission in the reference's order.
+func sameGreedyST(t *testing.T, ws *Workspace, rt RegionTopology, k core.MulticastSet) {
+	t.Helper()
+	for _, v := range []struct {
+		name string
+		run  func(RegionTopology, core.MulticastSet) int
+		ref  func(RegionTopology, core.MulticastSet, *[][2]topology.NodeID) *STResult
+	}{
+		{"greedy ST", ws.GreedyST, refGreedySTLog},
+		{"greedy ST carried", ws.GreedySTCarried, refGreedySTCarriedLog},
+	} {
+		name := rt.Name() + " " + v.name
+		var sends [][2]topology.NodeID
+		want := v.ref(rt, k, &sends)
+		if got := v.run(rt, k); got != want.Links {
+			t.Fatalf("%s: links %d, want %d", name, got, want.Links)
+		}
+		sameST(t, name, ws.stResult(), want)
+		if !slices.Equal(ws.edges, sends) {
+			t.Fatalf("%s: transmissions in order\n got %v\nwant %v", name, ws.edges, sends)
+		}
+	}
+}
+
 func randomGolden(tb testing.TB, rng *stats.Rand, t topology.Topology, maxK int) core.MulticastSet {
 	k := 1 + rng.Intn(maxK)
 	src := topology.NodeID(rng.Intn(t.Nodes()))
@@ -825,82 +874,118 @@ func TestGoldenWorkedExamples(t *testing.T) {
 // TestGoldenRandomMesh compares every mesh kernel against its reference
 // on randomized sets, driving the workspace methods through one reused
 // workspace (the exported wrappers pool-share anyway; reusing one
-// instance across differing calls is the harsher test).
+// instance across differing calls and meshes is the harsher test).
+// Beside the 16x16 mesh, non-square and one-row meshes catch a
+// coordinate taken against the wrong dimension, and the 8x8 mesh draws
+// dense sets, up to every node but the source. Sorted MP and MC run
+// where the mesh has a Hamilton cycle, which a one-row mesh lacks.
 func TestGoldenRandomMesh(t *testing.T) {
-	m := topology.NewMesh2D(16, 16)
-	c, err := labeling.MeshHamiltonCycle(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := stats.NewRand(7)
 	ws := NewWorkspace()
-	for trial := 0; trial < goldenTrials(t); trial++ {
-		set := randomGolden(t, rng, m, 40)
+	for _, tc := range []struct {
+		w, h, maxK int
+		seed       uint64
+	}{
+		{16, 16, 40, 7},
+		{12, 5, 59, 31},
+		{5, 12, 59, 37},
+		{1, 9, 8, 41},
+		{9, 1, 8, 43},
+		{8, 8, 63, 47},
+	} {
+		m := topology.NewMesh2D(tc.w, tc.h)
+		var c *labeling.HamiltonCycle
+		if tc.w > 1 && tc.h > 1 {
+			var err error
+			if c, err = labeling.MeshHamiltonCycle(m); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rng := stats.NewRand(tc.seed)
+		for trial := 0; trial < goldenTrials(t); trial++ {
+			set := randomGolden(t, rng, m, tc.maxK)
 
-		wantP := refSortedMP(m, c, set)
-		if got := ws.SortedMP(m, c, set); got != wantP.Traffic() {
-			t.Fatalf("trial %d: sorted MP traffic %d, want %d", trial, got, wantP.Traffic())
+			if c != nil {
+				wantP := refSortedMP(m, c, set)
+				if got := ws.SortedMP(m, c, set); got != wantP.Traffic() {
+					t.Fatalf("%s trial %d: sorted MP traffic %d, want %d", m.Name(), trial, got, wantP.Traffic())
+				}
+				if gotP := SortedMP(m, c, set); !reflect.DeepEqual(gotP, wantP) {
+					t.Fatalf("%s trial %d: sorted MP path %v, want %v", m.Name(), trial, gotP.Nodes, wantP.Nodes)
+				}
+				if gotC, wantC := SortedMC(m, c, set), refSortedMC(m, c, set); !reflect.DeepEqual(gotC, wantC) {
+					t.Fatalf("%s trial %d: sorted MC %v, want %v", m.Name(), trial, gotC.Nodes, wantC.Nodes)
+				}
+				if got, want := SortedMPPrepare(c, set), refSortedMPPrepare(c, set); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s trial %d: MP prepare %v, want %v", m.Name(), trial, got, want)
+				}
+			}
+			if got, want := GreedySTPrepare(m, set), refGreedySTPrepare(m, set); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s trial %d: ST prepare %v, want %v", m.Name(), trial, got, want)
+			}
+			sameGreedyST(t, ws, m, set)
+			sameST(t, m.Name()+" X-first", XFirstMT(m, set), refXFirstMT(m, set))
+			sameST(t, m.Name()+" divided greedy", DividedGreedyMT(m, set), refDividedGreedyMT(m, set))
 		}
-		if gotP := SortedMP(m, c, set); !reflect.DeepEqual(gotP, wantP) {
-			t.Fatalf("trial %d: sorted MP path %v, want %v", trial, gotP.Nodes, wantP.Nodes)
-		}
-		if gotC, wantC := SortedMC(m, c, set), refSortedMC(m, c, set); !reflect.DeepEqual(gotC, wantC) {
-			t.Fatalf("trial %d: sorted MC %v, want %v", trial, gotC.Nodes, wantC.Nodes)
-		}
-		if got, want := SortedMPPrepare(c, set), refSortedMPPrepare(c, set); !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: MP prepare %v, want %v", trial, got, want)
-		}
-		if got, want := GreedySTPrepare(m, set), refGreedySTPrepare(m, set); !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: ST prepare %v, want %v", trial, got, want)
-		}
-
-		want := refGreedyST(m, set)
-		if got := ws.GreedyST(m, set); got != want.Links {
-			t.Fatalf("trial %d: greedy ST links %d, want %d", trial, got, want.Links)
-		}
-		sameST(t, "greedy ST", ws.stResult(), want)
-		sameST(t, "greedy ST carried", GreedySTCarried(m, set), refGreedySTCarried(m, set))
-		sameST(t, "X-first", XFirstMT(m, set), refXFirstMT(m, set))
-		sameST(t, "divided greedy", DividedGreedyMT(m, set), refDividedGreedyMT(m, set))
 	}
 }
 
-// TestGoldenRandomCube covers the hypercube kernels, including LEN.
+// TestGoldenRandomCube covers the hypercube kernels, including LEN, on
+// the 10-cube and, with dense sets up to every node but the source, on
+// the 6-cube.
 func TestGoldenRandomCube(t *testing.T) {
-	h := topology.NewHypercube(10)
-	c, err := labeling.CubeHamiltonCycle(h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := stats.NewRand(11)
 	ws := NewWorkspace()
-	for trial := 0; trial < goldenTrials(t); trial++ {
-		set := randomGolden(t, rng, h, 50)
+	for _, tc := range []struct {
+		dim, maxK int
+		seed      uint64
+	}{
+		{10, 50, 11},
+		{6, 63, 53},
+	} {
+		h := topology.NewHypercube(tc.dim)
+		c, err := labeling.CubeHamiltonCycle(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := stats.NewRand(tc.seed)
+		for trial := 0; trial < goldenTrials(t); trial++ {
+			set := randomGolden(t, rng, h, tc.maxK)
 
-		if gotP, wantP := SortedMP(h, c, set), refSortedMP(h, c, set); !reflect.DeepEqual(gotP, wantP) {
-			t.Fatalf("trial %d: sorted MP %v, want %v", trial, gotP.Nodes, wantP.Nodes)
-		}
-		if gotC, wantC := SortedMC(h, c, set), refSortedMC(h, c, set); !reflect.DeepEqual(gotC, wantC) {
-			t.Fatalf("trial %d: sorted MC %v, want %v", trial, gotC.Nodes, wantC.Nodes)
-		}
+			if gotP, wantP := SortedMP(h, c, set), refSortedMP(h, c, set); !reflect.DeepEqual(gotP, wantP) {
+				t.Fatalf("%s trial %d: sorted MP %v, want %v", h.Name(), trial, gotP.Nodes, wantP.Nodes)
+			}
+			if gotC, wantC := SortedMC(h, c, set), refSortedMC(h, c, set); !reflect.DeepEqual(gotC, wantC) {
+				t.Fatalf("%s trial %d: sorted MC %v, want %v", h.Name(), trial, gotC.Nodes, wantC.Nodes)
+			}
 
-		want := refLEN(h, set)
-		if got := ws.LEN(h, set); got != want.Links {
-			t.Fatalf("trial %d: LEN links %d, want %d", trial, got, want.Links)
+			want := refLEN(h, set)
+			if got := ws.LEN(h, set); got != want.Links {
+				t.Fatalf("%s trial %d: LEN links %d, want %d", h.Name(), trial, got, want.Links)
+			}
+			sameST(t, h.Name()+" LEN", ws.stResult(), want)
+			sameGreedyST(t, ws, h, set)
 		}
-		sameST(t, "LEN", ws.stResult(), want)
-		sameST(t, "greedy ST", GreedyST(h, set), refGreedyST(h, set))
-		sameST(t, "greedy ST carried", GreedySTCarried(h, set), refGreedySTCarried(h, set))
 	}
 }
 
-// TestGoldenRandomMesh3D covers the XYZ-first kernel.
+// TestGoldenRandomMesh3D covers the XYZ-first kernel, and greedy ST on
+// a topology it searches through the ShortestRegion interface, with
+// dense sets on the 4x3x5 mesh.
 func TestGoldenRandomMesh3D(t *testing.T) {
-	m := topology.NewMesh3D(4, 4, 4)
-	rng := stats.NewRand(13)
-	for trial := 0; trial < goldenTrials(t); trial++ {
-		set := randomGolden(t, rng, m, 20)
-		sameST(t, "XYZ-first", XYZFirstMT(m, set), refXYZFirstMT(m, set))
+	ws := NewWorkspace()
+	for _, tc := range []struct {
+		x, y, z, maxK int
+		seed          uint64
+	}{
+		{4, 4, 4, 20, 13},
+		{4, 3, 5, 59, 59},
+	} {
+		m := topology.NewMesh3D(tc.x, tc.y, tc.z)
+		rng := stats.NewRand(tc.seed)
+		for trial := 0; trial < goldenTrials(t); trial++ {
+			set := randomGolden(t, rng, m, tc.maxK)
+			sameST(t, m.Name()+" XYZ-first", XYZFirstMT(m, set), refXYZFirstMT(m, set))
+			sameGreedyST(t, ws, m, set)
+		}
 	}
 }
 
@@ -935,7 +1020,9 @@ func TestGoldenKMB(t *testing.T) {
 
 // TestWorkspaceReuse runs mixed kernels across different topologies on a
 // single workspace twice over and checks the second pass reproduces the
-// first — stale state from any call must not leak into the next.
+// first — stale state from any call must not leak into the next. Then
+// the greedy ST kernels, on that workspace, must reject a destination
+// outside a smaller topology with the topology's own panic.
 func TestWorkspaceReuse(t *testing.T) {
 	m := topology.NewMesh2D(16, 16)
 	h := topology.NewHypercube(8)
@@ -974,5 +1061,35 @@ func TestWorkspaceReuse(t *testing.T) {
 	second := run()
 	if !reflect.DeepEqual(first, second) {
 		t.Fatalf("workspace reuse diverged:\n first %v\nsecond %v", first, second)
+	}
+
+	// The workspace's arrays now fit larger topologies than these, so
+	// only the topology's own check can reject a node outside them.
+	for _, tc := range []struct {
+		topo RegionTopology
+		dest topology.NodeID
+		want string
+	}{
+		{topology.NewMesh2D(7, 7), 60, "topology: node 60 out of range for 7x7 mesh with 49 nodes"},
+		{topology.NewHypercube(5), 40, "topology: node 40 out of range for 5-cube with 32 nodes"},
+	} {
+		set := core.MulticastSet{Source: 0, Dests: []topology.NodeID{1, tc.dest}}
+		for _, kernel := range []struct {
+			name string
+			run  func()
+		}{
+			{"GreedyST", func() { ws.GreedyST(tc.topo, set) }},
+			{"GreedySTCarried", func() { ws.GreedySTCarried(tc.topo, set) }},
+		} {
+			func() {
+				defer func() {
+					if got := fmt.Sprint(recover()); got != tc.want {
+						t.Errorf("%s on %s with destination %d: panic %q, want %q",
+							kernel.name, tc.topo.Name(), tc.dest, got, tc.want)
+					}
+				}()
+				kernel.run()
+			}()
+		}
 	}
 }

@@ -2,6 +2,9 @@ package heuristics
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
+	"slices"
 
 	"multicastnet/internal/core"
 	"multicastnet/internal/topology"
@@ -148,10 +151,49 @@ func GreedySTPrepare(t topology.Topology, k core.MulticastSet) []topology.NodeID
 	return out
 }
 
-// trAdd appends a contracted-tree edge and marks both ends as tree
-// members in ws.tmp.
-func (ws *Workspace) trAdd(a, b topology.NodeID) {
+// greedySearch is the topology as Step 4(a)-(b) of Fig. 5.4 searches it,
+// resolved once per call by greedyEntry: a mesh or a cube is searched by
+// arithmetic on node ids, any other topology through ShortestRegion.
+type greedySearch struct {
+	t    RegionTopology
+	mesh *topology.Mesh2D // non-nil: search by box distance
+	cube bool             // search by bitwise distance
+}
+
+// greedyEntry dispatches on t's concrete type once per kernel call. It
+// also returns t as the Topology that the router, the workspace set-up
+// and the destination sort take, converted from the concrete type for a
+// mesh or a cube: converting one interface type to another calls
+// runtime.typeAssert, which about once in 1024 calls allocates its call
+// site's cache, so the warm kernels would not stay allocation-free.
+func greedyEntry(t RegionTopology) (topology.Topology, greedySearch) {
+	switch tt := t.(type) {
+	case *topology.Mesh2D:
+		return tt, greedySearch{t: tt, mesh: tt}
+	case *topology.Hypercube:
+		return tt, greedySearch{t: tt, cube: true}
+	}
+	return t, greedySearch{t: t}
+}
+
+// meshBox is the rectangle of 2D-mesh coordinates that a tree edge's
+// ends span, x1 <= x2 and y1 <= y2: the edge's shortest-path region.
+type meshBox struct{ x1, x2, y1, y2 int32 }
+
+// newMeshBox returns the box of the edge (a, b) on a mesh of width w.
+func newMeshBox(w int, a, b topology.NodeID) meshBox {
+	ax, ay := int32(int(a)%w), int32(int(a)/w)
+	bx, by := int32(int(b)%w), int32(int(b)/w)
+	return meshBox{min(ax, bx), max(ax, bx), min(ay, by), max(ay, by)}
+}
+
+// trAdd appends a contracted-tree edge, with its box on a mesh, and
+// marks both ends as tree members in ws.tmp.
+func (ws *Workspace) trAdd(s greedySearch, a, b topology.NodeID) {
 	ws.trEdges = append(ws.trEdges, [2]topology.NodeID{a, b})
+	if s.mesh != nil {
+		ws.trBox = append(ws.trBox, newMeshBox(s.mesh.Width, a, b))
+	}
 	ws.tmp.mark(int32(a))
 	ws.tmp.mark(int32(b))
 }
@@ -160,55 +202,126 @@ func (ws *Workspace) trAdd(a, b topology.NodeID) {
 // (u, dests[0]), each further destination is attached at the nearest
 // node over all shortest-path regions of current tree edges, splitting
 // the host edge when the attachment point is interior. The contracted
-// tree is left in ws.trEdges (insertion-ordered for determinism), with
-// membership marks in ws.tmp.
-func (ws *Workspace) buildGreedyTree(t RegionTopology, u topology.NodeID, dests []topology.NodeID) {
-	ws.trEdges = ws.trEdges[:0]
+// tree is left in ws.trEdges (insertion-ordered for determinism) and
+// threaded into incidence lists (threadTree), with membership marks in
+// ws.tmp. The node ids are not range-checked here: the caller's
+// prepareGreedyST has measured each one's distance from the source.
+func (ws *Workspace) buildGreedyTree(s greedySearch, u topology.NodeID, dests []topology.NodeID) {
+	// A tree has fewer edges than the topology has nodes, so edge
+	// arrays sized to the node count never grow while a tree is built.
+	ws.trEdges = slices.Grow(ws.trEdges[:0], ws.nodes)
+	if s.mesh != nil {
+		ws.trBox = slices.Grow(ws.trBox[:0], ws.nodes)
+	}
 	ws.tmp.reset(ws.nodes)
-	ws.trAdd(u, dests[0])
-	for i := 1; i < len(dests); i++ {
-		ui := dests[i]
+	ws.trAdd(s, u, dests[0])
+	for _, ui := range dests[1:] {
 		if ws.tmp.has(int32(ui)) {
 			continue // already a tree node (e.g. a Steiner point that is also a destination)
 		}
-		// Step 4(a)-(b): the nearest node to ui over all shortest-path
-		// regions of current tree edges.
-		var (
-			bestV    topology.NodeID
-			bestEdge int
-			bestD    = -1
-		)
-		for ei, e := range ws.trEdges {
-			v := t.NearestOnShortestPaths(e[0], e[1], ui)
-			if d := t.Distance(ui, v); bestD < 0 || d < bestD {
-				bestV, bestEdge, bestD = v, ei, d
+		// Step 4(a)-(b): the edge whose shortest-path region is nearest
+		// to ui, and the node of that region nearest to ui.
+		var best int
+		switch {
+		case s.mesh != nil:
+			best = ws.nearestEdgeMesh(s.mesh.Width, ui)
+		case s.cube:
+			best = ws.nearestEdgeCube(ui)
+		default:
+			best = ws.nearestEdge(s.t, ui)
+		}
+		e := ws.trEdges[best]
+		v := s.t.NearestOnShortestPaths(e[0], e[1], ui)
+		if v != e[0] && v != e[1] {
+			// Step 4(c): split edge (s,t) at v.
+			ws.trEdges[best] = [2]topology.NodeID{e[0], v}
+			if s.mesh != nil {
+				ws.trBox[best] = newMeshBox(s.mesh.Width, e[0], v)
+			}
+			ws.trAdd(s, v, e[1])
+		}
+		if ui != v {
+			// Step 4(d).
+			ws.trAdd(s, v, ui)
+		}
+	}
+	ws.threadTree()
+}
+
+// The nearestEdge searches return the index of the first tree edge at
+// the least distance from u to its shortest-path region. A distance of
+// zero cannot be beaten, so each search stops at its first zero.
+
+// nearestEdge searches any RegionTopology through its interface.
+func (ws *Workspace) nearestEdge(t RegionTopology, u topology.NodeID) int {
+	best, bestD := 0, math.MaxInt
+	for i, e := range ws.trEdges {
+		if d := t.Distance(u, t.NearestOnShortestPaths(e[0], e[1], u)); d < bestD {
+			best, bestD = i, d
+			if d == 0 {
+				break
 			}
 		}
-		e := ws.trEdges[bestEdge]
-		if bestV != e[0] && bestV != e[1] {
-			// Step 4(c): split edge (s,t) at v.
-			ws.trEdges[bestEdge] = [2]topology.NodeID{e[0], bestV}
-			ws.trAdd(bestV, e[1])
+	}
+	return best
+}
+
+// nearestEdgeMesh searches a 2D mesh of width w by the edges' boxes: the
+// distance is how far u lies outside a box along each axis.
+func (ws *Workspace) nearestEdgeMesh(w int, u topology.NodeID) int {
+	ux, uy := int32(int(u)%w), int32(int(u)/w)
+	best, bestD := 0, int32(math.MaxInt32)
+	for i, b := range ws.trBox {
+		if d := max(b.x1-ux, 0, ux-b.x2) + max(b.y1-uy, 0, uy-b.y2); d < bestD {
+			best, bestD = i, d
+			if d == 0 {
+				break
+			}
 		}
-		if ui != bestV {
-			// Step 4(d).
-			ws.trAdd(bestV, ui)
+	}
+	return best
+}
+
+// nearestEdgeCube searches a hypercube, where an edge's region frees the
+// bits in which its ends differ and the distance counts u's other bits
+// that differ from the ends'.
+func (ws *Workspace) nearestEdgeCube(u topology.NodeID) int {
+	best, bestD := 0, math.MaxInt
+	for i, e := range ws.trEdges {
+		a, b := uint64(e[0]), uint64(e[1])
+		if d := bits.OnesCount64((uint64(u) ^ a) &^ (a ^ b)); d < bestD {
+			best, bestD = i, d
+			if d == 0 {
+				break
+			}
 		}
+	}
+	return best
+}
+
+// threadTree links each contracted-tree node's incident edges into a
+// list, in edge order: slot 2i+j stands for end j of ws.trEdges[i],
+// ws.trHead[v] is the first slot of v's list (-1 for none) and
+// ws.trNext[s] the slot after s. Pushing the slots on in reverse leaves
+// every list in ascending order.
+func (ws *Workspace) threadTree() {
+	if len(ws.trHead) < ws.nodes {
+		ws.trHead = make([]int32, ws.nodes)
+	}
+	n := 2 * len(ws.trEdges)
+	ws.trNext = slices.Grow(ws.trNext[:0], max(n, 2*ws.nodes))[:n]
+	for _, e := range ws.trEdges {
+		ws.trHead[e[0]], ws.trHead[e[1]] = -1, -1
+	}
+	for s := int32(n - 1); s >= 0; s-- {
+		v := ws.trEdges[s>>1][s&1]
+		ws.trNext[s] = ws.trHead[v]
+		ws.trHead[v] = s
 	}
 }
 
-// collectSons fills ws.sons with the contracted-tree neighbors of u, in
-// edge-insertion order.
-func (ws *Workspace) collectSons(u topology.NodeID) {
-	ws.sons = ws.sons[:0]
-	for _, e := range ws.trEdges {
-		if e[0] == u {
-			ws.sons = append(ws.sons, e[1])
-		} else if e[1] == u {
-			ws.sons = append(ws.sons, e[0])
-		}
-	}
-}
+// far returns the node at the other end of incidence slot s's edge.
+func (ws *Workspace) far(s int32) topology.NodeID { return ws.trEdges[s>>1][s&1^1] }
 
 // markSubtree marks (in ws.tmp) every node of the contracted subtree
 // containing start when the edge back to parent is removed. The tree is
@@ -223,16 +336,8 @@ func (ws *Workspace) markSubtree(start, parent topology.NodeID) {
 	for len(ws.nstack) > 0 {
 		v := ws.nstack[len(ws.nstack)-1]
 		ws.nstack = ws.nstack[:len(ws.nstack)-1]
-		for _, e := range ws.trEdges {
-			var w topology.NodeID
-			if e[0] == v {
-				w = e[1]
-			} else if e[1] == v {
-				w = e[0]
-			} else {
-				continue
-			}
-			if !ws.tmp.has(int32(w)) {
+		for s := ws.trHead[v]; s >= 0; s = ws.trNext[s] {
+			if w := ws.far(s); !ws.tmp.has(int32(w)) {
 				ws.tmp.mark(int32(w))
 				ws.nstack = append(ws.nstack, w)
 			}
@@ -247,11 +352,12 @@ func (ws *Workspace) markSubtree(start, parent topology.NodeID) {
 func greedySTSplit(t RegionTopology, u topology.NodeID, dests []topology.NodeID) [][]topology.NodeID {
 	ws := AcquireWorkspace()
 	defer ReleaseWorkspace(ws)
-	ws.ensure(t)
-	ws.buildGreedyTree(t, u, dests)
-	ws.collectSons(u)
+	tp, s := greedyEntry(t)
+	ws.ensure(tp)
+	ws.buildGreedyTree(s, u, dests)
 	var out [][]topology.NodeID
-	for _, r := range ws.sons {
+	for sl := ws.trHead[u]; sl >= 0; sl = ws.trNext[sl] {
+		r := ws.far(sl)
 		ws.markSubtree(r, u)
 		list := []topology.NodeID{r}
 		// Keep the original sorted order for the carried destinations.
@@ -276,12 +382,13 @@ func greedySTSplit(t RegionTopology, u topology.NodeID, dests []topology.NodeID)
 // (O(k^2) at every replicate node) would dominate. It returns the link
 // traffic; the full pattern stays in the workspace run log.
 func (ws *Workspace) GreedySTCarried(t RegionTopology, k core.MulticastSet) int {
-	router := ws.router(t)
-	ws.begin(t, k)
-	ws.prepareGreedyST(t, k)
+	tp, s := greedyEntry(t)
+	router := ws.router(tp)
+	ws.begin(tp, k)
+	ws.prepareGreedyST(tp, k)
 
 	// Build the complete contracted tree at the source.
-	ws.buildGreedyTree(t, k.Source, ws.sorted)
+	ws.buildGreedyTree(s, k.Source, ws.sorted)
 
 	// Walk the contracted tree from the source, realizing each edge by a
 	// shortest path and accounting traffic and delivery depths.
@@ -291,15 +398,8 @@ func (ws *Workspace) GreedySTCarried(t RegionTopology, k core.MulticastSet) int 
 		cur := ws.stack[len(ws.stack)-1]
 		ws.stack = ws.stack[:len(ws.stack)-1]
 		ws.deliver(cur.node, cur.depth)
-		for _, e := range ws.trEdges {
-			var next topology.NodeID
-			if e[0] == cur.node {
-				next = e[1]
-			} else if e[1] == cur.node {
-				next = e[0]
-			} else {
-				continue
-			}
+		for sl := ws.trHead[cur.node]; sl >= 0; sl = ws.trNext[sl] {
+			next := ws.far(sl)
 			if next == cur.parent {
 				continue // the root's sentinel parent is itself, never adjacent
 			}
@@ -334,9 +434,10 @@ func GreedySTCarried(t RegionTopology, k core.MulticastSet) *STResult {
 // sublist and split it among their sons (Fig. 5.4). Messages carry their
 // destination sublists as immutable segments of the workspace arena.
 func (ws *Workspace) GreedyST(t RegionTopology, k core.MulticastSet) int {
-	router := ws.router(t)
-	ws.begin(t, k)
-	ws.prepareGreedyST(t, k)
+	tp, s := greedyEntry(t)
+	router := ws.router(tp)
+	ws.begin(tp, k)
+	ws.prepareGreedyST(tp, k)
 
 	// A message is (current node, hop depth, arena segment) with
 	// segment[0] the replicate target.
@@ -361,12 +462,13 @@ func (ws *Workspace) GreedyST(t RegionTopology, k core.MulticastSet) int {
 		if len(rest) == 0 {
 			continue // Step 2
 		}
-		// Steps 3-5: split the remaining list among the sons of u. The
-		// rest slice stays readable even if arena appends below reallocate
-		// (segments are immutable; the old backing array is intact).
-		ws.buildGreedyTree(t, u, rest)
-		ws.collectSons(u)
-		for _, r := range ws.sons {
+		// Steps 3-5: split the remaining list among the sons of u, the
+		// tree neighbors of u in edge order. The rest slice stays
+		// readable even if arena appends below reallocate (segments are
+		// immutable; the old backing array is intact).
+		ws.buildGreedyTree(s, u, rest)
+		for sl := ws.trHead[u]; sl >= 0; sl = ws.trNext[sl] {
+			r := ws.far(sl)
 			ws.markSubtree(r, u)
 			off := int32(len(ws.arena))
 			ws.arena = append(ws.arena, r)

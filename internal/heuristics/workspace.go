@@ -41,7 +41,9 @@ type Workspace struct {
 	delivered []delivery           // first-delivery log, in delivery order
 
 	trEdges [][2]topology.NodeID // contracted greedy Steiner tree
-	sons    []topology.NodeID    // sons of the replicate node
+	trBox   []meshBox            // on a 2D mesh, each tree edge's box
+	trHead  []int32              // first incidence slot of each tree node (threadTree)
+	trNext  []int32              // next slot in the same node's incidence list
 	nstack  []topology.NodeID    // subtree-marking DFS stack
 	stack   []stVisit            // carried-tree walk stack
 

@@ -54,7 +54,7 @@ func (h *Hypercube) Neighbors(v NodeID, buf []NodeID) []NodeID {
 
 // Adjacent implements Topology.
 func (h *Hypercube) Adjacent(u, v NodeID) bool {
-	return popcount(uint(u^v)) == 1
+	return bits.OnesCount(uint(u^v)) == 1
 }
 
 // Port implements Topology: the dimension u and v differ in.
@@ -78,7 +78,7 @@ func (h *Hypercube) PortNeighbor(u NodeID, p int) NodeID {
 func (h *Hypercube) Distance(u, v NodeID) int {
 	checkNode(u, h.Nodes(), h)
 	checkNode(v, h.Nodes(), h)
-	return popcount(uint(u ^ v))
+	return bits.OnesCount(uint(u ^ v))
 }
 
 // Diameter implements Topology.
@@ -93,13 +93,4 @@ func (h *Hypercube) NearestOnShortestPaths(s, t, u NodeID) NodeID {
 	checkNode(u, h.Nodes(), h)
 	differ := s ^ t // bits free to vary along shortest s-t paths
 	return (u & differ) | (s &^ differ)
-}
-
-func popcount(x uint) int {
-	n := 0
-	for x != 0 {
-		x &= x - 1
-		n++
-	}
-	return n
 }
