@@ -1072,6 +1072,10 @@ func TestWorkspaceReuse(t *testing.T) {
 	}{
 		{topology.NewMesh2D(7, 7), 60, "topology: node 60 out of range for 7x7 mesh with 49 nodes"},
 		{topology.NewHypercube(5), 40, "topology: node 40 out of range for 5-cube with 32 nodes"},
+		// Past the last 64-node word of the destination bitset.
+		{topology.NewMesh2D(7, 7), 100, "topology: node 100 out of range for 7x7 mesh with 49 nodes"},
+		{topology.NewMesh2D(8, 8), 100, "topology: node 100 out of range for 8x8 mesh with 64 nodes"},
+		{topology.NewHypercube(5), 100, "topology: node 100 out of range for 5-cube with 32 nodes"},
 	} {
 		set := core.MulticastSet{Source: 0, Dests: []topology.NodeID{1, tc.dest}}
 		for _, kernel := range []struct {

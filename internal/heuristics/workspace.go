@@ -141,9 +141,16 @@ func (ws *Workspace) ensure(t topology.Topology) {
 	}
 }
 
-// begin starts a kernel call that logs transmissions and deliveries.
+// begin starts a kernel call that logs transmissions and deliveries. A
+// destination outside t panics with the topology's own message before
+// the destination bitset, sized to t, is written.
 func (ws *Workspace) begin(t topology.Topology, k core.MulticastSet) {
 	ws.ensure(t)
+	for _, d := range k.Dests {
+		if uint(d) >= uint(ws.nodes) {
+			topology.CheckNode(d, ws.nodes, t)
+		}
+	}
 	ws.edges = ws.edges[:0]
 	ws.delivered = ws.delivered[:0]
 	ws.dlv.reset(ws.nodes)

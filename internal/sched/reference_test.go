@@ -125,7 +125,8 @@ func (r *refPacker) closeWindow() []uint64 {
 // window, under path and tree plans, every budget regime (FIFO, always
 // over budget, mostly deferring, mostly admitting) and tight and default
 // deferral bounds. Every window must admit the same requests in the
-// same order, and the cumulative Stats must agree.
+// same order, every channel's load must be back at 0 when the window
+// closes, and the cumulative Stats must agree.
 func TestPackerMatchesReference(t *testing.T) {
 	m := topology.NewMesh2D(8, 8)
 	st := routing.NewStateWithLabeling(m, labeling.NewMeshBoustrophedon(m))
@@ -164,6 +165,9 @@ func TestPackerMatchesReference(t *testing.T) {
 						}
 						if want := ref.closeWindow(); !slices.Equal(got, want) {
 							t.Fatalf("%s: window %d admitted %v, reference %v", name, w, got, want)
+						}
+						if id := slices.IndexFunc(svc.loadVal, func(v int32) bool { return v != 0 }); id >= 0 {
+							t.Fatalf("%s: window %d left channel %d at load %d", name, w, id, svc.loadVal[id])
 						}
 					}
 					if got, want := svc.Stats(), ref.stats; got != want {

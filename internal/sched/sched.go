@@ -11,13 +11,13 @@
 // The steady-state window path — Submit through CloseWindow with a warm
 // PlanCache — allocates nothing: requests live in a recycled item arena,
 // plan lookups go through FlatProbeBuf's reusable key buffer, and
-// per-channel load accounting uses epoch-stamped dense arrays indexed
-// directly by the channel ids each FlatPlan carries (the topology's
-// arithmetic dfr.ChannelNumbering, resolved once when the plan was
-// flattened), so counting a hop's load looks nothing up. A plan is one
-// list of routes crossed level by level, paths and trees alike, so its
-// load is one walk over its channel ids and its dilation the most levels
-// any route crosses.
+// per-channel load accounting uses one load word per channel id, indexed
+// directly by the ids each FlatPlan carries (the topology's arithmetic
+// dfr.ChannelNumbering, resolved once when the plan was flattened), so
+// counting a hop's load looks nothing up; every word is back at 0 when
+// a window closes. A plan is one list of routes crossed level by level,
+// paths and trees alike, so its load is one walk over its channel ids
+// and its dilation the most levels any route crosses.
 //
 // Determinism: for a given submission sequence the admitted stream,
 // deferral counts, and PlanCache counters are identical at every worker
@@ -99,13 +99,12 @@ type Service struct {
 	queue []*item // pending, admission order: carried deferrals first
 	free  []*item
 
-	// Per-channel load accounting: epoch-stamped dense arrays indexed by
-	// the channel ids the plans carry, reset by bumping the epoch rather
-	// than clearing, and grown one class layer (layer ids) at a time.
-	layer     int
-	loadStamp []int64
-	loadVal   []int32
-	epoch     int64
+	// Per-channel load accounting: one word per channel id the plans
+	// carry, grown one class layer (layer ids) at a time. Every word is 0
+	// between windows: a deferred plan takes its load back out, and
+	// CloseWindow zeroes the admitted plans' ids.
+	layer   int
+	loadVal []int32
 
 	keyBuf   []byte
 	admitted []Admission
@@ -232,7 +231,6 @@ func sameSet(a, b *item) bool {
 func (s *Service) CloseWindow() []Admission {
 	s.plan()
 	s.admitted = s.admitted[:0]
-	s.epoch++
 	var windowLoad, windowDil int32
 	kept := 0
 	for _, it := range s.queue {
@@ -286,6 +284,13 @@ func (s *Service) CloseWindow() []Admission {
 	}
 	if windowDil > s.stats.PeakDilation {
 		s.stats.PeakDilation = windowDil
+	}
+	if s.cfg.Budget > 0 { // deferred plans took their load back out
+		for _, a := range s.admitted {
+			for _, id := range a.Flat.Chan {
+				s.loadVal[id] = 0
+			}
+		}
 	}
 	return s.admitted
 }
@@ -401,24 +406,19 @@ func (s *Service) addLoad(f *routing.FlatPlan, delta int32) int32 {
 	return max
 }
 
-// bump adds delta to channel id's load for the current epoch and returns
-// the new value.
+// bump adds delta to channel id's load in the window being packed and
+// returns the new value.
 func (s *Service) bump(id, delta int32) int32 {
 	if int(id) >= len(s.loadVal) {
 		s.grow(id)
-	}
-	if s.loadStamp[id] != s.epoch {
-		s.loadStamp[id] = s.epoch
-		s.loadVal[id] = 0
 	}
 	s.loadVal[id] += delta
 	return s.loadVal[id]
 }
 
-// grow extends the load arrays by whole class layers until they cover
+// grow extends the load words by whole class layers until they cover
 // channel id.
 func (s *Service) grow(id int32) {
 	n := (int(id)/s.layer + 1) * s.layer
-	s.loadStamp = append(s.loadStamp, make([]int64, n-len(s.loadStamp))...)
 	s.loadVal = append(s.loadVal, make([]int32, n-len(s.loadVal))...)
 }

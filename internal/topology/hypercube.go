@@ -45,7 +45,7 @@ func (h *Hypercube) MaxDegree() int { return h.Dim }
 // Neighbors implements Topology. Neighbors are produced from dimension 0
 // (least-significant bit) upward.
 func (h *Hypercube) Neighbors(v NodeID, buf []NodeID) []NodeID {
-	checkNode(v, h.Nodes(), h)
+	CheckNode(v, h.Nodes(), h)
 	for i := 0; i < h.Dim; i++ {
 		buf = append(buf, v^NodeID(1<<i))
 	}
@@ -76,8 +76,8 @@ func (h *Hypercube) PortNeighbor(u NodeID, p int) NodeID {
 
 // Distance implements Topology: the Hamming distance ||b(u) XOR b(v)||.
 func (h *Hypercube) Distance(u, v NodeID) int {
-	checkNode(u, h.Nodes(), h)
-	checkNode(v, h.Nodes(), h)
+	CheckNode(u, h.Nodes(), h)
+	CheckNode(v, h.Nodes(), h)
 	return bits.OnesCount(uint(u ^ v))
 }
 
@@ -88,9 +88,9 @@ func (h *Hypercube) Diameter() int { return h.Dim }
 // of Section 5.2: for each bit position j, the region node takes u's bit
 // where s and t differ and the common bit where they agree.
 func (h *Hypercube) NearestOnShortestPaths(s, t, u NodeID) NodeID {
-	checkNode(s, h.Nodes(), h)
-	checkNode(t, h.Nodes(), h)
-	checkNode(u, h.Nodes(), h)
+	CheckNode(s, h.Nodes(), h)
+	CheckNode(t, h.Nodes(), h)
+	CheckNode(u, h.Nodes(), h)
 	differ := s ^ t // bits free to vary along shortest s-t paths
 	return (u & differ) | (s &^ differ)
 }

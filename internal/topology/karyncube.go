@@ -52,7 +52,7 @@ func (c *KAryNCube) MaxDegree() int {
 // Digits decomposes a NodeID into its n radix-k digits, least significant
 // first.
 func (c *KAryNCube) Digits(v NodeID) []int {
-	checkNode(v, c.Nodes(), c)
+	CheckNode(v, c.Nodes(), c)
 	d := make([]int, c.N)
 	x := int(v)
 	for i := 0; i < c.N; i++ {
@@ -80,7 +80,7 @@ func (c *KAryNCube) FromDigits(d []int) NodeID {
 
 // Neighbors implements Topology.
 func (c *KAryNCube) Neighbors(v NodeID, buf []NodeID) []NodeID {
-	checkNode(v, c.Nodes(), c)
+	CheckNode(v, c.Nodes(), c)
 	stride := 1
 	x := int(v)
 	for i := 0; i < c.N; i++ {

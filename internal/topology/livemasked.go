@@ -110,17 +110,17 @@ func (m *LiveMasked) Apply(d GraphDelta) {
 		}
 	}
 	for _, v := range d.FailNodes {
-		checkNode(v, n, m)
+		CheckNode(v, n, m)
 		touchNode(v, true)
 	}
 	for _, v := range d.RepairNodes {
-		checkNode(v, n, m)
+		CheckNode(v, n, m)
 		touchNode(v, false)
 	}
 	touchLink := func(l Link, fail bool) {
 		l = NormLink(l.U, l.V)
-		checkNode(l.U, n, m)
-		checkNode(l.V, n, m)
+		CheckNode(l.U, n, m)
+		CheckNode(l.V, n, m)
 		if !m.base.Adjacent(l.U, l.V) {
 			return // non-edges are ignored
 		}
@@ -193,7 +193,7 @@ func (m *LiveMasked) MaxDegree() int { return m.base.MaxDegree() }
 
 // Neighbors implements Topology over the current epoch's masked graph.
 func (m *LiveMasked) Neighbors(v NodeID, buf []NodeID) []NodeID {
-	checkNode(v, len(m.deadNode), m)
+	CheckNode(v, len(m.deadNode), m)
 	return append(buf, m.neighbors[v]...)
 }
 
@@ -206,8 +206,8 @@ func (m *LiveMasked) PortNeighbor(u NodeID, p int) NodeID { return m.base.PortNe
 
 // Adjacent implements Topology over the current epoch's masked graph.
 func (m *LiveMasked) Adjacent(u, v NodeID) bool {
-	checkNode(u, len(m.deadNode), m)
-	checkNode(v, len(m.deadNode), m)
+	CheckNode(u, len(m.deadNode), m)
+	CheckNode(v, len(m.deadNode), m)
 	return !m.deadNode[u] && !m.deadNode[v] &&
 		!m.deadLink[NormLink(u, v)] && m.base.Adjacent(u, v)
 }
@@ -218,8 +218,8 @@ func (m *LiveMasked) Adjacent(u, v NodeID) bool {
 // change.
 func (m *LiveMasked) Distance(u, v NodeID) int {
 	n := len(m.deadNode)
-	checkNode(u, n, m)
-	checkNode(v, n, m)
+	CheckNode(u, n, m)
+	CheckNode(v, n, m)
 	return int(m.row(v)[u])
 }
 
@@ -251,15 +251,15 @@ func (m *LiveMasked) Diameter() int {
 
 // NodeDead reports whether v is currently masked out.
 func (m *LiveMasked) NodeDead(v NodeID) bool {
-	checkNode(v, len(m.deadNode), m)
+	CheckNode(v, len(m.deadNode), m)
 	return m.deadNode[v]
 }
 
 // LinkDead reports whether the (undirected) link between u and v is
 // currently masked out, either directly or via a dead endpoint.
 func (m *LiveMasked) LinkDead(u, v NodeID) bool {
-	checkNode(u, len(m.deadNode), m)
-	checkNode(v, len(m.deadNode), m)
+	CheckNode(u, len(m.deadNode), m)
+	CheckNode(v, len(m.deadNode), m)
 	return m.deadNode[u] || m.deadNode[v] || m.deadLink[NormLink(u, v)]
 }
 

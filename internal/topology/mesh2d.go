@@ -60,7 +60,7 @@ func (m *Mesh2D) ID(x, y int) NodeID {
 
 // XY converts a NodeID to (x, y) coordinates.
 func (m *Mesh2D) XY(v NodeID) (x, y int) {
-	checkNode(v, m.Nodes(), m)
+	CheckNode(v, m.Nodes(), m)
 	return int(v) % m.Width, int(v) / m.Width
 }
 

@@ -61,7 +61,7 @@ func (m *Mesh3D) ID(x, y, z int) NodeID {
 
 // XYZ converts a NodeID to (x, y, z) coordinates.
 func (m *Mesh3D) XYZ(v NodeID) (x, y, z int) {
-	checkNode(v, m.Nodes(), m)
+	CheckNode(v, m.Nodes(), m)
 	x = int(v) % m.Width
 	y = (int(v) / m.Width) % m.Height
 	z = int(v) / (m.Width * m.Height)

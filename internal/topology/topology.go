@@ -58,13 +58,14 @@ type ShortestRegion interface {
 	NearestOnShortestPaths(s, t, u NodeID) NodeID
 }
 
-// checkNode panics when v is out of range for a topology of n nodes. The
+// CheckNode panics when v is out of range for a topology of n nodes. The
 // topologies are used by randomized simulations; failing loudly on a bad
 // address catches workload-generation bugs immediately. It takes the
 // topology rather than its name so the Name() Sprintf is only paid on the
-// panic path — checkNode guards every coordinate conversion in the
-// simulator's inner loop.
-func checkNode(v NodeID, n int, t Topology) {
+// panic path — CheckNode guards every coordinate conversion in the
+// simulator's inner loop. Code that indexes its own per-node arrays calls
+// it too, so a bad node gets the same message wherever it is caught.
+func CheckNode(v NodeID, n int, t Topology) {
 	if v < 0 || int(v) >= n {
 		panic(fmt.Sprintf("topology: node %d out of range for %s with %d nodes", v, t.Name(), n))
 	}

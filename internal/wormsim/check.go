@@ -44,7 +44,8 @@ type ckWorm struct {
 //     and failed channels are never owned; a worm that has not queued on
 //     its frontier level yet owns none of that level's channels;
 //   - queue consistency: wait queues contain only live worms, at most
-//     once each;
+//     once each; each FIFO's tail is its last node, and every pool node
+//     but the reserved node 0 is queued or free;
 //   - queue membership: a worm is queued on exactly the channels its
 //     header waits for — every FIFO entry is a worm whose state says it
 //     is queued on that channel (a frontier channel it does not own,
@@ -63,7 +64,7 @@ func (n *Network) CheckInvariants() error {
 	ck := &n.ck
 	ck.epoch++
 	base := ck.epoch
-	ck.ownerStamp, ck.owner = grow(ck.ownerStamp, len(n.chanOwner)), grow(ck.owner, len(n.chanOwner))
+	ck.ownerStamp, ck.owner = grow(ck.ownerStamp, len(n.chanSt)), grow(ck.owner, len(n.chanSt))
 	ck.worms = grow(ck.worms, len(n.slots))
 	ck.mcStamp, ck.mcUndeliv = grow(ck.mcStamp, len(n.mcSlots)), grow(ck.mcUndeliv, len(n.mcSlots))
 	ck.mcList = ck.mcList[:0]
@@ -81,10 +82,10 @@ func (n *Network) CheckInvariants() error {
 			}
 			ck.ownerStamp[id] = base
 			ck.owner[id] = wi
-			if n.chanOwner[id] == deadChan {
+			if n.chanSt[id].owner == deadChan {
 				return fmt.Errorf("wormsim: worm %d holds failed channel %d", w.id, id)
 			}
-			if n.chanOwner[id] != wi {
+			if n.chanSt[id].owner != wi {
 				return fmt.Errorf("wormsim: worm %d believes it holds channel %d owned by someone else", w.id, id)
 			}
 			return nil
@@ -108,11 +109,11 @@ func (n *Network) CheckInvariants() error {
 		if w.headIdx < depth {
 			queued := w.queuedAt == w.headIdx
 			for _, id := range w.level(w.headIdx) {
-				switch {
-				case n.chanOwner[id] == wi && !queued:
+				switch owns := n.chanSt[id].owner == wi; {
+				case owns && !queued:
 					return fmt.Errorf("wormsim: worm %d holds channel %d of frontier level %d it has not queued on",
 						w.id, id, w.headIdx)
-				case n.chanOwner[id] == wi:
+				case owns:
 					if err := holds(id); err != nil {
 						return err
 					}
@@ -125,7 +126,7 @@ func (n *Network) CheckInvariants() error {
 		for _, d := range w.deliveries {
 			if !d.done {
 				undeliv++
-				due = min(due, d.idx)
+				due = min(due, int(d.idx))
 			}
 		}
 		if undeliv != w.undeliv {
@@ -146,8 +147,10 @@ func (n *Network) CheckInvariants() error {
 	if live != n.inFlight {
 		return fmt.Errorf("wormsim: %d live worms but inFlight = %d", live, n.inFlight)
 	}
-	for id := range n.chanOwner {
-		if o := n.chanOwner[id]; o >= 0 {
+	nodes := 0
+	for id := range n.chanSt {
+		c := &n.chanSt[id]
+		if o := c.owner; o >= 0 {
 			if n.slots[o].done {
 				return fmt.Errorf("wormsim: channel %d owned by retired worm %d", id, n.slots[o].id)
 			}
@@ -159,7 +162,10 @@ func (n *Network) CheckInvariants() error {
 		// Queue-duplicate marks get a fresh epoch per channel (a worm may
 		// legitimately wait on many channels at once).
 		ck.epoch++
-		for _, q := range n.chanWaiters(int32(id)) {
+		last := int32(0)
+		for x := c.head; x != 0; last, x = x, n.qPool[x].next {
+			q := n.qPool[x].w
+			nodes++
 			if n.slots[q].done {
 				return fmt.Errorf("wormsim: retired worm %d still queued on channel %d", n.slots[q].id, id)
 			}
@@ -172,6 +178,9 @@ func (n *Network) CheckInvariants() error {
 					n.slots[q].id, id)
 			}
 			ck.worms[q].queued--
+		}
+		if last != c.tail {
+			return fmt.Errorf("wormsim: channel %d FIFO tail is node %d, its last node %d", id, c.tail, last)
 		}
 	}
 	// Every FIFO entry matched a distinct (worm, channel) pair of its
@@ -190,6 +199,16 @@ func (n *Network) CheckInvariants() error {
 		if !w.done && ck.worms[wi].stamp != ck.epoch && w.headIdx < w.depth() && w.queuedAt != w.headIdx {
 			return fmt.Errorf("wormsim: worm %d needs a channel it is not queued on but is not active", w.id)
 		}
+	}
+	// Node conservation: every pool node but the reserved one is queued
+	// or free. The free walk stops past the pool size, so a cycle in the
+	// free list fails here instead of hanging.
+	free := 0
+	for x := n.qFree; x != 0 && free < len(n.qPool); x = n.qPool[x].next {
+		free++
+	}
+	if nodes+free != len(n.qPool)-1 {
+		return fmt.Errorf("wormsim: %d queued and %d free FIFO nodes in a pool of %d", nodes, free, len(n.qPool)-1)
 	}
 	for _, mci := range ck.mcList {
 		mc := &n.mcSlots[mci]
@@ -210,6 +229,6 @@ func (n *Network) CheckInvariants() error {
 // frontier level.
 func (n *Network) queuedOn(wi wormRef, id int32) bool {
 	w := &n.slots[wi]
-	return w.queuedAt == w.headIdx && w.headIdx < w.depth() && n.chanOwner[id] != wi &&
+	return w.queuedAt == w.headIdx && w.headIdx < w.depth() && n.chanSt[id].owner != wi &&
 		slices.Contains(w.level(w.headIdx), id)
 }

@@ -9,11 +9,13 @@ import (
 )
 
 // TestCheckInvariantsQueueMembership corrupts one wait queue, the
-// worm-side state it mirrors, a channel owner or the active list, and
-// expects CheckInvariants to name the break of a property DetectDeadlock
-// rests on: a worm is queued on exactly the frontier channels it does not
-// own, a worm that has not queued on its frontier level owns none of it,
-// and a worm whose header need is not queued yet is on the active list.
+// worm-side state it mirrors, a channel owner, the node pool or the
+// active list, and expects CheckInvariants to name the break of a
+// property DetectDeadlock rests on: a worm is queued on exactly the
+// frontier channels it does not own, a FIFO's tail is its last waiter,
+// every pool node is queued or free, a worm that has not queued on its
+// frontier level owns none of it, and a worm whose header need is not
+// queued yet is on the active list.
 func TestCheckInvariantsQueueMembership(t *testing.T) {
 	// Worm 0 holds channel 0->1 for 16 flits; path worm 1 and tree worm 2
 	// then queue on it, in that order.
@@ -29,7 +31,7 @@ func TestCheckInvariantsQueueMembership(t *testing.T) {
 		if err := n.CheckInvariants(); err != nil {
 			t.Fatalf("uncorrupted state: %v", err)
 		}
-		if got := len(n.chanWaiters(id)); got != 2 {
+		if got := len(n.waiters(id)); got != 2 {
 			t.Fatalf("channel 0->1 has %d waiters, want 2", got)
 		}
 		return n, id
@@ -40,24 +42,32 @@ func TestCheckInvariantsQueueMembership(t *testing.T) {
 		want    string
 	}{
 		{"path waiter dropped from its FIFO", func(n *Network, id int32) {
-			n.chanQueue[id] = append(n.chanQueue[id][:0], n.chanWaiters(id)[1])
+			c := &n.chanSt[id]
+			c.head = n.qPool[c.head].next
 		}, "worm 1 is queued by its state but missing"},
 		{"tree waiter dropped from its FIFO", func(n *Network, id int32) {
-			n.chanQueue[id] = n.chanQueue[id][:1]
+			c := &n.chanSt[id]
+			n.qPool[c.head].next, c.tail = 0, c.head
 		}, "worm 2 is queued by its state but missing"},
 		{"owner queued on the channel it holds", func(n *Network, id int32) {
-			n.chanEnqueue(id, n.chanOwner[id])
+			n.chanEnqueue(id, n.chanSt[id].owner)
 		}, "worm 0 queued on channel"},
 		{"path waiter's state forgets the queue", func(n *Network, id int32) {
-			n.slots[n.chanWaiters(id)[0]].queuedAt = -1
+			n.slots[n.waiters(id)[0]].queuedAt = -1
 		}, "worm 1 queued on channel"},
 		{"tree waiter's state forgets the queue", func(n *Network, id int32) {
-			n.slots[n.chanWaiters(id)[1]].queuedAt = -1
+			n.slots[n.waiters(id)[1]].queuedAt = -1
 		}, "worm 2 queued on channel"},
+		{"FIFO tail left behind its last waiter", func(n *Network, id int32) {
+			n.chanSt[id].tail = n.chanSt[id].head
+		}, "FIFO tail is node"},
+		{"FIFO node neither queued nor free", func(n *Network, id int32) {
+			n.qPool = append(n.qPool, qNode{w: noWorm})
+		}, "2 queued and 0 free FIFO nodes in a pool of 3"},
 		{"unqueued worm holds a frontier channel", func(n *Network, id int32) {
 			injectRoutes(n, []dfr.PathRoute{pathTo(2, 1)}, nil, 4)
 			wi := n.active[len(n.active)-1]
-			n.chanOwner[n.slots[wi].chans[0]] = wi
+			n.chanSt[n.slots[wi].chans[0]].owner = wi
 		}, "worm 3 holds channel"},
 		{"unqueued path worm left off the active list", func(n *Network, id int32) {
 			injectRoutes(n, []dfr.PathRoute{pathTo(2, 1)}, nil, 4)

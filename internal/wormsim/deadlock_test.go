@@ -23,10 +23,10 @@ func detectDeadlockRef(n *Network) (cycle []int, waits map[int][]int) {
 	live := func(wi wormRef) bool { return wi >= 0 && !n.slots[wi].done }
 	need := func(wi wormRef, id int32) {
 		u := n.slots[wi].id
-		if o := n.chanOwner[id]; live(o) && o != wi {
+		if o := n.chanSt[id].owner; live(o) && o != wi {
 			waits[u] = append(waits[u], n.slots[o].id)
 		}
-		for _, q := range n.chanWaiters(id) {
+		for _, q := range n.waiters(id) {
 			if q == wi {
 				break
 			}
@@ -45,7 +45,7 @@ func detectDeadlockRef(n *Network) (cycle []int, waits map[int][]int) {
 			continue
 		}
 		for _, id := range w.level(w.headIdx) {
-			if n.chanOwner[id] != wi {
+			if n.chanSt[id].owner != wi {
 				need(wi, id)
 			}
 		}
@@ -271,9 +271,9 @@ func simulateDeadlockCase(t *testing.T, c ddCase, period int64) ddStats {
 			}
 		}
 		if c.failAt > 0 && cycle == int64(c.failAt) {
-			fifos := make([][]wormRef, len(net.chanQueue))
+			fifos := make([][]wormRef, len(net.chanSt))
 			for id := range fifos {
-				fifos[id] = append([]wormRef(nil), net.chanWaiters(int32(id))...)
+				fifos[id] = net.waiters(int32(id))
 			}
 			net.FailWhere(func(ch dfr.Channel) bool { return ch.From == failNode })
 			res.faulted = true

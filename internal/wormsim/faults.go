@@ -1,8 +1,6 @@
 package wormsim
 
 import (
-	"slices"
-
 	"multicastnet/internal/dfr"
 	"multicastnet/internal/topology"
 )
@@ -43,18 +41,21 @@ func (n *Network) FailWhere(pred func(c dfr.Channel) bool) int {
 		}
 	}
 	for id, s := range n.slot {
-		ci := s - 1
-		if s == 0 || n.chanOwner[ci] == deadChan {
+		if s == 0 {
+			continue
+		}
+		st := &n.chanSt[s-1]
+		if st.owner == deadChan {
 			continue
 		}
 		if c, _ := n.chans.Channel(int32(id)); !pred(c) {
 			continue
 		}
 		// Collect the owner before the dead sentinel overwrites it.
-		collect(n.chanOwner[ci])
-		n.chanOwner[ci] = deadChan
-		for _, q := range n.chanWaiters(ci) {
-			collect(q)
+		collect(st.owner)
+		st.owner = deadChan
+		for x := st.head; x != 0; x = n.qPool[x].next {
+			collect(n.qPool[x].w)
 		}
 	}
 	// Kill in ascending worm id order: the collection above follows
@@ -85,7 +86,7 @@ func (n *Network) killWorm(wi wormRef) {
 	if w.headIdx < w.depth() {
 		queued := w.queuedAt == w.headIdx
 		for _, id := range w.level(w.headIdx) {
-			if n.chanOwner[id] == wi {
+			if n.chanSt[id].owner == wi {
 				n.release(id, wi)
 			} else if queued {
 				n.dequeue(id, wi)
@@ -108,31 +109,29 @@ func (n *Network) killWorm(wi wormRef) {
 		mc.remaining--
 		mc.lost++
 		if n.onLost != nil {
-			n.onLost(d.dest, mc.size)
+			n.onLost(topology.NodeID(d.dest), mc.size)
 		}
 	}
 	w.undeliv, w.due = 0, noneDue
 	n.retire(wi)
 }
 
-// dequeue removes wi from channel id's wait queue; if the channel is
-// free, the new head is woken (it may have been waiting behind wi). A
-// worm that is not in the queue leaves it as it is and wakes no one.
+// dequeue unlinks wi from channel id's wait queue, wherever it stands;
+// if the channel is free, the new head is woken (it may have been
+// waiting behind wi). A worm that is not in the queue leaves it as it is
+// and wakes no one.
 func (n *Network) dequeue(id int32, wi wormRef) {
-	h := int(n.chanQHead[id])
-	q := n.chanQueue[id]
-	i := slices.Index(q[h:], wi)
-	if i < 0 {
-		return
-	}
-	q = append(q[:h+i], q[h+i+1:]...)
-	if h == len(q) {
-		q, n.chanQHead[id] = q[:0], 0
-	}
-	n.chanQueue[id] = q
-	if n.chanOwner[id] == noWorm {
-		if head := n.chanFront(id); head != noWorm {
-			n.wake(head)
+	c := &n.chanSt[id]
+	for prev, x := int32(0), c.head; x != 0; prev, x = x, n.qPool[x].next {
+		if n.qPool[x].w != wi {
+			continue
 		}
+		n.unlink(c, prev, x)
+		if c.owner == noWorm {
+			if head := n.chanFront(id); head != noWorm {
+				n.wake(head)
+			}
+		}
+		return
 	}
 }

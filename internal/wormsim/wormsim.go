@@ -41,7 +41,7 @@
 //     Injection maps an id to the channel's compact index through one
 //     direct-mapped slot table, so neither injection nor the per-cycle
 //     inner loop hashes or scans for a channel; the inner loop indexes
-//     flat parallel arrays. A channel's first sighting decodes its id
+//     one record per channel. A channel's first sighting decodes its id
 //     through the same numbering, as FailWhere does.
 //   - Worms live in a slot arena (Network.slots) and are referenced by
 //     dense int32 indices (wormRef) everywhere — the in-flight list, the
@@ -49,10 +49,11 @@
 //     scheduling hot loop therefore moves int32s, not
 //     pointers: no GC write barriers on queue/list writes, 2-8x denser
 //     queues, and nothing extra for the collector to trace.
-//   - Per-channel state is struct-of-arrays: chanOwner / chanQHead /
-//     chanQueue are parallel flat slices indexed by channel id. The
-//     dead-channel flag is folded into the owner word (deadChan
-//     sentinel), so the uncontended availability check is one int32 load.
+//   - A channel's state is one 12-byte record (chanState): its owner
+//     word and the two ends of its FIFO, a list threaded through one
+//     network-owned node pool with a free list. The dead-channel flag is
+//     folded into the owner word (deadChan sentinel), so the uncontended
+//     availability check reads one record.
 //   - Blocked worms are parked: they leave the active list and are woken
 //     only when a channel they wait on is released to them (FIFO heads
 //     only), instead of being re-polled every cycle. Wakeups are merged
@@ -99,13 +100,28 @@ const (
 	deadChan wormRef = -2
 )
 
-// delivery marks a destination and where its router sits: the 1-based
-// level of the channel that arrives there (a path worm's path position,
-// a tree worm's depth).
+// delivery marks a destination node and where its router sits: the
+// 1-based level of the channel that arrives there (a path worm's path
+// position, a tree worm's depth).
 type delivery struct {
-	dest topology.NodeID
-	idx  int
+	dest int32
+	idx  int32
 	done bool
+}
+
+// chanState is one channel's arbitration state: its owner and the ends
+// of its FIFO of waiting worms, a list of nodes in Network.qPool from
+// head to tail (0: empty). The zero record's FIFO is empty.
+type chanState struct {
+	owner      wormRef // owning worm, noWorm, or deadChan
+	head, tail int32
+}
+
+// qNode is one FIFO entry: a waiting worm and the pool index of the
+// entry behind it (0: none). Free nodes chain through next.
+type qNode struct {
+	w    wormRef
+	next int32
 }
 
 // worm is one in-flight wormhole message, stored by value in the slot
@@ -182,21 +198,21 @@ type Network struct {
 	// Channels: a plan names each hop by its id in the topology's
 	// arithmetic numbering; slot maps an id to 1 + the channel's compact
 	// index (0: not seen yet) and grows one class layer of ids at a time.
-	// Compact indices are dealt in first-use order, so the per-channel
-	// arrays below hold only the channels the traffic uses, never
+	// Compact indices are dealt in first-use order, so the channel
+	// records below cover only the channels the traffic uses, never
 	// N·D·classes entries.
 	chans dfr.ChannelNumbering
 	slot  []int32
 
-	// Channel state, struct-of-arrays: parallel flat slices indexed by
-	// the compact channel index. chanOwner is the only array the
-	// uncontended advance touches; the FIFO arrays join in only under
-	// contention. Queues are head-indexed: dequeuing advances the cursor
-	// instead of reslicing, so the backing arrays keep their capacity and
+	// Channel state, one record per compact channel index. Every FIFO is
+	// threaded through qPool, whose node 0 is the nil link and holds
+	// noWorm, so a channel's front waiter is one read even when nobody
+	// waits. Freed nodes chain from qFree and are reused first: the pool
+	// holds the peak count of queued (worm, channel) pairs, and
 	// steady-state wait episodes allocate nothing.
-	chanOwner []wormRef   // owning worm, noWorm, or deadChan
-	chanQHead []int32     // FIFO cursor into chanQueue[id]
-	chanQueue [][]wormRef // per-channel FIFO backing, front at chanQHead
+	chanSt []chanState
+	qPool  []qNode
+	qFree  int32
 
 	// Worm arena: every worm lives in slots and is referenced by index.
 	// Pointers into slots are taken locally only and never held across an
@@ -253,7 +269,7 @@ type Network struct {
 // created on a channel's first use, so any channel class the injected
 // plans number is accepted.
 func NewNetwork(topo topology.Topology) *Network {
-	return &Network{topo: topo, chans: dfr.NewChannelNumbering(topo)}
+	return &Network{topo: topo, chans: dfr.NewChannelNumbering(topo), qPool: []qNode{{w: noWorm}}}
 }
 
 // Cycle returns the current simulation cycle.
@@ -293,7 +309,7 @@ func (n *Network) FastForward(target int64) {
 // outside the topology — is free.
 func (n *Network) Busy(c dfr.Channel) bool {
 	ci, ok := n.lookup(c)
-	return ok && n.chanOwner[ci] >= 0
+	return ok && n.chanSt[ci].owner >= 0
 }
 
 // lookup returns the compact index of channel c, or false when no
@@ -342,7 +358,7 @@ func (n *Network) see(id int32) int32 {
 		layer := n.chans.Layer()
 		n.slot = append(n.slot, make([]int32, (int(id)/layer+1)*layer-len(n.slot))...)
 	}
-	ci := int32(len(n.chanOwner))
+	ci := int32(len(n.chanSt))
 	n.slot[id] = ci + 1
 	owner := noWorm
 	for _, pred := range n.deadPreds {
@@ -351,60 +367,62 @@ func (n *Network) see(id int32) int32 {
 			break
 		}
 	}
-	n.chanOwner = append(n.chanOwner, owner)
-	n.chanQHead = append(n.chanQHead, 0)
-	n.chanQueue = append(n.chanQueue, nil)
+	n.chanSt = append(n.chanSt, chanState{owner: owner})
 	return ci
 }
 
-// chanEnqueue appends wi to channel id's FIFO; callers guarantee
-// at-most-once per wait episode via the worm's queuedAt level, keeping
-// stalls O(1) per cycle.
+// chanEnqueue links wi at the tail of channel id's FIFO, in a free pool
+// node when there is one; callers guarantee at-most-once per wait
+// episode via the worm's queuedAt level, keeping stalls O(1) per cycle.
 func (n *Network) chanEnqueue(id int32, wi wormRef) {
-	n.chanQueue[id] = append(n.chanQueue[id], wi)
+	x := n.qFree
+	if x != 0 {
+		n.qFree = n.qPool[x].next
+		n.qPool[x] = qNode{w: wi}
+	} else {
+		x = int32(len(n.qPool))
+		n.qPool = append(n.qPool, qNode{w: wi})
+	}
+	c := &n.chanSt[id]
+	if c.tail == 0 {
+		c.head = x
+	} else {
+		n.qPool[c.tail].next = x
+	}
+	c.tail = x
 	if n.dd.clean > 0 {
 		n.dd.mark(wi)
 	}
 }
 
-// chanWaiters is the live FIFO content of channel id, front first.
-func (n *Network) chanWaiters(id int32) []wormRef {
-	return n.chanQueue[id][n.chanQHead[id]:]
-}
-
 // chanFront returns the first waiter of channel id, or noWorm.
 func (n *Network) chanFront(id int32) wormRef {
-	q := n.chanQueue[id]
-	if h := n.chanQHead[id]; int(h) < len(q) {
-		return q[h]
-	}
-	return noWorm
-}
-
-// chanFreeFor reports whether wi is first in line for channel id (or the
-// queue is empty because wi never had to wait). The caller has already
-// established the channel is unowned and alive (chanOwner == noWorm).
-func (n *Network) chanFreeFor(id int32, wi wormRef) bool {
-	q := n.chanQueue[id]
-	h := n.chanQHead[id]
-	return int(h) == len(q) || q[h] == wi
+	return n.qPool[n.chanSt[id].head].w
 }
 
 // chanTake grants channel id to wi, popping it from the FIFO head if it
-// was queued. The queue resets in place whenever it drains, keeping the
-// backing array's capacity.
+// was queued there.
 func (n *Network) chanTake(id int32, wi wormRef) {
-	q := n.chanQueue[id]
-	h := n.chanQHead[id]
-	if int(h) < len(q) && q[h] == wi {
-		h++
-		if int(h) == len(q) {
-			n.chanQueue[id] = q[:0]
-			h = 0
-		}
-		n.chanQHead[id] = h
+	c := &n.chanSt[id]
+	if h := c.head; h != 0 && n.qPool[h].w == wi {
+		n.unlink(c, 0, h)
 	}
-	n.chanOwner[id] = wi
+	c.owner = wi
+}
+
+// unlink removes node x, which follows node prev (0: x is the head), from
+// channel c's FIFO and frees it.
+func (n *Network) unlink(c *chanState, prev, x int32) {
+	next := n.qPool[x].next
+	if prev == 0 {
+		c.head = next
+	} else {
+		n.qPool[prev].next = next
+	}
+	if c.tail == x {
+		c.tail = prev
+	}
+	n.qPool[x].next, n.qFree = n.qFree, x
 }
 
 // newWorm takes a worm slot for multicast mci, spawned now and carrying
@@ -431,7 +449,7 @@ func (n *Network) addWorm(wi wormRef, dest, at []int32) {
 	w.deliveries = resize(w.deliveries, len(dest))
 	w.due = noneDue
 	for d, v := range dest {
-		w.deliveries[d] = delivery{dest: topology.NodeID(v), idx: int(at[d])}
+		w.deliveries[d] = delivery{dest: v, idx: at[d]}
 		w.due = min(w.due, int(at[d]))
 	}
 	w.undeliv = len(dest)
@@ -497,10 +515,11 @@ func (n *Network) InjectFlatTag(fp *routing.FlatPlan, lengthFlits int, tag uint6
 // Dead channels are never released: their owner word is deadChan, which
 // never matches wi.
 func (n *Network) release(id int32, wi wormRef) {
-	if n.chanOwner[id] != wi {
+	c := &n.chanSt[id]
+	if c.owner != wi {
 		return
 	}
-	n.chanOwner[id] = noWorm
+	c.owner = noWorm
 	if f := n.chanFront(id); f != noWorm {
 		n.wake(f)
 	}
@@ -641,11 +660,11 @@ func (n *Network) advance(wi wormRef, w *worm) bool {
 		w.queuedAt = w.headIdx
 		crossed := true
 		for _, id := range w.level(w.headIdx) {
-			switch owner := n.chanOwner[id]; {
-			case owner == noWorm && n.chanFreeFor(id, wi):
+			switch c := &n.chanSt[id]; {
+			case c.owner == noWorm && (c.head == 0 || n.qPool[c.head].w == wi):
 				n.chanTake(id, wi)
-			case owner == wi:
-			case owner == deadChan:
+			case c.owner == wi:
+			case c.owner == deadChan:
 				// The header reached failed hardware: the message is dropped
 				// and its in-flight flits are flushed (Section 2.3.4 flow
 				// control has no way to back up past an acquired channel).
@@ -691,10 +710,10 @@ func (n *Network) deliverDue(w *worm) {
 		d := &w.deliveries[i]
 		switch {
 		case d.done:
-		case d.idx <= crossed:
+		case int(d.idx) <= crossed:
 			n.deliver(w, d)
 		default:
-			w.due = min(w.due, d.idx)
+			w.due = min(w.due, int(d.idx))
 		}
 	}
 }
@@ -705,7 +724,7 @@ func (n *Network) deliver(w *worm, d *delivery) {
 	w.undeliv--
 	mc := &n.mcSlots[w.mcast]
 	if n.onDelivery != nil {
-		n.onDelivery(d.dest, n.cycle-w.spawned, mc.size)
+		n.onDelivery(topology.NodeID(d.dest), n.cycle-w.spawned, mc.size)
 	}
 	mc.remaining--
 	// A multicast that lost any destination to a fault never completes;
@@ -781,7 +800,7 @@ func (dd *ddScratch) mark(wi wormRef) {
 func (n *Network) DetectDeadlock() []int {
 	dd := &n.dd
 	dd.call++
-	dd.slots, dd.fifo = grow(dd.slots, len(n.slots)), grow(dd.fifo, len(n.chanOwner))
+	dd.slots, dd.fifo = grow(dd.slots, len(n.slots)), grow(dd.fifo, len(n.chanSt))
 	dd.links = dd.links[:0]
 	starts := [2][]wormRef{n.worms}
 	if dd.clean > 0 {
@@ -828,7 +847,7 @@ func (n *Network) ddPush(u wormRef) ddLink {
 	if w.headIdx < w.depth() {
 		queued := w.queuedAt == w.headIdx
 		for _, id := range w.level(w.headIdx) {
-			if n.chanOwner[id] != u {
+			if n.chanSt[id].owner != u {
 				n.ddNeed(u, id, queued)
 			}
 		}
@@ -848,18 +867,18 @@ func (n *Network) ddPush(u wormRef) ddLink {
 // The walk reaches u because a FIFO holds exactly the live worms whose
 // state says they are queued on it (CheckInvariants).
 func (n *Network) ddNeed(u wormRef, id int32, queued bool) {
-	q := n.chanWaiters(id)
+	c := &n.chanSt[id]
 	switch {
-	case !queued && len(q) > 0:
-		n.ddEdge(u, q[len(q)-1])
+	case !queued && c.tail != 0:
+		n.ddEdge(u, n.qPool[c.tail].w)
 	case !queued:
-		n.ddEdge(u, n.chanOwner[id])
+		n.ddEdge(u, c.owner)
 	case n.dd.fifo[id] != n.dd.call:
 		n.dd.fifo[id] = n.dd.call
-		ahead := n.chanOwner[id]
-		for _, x := range q {
-			n.ddEdge(x, ahead)
-			ahead = x
+		ahead := c.owner
+		for x := c.head; x != 0; x = n.qPool[x].next {
+			n.ddEdge(n.qPool[x].w, ahead)
+			ahead = n.qPool[x].w
 		}
 	}
 }
