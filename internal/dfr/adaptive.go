@@ -94,28 +94,6 @@ func adaptiveNextHopInto(t topology.Topology, l labeling.Labeling, u, v topology
 	return core.NextHop(t, l, u, v)
 }
 
-// adaptiveRouteThrough returns the path row from start through every
-// destination in order, routed by AdaptiveNextHop over the plan's
-// neighbor buffer nbuf. Its hops are shortest like R's, so the row is
-// sized as routeThrough's.
-func adaptiveRouteThrough(t topology.Topology, l labeling.Labeling, start topology.NodeID,
-	dests []topology.NodeID, class int, oracle ChannelOracle, nbuf []topology.NodeID) []topology.NodeID {
-	nodes := newRow(t, start, start, dests)
-	cur := start
-	for _, d := range dests {
-		guard := 0
-		for cur != d {
-			next := adaptiveNextHopInto(t, l, cur, d, class, oracle, nbuf)
-			nodes = append(nodes, next)
-			cur = next
-			if guard++; guard > t.Nodes()+1 {
-				panic("dfr: adaptive routing failed to converge")
-			}
-		}
-	}
-	return nodes
-}
-
 // AdaptiveDualPath is dual-path routing with congestion-adaptive hop
 // selection: the same high/low destination partition and visiting order
 // as Fig. 6.11, but each hop avoids currently-busy channels when a free
@@ -124,13 +102,31 @@ func adaptiveRouteThrough(t topology.Topology, l labeling.Labeling, start topolo
 // reason; with an idle oracle it produces DualPath's routes.
 func AdaptiveDualPath(t topology.Topology, l labeling.Labeling, k core.MulticastSet,
 	oracle ChannelOracle) Star {
-	dh, dl := HighLowPartition(l, k)
-	nbuf := neighborBuf(t)
-	s := Star{Source: k.Source, Paths: pathsFor(dh, dl)}
+	return oneShot(func(ws *Workspace) Star { return ws.AdaptiveDualPath(t, l, k, oracle) })
+}
+
+// AdaptiveDualPath is AdaptiveDualPath written into ws.
+func (ws *Workspace) AdaptiveDualPath(t topology.Topology, l labeling.Labeling, k core.MulticastSet,
+	oracle ChannelOracle) Star {
+	dh, dl := ws.begin(t, l, k)
+	n := t.Nodes()
 	for _, g := range [2][]topology.NodeID{dh, dl} {
-		if len(g) > 0 {
-			s.Paths = append(s.Paths, PathRoute{Nodes: adaptiveRouteThrough(t, l, k.Source, g, 0, oracle, nbuf), Dests: g})
+		if len(g) == 0 {
+			continue
 		}
+		start, cur := len(ws.nodes), k.Source
+		ws.nodes = append(ws.nodes, cur)
+		for _, d := range g {
+			guard := 0
+			for cur != d {
+				cur = adaptiveNextHopInto(t, l, cur, d, 0, oracle, ws.nbuf)
+				ws.nodes = append(ws.nodes, cur)
+				if guard++; guard > n+1 {
+					panic("dfr: adaptive routing failed to converge")
+				}
+			}
+		}
+		ws.add(start, g, 0)
 	}
-	return s
+	return ws.star(k.Source)
 }

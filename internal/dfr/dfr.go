@@ -7,9 +7,9 @@
 package dfr
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
+	"sync"
 
 	"multicastnet/internal/core"
 	"multicastnet/internal/labeling"
@@ -135,13 +135,130 @@ func (s Star) Validate(t topology.Topology, k core.MulticastSet) error {
 	return nil
 }
 
+// Workspace is the reusable scratch every path scheme writes its star
+// into: the path list, the HighLowPartition array whose runs are the
+// paths' Dests, one node buffer holding every row, R's neighbor buffer
+// and the packed keys of the label sorts. A star a
+// scheme method returns aliases them until the workspace's next call;
+// Clone copies it out. Once the arrays have grown to the largest plan
+// seen, a scheme call allocates nothing. A Workspace serves one
+// goroutine at a time: AcquireWorkspace and ReleaseWorkspace lend pooled
+// ones, and the exported scheme functions (DualPath, ...) return an
+// owned clone of a pooled workspace's star.
+type Workspace struct {
+	paths []PathRoute
+	part  []topology.NodeID
+	nodes []topology.NodeID
+	nbuf  []topology.NodeID
+	keys  []uint64
+}
+
+var wsPool = sync.Pool{New: func() any { return new(Workspace) }}
+
+// AcquireWorkspace returns a pooled workspace; give it back with
+// ReleaseWorkspace.
+func AcquireWorkspace() *Workspace { return wsPool.Get().(*Workspace) }
+
+// ReleaseWorkspace returns ws to the pool. The caller must not retain
+// any star ws returned.
+func ReleaseWorkspace(ws *Workspace) { wsPool.Put(ws) }
+
+// oneShot runs one scheme call on a pooled workspace and returns its
+// star's owned clone.
+func oneShot(scheme func(ws *Workspace) Star) Star {
+	ws := AcquireWorkspace()
+	defer ReleaseWorkspace(ws)
+	return scheme(ws).Clone()
+}
+
+// begin starts a scheme call over t and l: it empties the star and
+// splits k's destinations (HighLowPartition) into the workspace's
+// partition array.
+func (ws *Workspace) begin(t topology.Topology, l labeling.Labeling, k core.MulticastSet) (dh, dl []topology.NodeID) {
+	ws.paths = ws.paths[:0]
+	ws.nodes = ws.nodes[:0]
+	if d := t.MaxDegree(); cap(ws.nbuf) < d {
+		ws.nbuf = make([]topology.NodeID, 0, d)
+	}
+	ws.part = slices.Grow(ws.part[:0], len(k.Dests))[:len(k.Dests)]
+	return ws.partition(ws.part, l, k)
+}
+
+// route appends the path from src through every destination of dests
+// in order, routed by R (the message routing of Fig. 6.12 run to
+// completion), in channel class class. When first != src, the row's
+// first hop goes to first, a neighbor of src, and R routes on from
+// there (the hypercube multi-path's hop to v_i).
+func (ws *Workspace) route(t topology.Topology, l labeling.Labeling, src, first topology.NodeID, dests []topology.NodeID, class int) {
+	start := len(ws.nodes)
+	ws.nodes = append(ws.nodes, src)
+	if first != src {
+		ws.nodes = append(ws.nodes, first)
+	}
+	cur := first
+	for _, d := range dests {
+		if cur != d {
+			ws.nodes = core.AppendRoute(t, l, cur, d, ws.nodes, ws.nbuf)
+			cur = d
+		}
+	}
+	ws.add(start, dests, class)
+}
+
+// add closes the row written from ws.nodes[start] as the next path,
+// delivering dests. When a later row grows the node buffer, the rows
+// before it keep the old array, which still holds them.
+func (ws *Workspace) add(start int, dests []topology.NodeID, class int) {
+	end := len(ws.nodes)
+	ws.paths = append(ws.paths, PathRoute{Nodes: ws.nodes[start:end:end], Dests: dests, Class: class})
+}
+
+// star returns the star written since begin.
+func (ws *Workspace) star(src topology.NodeID) Star { return Star{Source: src, Paths: ws.paths} }
+
+// Clone returns a copy of s that shares no memory with it, in two
+// allocations: the path list, and one array holding every path's nodes
+// and destinations (plus one per path that has per-hop classes, which no
+// scheme writes).
+func (s Star) Clone() Star {
+	n := 0
+	for _, p := range s.Paths {
+		n += len(p.Nodes) + len(p.Dests)
+	}
+	out := Star{Source: s.Source, Paths: make([]PathRoute, len(s.Paths))}
+	buf := make([]topology.NodeID, n)
+	for i, p := range s.Paths {
+		out.Paths[i] = p
+		out.Paths[i].Nodes, buf = cut(buf, p.Nodes)
+		out.Paths[i].Dests, buf = cut(buf, p.Dests)
+		out.Paths[i].Classes = slices.Clone(p.Classes)
+	}
+	return out
+}
+
+// cut copies src into the front of buf and returns the copy, capped at
+// its length (nil for an empty src), and the rest of buf.
+func cut(buf, src []topology.NodeID) ([]topology.NodeID, []topology.NodeID) {
+	if len(src) == 0 {
+		return nil, buf
+	}
+	n := copy(buf, src)
+	return buf[:n:n], buf[n:]
+}
+
 // HighLowPartition is the message preparation of the dual-path algorithm
 // (Fig. 6.11): split the destinations into D_H (labels above the source,
 // ascending) and D_L (labels below, descending). Both halves share one
 // array of len(k.Dests) entries; D_H's capacity ends where D_L begins,
 // so appending to either copies it. An empty half is nil.
 func HighLowPartition(l labeling.Labeling, k core.MulticastSet) (dh, dl []topology.NodeID) {
-	buf := make([]topology.NodeID, len(k.Dests))
+	var ws Workspace // for its sort keys alone
+	return ws.partition(make([]topology.NodeID, len(k.Dests)), l, k)
+}
+
+// partition is HighLowPartition into buf, which has len(k.Dests)
+// entries.
+func (ws *Workspace) partition(buf []topology.NodeID, l labeling.Labeling, k core.MulticastSet) (dh, dl []topology.NodeID) {
 	h, lo := 0, len(buf)
 	l0 := l.Label(k.Source)
 	for _, d := range k.Dests {
@@ -155,77 +272,33 @@ func HighLowPartition(l labeling.Labeling, k core.MulticastSet) (dh, dl []topolo
 	}
 	if h > 0 {
 		dh = buf[:h:h]
-		slices.SortFunc(dh, func(a, b topology.NodeID) int { return cmp.Compare(l.Label(a), l.Label(b)) })
+		ws.sortByLabel(l, dh, false)
 	}
 	if lo < len(buf) {
 		dl = buf[lo:]
-		slices.SortFunc(dl, func(a, b topology.NodeID) int { return cmp.Compare(l.Label(b), l.Label(a)) })
+		ws.sortByLabel(l, dl, true)
 	}
 	return dh, dl
 }
 
-// routeThrough returns the path row from src through every destination
-// of dests in order, routed by R (the message routing of Fig. 6.12 run to
-// completion). When first != src, the row's first hop goes to first, a
-// neighbor of src, and R routes on from there (the hypercube multi-path's
-// hop to v_i). nbuf is the plan's neighbor buffer.
-func routeThrough(t topology.Topology, l labeling.Labeling, src, first topology.NodeID,
-	dests, nbuf []topology.NodeID) []topology.NodeID {
-	nodes := newRow(t, src, first, dests)
-	cur := first
-	for _, d := range dests {
-		if cur == d {
-			continue
+// sortByLabel sorts ns by ascending label, or descending when desc, as
+// label<<32 | node keys in the workspace's key scratch, complementing
+// the label for descending order. Labels are distinct, so the order is
+// the comparator sort's.
+func (ws *Workspace) sortByLabel(l labeling.Labeling, ns []topology.NodeID, desc bool) {
+	keys := ws.keys[:0]
+	for _, v := range ns {
+		lab := uint32(l.Label(v))
+		if desc {
+			lab = ^lab
 		}
-		nodes = core.AppendRoute(t, l, cur, d, nodes, nbuf)
-		cur = d
+		keys = append(keys, uint64(lab)<<32|uint64(uint32(v)))
 	}
-	return nodes
-}
-
-// newRow returns a path row holding src, then first if it differs, sized
-// once for the legs from first through dests: its nodes so far plus each
-// leg's distance. Under the canonical labelings R takes only shortest
-// hops (Lemmas 6.1 and 6.4), so the size is exact; elsewhere it is a
-// capacity hint, and a leg a masked view reports unreachable (distance
-// Nodes()) adds nothing to it.
-func newRow(t topology.Topology, src, first topology.NodeID, dests []topology.NodeID) []topology.NodeID {
-	size, cur := 1, first
-	if first != src {
-		size++
+	slices.Sort(keys)
+	for i, key := range keys {
+		ns[i] = topology.NodeID(uint32(key))
 	}
-	for _, d := range dests {
-		if d == cur {
-			continue
-		}
-		if dist := t.Distance(cur, d); dist < t.Nodes() {
-			size += dist
-		}
-		cur = d
-	}
-	nodes := append(make([]topology.NodeID, 0, size), src)
-	if first != src {
-		nodes = append(nodes, first)
-	}
-	return nodes
-}
-
-// neighborBuf returns a plan's neighbor buffer: one per plan, reused at
-// every hop of every leg.
-func neighborBuf(t topology.Topology) []topology.NodeID {
-	return make([]topology.NodeID, 0, t.MaxDegree())
-}
-
-// pathsFor returns an empty path list with room for one path per
-// non-empty destination group.
-func pathsFor(groups ...[]topology.NodeID) []PathRoute {
-	n := 0
-	for _, g := range groups {
-		if len(g) > 0 {
-			n++
-		}
-	}
-	return make([]PathRoute, 0, n)
+	ws.keys = keys
 }
 
 // DualPath runs the dual-path multicast routing algorithm (Figs. 6.11 and
@@ -233,15 +306,18 @@ func pathsFor(groups ...[]topology.NodeID) []PathRoute {
 // network and one through the low-channel network. Each subnetwork is
 // acyclic, so the scheme is deadlock-free (Assertion 2, Corollary 6.1).
 func DualPath(t topology.Topology, l labeling.Labeling, k core.MulticastSet) Star {
-	dh, dl := HighLowPartition(l, k)
-	nbuf := neighborBuf(t)
-	s := Star{Source: k.Source, Paths: pathsFor(dh, dl)}
+	return oneShot(func(ws *Workspace) Star { return ws.DualPath(t, l, k) })
+}
+
+// DualPath is DualPath written into ws.
+func (ws *Workspace) DualPath(t topology.Topology, l labeling.Labeling, k core.MulticastSet) Star {
+	dh, dl := ws.begin(t, l, k)
 	for _, g := range [2][]topology.NodeID{dh, dl} {
 		if len(g) > 0 {
-			s.Paths = append(s.Paths, PathRoute{Nodes: routeThrough(t, l, k.Source, k.Source, g, nbuf), Dests: g})
+			ws.route(t, l, k.Source, k.Source, g, 0)
 		}
 	}
-	return s
+	return ws.star(k.Source)
 }
 
 // FixedPath runs the fixed-path routing of Section 6.2.2 [49]: the upper
@@ -250,26 +326,27 @@ func DualPath(t topology.Topology, l labeling.Labeling, k core.MulticastSet) Sta
 // lowest-labeled one. Trivial to implement in hardware, at the cost of
 // visiting every intermediate label.
 func FixedPath(t topology.Topology, l labeling.Labeling, k core.MulticastSet) Star {
-	dh, dl := HighLowPartition(l, k)
-	s := Star{Source: k.Source, Paths: pathsFor(dh, dl)}
+	return oneShot(func(ws *Workspace) Star { return ws.FixedPath(t, l, k) })
+}
+
+// FixedPath is FixedPath written into ws.
+func (ws *Workspace) FixedPath(t topology.Topology, l labeling.Labeling, k core.MulticastSet) Star {
+	dh, dl := ws.begin(t, l, k)
 	l0 := l.Label(k.Source)
-	if len(dh) > 0 {
-		top := l.Label(dh[len(dh)-1])
-		nodes := make([]topology.NodeID, 0, top-l0+1)
-		for lab := l0; lab <= top; lab++ {
-			nodes = append(nodes, l.At(lab))
+	for i, g := range [2][]topology.NodeID{dh, dl} {
+		if len(g) == 0 {
+			continue
 		}
-		s.Paths = append(s.Paths, PathRoute{Nodes: nodes, Dests: dh})
-	}
-	if len(dl) > 0 {
-		bottom := l.Label(dl[len(dl)-1])
-		nodes := make([]topology.NodeID, 0, l0-bottom+1)
-		for lab := l0; lab >= bottom; lab-- {
-			nodes = append(nodes, l.At(lab))
+		start, end, step := len(ws.nodes), l.Label(g[len(g)-1]), 1
+		if i == 1 {
+			step = -1
 		}
-		s.Paths = append(s.Paths, PathRoute{Nodes: nodes, Dests: dl})
+		for lab := l0; lab != end+step; lab += step {
+			ws.nodes = append(ws.nodes, l.At(lab))
+		}
+		ws.add(start, g, 0)
 	}
-	return s
+	return ws.star(k.Source)
 }
 
 // MultiPathMesh runs the multi-path routing algorithm for the 2D mesh
@@ -288,14 +365,18 @@ func MultiPathMesh(m *topology.Mesh2D, l labeling.Labeling, k core.MulticastSet)
 // multi-path split over a faulty mesh), m supplies the (x, y) geometry of
 // the split rule.
 func MultiPathMeshOn(t topology.Topology, m *topology.Mesh2D, l labeling.Labeling, k core.MulticastSet) Star {
-	dh, dl := HighLowPartition(l, k)
-	nbuf := neighborBuf(t)
+	return oneShot(func(ws *Workspace) Star { return ws.MultiPathMeshOn(t, m, l, k) })
+}
+
+// MultiPathMeshOn is MultiPathMeshOn written into ws.
+func (ws *Workspace) MultiPathMeshOn(t topology.Topology, m *topology.Mesh2D, l labeling.Labeling, k core.MulticastSet) Star {
+	dh, dl := ws.begin(t, l, k)
 	// The x of the source's horizontal neighbor on the high and on the low
 	// side of the labeling, or x0 when that side has none.
 	x0, y0 := m.XY(k.Source)
 	l0 := l.Label(k.Source)
 	hx := [2]int{x0, x0}
-	for _, p := range t.Neighbors(k.Source, nbuf[:0]) {
+	for _, p := range t.Neighbors(k.Source, ws.nbuf[:0]) {
 		if px, py := m.XY(p); py == y0 {
 			if l.Label(p) > l0 {
 				hx[0] = px
@@ -307,7 +388,6 @@ func MultiPathMeshOn(t topology.Topology, m *topology.Mesh2D, l labeling.Labelin
 	// Each half splits in place into the destinations on its horizontal
 	// neighbor's side of the source column, then the rest, each part in
 	// label order.
-	var groups [4][]topology.NodeID
 	for i, half := range [2][]topology.NodeID{dh, dl} {
 		n := len(half)
 		if x := hx[i]; x != x0 {
@@ -316,15 +396,13 @@ func MultiPathMeshOn(t topology.Topology, m *topology.Mesh2D, l labeling.Labelin
 				return (x > x0 && dx >= x) || (x < x0 && dx <= x)
 			})
 		}
-		groups[2*i], groups[2*i+1] = half[:n:n], half[n:]
-	}
-	s := Star{Source: k.Source, Paths: pathsFor(groups[:]...)}
-	for _, g := range groups {
-		if len(g) > 0 {
-			s.Paths = append(s.Paths, PathRoute{Nodes: routeThrough(t, l, k.Source, k.Source, g, nbuf), Dests: g})
+		for _, g := range [2][]topology.NodeID{half[:n:n], half[n:]} {
+			if len(g) > 0 {
+				ws.route(t, l, k.Source, k.Source, g, 0)
+			}
 		}
 	}
-	return s
+	return ws.star(k.Source)
 }
 
 // stablePartition reorders ds so that the entries first accepts come
@@ -365,21 +443,23 @@ func MultiPathCube(h *topology.Hypercube, l labeling.Labeling, k core.MulticastS
 // topology.LiveMasked view of h for degraded-mode routing); h is only
 // documentation of the underlying geometry.
 func MultiPathCubeOn(t topology.Topology, h *topology.Hypercube, l labeling.Labeling, k core.MulticastSet) Star {
-	dh, dl := HighLowPartition(l, k)
-	nbuf := neighborBuf(t)
+	return oneShot(func(ws *Workspace) Star { return ws.MultiPathCubeOn(t, h, l, k) })
+}
+
+// MultiPathCubeOn is MultiPathCubeOn written into ws.
+func (ws *Workspace) MultiPathCubeOn(t topology.Topology, h *topology.Hypercube, l labeling.Labeling, k core.MulticastSet) Star {
+	dh, dl := ws.begin(t, l, k)
 	// The source's neighbors: v_1 < ... < v_d above its label (hi), and
 	// those below it in descending label order (lo).
 	l0 := l.Label(k.Source)
 	var vsBuf [32]topology.NodeID
-	vs := append(vsBuf[:0], t.Neighbors(k.Source, nbuf[:0])...)
+	vs := append(vsBuf[:0], t.Neighbors(k.Source, ws.nbuf[:0])...)
 	nh := stablePartition(vs, func(p topology.NodeID) bool { return l.Label(p) > l0 })
 	hi, lo := vs[:nh], vs[nh:]
-	slices.SortFunc(hi, func(a, b topology.NodeID) int { return cmp.Compare(l.Label(a), l.Label(b)) })
-	slices.SortFunc(lo, func(a, b topology.NodeID) int { return cmp.Compare(l.Label(b), l.Label(a)) })
+	ws.sortByLabel(l, hi, false)
+	ws.sortByLabel(l, lo, true)
 
 	// At most one path per neighbor on each side, or one direct path.
-	s := Star{Source: k.Source, Paths: make([]PathRoute, 0,
-		min(len(dh), max(len(hi), 1))+min(len(dl), max(len(lo), 1)))}
 	for i, group := range [2][]topology.NodeID{dh, dl} {
 		// dir orients labels so that vs and group ascend.
 		vs, dir := hi, 1
@@ -392,7 +472,7 @@ func MultiPathCubeOn(t topology.Topology, h *topology.Hypercube, l labeling.Labe
 			// Every link of the source on this side is masked out; a
 			// single direct path is the best this scheme can offer (the
 			// degraded router validates or repairs it).
-			s.Paths = append(s.Paths, PathRoute{Nodes: routeThrough(t, l, k.Source, k.Source, group, nbuf), Dests: group})
+			ws.route(t, l, k.Source, k.Source, group, 0)
 		default:
 			// D_i = {w : l(v_i) <= l(w) < l(v_{i+1})}, mirrored below the
 			// source. The group is in the label order of vs, so each D_i
@@ -410,12 +490,12 @@ func MultiPathCubeOn(t topology.Topology, h *topology.Hypercube, l labeling.Labe
 				}
 				if j == len(group) || next != vi {
 					if g := group[start:j:j]; len(g) > 0 {
-						s.Paths = append(s.Paths, PathRoute{Nodes: routeThrough(t, l, k.Source, vs[vi], g, nbuf), Dests: g})
+						ws.route(t, l, k.Source, vs[vi], g, 0)
 					}
 					vi, start = next, j
 				}
 			}
 		}
 	}
-	return s
+	return ws.star(k.Source)
 }

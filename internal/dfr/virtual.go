@@ -28,12 +28,15 @@ import (
 // a physical link could carry both a high and a low path of different
 // source pairs.
 func VirtualChannelPath(t topology.Topology, l labeling.Labeling, k core.MulticastSet, v int) Star {
+	return oneShot(func(ws *Workspace) Star { return ws.VirtualChannelPath(t, l, k, v) })
+}
+
+// VirtualChannelPath is VirtualChannelPath written into ws.
+func (ws *Workspace) VirtualChannelPath(t topology.Topology, l labeling.Labeling, k core.MulticastSet, v int) Star {
 	if v < 1 {
 		panic("dfr: virtual channel count must be at least 1")
 	}
-	dh, dl := HighLowPartition(l, k)
-	nbuf := neighborBuf(t)
-	s := Star{Source: k.Source, Paths: make([]PathRoute, 0, min(len(dh), v)+min(len(dl), v))}
+	dh, dl := ws.begin(t, l, k)
 	for half, ds := range [2][]topology.NodeID{dh, dl} {
 		// At most v contiguous, non-empty, nearly equal blocks, the
 		// larger ones first.
@@ -43,14 +46,9 @@ func VirtualChannelPath(t topology.Topology, l labeling.Labeling, k core.Multica
 			if copyIdx < len(ds)%blocks {
 				size++
 			}
-			block := ds[start : start+size : start+size]
+			ws.route(t, l, k.Source, k.Source, ds[start:start+size:start+size], 2*copyIdx+half)
 			start += size
-			s.Paths = append(s.Paths, PathRoute{
-				Nodes: routeThrough(t, l, k.Source, k.Source, block, nbuf),
-				Dests: block,
-				Class: 2*copyIdx + half,
-			})
 		}
 	}
-	return s
+	return ws.star(k.Source)
 }

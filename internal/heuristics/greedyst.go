@@ -345,32 +345,6 @@ func (ws *Workspace) markSubtree(start, parent topology.NodeID) {
 	}
 }
 
-// greedySTSplit is the replicate-node computation (Steps 3-5 of Fig. 5.4)
-// at node u with remaining destinations dests (u excluded): it builds the
-// local greedy Steiner tree and returns, for each son r of u, the sublist
-// (r, destinations in r's subtree).
-func greedySTSplit(t RegionTopology, u topology.NodeID, dests []topology.NodeID) [][]topology.NodeID {
-	ws := AcquireWorkspace()
-	defer ReleaseWorkspace(ws)
-	tp, s := greedyEntry(t)
-	ws.ensure(tp)
-	ws.buildGreedyTree(s, u, dests)
-	var out [][]topology.NodeID
-	for sl := ws.trHead[u]; sl >= 0; sl = ws.trNext[sl] {
-		r := ws.far(sl)
-		ws.markSubtree(r, u)
-		list := []topology.NodeID{r}
-		// Keep the original sorted order for the carried destinations.
-		for _, d := range dests {
-			if d != r && ws.tmp.has(int32(d)) {
-				list = append(list, d)
-			}
-		}
-		out = append(out, list)
-	}
-	return out
-}
-
 // GreedySTCarried runs the greedy ST algorithm in the paper's alternative
 // implementation (end of Section 5.2): the source computes the complete
 // greedy Steiner tree once and passes it in the message, so replicate

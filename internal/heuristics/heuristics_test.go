@@ -151,6 +151,32 @@ func TestSortedMCProperty(t *testing.T) {
 	}
 }
 
+// greedySTSplit is the replicate-node computation (Steps 3-5 of Fig. 5.4)
+// at node u with remaining destinations dests (u excluded): it builds the
+// local greedy Steiner tree and returns, for each son r of u, the sublist
+// (r, destinations in r's subtree).
+func greedySTSplit(t RegionTopology, u topology.NodeID, dests []topology.NodeID) [][]topology.NodeID {
+	ws := AcquireWorkspace()
+	defer ReleaseWorkspace(ws)
+	tp, s := greedyEntry(t)
+	ws.ensure(tp)
+	ws.buildGreedyTree(s, u, dests)
+	var out [][]topology.NodeID
+	for sl := ws.trHead[u]; sl >= 0; sl = ws.trNext[sl] {
+		r := ws.far(sl)
+		ws.markSubtree(r, u)
+		list := []topology.NodeID{r}
+		// Keep the original sorted order for the carried destinations.
+		for _, d := range dests {
+			if d != r && ws.tmp.has(int32(d)) {
+				list = append(list, d)
+			}
+		}
+		out = append(out, list)
+	}
+	return out
+}
+
 // TestFig59GreedySTMeshExample reproduces the 8x8 mesh example of
 // Section 5.4 / Fig. 5.9: source [2,7], five destinations, a 14-link
 // Steiner tree whose first sublist is rooted at replicate node [2,5].

@@ -231,14 +231,24 @@ func (c *PlanCache) put(key string, e cacheEntry) {
 	c.fifo = append(c.fifo, key)
 }
 
-// planKey canonicalizes a multicast set into a cache key: the source,
-// then the destinations in sorted order, all varint-encoded. Destination
-// order never changes a scheme's routes (every scheme re-sorts by
-// label), so sets that differ only in listing order share one entry.
-func planKey(k core.MulticastSet) string {
-	k.Dests = slices.Clone(k.Dests)
-	slices.Sort(k.Dests)
-	return string(appendPlanKeySorted(make([]byte, 0, (len(k.Dests)+1)*3), k))
+// keyBuf is the size of the stack buffers plan keys are built in; a
+// longer key grows onto the heap.
+const keyBuf = 256
+
+// appendPlanKey appends the cache key of k to dst and returns the grown
+// buffer: the source, then the destinations in sorted order, all
+// varint-encoded. Destination order never changes a scheme's routes
+// (every scheme re-sorts by label), so sets that differ only in listing
+// order share one entry. Unsorted destinations are sorted in a stack
+// copy, so with a stack dst a key of up to 64 destinations allocates
+// nothing.
+func appendPlanKey(dst []byte, k core.MulticastSet) []byte {
+	if !destsSorted(k.Dests) {
+		var ds [64]topology.NodeID
+		k.Dests = append(ds[:0], k.Dests...)
+		slices.Sort(k.Dests)
+	}
+	return appendPlanKeySorted(dst, k)
 }
 
 // appendPlanKeySorted appends the cache key of k to dst and returns the
@@ -269,13 +279,15 @@ func destsSorted(dests []topology.NodeID) bool {
 // degraded fault router caches only fully served plans, a policy the
 // Cached wrapper cannot express.
 func (c *PlanCache) GetPlan(k core.MulticastSet) (Plan, bool) {
-	e, ok := get(c, planKey(k))
+	var buf [keyBuf]byte
+	e, ok := get(c, appendPlanKey(buf[:0], k))
 	return e.plan, ok
 }
 
 // PutPlan caches the route-form plan p of k.
 func (c *PlanCache) PutPlan(k core.MulticastSet, p Plan) {
-	c.put(planKey(k), cacheEntry{plan: p})
+	var buf [keyBuf]byte
+	c.put(string(appendPlanKey(buf[:0], k)), cacheEntry{plan: p})
 }
 
 // cachedRouter memoizes PlanSet through a PlanCache.
@@ -286,12 +298,13 @@ type cachedRouter struct {
 
 // PlanSet implements Router, consulting the cache first.
 func (r *cachedRouter) PlanSet(k core.MulticastSet) Plan {
-	key := planKey(k)
+	var buf [keyBuf]byte
+	key := appendPlanKey(buf[:0], k)
 	if e, ok := get(r.cache, key); ok {
 		return e.plan
 	}
 	p := r.Router.PlanSet(k)
-	r.cache.put(key, cacheEntry{plan: p})
+	r.cache.put(string(key), cacheEntry{plan: p})
 	return p
 }
 

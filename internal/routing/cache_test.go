@@ -332,3 +332,32 @@ func TestPlanCacheInvalidateDropsSlots(t *testing.T) {
 			st.Evictions, len(c.fifo), c.Len())
 	}
 }
+
+// planKey is the cache key of k as the map holds it.
+func planKey(k core.MulticastSet) string { return string(appendPlanKey(nil, k)) }
+
+// TestWarmHitsAllocationFree pins the cache's warm lookups: a Cached
+// hit, a GetPlan hit and a FlatSet hit build the key in a stack buffer,
+// sort an unsorted set in a stack copy and look up without converting
+// the key, so each allocates nothing.
+func TestWarmHitsAllocationFree(t *testing.T) {
+	r, _, m := testRouter(t, "dual-path")
+	cr := Cached(r, NewPlanCache(0))
+	fr := Flat(r, NewPlanCache(0))
+	pc := NewPlanCache(0)
+	for _, dests := range [][]topology.NodeID{{10, 20, 30, 35}, {35, 10, 30, 20}} {
+		k := core.MustMulticastSet(m, 3, dests)
+		cr.PlanSet(k)
+		fr.FlatSet(k)
+		pc.PutPlan(k, r.PlanSet(k))
+		for name, lookup := range map[string]func(){
+			"Cached":  func() { cr.PlanSet(k) },
+			"FlatSet": func() { fr.FlatSet(k) },
+			"GetPlan": func() { pc.GetPlan(k) },
+		} {
+			if got := testing.AllocsPerRun(10, lookup); got != 0 {
+				t.Errorf("%s hit on destinations %v: %.1f allocations, want 0", name, dests, got)
+			}
+		}
+	}
+}

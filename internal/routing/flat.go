@@ -2,7 +2,7 @@ package routing
 
 import (
 	"fmt"
-	"slices"
+	"sync"
 
 	"multicastnet/internal/core"
 	"multicastnet/internal/dfr"
@@ -77,22 +77,28 @@ func (f *FlatPlan) touchesAny(pairs []uint64) bool {
 
 // Flatten converts a routed plan into a new dense CSR plan over t's
 // channels: the one-shot case of Flattener, sizing every array exactly
-// but LevelOff, which is sized for one level per channel.
+// but LevelOff, which is sized for one level per channel. Its scratch
+// comes from a pool, so it allocates only the returned plan.
 func Flatten(t topology.Topology, p Plan) *FlatPlan {
-	fl := Flattener{chans: dfr.NewChannelNumbering(t)}
-	return fl.Flatten(new(FlatPlan), p)
+	fl := flatteners.Get().(*Flattener)
+	fl.chans = dfr.NewChannelNumbering(t)
+	f := fl.Flatten(new(FlatPlan), p)
+	flatteners.Put(fl) // not on a panic: the scratch would be mid-route
+	return f
 }
+
+var flatteners = sync.Pool{New: func() any { return new(Flattener) }}
 
 // Flattener converts routed plans into their dense CSR form, refilling a
 // caller-owned FlatPlan in place. It numbers channels in one topology and
-// keeps an epoch-stamped node scratch for tree depths; once the plan's
-// arrays and the scratch have grown to the largest plan seen, flattening
-// allocates nothing. Build one with NewFlattener; a Flattener must not be
-// used concurrently.
+// keeps an epoch-stamped node scratch for path positions and tree
+// depths; once the plan's arrays and the scratch have grown to the
+// largest plan seen, flattening allocates nothing. Build one with
+// NewFlattener; a Flattener must not be used concurrently.
 type Flattener struct {
 	chans dfr.ChannelNumbering
-	stamp []uint32 // node -> the tree epoch in which depth[node] is valid
-	depth []int32
+	stamp []uint32 // node -> the route epoch in which depth[node] is valid
+	depth []int32  // a path node's first position, a tree node's depth
 	epoch uint32
 	level []int32 // per-depth row counts, then placement cursors
 	ids   []int32 // the current tree's channel ids, in edge order
@@ -121,7 +127,12 @@ func (fl *Flattener) Flatten(f *FlatPlan, p Plan) *FlatPlan {
 			dests += len(pr.Dests)
 		}
 	}
+	// A path's nodes are ends of its channels, so they are the topology's;
+	// a tree's root need not be.
 	maxNode := topology.NodeID(-1)
+	if routes > 0 {
+		maxNode = topology.NodeID(fl.chans.Topology().Nodes() - 1)
+	}
 	for _, tr := range p.Trees {
 		if len(tr.Edges) > 0 {
 			routes++
@@ -150,6 +161,10 @@ func (fl *Flattener) Flatten(f *FlatPlan, p Plan) *FlatPlan {
 		if len(pr.Nodes) < 2 {
 			continue
 		}
+		// Each node's first position is stamped once the channel leaving
+		// or entering it has been numbered, so it is a node of the
+		// topology; a destination's level is then one lookup.
+		fl.nextEpoch()
 		for i := 1; i < len(pr.Nodes); i++ {
 			class := pr.Class // pr.HopClass(i-1), without copying pr per hop
 			if pr.Classes != nil {
@@ -157,14 +172,16 @@ func (fl *Flattener) Flatten(f *FlatPlan, p Plan) *FlatPlan {
 			}
 			f.Chan = append(f.Chan, fl.chanID(dfr.Channel{From: pr.Nodes[i-1], To: pr.Nodes[i], Class: class}))
 			f.LevelOff = append(f.LevelOff, int32(len(f.Chan)))
+			fl.first(pr.Nodes[i-1], int32(i-1))
 		}
+		fl.first(pr.Nodes[len(pr.Nodes)-1], int32(len(pr.Nodes)-1))
 		for _, d := range pr.Dests {
-			pos := slices.Index(pr.Nodes, d)
+			pos := fl.depthOf(d)
 			if pos <= 0 {
 				panic(fmt.Sprintf("routing: path does not visit destination %d", d))
 			}
 			f.Dest = append(f.Dest, int32(d))
-			f.DestLevel = append(f.DestLevel, int32(pos))
+			f.DestLevel = append(f.DestLevel, pos)
 		}
 		f.endRoute()
 	}
@@ -196,10 +213,7 @@ func (fl *Flattener) tree(f *FlatPlan, tr dfr.TreeRoute) {
 		ids = append(ids, fl.chanID(e))
 	}
 	fl.ids = ids
-	if fl.epoch++; fl.epoch == 0 { // wrapped: no stamp may match a new epoch
-		clear(fl.stamp)
-		fl.epoch = 1
-	}
+	fl.nextEpoch()
 	fl.reach(tr.Root, 0)
 	maxd := int32(0)
 	for _, e := range tr.Edges {
@@ -250,6 +264,23 @@ func (fl *Flattener) chanID(c dfr.Channel) int32 {
 	return id
 }
 
+// nextEpoch starts a route: no node has a position or depth in it yet.
+func (fl *Flattener) nextEpoch() {
+	if fl.epoch++; fl.epoch == 0 { // wrapped: no stamp may match a new epoch
+		clear(fl.stamp)
+		fl.epoch = 1
+	}
+}
+
+// first records node at position i of the current path unless the path
+// has visited it before.
+func (fl *Flattener) first(node topology.NodeID, i int32) {
+	if fl.stamp[node] != fl.epoch {
+		fl.stamp[node] = fl.epoch
+		fl.depth[node] = i
+	}
+}
+
 // reach records node at depth d in the current tree; Flatten has sized
 // the scratch to every node its trees name.
 func (fl *Flattener) reach(node topology.NodeID, d int32) {
@@ -283,24 +314,36 @@ func reuse(s []int32, n int) []int32 {
 type FlatRouter struct {
 	Router
 	cache *PlanCache
+	paths pathPlanner // the registry's path writer behind Router, or nil
+}
+
+// pathPlanner is the optional method of the registry's own routers that
+// writes a path scheme's star into a workspace (false for a tree
+// scheme), so FlatCompute flattens it without a route-form copy. A
+// router that wraps a registry router, such as a tracing one, does not
+// have it and is planned through PlanSet.
+type pathPlanner interface {
+	planPaths(ws *dfr.Workspace, k core.MulticastSet) (dfr.Star, bool)
 }
 
 // Flat wraps a router with CSR flattening and the plan cache c, which
 // serves this router alone from then on (see PlanCache.Own).
 func Flat(r Router, c *PlanCache) *FlatRouter {
 	c.Own(r)
-	return &FlatRouter{Router: r, cache: c}
+	pp, _ := r.(pathPlanner)
+	return &FlatRouter{Router: r, cache: c, paths: pp}
 }
 
 // FlatSet routes an already-validated multicast set and returns the
 // dense form.
 func (r *FlatRouter) FlatSet(k core.MulticastSet) *FlatPlan {
-	key := planKey(k)
+	var buf [keyBuf]byte
+	key := appendPlanKey(buf[:0], k)
 	if e, ok := get(r.cache, key); ok {
 		return e.flat
 	}
 	f := r.FlatCompute(k)
-	r.cache.put(key, cacheEntry{flat: f})
+	r.cache.put(string(key), cacheEntry{flat: f})
 	return f
 }
 
@@ -328,9 +371,20 @@ func (r *FlatRouter) FlatProbeBuf(k core.MulticastSet, buf []byte) (*FlatPlan, [
 
 // FlatCompute plans and flattens without touching the cache — the
 // compute half of a FlatProbeBuf miss, safe to run concurrently. Channel
-// ids are numbered in the router's state topology.
+// ids are numbered in the router's state topology. A registry path
+// scheme's star is flattened straight from a pooled workspace, so the
+// returned plan is all it allocates; any other router is planned
+// through PlanSet.
 func (r *FlatRouter) FlatCompute(k core.MulticastSet) *FlatPlan {
-	return Flatten(r.Router.State().Topology(), r.Router.PlanSet(k))
+	t := r.Router.State().Topology()
+	if r.paths != nil {
+		ws := dfr.AcquireWorkspace()
+		defer dfr.ReleaseWorkspace(ws)
+		if s, ok := r.paths.planPaths(ws, k); ok {
+			return Flatten(t, Plan{Paths: s.Paths})
+		}
+	}
+	return Flatten(t, r.Router.PlanSet(k))
 }
 
 // FlatInstallBuf stores a FlatCompute result under the canonical key of

@@ -144,6 +144,35 @@ func TestFlattenRejectsMalformedTrees(t *testing.T) {
 	}
 }
 
+// TestFlattenPathLevels: a path destination's level is its first
+// position on the path, also when the path walks through it again, and
+// a destination the path never reaches past its source (a skipped
+// node, the source itself, a node off the topology) is refused with a
+// named panic.
+func TestFlattenPathLevels(t *testing.T) {
+	m := topology.NewMesh2D(4, 8)
+	walk := Plan{Paths: []dfr.PathRoute{{Nodes: []topology.NodeID{0, 1, 2, 1, 5}, Dests: []topology.NodeID{1, 5, 2}}}}
+	if f := Flatten(m, walk); !reflect.DeepEqual(f.DestLevel, []int32{1, 4, 2}) {
+		t.Fatalf("walk 0-1-2-1-5 delivers 1, 5, 2 at levels %v, want [1 4 2]", f.DestLevel)
+	}
+	fl := NewFlattener(m)
+	var f FlatPlan
+	for _, d := range []topology.NodeID{2, 0, 99} {
+		func() {
+			want := fmt.Sprintf("routing: path does not visit destination %d", d)
+			defer func() {
+				if msg, _ := recover().(string); msg != want {
+					t.Errorf("path 0-1 to %d: panic %q, want %q", d, msg, want)
+				}
+			}()
+			fl.Flatten(&f, Plan{Paths: []dfr.PathRoute{{Nodes: []topology.NodeID{0, 1}, Dests: []topology.NodeID{d}}}})
+		}()
+	}
+	if fl.Flatten(&f, walk); !reflect.DeepEqual(f, *Flatten(m, walk)) {
+		t.Fatalf("flattener after refused paths: %+v, want %+v", f, *Flatten(m, walk))
+	}
+}
+
 // TestFlattenerEpochWrap: once the tree epoch wraps, neither the stamps
 // an earlier tree left nor the zero stamps of untouched nodes may count
 // as reached. Nodes 1 and 5 both neighbor node 6 on a 5x2 mesh.

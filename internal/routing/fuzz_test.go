@@ -2,6 +2,7 @@ package routing_test
 
 import (
 	"errors"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -147,6 +148,18 @@ func checkFlat(t *testing.T, name string, m topology.Topology, plan routing.Plan
 	}
 }
 
+// checkFlatCompute requires a flat router's FlatCompute of k, which
+// flattens a registry path scheme straight from its workspace, to equal
+// the flattened route form of plan, field for field.
+func checkFlatCompute(t *testing.T, name string, r routing.Router, m topology.Topology,
+	k core.MulticastSet, plan routing.Plan) {
+	t.Helper()
+	got, want := routing.Flat(r, routing.NewPlanCache(0)).FlatCompute(k), routing.Flatten(m, plan)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: FlatCompute gives %+v, the flattened PlanSet %+v", name, got, want)
+	}
+}
+
 // checkDegraded routes k around the link faults of events with the named
 // scheme's degraded router and asserts the fault contract: no panic,
 // every returned error is a typed partition error, and the plan covers
@@ -224,7 +237,8 @@ func checkDegraded(t *testing.T, name string, st *routing.State, events []fault.
 // destination sets, and fault masks, and asserts the routing invariants:
 // on healthy hardware the plan covers each destination exactly once,
 // uses only real channels, (for the path schemes) every path is
-// label-monotone, and its flat form carries the same routes (checkFlat);
+// label-monotone, its flat form carries the same routes (checkFlat), and
+// FlatCompute writes that flat form field for field (checkFlatCompute);
 // under the fuzzed fault mask the degraded router either
 // covers every reachable destination over live channels or reports a
 // typed partition error — never a panic.
@@ -272,6 +286,7 @@ func FuzzPlan(f *testing.F) {
 				checkMonotone(t, st, name, p)
 			}
 			checkFlat(t, name, m, plan)
+			checkFlatCompute(t, name, r, m, k, plan)
 		}
 		for _, name := range fuzzTreeSchemes {
 			r, err := routing.New(name, st)
@@ -283,6 +298,7 @@ func FuzzPlan(f *testing.F) {
 				t.Fatalf("%s: %v", name, err)
 			}
 			checkFlat(t, name, m, plan)
+			checkFlatCompute(t, name, r, m, k, plan)
 		}
 		// Fault-mask leg: kill a fuzzer-chosen set of links (at most a
 		// third of the mesh, so the mask stays routable often enough to

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"multicastnet/internal/core"
+	"multicastnet/internal/dfr"
 	"multicastnet/internal/labeling"
 	"multicastnet/internal/stats"
 	"multicastnet/internal/topology"
@@ -200,45 +201,91 @@ func TestVirtualChannelOptions(t *testing.T) {
 	}
 }
 
-// TestPathPlanAllocations pins what a warm path-scheme plan allocates:
-// the HighLowPartition array, the Paths list, one node row per path and
-// one neighbor buffer for the whole plan. Rows are sized exactly from
-// the legs' distances, so no append grows one, and every hop of every
-// leg reuses the one buffer; a buffer per leg or per hop, or a row that
-// grows by appends, fails the count.
-func TestPathPlanAllocations(t *testing.T) {
-	mesh, err := NewState(topology.NewMesh2D(8, 8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cube, err := NewState(topology.NewHypercube(6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		scheme string
-		st     *State
-	}{
-		{"dual-path", mesh},
-		{"multi-path", mesh},
-		{"multi-path", cube},
-		{"virtual-channel", mesh},
-		{"adaptive-dual-path", mesh},
-	} {
-		r, err := New(tc.scheme, tc.st)
+// pathRouters builds every registry path scheme (no tree classes) on
+// the 8x8 mesh and on the 6-cube.
+func pathRouters(t *testing.T) []Router {
+	t.Helper()
+	var out []Router
+	for _, topo := range []topology.Topology{topology.NewMesh2D(8, 8), topology.NewHypercube(6)} {
+		st, err := NewState(topo)
 		if err != nil {
 			t.Fatal(err)
 		}
-		topo := tc.st.Topology()
+		for _, info := range Schemes() {
+			if info.TreeClasses > 0 {
+				continue
+			}
+			r, err := New(info.Name, st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// TestPathPlanAllocations pins what a warm path-scheme plan allocates:
+// the scheme writes its star into a workspace the test holds, and
+// Star.Clone copies it out in two allocations, the Paths list and one
+// array holding every row and every Dests. A row, partition, neighbor
+// buffer or sort scratch allocated per plan, a buffer per leg or per
+// hop, or an interface conversion whose type-assert cache allocates,
+// fails the count in every build mode; run it with -count=50 to catch
+// the last. PlanSet is that call on a pooled workspace and must return
+// the same plan; its count is not pinned, since a collection empties
+// the pool.
+func TestPathPlanAllocations(t *testing.T) {
+	for _, r := range pathRouters(t) {
+		pp := r.(pathPlanner)
+		topo := r.State().Topology()
+		ws := new(dfr.Workspace)
 		rng := stats.NewRand(11)
 		for i := 0; i < 60; i++ {
 			k := randomSet(topo, rng, 1+rng.Intn(topo.Nodes()-1))
-			var p Plan
-			got := testing.AllocsPerRun(3, func() { p = r.PlanSet(k) })
-			// HighLowPartition's array, Paths, a row per path, the neighbor buffer.
-			if want := float64(1 + 1 + len(p.Paths) + 1); got != want {
-				t.Fatalf("%s on %s, %d destinations in %d paths: %.1f allocations per plan, want %.0f",
-					tc.scheme, topo.Name(), len(k.Dests), len(p.Paths), got, want)
+			var s dfr.Star
+			got := testing.AllocsPerRun(3, func() {
+				s, _ = pp.planPaths(ws, k)
+				s = s.Clone()
+			})
+			if got != 2 {
+				t.Fatalf("%s on %s, %d destinations in %d paths: %.1f allocations per plan, want 2",
+					r.Scheme(), topo.Name(), len(k.Dests), len(s.Paths), got)
+			}
+			if p := r.PlanSet(k); !reflect.DeepEqual(p.Paths, s.Paths) {
+				t.Fatalf("%s on %s: PlanSet plans %v, want %v", r.Scheme(), topo.Name(), p.Paths, s.Paths)
+			}
+		}
+	}
+}
+
+// TestFlatComputeAllocations pins what a warm flat plan of a path
+// scheme allocates: the star is written into a workspace and flattened
+// from there by a Flattener, both held by the test, so the FlatPlan and
+// its six arrays are all it allocates in every build mode, with no
+// route-form row, path list or flattening scratch per plan.
+// FlatCompute is that call on a pooled workspace and Flattener and must
+// return the same plan.
+func TestFlatComputeAllocations(t *testing.T) {
+	for _, r := range pathRouters(t) {
+		pp := r.(pathPlanner)
+		fr := Flat(r, NewPlanCache(0))
+		topo := r.State().Topology()
+		ws, fl := new(dfr.Workspace), NewFlattener(topo)
+		rng := stats.NewRand(13)
+		for i := 0; i < 60; i++ {
+			k := randomSet(topo, rng, 1+rng.Intn(topo.Nodes()-1))
+			var f *FlatPlan
+			got := testing.AllocsPerRun(3, func() {
+				s, _ := pp.planPaths(ws, k)
+				f = fl.Flatten(new(FlatPlan), Plan{Paths: s.Paths})
+			})
+			if got != 7 {
+				t.Fatalf("%s on %s, %d destinations: %.1f allocations per flat plan, want 7",
+					r.Scheme(), topo.Name(), len(k.Dests), got)
+			}
+			if g := fr.FlatCompute(k); !reflect.DeepEqual(g, f) {
+				t.Fatalf("%s on %s: FlatCompute plans %+v, want %+v", r.Scheme(), topo.Name(), g, f)
 			}
 		}
 	}

@@ -13,10 +13,13 @@ import (
 // State, so per-plan work is pure route construction.
 
 // router is the common Router implementation: a name, the state, and a
-// plan function. live is non-nil for adaptive schemes.
+// plan function. A path scheme writes its star into a dfr.Workspace
+// (star); a tree scheme plans whole (plan). live is non-nil for adaptive
+// schemes.
 type router struct {
 	scheme string
 	st     *State
+	star   func(ws *dfr.Workspace, k core.MulticastSet) dfr.Star
 	plan   func(k core.MulticastSet) Plan
 	live   func(k core.MulticastSet, oracle dfr.ChannelOracle) Plan
 }
@@ -27,8 +30,26 @@ func (r *router) Scheme() string { return r.scheme }
 // State implements Router.
 func (r *router) State() *State { return r.st }
 
-// PlanSet implements Router.
-func (r *router) PlanSet(k core.MulticastSet) Plan { return r.plan(k) }
+// PlanSet implements Router. A path scheme's plan is its star copied out
+// of a pooled workspace: the path list and one array of every row and
+// destination.
+func (r *router) PlanSet(k core.MulticastSet) Plan {
+	if r.star == nil {
+		return r.plan(k)
+	}
+	ws := dfr.AcquireWorkspace()
+	defer dfr.ReleaseWorkspace(ws)
+	return Plan{Paths: r.star(ws, k).Clone().Paths}
+}
+
+// planPaths writes a path scheme's star into ws, or reports false for a
+// tree scheme. It is the pathPlanner that FlatRouter flattens from.
+func (r *router) planPaths(ws *dfr.Workspace, k core.MulticastSet) (dfr.Star, bool) {
+	if r.star == nil {
+		return dfr.Star{}, false
+	}
+	return r.star(ws, k), true
+}
 
 // liveRouter adds PlanLive; only adaptive schemes build it.
 type liveRouter struct {
@@ -44,14 +65,13 @@ func (r *liveRouter) PlanLive(k core.MulticastSet, oracle dfr.ChannelOracle) Pla
 // for the Fig. 7.8 comparison: traffic is spread across the two channel
 // copies by source parity, halving contention per copy. Every copy
 // network carries only label-monotone paths, so each remains acyclic and
-// the assignment preserves deadlock freedom.
-func classifyDouble(s dfr.Star) []dfr.PathRoute {
-	out := make([]dfr.PathRoute, len(s.Paths))
-	for i, p := range s.Paths {
-		out[i] = p
-		out[i].Class = (int(s.Source) + i) % 2
+// the assignment preserves deadlock freedom. It rewrites s's paths in
+// place.
+func classifyDouble(s dfr.Star) dfr.Star {
+	for i := range s.Paths {
+		s.Paths[i].Class = (int(s.Source) + i) % 2
 	}
-	return out
+	return s
 }
 
 // schemes is the scheme table, sorted by name. Lookup, Names and
@@ -62,14 +82,13 @@ var schemes = []Info{
 		Description:  "congestion-adaptive dual-path routing (Section 8.2 extension)",
 		DeadlockFree: true,
 		Build: func(s *State, _ Options) (Router, error) {
-			live := func(k core.MulticastSet, oracle dfr.ChannelOracle) Plan {
-				return Plan{Paths: dfr.AdaptiveDualPath(s.topo, s.label, k, oracle).Paths}
-			}
 			return &liveRouter{router{scheme: "adaptive-dual-path", st: s,
-				plan: func(k core.MulticastSet) Plan {
-					return live(k, dfr.IdleOracle())
+				star: func(ws *dfr.Workspace, k core.MulticastSet) dfr.Star {
+					return ws.AdaptiveDualPath(s.topo, s.label, k, dfr.IdleOracle())
 				},
-				live: live}}, nil
+				live: func(k core.MulticastSet, oracle dfr.ChannelOracle) Plan {
+					return Plan{Paths: dfr.AdaptiveDualPath(s.topo, s.label, k, oracle).Paths}
+				}}}, nil
 		},
 	},
 	{
@@ -78,8 +97,8 @@ var schemes = []Info{
 		DeadlockFree: true,
 		Build: func(s *State, _ Options) (Router, error) {
 			return &router{scheme: "dual-path", st: s,
-				plan: func(k core.MulticastSet) Plan {
-					return Plan{Paths: dfr.DualPath(s.topo, s.label, k).Paths}
+				star: func(ws *dfr.Workspace, k core.MulticastSet) dfr.Star {
+					return ws.DualPath(s.topo, s.label, k)
 				}}, nil
 		},
 	},
@@ -89,8 +108,8 @@ var schemes = []Info{
 		DeadlockFree: true,
 		Build: func(s *State, _ Options) (Router, error) {
 			return &router{scheme: "dual-path-double", st: s,
-				plan: func(k core.MulticastSet) Plan {
-					return Plan{Paths: classifyDouble(dfr.DualPath(s.topo, s.label, k))}
+				star: func(ws *dfr.Workspace, k core.MulticastSet) dfr.Star {
+					return classifyDouble(ws.DualPath(s.topo, s.label, k))
 				}}, nil
 		},
 	},
@@ -100,8 +119,8 @@ var schemes = []Info{
 		DeadlockFree: true,
 		Build: func(s *State, _ Options) (Router, error) {
 			return &router{scheme: "fixed-path", st: s,
-				plan: func(k core.MulticastSet) Plan {
-					return Plan{Paths: dfr.FixedPath(s.topo, s.label, k).Paths}
+				star: func(ws *dfr.Workspace, k core.MulticastSet) dfr.Star {
+					return ws.FixedPath(s.topo, s.label, k)
 				}}, nil
 		},
 	},
@@ -114,10 +133,7 @@ var schemes = []Info{
 			if err != nil {
 				return nil, err
 			}
-			return &router{scheme: "multi-path", st: s,
-				plan: func(k core.MulticastSet) Plan {
-					return Plan{Paths: star(k).Paths}
-				}}, nil
+			return &router{scheme: "multi-path", st: s, star: star}, nil
 		},
 	},
 	{
@@ -130,8 +146,8 @@ var schemes = []Info{
 				return nil, err
 			}
 			return &router{scheme: "multi-path-double", st: s,
-				plan: func(k core.MulticastSet) Plan {
-					return Plan{Paths: classifyDouble(star(k))}
+				star: func(ws *dfr.Workspace, k core.MulticastSet) dfr.Star {
+					return classifyDouble(star(ws, k))
 				}}, nil
 		},
 	},
@@ -180,8 +196,8 @@ var schemes = []Info{
 				return nil, fmt.Errorf("routing: virtual-channel needs v >= 1, got %d", v)
 			}
 			return &router{scheme: "virtual-channel", st: s,
-				plan: func(k core.MulticastSet) Plan {
-					return Plan{Paths: dfr.VirtualChannelPath(s.topo, s.label, k, v).Paths}
+				star: func(ws *dfr.Workspace, k core.MulticastSet) dfr.Star {
+					return ws.VirtualChannelPath(s.topo, s.label, k, v)
 				}}, nil
 		},
 	},
@@ -189,15 +205,15 @@ var schemes = []Info{
 
 // multiPathFn dispatches the multi-path algorithm by topology. A masked
 // view is routed over the mask but split by the underlying geometry.
-func multiPathFn(s *State) (func(k core.MulticastSet) dfr.Star, error) {
+func multiPathFn(s *State) (func(ws *dfr.Workspace, k core.MulticastSet) dfr.Star, error) {
 	if m, ok := meshOf(s.topo); ok {
-		return func(k core.MulticastSet) dfr.Star {
-			return dfr.MultiPathMeshOn(s.topo, m, s.label, k)
+		return func(ws *dfr.Workspace, k core.MulticastSet) dfr.Star {
+			return ws.MultiPathMeshOn(s.topo, m, s.label, k)
 		}, nil
 	}
 	if h, ok := cubeOf(s.topo); ok {
-		return func(k core.MulticastSet) dfr.Star {
-			return dfr.MultiPathCubeOn(s.topo, h, s.label, k)
+		return func(ws *dfr.Workspace, k core.MulticastSet) dfr.Star {
+			return ws.MultiPathCubeOn(s.topo, h, s.label, k)
 		}, nil
 	}
 	return nil, fmt.Errorf("routing: multi-path needs a 2D mesh or hypercube, got %s", s.topo.Name())

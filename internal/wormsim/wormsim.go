@@ -78,6 +78,7 @@ package wormsim
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"multicastnet/internal/dfr"
 	"multicastnet/internal/routing"
@@ -366,6 +367,11 @@ func (n *Network) see(id int32) int32 {
 			owner = deadChan
 			break
 		}
+	}
+	if len(n.chanSt) == cap(n.chanSt) {
+		// Double: append's own steps shrink toward 1.25x, and a fresh
+		// network sees thousands of channels.
+		n.chanSt = slices.Grow(n.chanSt, len(n.chanSt))
 	}
 	n.chanSt = append(n.chanSt, chanState{owner: owner})
 	return ci
