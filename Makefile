@@ -69,13 +69,14 @@ bench-routing-baseline:
 bench-heuristics-baseline:
 	$(GO) test ./internal/heuristics -run TestWriteHeuristicsBenchBaseline -update-heuristics-bench
 
-## fuzz: 30-second smoke of each of the six fuzz targets (healthy routing invariants and flat plans vs their route form + fault-mask CDG acyclicity + trace-parser round-trip + channel numbering vs neighbor lists + wait-for graph vs the all-ahead reference + masked distances vs a from-scratch BFS after fail, repair and no-op deltas)
+## fuzz: 30-second smoke of each of the seven fuzz targets (healthy routing invariants and flat plans vs their route form + fault-mask CDG acyclicity + trace-parser round-trip + channel numbering vs neighbor lists + wait-for graph vs the all-ahead reference + a reset network vs a fresh one after dirty traffic + masked distances vs a from-scratch BFS after fail, repair and no-op deltas)
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzPlan -fuzztime 30s ./internal/routing
 	$(GO) test -run '^$$' -fuzz FuzzFaultMaskCDG -fuzztime 30s ./internal/fault
 	$(GO) test -run '^$$' -fuzz FuzzTraceParse -fuzztime 30s ./internal/workload
 	$(GO) test -run '^$$' -fuzz FuzzChannelNumbering -fuzztime 30s ./internal/dfr
 	$(GO) test -run '^$$' -fuzz FuzzDetectDeadlock -fuzztime 30s ./internal/wormsim
+	$(GO) test -run '^$$' -fuzz FuzzResetMatchesFresh -fuzztime 30s ./internal/wormsim
 	$(GO) test -run '^$$' -fuzz FuzzLiveMaskedDistances -fuzztime 30s ./internal/topology
 
 # FIGURES then STUDIES is the one list of commands that regenerate the

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"multicastnet/internal/allocs"
 	"multicastnet/internal/core"
 	"multicastnet/internal/dfr"
 	"multicastnet/internal/labeling"
@@ -228,30 +229,26 @@ func pathRouters(t *testing.T) []Router {
 // TestPathPlanAllocations pins what a warm path-scheme plan allocates:
 // the scheme writes its star into a workspace the test holds, and
 // Star.Clone copies it out in two allocations, the Paths list and one
-// array holding every row and every Dests. A row, partition, neighbor
-// buffer or sort scratch allocated per plan, a buffer per leg or per
-// hop, or an interface conversion whose type-assert cache allocates,
-// fails the count in every build mode; run it with -count=50 to catch
-// the last. PlanSet is that call on a pooled workspace and must return
-// the same plan; its count is not pinned, since a collection empties
-// the pool.
+// array holding every row and every Dests. The count is exact over a
+// thousand plans (allocs.Exact), so a row, partition, neighbor buffer or
+// sort scratch allocated per plan, a buffer per leg or per hop, or an
+// interface conversion whose type-assert cache allocates even now and
+// then, fails it in every build mode. PlanSet is that call on a pooled
+// workspace and must return the same plan; its count is not pinned,
+// since a collection empties the pool.
 func TestPathPlanAllocations(t *testing.T) {
 	for _, r := range pathRouters(t) {
 		pp := r.(pathPlanner)
 		topo := r.State().Topology()
 		ws := new(dfr.Workspace)
-		rng := stats.NewRand(11)
-		for i := 0; i < 60; i++ {
-			k := randomSet(topo, rng, 1+rng.Intn(topo.Nodes()-1))
-			var s dfr.Star
-			got := testing.AllocsPerRun(3, func() {
-				s, _ = pp.planPaths(ws, k)
-				s = s.Clone()
-			})
-			if got != 2 {
-				t.Fatalf("%s on %s, %d destinations in %d paths: %.1f allocations per plan, want 2",
-					r.Scheme(), topo.Name(), len(k.Dests), len(s.Paths), got)
-			}
+		sets := randomSets(topo, stats.NewRand(11), 60)
+		var s dfr.Star
+		allocs.Exact(t, r.Scheme()+" plan on "+topo.Name(), 2, func(i int) {
+			s, _ = pp.planPaths(ws, sets[i%len(sets)])
+			s = s.Clone()
+		})
+		for _, k := range sets {
+			s, _ = pp.planPaths(ws, k)
 			if p := r.PlanSet(k); !reflect.DeepEqual(p.Paths, s.Paths) {
 				t.Fatalf("%s on %s: PlanSet plans %v, want %v", r.Scheme(), topo.Name(), p.Paths, s.Paths)
 			}
@@ -262,8 +259,8 @@ func TestPathPlanAllocations(t *testing.T) {
 // TestFlatComputeAllocations pins what a warm flat plan of a path
 // scheme allocates: the star is written into a workspace and flattened
 // from there by a Flattener, both held by the test, so the FlatPlan and
-// its six arrays are all it allocates in every build mode, with no
-// route-form row, path list or flattening scratch per plan.
+// its six arrays are all it allocates, exactly, in every build mode,
+// with no route-form row, path list or flattening scratch per plan.
 // FlatCompute is that call on a pooled workspace and Flattener and must
 // return the same plan.
 func TestFlatComputeAllocations(t *testing.T) {
@@ -272,21 +269,27 @@ func TestFlatComputeAllocations(t *testing.T) {
 		fr := Flat(r, NewPlanCache(0))
 		topo := r.State().Topology()
 		ws, fl := new(dfr.Workspace), NewFlattener(topo)
-		rng := stats.NewRand(13)
-		for i := 0; i < 60; i++ {
-			k := randomSet(topo, rng, 1+rng.Intn(topo.Nodes()-1))
-			var f *FlatPlan
-			got := testing.AllocsPerRun(3, func() {
-				s, _ := pp.planPaths(ws, k)
-				f = fl.Flatten(new(FlatPlan), Plan{Paths: s.Paths})
-			})
-			if got != 7 {
-				t.Fatalf("%s on %s, %d destinations: %.1f allocations per flat plan, want 7",
-					r.Scheme(), topo.Name(), len(k.Dests), got)
-			}
+		sets := randomSets(topo, stats.NewRand(13), 60)
+		var f *FlatPlan
+		allocs.Exact(t, r.Scheme()+" flat plan on "+topo.Name(), 7, func(i int) {
+			s, _ := pp.planPaths(ws, sets[i%len(sets)])
+			f = fl.Flatten(new(FlatPlan), Plan{Paths: s.Paths})
+		})
+		for _, k := range sets {
+			s, _ := pp.planPaths(ws, k)
+			f = fl.Flatten(new(FlatPlan), Plan{Paths: s.Paths})
 			if g := fr.FlatCompute(k); !reflect.DeepEqual(g, f) {
 				t.Fatalf("%s on %s: FlatCompute plans %+v, want %+v", r.Scheme(), topo.Name(), g, f)
 			}
 		}
 	}
+}
+
+// randomSets draws n multicast sets of 1 to N-1 destinations over topo.
+func randomSets(topo topology.Topology, rng *stats.Rand, n int) []core.MulticastSet {
+	sets := make([]core.MulticastSet, n)
+	for i := range sets {
+		sets[i] = randomSet(topo, rng, 1+rng.Intn(topo.Nodes()-1))
+	}
+	return sets
 }

@@ -19,6 +19,12 @@
 // paths and trees alike, so its load is one walk over its channel ids
 // and its dilation the most levels any route crosses.
 //
+// Serve drives one request stream end to end, into a wormsim.Network,
+// in a pooled engine that it resets rather than rebuilds for each
+// stream: Service.Reset and wormsim.Network.Reset keep every array's
+// capacity, so a process serving stream after stream allocates the
+// service's and the network's state once per goroutine.
+//
 // Determinism: for a given submission sequence the admitted stream,
 // deferral counts, and PlanCache counters are identical at every worker
 // count. Lookups and installs run serially in canonical order (one
@@ -116,19 +122,41 @@ type Service struct {
 // New returns a service over cfg. The topology is taken from the
 // router's state.
 func New(cfg Config) *Service {
+	s := new(Service)
+	s.Reset(cfg)
+	return s
+}
+
+// Reset returns s to the state New(cfg) builds, but keeps its arrays:
+// requests still queued go back to the item arena with their destination
+// arrays, the load words (all 0 between windows) and the scratch buffers
+// stay, and the stats restart from zero. A service that packs stream
+// after stream therefore grows them once.
+func (s *Service) Reset(cfg Config) {
 	if cfg.Router == nil {
 		panic("sched: Config.Router is required")
 	}
 	if cfg.MaxDefer == 0 {
 		cfg.MaxDefer = 8
 	}
+	s.drop()
 	topo := cfg.Router.State().Topology()
-	return &Service{
-		cfg:    cfg,
-		router: cfg.Router,
-		topo:   topo,
-		layer:  dfr.NewChannelNumbering(topo).Layer(),
+	s.cfg, s.router, s.topo = cfg, cfg.Router, topo
+	s.layer = dfr.NewChannelNumbering(topo).Layer()
+	s.stats = Stats{}
+}
+
+// drop recycles the queued requests and forgets the router, the config
+// and every plan pointer, so that a service kept for reuse holds nothing
+// of its last stream but capacity.
+func (s *Service) drop() {
+	for _, it := range s.queue {
+		s.recycle(it)
 	}
+	clear(s.queue)
+	clear(s.admitted[:cap(s.admitted)])
+	s.queue, s.admitted = s.queue[:0], s.admitted[:0]
+	s.cfg, s.router, s.topo = Config{}, nil, nil
 }
 
 // Stats returns the cumulative counters.

@@ -3,6 +3,7 @@ package sched
 import (
 	"testing"
 
+	"multicastnet/internal/allocs"
 	"multicastnet/internal/core"
 	"multicastnet/internal/labeling"
 	"multicastnet/internal/routing"
@@ -292,8 +293,8 @@ func TestWorkerCountInvariance(t *testing.T) {
 // TestSteadyStateWindowAllocationFree is the scheduling analogue of
 // wormsim's TestSteadyStateAllocationFree: once the group pool is warm
 // (plans cached, arena and scratch grown), a full submit + close-window
-// round allocates nothing — even with a worker pool configured, since
-// all-hit windows never reach it.
+// round allocates nothing, counted exactly over a thousand rounds — even
+// with a worker pool configured, since all-hit windows never reach it.
 func TestSteadyStateWindowAllocationFree(t *testing.T) {
 	m := topology.NewMesh2D(16, 16)
 	cache := routing.NewPlanCache(0)
@@ -335,9 +336,7 @@ func TestSteadyStateWindowAllocationFree(t *testing.T) {
 	if s.Stats().Deferred == 0 {
 		t.Fatal("warmup produced no deferrals; budget no longer exercises the packer")
 	}
-	if avg := testing.AllocsPerRun(20, round); avg > 0 {
-		t.Errorf("steady-state window round allocates %.1f objects, want 0", avg)
-	}
+	allocs.Exact(t, "steady-state window round", 0, func(int) { round() })
 	if misses := cache.Stats().Misses; misses > groups {
 		t.Fatalf("pool of %d groups produced %d misses", groups, misses)
 	}

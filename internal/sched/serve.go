@@ -3,6 +3,7 @@ package sched
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"multicastnet/internal/routing"
 	"multicastnet/internal/stats"
@@ -67,15 +68,54 @@ type ServeResult struct {
 // request stream, window schedule, and simulation are all deterministic,
 // at any Service.Workers value. The offer ends when the stream is
 // exhausted or Requests requests were issued.
+//
+// Serve works in a pooled engine: a Service, a wormsim.Network and the
+// per-request arrays, reset for each call (Service.Reset,
+// wormsim.Network.Reset). A process serving stream after stream grows
+// them once per goroutine rather than once per stream, and concurrent
+// calls each take their own engine. An engine goes back to the pool
+// only when Serve returns normally, holding nothing of the stream.
 func Serve(cfg ServeConfig) ServeResult {
 	if cfg.Workload == nil {
 		panic("sched: ServeConfig.Workload is required")
 	}
-	svc := New(cfg.Service)
-	net := wormsim.NewNetwork(cfg.Service.Router.State().Topology())
+	e := engines.Get().(*engine)
+	res := e.serve(cfg)
+	e.drop()
+	engines.Put(e) // not on a panic: the engine would be mid-stream
+	return res
+}
 
-	arrival := make([]int64, cfg.Requests)
-	latencies := make([]float64, 0, cfg.Requests)
+// engine is the state one Serve call works in.
+type engine struct {
+	svc       Service
+	net       wormsim.Network
+	arrival   []int64   // per request id: its arrival cycle
+	latencies []float64 // completed requests' latencies
+}
+
+var engines = sync.Pool{New: func() any { return new(engine) }}
+
+// drop forgets the stream: the router and config (Service.drop), and the
+// topology, the completion callback and every worm (Network.Reset(nil)).
+// The arrays keep only numbers.
+func (e *engine) drop() {
+	e.svc.drop()
+	e.net.Reset(nil)
+}
+
+// serve is Serve's loop on the engine's state, reset for cfg.
+func (e *engine) serve(cfg ServeConfig) ServeResult {
+	svc, net := &e.svc, &e.net
+	svc.Reset(cfg.Service)
+	net.Reset(cfg.Service.Router.State().Topology())
+	if cap(e.arrival) < cfg.Requests {
+		e.arrival = make([]int64, cfg.Requests)
+		e.latencies = make([]float64, 0, cfg.Requests)
+	}
+	// At most Requests requests complete, so latencies never outgrows
+	// its array.
+	arrival, latencies := e.arrival[:cfg.Requests], e.latencies[:0]
 	completed := 0
 	inFlight, maxInFlight := 0, 0
 	net.OnCompleteTag(func(tag uint64, _ int64) {

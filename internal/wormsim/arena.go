@@ -17,27 +17,30 @@ package wormsim
 // cycles have passed since they retired — past every possible stale
 // reference.
 
-// allocWorm returns the index of a zeroed worm slot, reusing a retired
-// one (and its slice capacities) when the freelist has one old enough,
-// and growing the arena otherwise. Growing may move the slots backing
-// array: callers never hold a *worm across an allocWorm call.
+// allocWorm returns the index of a zeroed worm slot, keeping the slot's
+// slice capacities. It reuses a retired slot when the freelist has one
+// old enough, else the next slot beyond the arena's length, one that a
+// Reset emptied, and grows the arena only when neither exists. Growing
+// may move the slots backing array: callers never hold a *worm across an
+// allocWorm call.
 func (n *Network) allocWorm() wormRef {
-	if n.freeHead < len(n.free) {
-		wi := n.free[n.freeHead]
-		w := &n.slots[wi]
-		if w.doneCycle+2 <= n.cycle {
-			n.freeHead++
-			if n.freeHead > 64 && n.freeHead*2 > len(n.free) {
-				n.free = append(n.free[:0], n.free[n.freeHead:]...)
-				n.freeHead = 0
-			}
-			chans, bounds, deliveries := w.chans[:0], w.bounds[:0], w.deliveries[:0]
-			*w = worm{chans: chans, bounds: bounds, deliveries: deliveries, mcast: -1}
-			return wi
+	wi := wormRef(len(n.slots))
+	switch {
+	case n.freeHead < len(n.free) && n.slots[n.free[n.freeHead]].doneCycle+2 <= n.cycle:
+		wi = n.free[n.freeHead]
+		n.freeHead++
+		if n.freeHead > 64 && n.freeHead*2 > len(n.free) {
+			n.free = append(n.free[:0], n.free[n.freeHead:]...)
+			n.freeHead = 0
 		}
+	case len(n.slots) < cap(n.slots):
+		n.slots = n.slots[:wi+1]
+	default:
+		n.slots = append(n.slots, worm{})
 	}
-	n.slots = append(n.slots, worm{mcast: -1})
-	return wormRef(len(n.slots) - 1)
+	w := &n.slots[wi]
+	*w = worm{chans: w.chans[:0], bounds: w.bounds[:0], deliveries: w.deliveries[:0], mcast: -1}
+	return wi
 }
 
 // allocMcast returns the index of a zeroed multicast record, reusing one

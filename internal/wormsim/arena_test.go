@@ -3,6 +3,7 @@ package wormsim
 import (
 	"testing"
 
+	"multicastnet/internal/allocs"
 	"multicastnet/internal/core"
 	"multicastnet/internal/dfr"
 	"multicastnet/internal/routing"
@@ -53,7 +54,7 @@ func arenaWorkload(t testing.TB) (*topology.Mesh2D, []routing.Plan) {
 // an invariant check and a deadlock search after every cycle, so the
 // fault path's victim scratch, the checker's slice-indexed scratch and
 // the wait-for graph are held to the same zero-alloc bar as the hot
-// loop.
+// loop. The count is exact over a thousand rounds (allocs.Exact).
 func TestSteadyStateAllocationFree(t *testing.T) {
 	m, plans := arenaWorkload(t)
 	// A channel held by in-flight worms three cycles into the drain (on
@@ -63,8 +64,8 @@ func TestSteadyStateAllocationFree(t *testing.T) {
 	net := NewNetwork(m)
 	// Each activation appends its pred to the standing fault list; that
 	// bounded, amortized growth is driver state, not round state, so
-	// pre-size it to keep the measurement on the scratch.
-	net.deadPreds = make([]func(dfr.Channel) bool, 0, 64)
+	// pre-size it for every round to keep the measurement on the scratch.
+	net.deadPreds = make([]func(dfr.Channel) bool, 0, 2*allocs.Runs+8)
 	lost := 0
 	net.OnLost(func(topology.NodeID, int) { lost++ })
 	fl := routing.NewFlattener(m)
@@ -89,9 +90,7 @@ func TestSteadyStateAllocationFree(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		round() // warm capacities, the freelist and the flattener
 	}
-	if avg := testing.AllocsPerRun(20, round); avg > 0 {
-		t.Errorf("steady-state round allocates %.1f objects, want 0", avg)
-	}
+	allocs.Exact(t, "steady-state round", 0, func(int) { round() })
 	if lost == 0 {
 		t.Error("fault never killed a delivery; the round is not exercising the fault path")
 	}

@@ -59,7 +59,10 @@ type ckWorm struct {
 //     partitions its destination set;
 //   - due level: each worm's due level, the level whose crossing makes
 //     advance scan its deliveries, is the least level among its pending
-//     deliveries (noneDue when none is pending).
+//     deliveries (noneDue when none is pending);
+//   - frontier span: each worm's recorded level count is the one its
+//     level bounds hold, and its frontier span is its head level's
+//     channels (empty once the header has crossed every level).
 func (n *Network) CheckInvariants() error {
 	ck := &n.ck
 	ck.epoch++
@@ -90,10 +93,20 @@ func (n *Network) CheckInvariants() error {
 			}
 			return nil
 		}
-		depth := w.depth()
+		depth := len(w.chans)
+		if len(w.bounds) > 0 {
+			depth = len(w.bounds) - 1
+		}
+		if w.depth != depth {
+			return fmt.Errorf("wormsim: worm %d records %d levels but its level bounds hold %d", w.id, w.depth, depth)
+		}
 		if w.released < 0 || w.released > w.headIdx || w.headIdx > depth {
 			return fmt.Errorf("wormsim: worm %d counters out of order: released %d head %d levels %d",
 				w.id, w.released, w.headIdx, depth)
+		}
+		if lo, hi := w.levelStart(w.headIdx), w.levelStart(min(w.headIdx+1, depth)); w.frontLo != lo || w.frontHi != hi {
+			return fmt.Errorf("wormsim: worm %d frontier span [%d,%d) but its level %d is chans[%d:%d]",
+				w.id, w.frontLo, w.frontHi, w.headIdx, lo, hi)
 		}
 		if w.progress < w.headIdx || w.progress > depth+w.length {
 			return fmt.Errorf("wormsim: worm %d flit miscount: progress %d head %d levels %d length %d",
@@ -196,7 +209,7 @@ func (n *Network) CheckInvariants() error {
 			return fmt.Errorf("wormsim: worm %d is queued by its state but missing from %d wait queue(s)",
 				w.id, ck.worms[wi].queued)
 		}
-		if !w.done && ck.worms[wi].stamp != ck.epoch && w.headIdx < w.depth() && w.queuedAt != w.headIdx {
+		if !w.done && ck.worms[wi].stamp != ck.epoch && w.headIdx < w.depth && w.queuedAt != w.headIdx {
 			return fmt.Errorf("wormsim: worm %d needs a channel it is not queued on but is not active", w.id)
 		}
 	}
@@ -229,6 +242,6 @@ func (n *Network) CheckInvariants() error {
 // frontier level.
 func (n *Network) queuedOn(wi wormRef, id int32) bool {
 	w := &n.slots[wi]
-	return w.queuedAt == w.headIdx && w.headIdx < w.depth() && n.chanSt[id].owner != wi &&
+	return w.queuedAt == w.headIdx && w.headIdx < w.depth && n.chanSt[id].owner != wi &&
 		slices.Contains(w.level(w.headIdx), id)
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"multicastnet/internal/dfr"
+	"multicastnet/internal/routing"
 	"multicastnet/internal/topology"
 )
 
@@ -122,6 +123,42 @@ func TestCheckInvariantsDueLevel(t *testing.T) {
 			err := n.CheckInvariants()
 			if want := "worm 0 due level"; err == nil || !strings.Contains(err.Error(), want) {
 				t.Fatalf("CheckInvariants = %v, want an error containing %q", err, want)
+			}
+		})
+	}
+}
+
+// TestCheckInvariantsFrontierSpan corrupts the level count and the
+// frontier span that advance reads in place of the level bounds, and
+// expects CheckInvariants to name them, on a path worm and on a tree
+// worm whose levels hold two channels each.
+func TestCheckInvariantsFrontierSpan(t *testing.T) {
+	plans := []routing.Plan{
+		{Paths: []dfr.PathRoute{{Nodes: []topology.NodeID{0, 1, 2, 3, 4}, Dests: []topology.NodeID{4}}}},
+		{Trees: []dfr.TreeRoute{{Root: 2, Edges: []dfr.Channel{{From: 2, To: 1}, {From: 2, To: 3},
+			{From: 1, To: 0}, {From: 3, To: 4}}, Dests: []topology.NodeID{0, 4}}}},
+	}
+	for _, tc := range []struct {
+		name    string
+		corrupt func(w *worm)
+		want    string
+	}{
+		{"span left on the crossed level", func(w *worm) { w.frontLo, w.frontHi = 0, w.levelStart(1) }, "frontier span"},
+		{"span one channel too long", func(w *worm) { w.frontHi++ }, "frontier span"},
+		{"one level too many", func(w *worm) { w.depth++ }, "levels but its level bounds hold"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, p := range plans {
+				n := NewNetwork(topology.NewMesh2D(5, 1))
+				n.InjectFlatTag(routing.Flatten(n.topo, p), 4, 0)
+				n.Step() // the header crosses level 0
+				if err := n.CheckInvariants(); err != nil {
+					t.Fatalf("uncorrupted state: %v", err)
+				}
+				tc.corrupt(&n.slots[n.worms[0]])
+				if err := n.CheckInvariants(); err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("%+v: CheckInvariants = %v, want an error containing %q", p, err, tc.want)
+				}
 			}
 		})
 	}

@@ -41,7 +41,7 @@ func detectDeadlockRef(n *Network) (cycle []int, waits map[int][]int) {
 			continue
 		}
 		order = append(order, w.id)
-		if w.headIdx == w.depth() {
+		if w.headIdx == w.depth {
 			continue
 		}
 		for _, id := range w.level(w.headIdx) {
@@ -198,28 +198,45 @@ func runDeadlockCase(t *testing.T, c ddCase) ddStats {
 	return res
 }
 
-// simulateDeadlockCase is one run of runDeadlockCase; period 0 checks
-// around every Step.
-func simulateDeadlockCase(t *testing.T, c ddCase, period int64) ddStats {
-	var topo topology.Topology
+// topology returns the case's mesh or hypercube.
+func (c ddCase) topology() topology.Topology {
 	if c.topo%2 == 0 {
-		topo = topology.NewMesh2D(2+int(c.size)%4, 2+int(c.size/4)%4)
-	} else {
-		topo = topology.NewHypercube(2 + int(c.size)%4)
+		return topology.NewMesh2D(2+int(c.size)%4, 2+int(c.size/4)%4)
 	}
+	return topology.NewHypercube(2 + int(c.size)%4)
+}
+
+// router builds the case's scheme over topo.
+func (c ddCase) router(t *testing.T, topo topology.Topology) (routing.Router, string) {
+	t.Helper()
 	st, err := routing.NewState(topo)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var r routing.Router
-	name := ""
-	for k := 0; r == nil && k < len(ddSchemes); k++ {
-		name = ddSchemes[(int(c.scheme)+k)%len(ddSchemes)]
-		r, _ = routing.New(name, st)
+	for k := 0; k < len(ddSchemes); k++ {
+		name := ddSchemes[(int(c.scheme)+k)%len(ddSchemes)]
+		if r, err := routing.New(name, st); err == nil {
+			return r, name
+		}
 	}
-	if r == nil {
-		t.Fatalf("no deadlock-fuzz scheme builds on %s", topo.Name())
+	t.Fatalf("no deadlock-fuzz scheme builds on %s", topo.Name())
+	return nil, ""
+}
+
+// plan routes k, with sight of net's live channels for an adaptive
+// scheme.
+func plan(r routing.Router, k core.MulticastSet, net *Network) routing.Plan {
+	if lr, ok := r.(routing.LiveRouter); ok {
+		return lr.PlanLive(k, net)
 	}
+	return r.PlanSet(k)
+}
+
+// simulateDeadlockCase is one run of runDeadlockCase; period 0 checks
+// around every Step.
+func simulateDeadlockCase(t *testing.T, c ddCase, period int64) ddStats {
+	topo := c.topology()
+	r, name := c.router(t, topo)
 	net := NewNetwork(topo)
 	var res ddStats
 	rng := stats.NewRand(c.seed)
@@ -259,12 +276,7 @@ func simulateDeadlockCase(t *testing.T, c ddCase, period int64) ddStats {
 		for next < len(script) && at <= cycle {
 			src := topology.NodeID(rng.Intn(topo.Nodes()))
 			k := core.MulticastSet{Source: src, Dests: draw.dests(rng, src, 1+int(script[next]>>2)%(topo.Nodes()-1))}
-			var p routing.Plan
-			if lr, ok := r.(routing.LiveRouter); ok {
-				p = lr.PlanLive(k, net)
-			} else {
-				p = r.PlanSet(k)
-			}
+			p := plan(r, k, net)
 			injectRoutes(net, p.Paths, p.Trees, length)
 			if next++; next < len(script) {
 				at += int64(script[next] & 3)

@@ -83,9 +83,9 @@ func (n *Network) killWorm(wi wormRef) {
 		return
 	}
 	n.killed++
-	if w.headIdx < w.depth() {
+	if w.headIdx < w.depth {
 		queued := w.queuedAt == w.headIdx
-		for _, id := range w.level(w.headIdx) {
+		for _, id := range w.front() {
 			if n.chanSt[id].owner == wi {
 				n.release(id, wi)
 			} else if queued {

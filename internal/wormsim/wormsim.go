@@ -66,6 +66,12 @@
 //     that enqueued since its last nil verdict and from the active list:
 //     a new cycle uses one of their changed edges, so every call is
 //     exact.
+//   - A network is reset, not rebuilt: Reset returns it to the state
+//     NewNetwork builds and keeps the capacity of every array, so a
+//     caller that serves stream after stream (sched.Serve) grows the
+//     channel records, slot table, FIFO pool and worm arena once. Run
+//     still builds a fresh network per run: a pooled one would keep a
+//     saturated run's arena alive (DESIGN.md, "Simulator data layout").
 //
 // Stepping is serial: one engine advances every worm of a run in
 // ascending id order. Parallelism lives one layer up, where independent
@@ -134,17 +140,23 @@ type qNode struct {
 // compact channel indices level by level. A worm with a level of several
 // channels stores its level bounds: level l is chans[bounds[l]:bounds[l+1]].
 // One whose levels each hold one channel, a path, stores none: its level
-// l is channel l alone. A frontier channel is taken exactly when the
-// channel's owner is the worm.
+// l is channel l alone. The level count and the frontier's span of chans
+// are kept beside them, set at injection and moved once per crossed
+// level, so a header's step does not test which layout the worm has. A
+// frontier channel is taken exactly when the channel's owner is the worm.
 type worm struct {
 	id int
 
 	chans    []int32 // compact channel indices, level by level
 	bounds   []int32 // level bounds; empty when each level holds one channel
+	depth    int     // levels to cross
 	headIdx  int     // frontier: the next level to cross
 	queuedAt int     // the level the worm is queued on (-1: none)
 	progress int     // levels crossed plus drain cycles
 	released int     // leading levels already released
+
+	// chans[frontLo:frontHi] is level headIdx; empty once headIdx == depth.
+	frontLo, frontHi int32
 
 	deliveries []delivery
 	undeliv    int
@@ -164,12 +176,13 @@ type worm struct {
 // noneDue is a worm's due level once no delivery is pending.
 const noneDue = math.MaxInt
 
-// depth returns the number of levels the worm crosses.
-func (w *worm) depth() int {
+// levelStart returns where level l starts in chans; level depth starts
+// at the end.
+func (w *worm) levelStart(l int) int32 {
 	if len(w.bounds) == 0 {
-		return len(w.chans)
+		return int32(l)
 	}
-	return len(w.bounds) - 1
+	return w.bounds[l]
 }
 
 // level returns the channels of level l.
@@ -179,6 +192,9 @@ func (w *worm) level(l int) []int32 {
 	}
 	return w.chans[w.bounds[l]:w.bounds[l+1]]
 }
+
+// front returns the channels of the frontier level.
+func (w *worm) front() []int32 { return w.chans[w.frontLo:w.frontHi] }
 
 // mcastState tracks one multicast (possibly several worms) for
 // whole-multicast latency. Records live in Network.mcSlots and are
@@ -270,7 +286,59 @@ type Network struct {
 // created on a channel's first use, so any channel class the injected
 // plans number is accepted.
 func NewNetwork(topo topology.Topology) *Network {
-	return &Network{topo: topo, chans: dfr.NewChannelNumbering(topo), qPool: []qNode{{w: noWorm}}}
+	n := new(Network)
+	n.Reset(topo)
+	return n
+}
+
+// Reset returns n to the state NewNetwork(topo) builds, but keeps the
+// capacity of every array: the slot table, which it clears, the channel
+// records, the FIFO pool, and the worm arena with each slot's level and
+// delivery arrays. A network that serves stream after stream therefore
+// grows them once. Compact channel indices restart in first-use order
+// and worm ids at 0, so a reset network replays a stream exactly as a
+// fresh one does. The
+// observers, the failure predicates and the kill count are dropped. The
+// audits' epoch-stamped scratch keeps its stamps and keeps counting, so
+// no stamp from before the reset can match a later epoch. Reset(nil)
+// leaves a network over no topology that holds nothing of its past runs
+// but capacity; it must be reset to a topology before it is used.
+func (n *Network) Reset(topo topology.Topology) {
+	var chans dfr.ChannelNumbering
+	if topo != nil {
+		chans = dfr.NewChannelNumbering(topo)
+	}
+	clear(n.slot) // compact indices restart in first-use order
+	clear(n.deadPreds)
+	*n = Network{
+		topo:        topo,
+		chans:       chans,
+		slot:        n.slot,
+		chanSt:      n.chanSt[:0],
+		qPool:       append(n.qPool[:0], qNode{w: noWorm}),
+		slots:       n.slots[:0],
+		worms:       n.worms[:0],
+		active:      n.active[:0],
+		nextBuf:     n.nextBuf[:0],
+		wokenNow:    n.wokenNow[:0],
+		wokenNext:   n.wokenNext[:0],
+		deadPreds:   n.deadPreds[:0],
+		victimStamp: n.victimStamp,
+		victimEpoch: n.victimEpoch,
+		victimBuf:   n.victimBuf[:0],
+		free:        n.free[:0],
+		mcSlots:     n.mcSlots[:0],
+		mcFree:      n.mcFree[:0],
+		dd: ddScratch{
+			call:    n.dd.call,
+			changed: n.dd.changed[:0],
+			slots:   n.dd.slots,
+			fifo:    n.dd.fifo,
+			links:   n.dd.links[:0],
+			stack:   n.dd.stack[:0],
+		},
+		ck: n.ck,
+	}
 }
 
 // Cycle returns the current simulation cycle.
@@ -510,6 +578,8 @@ func (n *Network) InjectFlatTag(fp *routing.FlatPlan, lengthFlits int, tag uint6
 				w.bounds[i] = b - clo
 			}
 		}
+		w.depth = int(lhi - llo)
+		w.frontHi = w.levelStart(min(1, w.depth))
 		dlo, dhi := fp.DestOff[r], fp.DestOff[r+1]
 		n.addWorm(wi, fp.Dest[dlo:dhi], fp.DestLevel[dlo:dhi])
 	}
@@ -660,12 +730,11 @@ func (n *Network) retire(wi wormRef) {
 // l + length - 1, and the tail leaves 0-based level i at progress
 // i + length.
 func (n *Network) advance(wi wormRef, w *worm) bool {
-	depth := w.depth()
-	if w.headIdx < depth {
+	if w.headIdx < w.depth {
 		first := w.queuedAt != w.headIdx
 		w.queuedAt = w.headIdx
 		crossed := true
-		for _, id := range w.level(w.headIdx) {
+		for _, id := range w.front() {
 			switch c := &n.chanSt[id]; {
 			case c.owner == noWorm && (c.head == 0 || n.qPool[c.head].w == wi):
 				n.chanTake(id, wi)
@@ -688,6 +757,10 @@ func (n *Network) advance(wi wormRef, w *worm) bool {
 			return true
 		}
 		w.headIdx++
+		w.frontLo = w.frontHi
+		if w.headIdx < w.depth {
+			w.frontHi = w.levelStart(w.headIdx + 1)
+		}
 	}
 	// The header crossed a level, or, fully routed, the body drains one
 	// flit per cycle. The last flit has crossed level progress-length+1;
@@ -697,13 +770,13 @@ func (n *Network) advance(wi wormRef, w *worm) bool {
 	if w.progress-w.length+1 >= w.due {
 		n.deliverDue(w)
 	}
-	for w.released < depth && w.progress >= w.released+w.length {
+	for w.released < w.depth && w.progress >= w.released+w.length {
 		for _, id := range w.level(w.released) {
 			n.release(id, wi)
 		}
 		w.released++
 	}
-	return w.released < depth || w.undeliv > 0
+	return w.released < w.depth || w.undeliv > 0
 }
 
 // deliverDue delivers, in array order, every pending delivery whose
@@ -850,9 +923,9 @@ func (n *Network) DetectDeadlock() []int {
 // for the first time in this call, and returns its frame.
 func (n *Network) ddPush(u wormRef) ddLink {
 	w := &n.slots[u]
-	if w.headIdx < w.depth() {
+	if w.headIdx < w.depth {
 		queued := w.queuedAt == w.headIdx
-		for _, id := range w.level(w.headIdx) {
+		for _, id := range w.front() {
 			if n.chanSt[id].owner != u {
 				n.ddNeed(u, id, queued)
 			}
